@@ -4,20 +4,16 @@
 //! moderate (switching dominated) injection — on both workload streams
 //! (`v1` polled, `v2` batched event-driven injection).
 //!
-//! Besides the criterion timings, a full `cargo bench` run emits
-//! `BENCH_step.json` at the workspace root — the machine-readable record
-//! the README's performance table cites. Under `cargo test` the bodies
-//! smoke-run once and nothing is written (so test runs never dirty the
-//! tree with timing noise).
+//! The checked-in perf record is the repo benchmark's
+//! (`benchmark/BASELINE.json`, `benchmark/run.sh`); this group is the
+//! interactive probe of the same path across a wider grid.
 
 use adele::online::ElevatorFirstSelector;
-use adele_bench::{bench_meta, pillar_grid, BenchMeta};
-use criterion::{criterion_group, BenchmarkId, Criterion};
+use adele_bench::pillar_grid;
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_sim::{SimConfig, Simulator, TrafficInput};
 use noc_topology::{ElevatorSet, Mesh3d};
 use noc_traffic::{BatchedSynthetic, StreamVersion, SyntheticTraffic};
-use serde::Serialize;
-use std::time::Instant;
 
 /// The benchmark grid: (mesh extents, injection rate). Every point is
 /// measured on both workload streams.
@@ -34,27 +30,17 @@ const GRID: [((usize, usize, usize), f64); 8] = [
 
 const STREAMS: [StreamVersion; 2] = [StreamVersion::V1, StreamVersion::V2];
 
-/// Shard counts for the JSON record: the sequential engine and the
-/// sharded engine at the scaling study's widest split. On a machine with
-/// few cores the sharded points record the (small) partition overhead;
-/// with cores available they record the speedup — either way the number
-/// is the measured truth for this host, and results are bit-identical.
-const SHARD_COUNTS: [usize; 2] = [1, 8];
-
 /// A warmed-up simulator on the `scale` study's shared pillar geometry.
 fn warmed_sim(
     extents: (usize, usize, usize),
     rate: f64,
     stream: StreamVersion,
-    shards: usize,
     warmup: u64,
 ) -> Simulator {
     let (x, y, z) = extents;
     let mesh = Mesh3d::new(x, y, z).expect("bench dimensions are valid");
     let elevators = ElevatorSet::new(&mesh, pillar_grid(x, y)).expect("grid fits the mesh");
-    let config = SimConfig::new(mesh, elevators.clone())
-        .with_seed(7)
-        .with_shards(shards);
+    let config = SimConfig::new(mesh, elevators.clone()).with_seed(7);
     let input = match stream {
         StreamVersion::V1 => {
             TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(&mesh, rate, 7)))
@@ -82,7 +68,7 @@ fn bench_step_hot_path(c: &mut Criterion) {
                 &(extents, rate, stream),
                 |b, &(extents, rate, stream)| {
                     b.iter_batched(
-                        || warmed_sim(extents, rate, stream, 1, 500),
+                        || warmed_sim(extents, rate, stream, 500),
                         |mut sim| {
                             for _ in 0..200 {
                                 sim.step().unwrap();
@@ -99,83 +85,4 @@ fn bench_step_hot_path(c: &mut Criterion) {
 }
 
 criterion_group!(benches, bench_step_hot_path);
-
-#[derive(Serialize)]
-struct StepPoint {
-    mesh: String,
-    rate: f64,
-    stream: String,
-    shards: usize,
-    cycles: u64,
-    ns_per_cycle: f64,
-    cycles_per_second: f64,
-}
-
-#[derive(Serialize)]
-struct StepReport {
-    bench: &'static str,
-    mode: &'static str,
-    /// Provenance: which tree and machine shape produced the numbers.
-    meta: BenchMeta,
-    points: Vec<StepPoint>,
-}
-
-/// Times each grid point directly (best of 3 windows) and writes
-/// `BENCH_step.json` at the workspace root.
-fn emit_json() {
-    let (warmup, cycles, reps) = (2_000, 10_000u64, 3);
-    let mut points = Vec::new();
-    for (extents, rate) in GRID {
-        for stream in STREAMS {
-            for shards in SHARD_COUNTS {
-                let mut best = f64::INFINITY;
-                for _ in 0..reps {
-                    let mut sim = warmed_sim(extents, rate, stream, shards, warmup);
-                    let start = Instant::now();
-                    sim.advance(cycles).unwrap();
-                    best = best.min(start.elapsed().as_secs_f64());
-                }
-                points.push(StepPoint {
-                    mesh: format!("{}x{}x{}", extents.0, extents.1, extents.2),
-                    rate,
-                    stream: stream.to_string(),
-                    shards,
-                    cycles,
-                    ns_per_cycle: best * 1e9 / cycles as f64,
-                    cycles_per_second: cycles as f64 / best,
-                });
-            }
-        }
-    }
-    let report = StepReport {
-        bench: "step_hot_path",
-        mode: "bench",
-        meta: bench_meta(&["v1", "v2"], &SHARD_COUNTS),
-        points,
-    };
-    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(|p| p.parent())
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::PathBuf::from("."));
-    let json = serde_json::to_string_pretty(&report).expect("report encodes");
-    let path = root.join("BENCH_step.json");
-    if std::fs::write(&path, json + "\n").is_ok() {
-        println!("wrote {}", path.display());
-    }
-}
-
-fn main() {
-    // `cargo test` probes harness = false targets with `--list`; answer
-    // the protocol without running benchmarks (mirrors criterion_main!).
-    if std::env::args().any(|a| a == "--list") {
-        println!("0 tests, 0 benchmarks");
-        return;
-    }
-    benches();
-    // Record the measurement only under `cargo bench`; `cargo test`
-    // smoke passes leave the checked-in record untouched.
-    if std::env::args().any(|a| a == "--bench") {
-        emit_json();
-    }
-}
+criterion_main!(benches);

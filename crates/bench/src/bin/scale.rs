@@ -230,8 +230,9 @@ fn measure(
     let (wall, injected, phase, latency) = if split {
         // The Amdahl probe: the flight recorder's phase timers split each
         // step into inject (serial traffic generation), compute (the
-        // parallelisable per-shard network phase), exchange (boundary
-        // batches) and commit (the serial tail).
+        // parallelisable per-shard network phase, worklist upkeep
+        // included), exchange (committing the staged arrivals and
+        // credits) and commit (the serial tail).
         let (phase, total) = ok_or_die(sim.advance_phase_timed(cycles), "scale split window");
         (
             total.as_secs_f64(),

@@ -360,9 +360,9 @@ pub fn quick_shrink(scenario: &mut Scenario) {
     scenario.drain_max /= 2;
 }
 
-/// Provenance stamp embedded in recorded benchmark JSON (`BENCH_*.json`):
-/// which tree produced the numbers and on what machine shape — so a
-/// checked-in record can be judged against the host reproducing it.
+/// Provenance stamp embedded in dumped result JSON (`scale`,
+/// `run_specs`): which tree produced the numbers and on what machine
+/// shape — so a record can be judged against the host reproducing it.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchMeta {
     /// `git describe --always --dirty` of the tree, or `"unknown"`.

@@ -259,22 +259,6 @@ impl LinkMap {
         self.out_link[node * PORTS + port]
     }
 
-    /// The full `node × port → lane` input table as one dense row-major
-    /// slice (`node * PORTS + port`), `u32::MAX` marking absent ports.
-    /// Simulator hot paths cache this table so every telemetry push is a
-    /// single flat-array load with no `LinkMap` indirection.
-    #[must_use]
-    pub fn in_lane_table(&self) -> &[u32] {
-        &self.in_lane
-    }
-
-    /// The full `node × port → link` output table, laid out like
-    /// [`LinkMap::in_lane_table`].
-    #[must_use]
-    pub fn out_link_table(&self) -> &[u32] {
-        &self.out_link
-    }
-
     /// The NI lane of `node` (the lane of its local-port FIFO).
     #[must_use]
     pub fn ni_lane(&self, node: NodeId) -> usize {

@@ -15,10 +15,12 @@ use std::time::Duration;
 ///
 /// * `inject` — command dispatch + traffic generation + injection
 ///   (`pre_step`),
-/// * `compute` — per-shard routing/arbitration (phase 1; on the pooled
-///   path this also covers the exchange, which happens inside workers),
-/// * `exchange` — boundary-batch commits between shards (inline path
-///   only; zero when pooled),
+/// * `compute` — per-shard phase 1: routing/arbitration, NI injection
+///   and worklist re-arming in one pass (on the pooled path this also
+///   covers the exchange, which happens inside workers),
+/// * `exchange` — commits of the staged flit arrivals and credit
+///   returns, within and between shards, plus NI credit returns (inline
+///   path only; zero when pooled),
 /// * `commit` — global effect replay + bookkeeping (`finish_cycle` and
 ///   `post_step`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -4,26 +4,74 @@
 //! credits through [`BoundaryBatch`] channel buffers that are part of the
 //! committed cycle state.
 //!
+//! # One pass per cycle
+//!
+//! [`ShardState::phase1`] walks the worklist bitmap once. Per visited
+//! router it routes & sends (unless the router holds no flits or is
+//! `quiet`), injects from the NI if the router's bit in the derived
+//! "non-empty source queue" bitmap is set, and sets the router's
+//! next-cycle worklist bit while flits stay buffered or packets stay
+//! queued. Arrival commits set the bit of every router they land in, so
+//! nothing rescans the worklist afterwards: [`ShardState::finish_commit`]
+//! only returns NI credits. With no rescan to heal a missed bit, the
+//! bitmaps are audited instead ([`ShardState::check_derived_state`], run
+//! every cycle by the lockstep suites).
+//!
+//! A flit-hop reads one [`PortLink`] record per port it touches — peer
+//! router, peer port, peer shard and telemetry ids in one load — for the
+//! send, the credit return and the arrival commit alike.
+//!
+//! # Why streaming one lane is state-identical to arbitrating it
+//!
+//! When exactly one input lane `L` of a router is occupied
+//! (`occ.is_power_of_two()`), [`ShardState::stream_lane`] moves its front
+//! flit without building candidate tables or scanning either round-robin.
+//! The outcome and every state write equal the arbitrated path's:
+//!
+//! * *At most one output channel is in play.* Arbitration considers a
+//!   channel only if its wormhole owner has a flit buffered or a buffered
+//!   head requests it. Only `L` is buffered; `L` holds at most one
+//!   channel (its current packet's, from head grant to tail), and fronts
+//!   a head only when it holds none (a tail clears the owner in the cycle
+//!   it is sent). So `out_mask` and `vc_mask` carry at most one bit: the
+//!   cached head request of `L`, else the `own` channel whose owner is
+//!   `L`.
+//! * *Each round-robin scan has one candidate.* The grant scan over input
+//!   ports finds the only requesting lane wherever `rr_grant` starts, and
+//!   the VC scan finds the only candidate VC wherever `rr_vc` starts; the
+//!   gates in front of them (channel free or owned by `L`, a credit
+//!   unless ejecting) are the ones `stream_lane` applies.
+//! * *The writes are the same code.* `req_cache` is filled by the shared
+//!   [`ShardState::front_request`] before either path decides, and a
+//!   granted flit moves through the one [`ShardState::send`], which
+//!   performs every `owner`/`own`/`rr_grant`/`rr_vc`/`credits`/`occ`/
+//!   `req_cache` update, in the same cycle. A blocked lane writes nothing
+//!   on either path.
+//!
+//! The choice between the paths is made from router state alone, per
+//! router per cycle; no setting selects it.
+//!
 //! # Why the result is independent of shard count *and* commit order
 //!
-//! The two-phase cycle already guarantees that phase 1 (route & send)
-//! only *reads* committed state and only *stages* effects. Sharding keeps
-//! that split and adds one observation: every staged effect commutes with
-//! every other staged effect of the same cycle —
+//! The two-phase cycle already guarantees that phase 1 only *reads*
+//! other routers' committed state and only *stages* effects on them.
+//! Sharding keeps that split and adds one observation: every staged
+//! effect commutes with every other staged effect of the same cycle —
 //!
 //! * at most one flit arrives per `(router, port, vc)` lane per cycle
 //!   (each upstream output port sends at most one flit, and exactly one
 //!   upstream channel feeds each lane), so arrival commits from different
 //!   source shards never touch the same FIFO,
-//! * at most one credit returns per channel per cycle (`input_used`
-//!   guarantees one pop per input lane), so credit commits are disjoint
-//!   too,
+//! * at most one credit returns per channel per cycle (each input lane
+//!   pops at most once), so credit commits are disjoint too,
 //! * worklist bits are idempotent and counters commute.
 //!
 //! Boundary batches therefore need no sorting and no fixed merge order: a
 //! k-shard run commits the *same set* of disjoint effects as the
 //! sequential engine, in any order, and lands in the same state — which
-//! is what `tests/shard_equivalence.rs` proves per cycle.
+//! is what `tests/shard_equivalence.rs` proves per cycle. For the same
+//! reason a router's sends and its NI injection may be staged back to
+//! back in the one pass: neither reads what the other writes.
 //!
 //! The only order-sensitive work of a cycle is what touches the shared
 //! [`PacketTable`] and statistics (delivery bookkeeping, slot retirement,
@@ -63,7 +111,7 @@ const REQ_NONE: u8 = u8::MAX - 1;
 /// Lane index of `(port, vc)` within one router's `PORTS × VCS` block
 /// (the bit position used by the occupancy/owner masks).
 #[inline]
-pub(crate) fn local_lane(port: usize, vc: usize) -> usize {
+pub(crate) const fn local_lane(port: usize, vc: usize) -> usize {
     port * VCS + vc
 }
 
@@ -136,26 +184,87 @@ pub(crate) struct SourceQueue {
     pub(crate) sent: u16,
 }
 
+/// One `(node, port)` entry of [`Topo::links`]: everything a flit-hop
+/// needs to know about the far end of a port, in one 12-byte load.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PortLink {
+    /// The router reached through this port ([`PortLink::NO_PEER`] for
+    /// the local port and for ports the fabric does not wire).
+    peer: NodeId,
+    /// The peer's port facing this one: its *input* port for flits sent
+    /// through this port, and its *output* port for credits returned
+    /// through it (mesh links are bidirectional).
+    pub(crate) peer_port: u8,
+    /// Owning shard of `peer`.
+    pub(crate) peer_shard: u8,
+    /// Telemetry lane of this port's input FIFOs: the upstream link
+    /// feeding it, or the router's NI lane on the local port.
+    pub(crate) in_lane: u32,
+    /// Telemetry link driven by this port's output.
+    pub(crate) out_link: u32,
+}
+
+impl PortLink {
+    /// `Mesh3d` caps the node count at `u16::MAX`, so this id is never a
+    /// router's.
+    const NO_PEER: NodeId = NodeId(u16::MAX);
+
+    /// The router at the far end, if the port is wired.
+    pub(crate) fn peer(&self) -> Option<NodeId> {
+        (self.peer != Self::NO_PEER).then_some(self.peer)
+    }
+}
+
 /// Immutable per-run lookup tables shared by every shard (and, under the
 /// thread pool, by every worker via `Arc`).
 #[derive(Debug)]
 pub(crate) struct Topo {
     pub(crate) coords: Vec<Coord>,
-    /// `neighbours[node][port]` — the router reached through that port.
-    pub(crate) neighbours: Vec<[Option<NodeId>; PORTS]>,
-    /// Telemetry lane of each `(node, port)` input, cached flat from the
-    /// link map so hot-path pushes index one dense array.
-    pub(crate) in_lane: Vec<u32>,
-    /// Telemetry link of each `(node, port)` output, cached likewise.
-    pub(crate) out_link: Vec<u32>,
+    /// The flat link table, `links[node * PORTS + port]`, mirrored port
+    /// for port from the [`LinkMap`] so switching and telemetry can never
+    /// disagree about which links exist.
+    links: Vec<PortLink>,
     /// Owning shard of every router.
     pub(crate) shard_of: Vec<u8>,
     pub(crate) buffer_depth: u8,
 }
 
 impl Topo {
+    pub(crate) fn new(
+        coords: Vec<Coord>,
+        map: &LinkMap,
+        shard_of: Vec<u8>,
+        buffer_depth: u8,
+    ) -> Self {
+        let mut links = Vec::with_capacity(coords.len() * PORTS);
+        for node in 0..coords.len() {
+            for dir in Direction::ALL {
+                let peer = map.neighbour(NodeId(node as u16), dir);
+                links.push(PortLink {
+                    peer: peer.unwrap_or(PortLink::NO_PEER),
+                    peer_port: dir.opposite().index() as u8,
+                    peer_shard: peer.map_or(0, |p| shard_of[p.index()]),
+                    in_lane: map.in_lane_raw(node, dir.index()),
+                    out_link: map.out_link_raw(node, dir.index()),
+                });
+            }
+        }
+        Self {
+            coords,
+            links,
+            shard_of,
+            buffer_depth,
+        }
+    }
+
     pub(crate) fn node_count(&self) -> usize {
         self.coords.len()
+    }
+
+    /// The link record of `(node, port)`.
+    #[inline]
+    pub(crate) fn link(&self, node: usize, port: usize) -> &PortLink {
+        &self.links[node * PORTS + port]
     }
 }
 
@@ -241,6 +350,18 @@ pub(crate) enum Effect {
     },
 }
 
+/// An arbitration outcome: input lane `(ip, iv)` sends its front flit on
+/// VC `v` of the arbitrated output port.
+#[derive(Debug, Clone, Copy)]
+struct Grant {
+    v: usize,
+    ip: usize,
+    iv: usize,
+    /// `true` if the flit is a head taking the channel (a new wormhole),
+    /// `false` if it follows the channel's current owner.
+    is_new: bool,
+}
+
 /// One shard of the network: a contiguous router range with its own arena
 /// slice, worklist, source queues and telemetry partition.
 #[derive(Debug, Clone)]
@@ -262,8 +383,15 @@ pub(crate) struct ShardState {
     pub(crate) queued_total: u64,
     /// Worklist bitmap of routers to visit next cycle (bit = local id).
     pub(crate) active_bits: Vec<u64>,
-    /// Previous cycle's worklist, swapped in as this cycle's visit set.
-    pub(crate) work_bits: Vec<u64>,
+    /// Previous cycle's worklist, swapped in as this cycle's visit set
+    /// and zeroed word by word as phase 1 consumes it.
+    work_bits: Vec<u64>,
+    /// Routers whose source queue is non-empty (bit = local id): a pure
+    /// cache of `sources[rel].queue.is_empty()`, maintained at every
+    /// enqueue and at the pop that empties a queue, so phase 1 injects
+    /// without probing a `VecDeque` per visited router. Always a subset
+    /// of the worklist. Derived state — not hashed.
+    pub(crate) src_bits: Vec<u64>,
     /// Staged outbound traffic, one channel per destination shard
     /// (`outboxes[index]` is the shard's own intra-shard staging).
     pub(crate) outboxes: Vec<BoundaryBatch>,
@@ -305,7 +433,7 @@ impl ShardState {
         let routers = (lo..hi)
             .map(|r| {
                 let credit_mask: [bool; PORTS] =
-                    std::array::from_fn(|p| topo.neighbours[r][p].is_some());
+                    std::array::from_fn(|p| topo.link(r, p).peer().is_some());
                 RouterState::new(depth, credit_mask)
             })
             .collect();
@@ -318,8 +446,11 @@ impl ShardState {
         // each destination shard.
         let mut links_to = vec![0usize; shard_count];
         for r in lo..hi {
-            for nb in topo.neighbours[r].iter().flatten() {
-                links_to[topo.shard_of[nb.index()] as usize] += 1;
+            for p in 0..PORTS {
+                let link = topo.link(r, p);
+                if link.peer().is_some() {
+                    links_to[link.peer_shard as usize] += 1;
+                }
             }
         }
         let outboxes = links_to
@@ -345,6 +476,7 @@ impl ShardState {
             queued_total: 0,
             active_bits: vec![0; n.div_ceil(64)],
             work_bits: vec![0; n.div_ceil(64)],
+            src_bits: vec![0; n.div_ceil(64)],
             outboxes,
             // Per cycle: at most `VCS` NI credit returns per router (the
             // LOCAL input lanes), one ejection plus `VCS` source
@@ -371,80 +503,90 @@ impl ShardState {
         self.sources[rel].queue.push_back(id);
         self.queued_total += 1;
         self.active_bits[rel / 64] |= 1 << (rel % 64);
+        self.src_bits[rel / 64] |= 1 << (rel % 64);
     }
 
-    /// Phase 1 of the cycle for this shard: route & send over the active
-    /// routers, then NI injection at active sources. Only reads the
-    /// packet table; every effect is staged (outboxes, NI credits,
-    /// deferred [`Effect`]s).
+    /// Phase 1 of the cycle for this shard, one pass over the worklist:
+    /// per visited router, route & send, then NI injection if its source
+    /// queue is non-empty, then its next-cycle worklist bit. Only reads
+    /// the packet table; every effect on another router is staged
+    /// (outboxes, NI credits, deferred [`Effect`]s).
     pub(crate) fn phase1(&mut self, topo: &Topo, packets: &PacketTable, cycle: Cycle, armed: bool) {
         self.progress = false;
 
-        // Take this cycle's worklist bitmap; `active_bits` (zeroed at the
-        // end of the previous cycle) accumulates next cycle's.
+        // Take this cycle's worklist bitmap; `active_bits` (all zero: the
+        // previous pass consumed every word) accumulates next cycle's.
         std::mem::swap(&mut self.active_bits, &mut self.work_bits);
 
-        // ---- Phase 1a: route & send, per active router. ----
         for w in 0..self.work_bits.len() {
-            let mut bits = self.work_bits[w];
+            let mut bits = std::mem::take(&mut self.work_bits[w]);
             while bits != 0 {
+                let bit = bits & bits.wrapping_neg();
                 let rel = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+                bits ^= bit;
                 let router = &self.routers[rel];
-                if router.buffered == 0 {
-                    continue; // only queued at its source NI
+                // A router only queued at its source NI has nothing to
+                // switch; a quiet one is provably stuck since its last
+                // arbitration.
+                if router.buffered > 0 && !router.quiet {
+                    let moved = self.process_router(rel, topo, packets, cycle, armed);
+                    self.progress |= moved;
+                    // A fruitless arbitration stays fruitless until an
+                    // arrival or credit changes the router's inputs.
+                    self.routers[rel].quiet = !moved;
                 }
-                if router.quiet {
-                    continue; // provably stuck since its last arbitration
+                if self.src_bits[w] & bit != 0 {
+                    self.inject(rel, packets, armed);
                 }
-                let moved = self.process_router(rel, topo, packets, cycle, armed);
-                self.progress |= moved;
-                // A fruitless arbitration stays fruitless until an arrival
-                // or credit changes the router's inputs.
-                self.routers[rel].quiet = !moved;
+                // Re-arm while flits stay buffered (quiet routers
+                // included) or packets stay queued; everything else goes
+                // idle and costs nothing until an arrival commit or an
+                // enqueue sets its bit again.
+                if self.routers[rel].buffered > 0 || self.src_bits[w] & bit != 0 {
+                    self.active_bits[w] |= bit;
+                }
             }
         }
+    }
 
-        // ---- Phase 1b: NI injection at active sources. ----
-        for w in 0..self.work_bits.len() {
-            let mut bits = self.work_bits[w];
-            while bits != 0 {
-                let rel = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let Some(&pid) = self.sources[rel].queue.front() else {
-                    continue;
-                };
-                let pkt = packets.get(pid);
-                let vc = pkt.vnet.index();
-                if self.ni_credits[rel][vc] == 0 {
-                    continue;
-                }
-                let sent = self.sources[rel].sent;
-                let kind = FlitKind::for_position(sent, pkt.flits);
-                let pkt_flits = pkt.flits;
-                let node = self.lo + rel;
-                self.ni_credits[rel][vc] -= 1;
-                let own = self.index;
-                self.outboxes[own].arrivals.push((
-                    NodeId(node as u16),
-                    LOCAL as u8,
-                    vc as u8,
-                    Flit { packet: pid, kind },
-                ));
-                if armed {
-                    self.part_ledger.ni_events += 1;
-                    self.part_telemetry.on_ni_event(node);
-                }
-                let sq = &mut self.sources[rel];
-                sq.sent += 1;
-                if sq.sent == pkt_flits {
-                    sq.queue.pop_front();
-                    sq.sent = 0;
-                    self.queued_total -= 1;
-                }
-                self.progress = true;
+    /// NI injection at local router `rel`, whose source queue is
+    /// non-empty: stages the front packet's next flit into the local
+    /// input port if the NI holds a credit for its VC.
+    fn inject(&mut self, rel: usize, packets: &PacketTable, armed: bool) {
+        let pid = *self.sources[rel]
+            .queue
+            .front()
+            .expect("source bit implies a queued packet");
+        let pkt = packets.get(pid);
+        let vc = pkt.vnet.index();
+        if self.ni_credits[rel][vc] == 0 {
+            return;
+        }
+        let kind = FlitKind::for_position(self.sources[rel].sent, pkt.flits);
+        let node = self.lo + rel;
+        self.ni_credits[rel][vc] -= 1;
+        let own = self.index;
+        self.outboxes[own].arrivals.push((
+            NodeId(node as u16),
+            LOCAL as u8,
+            vc as u8,
+            Flit { packet: pid, kind },
+        ));
+        if armed {
+            self.part_ledger.ni_events += 1;
+            self.part_telemetry.on_ni_event(node);
+        }
+        let sq = &mut self.sources[rel];
+        sq.sent += 1;
+        if sq.sent == pkt.flits {
+            sq.queue.pop_front();
+            sq.sent = 0;
+            self.queued_total -= 1;
+            if sq.queue.is_empty() {
+                self.src_bits[rel / 64] &= !(1 << (rel % 64));
             }
         }
+        self.progress = true;
     }
 
     /// Commits one inbound boundary batch (flit arrivals + credit
@@ -478,7 +620,7 @@ impl ShardState {
                 // The lane is the upstream link feeding this input port,
                 // or the router's NI lane for local-port injections.
                 self.part_telemetry
-                    .on_buffer_write(topo.in_lane[n * PORTS + port as usize], vc as usize);
+                    .on_buffer_write(topo.link(n, port as usize).in_lane, vc as usize);
             }
             // An arrival is next cycle's work wherever it lands.
             self.active_bits[rel / 64] |= 1 << (rel % 64);
@@ -494,35 +636,52 @@ impl ShardState {
         }
     }
 
-    /// Completes the shard's commit after every inbound batch has been
-    /// applied: NI credit returns and worklist re-arming.
+    /// Completes the shard's commit: the NI credit returns staged by this
+    /// cycle's local-port pops (always intra-shard, so they need no
+    /// boundary batch).
     pub(crate) fn finish_commit(&mut self, topo: &Topo) {
         for (rel, vc) in self.staged_ni_credits.drain(..) {
             let c = &mut self.ni_credits[rel][vc as usize];
             *c += 1;
             debug_assert!(*c <= topo.buffer_depth, "NI credit overflow");
         }
-
-        // Re-arm visited routers that still hold buffered flits or queued
-        // packets; everything else goes idle and costs nothing until a
-        // flit or injection reaches it again.
-        for w in 0..self.work_bits.len() {
-            let mut bits = self.work_bits[w];
-            while bits != 0 {
-                let rel = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.routers[rel].buffered > 0 || !self.sources[rel].queue.is_empty() {
-                    self.active_bits[w] |= 1 << (rel % 64);
-                }
-            }
-            self.work_bits[w] = 0;
-        }
     }
 
-    /// Routes & sends for one active router: computes, once, which output
-    /// each buffered head flit requests and then arbitrates only the
-    /// output ports that have a requesting head or a live wormhole with
-    /// buffered flits.
+    /// The output port requested by the front flit of input lane `b`
+    /// (a [`local_lane`] index with its `occ` bit set), or [`REQ_NONE`]
+    /// if the front is not a routable head. The route of a given front is
+    /// constant, so a blocked head reuses the cached request.
+    #[inline]
+    fn front_request(&mut self, rel: usize, b: usize, topo: &Topo, packets: &PacketTable) -> u8 {
+        let cached = self.routers[rel].req_cache[b];
+        if cached != REQ_UNKNOWN {
+            return cached;
+        }
+        let front = self
+            .fifos
+            .front(rel * PORTS * VCS + b)
+            .expect("occ bit implies a flit");
+        let mut request = REQ_NONE;
+        if front.kind.is_head() {
+            let pkt = packets.get(front.packet);
+            if pkt.vnet.index() == b % VCS {
+                request = route::route_step(
+                    topo.coords[self.lo + rel],
+                    topo.coords[pkt.dst.index()],
+                    pkt.elevator,
+                )
+                .index() as u8;
+            }
+        }
+        self.routers[rel].req_cache[b] = request;
+        request
+    }
+
+    /// Routes & sends for one active router. With a single occupied input
+    /// lane there is nothing to arbitrate ([`Self::stream_lane`]);
+    /// otherwise computes, once, which output each buffered head flit
+    /// requests and arbitrates only the output ports that have a
+    /// requesting head or a live wormhole with buffered flits.
     fn process_router(
         &mut self,
         rel: usize,
@@ -531,13 +690,17 @@ impl ShardState {
         cycle: Cycle,
         armed: bool,
     ) -> bool {
-        let g = self.lo + rel;
+        let occ = self.routers[rel].occ;
+        if occ.is_power_of_two() {
+            let b = occ.trailing_zeros() as usize;
+            return self.stream_lane(rel, b, topo, packets, cycle, armed);
+        }
         // Output ports worth arbitrating: wormhole owners with flits
         // ready. Only channels with their `own` bit set can have an
         // owner, so iterate the mask instead of scanning the table.
         let mut out_mask: u8 = 0;
         // VCs per output that can possibly field a candidate (live owner
-        // or requesting head); process_output skips the rest unseen.
+        // or requesting head); arbitration skips the rest unseen.
         let mut vc_mask = [0u8; PORTS];
         let mut own_bits = self.routers[rel].own;
         while own_bits != 0 {
@@ -545,7 +708,7 @@ impl ShardState {
             own_bits &= own_bits - 1;
             let (o, v) = (b / VCS, b % VCS);
             let (ip, iv) = self.routers[rel].owner[o][v].expect("own bit implies an owner");
-            if self.routers[rel].occ & (1 << local_lane(ip as usize, iv as usize)) != 0 {
+            if occ & (1 << local_lane(ip as usize, iv as usize)) != 0 {
                 out_mask |= 1 << o;
                 vc_mask[o] |= 1 << v;
             }
@@ -553,41 +716,17 @@ impl ShardState {
         // …and the requested output of every head flit at a FIFO front
         // (owned lanes never front a head: the owner is cleared the moment
         // the previous tail is sent). Only non-empty lanes — the set bits
-        // of `occ` — can front anything, and the route of a given front
-        // is constant, so blocked heads reuse the cached request.
+        // of `occ` — can front anything.
         let mut head_request = [[NO_REQUEST; VCS]; PORTS];
-        let mut occ_bits = self.routers[rel].occ;
+        let mut occ_bits = occ;
         while occ_bits != 0 {
             let b = occ_bits.trailing_zeros() as usize;
             occ_bits &= occ_bits - 1;
-            let (p, v) = (b / VCS, b % VCS);
-            let mut request = self.routers[rel].req_cache[b];
-            if request == REQ_UNKNOWN {
-                let head = self
-                    .fifos
-                    .front(self.lane(rel, p, v))
-                    .expect("occ bit implies a flit");
-                request = if head.kind.is_head() {
-                    let pkt = packets.get(head.packet);
-                    if pkt.vnet.index() == v {
-                        route::route_step(
-                            topo.coords[g],
-                            topo.coords[pkt.dst.index()],
-                            pkt.elevator,
-                        )
-                        .index() as u8
-                    } else {
-                        REQ_NONE
-                    }
-                } else {
-                    REQ_NONE
-                };
-                self.routers[rel].req_cache[b] = request;
-            }
+            let request = self.front_request(rel, b, topo, packets);
             if request < PORTS as u8 {
-                head_request[p][v] = request;
+                head_request[b / VCS][b % VCS] = request;
                 out_mask |= 1 << request;
-                vc_mask[request as usize] |= 1 << v;
+                vc_mask[request as usize] |= 1 << (b % VCS);
             }
         }
 
@@ -596,122 +735,184 @@ impl ShardState {
         while out_mask != 0 {
             let o = out_mask.trailing_zeros() as usize;
             out_mask &= out_mask - 1;
-            progress |= self.process_output(
-                rel,
-                o,
-                vc_mask[o],
-                &head_request,
-                &mut input_used,
-                topo,
-                packets,
-                cycle,
-                armed,
-            );
+            if let Some(grant) = self.arbitrate(rel, o, vc_mask[o], &head_request, &input_used) {
+                input_used[grant.ip][grant.iv] = true;
+                self.send(rel, o, grant, topo, packets, cycle, armed);
+                progress = true;
+            }
         }
         progress
     }
 
-    /// Processes one output port of one router: picks (at most) one flit
-    /// to send this cycle and stages its movement. Returns `true` on a
-    /// send.
-    #[allow(clippy::too_many_arguments)] // the per-cycle context of one port
-    fn process_output(
+    /// The streaming path: input lane `b` is the router's only occupied
+    /// lane, so at most one output channel can be requested or
+    /// owned-and-ready and both round-robin scans of [`Self::arbitrate`]
+    /// could only find that one candidate (see the module docs). Resolves
+    /// it directly, applies the same owner and credit gates, and moves
+    /// the flit through the same [`Self::send`].
+    fn stream_lane(
         &mut self,
         rel: usize,
-        o: usize,
-        vc_mask: u8,
-        head_request: &[[u8; VCS]; PORTS],
-        input_used: &mut [[bool; VCS]; PORTS],
+        b: usize,
         topo: &Topo,
         packets: &PacketTable,
         cycle: Cycle,
         armed: bool,
     ) -> bool {
-        let g = self.lo + rel;
-        let o_dir = Direction::from_index(o).expect("valid port");
+        let (ip, iv) = (b / VCS, b % VCS);
+        let request = self.front_request(rel, b, topo, packets);
+        let router = &self.routers[rel];
+        let (o, v, is_new) = if request < PORTS as u8 {
+            // A head asks for a new grant on its own VC; a channel still
+            // held by another wormhole (whose lane is empty) blocks it.
+            if router.owner[request as usize][iv].is_some() {
+                return false;
+            }
+            (request as usize, iv, true)
+        } else {
+            // Mid-wormhole: the flit follows the channel its head took.
+            let lane = Some((ip as u8, iv as u8));
+            let mut own_bits = router.own;
+            loop {
+                if own_bits == 0 {
+                    return false;
+                }
+                let c = own_bits.trailing_zeros() as usize;
+                own_bits &= own_bits - 1;
+                if router.owner[c / VCS][c % VCS] == lane {
+                    break (c / VCS, c % VCS, false);
+                }
+            }
+        };
+        if o != LOCAL && router.credits[o][v] == 0 {
+            return false;
+        }
+        let grant = Grant { v, ip, iv, is_new };
+        self.send(rel, o, grant, topo, packets, cycle, armed);
+        true
+    }
+
+    /// Arbitrates one output port of one router among several occupied
+    /// input lanes: picks (at most) one `(input lane, VC)` to send this
+    /// cycle. Reads state only; [`Self::send`] applies the grant.
+    fn arbitrate(
+        &self,
+        rel: usize,
+        o: usize,
+        vc_mask: u8,
+        head_request: &[[u8; VCS]; PORTS],
+        input_used: &[[bool; VCS]; PORTS],
+    ) -> Option<Grant> {
+        let router = &self.routers[rel];
         // Gather, per VC, the input (port, vc) able to send on (o, vc).
-        let mut candidates: [Option<(u8, u8, bool)>; VCS] = [None; VCS]; // (ip, iv, is_new_grant)
+        let mut candidates: [Option<Grant>; VCS] = [None; VCS];
         let mut vcs = vc_mask;
         while vcs != 0 {
             let v = vcs.trailing_zeros() as usize;
             vcs &= vcs - 1;
-            let has_credit = o == LOCAL || self.routers[rel].credits[o][v] > 0;
+            let has_credit = o == LOCAL || router.credits[o][v] > 0;
             if !has_credit {
                 continue;
             }
-            if let Some((ip, iv)) = self.routers[rel].owner[o][v] {
-                let (ipu, ivu) = (ip as usize, iv as usize);
-                if input_used[ipu][ivu] {
+            if let Some((ip, iv)) = router.owner[o][v] {
+                let (ip, iv) = (ip as usize, iv as usize);
+                if input_used[ip][iv] {
                     continue;
                 }
-                if !self.fifos.is_empty(self.lane(rel, ipu, ivu)) {
-                    candidates[v] = Some((ip, iv, false));
+                if router.occ & (1 << local_lane(ip, iv)) != 0 {
+                    candidates[v] = Some(Grant {
+                        v,
+                        ip,
+                        iv,
+                        is_new: false,
+                    });
                 }
             } else {
                 // New grant: round-robin over input ports whose head flit
                 // requests this output. Inputs popped earlier this cycle
                 // are flagged used, so a stale request is never granted.
-                let start = self.routers[rel].rr_grant[o][v] as usize;
+                let start = router.rr_grant[o][v] as usize;
                 for t in 0..PORTS {
                     let p = (start + t) % PORTS;
                     if input_used[p][v] || head_request[p][v] != o as u8 {
                         continue;
                     }
-                    candidates[v] = Some((p as u8, v as u8, true));
+                    candidates[v] = Some(Grant {
+                        v,
+                        ip: p,
+                        iv: v,
+                        is_new: true,
+                    });
                     break;
                 }
             }
         }
 
         // Port-level VC arbitration: one flit per output port per cycle.
-        let start_vc = self.routers[rel].rr_vc[o] as usize;
-        let Some(v) = (0..VCS)
-            .map(|t| (start_vc + t) % VCS)
-            .find(|&v| candidates[v].is_some())
-        else {
-            return false;
-        };
-        let (ip, iv, is_new) = candidates[v].expect("just found");
-        let (ipu, ivu) = (ip as usize, iv as usize);
+        let start_vc = router.rr_vc[o] as usize;
+        (0..VCS).find_map(|t| candidates[(start_vc + t) % VCS])
+    }
+
+    /// Moves one granted flit out of local router `rel` through output
+    /// `(o, grant.v)` — the only implementation of flit movement, shared
+    /// by the streaming and arbitrated paths: pops the input lane,
+    /// updates owner / round-robin / credit state, stages the credit
+    /// return and the downstream arrival (or the ejection), and books
+    /// telemetry and source-departure feedback.
+    #[allow(clippy::too_many_arguments)] // the per-cycle context of one hop
+    fn send(
+        &mut self,
+        rel: usize,
+        o: usize,
+        grant: Grant,
+        topo: &Topo,
+        packets: &PacketTable,
+        cycle: Cycle,
+        armed: bool,
+    ) {
+        let g = self.lo + rel;
+        let Grant { v, ip, iv, is_new } = grant;
 
         // Dequeue and update switching state.
-        let flit = self.fifos.pop_front(self.lane(rel, ipu, ivu));
-        self.routers[rel].buffered -= 1;
+        let in_fifo = self.lane(rel, ip, iv);
+        let flit = self.fifos.pop_front(in_fifo);
         self.buffered_total -= 1;
-        input_used[ipu][ivu] = true;
+        let emptied = self.fifos.is_empty(in_fifo);
+        let router = &mut self.routers[rel];
+        router.buffered -= 1;
         // The lane's front changed: drop its cached route and, if it
         // emptied, its occupancy bit.
-        let in_lane_bit = local_lane(ipu, ivu);
-        self.routers[rel].req_cache[in_lane_bit] = REQ_UNKNOWN;
-        if self.fifos.is_empty(self.lane(rel, ipu, ivu)) {
-            self.routers[rel].occ &= !(1 << in_lane_bit);
+        let in_lane_bit = local_lane(ip, iv);
+        router.req_cache[in_lane_bit] = REQ_UNKNOWN;
+        if emptied {
+            router.occ &= !(1 << in_lane_bit);
         }
         let out_lane_bit = local_lane(o, v);
         if is_new {
-            self.routers[rel].owner[o][v] = Some((ip, iv));
-            self.routers[rel].own |= 1 << out_lane_bit;
-            self.routers[rel].rr_grant[o][v] = (ip + 1) % PORTS as u8;
+            router.owner[o][v] = Some((ip as u8, iv as u8));
+            router.own |= 1 << out_lane_bit;
+            router.rr_grant[o][v] = ((ip + 1) % PORTS) as u8;
         }
         if flit.kind.is_tail() {
-            self.routers[rel].owner[o][v] = None;
-            self.routers[rel].own &= !(1 << out_lane_bit);
+            router.owner[o][v] = None;
+            router.own &= !(1 << out_lane_bit);
         }
-        self.routers[rel].rr_vc[o] = ((v + 1) % VCS) as u8;
+        router.rr_vc[o] = ((v + 1) % VCS) as u8;
         if o != LOCAL {
-            self.routers[rel].credits[o][v] -= 1;
+            router.credits[o][v] -= 1;
         }
 
         // Credit return to the upstream of the freed input slot.
-        if ipu == LOCAL {
-            self.staged_ni_credits.push((rel, iv));
+        let input = topo.link(g, ip);
+        if ip == LOCAL {
+            self.staged_ni_credits.push((rel, iv as u8));
         } else {
-            let upstream = topo.neighbours[g][ipu].expect("input port implies neighbour");
-            let up_out = Direction::from_index(ipu)
-                .expect("valid")
-                .opposite()
-                .index() as u8;
-            let up_shard = topo.shard_of[upstream.index()] as usize;
-            self.outboxes[up_shard].credits.push((upstream, up_out, iv));
+            debug_assert!(input.peer().is_some(), "input port implies neighbour");
+            self.outboxes[input.peer_shard as usize].credits.push((
+                input.peer,
+                input.peer_port,
+                iv as u8,
+            ));
         }
 
         if armed {
@@ -719,8 +920,7 @@ impl ShardState {
             self.part_ledger.crossbar_traversals += 1;
             // Read + crossbar happen in the FIFO of the lane that delivered
             // the flit to this router.
-            self.part_telemetry
-                .on_buffer_read(topo.in_lane[g * PORTS + ipu], ivu);
+            self.part_telemetry.on_buffer_read(input.in_lane, iv);
         }
 
         if o == LOCAL {
@@ -752,63 +952,116 @@ impl ShardState {
                 packet: flit.packet,
                 tail: flit.kind.is_tail(),
             });
-        } else {
-            if armed {
-                if o_dir.is_vertical() {
-                    self.part_ledger.vertical_hops += 1;
-                } else {
-                    self.part_ledger.horizontal_hops += 1;
-                }
-                self.part_telemetry
-                    .on_link_flit(topo.out_link[g * PORTS + o], v);
-            }
-            let downstream = topo.neighbours[g][o].expect("credit implies neighbour");
-            let down_in = o_dir.opposite().index() as u8;
-            let down_shard = topo.shard_of[downstream.index()] as usize;
-            self.outboxes[down_shard]
-                .arrivals
-                .push((downstream, down_in, v as u8, flit));
+            return;
+        }
 
-            // Source-router departure feedback (Eq. 6 inputs). A flit is
-            // leaving its source exactly when it exits through a LOCAL
-            // input lane (flits only ever enter LOCAL lanes at their
-            // injection NI, and XY-then-vertical routing never revisits
-            // the source), so transit flits skip the packet-table read.
-            // The head/tail timestamps are deferred; the feedback itself
-            // only needs reads that are stable within the cycle (the head
-            // of a multi-flit packet departed in an *earlier* cycle, and
-            // a single-flit packet's head departs right now).
-            if ipu == LOCAL && (flit.kind.is_head() || flit.kind.is_tail()) {
-                self.effects.push(Effect::SrcDeparture {
-                    packet: flit.packet,
-                    head: flit.kind.is_head(),
-                    tail: flit.kind.is_tail(),
-                });
-                if flit.kind.is_tail() {
-                    let pkt = packets.get(flit.packet);
-                    debug_assert_eq!(
-                        pkt.src,
-                        NodeId(g as u16),
-                        "LOCAL input lane implies source router"
-                    );
-                    if let Some(elevator) = pkt.elevator {
-                        let head_departure = if flit.kind.is_head() {
-                            cycle // single-flit packet: head departs now
-                        } else {
-                            pkt.head_out_src.unwrap_or(cycle)
-                        };
-                        self.feedbacks.push(SourceFeedback {
-                            src: pkt.src,
-                            elevator: elevator.id,
-                            head_departure,
-                            tail_departure: cycle,
-                            packet_flits: pkt.flits,
-                        });
+        let output = topo.link(g, o);
+        if armed {
+            if Direction::ALL[o].is_vertical() {
+                self.part_ledger.vertical_hops += 1;
+            } else {
+                self.part_ledger.horizontal_hops += 1;
+            }
+            self.part_telemetry.on_link_flit(output.out_link, v);
+        }
+        debug_assert!(output.peer().is_some(), "credit implies neighbour");
+        self.outboxes[output.peer_shard as usize].arrivals.push((
+            output.peer,
+            output.peer_port,
+            v as u8,
+            flit,
+        ));
+
+        // Source-router departure feedback (Eq. 6 inputs). A flit is
+        // leaving its source exactly when it exits through a LOCAL
+        // input lane (flits only ever enter LOCAL lanes at their
+        // injection NI, and XY-then-vertical routing never revisits
+        // the source), so transit flits skip the packet-table read.
+        // The head/tail timestamps are deferred; the feedback itself
+        // only needs reads that are stable within the cycle (the head
+        // of a multi-flit packet departed in an *earlier* cycle, and
+        // a single-flit packet's head departs right now).
+        if ip == LOCAL && (flit.kind.is_head() || flit.kind.is_tail()) {
+            self.effects.push(Effect::SrcDeparture {
+                packet: flit.packet,
+                head: flit.kind.is_head(),
+                tail: flit.kind.is_tail(),
+            });
+            if flit.kind.is_tail() {
+                let pkt = packets.get(flit.packet);
+                debug_assert_eq!(
+                    pkt.src,
+                    NodeId(g as u16),
+                    "LOCAL input lane implies source router"
+                );
+                if let Some(elevator) = pkt.elevator {
+                    let head_departure = if flit.kind.is_head() {
+                        cycle // single-flit packet: head departs now
+                    } else {
+                        pkt.head_out_src.unwrap_or(cycle)
+                    };
+                    self.feedbacks.push(SourceFeedback {
+                        src: pkt.src,
+                        elevator: elevator.id,
+                        head_departure,
+                        tail_departure: cycle,
+                        packet_flits: pkt.flits,
+                    });
+                }
+            }
+        }
+    }
+
+    /// Verifies, at a cycle boundary, the derived bitmaps the one-pass
+    /// kernel trusts instead of re-deriving: since phase 1 re-arms routers
+    /// itself and injects from `src_bits`, no later rescan heals a missed
+    /// bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant, described.
+    pub(crate) fn check_derived_state(&self) -> Result<(), String> {
+        if self.work_bits.iter().any(|&w| w != 0) {
+            return Err(format!("shard {}: stale visit-set bits", self.index));
+        }
+        for (rel, router) in self.routers.iter().enumerate() {
+            let node = self.lo + rel;
+            let bit = |bits: &[u64]| bits[rel / 64] >> (rel % 64) & 1 == 1;
+            let queued = !self.sources[rel].queue.is_empty();
+            if bit(&self.src_bits) != queued {
+                return Err(format!(
+                    "router {node}: source bit {} but queue non-empty is {queued}",
+                    bit(&self.src_bits)
+                ));
+            }
+            if (router.buffered > 0 || queued) && !bit(&self.active_bits) {
+                return Err(format!(
+                    "router {node}: {} flits buffered, queued = {queued}, but off the worklist",
+                    router.buffered
+                ));
+            }
+            for p in 0..PORTS {
+                for v in 0..VCS {
+                    let lane_bit = 1 << local_lane(p, v);
+                    let occupied = !self.fifos.is_empty(self.lane(rel, p, v));
+                    if (router.occ & lane_bit != 0) != occupied {
+                        return Err(format!(
+                            "router {node} lane ({p}, {v}): occ bit disagrees with FIFO \
+                             occupancy {occupied}"
+                        ));
+                    }
+                    let owned = router.owner[p][v].is_some();
+                    if (router.own & lane_bit != 0) != owned {
+                        return Err(format!(
+                            "router {node} channel ({p}, {v}): own bit disagrees with owner \
+                             {:?}",
+                            router.owner[p][v]
+                        ));
                     }
                 }
             }
         }
-        true
+        Ok(())
     }
 
     /// Heap capacity (in elements) reserved by the shard's cycle state —
@@ -823,6 +1076,7 @@ impl ShardState {
             + self.staged_ni_credits.capacity()
             + self.active_bits.capacity()
             + self.work_bits.capacity()
+            + self.src_bits.capacity()
             + self.effects.capacity()
             + self.feedbacks.capacity()
             + self.part_router_flits.len()

@@ -92,7 +92,7 @@ impl Case {
 
     /// Steps a `k`-shard simulator against the sequential engine for
     /// `cycles`, requiring digest equality at **every** cycle boundary
-    /// (and flow conservation on both, sampled).
+    /// (and flow conservation plus the worklist/bitmap audit on both).
     fn assert_lockstep(&self, k: usize, cycles: u64) -> Result<(), TestCaseError> {
         let mut seq = self.build(1);
         let mut sharded = self.build(k);
@@ -110,13 +110,11 @@ impl Case {
                 self.v2,
                 self.seed
             );
-            if cycle % 97 == 0 {
-                for (label, sim) in [("k=1", &seq), ("sharded", &sharded)] {
-                    if let Err(e) = sim.network().check_flow_conservation() {
-                        return Err(TestCaseError::fail(format!(
-                            "cycle {cycle}: {label} (k={k}) broke conservation: {e}"
-                        )));
-                    }
+            for (label, sim) in [("k=1", &seq), ("sharded", &sharded)] {
+                if let Err(e) = sim.network().check_flow_conservation() {
+                    return Err(TestCaseError::fail(format!(
+                        "cycle {cycle}: {label} (k={k}) broke conservation: {e}"
+                    )));
                 }
             }
         }
