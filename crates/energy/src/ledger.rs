@@ -3,10 +3,11 @@
 //!
 //! A [`LinkLedger`] is a set of flat `u64` arrays indexed by
 //! `lane × vc` — no hashing, no per-event allocation — sized once from a
-//! [`LinkMap`]. The simulator increments it alongside the aggregate
-//! [`EnergyLedger`] on every flit event; the roll-ups reconstruct that
-//! aggregate **exactly** (counter for counter) at link, router, pillar,
-//! layer and network granularity:
+//! [`LinkMap`]. The simulator counts flit events per FIFO lane while it
+//! steps and adds them in bulk, next to the aggregate [`EnergyLedger`],
+//! whenever a reader needs them; the roll-ups reconstruct that aggregate
+//! **exactly** (counter for counter) at link, router, pillar, layer and
+//! network granularity:
 //!
 //! * every buffer write/read and crossbar traversal is attributed to the
 //!   *lane* whose FIFO it happened in (the upstream link for mesh ports,
@@ -21,12 +22,12 @@
 
 use crate::link::{LinkId, LinkMap};
 use crate::model::{EnergyLedger, EnergyModel};
+use noc_topology::{Direction, ElevatorId, NodeId};
 
 /// Flat per-lane/per-VC event counters for one topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkLedger {
     vcs: usize,
-    link_count: usize,
     node_count: usize,
     /// Link traversals, indexed `link * vcs + vc`.
     link_flits: Vec<u64>,
@@ -52,7 +53,6 @@ impl LinkLedger {
         assert!(vcs >= 1, "at least one virtual channel");
         Self {
             vcs,
-            link_count: map.link_count(),
             node_count: map.node_count(),
             link_flits: vec![0; map.link_count() * vcs],
             buffer_writes: vec![0; map.lane_count() * vcs],
@@ -74,17 +74,6 @@ impl LinkLedger {
         self.cycles
     }
 
-    /// `true` if every counter is zero — e.g. a shard partition whose
-    /// events have all been drained into the aggregate sinks.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        self.cycles == 0
-            && self.link_flits.iter().all(|&c| c == 0)
-            && self.buffer_writes.iter().all(|&c| c == 0)
-            && self.buffer_reads.iter().all(|&c| c == 0)
-            && self.ni_events.iter().all(|&c| c == 0)
-    }
-
     /// Resets every counter to zero (new measurement window).
     pub fn reset(&mut self) {
         self.link_flits.fill(0);
@@ -94,64 +83,23 @@ impl LinkLedger {
         self.cycles = 0;
     }
 
-    /// Adds every counter of `other` into `self` and zeroes `other` — the
-    /// shard-partition merge of the sharded stepping engine. Disjoint
-    /// partitions (each shard only books events on its own routers'
-    /// lanes) make element-wise addition an exact merge: roll-ups over
-    /// the merged ledger equal roll-ups over a single-ledger run counter
-    /// for counter. Draining (rather than copying) keeps the operation
-    /// idempotent, so callers may merge as often as they like.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two ledgers were sized for different topologies.
-    pub fn merge_from(&mut self, other: &mut LinkLedger) {
-        assert!(
-            self.vcs == other.vcs
-                && self.link_count == other.link_count
-                && self.node_count == other.node_count
-                && self.buffer_writes.len() == other.buffer_writes.len(),
-            "ledger merge requires identical topology dimensions"
-        );
-        fn drain_into(dst: &mut [u64], src: &mut [u64]) {
-            for (d, s) in dst.iter_mut().zip(src.iter_mut()) {
-                *d += *s;
-                *s = 0;
-            }
-        }
-        drain_into(&mut self.link_flits, &mut other.link_flits);
-        drain_into(&mut self.buffer_writes, &mut other.buffer_writes);
-        drain_into(&mut self.buffer_reads, &mut other.buffer_reads);
-        drain_into(&mut self.ni_events, &mut other.ni_events);
-        self.cycles += other.cycles;
-        other.cycles = 0;
+    // ---- Bulk adds (the simulator's fold; counters only ever grow) ----
+
+    /// Adds `flits` traversals of `link` on `vc`.
+    pub fn add_link_flits(&mut self, link: LinkId, vc: usize, flits: u64) {
+        self.link_flits[link.index() * self.vcs + vc] += flits;
     }
 
-    // ---- Hot-path increments (called by the simulator per flit event) ----
-
-    /// Records one flit crossing `link` on `vc`.
-    #[inline]
-    pub fn on_link_flit(&mut self, link: u32, vc: usize) {
-        self.link_flits[link as usize * self.vcs + vc] += 1;
+    /// Adds `writes` FIFO writes and `reads` FIFO reads (each paired with
+    /// a crossbar traversal) in the FIFO of `lane` on `vc`.
+    pub fn add_lane_events(&mut self, lane: usize, vc: usize, writes: u64, reads: u64) {
+        self.buffer_writes[lane * self.vcs + vc] += writes;
+        self.buffer_reads[lane * self.vcs + vc] += reads;
     }
 
-    /// Records one flit written into the FIFO of `lane` on `vc`.
-    #[inline]
-    pub fn on_buffer_write(&mut self, lane: u32, vc: usize) {
-        self.buffer_writes[lane as usize * self.vcs + vc] += 1;
-    }
-
-    /// Records one flit read out of the FIFO of `lane` on `vc` (and the
-    /// paired crossbar traversal).
-    #[inline]
-    pub fn on_buffer_read(&mut self, lane: u32, vc: usize) {
-        self.buffer_reads[lane as usize * self.vcs + vc] += 1;
-    }
-
-    /// Records one NI event (injection or ejection) at router `node`.
-    #[inline]
-    pub fn on_ni_event(&mut self, node: usize) {
-        self.ni_events[node] += 1;
+    /// Adds `events` NI events (injections or ejections) at router `node`.
+    pub fn add_ni_events(&mut self, node: NodeId, events: u64) {
+        self.ni_events[node.index()] += events;
     }
 
     /// Records one measured cycle.
@@ -171,9 +119,24 @@ impl LinkLedger {
     /// Flits that crossed `link`, summed over VCs.
     #[must_use]
     pub fn link_flits_total(&self, link: LinkId) -> u64 {
-        self.link_flits[link.index() * self.vcs..(link.index() + 1) * self.vcs]
-            .iter()
-            .sum()
+        self.over_vcs(&self.link_flits, link.index())
+    }
+
+    /// Flits written into the FIFO of `lane` on `vc`.
+    #[must_use]
+    pub fn buffer_writes(&self, lane: usize, vc: usize) -> u64 {
+        self.buffer_writes[lane * self.vcs + vc]
+    }
+
+    /// Flits read out of the FIFO of `lane` on `vc`.
+    #[must_use]
+    pub fn buffer_reads(&self, lane: usize, vc: usize) -> u64 {
+        self.buffer_reads[lane * self.vcs + vc]
+    }
+
+    /// One row of a `row × vc` counter array, summed over VCs.
+    fn over_vcs(&self, counters: &[u64], row: usize) -> u64 {
+        counters[row * self.vcs..(row + 1) * self.vcs].iter().sum()
     }
 
     /// Pure traversal energy of `link` (flits × per-hop link energy).
@@ -192,13 +155,8 @@ impl LinkLedger {
     /// it feeds — the energy this link's traffic causes.
     #[must_use]
     pub fn link_attributed_nj(&self, map: &LinkMap, model: &EnergyModel, link: LinkId) -> f64 {
-        let lane = link.index();
-        let writes: u64 = self.buffer_writes[lane * self.vcs..(lane + 1) * self.vcs]
-            .iter()
-            .sum();
-        let reads: u64 = self.buffer_reads[lane * self.vcs..(lane + 1) * self.vcs]
-            .iter()
-            .sum();
+        let writes = self.over_vcs(&self.buffer_writes, link.index());
+        let reads = self.over_vcs(&self.buffer_reads, link.index());
         self.link_traversal_nj(map, model, link)
             + writes as f64 * model.buffer_write_nj
             + reads as f64 * (model.buffer_read_nj + model.crossbar_nj)
@@ -232,51 +190,59 @@ impl LinkLedger {
         out
     }
 
-    /// Per-router roll-up. Lane events go to the router owning the FIFO,
-    /// link traversals to the driving router, NI events and static cycles
-    /// to their router; the element-wise sum over routers equals
+    /// The one roll-up pass behind every grouped view: each router's
+    /// events land in bucket `group_of(router)` of `groups` (`None` skips
+    /// the router without looking at its counters). Lane events belong to
+    /// the router owning the FIFO, link traversals to the driving router,
+    /// NI events and static cycles to their router.
+    fn roll_up(
+        &self,
+        map: &LinkMap,
+        groups: usize,
+        group_of: impl Fn(NodeId) -> Option<usize>,
+    ) -> Vec<EnergyLedger> {
+        let mut out = vec![EnergyLedger::default(); groups];
+        for node in 0..self.node_count {
+            let id = NodeId(node as u16);
+            let Some(group) = group_of(id) else {
+                continue;
+            };
+            let ledger = &mut out[group];
+            for dir in Direction::ALL {
+                let lane = map.in_lane_raw(node, dir.index());
+                if lane != u32::MAX {
+                    let reads = self.over_vcs(&self.buffer_reads, lane as usize);
+                    ledger.buffer_writes += self.over_vcs(&self.buffer_writes, lane as usize);
+                    ledger.buffer_reads += reads;
+                    ledger.crossbar_traversals += reads;
+                }
+                if let Some(link) = map.out_link(id, dir) {
+                    let flits = self.link_flits_total(link);
+                    if dir.is_vertical() {
+                        ledger.vertical_hops += flits;
+                    } else {
+                        ledger.horizontal_hops += flits;
+                    }
+                }
+            }
+            ledger.ni_events += self.ni_events[node];
+            ledger.router_cycles += self.cycles;
+        }
+        out
+    }
+
+    /// Per-router roll-up; the element-wise sum over routers equals
     /// [`LinkLedger::aggregate`].
     #[must_use]
     pub fn router_ledgers(&self, map: &LinkMap) -> Vec<EnergyLedger> {
-        let mut out = vec![EnergyLedger::default(); self.node_count];
-        for lane in 0..map.lane_count() {
-            let owner = map.lane_owner(lane).index();
-            let writes: u64 = self.buffer_writes[lane * self.vcs..(lane + 1) * self.vcs]
-                .iter()
-                .sum();
-            let reads: u64 = self.buffer_reads[lane * self.vcs..(lane + 1) * self.vcs]
-                .iter()
-                .sum();
-            out[owner].buffer_writes += writes;
-            out[owner].buffer_reads += reads;
-            out[owner].crossbar_traversals += reads;
-        }
-        for (id, info) in map.links() {
-            let flits = self.link_flits_total(id);
-            let driver = &mut out[info.src.index()];
-            if map.is_vertical(id) {
-                driver.vertical_hops += flits;
-            } else {
-                driver.horizontal_hops += flits;
-            }
-        }
-        for (node, ledger) in out.iter_mut().enumerate() {
-            ledger.ni_events = self.ni_events[node];
-            ledger.router_cycles = self.cycles;
-        }
-        out
+        self.roll_up(map, self.node_count, |node| Some(node.index()))
     }
 
     /// Per-layer roll-up (routers grouped by their `z`); the element-wise
     /// sum over layers equals [`LinkLedger::aggregate`].
     #[must_use]
     pub fn layer_ledgers(&self, map: &LinkMap) -> Vec<EnergyLedger> {
-        let mut out = vec![EnergyLedger::default(); map.layers()];
-        for (node, ledger) in self.router_ledgers(map).iter().enumerate() {
-            let z = map.coord(noc_topology::NodeId(node as u16)).z as usize;
-            out[z].merge(ledger);
-        }
-        out
+        self.roll_up(map, map.layers(), |node| Some(map.coord(node).z as usize))
     }
 
     /// Per-pillar roll-up: the routers of each elevator column summed over
@@ -284,13 +250,9 @@ impl LinkLedger {
     /// the TSV-vs-horizontal energy asymmetry per pillar.
     #[must_use]
     pub fn pillar_ledgers(&self, map: &LinkMap) -> Vec<EnergyLedger> {
-        let mut out = vec![EnergyLedger::default(); map.pillar_count()];
-        for (node, ledger) in self.router_ledgers(map).iter().enumerate() {
-            if let Some(e) = map.node_pillar(noc_topology::NodeId(node as u16)) {
-                out[e.index()].merge(ledger);
-            }
-        }
-        out
+        self.roll_up(map, map.pillar_count(), |node| {
+            map.node_pillar(node).map(ElevatorId::index)
+        })
     }
 
     /// TSV traversals per pillar (flits that crossed each pillar's
@@ -330,54 +292,13 @@ impl LinkLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_topology::{Coord, Direction, ElevatorSet, Mesh3d};
+    use noc_topology::{Coord, ElevatorSet, Mesh3d};
 
     fn fixture() -> (Mesh3d, ElevatorSet, LinkMap) {
         let mesh = Mesh3d::new(3, 3, 2).unwrap();
         let elevators = ElevatorSet::new(&mesh, [(1, 1)]).unwrap();
         let map = LinkMap::new(&mesh, &elevators);
         (mesh, elevators, map)
-    }
-
-    /// Splitting an event stream across two ledgers and merging must be
-    /// indistinguishable from booking into one ledger — the sharded
-    /// engine's telemetry contract — and the merge must drain its source.
-    #[test]
-    fn merge_from_is_exact_and_drains() {
-        let (mesh, _elevators, map) = fixture();
-        let mut whole = LinkLedger::new(&map, 2);
-        let mut left = LinkLedger::new(&map, 2);
-        let mut right = LinkLedger::new(&map, 2);
-
-        let src = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
-        let east = map.out_link(src, Direction::East).unwrap();
-        let ni = map.ni_lane(src) as u32;
-        for (part, reps) in [(&mut left, 3u32), (&mut right, 5u32)] {
-            for _ in 0..reps {
-                part.on_ni_event(src.index());
-                part.on_buffer_write(ni, 0);
-                part.on_buffer_read(ni, 1);
-                part.on_link_flit(east.0, 0);
-            }
-        }
-        for _ in 0..8 {
-            whole.on_ni_event(src.index());
-            whole.on_buffer_write(ni, 0);
-            whole.on_buffer_read(ni, 1);
-            whole.on_link_flit(east.0, 0);
-        }
-        whole.on_cycle();
-
-        let mut merged = LinkLedger::new(&map, 2);
-        merged.on_cycle();
-        merged.merge_from(&mut left);
-        merged.merge_from(&mut right);
-        assert_eq!(merged, whole);
-        assert_eq!(left, LinkLedger::new(&map, 2), "merge must drain");
-        assert_eq!(right, LinkLedger::new(&map, 2), "merge must drain");
-        // Idempotent once drained.
-        merged.merge_from(&mut left);
-        assert_eq!(merged, whole);
     }
 
     /// Simulates a hand-built event stream and checks every roll-up level
@@ -390,15 +311,14 @@ mod tests {
         // One flit injected at (0,0,0), forwarded east, delivered at (1,0,0).
         let src = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
         let dst = mesh.node_id(Coord::new(1, 0, 0)).unwrap();
-        let ni = map.ni_lane(src) as u32;
-        ledger.on_ni_event(src.index()); // injection
-        ledger.on_buffer_write(ni, 0); // into the local FIFO
-        ledger.on_buffer_read(ni, 0); // out through the crossbar
+        // Injection: into the local FIFO and out through the crossbar.
+        ledger.add_ni_events(src, 1);
+        ledger.add_lane_events(map.ni_lane(src), 0, 1, 1);
         let east = map.out_link(src, Direction::East).unwrap();
-        ledger.on_link_flit(east.0, 0);
-        ledger.on_buffer_write(east.0, 0); // downstream FIFO write
-        ledger.on_buffer_read(east.0, 0); // read towards ejection
-        ledger.on_ni_event(dst.index()); // ejection
+        ledger.add_link_flits(east, 0, 1);
+        // Downstream FIFO write, then the read towards ejection.
+        ledger.add_lane_events(east.index(), 0, 1, 1);
+        ledger.add_ni_events(dst, 1);
         ledger.on_cycle();
 
         let agg = ledger.aggregate(&map);
@@ -434,8 +354,8 @@ mod tests {
         let mut ledger = LinkLedger::new(&map, 2);
         let src = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
         let east = map.out_link(src, Direction::East).unwrap();
-        ledger.on_link_flit(east.0, 1);
-        ledger.on_buffer_write(east.0, 1);
+        ledger.add_link_flits(east, 1, 1);
+        ledger.add_lane_events(east.index(), 1, 1, 0);
 
         let routers = ledger.router_ledgers(&map);
         // The driving router owns the hop, the receiving one the write.
@@ -454,8 +374,7 @@ mod tests {
         let mut ledger = LinkLedger::new(&map, 2);
         let pillar0 = mesh.node_id(Coord::new(1, 1, 0)).unwrap();
         let up = map.out_link(pillar0, Direction::Up).unwrap();
-        ledger.on_link_flit(up.0, 0);
-        ledger.on_link_flit(up.0, 0);
+        ledger.add_link_flits(up, 0, 2);
 
         assert_eq!(ledger.pillar_tsv_flits(&map), vec![2]);
         let model = EnergyModel::default_45nm();
@@ -469,9 +388,9 @@ mod tests {
     fn reset_zeroes_everything() {
         let (_, _, map) = fixture();
         let mut ledger = LinkLedger::new(&map, 2);
-        ledger.on_link_flit(0, 0);
-        ledger.on_buffer_write(0, 1);
-        ledger.on_ni_event(3);
+        ledger.add_link_flits(LinkId(0), 0, 1);
+        ledger.add_lane_events(0, 1, 1, 0);
+        ledger.add_ni_events(NodeId(3), 1);
         ledger.on_cycle();
         ledger.reset();
         assert_eq!(ledger.aggregate(&map), EnergyLedger::default());
@@ -485,9 +404,8 @@ mod tests {
         let mut ledger = LinkLedger::new(&map, 2);
         let src = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
         let east = map.out_link(src, Direction::East).unwrap();
-        ledger.on_link_flit(east.0, 0);
-        ledger.on_buffer_write(east.0, 0);
-        ledger.on_buffer_read(east.0, 0);
+        ledger.add_link_flits(east, 0, 1);
+        ledger.add_lane_events(east.index(), 0, 1, 1);
         let traversal = ledger.link_traversal_nj(&map, &model, east);
         assert!((traversal - model.link_horizontal_nj).abs() < 1e-12);
         let attributed = ledger.link_attributed_nj(&map, &model, east);

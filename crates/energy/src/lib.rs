@@ -9,8 +9,8 @@
 //!   which re-exports them).
 //! * [`LinkId`] / [`VcId`] / [`LinkMap`] — stable dense identifiers for
 //!   every directed link, derived canonically from the topology.
-//! * [`LinkLedger`] — flat per-lane/per-VC counters (no per-event
-//!   allocation; sized once, incremented on the simulator hot path) with
+//! * [`LinkLedger`] — flat per-lane/per-VC counters (sized once; the
+//!   simulator adds its per-lane event counts in bulk) with
 //!   hierarchical roll-ups: link → router → pillar → layer → network,
 //!   each level summing **exactly** to the aggregate ledger.
 //! * [`LinkEnergyReport`] / [`HeatmapReport`] — per-link CSV and
@@ -29,7 +29,7 @@
 //!
 //! // One flit east out of the origin router, on VC 0.
 //! let east = map.out_link(NodeId(0), Direction::East).unwrap();
-//! ledger.on_link_flit(east.0, 0);
+//! ledger.add_link_flits(east, 0, 1);
 //! assert_eq!(ledger.aggregate(&map).horizontal_hops, 1);
 //! let routers = ledger.router_ledgers(&map);
 //! assert_eq!(routers[0].horizontal_hops, 1);

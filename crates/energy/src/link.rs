@@ -244,19 +244,10 @@ impl LinkMap {
 
     /// Raw lane feeding input port `port` of `node` (`u32::MAX` if the
     /// port has no upstream). Exposed as a raw index for the simulator's
-    /// hot path; see [`LinkLedger`](crate::LinkLedger) for the lane space.
+    /// link table; see [`LinkLedger`](crate::LinkLedger) for the lane space.
     #[must_use]
-    #[inline]
     pub fn in_lane_raw(&self, node: usize, port: usize) -> u32 {
         self.in_lane[node * PORTS + port]
-    }
-
-    /// Raw link driven by output port `port` of `node` (`u32::MAX` if the
-    /// port drives nothing).
-    #[must_use]
-    #[inline]
-    pub fn out_link_raw(&self, node: usize, port: usize) -> u32 {
-        self.out_link[node * PORTS + port]
     }
 
     /// The NI lane of `node` (the lane of its local-port FIFO).

@@ -221,10 +221,8 @@ mod tests {
         let b = map
             .out_link(mesh.node_id(Coord::new(1, 1, 0)).unwrap(), Direction::Up)
             .unwrap();
-        for _ in 0..5 {
-            ledger.on_link_flit(a.0, 0);
-        }
-        ledger.on_link_flit(b.0, 0);
+        ledger.add_link_flits(a, 0, 5);
+        ledger.add_link_flits(b, 0, 1);
         let report = LinkEnergyReport::from_ledger(&map, &ledger, &model);
         let hot = report.hottest(2);
         assert_eq!(hot[0].link, a.0);
@@ -248,7 +246,7 @@ mod tests {
         let up = map
             .out_link(mesh.node_id(Coord::new(1, 1, 0)).unwrap(), Direction::Up)
             .unwrap();
-        ledger.on_link_flit(up.0, 0);
+        ledger.add_link_flits(up, 0, 1);
         let heat = HeatmapReport::from_ledger(&map, &ledger, &model);
         assert_eq!(heat.layer_energy_nj.len(), 2);
         assert_eq!(heat.pillar_tsv_flits, vec![1]);

@@ -32,8 +32,9 @@
 //!
 //! The fabric is partitioned into 1..=k contiguous router ranges
 //! ([`ShardState`]), each with its own flit-arena slice, active-router
-//! worklist and telemetry partition. Flits and credits crossing a shard
-//! boundary travel through per-shard-pair channel buffers
+//! worklist and armed event counters (one per local FIFO lane — nothing
+//! in a shard is sized by the whole fabric). Flits and credits crossing
+//! a shard boundary travel through per-shard-pair channel buffers
 //! (`BoundaryBatch`) that are committed every cycle — they are the same
 //! staging buffers the sequential engine always had, merely keyed by
 //! destination shard, so the boundary channel's fixed latency is exactly
@@ -73,8 +74,11 @@
 //!   mark occupied input lanes and owned output channels; all three are
 //!   derived state, audited by [`Network::check_flow_conservation`],
 //! * one flat link table keyed by `(node, port)` holds, per port, the
-//!   peer router, the peer's port, its shard and the telemetry ids, so a
-//!   flit-hop costs one table load per port it touches.
+//!   peer router, the peer's port and its shard, so a flit-hop costs one
+//!   table load per port it touches,
+//! * armed energy telemetry is one `{writes, reads}` counter pair per
+//!   FIFO lane, indexed like the arena; every other energy counter is
+//!   derived from those at [`Network::drain_partials`].
 //!
 //! After construction, steady-state stepping performs no heap allocation
 //! (the staging buffers reach their high-water capacity and stay there);
@@ -85,13 +89,13 @@
 
 use crate::flit::PacketId;
 use crate::pool::ShardPool;
-use crate::shard::{shard_bounds, Effect, ShardState, Topo, LOCAL, PORTS, VCS};
+use crate::shard::{shard_bounds, Effect, LaneCount, ShardState, Topo, LOCAL, PORTS, VCS};
 use crate::stats::StatsCollector;
 use crate::table::PacketTable;
 use adele::online::{Cycle, NetworkProbe, SourceFeedback};
-use noc_energy::{EnergyLedger, LinkLedger, LinkMap};
+use noc_energy::{EnergyLedger, LinkId, LinkLedger, LinkMap};
 use noc_obs::ComputeSample;
-use noc_topology::{Coord, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
+use noc_topology::{Coord, Direction, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 use std::sync::Arc;
 
 /// The network fabric: routers, links, credits and NI queues, partitioned
@@ -171,16 +175,7 @@ impl Network {
         }
         let topo = Arc::new(Topo::new(coords, &links, shard_of, buffer_depth));
         let shards = (0..k)
-            .map(|s| {
-                Box::new(ShardState::new(
-                    s,
-                    bounds[s],
-                    bounds[s + 1],
-                    k,
-                    &topo,
-                    &links,
-                ))
-            })
+            .map(|s| Box::new(ShardState::new(s, bounds[s], bounds[s + 1], k, &topo)))
             .collect();
         Self {
             mesh,
@@ -258,6 +253,19 @@ impl Network {
         self.shards.iter().map(|s| s.buffered_total).sum()
     }
 
+    /// The shard owning router `node`, and the router's local index in it.
+    fn locate(&self, node: usize) -> (&ShardState, usize) {
+        let shard = &self.shards[self.topo.shard_of[node] as usize];
+        (shard, node - shard.lo)
+    }
+
+    /// Flits buffered in input lane `(node, port, vc)`.
+    #[must_use]
+    pub fn lane_occupancy(&self, node: NodeId, port: Direction, vc: usize) -> usize {
+        let (shard, rel) = self.locate(node.index());
+        shard.fifos.len((rel * PORTS + port.index()) * VCS + vc)
+    }
+
     /// Packets still waiting (fully or partially) in source queues.
     #[must_use]
     pub fn queued_packets(&self) -> u64 {
@@ -277,12 +285,12 @@ impl Network {
     ///
     /// Returns `true` if any flit moved (progress indicator for the
     /// deadlock watchdog). Source-departure feedback events are appended to
-    /// `feedbacks` for the simulator to forward to the selector. Energy
-    /// events are double-booked into the aggregate `ledger` and the
-    /// per-link `telemetry` store (the roll-up invariant tests assert the
-    /// two agree counter-for-counter); both are drained from the shard
-    /// partitions by [`Network::drain_partials`], which the simulator
-    /// calls before any reader needs them.
+    /// `feedbacks` for the simulator to forward to the selector. While
+    /// `stats` is armed, each flit event is counted once, in its shard's
+    /// per-lane counters; only the static per-cycle counts go to `ledger`
+    /// and `telemetry` directly. Both sinks are completed from the lane
+    /// counters by [`Network::drain_partials`], which the simulator calls
+    /// before any reader needs them.
     pub fn step(
         &mut self,
         packets: &mut PacketTable,
@@ -434,26 +442,72 @@ impl Network {
         progress
     }
 
-    /// Folds the shards' telemetry partitions into the aggregate sinks
-    /// (adds and zeroes, so draining is idempotent and incremental).
-    /// Partitions are disjoint by construction — a shard only ever books
-    /// events on its own routers' lanes — so addition *is* the merge.
+    /// Folds the shards' armed lane counters (and delivery histograms)
+    /// into the aggregate sinks — adds and zeroes, so draining is
+    /// idempotent and incremental, and visits only each shard's own
+    /// lanes. Everything the sinks carry is derived from one
+    /// `{writes, reads}` pair per FIFO lane plus one `ejects` count per
+    /// router:
+    ///
+    /// * a lane's `writes`/`reads` are its buffer writes and its buffer
+    ///   reads + crossbar traversals;
+    /// * a link's traversals on a VC are the `writes` of the downstream
+    ///   lane it feeds (lane id == link id), horizontal or vertical by the
+    ///   input port's direction;
+    /// * `router_flits[n]` is the sum of `writes` over router `n`'s lanes;
+    /// * NI events are the local lanes' `writes` (injections) plus
+    ///   `ejects`.
+    ///
+    /// These are exact, not approximate, because `armed` is constant
+    /// within a cycle: a flit sent on a link, or injected by an NI, in
+    /// cycle `t` is committed into the lane it feeds in that same cycle,
+    /// so the send and the write are counted under the same flag.
     pub(crate) fn drain_partials(
         &mut self,
         stats: &mut StatsCollector,
         ledger: &mut EnergyLedger,
         telemetry: &mut LinkLedger,
     ) {
-        for shard in &mut self.shards {
-            for (i, c) in shard.part_router_flits.iter_mut().enumerate() {
-                if *c != 0 {
-                    stats.router_flits[shard.lo + i] += *c;
-                    *c = 0;
+        let Self { topo, shards, .. } = self;
+        for shard in shards {
+            let lo = shard.lo;
+            let routers = shard.lane_counts.chunks_exact_mut(PORTS * VCS);
+            for (rel, (lanes, ejects)) in routers.zip(&mut shard.ejects).enumerate() {
+                let node = lo + rel;
+                // Event-free routers are only read: folding an idle stretch
+                // of fabric dirties no memory.
+                if lanes.iter().fold(*ejects, |a, c| a | c.writes | c.reads) == 0 {
+                    continue;
+                }
+                let mut ni_events = std::mem::take(ejects);
+                for (i, count) in lanes.iter_mut().enumerate() {
+                    let LaneCount { writes, reads } = std::mem::take(count);
+                    if writes | reads == 0 {
+                        continue;
+                    }
+                    let (port, vc) = (i / VCS, i % VCS);
+                    let lane = topo.link(node, port).in_lane;
+                    telemetry.add_lane_events(lane as usize, vc, writes, reads);
+                    ledger.buffer_writes += writes;
+                    ledger.buffer_reads += reads;
+                    ledger.crossbar_traversals += reads;
+                    stats.router_flits[node] += writes;
+                    if port == LOCAL {
+                        ni_events += writes;
+                        continue;
+                    }
+                    telemetry.add_link_flits(LinkId(lane), vc, writes);
+                    if Direction::ALL[port].is_vertical() {
+                        ledger.vertical_hops += writes;
+                    } else {
+                        ledger.horizontal_hops += writes;
+                    }
+                }
+                if ni_events != 0 {
+                    telemetry.add_ni_events(NodeId(node as u16), ni_events);
+                    ledger.ni_events += ni_events;
                 }
             }
-            ledger.merge(&shard.part_ledger);
-            shard.part_ledger = EnergyLedger::default();
-            telemetry.merge_from(&mut shard.part_telemetry);
             if let (Some(sink), Some(part)) = (stats.hists.as_mut(), shard.part_hist.as_mut()) {
                 sink.merge_from(part);
             }
@@ -475,7 +529,6 @@ impl Network {
     /// lane. Pure functions of committed cycle state in global node order,
     /// so the samples are bit-identical across shard and worker counts.
     pub(crate) fn sample_fabric(&self, fabric: &mut noc_obs::FabricHists) {
-        use crate::shard::{PORTS, VCS};
         for shard in &self.shards {
             for rel in 0..shard.routers.len() {
                 fabric
@@ -517,14 +570,13 @@ impl Network {
         }
     }
 
-    /// `true` when every shard's telemetry partition (router-flit
-    /// partials, energy partials, link-ledger partials) has been fully
-    /// drained into the aggregate sinks — the invariant readers rely on.
+    /// `true` when every shard's lane counters, ejection counters and
+    /// histogram partition have been fully drained into the aggregate
+    /// sinks — the invariant readers rely on.
     pub(crate) fn partials_clear(&self) -> bool {
         self.shards.iter().all(|shard| {
-            shard.part_router_flits.iter().all(|&c| c == 0)
-                && shard.part_ledger == EnergyLedger::default()
-                && shard.part_telemetry.is_zero()
+            shard.lane_counts.iter().all(|&c| c == LaneCount::default())
+                && shard.ejects.iter().all(|&c| c == 0)
                 && shard.part_hist.as_ref().is_none_or(|h| h.is_zero())
         })
     }
@@ -564,8 +616,7 @@ impl Network {
         let depth = u32::from(self.buffer_depth);
         let n = self.topo.node_count();
         for g in 0..n {
-            let shard = &self.shards[self.topo.shard_of[g] as usize];
-            let rel = g - shard.lo;
+            let (shard, rel) = self.locate(g);
             for p in 0..PORTS {
                 if p == LOCAL {
                     continue;
@@ -574,12 +625,10 @@ impl Network {
                 let Some(d) = link.peer() else {
                     continue;
                 };
-                let opp = link.peer_port as usize;
-                let down = &self.shards[self.topo.shard_of[d.index()] as usize];
-                let drel = d.index() - down.lo;
+                let opp = Direction::ALL[link.peer_port as usize];
                 for v in 0..VCS {
                     let credits = u32::from(shard.routers[rel].credits[p][v]);
-                    let occupancy = down.fifos.len(((drel * PORTS) + opp) * VCS + v) as u32;
+                    let occupancy = self.lane_occupancy(d, opp, v) as u32;
                     if credits + occupancy != depth {
                         return Err(format!(
                             "link {g}->{} port {p} vc {v}: credits {credits} + occupancy \
@@ -591,7 +640,7 @@ impl Network {
             }
             for v in 0..VCS {
                 let credits = u32::from(shard.ni_credits[rel][v]);
-                let occupancy = shard.fifos.len(((rel * PORTS) + LOCAL) * VCS + v) as u32;
+                let occupancy = self.lane_occupancy(NodeId(g as u16), Direction::Local, v) as u32;
                 if credits + occupancy != depth {
                     return Err(format!(
                         "NI channel at {g} vc {v}: credits {credits} + occupancy {occupancy} \
@@ -622,8 +671,8 @@ impl Network {
 
 impl NetworkProbe for Network {
     fn buffer_occupancy(&self, node: NodeId) -> u32 {
-        let shard = &self.shards[self.topo.shard_of[node.index()] as usize];
-        shard.routers[node.index() - shard.lo].buffered
+        let (shard, rel) = self.locate(node.index());
+        shard.routers[rel].buffered
     }
 
     fn buffer_capacity_per_router(&self) -> u32 {
@@ -641,17 +690,15 @@ mod tests {
     use crate::flit::{Flit, FlitKind, Packet};
     use crate::shard::BoundaryBatch;
     use noc_topology::route::{ElevatorCoord, VirtualNet};
-    use noc_topology::Direction;
 
     impl Network {
         fn router(&self, r: usize) -> &crate::shard::RouterState {
-            let shard = &self.shards[self.topo.shard_of[r] as usize];
-            &shard.routers[r - shard.lo]
+            let (shard, rel) = self.locate(r);
+            &shard.routers[rel]
         }
 
         fn lane_flits(&self, r: usize, port: usize, vc: usize) -> Vec<Flit> {
-            let shard = &self.shards[self.topo.shard_of[r] as usize];
-            let rel = r - shard.lo;
+            let (shard, rel) = self.locate(r);
             shard
                 .fifos
                 .iter_lane(((rel * PORTS) + port) * VCS + vc)
@@ -1055,6 +1102,42 @@ mod tests {
             assert!(!progress);
         }
         assert_eq!(net.heap_footprint(), footprint);
+    }
+
+    /// No per-shard state is sized by the whole fabric: cut eight ways,
+    /// the same fabric reserves what the single shard does — arenas, lane
+    /// and ejection counters, worklists, per-router staging — plus at
+    /// most its cross-shard boundary buffers and the rounding of the
+    /// per-shard bitmaps. (A shard-sized copy of anything fabric-wide
+    /// would add seven times that thing.)
+    #[test]
+    fn sharding_adds_only_boundary_staging_to_the_footprint() {
+        let mesh = Mesh3d::new(8, 8, 8).unwrap();
+        let elevators = ElevatorSet::new(&mesh, [(1, 1), (6, 6)]).unwrap();
+        let one = Network::new(mesh, elevators.clone(), 4);
+        let eight = Network::new_sharded(mesh, elevators, 4, 8);
+        assert_eq!(eight.shard_count(), 8);
+        // The counters are part of the zero-allocation contract's sum.
+        let lanes = mesh.node_count() * PORTS * VCS;
+        assert!(one.heap_footprint() >= one.shards[0].fifos.capacity_flits() + lanes);
+        let boundary: usize = eight
+            .shards
+            .iter()
+            .flat_map(|s| {
+                s.outboxes
+                    .iter()
+                    .enumerate()
+                    .filter(|&(dst, _)| dst != s.index)
+            })
+            .map(|(_, b)| b.arrivals.capacity() + b.credits.capacity())
+            .sum();
+        let bitmap_rounding = 3 * eight.shard_count();
+        assert!(
+            eight.heap_footprint() <= one.heap_footprint() + boundary + bitmap_rounding,
+            "k = 8 reserves {} elements, k = 1 {} (+ {boundary} boundary)",
+            eight.heap_footprint(),
+            one.heap_footprint()
+        );
     }
 
     /// A hand-driven fabric for the directed streaming-path cases: steps

@@ -18,8 +18,15 @@
 //! every cycle by the lockstep suites).
 //!
 //! A flit-hop reads one [`PortLink`] record per port it touches — peer
-//! router, peer port, peer shard and telemetry ids in one load — for the
-//! send, the credit return and the arrival commit alike.
+//! router, peer port and peer shard in one load — for the send and the
+//! credit return alike.
+//!
+//! While the measurement window is armed, an arrival commit bumps the
+//! `writes` of the FIFO lane it lands in, a send bumps the `reads` of the
+//! lane it pops (and the router's `ejects` on ejection), and nothing else
+//! is booked: [`LaneCount`] is indexed like the arena. Link, router, NI
+//! and aggregate counters are derived from these at the fold
+//! (`Network::drain_partials` states the identities).
 //!
 //! # Why streaming one lane is state-identical to arbitrating it
 //!
@@ -86,7 +93,7 @@ use crate::arena::FlitArena;
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::table::PacketTable;
 use adele::online::{Cycle, SourceFeedback};
-use noc_energy::{EnergyLedger, LinkLedger, LinkMap};
+use noc_energy::LinkMap;
 use noc_obs::PacketHists;
 use noc_topology::route::{self, VirtualNet};
 use noc_topology::{Coord, Direction, NodeId};
@@ -185,7 +192,7 @@ pub(crate) struct SourceQueue {
 }
 
 /// One `(node, port)` entry of [`Topo::links`]: everything a flit-hop
-/// needs to know about the far end of a port, in one 12-byte load.
+/// needs to know about the far end of a port, in one 8-byte load.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PortLink {
     /// The router reached through this port ([`PortLink::NO_PEER`] for
@@ -198,10 +205,9 @@ pub(crate) struct PortLink {
     /// Owning shard of `peer`.
     pub(crate) peer_shard: u8,
     /// Telemetry lane of this port's input FIFOs: the upstream link
-    /// feeding it, or the router's NI lane on the local port.
+    /// feeding it (lane id == link id), or the router's NI lane on the
+    /// local port. Read by the telemetry fold only.
     pub(crate) in_lane: u32,
-    /// Telemetry link driven by this port's output.
-    pub(crate) out_link: u32,
 }
 
 impl PortLink {
@@ -245,7 +251,6 @@ impl Topo {
                     peer_port: dir.opposite().index() as u8,
                     peer_shard: peer.map_or(0, |p| shard_of[p.index()]),
                     in_lane: map.in_lane_raw(node, dir.index()),
-                    out_link: map.out_link_raw(node, dir.index()),
                 });
             }
         }
@@ -362,8 +367,17 @@ struct Grant {
     is_new: bool,
 }
 
+/// Armed flit events in one FIFO lane since the last telemetry fold.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct LaneCount {
+    /// Flits committed into the lane.
+    pub(crate) writes: u64,
+    /// Flits popped out of it (each paired with a crossbar traversal).
+    pub(crate) reads: u64,
+}
+
 /// One shard of the network: a contiguous router range with its own arena
-/// slice, worklist, source queues and telemetry partition.
+/// slice, worklist, source queues and telemetry counters.
 #[derive(Debug, Clone)]
 pub(crate) struct ShardState {
     /// This shard's index within the network's shard vector.
@@ -401,15 +415,14 @@ pub(crate) struct ShardState {
     pub(crate) effects: Vec<Effect>,
     /// Deferred source-departure feedback, in emission order.
     pub(crate) feedbacks: Vec<SourceFeedback>,
-    /// Shard partition of the aggregate energy ledger, drained on demand.
-    pub(crate) part_ledger: EnergyLedger,
-    /// Shard partition of the per-link telemetry (full key space; a
-    /// shard only ever touches its own routers' lanes, so partitions are
-    /// disjoint and merge by plain addition), drained on demand.
-    pub(crate) part_telemetry: LinkLedger,
-    /// Shard partition of `StatsCollector::router_flits` (local index),
-    /// drained on demand.
-    pub(crate) part_router_flits: Vec<u64>,
+    /// Armed events per local FIFO lane, indexed like [`Self::fifos`] —
+    /// the only telemetry the stepping kernel books (see the module
+    /// docs). Drained on demand by `Network::drain_partials`.
+    pub(crate) lane_counts: Vec<LaneCount>,
+    /// Armed ejections per local router: the one event no lane counter
+    /// tells apart (an ejecting pop and a forwarding pop are both
+    /// `reads`). Drained on demand.
+    pub(crate) ejects: Vec<u64>,
     /// Shard partition of the delivery histograms: each measured packet
     /// ejects in exactly one shard, so partitions are disjoint and merge
     /// by plain counter addition. `None` when histograms are disabled
@@ -420,14 +433,7 @@ pub(crate) struct ShardState {
 }
 
 impl ShardState {
-    pub(crate) fn new(
-        index: usize,
-        lo: usize,
-        hi: usize,
-        shard_count: usize,
-        topo: &Topo,
-        links: &LinkMap,
-    ) -> Self {
+    pub(crate) fn new(index: usize, lo: usize, hi: usize, shard_count: usize, topo: &Topo) -> Self {
         let n = hi - lo;
         let depth = topo.buffer_depth;
         let routers = (lo..hi)
@@ -484,9 +490,8 @@ impl ShardState {
             staged_ni_credits: Vec::with_capacity(VCS * n),
             effects: Vec::with_capacity((1 + VCS) * n),
             feedbacks: Vec::with_capacity(VCS * n),
-            part_ledger: EnergyLedger::default(),
-            part_telemetry: LinkLedger::new(links, VCS),
-            part_router_flits: vec![0; n],
+            lane_counts: vec![LaneCount::default(); n * PORTS * VCS],
+            ejects: vec![0; n],
             part_hist: Some(Box::new(PacketHists::new())),
             progress: false,
         }
@@ -536,7 +541,7 @@ impl ShardState {
                     self.routers[rel].quiet = !moved;
                 }
                 if self.src_bits[w] & bit != 0 {
-                    self.inject(rel, packets, armed);
+                    self.inject(rel, packets);
                 }
                 // Re-arm while flits stay buffered (quiet routers
                 // included) or packets stay queued; everything else goes
@@ -552,7 +557,7 @@ impl ShardState {
     /// NI injection at local router `rel`, whose source queue is
     /// non-empty: stages the front packet's next flit into the local
     /// input port if the NI holds a credit for its VC.
-    fn inject(&mut self, rel: usize, packets: &PacketTable, armed: bool) {
+    fn inject(&mut self, rel: usize, packets: &PacketTable) {
         let pid = *self.sources[rel]
             .queue
             .front()
@@ -563,19 +568,14 @@ impl ShardState {
             return;
         }
         let kind = FlitKind::for_position(self.sources[rel].sent, pkt.flits);
-        let node = self.lo + rel;
         self.ni_credits[rel][vc] -= 1;
         let own = self.index;
         self.outboxes[own].arrivals.push((
-            NodeId(node as u16),
+            NodeId((self.lo + rel) as u16),
             LOCAL as u8,
             vc as u8,
             Flit { packet: pid, kind },
         ));
-        if armed {
-            self.part_ledger.ni_events += 1;
-            self.part_telemetry.on_ni_event(node);
-        }
         let sq = &mut self.sources[rel];
         sq.sent += 1;
         if sq.sent == pkt.flits {
@@ -615,12 +615,7 @@ impl ShardState {
             router.quiet = false;
             self.buffered_total += 1;
             if armed {
-                self.part_router_flits[rel] += 1;
-                self.part_ledger.buffer_writes += 1;
-                // The lane is the upstream link feeding this input port,
-                // or the router's NI lane for local-port injections.
-                self.part_telemetry
-                    .on_buffer_write(topo.link(n, port as usize).in_lane, vc as usize);
+                self.lane_counts[fifo].writes += 1;
             }
             // An arrival is next cycle's work wherever it lands.
             self.active_bits[rel / 64] |= 1 << (rel % 64);
@@ -916,19 +911,14 @@ impl ShardState {
         }
 
         if armed {
-            self.part_ledger.buffer_reads += 1;
-            self.part_ledger.crossbar_traversals += 1;
-            // Read + crossbar happen in the FIFO of the lane that delivered
-            // the flit to this router.
-            self.part_telemetry.on_buffer_read(input.in_lane, iv);
+            self.lane_counts[in_fifo].reads += 1;
         }
 
         if o == LOCAL {
             // Ejection into the NI sink. Packet bookkeeping (delivery
             // statistics, slot retirement) is deferred to the cycle owner.
             if armed {
-                self.part_ledger.ni_events += 1;
-                self.part_telemetry.on_ni_event(g);
+                self.ejects[rel] += 1;
             }
             if flit.kind.is_tail() {
                 // Delivery histograms: the packet completes here and in no
@@ -956,14 +946,6 @@ impl ShardState {
         }
 
         let output = topo.link(g, o);
-        if armed {
-            if Direction::ALL[o].is_vertical() {
-                self.part_ledger.vertical_hops += 1;
-            } else {
-                self.part_ledger.horizontal_hops += 1;
-            }
-            self.part_telemetry.on_link_flit(output.out_link, v);
-        }
         debug_assert!(output.peer().is_some(), "credit implies neighbour");
         self.outboxes[output.peer_shard as usize].arrivals.push((
             output.peer,
@@ -1079,7 +1061,8 @@ impl ShardState {
             + self.src_bits.capacity()
             + self.effects.capacity()
             + self.feedbacks.capacity()
-            + self.part_router_flits.len()
+            + self.lane_counts.capacity()
+            + self.ejects.capacity()
             + self
                 .sources
                 .iter()

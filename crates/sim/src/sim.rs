@@ -291,6 +291,12 @@ impl Simulator {
         &self.net
     }
 
+    /// The statistics collector of the current measurement window.
+    #[must_use]
+    pub fn stats(&self) -> &StatsCollector {
+        &self.stats
+    }
+
     /// The aggregate energy ledger of the current measurement window.
     #[must_use]
     pub fn energy_ledger(&self) -> &EnergyLedger {
@@ -915,8 +921,9 @@ impl Simulator {
         Ok(summary)
     }
 
-    /// Folds the shards' telemetry partitions (per-router flit counts,
-    /// energy, link ledger) into the aggregate sinks right now.
+    /// Folds the shards' armed lane counters (from which per-router flit
+    /// counts, the energy ledger and the link ledger are derived) and
+    /// histogram partitions into the aggregate sinks right now.
     ///
     /// The engine already folds at every point a reader needs the
     /// aggregates — before [`Self::measure_window`]'s summary, before
@@ -932,7 +939,7 @@ impl Simulator {
             .drain_partials(&mut self.stats, &mut self.ledger, &mut self.telemetry);
     }
 
-    /// `true` when no telemetry remains in any shard partition, i.e. the
+    /// `true` when no telemetry remains unfolded in any shard, i.e. the
     /// aggregate sinks are complete (test/diagnostic probe).
     #[doc(hidden)]
     #[must_use]

@@ -65,6 +65,12 @@ impl StatsCollector {
         self.hists.as_deref()
     }
 
+    /// Flits ejected into their destination NI while armed.
+    #[must_use]
+    pub fn delivered_flits(&self) -> u64 {
+        self.delivered_flits
+    }
+
     /// Starts/stops counting.
     pub fn set_armed(&mut self, armed: bool) {
         self.armed = armed;

@@ -1,14 +1,16 @@
 //! The telemetry acceptance contract: the per-link ledger's hierarchical
 //! roll-ups reconstruct the aggregate energy ledger **exactly** (counter
-//! for counter) on arbitrary topologies and loads, telemetry is pure
-//! observability (pushing it to the policy changes nothing by default),
-//! and a pillar that died before the window reports zero TSV energy.
+//! for counter) on arbitrary topologies and loads, the counters the
+//! simulator folds into both balance against fabric state it keeps
+//! independently, telemetry is pure observability (pushing it to the
+//! policy changes nothing by default), and a pillar that died before the
+//! window reports zero TSV energy.
 
 use adele::online::ElevatorFirstSelector;
-use noc_energy::EnergyLedger;
+use noc_energy::{EnergyLedger, LinkId};
 use noc_exp::{Event, Scenario, SelectorSpec, WorkloadKind};
 use noc_sim::{SimConfig, Simulator};
-use noc_topology::{ElevatorId, ElevatorSet, Mesh3d};
+use noc_topology::{Direction, ElevatorId, ElevatorSet, Mesh3d, NodeId};
 use noc_traffic::SyntheticTraffic;
 use proptest::prelude::*;
 
@@ -35,9 +37,35 @@ fn merged(parts: &[EnergyLedger]) -> EnergyLedger {
     sum
 }
 
+/// The router and input port whose FIFOs back telemetry lane `lane`.
+fn lane_input(sim: &Simulator, lane: usize) -> (NodeId, Direction) {
+    let map = sim.link_map();
+    let port = if lane < map.link_count() {
+        map.link(LinkId(lane as u32)).dir.opposite()
+    } else {
+        Direction::Local
+    };
+    (map.lane_owner(lane), port)
+}
+
+/// FIFO occupancy of every `(lane, vc)`, in telemetry lane order.
+fn lane_occupancies(sim: &Simulator) -> Vec<i64> {
+    let vcs = sim.link_ledger().vcs();
+    (0..sim.link_map().lane_count() * vcs)
+        .map(|i| {
+            let (node, port) = lane_input(sim, i / vcs);
+            sim.network().lane_occupancy(node, port, i % vcs) as i64
+        })
+        .collect()
+}
+
 proptest! {
     /// Counter-for-counter equality between the aggregate ledger and the
     /// per-link roll-up, plus exact partition at every hierarchy level.
+    /// (Both sides are folded from the same per-lane counters, so this
+    /// pins the fold's and the roll-ups' bookkeeping against each other;
+    /// `folded_counters_balance_against_fabric_state` checks the counters
+    /// themselves.)
     #[test]
     fn link_rollup_equals_aggregate_ledger(
         (mesh, elevators) in arb_topology(),
@@ -66,6 +94,66 @@ proptest! {
         // The summary's pillar views come from the same roll-up.
         prop_assert_eq!(&summary.pillar_tsv_flits, &telemetry.pillar_tsv_flits(map));
         prop_assert_eq!(summary.pillar_energy_nj.len(), elevators.len());
+    }
+
+    /// The independent audit of the lane counters and their fold: over an
+    /// armed window, at any shard count, the folded telemetry must balance
+    /// against state the fabric keeps without it — FIFO occupancies, the
+    /// buffered-flit total and the delivery count.
+    #[test]
+    fn folded_counters_balance_against_fabric_state(
+        (mesh, elevators) in arb_topology(),
+        rate in 0.001f64..0.008,
+        seed in 0u64..1_000,
+        shards in 1usize..=4,
+    ) {
+        let config = SimConfig::new(mesh, elevators.clone())
+            .with_phases(50, 400, 2_000)
+            .with_seed(seed)
+            .with_shards(shards);
+        let traffic = SyntheticTraffic::uniform(&mesh, rate, seed);
+        let selector = ElevatorFirstSelector::new(&mesh, &elevators);
+        let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
+        sim.advance(50).unwrap();
+        let occupancy_start = lane_occupancies(&sim);
+        let buffered_start = sim.network().buffered_flits() as i64;
+        let summary = sim.measure_window(400).unwrap();
+        let occupancy_end = lane_occupancies(&sim);
+
+        let map = sim.link_map();
+        let telemetry = sim.link_ledger();
+        let vcs = telemetry.vcs();
+        let mut injected = 0u64;
+        let mut router_writes = vec![0u64; map.node_count()];
+        for lane in 0..map.lane_count() {
+            for vc in 0..vcs {
+                let (writes, reads) =
+                    (telemetry.buffer_writes(lane, vc), telemetry.buffer_reads(lane, vc));
+                // What went into a FIFO and did not come out is still in it.
+                prop_assert_eq!(
+                    writes as i64 - reads as i64,
+                    occupancy_end[lane * vcs + vc] - occupancy_start[lane * vcs + vc],
+                    "lane {} vc {}", lane, vc
+                );
+                router_writes[map.lane_owner(lane).index()] += writes;
+                if lane < map.link_count() {
+                    // Every flit that crossed a link was written at its far end.
+                    prop_assert_eq!(telemetry.link_flits(LinkId(lane as u32), vc), writes);
+                } else {
+                    injected += writes;
+                }
+            }
+        }
+        prop_assert_eq!(&router_writes, &summary.router_flits);
+        // NI events are injections plus ejections, and every ejection is
+        // a delivered flit.
+        let ni_events = telemetry.aggregate(map).ni_events;
+        let delivered = sim.stats().delivered_flits();
+        prop_assert_eq!(ni_events - injected, delivered);
+        prop_assert_eq!(
+            injected as i64 - delivered as i64,
+            sim.network().buffered_flits() as i64 - buffered_start
+        );
     }
 }
 

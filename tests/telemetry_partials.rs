@@ -1,19 +1,25 @@
-//! The sharded-telemetry merge invariant (the flight-recorder PR's audit
+//! The sharded-telemetry fold invariant (the flight-recorder PR's audit
 //! pin).
 //!
-//! In the sharded engine each shard accumulates router-flit, energy and
-//! link-ledger counters into *partial* partitions that are folded into
-//! the aggregate ledgers with an add-and-zero merge. The audited
-//! invariant: every engine path folds the partials before any reader
-//! needs an aggregate, and because the merge is add-and-zero it is
-//! **idempotent at any moment** — a mid-window [`Simulator::fold_telemetry`]
-//! (plus reads of the ledgers it exposes) can never change what a later
-//! window, summary or energy-feedback push observes. These tests pin that
-//! invariant so a future refactor that makes the merge non-idempotent or
-//! leaves partials unfolded fails loudly.
+//! While a window is armed each shard counts flit events once, per local
+//! FIFO lane (`{writes, reads}`, plus ejections per router); the link,
+//! router, NI and aggregate energy counters are *derived* from those
+//! when the counters are folded into the aggregate ledgers, and the fold
+//! adds and zeroes. The audited invariant: every engine path folds
+//! before any reader needs an aggregate, and because the fold is
+//! add-and-zero it is **idempotent at any moment** — a mid-window
+//! [`Simulator::fold_telemetry`] (plus reads of the ledgers it exposes)
+//! can never change what a later window, summary or energy-feedback push
+//! observes — and what it produces is the same, lane for lane, at every
+//! shard and worker count. These tests pin that invariant so a future
+//! refactor that makes the fold non-idempotent, layout-dependent or
+//! leaves counters unfolded fails loudly.
 
+use noc_energy::{EnergyLedger, LinkLedger};
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
+use noc_sim::{RunSummary, SimConfig, Simulator};
 use noc_topology::placement::Placement;
+use noc_traffic::SyntheticTraffic;
 
 fn measured_energy_scenario(shards: usize) -> Scenario {
     Scenario::from_placement("telemetry-partials", Placement::Ps1)
@@ -89,5 +95,79 @@ fn measured_energy_results_are_shard_independent() {
             sharded, sequential,
             "k={shards} measured-energy run diverged from k=1"
         );
+    }
+}
+
+/// Two back-to-back measurement windows (with an explicit fold and ledger
+/// reads in between) of a PS1 run; each window yields its summary — which
+/// carries `router_flits` — and the complete folded ledgers.
+fn two_windows(
+    selector: &SelectorSpec,
+    feedback_period: u64,
+    shards: usize,
+) -> Vec<(RunSummary, LinkLedger, EnergyLedger)> {
+    let (mesh, elevators) = Placement::Ps1.instantiate();
+    let config = SimConfig::new(mesh, elevators.clone())
+        .with_seed(29)
+        .with_shards(shards)
+        .with_energy_feedback_period(feedback_period);
+    let traffic = SyntheticTraffic::uniform(&mesh, 0.004, 29);
+    let selector = selector.build(&mesh, &elevators, 29);
+    let mut sim = Simulator::new(config, Box::new(traffic), selector);
+    sim.advance(300).unwrap();
+    (0..2)
+        .map(|_| {
+            let summary = sim.measure_window(700).unwrap();
+            sim.fold_telemetry();
+            assert!(sim.telemetry_partials_clear());
+            (summary, sim.link_ledger().clone(), *sim.energy_ledger())
+        })
+        .collect()
+}
+
+/// The fold's output is layout-independent lane for lane, not just in the
+/// pillar roll-ups a `RunSummary` carries: the whole `LinkLedger` (every
+/// lane × VC, link and NI counter), the aggregate `EnergyLedger` and
+/// `router_flits` are equal at k ∈ {1, 3, 8}, stepped inline and on a
+/// two-worker pool. Three variants: no feedback (one fold per window),
+/// an inert period-100 feedback (folds in the middle of the armed window,
+/// which must also leave every counter where the single fold puts it),
+/// and the measured-energy selector, whose period-256 pushes feed what
+/// they read back into routing.
+#[test]
+fn folded_ledgers_are_equal_lane_for_lane_at_every_layout() {
+    // The override only picks the execution path of the simulators built
+    // here; results never depend on it, so concurrently running tests
+    // cannot be affected (see `tests/shard_equivalence.rs`).
+    let prior = std::env::var("NOC_THREADS").ok();
+    let measured = SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD;
+    let unfolded = two_windows(&SelectorSpec::adele(), 0, 1);
+    // (selector, feedback period, whether the pushes are inert)
+    for (selector, period, inert) in [
+        (SelectorSpec::adele(), 0, true),
+        (SelectorSpec::adele(), 100, true),
+        (SelectorSpec::adele_measured_energy(), measured, false),
+    ] {
+        std::env::set_var("NOC_THREADS", "1");
+        let sequential = two_windows(&selector, period, 1);
+        assert!(
+            sequential[0].0.delivered_packets > 0,
+            "sanity: traffic flowed"
+        );
+        if inert {
+            assert_eq!(sequential, unfolded, "mid-window folds moved a counter");
+        }
+        for (threads, shards) in [("1", 3), ("1", 8), ("2", 3), ("2", 8)] {
+            std::env::set_var("NOC_THREADS", threads);
+            assert_eq!(
+                two_windows(&selector, period, shards),
+                sequential,
+                "k={shards} on {threads} worker(s), feedback period {period}"
+            );
+        }
+    }
+    match prior {
+        Some(value) => std::env::set_var("NOC_THREADS", value),
+        None => std::env::remove_var("NOC_THREADS"),
     }
 }
