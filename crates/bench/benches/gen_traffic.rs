@@ -1,21 +1,23 @@
 //! Micro-benchmark isolating the *traffic-generation* path — the per-cycle
 //! cost of deciding who injects, with no network attached — so the
-//! injection scheduler has its own regression trace alongside
-//! `step_hot_path`.
+//! injection path has its own regression trace alongside `step_hot_path`.
 //!
-//! Two streams per mesh: `v1` polls every node every cycle (one RNG draw
-//! per node through the `TrafficSource` vtable), `v2` drains the batched
+//! Each row is one whole-network cycle: `v1_cycle` polls every node
+//! through `maybe_inject`, `v1_bulk` polls the cycle through `poll_cycle`
+//! (what the simulator drives), `v2_cycle` drains the batched
 //! skip-sampling source. At sweep rates the v2 cost is proportional to
 //! *injections*, not nodes — the gap is the point of the bench. The
-//! checked-in record of the same two costs is the repo benchmark's
+//! application models have no batched twin, so they carry the `v1` rows
+//! only. The checked-in record of the same costs is the repo benchmark's
 //! `noc_traffic.{polled,scheduled}_ns_per_cycle` (`benchmark/`).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkGroup, BenchmarkId, Criterion};
 use noc_topology::Mesh3d;
+use noc_traffic::apps::{AppKind, AppTraffic};
 use noc_traffic::{BatchedSynthetic, ScheduledSource, SyntheticTraffic, TrafficSource};
 use std::hint::black_box;
 
-/// The benchmark grid: (mesh extents, injection rate).
+/// The synthetic grid: (mesh extents, injection rate).
 const GRID: [((usize, usize, usize), f64); 4] = [
     ((16, 16, 8), 0.0005),
     ((16, 16, 8), 0.002),
@@ -23,15 +25,34 @@ const GRID: [((usize, usize, usize), f64); 4] = [
     ((32, 32, 8), 0.002),
 ];
 
-/// One whole-network cycle of polled injection decisions.
-fn v1_cycle(source: &mut dyn TrafficSource, mesh: &Mesh3d, cycle: u64) -> usize {
-    let mut injected = 0;
-    for node in mesh.node_ids() {
-        if source.maybe_inject(node, cycle).is_some() {
-            injected += 1;
-        }
-    }
-    injected
+/// The two `v1` rows of one polled workload, each on a fresh source.
+fn bench_polled<S: TrafficSource>(
+    group: &mut BenchmarkGroup<'_>,
+    label: &str,
+    mesh: &Mesh3d,
+    build: impl Fn() -> S,
+) {
+    let source: &mut dyn TrafficSource = &mut build();
+    let mut cycle = 0u64;
+    group.bench_with_input(BenchmarkId::new("v1_cycle", label), &(), |b, ()| {
+        b.iter(|| {
+            cycle += 1;
+            let polls = mesh.node_ids().map(|node| source.maybe_inject(node, cycle));
+            black_box(polls.flatten().count())
+        })
+    });
+
+    let mut source = build();
+    let mut polled = Vec::new();
+    let mut cycle = 0u64;
+    group.bench_with_input(BenchmarkId::new("v1_bulk", label), &(), |b, ()| {
+        b.iter(|| {
+            cycle += 1;
+            polled.clear();
+            source.poll_cycle(cycle, mesh.node_count(), &mut polled);
+            black_box(polled.len())
+        })
+    });
 }
 
 fn bench_gen_traffic(c: &mut Criterion) {
@@ -39,18 +60,11 @@ fn bench_gen_traffic(c: &mut Criterion) {
     group.measurement_time(std::time::Duration::from_secs(2));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(10);
-    for (extents, rate) in GRID {
-        let (x, y, z) = extents;
+    for ((x, y, z), rate) in GRID {
         let mesh = Mesh3d::new(x, y, z).expect("bench dimensions are valid");
         let label = format!("{x}x{y}x{z}@{rate}");
-
-        let mut v1 = SyntheticTraffic::uniform(&mesh, rate, 7);
-        let mut cycle = 0u64;
-        group.bench_with_input(BenchmarkId::new("v1_cycle", &label), &(), |b, ()| {
-            b.iter(|| {
-                cycle += 1;
-                black_box(v1_cycle(&mut v1, &mesh, cycle))
-            })
+        bench_polled(&mut group, &label, &mesh, || {
+            SyntheticTraffic::uniform(&mesh, rate, 7)
         });
 
         let mut v2 = BatchedSynthetic::uniform(&mesh, rate, 7);
@@ -60,6 +74,13 @@ fn bench_gen_traffic(c: &mut Criterion) {
                 cycle += 1;
                 black_box(v2.next_injections(cycle).len())
             })
+        });
+    }
+    // The application models on the Fig. 7 mesh: two bursty, one Bernoulli.
+    let mesh = Mesh3d::new(4, 4, 4).expect("bench dimensions are valid");
+    for kind in [AppKind::Canneal, AppKind::Fft, AppKind::Fluidanimate] {
+        bench_polled(&mut group, kind.name(), &mesh, || {
+            AppTraffic::new(kind, &mesh, 0.01, 1)
         });
     }
     group.finish();

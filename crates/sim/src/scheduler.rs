@@ -1,11 +1,13 @@
 //! The simulator-side injection scheduler: a pending-injection calendar
 //! queue over a [`ScheduledSource`].
 //!
-//! [`Simulator::step`](crate::Simulator::step) used to ask the workload
-//! about every node every cycle; with a scheduled source it instead
-//! drains this calendar — a small ring of cycle buckets filled by
-//! prefetching the source's injection batches a horizon at a time. An
-//! idle cycle costs one bucket lookup; the O(nodes) scan is gone.
+//! Every workload reaches admission through this calendar — a small
+//! ring of cycle buckets filled by prefetching the source's injection
+//! batches a horizon at a time. On a batched (`v2`) source an idle cycle
+//! costs one bucket lookup; a polled (`v1`) source rides it behind
+//! [`CyclePolled`](noc_traffic::CyclePolled) at horizon 1 — one bucket,
+//! refilled by one whole-cycle poll and drained in the same call, so its
+//! calendar depth reads 0 between cycles.
 //!
 //! Mid-run [`TrafficDirective`]s interact with prefetching: injections
 //! already bucketed for cycles at or after the directive were sampled

@@ -15,14 +15,17 @@ use noc_energy::{EnergyLedger, LinkLedger, LinkMap};
 use noc_obs::{ComputeSample, PhaseTimes, Record};
 use noc_topology::route::{ElevatorCoord, VirtualNet};
 use noc_topology::NodeId;
-use noc_traffic::{InjectionRequest, ScheduledSource, TrafficDirective, TrafficSource};
+use noc_traffic::{
+    CyclePolled, InjectionRequest, ScheduledSource, TrafficDirective, TrafficSource,
+};
 use serde::{Serialize, Value};
 
 /// A workload handed to the simulator: either the classic polled
-/// interface (one [`TrafficSource::maybe_inject`] call per node per
-/// cycle — the bit-stable `v1` stream) or an event-driven
-/// [`ScheduledSource`] drained through the injection calendar (the
-/// batched `v2` stream).
+/// interface (the [`TrafficSource`] per-node-per-cycle contract — the
+/// bit-stable `v1` stream) or an event-driven [`ScheduledSource`] (the
+/// batched `v2` stream). Both reach admission through the one injection
+/// calendar: a polled source rides it behind [`CyclePolled`], one
+/// [`TrafficSource::poll_cycle`] per cycle.
 ///
 /// Spec layers build this with `WorkloadSpec::build`; direct users can
 /// rely on the `From` impls.
@@ -54,37 +57,6 @@ impl std::fmt::Debug for TrafficInput {
     }
 }
 
-/// The simulator's injection driver: the polled path is kept verbatim
-/// (its per-cycle call sequence — and with it the `v1` RNG stream — is
-/// bit-stable), the scheduled path drains the calendar.
-enum Injector {
-    Polled(Box<dyn TrafficSource>),
-    Scheduled(InjectionScheduler),
-}
-
-impl Injector {
-    fn name(&self) -> &'static str {
-        match self {
-            Injector::Polled(s) => s.name(),
-            Injector::Scheduled(s) => s.name(),
-        }
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        match self {
-            Injector::Polled(s) => s.mean_rate(),
-            Injector::Scheduled(s) => s.mean_rate(),
-        }
-    }
-
-    fn apply(&mut self, directive: &TrafficDirective, now: Cycle) {
-        match self {
-            Injector::Polled(s) => s.apply(directive),
-            Injector::Scheduled(s) => s.apply(directive, now),
-        }
-    }
-}
-
 /// A configured simulation run.
 ///
 /// Owns the network, the workload and the elevator-selection policy;
@@ -94,7 +66,7 @@ pub struct Simulator {
     config: SimConfig,
     net: Network,
     packets: PacketTable,
-    traffic: Injector,
+    traffic: InjectionScheduler,
     selector: Box<dyn ElevatorSelector>,
     stats: StatsCollector,
     ledger: EnergyLedger,
@@ -145,9 +117,8 @@ impl Simulator {
         Self::from_input(config, TrafficInput::Polled(traffic), selector)
     }
 
-    /// Assembles a simulator over an event-driven [`ScheduledSource`]:
-    /// injection drains the calendar queue instead of polling every node
-    /// every cycle.
+    /// Assembles a simulator over an event-driven [`ScheduledSource`],
+    /// prefetched into the injection calendar a horizon at a time.
     ///
     /// # Panics
     ///
@@ -161,7 +132,8 @@ impl Simulator {
         Self::from_input(config, TrafficInput::Scheduled(traffic), selector)
     }
 
-    /// Assembles a simulator from either workload interface.
+    /// Assembles a simulator from either workload interface; a polled
+    /// source is wrapped in [`CyclePolled`] over the mesh's nodes.
     ///
     /// # Panics
     ///
@@ -195,10 +167,12 @@ impl Simulator {
             StatsCollector::without_histograms(config.mesh.node_count(), config.elevators.len())
         };
         let telemetry = LinkLedger::new(net.link_map(), VirtualNet::COUNT);
-        let traffic = match traffic {
-            TrafficInput::Polled(source) => Injector::Polled(source),
-            TrafficInput::Scheduled(source) => Injector::Scheduled(InjectionScheduler::new(source)),
-        };
+        let traffic = InjectionScheduler::new(match traffic {
+            TrafficInput::Polled(source) => {
+                Box::new(CyclePolled::new(source, config.mesh.node_count()))
+            }
+            TrafficInput::Scheduled(source) => source,
+        });
         Self {
             config,
             net,
@@ -321,56 +295,62 @@ impl Simulator {
         &self.packets
     }
 
-    /// Creates this cycle's packets and queues them at their NIs.
+    /// Creates this cycle's packets and queues them at their NIs: drains
+    /// the cycle's injections from the calendar, then admits them.
     ///
-    /// The polled path asks the workload about every node (the bit-stable
-    /// `v1` call sequence, verbatim); the scheduled path drains the
-    /// injection calendar, so only nodes that actually inject this cycle
-    /// cost anything.
+    /// Injections arrive sorted by node on both streams, so admission
+    /// order — and with it selection and statistics order — is the node
+    /// scan's. Polling a whole `v1` cycle before admitting any of it
+    /// reorders nothing: nobody but the workload touches its RNG.
     fn generate_traffic(&mut self) {
-        match &mut self.traffic {
-            Injector::Polled(traffic) => {
-                for node in self.config.mesh.node_ids() {
-                    let Some(req) = traffic.maybe_inject(node, self.cycle) else {
-                        continue;
-                    };
-                    admit_packet(
-                        &self.config,
-                        &mut self.net,
-                        &mut self.packets,
-                        self.selector.as_mut(),
-                        &mut self.stats,
-                        self.cycle,
-                        node,
-                        req,
-                    );
-                }
-            }
-            Injector::Scheduled(_) => self.generate_scheduled(),
-        }
-    }
-
-    /// The calendar-drain half of [`Self::generate_traffic`]: injections
-    /// arrive already sorted by node, so admission order (and with it
-    /// selection and statistics order) matches the polled scan.
-    fn generate_scheduled(&mut self) {
         let mut pending = std::mem::take(&mut self.pending);
-        if let Injector::Scheduled(scheduler) = &mut self.traffic {
-            scheduler.drain_due(self.cycle, &mut pending);
-        }
+        self.traffic.drain_due(self.cycle, &mut pending);
         for &(node, req) in &pending {
-            admit_packet(
-                &self.config,
-                &mut self.net,
-                &mut self.packets,
-                self.selector.as_mut(),
-                &mut self.stats,
-                self.cycle,
-                node,
-                req,
-            );
+            self.admit_packet(node, req);
         }
         self.pending = pending;
+    }
+
+    /// Admits one injection request: drops degenerate packets, runs
+    /// elevator selection for inter-layer traffic, records statistics and
+    /// queues the packet at its source NI.
+    fn admit_packet(&mut self, node: NodeId, req: InjectionRequest) {
+        if req.dst == node || req.flits == 0 {
+            return; // self-addressed or empty packets are dropped
+        }
+        let src = self.config.mesh.coord(node);
+        let dst = self.config.mesh.coord(req.dst);
+        let elevator = if src.z != dst.z {
+            let ctx = SelectionContext {
+                src_id: node,
+                src,
+                dst_id: req.dst,
+                dst,
+                elevators: self.net.elevators(),
+                probe: &self.net,
+                cycle: self.cycle,
+            };
+            let choice = self.selector.select(&ctx);
+            Some(ElevatorCoord::from_set(self.net.elevators(), choice))
+        } else {
+            None
+        };
+        self.stats
+            .on_packet_created(req.flits, elevator.map(|e| e.id));
+        let id = self.packets.insert(Packet {
+            src: node,
+            dst: req.dst,
+            flits: req.flits,
+            vnet: VirtualNet::for_layers(src.z, dst.z),
+            elevator,
+            created: self.cycle,
+            head_out_src: None,
+            tail_out_src: None,
+            delivered: None,
+            flits_delivered: 0,
+            measured: self.stats.armed(),
+        });
+        self.net.enqueue_packet(node, id);
     }
 
     /// The workload's name (experiment output).
@@ -511,10 +491,7 @@ impl Simulator {
     /// under `timing`.
     fn emit_window(&mut self, tracer: &mut Tracer) {
         let delta = tracer.metrics_mut().close_window();
-        let calendar = match &self.traffic {
-            Injector::Polled(_) => 0,
-            Injector::Scheduled(s) => s.calendar_depth(),
-        };
+        let calendar = self.traffic.calendar_depth();
         let det = Value::Object(vec![
             (
                 "digest".to_string(),
@@ -608,15 +585,6 @@ impl Simulator {
         self.generate_traffic();
     }
 
-    /// Pending injections in the calendar (`0` on the polled stream,
-    /// which has no calendar).
-    fn calendar_depth(&self) -> u64 {
-        match &self.traffic {
-            Injector::Polled(_) => 0,
-            Injector::Scheduled(s) => s.calendar_depth(),
-        }
-    }
-
     /// Snapshots the wedged fabric into a [`SimError::Deadlock`] — the
     /// cold path of the watchdog, reached at most once per run.
     #[cold]
@@ -627,7 +595,7 @@ impl Simulator {
             watchdog: self.config.watchdog,
             in_flight: self.packets.live() as u64,
             buffered: self.net.buffered_flits(),
-            calendar_depth: self.calendar_depth(),
+            calendar_depth: self.traffic.calendar_depth(),
             state_digest: self.net.state_digest(),
         }
     }
@@ -776,7 +744,7 @@ impl Simulator {
         loop {
             let empty = self.packets.live() == 0
                 && self.net.buffered_flits() == 0
-                && self.calendar_depth() == 0;
+                && self.traffic.calendar_depth() == 0;
             if empty {
                 return Ok(spent);
             }
@@ -786,7 +754,7 @@ impl Simulator {
                     cap: max,
                     outstanding: self.packets.live() as u64,
                     buffered: self.net.buffered_flits(),
-                    calendar_depth: self.calendar_depth(),
+                    calendar_depth: self.traffic.calendar_depth(),
                     state_digest: self.net.state_digest(),
                 });
             }
@@ -946,61 +914,6 @@ impl Simulator {
     pub fn telemetry_partials_clear(&self) -> bool {
         self.net.partials_clear()
     }
-}
-
-/// Admits one injection request: drops degenerate packets, runs elevator
-/// selection for inter-layer traffic, records statistics and queues the
-/// packet at its source NI. Shared verbatim by the polled scan and the
-/// calendar drain, so the two injection paths cannot drift.
-///
-/// Takes the simulator's fields individually (not `&mut Simulator`) so
-/// callers can invoke it while the workload itself is still borrowed.
-#[allow(clippy::too_many_arguments)] // the per-injection sinks of one admission
-fn admit_packet(
-    config: &SimConfig,
-    net: &mut Network,
-    packets: &mut PacketTable,
-    selector: &mut dyn ElevatorSelector,
-    stats: &mut StatsCollector,
-    cycle: u64,
-    node: NodeId,
-    req: InjectionRequest,
-) {
-    if req.dst == node || req.flits == 0 {
-        return; // self-addressed or empty packets are dropped
-    }
-    let src = config.mesh.coord(node);
-    let dst = config.mesh.coord(req.dst);
-    let elevator = if src.z != dst.z {
-        let ctx = SelectionContext {
-            src_id: node,
-            src,
-            dst_id: req.dst,
-            dst,
-            elevators: net.elevators(),
-            probe: net,
-            cycle,
-        };
-        let choice = selector.select(&ctx);
-        Some(ElevatorCoord::from_set(net.elevators(), choice))
-    } else {
-        None
-    };
-    stats.on_packet_created(req.flits, elevator.map(|e| e.id));
-    let id = packets.insert(Packet {
-        src: node,
-        dst: req.dst,
-        flits: req.flits,
-        vnet: VirtualNet::for_layers(src.z, dst.z),
-        elevator,
-        created: cycle,
-        head_out_src: None,
-        tail_out_src: None,
-        delivered: None,
-        flits_delivered: 0,
-        measured: stats.armed(),
-    });
-    net.enqueue_packet(node, id);
 }
 
 #[cfg(test)]

@@ -17,10 +17,10 @@
 //! improve, while low-load local apps stay near zero-load latency.
 
 use crate::injection::{InjectionProcess, OnOffParams, PacketSizeRange};
-use crate::pattern::{BitPermutation, Pattern, Uniform};
-use crate::source::{InjectionRequest, TrafficSource};
+use crate::pattern::{check_hotspots, BitPermutation, Pattern, Uniform};
+use crate::source::{InjectionRequest, SyntheticTraffic, TrafficDirective, TrafficSource};
 use noc_topology::{Coord, Mesh3d, NodeId};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::Rng;
 
 /// The six benchmarks of the paper's Fig. 7.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,6 +176,9 @@ pub struct AppProfile {
 
 /// Mixture destination pattern backing [`AppTraffic`].
 struct MixturePattern {
+    /// The app's own mixture; `mix` is what runs (a `SetHotspots`
+    /// directive re-weights it from the profile).
+    profile: LocalityMix,
     mix: LocalityMix,
     uniform: Uniform,
     /// Per-node neighbourhood (nodes within Manhattan distance 2).
@@ -217,6 +220,7 @@ impl MixturePattern {
             .map(|(x, y)| mesh.node_id(Coord::new(x, y, 0)).expect("corner exists"))
             .collect();
         Self {
+            profile: mix,
             mix,
             uniform: Uniform::new(n),
             neighbours,
@@ -261,26 +265,38 @@ impl Pattern for MixturePattern {
     fn name(&self) -> &'static str {
         self.name
     }
+
+    /// Re-aims the hotspot component at `hotspots` with weight `fraction`;
+    /// the profile's other components share the remaining `1 - fraction`
+    /// in their original proportions.
+    fn set_hotspots(&mut self, hotspots: &[NodeId], fraction: f64) -> bool {
+        check_hotspots(self.neighbours.len(), hotspots, fraction);
+        let rest = self.profile.total() - self.profile.hotspot;
+        debug_assert!(rest > 0.0, "every app profile has non-hotspot traffic");
+        let keep = (1.0 - fraction) / rest;
+        self.mix = LocalityMix {
+            neighbour: self.profile.neighbour * keep,
+            uniform: self.profile.uniform * keep,
+            permutation: self.profile.permutation * keep,
+            hotspot: fraction,
+        };
+        self.hotspots = hotspots.to_vec();
+        true
+    }
 }
 
 /// A running application workload: drives [`TrafficSource`] with the
 /// profile of one [`AppKind`].
+///
+/// It *is* a [`SyntheticTraffic`] — the app's locality mixture as the
+/// pattern, its (possibly bursty) process on every node — so it polls
+/// through the same kernel and honours the same directives.
+#[derive(Debug)]
 pub struct AppTraffic {
     kind: AppKind,
-    pattern: MixturePattern,
-    processes: Vec<InjectionProcess>,
-    sizes: PacketSizeRange,
-    rng: StdRng,
-    effective_rate: f64,
-}
-
-impl std::fmt::Debug for AppTraffic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AppTraffic")
-            .field("kind", &self.kind)
-            .field("rate", &self.effective_rate)
-            .finish()
-    }
+    inner: SyntheticTraffic,
+    /// The exact (scaled) per-node rate; every node runs the same process.
+    rate: f64,
 }
 
 impl AppTraffic {
@@ -298,11 +314,14 @@ impl AppTraffic {
         };
         Self {
             kind,
-            pattern: MixturePattern::new(mesh, profile.mix, kind.name()),
-            processes: vec![process; mesh.node_count()],
-            sizes: PacketSizeRange::paper_default(),
-            rng: StdRng::seed_from_u64(seed ^ 0xADE1E),
-            effective_rate: rate,
+            inner: SyntheticTraffic::new(
+                mesh.node_count(),
+                Box::new(MixturePattern::new(mesh, profile.mix, kind.name())),
+                process,
+                PacketSizeRange::paper_default(),
+                seed ^ 0xADE1E,
+            ),
+            rate,
         }
     }
 
@@ -314,23 +333,29 @@ impl AppTraffic {
 }
 
 impl TrafficSource for AppTraffic {
-    fn maybe_inject(&mut self, node: NodeId, _cycle: u64) -> Option<InjectionRequest> {
-        if !self.processes[node.index()].step(&mut self.rng) {
-            return None;
-        }
-        let dst = self.pattern.destination(node, &mut self.rng)?;
-        Some(InjectionRequest {
-            dst,
-            flits: self.sizes.sample(&mut self.rng),
-        })
+    #[inline]
+    fn maybe_inject(&mut self, node: NodeId, cycle: u64) -> Option<InjectionRequest> {
+        self.inner.maybe_inject(node, cycle)
+    }
+
+    fn poll_cycle(&mut self, cycle: u64, nodes: usize, out: &mut Vec<(NodeId, InjectionRequest)>) {
+        self.inner.poll_cycle(cycle, nodes, out);
     }
 
     fn name(&self) -> &'static str {
         self.kind.name()
     }
 
+    /// The exact rate, not the kernel's mean over nodes (its sum rounds).
     fn mean_rate(&self) -> Option<f64> {
-        Some(self.effective_rate)
+        Some(self.rate.clamp(0.0, 1.0))
+    }
+
+    fn apply(&mut self, directive: &TrafficDirective) {
+        if let TrafficDirective::ScaleRate { factor } = directive {
+            self.rate *= factor;
+        }
+        self.inner.apply(directive);
     }
 }
 
@@ -427,6 +452,98 @@ mod tests {
             frac > 0.6,
             "local fraction {frac} too low for a stencil app"
         );
+    }
+
+    /// Injections over `cycles` whole-mesh polls.
+    fn count(app: &mut AppTraffic, mesh: &Mesh3d, cycles: u64) -> f64 {
+        let mut polled = Vec::new();
+        for cycle in 0..cycles {
+            app.poll_cycle(cycle, mesh.node_count(), &mut polled);
+        }
+        polled.len() as f64
+    }
+
+    /// Standard deviation of the injection count of `node_cycles` polls of
+    /// a Markov-modulated Bernoulli process: the Bernoulli variance plus
+    /// the phase covariance `2·Var(rate)·Σₖ ρᵏ`, `ρ = 1 − on_to_off −
+    /// off_to_on` being the phase autocorrelation.
+    fn count_sigma(rate: f64, burst: OnOffParams, node_cycles: f64) -> f64 {
+        let s_on = burst.stationary_on();
+        let swing = rate * (burst.on_scale() - burst.off_scale);
+        let rho = 1.0 - burst.on_to_off - burst.off_to_on;
+        let per_poll =
+            rate * (1.0 - rate) + 2.0 * s_on * (1.0 - s_on) * swing * swing * rho / (1.0 - rho);
+        (node_cycles * per_poll).sqrt()
+    }
+
+    #[test]
+    fn scale_rate_burst_triples_the_offered_load_and_its_inverse_restores_it() {
+        let mesh = mesh();
+        let burst = AppKind::Canneal.profile().burst.expect("canneal is bursty");
+        let (rate, cycles) = (0.01, 20_000);
+        let polls = cycles as f64 * mesh.node_count() as f64;
+        let (calm, hot) = (
+            count_sigma(rate, burst, polls),
+            count_sigma(3.0 * rate, burst, polls),
+        );
+        let mut app = AppTraffic::new(AppKind::Canneal, &mesh, rate, 12);
+        let before = count(&mut app, &mesh, cycles);
+        assert!(
+            (before - rate * polls).abs() < 5.0 * calm,
+            "baseline {before}"
+        );
+
+        app.apply(&TrafficDirective::ScaleRate { factor: 3.0 });
+        assert!((app.mean_rate().unwrap() - 3.0 * rate).abs() < 1e-15);
+        let during = count(&mut app, &mesh, cycles);
+        assert!(
+            (during - 3.0 * rate * polls).abs() < 5.0 * hot,
+            "a x3 burst must triple the offered load: {before} -> {during}"
+        );
+
+        app.apply(&TrafficDirective::ScaleRate { factor: 1.0 / 3.0 });
+        assert!((app.mean_rate().unwrap() - rate).abs() < 1e-15);
+        let after = count(&mut app, &mesh, cycles);
+        assert!(
+            (after - rate * polls).abs() < 5.0 * calm,
+            "the inverse must restore the pre-burst load: {before} -> {after}"
+        );
+        assert_eq!(app.name(), "canneal");
+    }
+
+    #[test]
+    fn set_hotspots_re_aims_the_mixture() {
+        let mesh = mesh();
+        let hot = NodeId(21);
+        let mut app = AppTraffic::new(AppKind::Fluidanimate, &mesh, 0.2, 3);
+        app.apply(&TrafficDirective::SetHotspots {
+            hotspots: vec![hot],
+            fraction: 1.0,
+        });
+        assert_eq!(app.name(), "fluidanimate", "the app keeps its name");
+        let mut polled = Vec::new();
+        for cycle in 0..200 {
+            app.poll_cycle(cycle, mesh.node_count(), &mut polled);
+        }
+        assert!(polled.len() > 100);
+        for (node, req) in polled {
+            assert!(
+                node == hot || req.dst == hot,
+                "fraction 1 targets the hotspot"
+            );
+        }
+        // A partial re-aim keeps the rest of the locality mixture.
+        app.apply(&TrafficDirective::SetHotspots {
+            hotspots: vec![hot],
+            fraction: 0.25,
+        });
+        let mut polled = Vec::new();
+        for cycle in 200..2_200 {
+            app.poll_cycle(cycle, mesh.node_count(), &mut polled);
+        }
+        let to_hot = polled.iter().filter(|(_, req)| req.dst == hot).count() as f64;
+        let share = to_hot / polled.len() as f64;
+        assert!((0.2..0.32).contains(&share), "hotspot share {share}");
     }
 
     #[test]

@@ -1,6 +1,18 @@
 //! Temporal injection processes and packet sizing.
+//!
+//! # Integer-threshold coins
+//!
+//! The polled `v1` stream tosses a coin per node per cycle (two for a
+//! bursty node). `gen_bool(p)` compares `unit < p` with
+//! `unit = k·2⁻⁵³`, `k = x >> 11` of a raw draw `x`; scaling both sides by
+//! 2⁵³ is exact, so `unit < p ⇔ k < p·2⁵³ ⇔ k < ⌈p·2⁵³⌉`. A [`Coin`]
+//! stores that threshold once, and a flip is a shift and an integer
+//! compare — bit-for-bit `gen_bool`'s decision. Two coins **never draw**:
+//! `p ≤ 0` (the processes always guarded emission with `p > 0.0 &&`) and
+//! `p ≥ 1` (`gen_bool` returns before sampling); a draw there would shift
+//! every later decision of the stream.
 
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// The paper's packet-size distribution: uniform over 10–30 flits
 /// (Table I).
@@ -50,7 +62,8 @@ impl PacketSizeRange {
     }
 
     /// Samples a packet size.
-    pub fn sample(&self, rng: &mut dyn rand::RngCore) -> u16 {
+    #[inline]
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u16 {
         rng.gen_range(self.min..=self.max)
     }
 }
@@ -142,24 +155,65 @@ impl serde::Deserialize for OnOffParams {
     }
 }
 
+/// A Bernoulli coin compiled to the integer threshold `⌈p·2⁵³⌉` (the
+/// [module docs](self) give the identity with `gen_bool`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Coin(u64);
+
+impl Coin {
+    /// The coin that never lands heads — and never draws.
+    pub const NEVER: Coin = Coin(0);
+    /// The coin that always lands heads — and never draws.
+    pub const ALWAYS: Coin = Coin(u64::MAX);
+
+    /// Compiles the coin `p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0))`:
+    /// `p ≤ 0` and NaN never land heads, `p ≥ 1` always does.
+    #[must_use]
+    pub fn new(p: f64) -> Self {
+        if p >= 1.0 {
+            Coin::ALWAYS
+        } else if p > 0.0 {
+            // Exact: the scaling only moves the exponent (lifting a
+            // subnormal `p` into the normal range).
+            Coin((p * (1u64 << 53) as f64).ceil() as u64)
+        } else {
+            Coin::NEVER
+        }
+    }
+
+    /// Flips the coin: one raw draw, except for the two sure coins, which
+    /// leave `rng` untouched.
+    #[inline]
+    pub fn flip<R: RngCore + ?Sized>(self, rng: &mut R) -> bool {
+        match self {
+            Coin::NEVER => false,
+            Coin::ALWAYS => true,
+            Coin(threshold) => (rng.next_u64() >> 11) < threshold,
+        }
+    }
+}
+
 /// Per-node injection process: decides, each cycle, whether to inject a
-/// packet.
+/// packet — memoryless Bernoulli, or Bernoulli modulated by a two-state
+/// (on/off) Markov burst process.
+///
+/// The process is held compiled to [`Coin`]s, recompiled only when the
+/// rate is scaled. A Bernoulli process is the on/off machine whose phase
+/// coins never draw — its phase never moves and both emission coins are
+/// the same — so one record and one [`step`](Self::step) serve both.
 #[derive(Debug, Clone)]
-pub enum InjectionProcess {
-    /// Memoryless injection at a fixed packets/cycle/node rate.
-    Bernoulli {
-        /// Packet injection probability per cycle.
-        rate: f64,
-    },
-    /// Bernoulli modulated by a two-state Markov burst process.
-    OnOff {
-        /// Base (average) packet injection probability per cycle.
-        rate: f64,
-        /// Burst parameters.
-        params: OnOffParams,
-        /// Current state (true = ON).
-        on: bool,
-    },
+pub struct InjectionProcess {
+    /// Base (average) packets/cycle: the exact product of every scaling,
+    /// clamped to a probability only in the coins.
+    pub(crate) rate: f64,
+    /// Burst parameters; `None` is memoryless.
+    pub(crate) burst: Option<OnOffParams>,
+    /// Current phase (true = ON).
+    pub(crate) on: bool,
+    /// Coin for leaving the phase, indexed by the current phase.
+    leave: [Coin; 2],
+    /// Emission coin of each phase, the phase's rate scale folded in.
+    emit: [Coin; 2],
 }
 
 impl InjectionProcess {
@@ -170,29 +224,44 @@ impl InjectionProcess {
     /// Panics if `rate` is not in `[0, 1]`.
     #[must_use]
     pub fn bernoulli(rate: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&rate),
-            "rate {rate} must be a probability"
-        );
-        InjectionProcess::Bernoulli { rate }
+        Self::new(rate, None)
     }
 
-    /// Bursty injection averaging `rate` packets/cycle.
+    /// Bursty injection averaging `rate` packets/cycle, starting ON.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is not in `[0, 1]`.
     #[must_use]
     pub fn on_off(rate: f64, params: OnOffParams) -> Self {
+        Self::new(rate, Some(params))
+    }
+
+    fn new(rate: f64, burst: Option<OnOffParams>) -> Self {
         assert!(
             (0.0..=1.0).contains(&rate),
             "rate {rate} must be a probability"
         );
-        InjectionProcess::OnOff {
+        let leave = burst.map_or([Coin::NEVER; 2], |b| {
+            [Coin::new(b.off_to_on), Coin::new(b.on_to_off)]
+        });
+        let mut process = Self {
             rate,
-            params,
+            burst,
             on: true,
-        }
+            leave,
+            emit: [Coin::NEVER; 2],
+        };
+        process.compile_emission();
+        process
+    }
+
+    /// Compiles the emission coins from the current rate.
+    fn compile_emission(&mut self) {
+        let (off, on) = self
+            .burst
+            .map_or((1.0, 1.0), |b| (b.off_scale, b.on_scale()));
+        self.emit = [Coin::new(self.rate * off), Coin::new(self.rate * on)];
     }
 
     /// The long-run average injection rate, as an effective probability
@@ -200,19 +269,15 @@ impl InjectionProcess {
     /// emitted).
     #[must_use]
     pub fn mean_rate(&self) -> f64 {
-        match self {
-            InjectionProcess::Bernoulli { rate } | InjectionProcess::OnOff { rate, .. } => {
-                rate.clamp(0.0, 1.0)
-            }
-        }
+        self.rate.clamp(0.0, 1.0)
     }
 
     /// Scales the base injection rate by `factor`. Burst state is
     /// preserved — scenario engines use this to raise or drop the offered
     /// load mid-run (injection bursts).
     ///
-    /// The stored rate keeps the exact product (it is only clamped to a
-    /// probability at emission time), so a burst and its inverse compose
+    /// The stored rate keeps the exact product (only the emission coins
+    /// clamp it to a probability), so a burst and its inverse compose
     /// losslessly: scaling by `300` and later by `1/300` restores the
     /// original offered load even though the intermediate rate saturated
     /// at one packet per cycle.
@@ -225,38 +290,18 @@ impl InjectionProcess {
             factor.is_finite() && factor >= 0.0,
             "rate scale {factor} must be finite and non-negative"
         );
-        match self {
-            InjectionProcess::Bernoulli { rate } | InjectionProcess::OnOff { rate, .. } => {
-                *rate *= factor;
-            }
-        }
+        self.rate *= factor;
+        self.compile_emission();
     }
 
-    /// Advances one cycle and reports whether a packet is injected.
-    pub fn step(&mut self, rng: &mut dyn rand::RngCore) -> bool {
-        match self {
-            InjectionProcess::Bernoulli { rate } => {
-                *rate > 0.0 && rng.gen_bool(rate.clamp(0.0, 1.0))
-            }
-            InjectionProcess::OnOff { rate, params, on } => {
-                // State transition first, then emission from the new state.
-                let flip = if *on {
-                    params.on_to_off
-                } else {
-                    params.off_to_on
-                };
-                if rng.gen_bool(flip) {
-                    *on = !*on;
-                }
-                let scale = if *on {
-                    params.on_scale()
-                } else {
-                    params.off_scale
-                };
-                let p = (*rate * scale).clamp(0.0, 1.0);
-                p > 0.0 && rng.gen_bool(p)
-            }
+    /// Advances one cycle and reports whether a packet is injected: the
+    /// phase transition first, then emission from the new phase.
+    #[inline]
+    pub fn step<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> bool {
+        if self.leave[usize::from(self.on)].flip(rng) {
+            self.on = !self.on;
         }
+        self.emit[usize::from(self.on)].flip(rng)
     }
 }
 

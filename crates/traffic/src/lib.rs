@@ -5,7 +5,9 @@
 //! * [`pattern`] — synthetic destination patterns (uniform, bit-shuffle,
 //!   transpose, bit-complement, hotspot).
 //! * [`injection`] — temporal injection processes (Bernoulli, bursty
-//!   on/off) and the paper's 10–30-flit packet-size distribution.
+//!   on/off), the integer-threshold [`injection::Coin`]s the polled
+//!   kernel compiles them to, and the paper's 10–30-flit packet-size
+//!   distribution.
 //! * [`apps`] — synthetic SPLASH-2/PARSEC application models standing in
 //!   for the paper's Gem5-extracted traces (canneal, fft, fluidanimate,
 //!   lu, radix, water).
@@ -15,8 +17,9 @@
 //! * [`scheduled`] — event-driven batched injection: sources that
 //!   skip-sample each node's next injection cycle (geometric for
 //!   Bernoulli, phase-aware for bursty) so idle nodes cost nothing
-//!   between injections, plus the [`CyclePolled`] adapter that lets any
-//!   polled source ride the same interface.
+//!   between injections, plus the [`CyclePolled`] adapter through which
+//!   every polled source reaches the simulator, one
+//!   [`TrafficSource::poll_cycle`] per cycle.
 //!
 //! Workloads compose: [`CompositeSource`] mixes weighted components
 //! (hotspot + bursty, …), [`SyntheticTraffic::per_layer`] skews rates

@@ -31,6 +31,15 @@ pub trait Pattern: Send {
         let _ = (src, n);
         None
     }
+
+    /// Re-aims the pattern's own hotspot component: from now on a
+    /// `fraction` of packets target `hotspots`. Returns `false` — the
+    /// default — when the pattern has no such component, and the workload
+    /// then replaces it with a [`Hotspot`] outright.
+    fn set_hotspots(&mut self, hotspots: &[NodeId], fraction: f64) -> bool {
+        let _ = (hotspots, fraction);
+        false
+    }
 }
 
 /// Uniform random traffic: every other node is equally likely.
@@ -172,6 +181,22 @@ impl Pattern for Permutation {
     }
 }
 
+/// The range checks every hotspot (re-)aiming shares.
+pub(crate) fn check_hotspots(n: usize, hotspots: &[NodeId], hot_fraction: f64) {
+    assert!(
+        !hotspots.is_empty(),
+        "hotspot pattern needs at least one hotspot"
+    );
+    assert!(
+        (0.0..=1.0).contains(&hot_fraction),
+        "hot_fraction must be a probability"
+    );
+    assert!(
+        hotspots.iter().all(|h| h.index() < n),
+        "hotspot out of range"
+    );
+}
+
 /// Hotspot traffic: with probability `hot_fraction` the destination is a
 /// uniformly chosen hotspot node; otherwise uniform over all other nodes.
 #[derive(Debug, Clone)]
@@ -189,18 +214,7 @@ impl Hotspot {
     /// Panics if `hotspots` is empty or `hot_fraction` is outside `[0, 1]`.
     #[must_use]
     pub fn new(n: usize, hotspots: Vec<NodeId>, hot_fraction: f64) -> Self {
-        assert!(
-            !hotspots.is_empty(),
-            "hotspot pattern needs at least one hotspot"
-        );
-        assert!(
-            (0.0..=1.0).contains(&hot_fraction),
-            "hot_fraction must be a probability"
-        );
-        assert!(
-            hotspots.iter().all(|h| h.index() < n),
-            "hotspot out of range"
-        );
+        check_hotspots(n, &hotspots, hot_fraction);
         Self {
             uniform: Uniform::new(n),
             hotspots,

@@ -2,10 +2,10 @@
 //! injection instead of being polled every node every cycle.
 //!
 //! The classic [`TrafficSource`](crate::TrafficSource) contract costs one
-//! RNG draw per node per cycle through a vtable — on a 16×16×8 mesh that
-//! scan alone is the per-cycle floor of an otherwise idle simulation. A
-//! [`ScheduledSource`] instead *skip-samples* each node's next injection
-//! cycle directly:
+//! RNG draw per node per cycle — even as an integer compare per draw (see
+//! [`crate::injection`]), on a 16×16×8 mesh that scan is the per-cycle
+//! floor of an otherwise idle simulation. A [`ScheduledSource`] instead
+//! *skip-samples* each node's next injection cycle directly:
 //!
 //! * a Bernoulli process at rate `p` has geometrically distributed
 //!   inter-arrival gaps, so [`geometric_skip`] jumps straight to the next
@@ -161,7 +161,7 @@ pub trait ScheduledSource: Send {
 /// cycle); `p <= 0` returns [`NEVER`] (no injection, ever). Callers pass
 /// rates already clamped to `[0, 1]`; out-of-range inputs saturate the
 /// same way.
-pub fn geometric_skip(rng: &mut dyn RngCore, p: f64) -> u64 {
+pub fn geometric_skip<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> u64 {
     if p >= 1.0 {
         return 0;
     }
@@ -176,44 +176,24 @@ pub fn geometric_skip(rng: &mut dyn RngCore, p: f64) -> u64 {
     ((-u).ln_1p() / (-p).ln_1p()) as u64
 }
 
-/// Per-node temporal state of a batched process.
+/// Per-node scheduling state: an independent RNG stream (so firing order
+/// never couples nodes), the temporal process — the polled process's own
+/// record of rate, burst parameters and phase, so scaling keeps
+/// [`InjectionProcess::scale_rate`]'s lossless-burst semantics — and the
+/// skip-sampler's position in it.
 #[derive(Debug, Clone)]
-enum NodeProcess {
-    /// Memoryless injection; `rate` keeps the exact scaled product and is
-    /// clamped to a probability only when sampling (mirrors
-    /// [`InjectionProcess::scale_rate`]'s lossless-burst semantics).
-    Bernoulli {
-        /// Raw (possibly >1 after a burst) injection rate.
-        rate: f64,
-    },
-    /// Two-state Markov-modulated injection, sampled phase by phase.
-    OnOff {
-        /// Raw base rate (same lossless-scaling semantics).
-        rate: f64,
-        /// Burst parameters.
-        params: OnOffParams,
-        /// Current phase (true = ON).
-        on: bool,
-        /// Cycle at which the phase flips next (flips happen before
-        /// emission, matching the polled process's transition-then-emit
-        /// order).
-        seg_end: u64,
-    },
+struct NodeState {
+    rng: StdRng,
+    process: InjectionProcess,
+    /// Cycle at which a bursty process flips phase next (flips happen
+    /// before emission, matching the polled process's
+    /// transition-then-emit order).
+    seg_end: u64,
+    /// The next injection cycle.
+    next: u64,
 }
 
-impl NodeProcess {
-    fn from_process(process: &InjectionProcess) -> Self {
-        match process {
-            InjectionProcess::Bernoulli { rate } => NodeProcess::Bernoulli { rate: *rate },
-            InjectionProcess::OnOff { rate, params, on } => NodeProcess::OnOff {
-                rate: *rate,
-                params: *params,
-                on: *on,
-                seg_end: 0,
-            },
-        }
-    }
-
+impl NodeState {
     /// Draws the initial phase boundary, matching the polled process's
     /// start state: the node has been in its initial phase "since before
     /// cycle 0" and flip opportunities begin *at* cycle 0 — so the first
@@ -221,91 +201,64 @@ impl NodeProcess {
     /// unconditionally at 0. Without this, every node would
     /// deterministically invert its phase at cycle 0 and a short
     /// measurement window would see the wrong (synchronised) burst state.
-    fn prime(&mut self, rng: &mut StdRng) {
-        if let NodeProcess::OnOff {
-            params,
-            on,
-            seg_end,
-            ..
-        } = self
-        {
-            let flip = if *on {
+    fn prime(&mut self) {
+        if let Some(params) = self.process.burst {
+            let flip = if self.process.on {
                 params.on_to_off
             } else {
                 params.off_to_on
             };
-            *seg_end = geometric_skip(rng, flip);
-        }
-    }
-
-    fn mean_rate(&self) -> f64 {
-        match self {
-            NodeProcess::Bernoulli { rate } | NodeProcess::OnOff { rate, .. } => {
-                rate.clamp(0.0, 1.0)
-            }
-        }
-    }
-
-    fn scale_rate(&mut self, factor: f64) {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "rate scale {factor} must be finite and non-negative"
-        );
-        match self {
-            NodeProcess::Bernoulli { rate } | NodeProcess::OnOff { rate, .. } => *rate *= factor,
+            self.seg_end = geometric_skip(&mut self.rng, flip);
         }
     }
 
     /// Samples the node's next injection cycle at or after `from`.
-    fn sample_next(&mut self, rng: &mut StdRng, from: u64) -> u64 {
-        match self {
-            NodeProcess::Bernoulli { rate } => {
-                let p = rate.clamp(0.0, 1.0);
-                from.saturating_add(geometric_skip(rng, p))
+    fn sample_next(&mut self, from: u64) -> u64 {
+        let Self {
+            rng,
+            process,
+            seg_end,
+            ..
+        } = self;
+        let rate = process.rate;
+        let Some(params) = process.burst else {
+            return from.saturating_add(geometric_skip(rng, rate.clamp(0.0, 1.0)));
+        };
+        if rate <= 0.0 {
+            return NEVER;
+        }
+        let on = &mut process.on;
+        let mut t = from;
+        loop {
+            // Catch the phase machine up to t: at `seg_end` the phase
+            // flips, and the *next* flip opportunity is the cycle after
+            // entry (dwell = 1 + Geometric(flip)).
+            while *seg_end <= t {
+                let entered = *seg_end;
+                *on = !*on;
+                let flip = if *on {
+                    params.on_to_off
+                } else {
+                    params.off_to_on
+                };
+                *seg_end = entered
+                    .saturating_add(1)
+                    .saturating_add(geometric_skip(rng, flip));
             }
-            NodeProcess::OnOff {
-                rate,
-                params,
-                on,
-                seg_end,
-            } => {
-                if *rate <= 0.0 {
-                    return NEVER;
-                }
-                let mut t = from;
-                loop {
-                    // Catch the phase machine up to t: at `seg_end` the
-                    // phase flips, and the *next* flip opportunity is the
-                    // cycle after entry (dwell = 1 + Geometric(flip)).
-                    while *seg_end <= t {
-                        let entered = *seg_end;
-                        *on = !*on;
-                        let flip = if *on {
-                            params.on_to_off
-                        } else {
-                            params.off_to_on
-                        };
-                        *seg_end = entered
-                            .saturating_add(1)
-                            .saturating_add(geometric_skip(rng, flip));
-                    }
-                    // Within the phase the emission is plain Bernoulli at
-                    // the phase-scaled rate: skip-sample it, and fall
-                    // through to the next phase when the candidate lands
-                    // past the flip.
-                    let scale = if *on {
-                        params.on_scale()
-                    } else {
-                        params.off_scale
-                    };
-                    let p = (*rate * scale).clamp(0.0, 1.0);
-                    let candidate = t.saturating_add(geometric_skip(rng, p));
-                    if candidate < *seg_end {
-                        return candidate;
-                    }
-                    t = *seg_end;
-                }
+            // Within the phase the emission is plain Bernoulli at the
+            // phase-scaled rate: skip-sample it, and fall through to the
+            // next phase when the candidate lands past the flip.
+            let scale = if *on {
+                params.on_scale()
+            } else {
+                params.off_scale
+            };
+            let p = (rate * scale).clamp(0.0, 1.0);
+            let candidate = t.saturating_add(geometric_skip(rng, p));
+            if candidate < *seg_end {
+                return candidate;
             }
+            t = *seg_end;
         }
     }
 }
@@ -320,16 +273,6 @@ pub fn derive_stream_seed(seed: u64, stream: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Per-node scheduling state: an independent RNG stream (so firing order
-/// never couples nodes), the temporal process, and the next injection
-/// cycle.
-#[derive(Debug, Clone)]
-struct NodeState {
-    rng: StdRng,
-    process: NodeProcess,
-    next: u64,
 }
 
 /// The batched twin of [`SyntheticTraffic`](crate::SyntheticTraffic): the
@@ -371,19 +314,12 @@ impl BatchedSynthetic {
         sizes: PacketSizeRange,
         seed: u64,
     ) -> Self {
-        Self::from_processes(
-            pattern,
-            (0..node_count)
-                .map(|_| NodeProcess::from_process(&process))
-                .collect(),
-            sizes,
-            seed,
-        )
+        Self::from_processes(pattern, vec![process; node_count], sizes, seed)
     }
 
     fn from_processes(
         pattern: Box<dyn Pattern>,
-        processes: Vec<NodeProcess>,
+        processes: Vec<InjectionProcess>,
         sizes: PacketSizeRange,
         seed: u64,
     ) -> Self {
@@ -393,12 +329,13 @@ impl BatchedSynthetic {
             .map(|(i, process)| NodeState {
                 rng: StdRng::seed_from_u64(derive_stream_seed(seed, i as u64)),
                 process,
+                seg_end: 0,
                 next: NEVER,
             })
             .collect();
         for state in &mut nodes {
-            state.process.prime(&mut state.rng);
-            state.next = state.process.sample_next(&mut state.rng, 0);
+            state.prime();
+            state.next = state.sample_next(0);
         }
         let calendar = Self::rebuild_calendar(&nodes);
         Self {
@@ -489,7 +426,7 @@ impl BatchedSynthetic {
     /// # Panics
     ///
     /// Panics if `layer_rates.len()` does not match the mesh's layer
-    /// count.
+    /// count, or a rate is not in `[0, 1]`.
     #[must_use]
     pub fn per_layer(
         mesh: &Mesh3d,
@@ -505,9 +442,7 @@ impl BatchedSynthetic {
         );
         let processes = mesh
             .coords()
-            .map(|c| NodeProcess::Bernoulli {
-                rate: layer_rates[c.z as usize],
-            })
+            .map(|c| InjectionProcess::bernoulli(layer_rates[c.z as usize]))
             .collect();
         Self::from_processes(pattern, processes, sizes, seed)
     }
@@ -544,7 +479,7 @@ impl ScheduledSource for BatchedSynthetic {
                     },
                 });
             }
-            state.next = state.process.sample_next(&mut state.rng, cycle + 1);
+            state.next = state.sample_next(cycle + 1);
             if state.next != NEVER {
                 self.calendar.push(Reverse((state.next, node)));
             }
@@ -582,7 +517,7 @@ impl ScheduledSource for BatchedSynthetic {
         // a phase, so conditioning on "nothing fired before now" is a
         // fresh sample — the injection distribution is preserved exactly.
         for state in &mut self.nodes {
-            state.next = state.process.sample_next(&mut state.rng, now);
+            state.next = state.sample_next(now);
         }
         self.calendar = Self::rebuild_calendar(&self.nodes);
     }
@@ -591,19 +526,23 @@ impl ScheduledSource for BatchedSynthetic {
 /// Adapter driving any polled [`TrafficSource`] behind the
 /// [`ScheduledSource`] interface, one cycle at a time.
 ///
-/// This is how recorded traces, application models and composite
-/// mixtures ride the injection scheduler unchanged: each requested cycle
-/// is expanded into the full per-node poll the wrapped source was
-/// promised. No speedup, no behaviour change — the per-cycle call
-/// sequence is exactly the classic one. Its [`horizon`] is 1 because a
-/// polled source cannot rewind past cycles it has already drawn, so
-/// callers must not prefetch across a directive.
+/// This is how every polled workload — the `v1` synthetic stream,
+/// application models, composite mixtures, recorded traces — reaches the
+/// simulator's injection scheduler: each requested cycle is one
+/// [`poll_cycle`] of the wrapped source, the full per-node poll the source
+/// was promised at whatever its `poll_cycle` costs (one pass over the
+/// coins, O(events) for a trace, the per-node loop otherwise). Its
+/// [`horizon`] is 1 because a polled source cannot rewind past cycles it
+/// has already drawn, so callers must not prefetch across a directive.
 ///
+/// [`poll_cycle`]: TrafficSource::poll_cycle
 /// [`horizon`]: ScheduledSource::horizon
 pub struct CyclePolled {
     inner: Box<dyn TrafficSource>,
     node_count: usize,
     cursor: u64,
+    /// One cycle's poll, reused across cycles.
+    polled: Vec<(NodeId, InjectionRequest)>,
     out: Vec<ScheduledInjection>,
 }
 
@@ -624,6 +563,7 @@ impl CyclePolled {
             inner,
             node_count,
             cursor: 0,
+            polled: Vec::new(),
             out: Vec::new(),
         }
     }
@@ -633,16 +573,18 @@ impl ScheduledSource for CyclePolled {
     fn next_injections(&mut self, up_to: u64) -> &[ScheduledInjection] {
         self.out.clear();
         for cycle in self.cursor..=up_to {
-            for node in 0..self.node_count {
-                let node = NodeId(node as u16);
-                if let Some(request) = self.inner.maybe_inject(node, cycle) {
-                    self.out.push(ScheduledInjection {
+            self.polled.clear();
+            self.inner
+                .poll_cycle(cycle, self.node_count, &mut self.polled);
+            self.out.extend(
+                self.polled
+                    .iter()
+                    .map(|&(node, request)| ScheduledInjection {
                         cycle,
                         node,
                         request,
-                    });
-                }
-            }
+                    }),
+            );
         }
         self.cursor = up_to + 1;
         &self.out

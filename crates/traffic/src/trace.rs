@@ -35,17 +35,16 @@ impl Trace {
     /// Records `duration` cycles of `source` on `mesh`.
     pub fn record(source: &mut dyn TrafficSource, mesh: &Mesh3d, duration: u64) -> Self {
         let mut events = Vec::new();
+        let mut polled = Vec::new();
         for cycle in 0..duration {
-            for node in mesh.node_ids() {
-                if let Some(req) = source.maybe_inject(node, cycle) {
-                    events.push(TraceEvent {
-                        cycle,
-                        src: node,
-                        dst: req.dst,
-                        flits: req.flits,
-                    });
-                }
-            }
+            polled.clear();
+            source.poll_cycle(cycle, mesh.node_count(), &mut polled);
+            events.extend(polled.iter().map(|&(src, req)| TraceEvent {
+                cycle,
+                src,
+                dst: req.dst,
+                flits: req.flits,
+            }));
         }
         Self {
             name: source.name(),
@@ -60,7 +59,8 @@ impl Trace {
     /// # Panics
     ///
     /// Panics if any event references a node `>= node_count` or lies beyond
-    /// `duration`.
+    /// `duration`, or if two events share a `(cycle, src)` — a node injects
+    /// at most one packet per cycle, so a replay could never emit both.
     #[must_use]
     pub fn from_events(
         name: &'static str,
@@ -77,6 +77,12 @@ impl Trace {
             );
         }
         events.sort_by_key(|e| (e.cycle, e.src));
+        assert!(
+            events
+                .windows(2)
+                .all(|w| (w[0].cycle, w[0].src) != (w[1].cycle, w[1].src)),
+            "two events share a (cycle, src)"
+        );
         Self {
             name,
             events,
@@ -139,31 +145,54 @@ pub struct TraceReplayer<'a> {
     cursor: usize,
 }
 
-impl TrafficSource for TraceReplayer<'_> {
-    fn maybe_inject(&mut self, node: NodeId, cycle: u64) -> Option<InjectionRequest> {
+impl TraceReplayer<'_> {
+    /// Positions the cursor for a poll at `cycle` and returns the event
+    /// under it, if that event fires this cycle. The replay loops modulo
+    /// the trace duration: a poll landing back on position 0 with every
+    /// event consumed rewinds the cursor.
+    fn seek(&mut self, cycle: u64) -> Option<TraceEvent> {
         let events = &self.trace.events;
         if events.is_empty() {
             return None;
         }
-        let wrapped = cycle % self.trace.duration;
-        if wrapped == 0 && cycle > 0 && node.index() == 0 && self.cursor >= events.len() {
-            self.cursor = 0; // loop the trace
+        let at = cycle % self.trace.duration;
+        if at == 0 && cycle > 0 && self.cursor >= events.len() {
+            self.cursor = 0;
         }
         // Skip events from earlier cycles (possible right after a loop).
-        while self.cursor < events.len() && events[self.cursor].cycle < wrapped {
+        while events.get(self.cursor).is_some_and(|e| e.cycle < at) {
             self.cursor += 1;
         }
-        if self.cursor < events.len() {
-            let e = events[self.cursor];
-            if e.cycle == wrapped && e.src == node {
-                self.cursor += 1;
-                return Some(InjectionRequest {
-                    dst: e.dst,
-                    flits: e.flits,
-                });
-            }
+        events.get(self.cursor).copied().filter(|e| e.cycle == at)
+    }
+}
+
+impl TrafficSource for TraceReplayer<'_> {
+    fn maybe_inject(&mut self, node: NodeId, cycle: u64) -> Option<InjectionRequest> {
+        let e = self.seek(cycle).filter(|e| e.src == node)?;
+        self.cursor += 1;
+        Some(InjectionRequest {
+            dst: e.dst,
+            flits: e.flits,
+        })
+    }
+
+    /// Emits the cycle's run of events straight from the cursor — events
+    /// are sorted by `(cycle, src)`, so the run is already in node order.
+    fn poll_cycle(&mut self, cycle: u64, nodes: usize, out: &mut Vec<(NodeId, InjectionRequest)>) {
+        debug_assert!(nodes >= self.trace.node_count, "poll covers the trace");
+        let Some(first) = self.seek(cycle) else {
+            return;
+        };
+        let events = &self.trace.events[self.cursor..];
+        for e in events.iter().take_while(|e| e.cycle == first.cycle) {
+            let request = InjectionRequest {
+                dst: e.dst,
+                flits: e.flits,
+            };
+            out.push((e.src, request));
+            self.cursor += 1;
         }
-        None
     }
 
     fn name(&self) -> &'static str {
@@ -224,6 +253,92 @@ mod tests {
             }
         }
         assert_eq!(hits, 3, "event must fire once per loop");
+    }
+
+    /// Replays `trace` for `cycles` on a fresh replayer, through
+    /// `poll_cycle` or through the per-node loop.
+    fn replay(trace: &Trace, nodes: u16, cycles: u64, bulk: bool) -> Vec<TraceEvent> {
+        let mut replayer = trace.replayer();
+        let mut polled = Vec::new();
+        let mut out = Vec::new();
+        for cycle in 0..cycles {
+            // Never cleared: `poll_cycle` appends.
+            let start = polled.len();
+            if bulk {
+                replayer.poll_cycle(cycle, usize::from(nodes), &mut polled);
+            } else {
+                for node in (0..nodes).map(NodeId) {
+                    polled.extend(replayer.maybe_inject(node, cycle).map(|req| (node, req)));
+                }
+            }
+            out.extend(polled[start..].iter().map(|&(src, req)| TraceEvent {
+                cycle,
+                src,
+                dst: req.dst,
+                flits: req.flits,
+            }));
+        }
+        out
+    }
+
+    #[test]
+    fn bulk_replay_equals_the_per_node_loop_across_loops() {
+        let event = |cycle, src: u16, dst: u16| TraceEvent {
+            cycle,
+            src: NodeId(src),
+            dst: NodeId(dst),
+            flits: 10 + src,
+        };
+        let mesh = Mesh3d::new(4, 4, 2).unwrap();
+        let recorded = Trace::record(&mut SyntheticTraffic::uniform(&mesh, 0.2, 5), &mesh, 40);
+        assert_eq!(recorded.events().last().map(|e| e.cycle), Some(39));
+        let traces = [
+            Trace::from_events("empty", vec![], 4, 0),
+            Trace::from_events("quiet", vec![], 4, 3),
+            // Populated first and last cycles, several nodes in a cycle.
+            Trace::from_events(
+                "edges",
+                vec![
+                    event(0, 0, 1),
+                    event(0, 3, 2),
+                    event(2, 1, 0),
+                    event(4, 2, 3),
+                    event(4, 3, 0),
+                ],
+                4,
+                5,
+            ),
+            Trace::from_events("one-cycle", vec![event(0, 0, 1), event(0, 2, 1)], 4, 1),
+            recorded,
+        ];
+        for trace in &traces {
+            let nodes = trace.node_count as u16;
+            let cycles = 2 * trace.duration() + 3;
+            let per_node = replay(trace, nodes, cycles, false);
+            assert_eq!(
+                replay(trace, nodes, cycles, true),
+                per_node,
+                "{}",
+                trace.name
+            );
+            assert!(
+                per_node.len() >= 2 * trace.len(),
+                "{}: both loops replay every event",
+                trace.name
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share a (cycle, src)")]
+    fn from_events_rejects_two_packets_from_one_node_in_one_cycle() {
+        let event = |dst| TraceEvent {
+            cycle: 1,
+            src: NodeId(0),
+            dst: NodeId(dst),
+            flits: 10,
+        };
+        let _ = Trace::from_events("dup", vec![event(1), event(2)], 4, 2);
     }
 
     #[test]

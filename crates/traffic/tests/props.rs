@@ -3,11 +3,15 @@
 
 use noc_topology::{Mesh3d, NodeId};
 use noc_traffic::apps::{AppKind, AppTraffic};
-use noc_traffic::injection::{InjectionProcess, OnOffParams, PacketSizeRange};
+use noc_traffic::injection::{Coin, InjectionProcess, OnOffParams, PacketSizeRange};
 use noc_traffic::pattern::{BitPermutation, Hotspot, Pattern, Permutation, Uniform};
-use noc_traffic::{CompositeSource, SyntheticTraffic, TrafficMatrix, TrafficSource};
+use noc_traffic::trace::Trace;
+use noc_traffic::{
+    CompositeSource, InjectionRequest, SyntheticTraffic, TrafficDirective, TrafficMatrix,
+    TrafficSource,
+};
 use proptest::prelude::*;
-use rand::{rngs::StdRng, SeedableRng};
+use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
 proptest! {
     #[test]
@@ -364,5 +368,201 @@ proptest! {
             (measured - clamped).abs() <= 6.0 * sd + 1e-9,
             "measured {measured} vs clamped {clamped} (sd {sd})"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The compiled polled kernel, pinned from outside it: the integer coin
+// against `gen_bool`, and `poll_cycle` against the per-node loop.
+// ---------------------------------------------------------------------
+
+/// 2⁻⁵³: the spacing of the unit doubles a coin is compared against.
+const ULP: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// The coin the polled processes tossed before thresholds were compiled:
+/// guarded, clamped, through `gen_bool`'s float compare.
+fn reference_coin<R: RngCore>(rng: &mut R, p: f64) -> bool {
+    p > 0.0 && rng.gen_bool(p.clamp(0.0, 1.0))
+}
+
+/// A probability from one of the families the coin must get exactly
+/// right: the two sure coins, the smallest and largest fair ones, exact
+/// multiples of 2⁻⁵³ (where `⌈p·2⁵³⌉` is the draw itself), subnormals,
+/// non-positive guards, and arbitrary values.
+fn coin_probability(family: u8, k: u64, unit: f64) -> f64 {
+    match family {
+        0 => 0.0,
+        1 => 1.0,
+        2 => ULP,
+        3 => 1.0 - ULP,
+        4 => k as f64 * ULP,
+        5 => f64::from_bits(k % (1 << 52)),
+        6 => -unit,
+        _ => unit,
+    }
+}
+
+/// A generator returning one scripted raw draw, counting the draws.
+struct Scripted {
+    raw: u64,
+    draws: u32,
+}
+
+impl RngCore for Scripted {
+    fn next_u32(&mut self) -> u32 {
+        (self.next_u64() >> 32) as u32
+    }
+    fn next_u64(&mut self) -> u64 {
+        self.draws += 1;
+        self.raw
+    }
+    fn fill_bytes(&mut self, dest: &mut [u8]) {
+        dest.fill(0);
+    }
+}
+
+/// Polls `source` for `cycles` whole cycles — through `poll_cycle` before
+/// `bulk_until`, through the per-node loop from there on — applying each
+/// directive at the start of its cycle.
+fn polled_stream(
+    source: &mut dyn TrafficSource,
+    nodes: usize,
+    cycles: u64,
+    bulk_until: u64,
+    directives: &[(u64, TrafficDirective)],
+) -> Vec<(u64, NodeId, InjectionRequest)> {
+    let mut stream = Vec::new();
+    let mut polled = Vec::new();
+    for cycle in 0..cycles {
+        for (_, directive) in directives.iter().filter(|(at, _)| *at == cycle) {
+            source.apply(directive);
+        }
+        polled.clear();
+        if cycle < bulk_until {
+            source.poll_cycle(cycle, nodes, &mut polled);
+        } else {
+            for node in (0..nodes).map(|i| NodeId(i as u16)) {
+                polled.extend(source.maybe_inject(node, cycle).map(|req| (node, req)));
+            }
+        }
+        stream.extend(polled.iter().map(|&(node, req)| (cycle, node, req)));
+    }
+    stream
+}
+
+proptest! {
+    #[test]
+    fn coin_flips_like_gen_bool_on_equal_streams(
+        family in 0u8..8,
+        k in 0u64..(1 << 53),
+        unit in 0.0f64..=1.0,
+        seed in 0u64..1000,
+    ) {
+        let p = coin_probability(family, k, unit);
+        let coin = Coin::new(p);
+        let (mut a, mut b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        for _ in 0..64 {
+            prop_assert_eq!(coin.flip(&mut a), reference_coin(&mut b, p), "p = {p:e}");
+        }
+        prop_assert_eq!(a.next_u64(), b.next_u64(), "p = {p:e}: same number of draws");
+    }
+
+    #[test]
+    fn coin_agrees_with_gen_bool_at_the_threshold(
+        family in 0u8..8,
+        k in 0u64..(1 << 53),
+        unit in 0.0f64..=1.0,
+        low_bits in 0u64..(1 << 11),
+    ) {
+        // Random draws almost never land next to the threshold; script
+        // the three draws around it (and the two extremes) instead.
+        let p = coin_probability(family, k, unit);
+        let coin = Coin::new(p);
+        let at = (p.clamp(0.0, 1.0) * (1u64 << 53) as f64) as u64;
+        for top in [0, at.saturating_sub(1), at, at + 1, (1 << 53) - 1] {
+            let raw = (top.min((1 << 53) - 1) << 11) | low_bits;
+            let (mut a, mut b) = (Scripted { raw, draws: 0 }, Scripted { raw, draws: 0 });
+            prop_assert_eq!(coin.flip(&mut a), reference_coin(&mut b, p), "p = {p:e}, draw {top}");
+            prop_assert_eq!(a.draws, b.draws, "p = {p:e}: the sure coins never draw");
+        }
+    }
+
+    #[test]
+    fn poll_cycle_equals_the_per_node_loop(
+        seed in 0u64..200,
+        rate in 0.002f64..0.2,
+        burst_at in 0u64..30,
+        burst_len in 0u64..30,
+        shift_at in 0u64..90,
+    ) {
+        let mesh = Mesh3d::new(4, 4, 4).unwrap();
+        let nodes = mesh.node_count();
+        let burst = OnOffParams::new(0.05, 0.02, 0.1);
+        let trace = Trace::record(&mut SyntheticTraffic::bursty(&mesh, rate, burst, seed), &mesh, 35);
+        type Build<'a> = Box<dyn Fn() -> Box<dyn TrafficSource + 'a> + 'a>;
+        let mut builders: Vec<Build<'_>> = vec![
+            Box::new(|| Box::new(SyntheticTraffic::uniform(&mesh, rate, seed))),
+            Box::new(|| Box::new(SyntheticTraffic::shuffle(&mesh, rate, seed))),
+            Box::new(|| Box::new(SyntheticTraffic::hotspot(&mesh, rate, vec![NodeId(7)], 0.5, seed))),
+            Box::new(|| Box::new(SyntheticTraffic::bursty(&mesh, rate, burst, seed))),
+            Box::new(|| {
+                Box::new(SyntheticTraffic::per_layer(
+                    &mesh,
+                    Box::new(Uniform::new(nodes)),
+                    &[0.0, rate, 1.0, rate / 2.0],
+                    PacketSizeRange::paper_default(),
+                    seed,
+                ))
+            }),
+            Box::new(|| {
+                Box::new(CompositeSource::new(
+                    vec![
+                        (2.0, Box::new(SyntheticTraffic::bursty(&mesh, rate, burst, seed))),
+                        (1.0, Box::new(AppTraffic::new(AppKind::Fft, &mesh, rate, seed + 1))),
+                    ],
+                    seed + 2,
+                ))
+            }),
+            Box::new(|| Box::new(trace.replayer())),
+        ];
+        for kind in AppKind::ALL {
+            let mesh = &mesh;
+            builders.push(Box::new(move || Box::new(AppTraffic::new(kind, mesh, rate, seed))));
+        }
+        // A saturating burst, its inverse, then a hotspot shift.
+        let directives = [
+            (burst_at, TrafficDirective::ScaleRate { factor: 300.0 }),
+            (burst_at + burst_len, TrafficDirective::ScaleRate { factor: 1.0 / 300.0 }),
+            (
+                shift_at,
+                TrafficDirective::SetHotspots { hotspots: vec![NodeId(9), NodeId(40)], fraction: 0.6 },
+            ),
+        ];
+        for build in &builders {
+            let (mut bulk, mut per_node) = (build(), build());
+            // The per-node tail on both sides checks the state left behind
+            // (RNG position, burst phases, trace cursor), not just the
+            // injections so far.
+            let expected = polled_stream(per_node.as_mut(), nodes, 90, 0, &directives);
+            let got = polled_stream(bulk.as_mut(), nodes, 90, 60, &directives);
+            prop_assert_eq!(got, expected, "{}", bulk.name());
+        }
+    }
+}
+
+#[test]
+fn coin_guards_non_positive_and_nan_probabilities() {
+    for p in [0.0, -0.0, -1e-300, -1.0, f64::NEG_INFINITY, f64::NAN] {
+        let mut rng = Scripted { raw: 0, draws: 0 };
+        assert_eq!(Coin::new(p), Coin::NEVER, "p = {p}");
+        assert!(!Coin::new(p).flip(&mut rng) && rng.draws == 0, "p = {p}");
+    }
+    for p in [1.0, 1.0 + f64::EPSILON, 300.0, f64::INFINITY] {
+        let mut rng = Scripted {
+            raw: u64::MAX,
+            draws: 0,
+        };
+        assert_eq!(Coin::new(p), Coin::ALWAYS, "p = {p}");
+        assert!(Coin::new(p).flip(&mut rng) && rng.draws == 0, "p = {p}");
     }
 }
