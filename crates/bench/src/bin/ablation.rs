@@ -13,9 +13,8 @@
 use adele::offline::SubsetAssignment;
 use adele::online::AdeleSelector;
 use adele::AdeleConfig;
-use adele_bench::{
-    dump_json, f1, f2, offline_assignment, ok_or_die, print_table, sim_config, Workload,
-};
+use adele_bench::{dump_json, f1, f2, offline_assignment, ok_or_die, print_table, sim_config};
+use noc_exp::WorkloadKind;
 use noc_sim::harness::run_once;
 use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
@@ -40,8 +39,8 @@ fn run(
         AdeleSelector::from_assignment(&mesh, &elevators, assignment, config, 77).unwrap();
     ok_or_die(
         run_once(
-            &sim_config(placement, 11),
-            Workload::Uniform.build(&mesh, rate, 4242),
+            &sim_config(placement),
+            WorkloadKind::Uniform { rate }.build_polled(&mesh, 4242),
             Box::new(selector),
         ),
         "ablation run",

@@ -2,9 +2,8 @@
 //! Elevator-First selection policy and uniform traffic, demonstrating the
 //! uneven elevator utilisation that motivates AdEle.
 
-use adele_bench::{
-    dump_json, f2, make_selector, ok_or_die, print_table, sim_config, Policy, Workload,
-};
+use adele_bench::{dump_json, f2, ok_or_die, print_table, sim_config};
+use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_sim::harness::run_once;
 use noc_topology::placement::Placement;
 use noc_topology::Coord;
@@ -25,9 +24,9 @@ fn main() {
     let rate = 0.003;
     let summary = ok_or_die(
         run_once(
-            &sim_config(placement, 21),
-            Workload::Uniform.build(&mesh, rate, 1234),
-            make_selector(Policy::ElevFirst, &mesh, &elevators, None, 77),
+            &sim_config(placement),
+            WorkloadKind::Uniform { rate }.build_polled(&mesh, 1234),
+            SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 77),
         ),
         "fig2b baseline run",
     );

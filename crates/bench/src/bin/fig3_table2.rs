@@ -5,9 +5,9 @@
 
 use adele::online::AdeleSelector;
 use adele_bench::{
-    dump_json, f1, f2, make_selector, offline_result, ok_or_die, print_table, sim_config,
-    table2_rate, Policy, Workload,
+    dump_json, f1, f2, offline_result, ok_or_die, print_table, sim_config, table2_rate,
 };
+use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_sim::harness::run_once;
 use noc_topology::placement::Placement;
 use serde::Serialize;
@@ -75,9 +75,9 @@ fn main() {
 
     let ef = ok_or_die(
         run_once(
-            &sim_config(placement, 31),
-            Workload::Uniform.build(&mesh, rate, 555),
-            make_selector(Policy::ElevFirst, &mesh, &elevators, None, 77),
+            &sim_config(placement),
+            WorkloadKind::Uniform { rate }.build_polled(&mesh, 555),
+            SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 77),
         ),
         "table2 ElevFirst run",
     );
@@ -101,8 +101,8 @@ fn main() {
         let selector = AdeleSelector::from_solution(&mesh, &elevators, pick, 77);
         let summary = ok_or_die(
             run_once(
-                &sim_config(placement, 31),
-                Workload::Uniform.build(&mesh, rate, 555),
+                &sim_config(placement),
+                WorkloadKind::Uniform { rate }.build_polled(&mesh, 555),
                 Box::new(selector),
             ),
             &format!("table2 S{i} run"),

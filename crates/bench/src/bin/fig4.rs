@@ -13,13 +13,13 @@
 //! available core); results are bit-identical to the sequential sweep.
 
 use adele_bench::{
-    dump_json, f1, f4, fig4_rates, make_selector, offline_assignment, ok_or_die, print_table,
-    sim_config, stream_flag, Policy, Workload,
+    dump_json, f1, f4, fig4_rates, main_policies, offline_assignment, ok_or_die, print_table,
+    sim_config, stream_flag,
 };
-use noc_exp::runner::{default_threads, par_injection_sweep_input};
-use noc_sim::harness::{saturation_rate, zero_load_latency_input};
+use noc_exp::runner::{default_threads, injection_sweep};
+use noc_exp::{SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec};
+use noc_sim::harness::{saturation_rate, zero_load_latency};
 use noc_topology::placement::Placement;
-use noc_traffic::StreamVersion;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -39,35 +39,48 @@ struct Panel {
     series: Vec<Series>,
 }
 
-fn panel(placement: Placement, workload: Workload, stream: StreamVersion) -> Panel {
+/// One panel: `workload` is the printed name of the uniform or `shuffle` traffic.
+fn panel(placement: Placement, workload: &str, shuffle: bool, stream: StreamVersion) -> Panel {
     let (mesh, elevators) = placement.instantiate();
-    let rates = fig4_rates(placement, workload);
+    let rates = fig4_rates(placement, shuffle);
     let assignment = offline_assignment(placement);
 
-    let mut policies = Policy::MAIN.to_vec();
+    let mut policies = main_policies(&assignment).to_vec();
     if placement == Placement::Pm {
-        policies.push(Policy::AdeleRr);
+        policies.push((
+            "AdEle-RR",
+            SelectorSpec::Adele {
+                rr_only: true,
+                measured_energy: false,
+                assignment: Some(assignment),
+            },
+        ));
     }
 
     let mut series = Vec::new();
-    for policy in &policies {
-        let config = sim_config(placement, 11);
+    for (name, policy) in &policies {
+        let config = sim_config(placement);
         let traffic = |rate: f64| {
+            let kind = if shuffle {
+                WorkloadKind::Shuffle { rate }
+            } else {
+                WorkloadKind::Uniform { rate }
+            };
             // Identical traffic stream for every policy at a given rate.
             let seed = 1000 + (rate * 1e6) as u64;
-            workload.build_input(stream, &mesh, rate, seed)
+            WorkloadSpec { stream, kind }.build(&mesh, seed)
         };
-        let selector = || make_selector(*policy, &mesh, &elevators, Some(&assignment), 77);
+        let selector = || policy.build(&mesh, &elevators, 77);
         let zero = ok_or_die(
-            zero_load_latency_input(&config, &traffic, &selector),
-            &format!("fig4 {} zero-load probe", policy.name()),
+            zero_load_latency(&config, &traffic, &selector),
+            &format!("fig4 {name} zero-load probe"),
         );
         let points = ok_or_die(
-            par_injection_sweep_input(&config, &rates, &traffic, &selector, default_threads()),
-            &format!("fig4 {} sweep", policy.name()),
+            injection_sweep(&config, &rates, &traffic, &selector, default_threads()),
+            &format!("fig4 {name} sweep"),
         );
         series.push(Series {
-            policy: policy.name().to_string(),
+            policy: name.to_string(),
             latency: points.iter().map(|p| p.summary.avg_latency).collect(),
             completed: points.iter().map(|p| p.summary.completed).collect(),
             saturation_rate: saturation_rate(&points, zero),
@@ -76,7 +89,7 @@ fn panel(placement: Placement, workload: Workload, stream: StreamVersion) -> Pan
 
     Panel {
         placement: placement.name().to_string(),
-        workload: workload.name().to_string(),
+        workload: workload.to_string(),
         stream: stream.to_string(),
         rates,
         series,
@@ -127,13 +140,13 @@ fn main() {
                 continue;
             }
         }
-        for workload in Workload::ALL {
+        for (workload, shuffle) in [("Uniform", false), ("Shuffle", true)] {
             if let Some(f) = &workload_filter {
-                if workload.name().to_lowercase() != *f {
+                if workload.to_lowercase() != *f {
                     continue;
                 }
             }
-            let p = panel(placement, workload, stream);
+            let p = panel(placement, workload, shuffle, stream);
             print_panel(&p);
             panels.push(p);
         }

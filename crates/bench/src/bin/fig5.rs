@@ -12,10 +12,11 @@
 //! the choice.
 
 use adele_bench::{
-    dump_json, f2, f4, make_selector, offline_assignment, ok_or_die, print_table, quick_mode,
-    sim_config, stream_flag, Policy, Workload,
+    dump_json, f2, f4, main_policies, offline_assignment, ok_or_die, print_table, quick_mode,
+    sim_config, stream_flag,
 };
 use noc_exp::runner::{default_threads, par_map};
+use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_sim::harness::run_once_input;
 use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
@@ -37,25 +38,27 @@ fn main() {
     let stream = stream_flag(&mut args);
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
-    let assignment = offline_assignment(placement);
+    let policies = main_policies(&offline_assignment(placement));
     let rate = 0.004;
+    let workload = WorkloadSpec {
+        stream,
+        kind: WorkloadKind::Uniform { rate },
+    };
 
-    let run_policy = |policy: Policy| -> RunSummary {
+    let run_policy = |(name, policy): &(&str, SelectorSpec)| -> RunSummary {
         ok_or_die(
             run_once_input(
-                &sim_config(placement, 41),
-                Workload::Uniform.build_input(stream, &mesh, rate, 777),
-                make_selector(policy, &mesh, &elevators, Some(&assignment), 77),
+                &sim_config(placement),
+                workload.build(&mesh, 777),
+                policy.build(&mesh, &elevators, 77),
             ),
-            &format!("fig5 {} run", policy.name()),
+            &format!("fig5 {name} run"),
         )
     };
-    let summaries = par_map(&Policy::MAIN, default_threads(), |_, &policy| {
-        run_policy(policy)
-    });
+    let summaries = par_map(&policies, default_threads(), |_, policy| run_policy(policy));
     if quick_mode() {
         // Smoke runs double as the pool's equivalence check.
-        let sequential: Vec<RunSummary> = Policy::MAIN.iter().map(|&p| run_policy(p)).collect();
+        let sequential: Vec<RunSummary> = policies.iter().map(run_policy).collect();
         assert_eq!(
             summaries, sequential,
             "pooled fig5 runs must match the sequential runs bit for bit"
@@ -64,7 +67,7 @@ fn main() {
 
     let mut bars = Vec::new();
     let mut rows = Vec::new();
-    for (policy, summary) in Policy::MAIN.iter().zip(&summaries) {
+    for ((name, _), summary) in policies.iter().zip(&summaries) {
         // Per-router flags: does this router sit on an elevator pillar?
         let flags: Vec<bool> = mesh
             .coords()
@@ -84,11 +87,11 @@ fn main() {
             })
             .collect();
         let max = pillar_means.iter().copied().fold(0.0, f64::max);
-        let mut row = vec![policy.name().to_string()];
+        let mut row = vec![name.to_string()];
         row.extend(pillar_means.iter().map(|&v| f2(v)));
         row.push(f2(max));
         rows.push(row);
-        bars.push((policy.name().to_string(), pillar_means));
+        bars.push((name.to_string(), pillar_means));
     }
 
     println!("# Fig. 5: elevator-router load normalised to the mean elevator-less router load");

@@ -19,17 +19,18 @@
 //! hottest links of every run, a per-link CSV and a layer/pillar heatmap
 //! JSON per placement under `results/`.
 
-use adele::offline::SubsetAssignment;
+use adele::online::ElevatorSelector;
 use adele_bench::{
-    dump_json, f2, f4, fig6_rates, make_selector, offline_assignment, ok_or_die, phases,
-    print_table, quick_mode, results_dir, sim_config, stream_flag, Policy, Workload,
+    dump_json, f2, f4, fig6_rates, main_policies, offline_assignment, ok_or_die, phases,
+    print_table, quick_mode, results_dir, sim_config, stream_flag,
 };
 use noc_energy::{HeatmapReport, LinkEnergyReport};
 use noc_exp::runner::{default_threads, par_map};
+use noc_exp::{SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec};
 use noc_sim::harness::run_once_input;
-use noc_sim::{RunSummary, Simulator};
+use noc_sim::{RunSummary, Simulator, TrafficInput};
 use noc_topology::placement::Placement;
-use noc_traffic::StreamVersion;
+use noc_topology::{ElevatorSet, Mesh3d};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -43,65 +44,80 @@ struct Cell {
 }
 
 /// One grid point: a placement × policy cell at one regime's rate.
-#[derive(Clone, Copy)]
 struct Job {
     placement: Placement,
-    policy: Policy,
+    mesh: Mesh3d,
+    elevators: ElevatorSet,
     rate: f64,
+    policy: &'static str,
+    selector: SelectorSpec,
 }
 
-fn run_job(job: &Job, assignments: &[SubsetAssignment], stream: StreamVersion) -> RunSummary {
-    let (mesh, elevators) = job.placement.instantiate();
-    let assignment = &assignments[placement_index(job.placement)];
+impl Job {
+    /// The cell's uniform workload on `stream` — the same packets for
+    /// every policy at a given placement and rate.
+    fn traffic(&self, stream: StreamVersion) -> TrafficInput {
+        let kind = WorkloadKind::Uniform { rate: self.rate };
+        WorkloadSpec { stream, kind }.build(&self.mesh, 999)
+    }
+
+    fn selector(&self) -> Box<dyn ElevatorSelector> {
+        self.selector.build(&self.mesh, &self.elevators, 77)
+    }
+}
+
+/// Number of policies per `(placement, rate)` point.
+const POLICIES: usize = 3;
+
+/// The `points` × [`main_policies`] grid, point-major.
+fn grid(points: impl IntoIterator<Item = (Placement, f64)>) -> Vec<Job> {
+    // The offline AMOSA stage caches to disk: run it sequentially, once
+    // per placement, before fanning the grid out.
+    let presets = Placement::ALL.map(|p| {
+        let (mesh, elevators) = p.instantiate();
+        (mesh, elevators, main_policies(&offline_assignment(p)))
+    });
+    let mut jobs = Vec::new();
+    for (placement, rate) in points {
+        let at = Placement::ALL
+            .iter()
+            .position(|&p| p == placement)
+            .expect("placement is one of the presets");
+        let (mesh, elevators, policies) = &presets[at];
+        for (policy, selector) in policies.clone() {
+            jobs.push(Job {
+                placement,
+                mesh: *mesh,
+                elevators: elevators.clone(),
+                rate,
+                policy,
+                selector,
+            });
+        }
+    }
+    jobs
+}
+
+fn run_job(job: &Job, stream: StreamVersion) -> RunSummary {
     ok_or_die(
         run_once_input(
-            &sim_config(job.placement, 51),
-            Workload::Uniform.build_input(stream, &mesh, job.rate, 999),
-            make_selector(job.policy, &mesh, &elevators, Some(assignment), 77),
+            &sim_config(job.placement),
+            job.traffic(stream),
+            job.selector(),
         ),
-        &format!("fig6 {} {} cell", job.placement.name(), job.policy.name()),
+        &format!("fig6 {} {} cell", job.placement.name(), job.policy),
     )
 }
 
-fn placement_index(placement: Placement) -> usize {
-    Placement::ALL
-        .iter()
-        .position(|&p| p == placement)
-        .expect("placement is one of the presets")
-}
-
 fn standard_mode(stream: StreamVersion) {
-    // The offline AMOSA stage caches to disk: run it sequentially, once
-    // per placement, before fanning the grid out.
-    let assignments: Vec<SubsetAssignment> = Placement::ALL
-        .iter()
-        .map(|&p| offline_assignment(p))
-        .collect();
+    let low = Placement::ALL.map(|p| (p, fig6_rates(p).0));
+    let high = Placement::ALL.map(|p| (p, fig6_rates(p).1));
+    let jobs = grid(low.into_iter().chain(high));
 
-    let mut jobs = Vec::new();
-    for regime in 0..2 {
-        for placement in Placement::ALL {
-            let rates = fig6_rates(placement);
-            let rate = if regime == 0 { rates.0 } else { rates.1 };
-            for policy in Policy::MAIN {
-                jobs.push(Job {
-                    placement,
-                    policy,
-                    rate,
-                });
-            }
-        }
-    }
-
-    let summaries = par_map(&jobs, default_threads(), |_, job| {
-        run_job(job, &assignments, stream)
-    });
+    let summaries = par_map(&jobs, default_threads(), |_, job| run_job(job, stream));
     if quick_mode() {
         // Smoke runs double as the pool's equivalence check.
-        let sequential: Vec<RunSummary> = jobs
-            .iter()
-            .map(|job| run_job(job, &assignments, stream))
-            .collect();
+        let sequential: Vec<RunSummary> = jobs.iter().map(|job| run_job(job, stream)).collect();
         assert_eq!(
             summaries, sequential,
             "pooled fig6 grid must match the sequential grid bit for bit"
@@ -117,18 +133,18 @@ fn standard_mode(stream: StreamVersion) {
         );
         let mut rows = Vec::new();
         for placement in Placement::ALL {
-            let batch = &summaries[cursor..cursor + Policy::MAIN.len()];
-            let rate = jobs[cursor].rate;
-            cursor += Policy::MAIN.len();
-            let base = batch[0].energy_per_flit_nj.max(1e-12);
+            let cell = cursor..cursor + POLICIES;
+            cursor = cell.end;
+            let rate = jobs[cell.start].rate;
+            let base = summaries[cell.start].energy_per_flit_nj.max(1e-12);
             let mut row = vec![placement.name().to_string(), f4(rate)];
-            for (policy, summary) in Policy::MAIN.iter().zip(batch) {
+            for (job, summary) in jobs[cell.clone()].iter().zip(&summaries[cell]) {
                 row.push(f2(summary.energy_per_flit_nj / base));
                 cells.push(Cell {
                     placement: placement.name().to_string(),
                     rate,
                     stream: stream.to_string(),
-                    policy: policy.name().to_string(),
+                    policy: job.policy.to_string(),
                     energy_per_flit_nj: summary.energy_per_flit_nj,
                     normalized: summary.energy_per_flit_nj / base,
                 });
@@ -156,20 +172,10 @@ struct LinkCell {
 /// Runs one link-granularity cell and snapshots its per-link telemetry
 /// (the reports are plain owned data, so pool workers can return them and
 /// the main thread keeps only printing and file writes).
-fn run_link_job(
-    job: &Job,
-    assignments: &[SubsetAssignment],
-    stream: StreamVersion,
-) -> (LinkEnergyReport, HeatmapReport) {
-    let (mesh, elevators) = job.placement.instantiate();
-    let assignment = &assignments[placement_index(job.placement)];
+fn run_link_job(job: &Job, stream: StreamVersion) -> (LinkEnergyReport, HeatmapReport) {
     let (warmup, measure, _) = phases(job.placement);
-    let config = sim_config(job.placement, 51);
-    let mut sim = Simulator::from_input(
-        config.clone(),
-        Workload::Uniform.build_input(stream, &mesh, job.rate, 999),
-        make_selector(job.policy, &mesh, &elevators, Some(assignment), 77),
-    );
+    let config = sim_config(job.placement);
+    let mut sim = Simulator::from_input(config.clone(), job.traffic(stream), job.selector());
     ok_or_die(sim.advance(warmup), "fig6 links warm-up");
     ok_or_die(sim.measure_window(measure), "fig6 links measure window");
     (
@@ -183,26 +189,11 @@ fn run_link_job(
 /// simulator directly so the per-link ledger stays accessible. The grid
 /// runs on the same pool as the aggregate mode.
 fn links_mode(stream: StreamVersion) {
-    let assignments: Vec<SubsetAssignment> = Placement::ALL
-        .iter()
-        .map(|&p| offline_assignment(p))
-        .collect();
-    let mut jobs = Vec::new();
-    for placement in Placement::ALL {
-        let (low, high) = fig6_rates(placement);
-        for rate in [low, high] {
-            for policy in Policy::MAIN {
-                jobs.push(Job {
-                    placement,
-                    policy,
-                    rate,
-                });
-            }
-        }
-    }
-    let snapshots = par_map(&jobs, default_threads(), |_, job| {
-        run_link_job(job, &assignments, stream)
-    });
+    let jobs = grid(Placement::ALL.into_iter().flat_map(|p| {
+        let (low, high) = fig6_rates(p);
+        [(p, low), (p, high)]
+    }));
+    let snapshots = par_map(&jobs, default_threads(), |_, job| run_link_job(job, stream));
 
     let mut cells = Vec::new();
     let mut results = jobs.iter().zip(snapshots);
@@ -210,7 +201,7 @@ fn links_mode(stream: StreamVersion) {
         let (_, high) = fig6_rates(placement);
         println!("\n# Fig. 6 (link granularity): {}", placement.name());
         let mut rows = Vec::new();
-        for _ in 0..2 * Policy::MAIN.len() {
+        for _ in 0..2 * POLICIES {
             let (job, (report, heat)) = results.next().expect("one snapshot per job");
             let hottest: Vec<String> = report
                 .hottest(3)
@@ -225,14 +216,14 @@ fn links_mode(stream: StreamVersion) {
             let tsv_total: f64 = heat.pillar_tsv_energy_nj.iter().sum();
             rows.push(vec![
                 f4(job.rate),
-                job.policy.name().to_string(),
+                job.policy.to_string(),
                 f2(tsv_total),
                 hottest.first().cloned().unwrap_or_default(),
             ]);
 
             // Full per-link artefacts for AdEle at the high rate: the
             // link-granular reproduction the ROADMAP item asks for.
-            if job.policy == Policy::Adele && job.rate == high {
+            if job.policy == "AdEle" && job.rate == high {
                 let dir = results_dir();
                 let name = placement.name();
                 report
@@ -246,7 +237,7 @@ fn links_mode(stream: StreamVersion) {
                 placement: placement.name().to_string(),
                 rate: job.rate,
                 stream: stream.to_string(),
-                policy: job.policy.name().to_string(),
+                policy: job.policy.to_string(),
                 pillar_tsv_energy_nj: heat.pillar_tsv_energy_nj,
                 hottest_links: hottest,
             });

@@ -9,19 +9,20 @@
 //!
 //! The app × policy grid of each placement runs on the `noc_exp` parallel
 //! runner; every cell is an independent seeded simulation, so results are
-//! bit-identical to the sequential loop. `--stream v1|v2` selects the
-//! workload stream (the app models are polled, so `v2` rides the
-//! injection calendar through the `CyclePolled` adapter); the dump
-//! records the choice.
+//! bit-identical to the sequential loop. The app models are polled
+//! sources, which run the same on either workload stream (the simulator
+//! wraps every polled source in `CyclePolled`), so there is no `--stream`
+//! flag; the dump records `v1`.
 
 use adele_bench::{
-    app_traffic_input, dump_json, f2, make_selector, offline_assignment, ok_or_die, print_table,
-    sim_config, stream_flag, Policy,
+    dump_json, f2, fig7_base_rate, main_policies, offline_assignment, ok_or_die, print_table,
+    sim_config,
 };
 use noc_exp::runner::{default_threads, par_map};
-use noc_sim::harness::run_once_input;
+use noc_exp::SelectorSpec;
+use noc_sim::harness::run_once;
 use noc_topology::placement::Placement;
-use noc_traffic::apps::AppKind;
+use noc_traffic::apps::{AppKind, AppTraffic};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -36,44 +37,43 @@ struct AppCell {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stream = stream_flag(&mut args);
     let placements = [Placement::Ps1, Placement::Ps2, Placement::Ps3];
     let mut cells: Vec<AppCell> = Vec::new();
 
     for placement in placements {
         let (mesh, elevators) = placement.instantiate();
-        let assignment = offline_assignment(placement);
+        let policies = main_policies(&offline_assignment(placement));
         println!(
             "\n# Fig. 7: {} — latency normalised to ElevFirst (absolute cycles in parentheses)",
             placement.name()
         );
         // One grid cell per (app, policy), sharded across cores.
-        let grid: Vec<(AppKind, Policy)> = AppKind::ALL
+        let grid: Vec<(AppKind, &(&str, SelectorSpec))> = AppKind::ALL
             .into_iter()
-            .flat_map(|app| Policy::MAIN.into_iter().map(move |policy| (app, policy)))
+            .flat_map(|app| policies.iter().map(move |policy| (app, policy)))
             .collect();
-        let summaries = par_map(&grid, default_threads(), |_, &(app, policy)| {
+        let summaries = par_map(&grid, default_threads(), |_, &(app, (name, policy))| {
+            let traffic = AppTraffic::new(app, &mesh, fig7_base_rate(placement), 4321);
             ok_or_die(
-                run_once_input(
-                    &sim_config(placement, 61),
-                    app_traffic_input(app, placement, &mesh, 4321, stream),
-                    make_selector(policy, &mesh, &elevators, Some(&assignment), 77),
+                run_once(
+                    &sim_config(placement),
+                    Box::new(traffic),
+                    policy.build(&mesh, &elevators, 77),
                 ),
-                &format!("fig7 {}/{} cell", app.name(), policy.name()),
+                &format!("fig7 {}/{name} cell", app.name()),
             )
         });
 
         let mut rows = Vec::new();
         let mut improvements = Vec::new();
         for (a, app) in AppKind::ALL.into_iter().enumerate() {
-            let latencies: Vec<(String, f64, f64)> = Policy::MAIN
-                .into_iter()
+            let latencies: Vec<(String, f64, f64)> = policies
+                .iter()
                 .enumerate()
-                .map(|(p, policy)| {
-                    let summary = &summaries[a * Policy::MAIN.len() + p];
+                .map(|(p, (name, _))| {
+                    let summary = &summaries[a * policies.len() + p];
                     (
-                        policy.name().to_string(),
+                        name.to_string(),
                         summary.avg_latency,
                         summary.energy_per_flit_nj,
                     )
@@ -86,7 +86,7 @@ fn main() {
                 cells.push(AppCell {
                     placement: placement.name().to_string(),
                     app: app.name().to_string(),
-                    stream: stream.to_string(),
+                    stream: "v1".to_string(),
                     policy: policy.clone(),
                     latency: *lat,
                     normalized_latency: lat / base,

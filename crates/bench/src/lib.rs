@@ -1,9 +1,9 @@
 //! Shared infrastructure for the paper-reproduction harness.
 //!
 //! Every `fig*`/`table*` binary builds on the helpers here: placement
-//! presets, policy construction (including running/caching the offline
-//! AMOSA stage), figure-specific injection-rate grids, table printing and
-//! JSON result dumping.
+//! presets, the policy line-up as `noc_exp` specs (including
+//! running/caching the offline AMOSA stage), figure-specific
+//! injection-rate grids, table printing and JSON result dumping.
 //!
 //! Set `ADELE_QUICK=1` to shrink warm-up/measurement windows and the
 //! AMOSA schedule — useful for smoke-testing every harness quickly.
@@ -11,15 +11,11 @@
 #![forbid(unsafe_code)]
 
 use adele::offline::{OfflineOptimizer, OfflineResult, SelectionStrategy, SubsetAssignment};
-use adele::online::{AdeleSelector, CdaSelector, ElevatorFirstSelector, ElevatorSelector};
-use adele::AdeleConfig;
 use amosa::AmosaParams;
-use noc_exp::Scenario;
-use noc_sim::{SimConfig, TrafficInput};
+use noc_exp::{Scenario, SelectorSpec};
+use noc_sim::SimConfig;
 use noc_topology::placement::Placement;
-use noc_topology::{ElevatorSet, Mesh3d};
-use noc_traffic::apps::{AppKind, AppTraffic};
-use noc_traffic::{BatchedSynthetic, CyclePolled, StreamVersion, SyntheticTraffic, TrafficSource};
+use noc_traffic::StreamVersion;
 use serde::Serialize;
 use std::path::PathBuf;
 
@@ -51,41 +47,29 @@ pub fn phases(placement: Placement) -> (u64, u64, u64) {
 
 /// Standard [`SimConfig`] for a placement.
 #[must_use]
-pub fn sim_config(placement: Placement, seed: u64) -> SimConfig {
+pub fn sim_config(placement: Placement) -> SimConfig {
     let (mesh, elevators) = placement.instantiate();
     let (warmup, measure, drain) = phases(placement);
-    SimConfig::new(mesh, elevators)
-        .with_phases(warmup, measure, drain)
-        .with_seed(seed)
+    SimConfig::new(mesh, elevators).with_phases(warmup, measure, drain)
 }
 
-/// The four policies of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Nearest-elevator baseline [10].
-    ElevFirst,
-    /// Congestion-aware dynamic assignment with idealised global info [12].
-    Cda,
-    /// The paper's contribution.
-    Adele,
-    /// AdEle with plain round-robin (ablation of Fig. 4(d)/(h)).
-    AdeleRr,
-}
-
-impl Policy {
-    /// The three policies every figure compares.
-    pub const MAIN: [Policy; 3] = [Policy::ElevFirst, Policy::Cda, Policy::Adele];
-
-    /// Printed column name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Policy::ElevFirst => "ElevFirst",
-            Policy::Cda => "CDA",
-            Policy::Adele => "AdEle",
-            Policy::AdeleRr => "AdEle-RR",
-        }
-    }
+/// The three policies every figure compares, as `(column name, spec)`,
+/// AdEle on the offline `assignment`. The names are the built selectors'
+/// own `name()`s.
+#[must_use]
+pub fn main_policies(assignment: &SubsetAssignment) -> [(&'static str, SelectorSpec); 3] {
+    [
+        ("ElevFirst", SelectorSpec::ElevatorFirst),
+        ("CDA", SelectorSpec::Cda),
+        (
+            "AdEle",
+            SelectorSpec::Adele {
+                rr_only: false,
+                measured_energy: false,
+                assignment: Some(assignment.clone()),
+            },
+        ),
+    ]
 }
 
 /// AMOSA parameters for the offline stage, honouring quick mode.
@@ -142,94 +126,6 @@ pub fn offline_result(placement: Placement) -> OfflineResult {
         .optimize()
 }
 
-/// Builds a fresh selector for `policy`. AdEle variants need the offline
-/// `assignment`.
-///
-/// # Panics
-///
-/// Panics if an AdEle policy is requested without an assignment.
-#[must_use]
-pub fn make_selector(
-    policy: Policy,
-    mesh: &Mesh3d,
-    elevators: &ElevatorSet,
-    assignment: Option<&SubsetAssignment>,
-    seed: u64,
-) -> Box<dyn ElevatorSelector> {
-    match policy {
-        Policy::ElevFirst => Box::new(ElevatorFirstSelector::new(mesh, elevators)),
-        Policy::Cda => Box::new(CdaSelector::new()),
-        Policy::Adele | Policy::AdeleRr => {
-            let assignment = assignment.expect("AdEle needs the offline assignment");
-            let config = if policy == Policy::Adele {
-                AdeleConfig::paper_default()
-            } else {
-                AdeleConfig::rr_only()
-            };
-            Box::new(
-                AdeleSelector::from_assignment(mesh, elevators, assignment, config, seed)
-                    .expect("assignment matches topology"),
-            )
-        }
-    }
-}
-
-/// The two synthetic workloads of Fig. 4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Workload {
-    /// Uniform random.
-    Uniform,
-    /// Perfect shuffle.
-    Shuffle,
-}
-
-impl Workload {
-    /// Paper-order list.
-    pub const ALL: [Workload; 2] = [Workload::Uniform, Workload::Shuffle];
-
-    /// Printed name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Workload::Uniform => "Uniform",
-            Workload::Shuffle => "Shuffle",
-        }
-    }
-
-    /// Builds the workload at `rate` packets/node/cycle.
-    #[must_use]
-    pub fn build(self, mesh: &Mesh3d, rate: f64, seed: u64) -> Box<dyn TrafficSource> {
-        match self {
-            Workload::Uniform => Box::new(SyntheticTraffic::uniform(mesh, rate, seed)),
-            Workload::Shuffle => Box::new(SyntheticTraffic::shuffle(mesh, rate, seed)),
-        }
-    }
-
-    /// Builds the workload on the chosen stream: `v1` is the classic
-    /// polled source (the figures' historical bit-stable stream), `v2`
-    /// the batched event-driven one. The two streams draw different
-    /// packet sequences by design, so figure dumps record which one
-    /// produced them.
-    #[must_use]
-    pub fn build_input(
-        self,
-        stream: StreamVersion,
-        mesh: &Mesh3d,
-        rate: f64,
-        seed: u64,
-    ) -> TrafficInput {
-        match (stream, self) {
-            (StreamVersion::V1, _) => TrafficInput::Polled(self.build(mesh, rate, seed)),
-            (StreamVersion::V2, Workload::Uniform) => {
-                TrafficInput::Scheduled(Box::new(BatchedSynthetic::uniform(mesh, rate, seed)))
-            }
-            (StreamVersion::V2, Workload::Shuffle) => {
-                TrafficInput::Scheduled(Box::new(BatchedSynthetic::shuffle(mesh, rate, seed)))
-            }
-        }
-    }
-}
-
 /// Parses and strips `--stream v1|v2` from `args` (default `v1`, the
 /// figures' historical stream), so positional-argument parsing in the
 /// fig binaries keeps working unchanged after the flag.
@@ -252,53 +148,19 @@ pub fn stream_flag(args: &mut Vec<String>) -> StreamVersion {
     stream
 }
 
-/// Builds the synthetic application workload for Fig. 7 on `placement`,
-/// scaled so a full-intensity app loads the network near (but below) the
-/// placement's saturation — mirroring the heavy Gem5 traces the paper
-/// feeds to every placement.
+/// Injection-rate grid for one Fig. 4 panel (uniform, or perfect
+/// `shuffle`), matching the paper's x-axes.
 #[must_use]
-pub fn app_traffic(
-    kind: AppKind,
-    placement: Placement,
-    mesh: &Mesh3d,
-    seed: u64,
-) -> Box<dyn TrafficSource> {
-    Box::new(AppTraffic::new(kind, mesh, fig7_base_rate(placement), seed))
-}
-
-/// [`app_traffic`] on the chosen stream: the app models are inherently
-/// polled, so `v2` rides the injection calendar through the
-/// [`CyclePolled`] adapter — same per-cycle draw sequence, delivered as
-/// scheduled batches.
-#[must_use]
-pub fn app_traffic_input(
-    kind: AppKind,
-    placement: Placement,
-    mesh: &Mesh3d,
-    seed: u64,
-    stream: StreamVersion,
-) -> TrafficInput {
-    let source = app_traffic(kind, placement, mesh, seed);
-    match stream {
-        StreamVersion::V1 => TrafficInput::Polled(source),
-        StreamVersion::V2 => {
-            TrafficInput::Scheduled(Box::new(CyclePolled::new(source, mesh.node_count())))
-        }
-    }
-}
-
-/// Injection-rate grid for one Fig. 4 panel, matching the paper's x-axes.
-#[must_use]
-pub fn fig4_rates(placement: Placement, workload: Workload) -> Vec<f64> {
-    let max = match (placement, workload) {
-        (Placement::Ps1, Workload::Uniform) => 0.006,
-        (Placement::Ps2, Workload::Uniform) => 0.008,
-        (Placement::Ps3, Workload::Uniform) => 0.010,
-        (Placement::Pm, Workload::Uniform) => 0.006,
-        (Placement::Ps1, Workload::Shuffle) => 0.008,
-        (Placement::Ps2, Workload::Shuffle) => 0.010,
-        (Placement::Ps3, Workload::Shuffle) => 0.015,
-        (Placement::Pm, Workload::Shuffle) => 0.006,
+pub fn fig4_rates(placement: Placement, shuffle: bool) -> Vec<f64> {
+    let max = match (placement, shuffle) {
+        (Placement::Ps1, false) => 0.006,
+        (Placement::Ps2, false) => 0.008,
+        (Placement::Ps3, false) => 0.010,
+        (Placement::Pm, false) => 0.006,
+        (Placement::Ps1, true) => 0.008,
+        (Placement::Ps2, true) => 0.010,
+        (Placement::Ps3, true) => 0.015,
+        (Placement::Pm, true) => 0.006,
     };
     let points = if quick_mode() { 4 } else { 6 };
     (1..=points)
@@ -338,8 +200,8 @@ pub fn table2_rate() -> f64 {
 /// The scaling-study elevator geometry: one pillar column per 4×4 tile
 /// (`(4i+2, 4j+2)`), giving the same pillar density at every mesh size —
 /// 4 columns on 8×8, 16 on 16×16, 64 on 32×32. Shared by the `scale`
-/// binary and the `step_hot_path` bench so the README table and the
-/// recorded bench always measure the same fabric.
+/// binary and `noc_trace selfcheck` so the README table and the
+/// self-check journal always measure the same fabric.
 #[must_use]
 pub fn pillar_grid(x: usize, y: usize) -> Vec<(u8, u8)> {
     (0..x as u8 / 4)
@@ -482,8 +344,8 @@ mod tests {
     #[test]
     fn rates_grids_are_increasing_and_positive() {
         for placement in Placement::ALL {
-            for workload in Workload::ALL {
-                let rates = fig4_rates(placement, workload);
+            for shuffle in [false, true] {
+                let rates = fig4_rates(placement, shuffle);
                 assert!(!rates.is_empty());
                 assert!(rates.windows(2).all(|w| w[0] < w[1]));
                 assert!(rates[0] > 0.0);
@@ -495,26 +357,24 @@ mod tests {
 
     #[test]
     fn selector_factory_builds_all_policies() {
-        let placement = Placement::Ps1;
-        let (mesh, elevators) = placement.instantiate();
+        let (mesh, elevators) = Placement::Ps1.instantiate();
         let assignment = SubsetAssignment::full(&mesh, &elevators);
-        for policy in [
-            Policy::ElevFirst,
-            Policy::Cda,
-            Policy::Adele,
-            Policy::AdeleRr,
-        ] {
-            let sel = make_selector(policy, &mesh, &elevators, Some(&assignment), 1);
-            assert_eq!(sel.name(), policy.name());
+        for (label, spec) in main_policies(&assignment) {
+            assert_eq!(spec.build(&mesh, &elevators, 1).name(), label);
         }
     }
 
     #[test]
     fn workloads_build_on_all_placements() {
+        use noc_exp::WorkloadKind;
         for placement in Placement::ALL {
             let (mesh, _) = placement.instantiate();
-            for workload in Workload::ALL {
-                let t = workload.build(&mesh, 0.001, 2);
+            let rate = 0.001;
+            for kind in [
+                WorkloadKind::Uniform { rate },
+                WorkloadKind::Shuffle { rate },
+            ] {
+                let t = kind.build_polled(&mesh, 2);
                 assert!(t.mean_rate().unwrap() > 0.0);
             }
         }

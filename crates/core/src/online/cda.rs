@@ -31,7 +31,7 @@ impl Default for CdaConfig {
     }
 }
 
-/// The CDA baseline (Fu et al. [12]): congestion-aware dynamic elevator
+/// The CDA baseline (Fu et al. \[12\]): congestion-aware dynamic elevator
 /// assignment using **global** buffer-utilisation information.
 ///
 /// For each candidate elevator, CDA scores the mean buffer occupancy of

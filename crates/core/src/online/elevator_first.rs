@@ -1,7 +1,7 @@
 use crate::online::{ElevatorSelector, SelectionContext};
 use noc_topology::{ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 
-/// The Elevator-First baseline (Dubois et al. [10]): every packet takes the
+/// The Elevator-First baseline (Dubois et al. \[10\]): every packet takes the
 /// elevator **closest to its source router**, ignoring congestion and the
 /// position of the destination.
 ///

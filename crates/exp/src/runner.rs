@@ -9,18 +9,14 @@
 //! Work is distributed by an atomic cursor (work stealing), so a slow
 //! point (a saturated sweep rate) does not stall the pool behind it.
 
-use crate::scenario::{Scenario, ScenarioResult};
 use adele::online::ElevatorSelector;
-use noc_sim::harness::{run_once, run_once_input, SweepPoint};
+use noc_sim::harness::{run_once_input, SweepPoint};
 use noc_sim::{SimConfig, SimError, TrafficInput};
-use noc_traffic::TrafficSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A traffic factory shareable across worker threads.
-pub type SyncTrafficFactory<'a> = dyn Fn(f64) -> Box<dyn TrafficSource> + Sync + 'a;
-/// A [`TrafficInput`] factory shareable across worker threads — the
-/// stream-agnostic generalisation of [`SyncTrafficFactory`].
+/// A [`TrafficInput`] factory shareable across worker threads (polled
+/// `v1` or scheduled `v2` workloads alike).
 pub type SyncInputFactory<'a> = dyn Fn(f64) -> TrafficInput + Sync + 'a;
 /// A selector factory shareable across worker threads.
 pub type SyncSelectorFactory<'a> = dyn Fn() -> Box<dyn ElevatorSelector> + Sync + 'a;
@@ -76,149 +72,38 @@ where
     tagged.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Parallel injection sweep: shards the rate grid across `threads`
-/// workers. The output is exactly [`noc_sim::harness::injection_sweep`]'s
-/// — same points, same order, bit-identical summaries — because every
-/// point builds fresh traffic/selector state from the factories.
+/// Sweeps packet-injection rates on `threads` workers, building fresh
+/// traffic and selector state per point (state must not leak between
+/// offered loads). Points come back in `rates` order, bit-identical for
+/// any worker count; `threads = 1` is the plain sequential sweep.
 ///
 /// # Errors
 ///
-/// Returns the first (in input order) [`SimError`] any point surfaced;
-/// like the sequential sweep this fails the grid as a unit. Per-point
-/// isolation with retries lives in [`crate::supervise`].
-pub fn par_injection_sweep(
+/// Returns the first (in input order) [`SimError`] any point surfaced:
+/// the grid fails as a unit. Per-point isolation with retries lives in
+/// [`crate::supervise`].
+pub fn injection_sweep(
     config: &SimConfig,
     rates: &[f64],
-    make_traffic: &SyncTrafficFactory<'_>,
-    make_selector: &SyncSelectorFactory<'_>,
+    new_input: &SyncInputFactory<'_>,
+    new_selector: &SyncSelectorFactory<'_>,
     threads: usize,
 ) -> Result<Vec<SweepPoint>, SimError> {
     par_map(rates, threads, |_, &rate| {
         Ok(SweepPoint {
             rate,
-            summary: run_once(config, make_traffic(rate), make_selector())?,
+            summary: run_once_input(config, new_input(rate), new_selector())?,
         })
     })
     .into_iter()
     .collect()
-}
-
-/// [`par_injection_sweep`] over either workload stream: the factory
-/// hands back a [`TrafficInput`], so `v2` scheduled workloads sweep on
-/// the same pool with the same in-order, bit-identical guarantee.
-///
-/// # Errors
-///
-/// Returns the first (in input order) [`SimError`] any point surfaced.
-pub fn par_injection_sweep_input(
-    config: &SimConfig,
-    rates: &[f64],
-    make_input: &SyncInputFactory<'_>,
-    make_selector: &SyncSelectorFactory<'_>,
-    threads: usize,
-) -> Result<Vec<SweepPoint>, SimError> {
-    par_map(rates, threads, |_, &rate| {
-        Ok(SweepPoint {
-            rate,
-            summary: run_once_input(config, make_input(rate), make_selector())?,
-        })
-    })
-    .into_iter()
-    .collect()
-}
-
-/// Runs a batch of scenarios on `threads` workers; results come back in
-/// input order, each bit-identical to `scenario.run()`.
-///
-/// This is the *trusted* fast path for vetted figure suites: a
-/// [`SimError`] from any scenario panics the batch with the scenario's
-/// name. Sweeps that must survive per-point failure go through
-/// [`crate::supervise::run_batch_supervised`] instead.
-///
-/// # Panics
-///
-/// Panics if any scenario's run fails with a [`SimError`].
-#[must_use]
-pub fn run_batch(scenarios: &[Scenario], threads: usize) -> Vec<ScenarioResult> {
-    run_batch_with_progress(scenarios, threads, |_| {})
-}
-
-/// [`run_batch`] with per-point progress streaming: `progress` receives a
-/// `started` record when a worker picks a scenario up and a `done` record
-/// when it finishes, both in the trace schema (the format the future
-/// sweep daemon will stream). Records arrive in *completion* order and
-/// may interleave across workers — `progress` must be `Sync` — while the
-/// returned results stay in input order, bit-identical to [`run_batch`].
-///
-/// The `detail` object carries `queued_ns` (batch start → pickup, the
-/// pool queue latency) and, on `done`, `run_ns`, the delivered-packet
-/// count and the summary's latency figures (`avg_latency`,
-/// `latency_p50`, `latency_p99`) — the fields the live HUD renders.
-///
-/// # Panics
-///
-/// Panics if any scenario's run fails with a [`SimError`] (see
-/// [`run_batch`]).
-#[must_use]
-pub fn run_batch_with_progress<F>(
-    scenarios: &[Scenario],
-    threads: usize,
-    progress: F,
-) -> Vec<ScenarioResult>
-where
-    F: Fn(&noc_obs::Record) + Sync,
-{
-    let epoch = std::time::Instant::now();
-    let ns = |d: std::time::Duration| {
-        serde::Value::UInt(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-    };
-    par_map(scenarios, threads, |index, scenario| {
-        let queued = epoch.elapsed();
-        progress(&noc_obs::Record::Progress {
-            index,
-            total: scenarios.len(),
-            label: scenario.name.clone(),
-            status: "started".to_string(),
-            detail: serde::Value::Object(vec![("queued_ns".to_string(), ns(queued))]),
-        });
-        let t0 = std::time::Instant::now();
-        let result = scenario
-            .run()
-            .unwrap_or_else(|e| panic!("scenario {:?} failed: {e}", scenario.name));
-        progress(&noc_obs::Record::Progress {
-            index,
-            total: scenarios.len(),
-            label: scenario.name.clone(),
-            status: "done".to_string(),
-            detail: serde::Value::Object(vec![
-                ("queued_ns".to_string(), ns(queued)),
-                ("run_ns".to_string(), ns(t0.elapsed())),
-                (
-                    "delivered_packets".to_string(),
-                    serde::Value::UInt(result.summary.delivered_packets),
-                ),
-                (
-                    "avg_latency".to_string(),
-                    serde::Value::Float(result.summary.avg_latency),
-                ),
-                (
-                    "latency_p50".to_string(),
-                    serde::Value::UInt(result.summary.latency_p50),
-                ),
-                (
-                    "latency_p99".to_string(),
-                    serde::Value::UInt(result.summary.latency_p99),
-                ),
-            ]),
-        });
-        result
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::WorkloadKind;
+    use crate::scenario::{Scenario, WorkloadKind};
+    use crate::supervise::{run_batch_supervised, PointOutcome, Supervision};
     use noc_topology::{ElevatorSet, Mesh3d};
 
     #[test]
@@ -253,8 +138,11 @@ mod tests {
                     .with_seed(40 + u64::from(i))
             })
             .collect();
-        let sequential: Vec<_> = scenarios.iter().map(|s| s.run().unwrap()).collect();
-        let parallel = run_batch(&scenarios, 4);
+        let sequential: Vec<_> = scenarios
+            .iter()
+            .map(|s| PointOutcome::Ok(s.run().unwrap()))
+            .collect();
+        let parallel = run_batch_supervised(&scenarios, 4, &Supervision::new(), None, |_| {});
         assert_eq!(parallel, sequential);
     }
 }

@@ -1,13 +1,11 @@
 //! The supervising sweep pool: per-point failure isolation, deadlines,
 //! bounded retries, and resume-from-ledger.
 //!
-//! [`crate::runner::run_batch`] is the trusted fast path — vetted figure
-//! suites where any failure is an authoring bug worth a panic.
-//! [`run_batch_supervised`] is the path for *long* or *hostile* sweeps:
-//! every point runs under `catch_unwind`, optionally on a deadline
-//! thread, and finishes as a [`PointOutcome`] — either the result or a
-//! structured [`PointFailure`] naming what went wrong and how hard the
-//! pool tried. One dead point never takes a neighbour (or the pool) with
+//! [`run_batch_supervised`] is the one way a scenario batch runs, short
+//! vetted suite or *long*, *hostile* sweep alike: every point runs under
+//! `catch_unwind`, optionally on a deadline thread, and finishes as a
+//! [`PointOutcome`] — either the result or a structured [`PointFailure`]
+//! naming what went wrong and how hard the pool tried. One dead point never takes a neighbour (or the pool) with
 //! it: a batch with failures still completes every other point, in input
 //! order, bit-identical to an unsupervised run.
 //!

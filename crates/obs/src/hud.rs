@@ -255,7 +255,6 @@ mod tests {
 
     fn done_detail() -> Value {
         Value::Object(vec![
-            ("queued_ns".into(), Value::UInt(1_000)),
             ("run_ns".into(), Value::UInt(2_500_000_000)),
             ("delivered_packets".into(), Value::UInt(900)),
             ("avg_latency".into(), Value::Float(38.25)),

@@ -16,7 +16,9 @@ pub struct SimConfig {
     pub measure: u64,
     /// Maximum extra cycles to let measured packets drain.
     pub drain_max: u64,
-    /// Seed for the simulator's own stochastic components.
+    /// Provenance only: the simulator reads this nowhere. Every random
+    /// stream is seeded by the traffic source or the selector, so two
+    /// configurations that differ only here run identically.
     pub seed: u64,
     /// Energy model.
     pub energy: EnergyModel,
@@ -87,7 +89,8 @@ impl SimConfig {
         self
     }
 
-    /// Sets the simulator seed.
+    /// Records `seed` on the configuration — provenance only, see
+    /// [`SimConfig::seed`]; it changes no result.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

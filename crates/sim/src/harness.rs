@@ -1,5 +1,6 @@
-//! Experiment helpers: injection-rate sweeps, zero-load latency and
-//! saturation detection — the building blocks every figure harness uses.
+//! Experiment helpers: single runs, zero-load latency and saturation
+//! detection — the building blocks every figure harness uses (the
+//! injection sweep itself fans out on `noc_exp::runner::injection_sweep`).
 //!
 //! Every entry point propagates [`SimError`]: a deadlocked run surfaces
 //! as a structured value the caller can record (sweep supervisors) or
@@ -13,11 +14,8 @@ use crate::stats::RunSummary;
 use adele::online::ElevatorSelector;
 use noc_traffic::TrafficSource;
 
-/// A factory producing a fresh workload for a given injection rate.
-pub type TrafficFactory<'a> = dyn Fn(f64) -> Box<dyn TrafficSource> + 'a;
 /// A factory producing a fresh [`TrafficInput`] for a given injection
-/// rate — the stream-agnostic generalisation of [`TrafficFactory`]
-/// (polled `v1` or scheduled `v2` workloads alike).
+/// rate (polled `v1` or scheduled `v2` workloads alike).
 pub type InputFactory<'a> = dyn Fn(f64) -> TrafficInput + 'a;
 /// A factory producing a fresh selector for each run.
 pub type SelectorFactory<'a> = dyn Fn() -> Box<dyn ElevatorSelector> + 'a;
@@ -61,31 +59,6 @@ pub fn run_once_input(
     Simulator::from_input(config.clone(), input, selector).run()
 }
 
-/// Sweeps packet-injection rates, building fresh traffic and selector
-/// state per point (state must not leak between offered loads).
-///
-/// # Errors
-///
-/// Fails fast on the first deadlocked point: rates are independent runs,
-/// so callers that want per-point isolation should supervise each rate
-/// themselves (the `noc_exp` pool does).
-pub fn injection_sweep(
-    config: &SimConfig,
-    rates: &[f64],
-    make_traffic: &TrafficFactory<'_>,
-    make_selector: &SelectorFactory<'_>,
-) -> Result<Vec<SweepPoint>, SimError> {
-    rates
-        .iter()
-        .map(|&rate| {
-            Ok(SweepPoint {
-                rate,
-                summary: run_once(config, make_traffic(rate), make_selector())?,
-            })
-        })
-        .collect()
-}
-
 /// Measures the zero-load latency: the average latency at a token
 /// injection rate (1e-4), the baseline of the paper's saturation
 /// definition.
@@ -95,23 +68,10 @@ pub fn injection_sweep(
 /// Propagates [`SimError`] from the run (deadlock watchdog).
 pub fn zero_load_latency(
     config: &SimConfig,
-    make_traffic: &TrafficFactory<'_>,
-    make_selector: &SelectorFactory<'_>,
+    new_input: &InputFactory<'_>,
+    new_selector: &SelectorFactory<'_>,
 ) -> Result<f64, SimError> {
-    Ok(run_once(config, make_traffic(1e-4), make_selector())?.avg_latency)
-}
-
-/// [`zero_load_latency`] over either workload stream.
-///
-/// # Errors
-///
-/// Propagates [`SimError`] from the run (deadlock watchdog).
-pub fn zero_load_latency_input(
-    config: &SimConfig,
-    make_input: &InputFactory<'_>,
-    make_selector: &SelectorFactory<'_>,
-) -> Result<f64, SimError> {
-    Ok(run_once_input(config, make_input(1e-4), make_selector())?.avg_latency)
+    Ok(run_once_input(config, new_input(1e-4), new_selector())?.avg_latency)
 }
 
 /// The paper's saturation criterion: the first swept rate whose latency
@@ -142,18 +102,25 @@ mod tests {
         SimConfig::new(mesh, elevators).with_phases(200, 600, 3000)
     }
 
+    /// One [`SweepPoint`] per rate, fresh traffic and selector each.
+    fn sweep(config: &SimConfig, rates: &[f64], seed: u64) -> Vec<SweepPoint> {
+        rates
+            .iter()
+            .map(|&rate| SweepPoint {
+                rate,
+                summary: run_once(
+                    config,
+                    Box::new(SyntheticTraffic::uniform(&config.mesh, rate, seed)),
+                    Box::new(ElevatorFirstSelector::new(&config.mesh, &config.elevators)),
+                )
+                .unwrap(),
+            })
+            .collect()
+    }
+
     #[test]
     fn sweep_produces_monotone_ish_latency() {
-        let config = fixture();
-        let mesh = config.mesh;
-        let elevators = config.elevators.clone();
-        let points = injection_sweep(
-            &config,
-            &[0.0005, 0.004],
-            &|rate| Box::new(SyntheticTraffic::uniform(&mesh, rate, 3)),
-            &|| Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
-        )
-        .unwrap();
+        let points = sweep(&fixture(), &[0.0005, 0.004], 3);
         assert_eq!(points.len(), 2);
         assert!(points[1].summary.avg_latency >= points[0].summary.avg_latency * 0.8);
     }
@@ -163,17 +130,15 @@ mod tests {
         let config = fixture();
         let mesh = config.mesh;
         let elevators = config.elevators.clone();
-        let traffic = |rate: f64| -> Box<dyn noc_traffic::TrafficSource> {
-            Box::new(SyntheticTraffic::uniform(&mesh, rate, 9))
-        };
-        let selector = || -> Box<dyn adele::online::ElevatorSelector> {
-            Box::new(ElevatorFirstSelector::new(&mesh, &elevators))
-        };
-        let zero = zero_load_latency(&config, &traffic, &selector).unwrap();
+        let zero = zero_load_latency(
+            &config,
+            &|rate| TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(&mesh, rate, 9))),
+            &|| Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
+        )
+        .unwrap();
         assert!(zero > 0.0);
         // One elevator for 32 nodes saturates quickly under uniform load.
-        let points = injection_sweep(&config, &[0.0005, 0.05], &traffic, &selector).unwrap();
-        let sat = saturation_rate(&points, zero);
+        let sat = saturation_rate(&sweep(&config, &[0.0005, 0.05], 9), zero);
         assert_eq!(sat, Some(0.05));
     }
 }

@@ -289,7 +289,7 @@ impl Network {
     /// `stats` is armed, each flit event is counted once, in its shard's
     /// per-lane counters; only the static per-cycle counts go to `ledger`
     /// and `telemetry` directly. Both sinks are completed from the lane
-    /// counters by [`Network::drain_partials`], which the simulator calls
+    /// counters by `Network::drain_partials`, which the simulator calls
     /// before any reader needs them.
     pub fn step(
         &mut self,

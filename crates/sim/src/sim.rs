@@ -117,21 +117,6 @@ impl Simulator {
         Self::from_input(config, TrafficInput::Polled(traffic), selector)
     }
 
-    /// Assembles a simulator over an event-driven [`ScheduledSource`],
-    /// prefetched into the injection calendar a horizon at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is invalid (see [`SimConfig::validate`]).
-    #[must_use]
-    pub fn new_scheduled(
-        config: SimConfig,
-        traffic: Box<dyn ScheduledSource>,
-        selector: Box<dyn ElevatorSelector>,
-    ) -> Self {
-        Self::from_input(config, TrafficInput::Scheduled(traffic), selector)
-    }
-
     /// Assembles a simulator from either workload interface; a polled
     /// source is wrapped in [`CyclePolled`] over the mesh's nodes.
     ///

@@ -3,20 +3,34 @@
 //! drain cap bounds every run), and the saturation criterion fires on the
 //! overloaded point but not on the light one.
 
-use adele::online::{ElevatorFirstSelector, ElevatorSelector};
-use noc_sim::harness::{injection_sweep, saturation_rate, zero_load_latency};
-use noc_sim::SimConfig;
+use adele::online::ElevatorFirstSelector;
+use noc_sim::harness::{run_once, saturation_rate, zero_load_latency, SweepPoint};
+use noc_sim::{SimConfig, TrafficInput};
 use noc_topology::{ElevatorSet, Mesh3d};
-use noc_traffic::{SyntheticTraffic, TrafficSource};
+use noc_traffic::SyntheticTraffic;
 
 /// Tiny topology + short windows: the whole file runs in well under a
 /// second even in debug builds.
 fn tiny_config() -> SimConfig {
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
     let elevators = ElevatorSet::new(&mesh, [(0, 0), (3, 3)]).unwrap();
-    SimConfig::new(mesh, elevators)
-        .with_phases(100, 400, 2_000)
-        .with_seed(11)
+    SimConfig::new(mesh, elevators).with_phases(100, 400, 2_000)
+}
+
+/// One [`SweepPoint`] per rate, fresh traffic and selector each.
+fn sweep(config: &SimConfig, rates: &[f64]) -> Vec<SweepPoint> {
+    rates
+        .iter()
+        .map(|&rate| SweepPoint {
+            rate,
+            summary: run_once(
+                config,
+                Box::new(SyntheticTraffic::uniform(&config.mesh, rate, 5)),
+                Box::new(ElevatorFirstSelector::new(&config.mesh, &config.elevators)),
+            )
+            .unwrap(),
+        })
+        .collect()
 }
 
 #[test]
@@ -24,13 +38,12 @@ fn zero_load_latency_is_finite_and_saturation_detection_terminates() {
     let config = tiny_config();
     let mesh = config.mesh;
     let elevators = config.elevators.clone();
-    let traffic = |rate: f64| -> Box<dyn TrafficSource> {
-        Box::new(SyntheticTraffic::uniform(&mesh, rate, 5))
-    };
-    let selector =
-        || -> Box<dyn ElevatorSelector> { Box::new(ElevatorFirstSelector::new(&mesh, &elevators)) };
-
-    let zero = zero_load_latency(&config, &traffic, &selector).unwrap();
+    let zero = zero_load_latency(
+        &config,
+        &|rate| TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(&mesh, rate, 5))),
+        &|| Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
+    )
+    .unwrap();
     assert!(
         zero.is_finite(),
         "zero-load latency must be finite, got {zero}"
@@ -42,7 +55,7 @@ fn zero_load_latency_is_finite_and_saturation_detection_terminates() {
 
     // The second rate (0.5 packets/node/cycle) is far past saturation for
     // two elevator columns; the drain cap guarantees the sweep returns.
-    let points = injection_sweep(&config, &[0.001, 0.5], &traffic, &selector).unwrap();
+    let points = sweep(&config, &[0.001, 0.5]);
     assert_eq!(points.len(), 2);
     assert!(
         points[0].summary.completed,
@@ -63,16 +76,8 @@ fn zero_load_latency_is_finite_and_saturation_detection_terminates() {
 #[test]
 fn sweep_is_deterministic_for_fixed_seeds() {
     let config = tiny_config();
-    let mesh = config.mesh;
-    let elevators = config.elevators.clone();
-    let sweep = || {
-        injection_sweep(
-            &config,
-            &[0.002, 0.01],
-            &|rate| Box::new(SyntheticTraffic::uniform(&mesh, rate, 5)),
-            &|| Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
-        )
-        .unwrap()
-    };
-    assert_eq!(sweep(), sweep());
+    assert_eq!(
+        sweep(&config, &[0.002, 0.01]),
+        sweep(&config, &[0.002, 0.01])
+    );
 }

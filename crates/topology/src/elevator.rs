@@ -94,7 +94,7 @@ impl ElevatorMask {
 /// The set of vertical-link columns of a PC-3DNoC.
 ///
 /// Each elevator is a full TSV pillar at one `(x, y)` column, connecting all
-/// `Z` layers (the model used by Elevator-First [10] and AdEle). The set is
+/// `Z` layers (the model used by Elevator-First \[10\] and AdEle). The set is
 /// ordered; [`ElevatorId`]s index into it.
 ///
 /// ```

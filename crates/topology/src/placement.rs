@@ -3,7 +3,7 @@
 //! The paper evaluates four placements: `PS1`–`PS3` on a 4×4×4 mesh with
 //! increasing elevator concentration, and `PM` on the large 8×8×4 mesh.
 //! `PS1`, `PS3` and `PM` are "extracted to have an optimized average
-//! distance"; `PS2` follows the FL-RuNS-style spread of [4]. The exact
+//! distance"; `PS2` follows the FL-RuNS-style spread of \[4\]. The exact
 //! coordinates are not published, so this module re-derives the optimised
 //! patterns with a deterministic average-distance optimiser
 //! ([`optimize_columns`]) and ships the results as named presets.
@@ -15,7 +15,7 @@ use crate::{Coord, ElevatorSet, Mesh3d, TopologyError};
 pub enum Placement {
     /// 3 elevators on 4×4 layers, average-distance optimised (sparsest).
     Ps1,
-    /// 4 elevators on 4×4 layers, FL-RuNS-style symmetric spread [4].
+    /// 4 elevators on 4×4 layers, FL-RuNS-style symmetric spread \[4\].
     Ps2,
     /// 8 elevators on 4×4 layers, average-distance optimised (densest).
     Ps3,

@@ -1,6 +1,6 @@
 //! Elevator-First routing geometry.
 //!
-//! Elevator-First [10] routes a packet in three phases: XY within the
+//! Elevator-First \[10\] routes a packet in three phases: XY within the
 //! source layer toward a chosen elevator column, vertically along the TSV
 //! pillar to the destination layer, then XY to the destination. Deadlock
 //! freedom comes from (a) deterministic XY order inside each layer and

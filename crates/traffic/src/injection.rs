@@ -77,7 +77,7 @@ impl Default for PacketSizeRange {
 /// Parameters of a two-state (on/off) Markov burst modulator.
 ///
 /// The stationary mean of the modulation factor is exactly 1, so wrapping a
-/// Bernoulli process in an [`OnOff`] modulator preserves the average
+/// Bernoulli process in an on/off modulator preserves the average
 /// injection rate while adding temporal burstiness.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnOffParams {

@@ -1,7 +1,7 @@
 //! Event-driven batched injection: sources that *schedule* their next
 //! injection instead of being polled every node every cycle.
 //!
-//! The classic [`TrafficSource`](crate::TrafficSource) contract costs one
+//! The classic [`TrafficSource`] contract costs one
 //! RNG draw per node per cycle — even as an integer compare per draw (see
 //! [`crate::injection`]), on a 16×16×8 mesh that scan is the per-cycle
 //! floor of an otherwise idle simulation. A [`ScheduledSource`] instead
@@ -24,7 +24,7 @@
 //! Workloads without a closed-form schedule (recorded traces, application
 //! models, [`CompositeSource`](crate::CompositeSource) mixtures) still
 //! work through [`CyclePolled`], the adapter that drives any
-//! [`TrafficSource`](crate::TrafficSource) behind the scheduled interface
+//! [`TrafficSource`] behind the scheduled interface
 //! one cycle at a time.
 
 use crate::injection::{InjectionProcess, OnOffParams, PacketSizeRange};

@@ -1,21 +1,19 @@
 //! The `noc_exp` parallel sweep runner on the paper's large PM
 //! configuration (8×8×4 mesh, 12 elevators): the same 8-point injection
-//! sweep runs once sequentially and once on the scoped-thread worker
-//! pool, the results are asserted **bit-identical**, and both wall-clock
-//! times are printed. On a multi-core host the parallel sweep approaches
+//! sweep runs once on one worker (the plain sequential map) and once on
+//! the scoped-thread worker pool, the results are asserted
+//! **bit-identical**, and both wall-clock times are printed. On a multi-core host the parallel sweep approaches
 //! `min(cores, points)`× faster; on a single core it degenerates to the
 //! sequential path.
 //!
 //! Run with: `cargo run --release -p adele-repro --example parallel_sweep`
 //! (`ADELE_QUICK=1` shrinks the windows for a smoke pass).
 
-use adele::online::{ElevatorFirstSelector, ElevatorSelector};
 use adele_bench::quick_mode;
-use noc_exp::runner::{default_threads, par_injection_sweep};
-use noc_sim::harness::injection_sweep;
+use noc_exp::runner::{default_threads, injection_sweep};
+use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_sim::SimConfig;
 use noc_topology::placement::Placement;
-use noc_traffic::{SyntheticTraffic, TrafficSource};
 use std::time::Instant;
 
 fn main() {
@@ -25,16 +23,11 @@ fn main() {
     } else {
         (500, 2_500, 10_000)
     };
-    let config = SimConfig::new(mesh, elevators.clone())
-        .with_phases(warmup, measure, drain)
-        .with_seed(7);
+    let config = SimConfig::new(mesh, elevators.clone()).with_phases(warmup, measure, drain);
     let rates: Vec<f64> = (1..=8).map(|i| 0.003 * f64::from(i) / 8.0).collect();
 
-    let traffic = |rate: f64| -> Box<dyn TrafficSource> {
-        Box::new(SyntheticTraffic::uniform(&mesh, rate, 11))
-    };
-    let selector =
-        || -> Box<dyn ElevatorSelector> { Box::new(ElevatorFirstSelector::new(&mesh, &elevators)) };
+    let traffic = |rate: f64| WorkloadSpec::v1(WorkloadKind::Uniform { rate }).build(&mesh, 11);
+    let selector = || SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 0);
 
     let threads = default_threads();
     println!(
@@ -44,12 +37,12 @@ fn main() {
     );
 
     let t = Instant::now();
-    let sequential = injection_sweep(&config, &rates, &traffic, &selector)
+    let sequential = injection_sweep(&config, &rates, &traffic, &selector, 1)
         .expect("healthy sweep: default watchdog");
     let t_seq = t.elapsed();
 
     let t = Instant::now();
-    let parallel = par_injection_sweep(&config, &rates, &traffic, &selector, threads)
+    let parallel = injection_sweep(&config, &rates, &traffic, &selector, threads)
         .expect("healthy sweep: default watchdog");
     let t_par = t.elapsed();
 

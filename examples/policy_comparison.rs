@@ -4,7 +4,8 @@
 //!
 //! Run with: `cargo run --release -p adele-bench --example policy_comparison`
 
-use adele_bench::{make_selector, offline_assignment, sim_config, Policy, Workload};
+use adele_bench::{main_policies, offline_assignment, sim_config};
+use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_sim::harness::run_once;
 use noc_topology::placement::Placement;
 
@@ -19,16 +20,17 @@ fn main() {
         "{:<10} {:>12} {:>12} {:>14} {:>10}",
         "policy", "latency", "network lat", "energy/flit", "drained"
     );
-    for policy in [
-        Policy::ElevFirst,
-        Policy::Cda,
-        Policy::Adele,
-        Policy::AdeleRr,
-    ] {
+    let adele_rr = SelectorSpec::Adele {
+        rr_only: true,
+        measured_energy: false,
+        assignment: Some(assignment.clone()),
+    };
+    let policies = main_policies(&assignment).map(|(_, policy)| policy);
+    for policy in policies.iter().chain([&adele_rr]) {
         let summary = run_once(
-            &sim_config(placement, 5),
-            Workload::Uniform.build(&mesh, rate, 99),
-            make_selector(policy, &mesh, &elevators, Some(&assignment), 7),
+            &sim_config(placement),
+            WorkloadKind::Uniform { rate }.build_polled(&mesh, 99),
+            policy.build(&mesh, &elevators, 7),
         )
         .unwrap();
         println!(

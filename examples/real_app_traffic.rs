@@ -5,15 +5,16 @@
 //!
 //! Run with: `cargo run --release -p adele-bench --example real_app_traffic`
 
-use adele_bench::{app_traffic, make_selector, offline_assignment, sim_config, Policy};
+use adele_bench::{fig7_base_rate, main_policies, offline_assignment, sim_config};
+use noc_exp::SelectorSpec;
 use noc_sim::harness::run_once;
 use noc_topology::placement::Placement;
-use noc_traffic::apps::AppKind;
+use noc_traffic::apps::{AppKind, AppTraffic};
 
 fn main() {
     let placement = Placement::Ps2;
     let (mesh, elevators) = placement.instantiate();
-    let assignment = offline_assignment(placement);
+    let [(_, elev_first), _, (_, adele)] = main_policies(&offline_assignment(placement));
 
     println!("PS2 (4x4x4, 4 elevators) under application-model traffic\n");
     println!(
@@ -21,16 +22,17 @@ fn main() {
         "app", "intensity", "ElevFirst", "AdEle", "gain"
     );
     for app in AppKind::ALL {
-        let run = |policy: Policy| {
+        let run = |policy: &SelectorSpec| {
+            let traffic = AppTraffic::new(app, &mesh, fig7_base_rate(placement), 2024);
             run_once(
-                &sim_config(placement, 13),
-                app_traffic(app, placement, &mesh, 2024),
-                make_selector(policy, &mesh, &elevators, Some(&assignment), 7),
+                &sim_config(placement),
+                Box::new(traffic),
+                policy.build(&mesh, &elevators, 7),
             )
             .unwrap()
         };
-        let baseline = run(Policy::ElevFirst);
-        let adele = run(Policy::Adele);
+        let baseline = run(&elev_first);
+        let adele = run(&adele);
         let gain = 1.0 - adele.avg_latency / baseline.avg_latency.max(1e-9);
         println!(
             "{:<14} {:>10.2} {:>10.1}cy {:>10.1}cy {:>9.1}%",

@@ -12,8 +12,8 @@
 //! | [`amosa`] | `amosa` | archived multi-objective simulated annealing |
 //! | [`core`] | `adele` | offline subset search + online selection policies |
 //! | [`area`] | `noc_area` | 45 nm analytical router-area model (Table III) |
-//! | [`sim`] | `noc_sim` | cycle-level wormhole simulator + sweep harness |
-//! | [`bench`] | `adele_bench` | shared harness for the `fig*`/`table*` binaries |
+//! | [`sim`] | `noc_sim` | cycle-level wormhole simulator + run harness |
+//! | [`mod@bench`] | `adele_bench` | shared harness for the `fig*`/`table*` binaries |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

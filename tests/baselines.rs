@@ -2,17 +2,22 @@
 //! evaluation rests on must hold in this reproduction.
 
 use adele::offline::SubsetAssignment;
-use adele_bench::{make_selector, Policy, Workload};
+use adele_bench::main_policies;
+use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_sim::harness::run_once;
-use noc_sim::SimConfig;
+use noc_sim::{RunSummary, SimConfig};
 use noc_topology::placement::Placement;
 
-/// Shared quick configuration: PS1 is the paper's most contended pattern.
-fn config(seed: u64) -> SimConfig {
+/// One quick PS1 run (the paper's most contended pattern) of `policy`
+/// under uniform traffic.
+fn run(policy: &SelectorSpec, rate: f64, traffic_seed: u64) -> RunSummary {
     let (mesh, elevators) = Placement::Ps1.instantiate();
-    SimConfig::new(mesh, elevators)
-        .with_phases(500, 3_000, 20_000)
-        .with_seed(seed)
+    run_once(
+        &SimConfig::new(mesh, elevators.clone()).with_phases(500, 3_000, 20_000),
+        WorkloadKind::Uniform { rate }.build_polled(&mesh, traffic_seed),
+        policy.build(&mesh, &elevators, 7),
+    )
+    .unwrap()
 }
 
 /// A balanced two-elevator-subset assignment for AdEle in tests (avoids
@@ -33,20 +38,8 @@ fn test_assignment() -> SubsetAssignment {
 
 #[test]
 fn adaptive_policies_beat_elevator_first_under_congestion() {
-    let (mesh, elevators) = Placement::Ps1.instantiate();
-    let assignment = test_assignment();
     let rate = 0.0045; // beyond ElevFirst's saturation, inside CDA/AdEle's
-    let run = |policy: Policy| {
-        run_once(
-            &config(17),
-            Workload::Uniform.build(&mesh, rate, 31),
-            make_selector(policy, &mesh, &elevators, Some(&assignment), 7),
-        )
-        .unwrap()
-    };
-    let ef = run(Policy::ElevFirst);
-    let cda = run(Policy::Cda);
-    let adele = run(Policy::Adele);
+    let [ef, cda, adele] = main_policies(&test_assignment()).map(|(_, p)| run(&p, rate, 31));
 
     assert!(
         cda.avg_latency < ef.avg_latency * 0.75,
@@ -70,22 +63,14 @@ fn adaptive_policies_beat_elevator_first_under_congestion() {
 
 #[test]
 fn adele_balances_elevator_load_better_than_elevator_first() {
-    let (mesh, elevators) = Placement::Ps1.instantiate();
-    let assignment = test_assignment();
-    let rate = 0.004;
-    let spread = |policy: Policy| -> f64 {
-        let summary = run_once(
-            &config(19),
-            Workload::Uniform.build(&mesh, rate, 37),
-            make_selector(policy, &mesh, &elevators, Some(&assignment), 7),
-        )
-        .unwrap();
+    let spread = |policy: &SelectorSpec| -> f64 {
+        let summary = run(policy, 0.004, 37);
         let total: u64 = summary.elevator_packets.iter().sum();
         let max = *summary.elevator_packets.iter().max().unwrap();
         max as f64 / total.max(1) as f64
     };
-    let ef = spread(Policy::ElevFirst);
-    let adele = spread(Policy::Adele);
+    let [(_, ef), _, (_, adele)] = main_policies(&test_assignment());
+    let (ef, adele) = (spread(&ef), spread(&adele));
     assert!(
         adele < ef,
         "AdEle's max elevator share ({adele:.3}) must undercut ElevFirst's ({ef:.3})"
@@ -96,20 +81,10 @@ fn adele_balances_elevator_load_better_than_elevator_first() {
 
 #[test]
 fn low_load_energy_ranking_favours_adele() {
-    let (mesh, elevators) = Placement::Ps1.instantiate();
-    let assignment = test_assignment();
     let rate = 0.001; // the paper's Fig. 6 low-injection regime
-    let energy = |policy: Policy| {
-        run_once(
-            &config(23),
-            Workload::Uniform.build(&mesh, rate, 41),
-            make_selector(policy, &mesh, &elevators, Some(&assignment), 7),
-        )
-        .unwrap()
-        .energy_per_flit_nj
-    };
-    let ef = energy(Policy::ElevFirst);
-    let adele = energy(Policy::Adele);
+    let [(_, ef), _, (_, adele)] = main_policies(&test_assignment());
+    let ef = run(&ef, rate, 41).energy_per_flit_nj;
+    let adele = run(&adele, rate, 41).energy_per_flit_nj;
     // The minimal-path override makes AdEle the energy winner at low load.
     assert!(
         adele <= ef * 1.01,
@@ -119,19 +94,17 @@ fn low_load_energy_ranking_favours_adele() {
 
 #[test]
 fn adele_rr_is_a_valid_midpoint() {
-    let (mesh, elevators) = Placement::Ps1.instantiate();
-    let assignment = test_assignment();
     let rate = 0.005;
-    let run = |policy: Policy| {
-        run_once(
-            &config(29),
-            Workload::Uniform.build(&mesh, rate, 43),
-            make_selector(policy, &mesh, &elevators, Some(&assignment), 7),
-        )
-        .unwrap()
-    };
-    let ef = run(Policy::ElevFirst);
-    let rr = run(Policy::AdeleRr);
+    let ef = run(&SelectorSpec::ElevatorFirst, rate, 43);
+    let rr = run(
+        &SelectorSpec::Adele {
+            rr_only: true,
+            measured_energy: false,
+            assignment: Some(test_assignment()),
+        },
+        rate,
+        43,
+    );
     assert!(
         rr.avg_latency < ef.avg_latency * 0.75,
         "even plain RR over subsets ({:.1}) must beat ElevFirst ({:.1})",

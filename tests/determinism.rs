@@ -3,25 +3,37 @@
 //! different seeds genuinely change the stochastic components.
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy};
-use adele_bench::{make_selector, Policy, Workload};
 use amosa::AmosaParams;
+use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_sim::harness::run_once;
 use noc_sim::SimConfig;
 use noc_topology::placement::Placement;
 
-fn run_full_stack(sim_seed: u64, traffic_seed: u64, amosa_seed: u64) -> noc_sim::RunSummary {
+/// The latency-leaning pick of a fast PS1 AMOSA run, as an AdEle spec.
+fn adele_on_offline_pick(amosa_seed: u64) -> SelectorSpec {
     let (mesh, elevators) = Placement::Ps1.instantiate();
-    let offline = OfflineOptimizer::new(mesh, elevators.clone())
+    let offline = OfflineOptimizer::new(mesh, elevators)
         .with_params(AmosaParams::fast(amosa_seed))
         .optimize();
-    let assignment = &offline.select(SelectionStrategy::LatencyLeaning).assignment;
-    let config = SimConfig::new(mesh, elevators.clone())
-        .with_phases(300, 1_500, 10_000)
-        .with_seed(sim_seed);
+    let pick = offline.select(SelectionStrategy::LatencyLeaning);
+    SelectorSpec::Adele {
+        rr_only: false,
+        measured_energy: false,
+        assignment: Some(pick.assignment.clone()),
+    }
+}
+
+fn uniform() -> WorkloadKind {
+    WorkloadKind::Uniform { rate: 0.003 }
+}
+
+fn run_full_stack(selector_seed: u64, traffic_seed: u64, amosa_seed: u64) -> noc_sim::RunSummary {
+    let (mesh, elevators) = Placement::Ps1.instantiate();
+    let config = SimConfig::new(mesh, elevators.clone()).with_phases(300, 1_500, 10_000);
     run_once(
         &config,
-        Workload::Uniform.build(&mesh, 0.003, traffic_seed),
-        make_selector(Policy::Adele, &mesh, &elevators, Some(assignment), sim_seed),
+        uniform().build_polled(&mesh, traffic_seed),
+        adele_on_offline_pick(amosa_seed).build(&mesh, &elevators, selector_seed),
     )
     .unwrap()
 }
@@ -40,19 +52,15 @@ fn identical_seeds_reproduce_bit_identical_summaries() {
 #[test]
 fn every_shard_count_reproduces_the_sequential_summary() {
     let (mesh, elevators) = Placement::Ps1.instantiate();
-    let offline = OfflineOptimizer::new(mesh, elevators.clone())
-        .with_params(AmosaParams::fast(3))
-        .optimize();
-    let assignment = &offline.select(SelectionStrategy::LatencyLeaning).assignment;
+    let adele = adele_on_offline_pick(3);
     let run = |shards: usize| {
         let config = SimConfig::new(mesh, elevators.clone())
             .with_phases(300, 1_500, 10_000)
-            .with_seed(1)
             .with_shards(shards);
         run_once(
             &config,
-            Workload::Uniform.build(&mesh, 0.003, 2),
-            make_selector(Policy::Adele, &mesh, &elevators, Some(assignment), 1),
+            uniform().build_polled(&mesh, 2),
+            adele.build(&mesh, &elevators, 1),
         )
         .unwrap()
     };
@@ -118,29 +126,27 @@ fn baseline_policies_are_seed_independent() {
     // ElevFirst and CDA carry no internal randomness: two different
     // selector seeds over identical traffic must agree exactly.
     let (mesh, elevators) = Placement::Ps1.instantiate();
-    let config = || {
-        SimConfig::new(mesh, elevators.clone())
-            .with_phases(300, 1_500, 10_000)
-            .with_seed(5)
-    };
-    for policy in [Policy::ElevFirst, Policy::Cda] {
-        let a = run_once(
-            &config(),
-            Workload::Uniform.build(&mesh, 0.003, 8),
-            make_selector(policy, &mesh, &elevators, None, 111),
-        )
-        .unwrap();
-        let b = run_once(
-            &config(),
-            Workload::Uniform.build(&mesh, 0.003, 8),
-            make_selector(policy, &mesh, &elevators, None, 222),
-        )
-        .unwrap();
+    let config = SimConfig::new(mesh, elevators.clone()).with_phases(300, 1_500, 10_000);
+    for policy in [SelectorSpec::ElevatorFirst, SelectorSpec::Cda] {
+        let run = |config: &SimConfig, selector_seed: u64| {
+            run_once(
+                config,
+                uniform().build_polled(&mesh, 8),
+                policy.build(&mesh, &elevators, selector_seed),
+            )
+            .unwrap()
+        };
+        let a = run(&config, 111);
         assert_eq!(
             a,
-            b,
-            "{} must not depend on the selector seed",
-            policy.name()
+            run(&config, 222),
+            "{policy:?} must not depend on the selector seed"
+        );
+        // `SimConfig::seed` is provenance only: no run reads it.
+        assert_eq!(
+            a,
+            run(&config.clone().with_seed(5), 111),
+            "{policy:?} must not depend on the SimConfig seed"
         );
     }
 }

@@ -1,15 +1,14 @@
-//! The scenario engine end to end: the parallel runner is bit-identical
-//! to the sequential harness, scenario batches preserve order and
+//! The scenario engine end to end: the parallel sweep is bit-identical
+//! to the single-worker sweep, scenario batches preserve order and
 //! determinism, and a mid-run `ElevatorFail` event demonstrably changes
 //! AdEle's selection.
 
-use adele::online::{ElevatorFirstSelector, ElevatorSelector};
-use noc_exp::runner::{par_injection_sweep, run_batch};
-use noc_exp::{Event, Scenario, SelectorSpec, WorkloadKind};
-use noc_sim::harness::injection_sweep;
+use noc_exp::{
+    injection_sweep, run_batch_supervised, Event, Scenario, ScenarioResult, SelectorSpec,
+    Supervision, WorkloadKind, WorkloadSpec,
+};
 use noc_sim::SimConfig;
 use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d};
-use noc_traffic::{SyntheticTraffic, TrafficSource};
 
 fn tiny_topology() -> (Mesh3d, ElevatorSet) {
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
@@ -17,25 +16,28 @@ fn tiny_topology() -> (Mesh3d, ElevatorSet) {
     (mesh, elevators)
 }
 
+/// Runs `scenarios` on the supervised pool and unwraps every outcome.
+fn run_all(scenarios: &[Scenario], threads: usize) -> Vec<ScenarioResult> {
+    run_batch_supervised(scenarios, threads, &Supervision::new(), None, |_| {})
+        .iter()
+        .map(|outcome| outcome.result().expect("healthy point").clone())
+        .collect()
+}
+
 /// The acceptance contract of the parallel runner: for a fixed seed, the
-/// sweep output equals the sequential `injection_sweep` output exactly —
-/// every `SweepPoint`, bit for bit — for any worker count.
+/// sweep output equals the single-worker (plain sequential map) output
+/// exactly — every `SweepPoint`, bit for bit — for any worker count.
 #[test]
 fn parallel_sweep_is_bit_identical_to_sequential() {
     let (mesh, elevators) = tiny_topology();
-    let config = SimConfig::new(mesh, elevators.clone())
-        .with_phases(150, 600, 3_000)
-        .with_seed(5);
+    let config = SimConfig::new(mesh, elevators.clone()).with_phases(150, 600, 3_000);
     let rates: Vec<f64> = (1..=8).map(|i| 0.004 * f64::from(i) / 8.0).collect();
-    let traffic = |rate: f64| -> Box<dyn TrafficSource> {
-        Box::new(SyntheticTraffic::uniform(&mesh, rate, 5))
-    };
-    let selector =
-        || -> Box<dyn ElevatorSelector> { Box::new(ElevatorFirstSelector::new(&mesh, &elevators)) };
+    let traffic = |rate: f64| WorkloadSpec::v1(WorkloadKind::Uniform { rate }).build(&mesh, 5);
+    let selector = || SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 0);
 
-    let sequential = injection_sweep(&config, &rates, &traffic, &selector);
-    for threads in [1, 2, 4, 8] {
-        let parallel = par_injection_sweep(&config, &rates, &traffic, &selector, threads);
+    let sequential = injection_sweep(&config, &rates, &traffic, &selector, 1);
+    for threads in [2, 4, 8] {
+        let parallel = injection_sweep(&config, &rates, &traffic, &selector, threads);
         assert_eq!(
             parallel, sequential,
             "{threads}-thread sweep must match the sequential output exactly"
@@ -56,8 +58,8 @@ fn scenario_batch_preserves_order_and_determinism() {
                 .with_seed(7)
         })
         .collect();
-    let a = run_batch(&scenarios, 4);
-    let b = run_batch(&scenarios, 2);
+    let a = run_all(&scenarios, 4);
+    let b = run_all(&scenarios, 2);
     assert_eq!(a, b, "worker count must never change results");
     for (i, result) in a.iter().enumerate() {
         assert_eq!(result.name, format!("point-{i}"), "input order preserved");
@@ -159,7 +161,7 @@ fn composed_workloads_run_through_the_engine() {
         })
         .with_seed(3);
 
-    let results = run_batch(&[composite, layered], 2);
+    let results = run_all(&[composite, layered], 2);
     assert_eq!(results.len(), 2);
     assert_eq!(results[0].summary.workload, "composite");
     for r in &results {

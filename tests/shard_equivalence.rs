@@ -12,11 +12,10 @@
 //! of the raw network state.
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy};
-use adele_bench::{make_selector, Policy};
 use amosa::AmosaParams;
-use noc_sim::{RunSummary, SimCommand, SimConfig, Simulator, TrafficInput};
+use noc_exp::{SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec};
+use noc_sim::{RunSummary, SimCommand, SimConfig, Simulator};
 use noc_topology::{ElevatorId, ElevatorSet, Mesh3d};
-use noc_traffic::{BatchedSynthetic, SyntheticTraffic};
 use proptest::prelude::*;
 
 /// Builds a random but valid PC-3DNoC: mesh 2..=4 per dimension, 1..=4
@@ -30,7 +29,17 @@ fn arb_topology() -> impl Strategy<Value = (Mesh3d, Vec<(u8, u8)>)> {
     })
 }
 
-const POLICIES: [Policy; 3] = [Policy::ElevFirst, Policy::Cda, Policy::Adele];
+/// AdEle's `assignment: None` is a placeholder: [`Case::build`] fills in
+/// the case's offline assignment.
+const POLICIES: [SelectorSpec; 3] = [
+    SelectorSpec::ElevatorFirst,
+    SelectorSpec::Cda,
+    SelectorSpec::Adele {
+        rr_only: false,
+        measured_energy: false,
+        assignment: None,
+    },
+];
 
 /// Everything that parameterises one equivalence scenario. One instance
 /// builds *many* simulators (one per shard count, plus repeats) that must
@@ -38,7 +47,7 @@ const POLICIES: [Policy; 3] = [Policy::ElevFirst, Policy::Cda, Policy::Adele];
 struct Case {
     mesh: Mesh3d,
     elevators: ElevatorSet,
-    policy: Policy,
+    policy: SelectorSpec,
     v2: bool,
     rate: f64,
     seed: u64,
@@ -54,32 +63,25 @@ impl Case {
     fn build(&self, shards: usize) -> Simulator {
         let config = SimConfig::new(self.mesh, self.elevators.clone())
             .with_phases(100, 500, 20_000)
-            .with_seed(self.seed)
             .with_shards(shards);
-        let input = if self.v2 {
-            TrafficInput::Scheduled(Box::new(BatchedSynthetic::uniform(
-                &self.mesh, self.rate, self.seed,
-            )))
-        } else {
-            TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(
-                &self.mesh, self.rate, self.seed,
-            )))
-        };
-        let assignment = (self.policy == Policy::Adele).then(|| {
-            OfflineOptimizer::new(self.mesh, self.elevators.clone())
+        let input = WorkloadSpec {
+            stream: if self.v2 {
+                StreamVersion::V2
+            } else {
+                StreamVersion::V1
+            },
+            kind: WorkloadKind::Uniform { rate: self.rate },
+        }
+        .build(&self.mesh, self.seed);
+        let mut policy = self.policy.clone();
+        if let SelectorSpec::Adele { assignment, .. } = &mut policy {
+            let offline = OfflineOptimizer::new(self.mesh, self.elevators.clone())
                 .with_params(AmosaParams::fast(self.seed))
-                .optimize()
-                .select(SelectionStrategy::LatencyLeaning)
-                .assignment
-                .clone()
-        });
-        let selector = make_selector(
-            self.policy,
-            &self.mesh,
-            &self.elevators,
-            assignment.as_ref(),
-            self.seed,
-        );
+                .optimize();
+            let pick = offline.select(SelectionStrategy::LatencyLeaning);
+            *assignment = Some(pick.assignment.clone());
+        }
+        let selector = policy.build(&self.mesh, &self.elevators, self.seed);
         let mut sim = Simulator::from_input(config, input, selector);
         let victim = ElevatorId((self.seed % self.elevators.len() as u64) as u8);
         sim.schedule_command(self.fail_at, SimCommand::FailElevator(victim));
@@ -150,7 +152,7 @@ proptest! {
         let case = Case {
             mesh,
             elevators: ElevatorSet::new(&mesh, columns).unwrap(),
-            policy: POLICIES[policy_idx],
+            policy: POLICIES[policy_idx].clone(),
             v2: v2 == 1,
             rate,
             seed,
@@ -180,7 +182,7 @@ proptest! {
         let case = Case {
             mesh,
             elevators: ElevatorSet::new(&mesh, columns).unwrap(),
-            policy: POLICIES[policy_idx],
+            policy: POLICIES[policy_idx].clone(),
             v2: v2 == 1,
             rate,
             seed,
@@ -213,7 +215,7 @@ fn pooled_execution_is_bit_identical_to_sequential() {
     let case = Case {
         mesh,
         elevators: ElevatorSet::new(&mesh, [(0, 0), (3, 3), (1, 2)]).unwrap(),
-        policy: Policy::ElevFirst,
+        policy: SelectorSpec::ElevatorFirst,
         v2: true,
         rate: 0.003,
         seed: 42,
@@ -248,7 +250,7 @@ fn degenerate_shard_counts_clamp_and_stay_identical() {
     let case = Case {
         mesh,
         elevators: ElevatorSet::new(&mesh, [(0, 0)]).unwrap(),
-        policy: Policy::Cda,
+        policy: SelectorSpec::Cda,
         v2: false,
         rate: 0.004,
         seed: 9,

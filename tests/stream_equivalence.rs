@@ -16,12 +16,15 @@
 //!   expected and preserve determinism (the calendar flush + resample
 //!   path).
 
-use noc_exp::{run_batch, Event, Scenario, StreamVersion, WorkloadKind, WorkloadSpec};
+use noc_exp::{
+    run_batch_supervised, Event, Scenario, StreamVersion, Supervision, WorkloadKind, WorkloadSpec,
+};
 use noc_sim::{SimConfig, Simulator, TrafficInput};
 use noc_topology::{Coord, ElevatorSet, Mesh3d, NodeId};
 use noc_traffic::injection::OnOffParams;
 use noc_traffic::{
-    BatchedSynthetic, ScheduledInjection, ScheduledSource, SyntheticTraffic, TrafficSource,
+    BatchedSynthetic, CyclePolled, ScheduledInjection, ScheduledSource, SyntheticTraffic,
+    TrafficSource,
 };
 use proptest::prelude::*;
 
@@ -272,10 +275,12 @@ fn v2_runs_are_bit_identical_across_repeats_and_worker_counts() {
 
     // Worker counts shard scenario batches, never perturb results.
     let batch: Vec<Scenario> = (0..6).map(|i| v2_scenario(100 + i)).collect();
-    let one = run_batch(&batch, 1);
+    let run_on = |workers| run_batch_supervised(&batch, workers, &Supervision::new(), None, |_| {});
+    let one = run_on(1);
+    assert!(one.iter().all(|outcome| outcome.is_ok()));
     for workers in [2, 4, 8] {
         assert_eq!(
-            run_batch(&batch, workers),
+            run_on(workers),
             one,
             "{workers}-worker v2 batch must match the single-worker run"
         );
@@ -546,6 +551,32 @@ fn polled_adapter_keeps_composites_working_under_v2() {
         v1.summary, v2.summary,
         "the polled adapter replays the v1 stream verbatim"
     );
+}
+
+/// Why app, trace and composite workloads are stream-invariant (and
+/// `fig7` needs no `--stream` flag): the simulator wraps every polled
+/// source in [`CyclePolled`] itself, so handing it the source polled or
+/// pre-wrapped as a scheduled one is the same run.
+#[test]
+fn a_polled_source_runs_identically_polled_and_cycle_polled() {
+    use noc_traffic::apps::{AppKind, AppTraffic};
+    let mesh = Mesh3d::new(4, 4, 2).unwrap();
+    let elevators = ElevatorSet::new(&mesh, [(0, 0), (3, 3)]).unwrap();
+    let config = SimConfig::new(mesh, elevators.clone()).with_phases(200, 800, 4_000);
+    let run = |input: TrafficInput| {
+        let selector = adele::online::ElevatorFirstSelector::new(&mesh, &elevators);
+        Simulator::from_input(config.clone(), input, Box::new(selector))
+            .run()
+            .unwrap()
+    };
+    let app = || Box::new(AppTraffic::new(AppKind::ALL[0], &mesh, 0.004, 21));
+    let polled = run(TrafficInput::Polled(app()));
+    let scheduled = run(TrafficInput::Scheduled(Box::new(CyclePolled::new(
+        app(),
+        mesh.node_count(),
+    ))));
+    assert!(polled.delivered_packets > 0, "sanity: the app injected");
+    assert_eq!(polled, scheduled);
 }
 
 #[test]
