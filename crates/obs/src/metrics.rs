@@ -1,8 +1,8 @@
 //! The hot-path metrics registry: monotonic counters plus windowed phase
 //! timers, all plain data.
 //!
-//! The registry is written by the *traced* step path only; the untraced
-//! step never touches it, which is what keeps the disabled-tracing
+//! The registry is written by the *watched* cycle only; the unwatched
+//! one never touches it, which is what keeps the disabled-tracing
 //! overhead at zero. Everything here is cumulative — window records are
 //! produced by [`MetricsRegistry::close_window`], which returns the delta
 //! since the previous close and never resets the running totals (so the
@@ -13,8 +13,7 @@ use std::time::Duration;
 
 /// Wall-clock time spent in each phase of a simulation cycle.
 ///
-/// * `inject` — command dispatch + traffic generation + injection
-///   (`pre_step`),
+/// * `inject` — command dispatch + traffic generation + injection,
 /// * `compute` — per-shard phase 1: routing/arbitration, NI injection
 ///   and worklist re-arming in one pass (on the pooled path this also
 ///   covers the exchange, which happens inside workers),

@@ -24,9 +24,12 @@
 //! without arbitration; the `shard` module docs argue why that is
 //! state-identical. The *exchange* then commits the staged arrivals and
 //! credits (arrivals put their router on the worklist) and the NI credit
-//! returns. These are the `compute` and `exchange` phases of
-//! `PhaseTimes` and of `scale --split`: worklist upkeep is compute time,
-//! and exchange is commit work only.
+//! returns. [`Network::finish_cycle`] closes the cycle serially. The
+//! simulator's one cycle body calls the three in that order and, when
+//! someone is watching, laps a clock between them: those laps are the
+//! `compute`, `exchange` and `commit` phases of `PhaseTimes` and of
+//! `scale --split` — worklist upkeep is compute time, and exchange is
+//! commit work only.
 //!
 //! # Sharded stepping
 //!
@@ -94,7 +97,6 @@ use crate::stats::StatsCollector;
 use crate::table::PacketTable;
 use adele::online::{Cycle, NetworkProbe, SourceFeedback};
 use noc_energy::{EnergyLedger, LinkId, LinkLedger, LinkMap};
-use noc_obs::ComputeSample;
 use noc_topology::{Coord, Direction, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 use std::sync::Arc;
 
@@ -281,7 +283,10 @@ impl Network {
         self.shards.iter().map(|s| s.heap_footprint()).sum()
     }
 
-    /// Advances the network by one cycle.
+    /// Advances the network by one cycle: phase 1, the exchange, then the
+    /// serial tail — the plain composition of the three calls the
+    /// simulator's cycle body makes (with the pool standing in for the
+    /// first two when there is one).
     ///
     /// Returns `true` if any flit moved (progress indicator for the
     /// deadlock watchdog). Source-departure feedback events are appended to
@@ -300,44 +305,15 @@ impl Network {
         telemetry: &mut LinkLedger,
         feedbacks: &mut Vec<SourceFeedback>,
     ) -> bool {
-        self.step_compute(packets, cycle, stats.armed());
-        self.finish_cycle(packets, cycle, stats, ledger, telemetry, feedbacks)
-    }
-
-    /// The parallelisable part of a cycle, run inline: phase 1 on every
-    /// shard, then the boundary-channel exchange and commit. Only reads
-    /// the packet table.
-    pub(crate) fn step_compute(&mut self, packets: &PacketTable, cycle: Cycle, armed: bool) {
+        let armed = stats.armed();
         self.phase1(packets, cycle, armed);
         self.exchange(armed);
-    }
-
-    /// [`Network::step_compute`] with the flight recorder watching: the
-    /// same two calls, bracketed by wall-clock timers, plus the volumes
-    /// that crossed shard borders. Only the inline path is observable —
-    /// pooled workers drain their outboxes internally.
-    pub(crate) fn step_compute_observed(
-        &mut self,
-        packets: &PacketTable,
-        cycle: Cycle,
-        armed: bool,
-    ) -> ComputeSample {
-        let t0 = std::time::Instant::now();
-        self.phase1(packets, cycle, armed);
-        let phase1 = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        let (boundary_flits, boundary_credits) = self.exchange(armed);
-        ComputeSample {
-            phase1,
-            exchange: t1.elapsed(),
-            boundary_flits,
-            boundary_credits,
-        }
+        self.finish_cycle(packets, cycle, stats, ledger, telemetry, feedbacks)
     }
 
     /// Phase 1 (route & send, NI injection, worklist re-arm) on every
     /// shard.
-    fn phase1(&mut self, packets: &PacketTable, cycle: Cycle, armed: bool) {
+    pub(crate) fn phase1(&mut self, packets: &PacketTable, cycle: Cycle, armed: bool) {
         let Self { topo, shards, .. } = self;
         for shard in shards {
             shard.phase1(topo, packets, cycle, armed);
@@ -349,7 +325,7 @@ impl Network {
     /// credit returns. Commit order is irrelevant — see the `shard`
     /// module docs — this loop just picks one. Returns the flit arrivals
     /// and credit returns that crossed a shard border.
-    fn exchange(&mut self, armed: bool) -> (u64, u64) {
+    pub(crate) fn exchange(&mut self, armed: bool) -> (u64, u64) {
         let Self { topo, shards, .. } = self;
         let (mut boundary_flits, mut boundary_credits) = (0u64, 0u64);
         let k = shards.len();
@@ -370,9 +346,10 @@ impl Network {
         (boundary_flits, boundary_credits)
     }
 
-    /// The same parallelisable part, run on the worker pool: shard
-    /// ownership (and a read-only view of the packet table) moves to the
-    /// workers and back.
+    /// Phase 1 and the exchange, run on the worker pool: shard ownership
+    /// (and a read-only view of the packet table) moves to the workers and
+    /// back. The workers exchange boundary batches among themselves, so
+    /// neither the split nor the boundary volumes are observable here.
     pub(crate) fn step_compute_pooled(
         &mut self,
         pool: &mut ShardPool,

@@ -1,12 +1,15 @@
 //! The simulator side of the flight recorder: a [`Tracer`] couples a
 //! `noc_obs` journal writer with the hot-path metrics registry.
 //!
-//! Attaching a tracer reroutes [`crate::Simulator::step`] onto an
-//! *observed* twin of the untraced step — the same statements in the same
-//! order, bracketed by wall-clock timers — so traced and untraced runs
-//! are bit-identical in everything but wall time. With no tracer
-//! attached, the step path never touches any of this (one `Option`
-//! check), which is what keeps the disabled overhead at zero.
+//! The simulator has one cycle body, compiled twice: unwatched (no clock,
+//! no journal) and watched (each fired command journaled, a wall clock
+//! lapped at every phase boundary). Attaching a tracer makes
+//! [`crate::Simulator::step`] run the watched instantiation and book each
+//! cycle's sample here, closing a window every `period` cycles — so
+//! traced and untraced runs are bit-identical in everything but wall
+//! time. With no tracer attached, the step path never touches any of this
+//! (one `Option` check), which is what keeps the disabled overhead at
+//! zero.
 
 use crate::hooks::SimCommand;
 use noc_obs::{FabricHists, MetricsRegistry, Record, TraceWriter, TRACE_SCHEMA_VERSION};

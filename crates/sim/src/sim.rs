@@ -19,6 +19,7 @@ use noc_traffic::{
     CyclePolled, InjectionRequest, ScheduledSource, TrafficDirective, TrafficSource,
 };
 use serde::{Serialize, Value};
+use std::time::{Duration, Instant};
 
 /// A workload handed to the simulator: either the classic polled
 /// interface (the [`TrafficSource`] per-node-per-cycle contract — the
@@ -57,6 +58,15 @@ impl std::fmt::Debug for TrafficInput {
     }
 }
 
+/// What a watched cycle read off the wall clock (all zero when nobody
+/// watches): the injection and commit laps around the compute sample.
+#[derive(Default)]
+struct CycleSample {
+    inject: Duration,
+    compute: ComputeSample,
+    commit: Duration,
+}
+
 /// A configured simulation run.
 ///
 /// Owns the network, the workload and the elevator-selection policy;
@@ -80,8 +90,9 @@ pub struct Simulator {
     /// wall-clock accelerator: pooled and inline stepping are
     /// bit-identical (the sharded-engine determinism contract).
     pool: Option<ShardPool>,
-    /// The attached flight recorder — `None` (the default) keeps the
-    /// step path on its untraced twin, which never touches the registry.
+    /// The attached flight recorder. `None` (the default) runs the cycle
+    /// body unwatched — no clock, no registry; `Some` runs the same body
+    /// watched and books every cycle here.
     tracer: Option<Box<Tracer>>,
     cycle: u64,
     last_progress: u64,
@@ -146,11 +157,7 @@ impl Simulator {
         if !config.histograms {
             net.set_histograms(false);
         }
-        let stats = if config.histograms {
-            StatsCollector::new(config.mesh.node_count(), config.elevators.len())
-        } else {
-            StatsCollector::without_histograms(config.mesh.node_count(), config.elevators.len())
-        };
+        let stats = StatsCollector::for_config(&config);
         let telemetry = LinkLedger::new(net.link_map(), VirtualNet::COUNT);
         let traffic = InjectionScheduler::new(match traffic {
             TrafficInput::Polled(source) => {
@@ -178,8 +185,8 @@ impl Simulator {
         }
     }
 
-    /// Attaches a flight recorder: every subsequent step runs observed
-    /// (bit-identical to the untraced step, plus timers) and the journal
+    /// Attaches a flight recorder: every subsequent step runs watched
+    /// (the same cycle body, bit-identical, plus a clock) and the journal
     /// receives `phase`/`event`/`window`/`summary` records until the
     /// tracer is detached or the simulator is dropped.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
@@ -356,87 +363,73 @@ impl Simulator {
     /// the simulator itself stays inspectable (the cycle counter is not
     /// advanced past the failure).
     pub fn step(&mut self) -> Result<(), SimError> {
-        if self.cycle < self.frozen_until {
-            return self.step_frozen();
-        }
         if self.tracer.is_some() {
-            return self.step_traced();
+            self.step_watched().map(drop)
+        } else {
+            self.run_cycle::<false>().map(drop)
         }
-        self.pre_step();
-        let progress = match &mut self.pool {
-            Some(pool) => {
-                self.net.step_compute_pooled(
-                    pool,
-                    &mut self.packets,
-                    self.cycle,
-                    self.stats.armed(),
-                );
-                self.net.finish_cycle(
-                    &mut self.packets,
-                    self.cycle,
-                    &mut self.stats,
-                    &mut self.ledger,
-                    &mut self.telemetry,
-                    &mut self.feedbacks,
-                )
+    }
+
+    /// The one cycle body: due commands → injection → network compute
+    /// (the pool, or inline phase 1 then the exchange) → the serial tail
+    /// → [`Self::post_step`]. `WATCHED` is a compile-time choice: the
+    /// unwatched instantiation reads no clock, journals nothing and
+    /// returns zeros; the watched one journals each fired command to the
+    /// attached tracer (if any), laps a wall clock at every phase boundary
+    /// and books the shards' busy flags. Simulation state evolves
+    /// bit-identically either way.
+    ///
+    /// A cycle inside a [`SimCommand::FreezeFabric`] wedge leaves before
+    /// the network: commands fire and traffic queues at the NIs, but no
+    /// flit moves, no NI injects, and the cycle books as zero progress, so
+    /// a freeze outlasting the watchdog (while flits are buffered)
+    /// deterministically surfaces [`SimError::Deadlock`].
+    #[inline]
+    fn run_cycle<const WATCHED: bool>(&mut self) -> Result<CycleSample, SimError> {
+        let mut clock = WATCHED.then(Instant::now);
+        let mut lap = || match clock.as_mut() {
+            Some(last) => {
+                let now = Instant::now();
+                now - std::mem::replace(last, now)
             }
-            None => self.net.step(
-                &mut self.packets,
-                self.cycle,
-                &mut self.stats,
-                &mut self.ledger,
-                &mut self.telemetry,
-                &mut self.feedbacks,
-            ),
+            None => Duration::ZERO,
         };
-        self.post_step(progress)
-    }
-
-    /// One cycle of a [`SimCommand::FreezeFabric`] wedge: commands fire
-    /// and traffic queues at the NIs, but the network is not stepped —
-    /// no flit moves, no NI injects, and the cycle books as zero
-    /// progress, so a freeze outlasting the watchdog (while flits are
-    /// buffered) deterministically surfaces [`SimError::Deadlock`].
-    /// Traced runs record command events normally; window emission
-    /// resumes when the fabric thaws.
-    fn step_frozen(&mut self) -> Result<(), SimError> {
-        if let Some(mut tracer) = self.tracer.take() {
-            self.pre_step_traced(&mut tracer);
-            let outcome = self.post_step(false);
-            self.tracer = Some(tracer);
-            return outcome;
-        }
-        self.pre_step();
-        self.post_step(false)
-    }
-
-    /// The observed twin of [`Self::step`]: the same calls in the same
-    /// order, bracketed by phase timers, feeding the attached tracer.
-    /// Simulation state evolves bit-identically to the untraced step.
-    fn step_traced(&mut self) -> Result<(), SimError> {
-        let mut tracer = self.tracer.take().expect("step_traced requires a tracer");
-        let t0 = std::time::Instant::now();
-        self.pre_step_traced(&mut tracer);
-        let inject = t0.elapsed();
-        let armed = self.stats.armed();
-        let t1 = std::time::Instant::now();
-        let sample = match &mut self.pool {
-            Some(pool) => {
-                // Pooled workers exchange boundary batches internally, so
-                // the split and the volumes are unobservable: the whole
-                // parallel phase books as compute, boundary gauges stay 0.
-                self.net
-                    .step_compute_pooled(pool, &mut self.packets, self.cycle, armed);
-                ComputeSample {
-                    phase1: t1.elapsed(),
-                    ..ComputeSample::default()
+        let frozen = self.cycle < self.frozen_until;
+        while let Some(command) = self.schedule.next_due(self.cycle) {
+            if WATCHED {
+                if let Some(tracer) = self.tracer.as_mut() {
+                    tracer.write(&command_record(self.cycle, &command));
                 }
             }
-            None => self
-                .net
-                .step_compute_observed(&self.packets, self.cycle, armed),
+            self.apply_command(&command);
+        }
+        self.generate_traffic();
+        let mut sample = CycleSample {
+            inject: lap(),
+            ..CycleSample::default()
         };
-        let t2 = std::time::Instant::now();
+        if frozen {
+            self.post_step(false)?;
+            sample.commit = lap();
+            return Ok(sample);
+        }
+        let armed = self.stats.armed();
+        match &mut self.pool {
+            Some(pool) => {
+                self.net
+                    .step_compute_pooled(pool, &mut self.packets, self.cycle, armed);
+                sample.compute.phase1 = lap();
+            }
+            None => {
+                self.net.phase1(&self.packets, self.cycle, armed);
+                sample.compute.phase1 = lap();
+                (
+                    sample.compute.boundary_flits,
+                    sample.compute.boundary_credits,
+                ) = self.net.exchange(armed);
+                sample.compute.exchange = lap();
+            }
+        }
         let progress = self.net.finish_cycle(
             &mut self.packets,
             self.cycle,
@@ -445,36 +438,43 @@ impl Simulator {
             &mut self.telemetry,
             &mut self.feedbacks,
         );
-        let outcome = self.post_step(progress);
-        let commit = t2.elapsed();
-        tracer.metrics_mut().on_cycle(inject, &sample, commit);
-        self.net
-            .accumulate_shard_busy(tracer.metrics_mut().shard_busy_mut());
-        // `post_step` advanced the cycle on success, so `self.cycle` now
-        // counts completed cycles: a window closes every `period` of them.
-        // A failed step reattaches the tracer without closing a window, so
-        // the journal keeps everything recorded up to the failure.
-        if outcome.is_ok() && self.cycle.is_multiple_of(tracer.period()) {
-            self.emit_window(&mut tracer);
+        if WATCHED {
+            if let Some(tracer) = self.tracer.as_mut() {
+                self.net
+                    .accumulate_shard_busy(tracer.metrics_mut().shard_busy_mut());
+            }
         }
-        self.tracer = Some(tracer);
-        outcome
+        self.post_step(progress)?;
+        sample.commit = lap();
+        Ok(sample)
     }
 
-    /// [`Self::pre_step`] with an `event` record per fired command.
-    fn pre_step_traced(&mut self, tracer: &mut Tracer) {
-        while let Some(command) = self.schedule.next_due(self.cycle) {
-            tracer.write(&command_record(self.cycle, &command));
-            self.apply_command(&command);
+    /// A watched cycle: the body with the clock running. With a tracer
+    /// attached, the sample is booked into its registry and a window
+    /// closes every `period` completed cycles; a failed cycle books
+    /// nothing and closes no window, so the journal keeps everything
+    /// recorded up to the failure.
+    fn step_watched(&mut self) -> Result<CycleSample, SimError> {
+        let sample = self.run_cycle::<true>()?;
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer
+                .metrics_mut()
+                .on_cycle(sample.inject, &sample.compute, sample.commit);
+            // The body advanced the cycle, so `self.cycle` now counts
+            // completed cycles.
+            if self.cycle.is_multiple_of(tracer.period()) {
+                self.emit_window();
+            }
         }
-        self.generate_traffic();
+        Ok(sample)
     }
 
     /// Closes the metrics window and appends the `window` record: the
     /// deterministic gauges under `det` (bit-identical across shard and
     /// worker counts), the layout-dependent ones under `aux`, wall times
     /// under `timing`.
-    fn emit_window(&mut self, tracer: &mut Tracer) {
+    fn emit_window(&mut self) {
+        let mut tracer = self.tracer.take().expect("windows close under a tracer");
         let delta = tracer.metrics_mut().close_window();
         let calendar = self.traffic.calendar_depth();
         let det = Value::Object(vec![
@@ -536,8 +536,7 @@ impl Simulator {
         // shard partitions here is the same add-and-zero drain every other
         // reader uses — idempotent, so it can never change a later summary.
         if tracer.schema() >= 2 && self.stats.hists.is_some() {
-            self.net
-                .drain_partials(&mut self.stats, &mut self.ledger, &mut self.telemetry);
+            self.fold_telemetry();
             let fabric = tracer.fabric_mut();
             self.net.sample_fabric(fabric);
             fabric.calendar_depth.record(calendar);
@@ -550,6 +549,7 @@ impl Simulator {
                 hists: entries,
             });
         }
+        self.tracer = Some(tracer);
     }
 
     /// Appends a `phase` record if a tracer is attached.
@@ -560,14 +560,6 @@ impl Simulator {
                 phase: phase.to_string(),
             });
         }
-    }
-
-    /// The pre-network part of a cycle: due commands, then injection.
-    fn pre_step(&mut self) {
-        while let Some(command) = self.schedule.next_due(self.cycle) {
-            self.apply_command(&command);
-        }
-        self.generate_traffic();
     }
 
     /// Snapshots the wedged fabric into a [`SimError::Deadlock`] — the
@@ -602,8 +594,7 @@ impl Simulator {
         if period > 0 && self.stats.armed() && self.cycle.is_multiple_of(period) {
             // The signal reads the telemetry store: fold the shard
             // partitions in first so the push sees the complete window.
-            self.net
-                .drain_partials(&mut self.stats, &mut self.ledger, &mut self.telemetry);
+            self.fold_telemetry();
             let signal = self
                 .telemetry
                 .pillar_energy_per_tsv_flit(self.net.link_map(), &self.config.energy);
@@ -624,61 +615,28 @@ impl Simulator {
         Ok(())
     }
 
-    /// Advances `cycles` cycles, timing each phase of every step — the
-    /// probe behind the `scale` binary's per-phase (Amdahl) split
-    /// measurement. Returns the accumulated phase times and the total
-    /// wall time. Semantically identical to [`Self::advance`]; on the
-    /// pooled path the boundary exchange happens inside the workers, so
-    /// it books as compute and `exchange` stays zero.
+    /// Advances `cycles` watched cycles and sums their samples — the probe
+    /// behind the `scale` binary's per-phase (Amdahl) split measurement.
+    /// Returns the accumulated phase times and the total wall time.
+    /// Semantically identical to [`Self::advance`] on a traced simulator,
+    /// journal included; on the pooled path the boundary exchange happens
+    /// inside the workers, so it books as compute and `exchange` stays
+    /// zero.
     ///
     /// # Errors
     ///
     /// Propagates [`SimError::Deadlock`] from the watchdog; the phase
     /// times accumulated up to the failed cycle are discarded.
     #[doc(hidden)]
-    pub fn advance_phase_timed(
-        &mut self,
-        cycles: u64,
-    ) -> Result<(PhaseTimes, std::time::Duration), SimError> {
-        let start = std::time::Instant::now();
+    pub fn advance_phase_timed(&mut self, cycles: u64) -> Result<(PhaseTimes, Duration), SimError> {
+        let start = Instant::now();
         let mut phase = PhaseTimes::default();
         for _ in 0..cycles {
-            if self.cycle < self.frozen_until {
-                let t0 = std::time::Instant::now();
-                self.step_frozen()?;
-                phase.inject += t0.elapsed();
-                continue;
-            }
-            let t0 = std::time::Instant::now();
-            self.pre_step();
-            phase.inject += t0.elapsed();
-            let armed = self.stats.armed();
-            let t1 = std::time::Instant::now();
-            match &mut self.pool {
-                Some(pool) => {
-                    self.net
-                        .step_compute_pooled(pool, &mut self.packets, self.cycle, armed);
-                    phase.compute += t1.elapsed();
-                }
-                None => {
-                    let sample = self
-                        .net
-                        .step_compute_observed(&self.packets, self.cycle, armed);
-                    phase.compute += sample.phase1;
-                    phase.exchange += sample.exchange;
-                }
-            }
-            let t2 = std::time::Instant::now();
-            let progress = self.net.finish_cycle(
-                &mut self.packets,
-                self.cycle,
-                &mut self.stats,
-                &mut self.ledger,
-                &mut self.telemetry,
-                &mut self.feedbacks,
-            );
-            self.post_step(progress)?;
-            phase.commit += t2.elapsed();
+            let sample = self.step_watched()?;
+            phase.inject += sample.inject;
+            phase.compute += sample.compute.phase1;
+            phase.exchange += sample.compute.exchange;
+            phase.commit += sample.commit;
         }
         Ok((phase, start.elapsed()))
     }
@@ -770,29 +728,23 @@ impl Simulator {
         self.packets.orphan_unfinished();
         // Flush any shard partials left by an earlier window into the old
         // sinks before those are replaced, so nothing stale leaks in.
-        self.net
-            .drain_partials(&mut self.stats, &mut self.ledger, &mut self.telemetry);
-        self.stats = if self.config.histograms {
-            StatsCollector::new(self.config.mesh.node_count(), self.config.elevators.len())
-        } else {
-            StatsCollector::without_histograms(
-                self.config.mesh.node_count(),
-                self.config.elevators.len(),
-            )
-        };
+        self.fold_telemetry();
+        self.stats = StatsCollector::for_config(&self.config);
         self.ledger = EnergyLedger::default();
         self.telemetry.reset();
         self.stats.set_armed(true);
         let window = self.advance(cycles);
         self.stats.set_armed(false);
         window?;
-        // Fold the shard partitions into the window's sinks: after this,
-        // `energy_ledger`/`link_ledger` accessors and the summary see the
-        // complete window, counter-for-counter.
-        self.net
-            .drain_partials(&mut self.stats, &mut self.ledger, &mut self.telemetry);
-        let completed = self.measured_outstanding() == 0;
-        Ok(RunSummary::from_parts(
+        Ok(self.summarise(self.measured_outstanding() == 0))
+    }
+
+    /// Folds the shard partitions into the window's sinks — after this,
+    /// the `energy_ledger`/`link_ledger` accessors see the complete
+    /// window, counter-for-counter — and summarises them.
+    fn summarise(&mut self, completed: bool) -> RunSummary {
+        self.fold_telemetry();
+        RunSummary::from_parts(
             self.selector.name(),
             self.traffic.name(),
             self.traffic.mean_rate(),
@@ -803,7 +755,7 @@ impl Simulator {
             &self.config.energy,
             self.config.mesh.node_count(),
             completed,
-        ))
+        )
     }
 
     /// Executes warm-up → measurement → drain and summarises.
@@ -846,20 +798,7 @@ impl Simulator {
         }
 
         self.trace_phase("done");
-        self.net
-            .drain_partials(&mut self.stats, &mut self.ledger, &mut self.telemetry);
-        let summary = RunSummary::from_parts(
-            self.selector.name(),
-            self.traffic.name(),
-            self.traffic.mean_rate(),
-            &self.stats,
-            &self.ledger,
-            &self.telemetry,
-            self.net.link_map(),
-            &self.config.energy,
-            self.config.mesh.node_count(),
-            completed,
-        );
+        let summary = self.summarise(completed);
         if let Some(tracer) = self.tracer.as_mut() {
             // A v1 recording writes the summary without the v2-only
             // percentile keys, so v1 golden journals stay byte-stable.

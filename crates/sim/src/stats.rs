@@ -1,5 +1,6 @@
 //! Latency, throughput, load and elevator-usage statistics.
 
+use crate::config::SimConfig;
 use crate::flit::Packet;
 use noc_energy::{EnergyLedger, EnergyModel, LinkLedger, LinkMap};
 use noc_obs::PacketHists;
@@ -50,11 +51,13 @@ impl StatsCollector {
         }
     }
 
-    /// A collector with the delivery histograms disabled.
-    #[must_use]
-    pub fn without_histograms(nodes: usize, elevators: usize) -> Self {
-        let mut stats = Self::new(nodes, elevators);
-        stats.hists = None;
+    /// A fresh collector for `config`'s fabric, with the delivery
+    /// histograms on or off as it asks.
+    pub(crate) fn for_config(config: &SimConfig) -> Self {
+        let mut stats = Self::new(config.mesh.node_count(), config.elevators.len());
+        if !config.histograms {
+            stats.hists = None;
+        }
         stats
     }
 
