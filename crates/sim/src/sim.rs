@@ -394,7 +394,6 @@ impl Simulator {
             }
             None => Duration::ZERO,
         };
-        let frozen = self.cycle < self.frozen_until;
         while let Some(command) = self.schedule.next_due(self.cycle) {
             if WATCHED {
                 if let Some(tracer) = self.tracer.as_mut() {
@@ -408,7 +407,9 @@ impl Simulator {
             inject: lap(),
             ..CycleSample::default()
         };
-        if frozen {
+        // Decided after the commands fire, so a freeze wedges the cycle it
+        // fires on: `cycles: n` at cycle `t` holds `t..t + n`.
+        if self.cycle < self.frozen_until {
             self.post_step(false)?;
             sample.commit = lap();
             return Ok(sample);
@@ -1048,6 +1049,41 @@ mod tests {
             frozen.avg_latency,
             clean.avg_latency
         );
+    }
+
+    #[test]
+    fn freeze_wedges_exactly_its_span() {
+        use crate::hooks::SimCommand;
+
+        for n in [1, 3] {
+            let config = quick_config();
+            let traffic = SyntheticTraffic::uniform(&config.mesh, 0.01, 13);
+            let selector = ElevatorFirstSelector::new(&config.mesh, &config.elevators);
+            let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
+            sim.advance(200).unwrap();
+            // Silence the workload so the source queues, which the digest
+            // covers, only move when the fabric does.
+            sim.apply_command(&SimCommand::ScaleInjection { factor: 0.0 });
+            let t = sim.cycle();
+            sim.schedule_command(t, SimCommand::FreezeFabric { cycles: n });
+            assert!(sim.network().buffered_flits() > 0, "flits in flight");
+            let wedged = sim.network().state_digest();
+            for cycle in t..t + n {
+                sim.step().unwrap();
+                assert_eq!(
+                    sim.network().state_digest(),
+                    wedged,
+                    "cycle {cycle} of a {n}-cycle freeze fired at {t} must not move"
+                );
+            }
+            sim.step().unwrap();
+            assert_ne!(
+                sim.network().state_digest(),
+                wedged,
+                "cycle {} thaws a {n}-cycle freeze fired at {t}",
+                t + n
+            );
+        }
     }
 
     #[test]
