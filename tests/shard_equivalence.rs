@@ -7,14 +7,17 @@
 //! different shard counts are stepped in lockstep and their committed
 //! network state is compared digest-for-digest **every cycle**, across
 //! random meshes and loads × {ElevFirst, CDA, AdEle} × random mid-run
-//! elevator fail/recover × {v1, v2} workload streams. Whole-run
-//! [`RunSummary`] equality then covers the statistics/energy paths on top
-//! of the raw network state.
+//! elevator fail/recover and a sub-watchdog fabric freeze × {v1, v2}
+//! workload streams. The same lockstep carries the *watched* cycle body —
+//! a tracer-attached simulator and one driven by `advance_phase_timed` —
+//! beside the plain `step()` one. Whole-run [`RunSummary`] equality then
+//! covers the statistics/energy paths on top of the raw network state.
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy};
 use amosa::AmosaParams;
 use noc_exp::{SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec};
-use noc_sim::{RunSummary, SimCommand, SimConfig, Simulator};
+use noc_obs::{compare_journals, parse_journal, SharedBuffer};
+use noc_sim::{RunSummary, SimCommand, SimConfig, Simulator, TraceWriter, Tracer};
 use noc_topology::{ElevatorId, ElevatorSet, Mesh3d};
 use proptest::prelude::*;
 
@@ -57,7 +60,7 @@ struct Case {
 
 impl Case {
     /// Builds the simulator for `shards`, with the case's fail/recover
-    /// pair already scheduled. AdEle runs from a deterministic offline
+    /// pair and a short freeze already scheduled. AdEle runs from a deterministic offline
     /// assignment (same seed for every shard count, so the selector
     /// stream is identical by construction).
     fn build(&self, shards: usize) -> Simulator {
@@ -89,29 +92,48 @@ impl Case {
             self.fail_at + self.recover_after,
             SimCommand::RecoverElevator(victim),
         );
+        sim.schedule_command(self.fail_at / 2, SimCommand::FreezeFabric { cycles: 20 });
         sim
     }
 
-    /// Steps a `k`-shard simulator against the sequential engine for
+    /// [`Self::build`] with a flight recorder attached, journaling into
+    /// the returned buffer.
+    fn build_traced(&self, shards: usize) -> (Simulator, SharedBuffer) {
+        let journal = SharedBuffer::new();
+        let mut sim = self.build(shards);
+        sim.attach_tracer(Tracer::new(TraceWriter::new(Box::new(journal.clone())), 64));
+        (sim, journal)
+    }
+
+    /// Steps three `k`-shard simulators — plain, traced, and driven by
+    /// the phase-timed probe — against the sequential engine for
     /// `cycles`, requiring digest equality at **every** cycle boundary
-    /// (and flow conservation plus the worklist/bitmap audit on both).
+    /// (and flow conservation plus the worklist/bitmap audit on the
+    /// unwatched pair).
     fn assert_lockstep(&self, k: usize, cycles: u64) -> Result<(), TestCaseError> {
         let mut seq = self.build(1);
         let mut sharded = self.build(k);
+        let (mut traced, _journal) = self.build_traced(k);
+        let mut timed = self.build(k);
         for cycle in 0..cycles {
             seq.step().unwrap();
             sharded.step().unwrap();
-            prop_assert_eq!(
-                sharded.network().state_digest(),
-                seq.network().state_digest(),
-                "cycle {}: k={} diverged from the sequential engine \
-                 ({:?}, v2={}, seed={})",
-                cycle,
-                k,
-                self.policy,
-                self.v2,
-                self.seed
-            );
+            traced.step().unwrap();
+            timed.advance_phase_timed(1).unwrap();
+            for (label, sim) in [("step", &sharded), ("traced", &traced), ("timed", &timed)] {
+                prop_assert_eq!(
+                    sim.network().state_digest(),
+                    seq.network().state_digest(),
+                    "cycle {}: {} at k={} diverged from the sequential engine \
+                     ({:?}, v2={}, seed={})",
+                    cycle,
+                    label,
+                    k,
+                    self.policy,
+                    self.v2,
+                    self.seed
+                );
+            }
             for (label, sim) in [("k=1", &seq), ("sharded", &sharded)] {
                 if let Err(e) = sim.network().check_flow_conservation() {
                     return Err(TestCaseError::fail(format!(
@@ -239,6 +261,35 @@ fn pooled_execution_is_bit_identical_to_sequential() {
     std::env::remove_var("NOC_THREADS");
     assert_eq!(summary_pooled, summary_seq);
     assert!(summary_seq.delivered_packets > 0, "sanity: traffic flowed");
+}
+
+/// Whoever drives the watched cycle, the journal is the same: a traced
+/// simulator advanced by the phase-timed probe writes the `event` and
+/// `window` records that plain `advance` writes, equal on every
+/// deterministic field.
+#[test]
+fn phase_timed_advance_journals_like_advance() {
+    let mesh = Mesh3d::new(4, 4, 3).unwrap();
+    let case = Case {
+        mesh,
+        elevators: ElevatorSet::new(&mesh, [(0, 0), (3, 3), (1, 2)]).unwrap(),
+        policy: SelectorSpec::Cda,
+        v2: true,
+        rate: 0.003,
+        seed: 42,
+        fail_at: 250,
+        recover_after: 200,
+    };
+    let (mut stepped, stepped_journal) = case.build_traced(4);
+    let (mut timed, timed_journal) = case.build_traced(4);
+    stepped.advance(1_000).unwrap();
+    timed.advance_phase_timed(1_000).unwrap();
+    let want = parse_journal(&stepped_journal.contents()).unwrap();
+    let got = parse_journal(&timed_journal.contents()).unwrap();
+    let count = |kind: &str| want.iter().filter(|r| r.kind() == kind).count();
+    assert_eq!(count("event"), 3, "fail, recover and freeze are journaled");
+    assert_eq!(count("window"), 1_000 / 64, "one window per period");
+    compare_journals(&want, &got).unwrap();
 }
 
 /// Shard-count edge cases resolve deterministically: `shards: 0` means
