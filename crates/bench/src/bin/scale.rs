@@ -24,13 +24,14 @@
 //! shape, stream × shard grid).
 //!
 //! Every completed point is appended to `results/scale.ledger.jsonl`
-//! (one flushed line per point, keyed by the point's grid coordinates +
-//! cycle budget). `--resume` restores ledger-complete points instead of
+//! (a `noc_exp::Ledger` — the crash-safety contract of the `run_specs`
+//! spec ledger — keyed by the point's grid coordinates + cycle budget). `--resume` restores ledger-complete points instead of
 //! re-measuring them, so a killed study finishes from where it died;
 //! without `--resume` the ledger is started fresh.
 
 use adele::online::ElevatorFirstSelector;
 use adele_bench::{bench_meta, dump_json, f1, ok_or_die, pillar_grid, print_table, quick_mode};
+use noc_exp::Ledger;
 use noc_obs::{Hud, Record};
 use noc_sim::{SimConfig, Simulator, TrafficInput};
 use noc_topology::{ElevatorSet, Mesh3d};
@@ -39,7 +40,7 @@ use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// One measured point of the study.
-#[derive(Serialize, serde::Deserialize)]
+#[derive(Clone, Serialize, Deserialize)]
 struct ScalePoint {
     mesh: String,
     nodes: usize,
@@ -75,17 +76,8 @@ struct ScalePoint {
     latency_p99: Option<u64>,
 }
 
-/// The study's point-level completion ledger: one flushed JSONL line per
-/// measured point, keyed by the FNV-1a hash of the point's grid
-/// coordinates and cycle budget. Same crash-safety contract as the
-/// `run_specs` spec ledger — single-`write` appends, torn tails
-/// tolerated on load.
-struct PointLedger {
-    file: std::fs::File,
-    complete: std::collections::HashMap<u64, ScalePoint>,
-}
-
-/// The content key of one grid point (timings are results, not content).
+/// The ledger key of one grid point: FNV-1a over its grid coordinates and
+/// cycle budget (timings are results, not content).
 fn point_key(
     mesh: &Mesh3d,
     rate: f64,
@@ -103,70 +95,6 @@ fn point_key(
         )
         .as_bytes(),
     )
-}
-
-impl PointLedger {
-    fn open(path: &std::path::Path, resume: bool) -> std::io::Result<Self> {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        let mut complete = std::collections::HashMap::new();
-        if resume {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    let parsed = serde_json::from_str::<serde::Value>(line)
-                        .ok()
-                        .and_then(|v| {
-                            let hex: String = serde::field(&v, "hash").ok()?;
-                            let hash = u64::from_str_radix(&hex, 16).ok()?;
-                            let point =
-                                ScalePoint::from_value(&serde::field(&v, "point").ok()?).ok()?;
-                            Some((hash, point))
-                        });
-                    if let Some((hash, point)) = parsed {
-                        complete.insert(hash, point);
-                    }
-                }
-            }
-        }
-        let mut options = std::fs::OpenOptions::new();
-        if resume {
-            options.create(true).append(true);
-        } else {
-            // A fresh study owns the ledger: start it over.
-            options.create(true).write(true).truncate(true);
-        }
-        let mut file = options.open(path)?;
-        if resume {
-            // Seal a torn tail so the next append starts a clean line.
-            let text = std::fs::read_to_string(path).unwrap_or_default();
-            if !text.is_empty() && !text.ends_with('\n') {
-                use std::io::Write;
-                file.write_all(b"\n")?;
-            }
-        }
-        Ok(Self { file, complete })
-    }
-
-    fn lookup(&mut self, hash: u64) -> Option<ScalePoint> {
-        self.complete.remove(&hash)
-    }
-
-    fn record(&mut self, hash: u64, point: &ScalePoint) {
-        use std::io::Write;
-        let value = serde::Value::Object(vec![
-            (
-                "hash".to_string(),
-                serde::Value::String(format!("{hash:016x}")),
-            ),
-            ("point".to_string(), point.to_value()),
-        ]);
-        if let Ok(mut line) = serde_json::to_string(&value) {
-            line.push('\n');
-            let _ = self.file.write_all(line.as_bytes());
-            let _ = self.file.flush();
-        }
-    }
 }
 
 /// The meshes of the study: the paper's PM scale and two steps beyond.
@@ -357,14 +285,18 @@ fn main() {
     };
 
     let ledger_path = adele_bench::results_dir().join("scale.ledger.jsonl");
-    let mut ledger = match PointLedger::open(&ledger_path, resume) {
+    if !resume {
+        // A fresh study owns the ledger: start it over.
+        let _ = std::fs::remove_file(&ledger_path);
+    }
+    let mut ledger = match Ledger::<ScalePoint>::open(&ledger_path) {
         Ok(ledger) => Some(ledger),
         Err(e) => {
             eprintln!("note: point ledger unavailable ({e}); study will not be resumable");
             None
         }
     };
-    let restored = ledger.as_ref().map_or(0, |l| l.complete.len());
+    let restored = ledger.as_ref().map_or(0, Ledger::len);
     if resume && restored > 0 {
         eprintln!(
             "resuming: {restored} point(s) restored from {}",
@@ -385,16 +317,18 @@ fn main() {
                         mesh.layers(),
                     );
                     let key = point_key(&mesh, rate, stream, shards, cycles, split);
-                    if let Some(point) = ledger.as_mut().and_then(|l| l.lookup(key)) {
+                    if let Some(point) = ledger.as_ref().and_then(|l| l.lookup(key)) {
                         beat(&mut hud, index, &label, "cached", serde::Value::Null);
                         index += 1;
-                        points.push(point);
+                        points.push(point.clone());
                         continue;
                     }
                     beat(&mut hud, index, &label, "started", serde::Value::Null);
                     let point = measure(mesh, &elevators, rate, stream, shards, cycles, split);
                     if let Some(ledger) = ledger.as_mut() {
-                        ledger.record(key, &point);
+                        if let Err(e) = ledger.record(key, &point) {
+                            eprintln!("scale: ledger append failed: {e}");
+                        }
                     }
                     let mut detail = vec![(
                         "run_ns".to_string(),

@@ -10,7 +10,9 @@
 //!   never a torn hybrid.
 //! * [`Ledger`] — an append-only JSONL journal of completed points, each
 //!   keyed by the FNV-1a hash of its scenario's canonical spec JSON
-//!   ([`spec_hash`]) and carrying the full [`ScenarioResult`]. Records
+//!   ([`spec_hash`]) and carrying the full [`ScenarioResult`] (or, for a
+//!   study whose points are not scenarios, that study's own key and
+//!   payload type). Records
 //!   are appended in one `write` call and flushed per point, so a kill
 //!   mid-append can tear at most the final line — and [`Ledger::open`]
 //!   tolerates exactly that, dropping unparsable tails instead of
@@ -106,53 +108,45 @@ pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     result
 }
 
-/// One parsed ledger line.
-#[derive(Debug, Clone, PartialEq)]
-struct Entry {
-    hash: u64,
-    name: String,
-    result: ScenarioResult,
+/// One ledger line: the point's hash and payload, with a payload that
+/// names itself (every [`ScenarioResult`]) getting the name lifted beside
+/// the hash, where `grep` finds it without parsing the result.
+fn to_line<R: Serialize>(hash: u64, result: &R) -> String {
+    let result = result.to_value();
+    let mut fields = vec![("hash".to_string(), Value::String(format!("{hash:016x}")))];
+    if let Ok(name) = serde::field::<String>(&result, "name") {
+        fields.push(("name".to_string(), Value::String(name)));
+    }
+    fields.push(("result".to_string(), result));
+    serde_json::to_string(&Value::Object(fields)).expect("ledger entries serialise")
 }
 
-impl Entry {
-    fn to_line(&self) -> String {
-        let value = Value::Object(vec![
-            (
-                "hash".to_string(),
-                Value::String(format!("{:016x}", self.hash)),
-            ),
-            ("name".to_string(), Value::String(self.name.clone())),
-            ("result".to_string(), self.result.to_value()),
-        ]);
-        serde_json::to_string(&value).expect("ledger entries serialise")
-    }
-
-    fn parse(line: &str) -> Option<Self> {
-        let value: Value = serde_json::from_str(line).ok()?;
-        let hex: String = serde::field(&value, "hash").ok()?;
-        let hash = u64::from_str_radix(&hex, 16).ok()?;
-        let name: String = serde::field(&value, "name").ok()?;
-        let result = ScenarioResult::from_value(&serde::field(&value, "result").ok()?).ok()?;
-        Some(Self { hash, name, result })
-    }
+fn parse_line<R: Deserialize>(line: &str) -> Option<(u64, R)> {
+    let value: Value = serde_json::from_str(line).ok()?;
+    let hex: String = serde::field(&value, "hash").ok()?;
+    let hash = u64::from_str_radix(&hex, 16).ok()?;
+    let result = R::from_value(&serde::field(&value, "result").ok()?).ok()?;
+    Some((hash, result))
 }
 
 /// An append-only JSONL completion ledger for one sweep.
 ///
 /// Open it next to the sweep's results file, [`Ledger::record`] each
-/// point as it completes, and on a resumed run skip every scenario whose
-/// [`spec_hash`] answers [`Ledger::lookup`]. The file survives `kill -9`
-/// at any instant: appends are single-`write` + flush, and torn final
-/// lines are dropped (and counted) on open.
+/// point as it completes, and on a resumed run skip every point whose
+/// hash ([`spec_hash`] for scenarios) answers [`Ledger::lookup`]. The
+/// file survives `kill -9` at any instant: appends are single-`write` +
+/// flush, and torn final lines are dropped (and counted) on open. The
+/// payload `R` is whatever the sweep measures per point — a
+/// [`ScenarioResult`] unless said otherwise.
 #[derive(Debug)]
-pub struct Ledger {
+pub struct Ledger<R = ScenarioResult> {
     path: PathBuf,
-    complete: HashMap<u64, ScenarioResult>,
+    complete: HashMap<u64, R>,
     torn: usize,
     file: fs::File,
 }
 
-impl Ledger {
+impl<R: Serialize + Deserialize + Clone> Ledger<R> {
     /// Opens (creating if absent) the ledger at `path` and indexes every
     /// parseable line. Unparsable lines — the torn tail of a killed
     /// writer — are skipped and counted in [`Ledger::torn_lines`].
@@ -171,9 +165,9 @@ impl Ledger {
         match fs::read_to_string(&path) {
             Ok(text) => {
                 for line in text.lines().filter(|l| !l.trim().is_empty()) {
-                    match Entry::parse(line) {
-                        Some(entry) => {
-                            complete.insert(entry.hash, entry.result);
+                    match parse_line(line) {
+                        Some((hash, result)) => {
+                            complete.insert(hash, result);
                         }
                         None => torn += 1,
                     }
@@ -228,7 +222,7 @@ impl Ledger {
 
     /// The recorded result for `hash`, if that point already completed.
     #[must_use]
-    pub fn lookup(&self, hash: u64) -> Option<&ScenarioResult> {
+    pub fn lookup(&self, hash: u64) -> Option<&R> {
         self.complete.get(&hash)
     }
 
@@ -240,17 +234,12 @@ impl Ledger {
     ///
     /// Returns the underlying I/O error; the in-memory index is only
     /// updated after the bytes are flushed.
-    pub fn record(&mut self, hash: u64, result: &ScenarioResult) -> io::Result<()> {
-        let entry = Entry {
-            hash,
-            name: result.name.clone(),
-            result: result.clone(),
-        };
-        let mut line = entry.to_line();
+    pub fn record(&mut self, hash: u64, result: &R) -> io::Result<()> {
+        let mut line = to_line(hash, result);
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.flush()?;
-        self.complete.insert(hash, entry.result);
+        self.complete.insert(hash, result.clone());
         Ok(())
     }
 }
@@ -322,6 +311,18 @@ mod tests {
             "restored result must be bit-identical (floats included)"
         );
         assert_eq!(reopened.lookup(hash ^ 1), None);
+
+        // A payload that is not a scenario result (and names nothing)
+        // rides the same file format, minus the lifted name.
+        let path = dir.join("study.ledger.jsonl");
+        let mut study = Ledger::<Vec<u64>>::open(&path).unwrap();
+        study.record(7, &vec![1, 2, 3]).unwrap();
+        assert_eq!(
+            fs::read_to_string(&path).unwrap(),
+            "{\"hash\":\"0000000000000007\",\"result\":[1,2,3]}\n"
+        );
+        let study = Ledger::<Vec<u64>>::open(&path).unwrap();
+        assert_eq!(study.lookup(7), Some(&vec![1, 2, 3]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -347,7 +348,7 @@ mod tests {
         let other = tiny("torn-2", 9);
         let other_result = other.run().unwrap();
         ledger.record(spec_hash(&other), &other_result).unwrap();
-        let reopened = Ledger::open(&path).unwrap();
+        let reopened: Ledger = Ledger::open(&path).unwrap();
         assert_eq!(reopened.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
