@@ -1,5 +1,7 @@
-//! The flight-recorder command line: record, verify and self-check
-//! golden scenario traces, and measure the recorder's hot-path overhead.
+//! The flight-recorder command line: record, verify, self-check and
+//! export golden scenario traces. (The recorder's hot-path overhead is a
+//! benchmark metric: `noc_obs.armed_tracer_ratio` /
+//! `bench.trace_overhead_ratio` from `benchmark/run.sh layers`.)
 //!
 //! * `noc_trace record <spec.json> [-o FILE] [--period N] [--shards N]` —
 //!   run the spec with the tracer attached and write the JSONL journal
@@ -19,26 +21,17 @@
 //!   Chrome trace-event JSON that Perfetto / `chrome://tracing` loads
 //!   directly (phase spans per window, counter tracks, event instants).
 //!   Prometheus output is validated line by line before it is written.
-//! * `noc_trace overhead [--cycles N]` — measure traced-vs-untraced
-//!   throughput on the 16×16×8 @ 0.002 scaling point (window period
-//!   1000, journal to a sink), the number the README cites.
 
-use adele::online::ElevatorFirstSelector;
-use adele_bench::{f1, ok_or_die, pillar_grid, quick_mode, quick_shrink};
+use adele_bench::{quick_mode, quick_shrink};
 use noc_exp::{atomic_write, load_dir, load_spec, record_trace, trace_period, verify_trace};
-use noc_sim::{SimConfig, Simulator, TraceWriter, Tracer, TrafficInput};
-use noc_topology::{ElevatorSet, Mesh3d};
-use noc_traffic::SyntheticTraffic;
 use std::path::Path;
-use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
         "usage: noc_trace record <spec.json> [-o FILE] [--period N] [--shards N]\n       \
          noc_trace verify <golden.jsonl> [--shards N]\n       \
          noc_trace selfcheck [DIR] [--shards 1,8]\n       \
-         noc_trace export <journal.jsonl> --prometheus|--perfetto [-o FILE]\n       \
-         noc_trace overhead [--cycles N]"
+         noc_trace export <journal.jsonl> --prometheus|--perfetto [-o FILE]"
     );
     std::process::exit(2);
 }
@@ -239,48 +232,6 @@ fn cmd_selfcheck(args: &[String]) {
     }
 }
 
-/// A warmed 16×16×8 simulator at the scaling study's moderate-load point.
-fn overhead_sim(warmup: u64) -> Simulator {
-    let mesh = Mesh3d::new(16, 16, 8).expect("dimensions are valid");
-    let elevators = ElevatorSet::new(&mesh, pillar_grid(16, 16)).expect("grid fits");
-    let config = SimConfig::new(mesh, elevators.clone()).with_seed(42);
-    let traffic = TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(&mesh, 0.002, 42)));
-    let selector = ElevatorFirstSelector::new(&mesh, &elevators);
-    let mut sim = Simulator::from_input(config, traffic, Box::new(selector));
-    ok_or_die(sim.advance(warmup), "overhead warm-up");
-    sim
-}
-
-fn cmd_overhead(args: &[String]) {
-    let cycles =
-        flag_value::<u64>(args, "--cycles").unwrap_or(if quick_mode() { 4_000 } else { 20_000 });
-    let warmup = cycles / 10;
-    let reps = 3;
-    let best = |traced: bool| {
-        let mut best = f64::INFINITY;
-        for _ in 0..reps {
-            let mut sim = overhead_sim(warmup);
-            if traced {
-                let writer = TraceWriter::new(Box::new(std::io::sink()));
-                sim.attach_tracer(Tracer::new(writer, 1_000));
-            }
-            let start = Instant::now();
-            ok_or_die(sim.advance(cycles), "overhead measurement");
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let untraced = best(false);
-    let traced = best(true);
-    let overhead = 100.0 * (traced / untraced - 1.0);
-    println!(
-        "16x16x8 @0.002 v1, {cycles} cycles, window period 1000 (best of {reps}):\n  \
-         untraced  {} kcyc/s\n  traced    {} kcyc/s\n  overhead  {overhead:+.1}%",
-        f1(cycles as f64 / untraced / 1e3),
-        f1(cycles as f64 / traced / 1e3),
-    );
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
@@ -288,7 +239,6 @@ fn main() {
         Some("verify") => cmd_verify(&args[1..]),
         Some("selfcheck") => cmd_selfcheck(&args[1..]),
         Some("export") => cmd_export(&args[1..]),
-        Some("overhead") => cmd_overhead(&args[1..]),
         _ => usage(),
     }
 }
