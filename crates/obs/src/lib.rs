@@ -38,7 +38,7 @@ pub mod trace;
 
 pub use hist::{hist_record_entries, FabricHists, Hist, PacketHists, HIST_BUCKETS};
 pub use hud::Hud;
-pub use metrics::{ComputeSample, MetricsRegistry, PhaseTimes, WindowDelta};
+pub use metrics::{MetricsRegistry, PhaseTimes, WindowDelta};
 pub use trace::{
     compare_journals, parse_journal, strip_v2_summary, Record, SharedBuffer, TraceError,
     TraceReader, TraceWriter, TRACE_SCHEMA_VERSION, V2_SUMMARY_KEYS,

@@ -75,20 +75,6 @@ impl PhaseTimes {
     }
 }
 
-/// What one observed compute step saw: phase-1 and exchange wall time,
-/// plus the boundary-batch volumes that crossed shard borders.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ComputeSample {
-    /// Wall time of the per-shard phase-1 pass.
-    pub phase1: Duration,
-    /// Wall time of the boundary exchange + commit pass.
-    pub exchange: Duration,
-    /// Flit arrivals that crossed a shard boundary this cycle.
-    pub boundary_flits: u64,
-    /// Credit returns that crossed a shard boundary this cycle.
-    pub boundary_credits: u64,
-}
-
 /// The windowed delta returned by [`MetricsRegistry::close_window`].
 #[derive(Debug, Clone, Default)]
 pub struct WindowDelta {
@@ -158,16 +144,13 @@ impl MetricsRegistry {
         self.mark_shard_busy.resize(shards, 0);
     }
 
-    /// Books one traced cycle: injection and commit wall times plus the
-    /// compute-phase sample.
-    pub fn on_cycle(&mut self, inject: Duration, sample: &ComputeSample, commit: Duration) {
+    /// Books one watched cycle: its phase wall times plus the flit
+    /// arrivals and credit returns that crossed a shard boundary.
+    pub fn on_cycle(&mut self, phase: &PhaseTimes, boundary_flits: u64, boundary_credits: u64) {
         self.cycles += 1;
-        self.phase.inject += inject;
-        self.phase.compute += sample.phase1;
-        self.phase.exchange += sample.exchange;
-        self.phase.commit += commit;
-        self.boundary_flits += sample.boundary_flits;
-        self.boundary_credits += sample.boundary_credits;
+        self.phase.accumulate(phase);
+        self.boundary_flits += boundary_flits;
+        self.boundary_credits += boundary_credits;
     }
 
     /// Mutable view of the per-shard busy counters (the simulator adds
@@ -233,14 +216,14 @@ mod tests {
     fn window_deltas_are_exact_and_totals_survive() {
         let mut m = MetricsRegistry::new();
         m.ensure_shards(2);
-        let sample = ComputeSample {
-            phase1: Duration::from_nanos(10),
+        let phase = PhaseTimes {
+            inject: Duration::from_nanos(1),
+            compute: Duration::from_nanos(10),
             exchange: Duration::from_nanos(5),
-            boundary_flits: 3,
-            boundary_credits: 2,
+            commit: Duration::from_nanos(7),
         };
         for _ in 0..4 {
-            m.on_cycle(Duration::from_nanos(1), &sample, Duration::from_nanos(7));
+            m.on_cycle(&phase, 3, 2);
             m.shard_busy_mut()[0] += 1;
         }
         let w1 = m.close_window();
@@ -249,7 +232,7 @@ mod tests {
         assert_eq!(w1.shard_busy, vec![4, 0]);
         assert_eq!(w1.phase.compute, Duration::from_nanos(40));
 
-        m.on_cycle(Duration::from_nanos(1), &sample, Duration::from_nanos(7));
+        m.on_cycle(&phase, 3, 2);
         m.shard_busy_mut()[1] += 1;
         let w2 = m.close_window();
         assert_eq!(w2.cycles, 1);

@@ -12,7 +12,7 @@ use crate::stats::{RunSummary, StatsCollector};
 use crate::table::PacketTable;
 use adele::online::{Cycle, ElevatorSelector, SelectionContext, SourceFeedback};
 use noc_energy::{EnergyLedger, LinkLedger, LinkMap};
-use noc_obs::{ComputeSample, PhaseTimes, Record};
+use noc_obs::{PhaseTimes, Record};
 use noc_topology::route::{ElevatorCoord, VirtualNet};
 use noc_topology::NodeId;
 use noc_traffic::{
@@ -58,13 +58,13 @@ impl std::fmt::Debug for TrafficInput {
     }
 }
 
-/// What a watched cycle read off the wall clock (all zero when nobody
-/// watches): the injection and commit laps around the compute sample.
+/// What a watched cycle saw (all zero when nobody watches): the wall time
+/// of each phase and the volumes that crossed shard borders.
 #[derive(Default)]
 struct CycleSample {
-    inject: Duration,
-    compute: ComputeSample,
-    commit: Duration,
+    phase: PhaseTimes,
+    boundary_flits: u64,
+    boundary_credits: u64,
 }
 
 /// A configured simulation run.
@@ -141,7 +141,7 @@ impl Simulator {
         selector: Box<dyn ElevatorSelector>,
     ) -> Self {
         config.validate();
-        let net = Network::new_sharded(
+        let mut net = Network::new_sharded(
             config.mesh,
             config.elevators.clone(),
             config.buffer_depth,
@@ -153,7 +153,6 @@ impl Simulator {
         } else {
             None
         };
-        let mut net = net;
         if !config.histograms {
             net.set_histograms(false);
         }
@@ -386,6 +385,7 @@ impl Simulator {
     /// deterministically surfaces [`SimError::Deadlock`].
     #[inline]
     fn run_cycle<const WATCHED: bool>(&mut self) -> Result<CycleSample, SimError> {
+        let mut sample = CycleSample::default();
         let mut clock = WATCHED.then(Instant::now);
         let mut lap = || match clock.as_mut() {
             Some(last) => {
@@ -403,32 +403,24 @@ impl Simulator {
             self.apply_command(&command);
         }
         self.generate_traffic();
-        let mut sample = CycleSample {
-            inject: lap(),
-            ..CycleSample::default()
-        };
+        sample.phase.inject = lap();
         // Decided after the commands fire, so a freeze wedges the cycle it
         // fires on: `cycles: n` at cycle `t` holds `t..t + n`.
         if self.cycle < self.frozen_until {
-            self.post_step(false)?;
-            sample.commit = lap();
-            return Ok(sample);
+            return self.post_step(false).map(|()| sample);
         }
         let armed = self.stats.armed();
         match &mut self.pool {
             Some(pool) => {
                 self.net
                     .step_compute_pooled(pool, &mut self.packets, self.cycle, armed);
-                sample.compute.phase1 = lap();
+                sample.phase.compute = lap();
             }
             None => {
                 self.net.phase1(&self.packets, self.cycle, armed);
-                sample.compute.phase1 = lap();
-                (
-                    sample.compute.boundary_flits,
-                    sample.compute.boundary_credits,
-                ) = self.net.exchange(armed);
-                sample.compute.exchange = lap();
+                sample.phase.compute = lap();
+                (sample.boundary_flits, sample.boundary_credits) = self.net.exchange(armed);
+                sample.phase.exchange = lap();
             }
         }
         let progress = self.net.finish_cycle(
@@ -446,7 +438,7 @@ impl Simulator {
             }
         }
         self.post_step(progress)?;
-        sample.commit = lap();
+        sample.phase.commit = lap();
         Ok(sample)
     }
 
@@ -458,9 +450,11 @@ impl Simulator {
     fn step_watched(&mut self) -> Result<CycleSample, SimError> {
         let sample = self.run_cycle::<true>()?;
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer
-                .metrics_mut()
-                .on_cycle(sample.inject, &sample.compute, sample.commit);
+            tracer.metrics_mut().on_cycle(
+                &sample.phase,
+                sample.boundary_flits,
+                sample.boundary_credits,
+            );
             // The body advanced the cycle, so `self.cycle` now counts
             // completed cycles.
             if self.cycle.is_multiple_of(tracer.period()) {
@@ -493,7 +487,7 @@ impl Simulator {
             ),
             (
                 "outstanding".to_string(),
-                Value::UInt(self.measured_outstanding() as u64),
+                Value::UInt(self.packets.measured_outstanding() as u64),
             ),
             (
                 "queued_packets".to_string(),
@@ -581,11 +575,9 @@ impl Simulator {
     /// The post-network tail of a cycle: feedback forwarding, the
     /// periodic energy push, the deadlock watchdog, and the cycle count.
     fn post_step(&mut self, progress: bool) -> Result<(), SimError> {
-        for i in 0..self.feedbacks.len() {
-            let fb = self.feedbacks[i];
+        for fb in self.feedbacks.drain(..) {
             self.selector.on_source_departure(&fb);
         }
-        self.feedbacks.clear();
 
         // Periodically surface measured per-pillar energy to the policy.
         // Inert by default: the push consumes no randomness and every
@@ -633,21 +625,9 @@ impl Simulator {
         let start = Instant::now();
         let mut phase = PhaseTimes::default();
         for _ in 0..cycles {
-            let sample = self.step_watched()?;
-            phase.inject += sample.inject;
-            phase.compute += sample.compute.phase1;
-            phase.exchange += sample.compute.exchange;
-            phase.commit += sample.commit;
+            phase.accumulate(&self.step_watched()?.phase);
         }
         Ok((phase, start.elapsed()))
-    }
-
-    /// Number of measured packets not yet fully delivered — an O(1)
-    /// counter the packet table maintains at insert/retire/orphan time
-    /// (this used to be a periodic O(packets) scan, which made long runs
-    /// slow down as their packet history grew).
-    fn measured_outstanding(&self) -> usize {
-        self.packets.measured_outstanding()
     }
 
     /// Advances `cycles` cycles without touching measurement state
@@ -737,7 +717,7 @@ impl Simulator {
         let window = self.advance(cycles);
         self.stats.set_armed(false);
         window?;
-        Ok(self.summarise(self.measured_outstanding() == 0))
+        Ok(self.summarise(self.packets.measured_outstanding() == 0))
     }
 
     /// Folds the shard partitions into the window's sinks — after this,
@@ -791,11 +771,11 @@ impl Simulator {
         // outcomes stay bit-identical.
         let cap = self.config.drain_max.div_ceil(64) * 64;
         let mut drained = 0;
-        let mut completed = self.measured_outstanding() == 0;
+        let mut completed = self.packets.measured_outstanding() == 0;
         while !completed && drained < cap {
             self.step()?;
             drained += 1;
-            completed = self.measured_outstanding() == 0;
+            completed = self.packets.measured_outstanding() == 0;
         }
 
         self.trace_phase("done");
