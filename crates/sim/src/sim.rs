@@ -432,6 +432,8 @@ impl Simulator {
             &mut self.feedbacks,
         );
         if WATCHED {
+            // Booked here rather than with the sample: a frozen cycle never
+            // gets this far, and its shards' flags are stale.
             if let Some(tracer) = self.tracer.as_mut() {
                 self.net
                     .accumulate_shard_busy(tracer.metrics_mut().shard_busy_mut());
