@@ -146,37 +146,37 @@ impl<P: Problem> Amosa<P> {
         temperature: f64,
         rng: &mut StdRng,
     ) -> bool {
+        let relation = dominance::compare(&current.objectives, &candidate.objectives);
+        let dominators = archive.dominators_of(&candidate.objectives);
+        // Dominated by neither the current point nor the archive: always
+        // accepted and archived.
+        if relation != Dominance::Dominates && dominators.is_empty() {
+            archive.insert(candidate.clone());
+            *current = candidate;
+            return true;
+        }
+
         // Ranges over archive ∪ {current, candidate} for Δdom normalisation.
-        let ranges = {
-            let mut lo = candidate.objectives.clone();
-            let mut hi = candidate.objectives.clone();
-            let consider_vec = |v: &[f64], lo: &mut Vec<f64>, hi: &mut Vec<f64>| {
-                for (i, &x) in v.iter().enumerate() {
-                    lo[i] = lo[i].min(x);
-                    hi[i] = hi[i].max(x);
-                }
-            };
-            consider_vec(&current.objectives, &mut lo, &mut hi);
-            for pt in archive.points() {
-                consider_vec(&pt.objectives, &mut lo, &mut hi);
-            }
-            lo.iter()
-                .zip(&hi)
-                .map(|(&l, &h)| h - l)
-                .collect::<Vec<f64>>()
-        };
+        // Minimum and maximum do not depend on folding order, so the
+        // archive's cached bounds stand in for a scan of its members.
+        let (lo, hi) = archive.bounds();
+        let ranges: Vec<f64> = (0..candidate.objectives.len())
+            .map(|i| {
+                let (a, b) = (candidate.objectives[i], current.objectives[i]);
+                a.max(b).max(hi[i]) - a.min(b).min(lo[i])
+            })
+            .collect();
         let delta = |a: &[f64], b: &[f64]| dominance::amount_of_domination(a, b, &ranges);
         let sa_accept = |avg_delta: f64, rng: &mut StdRng| {
             let prob = 1.0 / (1.0 + (avg_delta / temperature).exp());
             rng.gen_bool(prob.clamp(0.0, 1.0))
         };
 
-        match dominance::compare(&current.objectives, &candidate.objectives) {
+        match relation {
             // Case 1: current dominates candidate — probabilistic uphill
             // move over the average Δdom of current plus any archive
             // dominators.
             Dominance::Dominates => {
-                let dominators = archive.dominators_of(&candidate.objectives);
                 let mut total = delta(&current.objectives, &candidate.objectives);
                 for &i in &dominators {
                     total += delta(&archive.points()[i].objectives, &candidate.objectives);
@@ -189,59 +189,43 @@ impl<P: Problem> Amosa<P> {
                     false
                 }
             }
-            // Case 2: mutually non-dominating — defer to the archive.
+            // Case 2: mutually non-dominating, dominated in the archive —
+            // probabilistic move over the average Δdom of the dominators.
             Dominance::NonDominated => {
-                let dominators = archive.dominators_of(&candidate.objectives);
-                if dominators.is_empty() {
-                    // Non-dominated (or dominating) w.r.t. the archive:
-                    // always accepted and archived.
-                    archive.insert(candidate.clone());
+                let avg = dominators
+                    .iter()
+                    .map(|&i| delta(&archive.points()[i].objectives, &candidate.objectives))
+                    .sum::<f64>()
+                    / dominators.len() as f64;
+                if sa_accept(avg, rng) {
                     *current = candidate;
                     true
                 } else {
-                    let avg = dominators
-                        .iter()
-                        .map(|&i| delta(&archive.points()[i].objectives, &candidate.objectives))
-                        .sum::<f64>()
-                        / dominators.len() as f64;
-                    if sa_accept(avg, rng) {
-                        *current = candidate;
-                        true
-                    } else {
-                        false
-                    }
+                    false
                 }
             }
-            // Case 3: candidate dominates current.
+            // Case 3: candidate is better than current yet dominated in
+            // the archive: move to the candidate with probability
+            // 1/(1+exp(-Δdom_min)), else jump to the minimum-Δdom archive
+            // point (per the AMOSA paper).
             Dominance::DominatedBy => {
-                let dominators = archive.dominators_of(&candidate.objectives);
-                if dominators.is_empty() {
-                    archive.insert(candidate.clone());
+                let (best_idx, min_delta) = dominators
+                    .iter()
+                    .map(|&i| {
+                        (
+                            i,
+                            delta(&archive.points()[i].objectives, &candidate.objectives),
+                        )
+                    })
+                    .min_by(|a, b| a.1.total_cmp(&b.1))
+                    .expect("dominators is non-empty");
+                let prob = 1.0 / (1.0 + (-min_delta).exp());
+                if rng.gen_bool(prob.clamp(0.0, 1.0)) {
                     *current = candidate;
                     true
                 } else {
-                    // Candidate is better than current yet dominated in the
-                    // archive: move to the candidate with probability
-                    // 1/(1+exp(-Δdom_min)), else jump to the minimum-Δdom
-                    // archive point (per the AMOSA paper).
-                    let (best_idx, min_delta) = dominators
-                        .iter()
-                        .map(|&i| {
-                            (
-                                i,
-                                delta(&archive.points()[i].objectives, &candidate.objectives),
-                            )
-                        })
-                        .min_by(|a, b| a.1.total_cmp(&b.1))
-                        .expect("dominators is non-empty");
-                    let prob = 1.0 / (1.0 + (-min_delta).exp());
-                    if rng.gen_bool(prob.clamp(0.0, 1.0)) {
-                        *current = candidate;
-                        true
-                    } else {
-                        *current = archive.points()[best_idx].clone();
-                        false
-                    }
+                    *current = archive.points()[best_idx].clone();
+                    false
                 }
             }
         }

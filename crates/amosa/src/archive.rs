@@ -20,6 +20,11 @@ pub struct ParetoPoint<S> {
 #[derive(Debug, Clone)]
 pub struct Archive<S> {
     points: Vec<ParetoPoint<S>>,
+    /// Per-objective minimum and maximum over `points`, refreshed by every
+    /// mutation: the annealer reads them once per candidate, and mutates
+    /// the archive for fewer than one candidate in ten.
+    lo: Vec<f64>,
+    hi: Vec<f64>,
     soft_limit: usize,
     hard_limit: usize,
 }
@@ -38,6 +43,8 @@ impl<S: Clone> Archive<S> {
         );
         Self {
             points: Vec::with_capacity(soft_limit + 1),
+            lo: Vec::new(),
+            hi: Vec::new(),
             soft_limit,
             hard_limit,
         }
@@ -67,23 +74,31 @@ impl<S: Clone> Archive<S> {
         self.points
     }
 
+    /// Per-objective `(minima, maxima)` across the archive. Both empty if
+    /// the archive is empty.
+    pub(crate) fn bounds(&self) -> (&[f64], &[f64]) {
+        (&self.lo, &self.hi)
+    }
+
     /// Per-objective value ranges (max − min) across the archive, for
     /// Δdom normalisation. Empty if the archive is empty.
     #[must_use]
     pub fn ranges(&self) -> Vec<f64> {
-        let Some(first) = self.points.first() else {
-            return Vec::new();
-        };
-        let m = first.objectives.len();
-        let mut lo = vec![f64::INFINITY; m];
-        let mut hi = vec![f64::NEG_INFINITY; m];
+        self.lo.iter().zip(&self.hi).map(|(&l, &h)| h - l).collect()
+    }
+
+    fn refresh_bounds(&mut self) {
+        let m = self.points.first().map_or(0, |p| p.objectives.len());
+        self.lo.clear();
+        self.lo.resize(m, f64::INFINITY);
+        self.hi.clear();
+        self.hi.resize(m, f64::NEG_INFINITY);
         for p in &self.points {
             for (i, &v) in p.objectives.iter().enumerate() {
-                lo[i] = lo[i].min(v);
-                hi[i] = hi[i].max(v);
+                self.lo[i] = self.lo[i].min(v);
+                self.hi[i] = self.hi[i].max(v);
             }
         }
-        lo.iter().zip(&hi).map(|(&l, &h)| h - l).collect()
     }
 
     /// Indices of archive members dominating `objectives`.
@@ -122,6 +137,7 @@ impl<S: Clone> Archive<S> {
             self.points.swap_remove(idx);
         }
         self.points.push(point);
+        self.refresh_bounds();
         if self.points.len() > self.soft_limit {
             self.shrink_to_hard_limit();
         }
@@ -138,6 +154,7 @@ impl<S: Clone> Archive<S> {
         let mut keep = clustering::reduce_to(&objectives, &ranges, self.hard_limit);
         keep.sort_unstable();
         self.points = keep.into_iter().map(|i| self.points[i].clone()).collect();
+        self.refresh_bounds();
     }
 
     /// Verifies the non-domination invariant (test helper; O(n²)).
@@ -202,6 +219,28 @@ mod tests {
         a.insert(pt(&[1.0, 10.0]));
         a.insert(pt(&[3.0, 4.0]));
         assert_eq!(a.ranges(), vec![2.0, 6.0]);
+    }
+
+    #[test]
+    fn ranges_follow_evictions_and_clustering() {
+        let mut a = Archive::new(4, 2);
+        assert!(a.ranges().is_empty());
+        a.insert(pt(&[1.0, 10.0]));
+        a.insert(pt(&[3.0, 4.0]));
+        // Evicts [3, 4], which held both the x maximum and the y minimum.
+        a.insert(pt(&[2.0, 3.0]));
+        assert_eq!(a.ranges(), vec![1.0, 7.0]);
+        // Past the soft limit: whatever clustering keeps, the ranges are
+        // those of the survivors.
+        for x in [4.0, 5.0, 6.0] {
+            a.insert(pt(&[x, 3.0 - x / 10.0]));
+        }
+        assert!(a.len() <= 2);
+        let spread = |i: usize| {
+            let values = a.points().iter().map(|p| p.objectives[i]);
+            values.clone().fold(f64::NEG_INFINITY, f64::max) - values.fold(f64::INFINITY, f64::min)
+        };
+        assert_eq!(a.ranges(), vec![spread(0), spread(1)]);
     }
 
     #[test]

@@ -71,8 +71,8 @@ const POLICIES: usize = 3;
 
 /// The `points` × [`main_policies`] grid, point-major.
 fn grid(points: impl IntoIterator<Item = (Placement, f64)>) -> Vec<Job> {
-    // The offline AMOSA stage caches to disk: run it sequentially, once
-    // per placement, before fanning the grid out.
+    // The offline AMOSA stage runs once per placement, before the grid
+    // fans out.
     let presets = Placement::ALL.map(|p| {
         let (mesh, elevators) = p.instantiate();
         (mesh, elevators, main_policies(&offline_assignment(p)))

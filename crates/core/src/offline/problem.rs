@@ -1,5 +1,6 @@
 //! The AMOSA problem encoding for elevator-subset search.
 
+use crate::offline::subsets::set_bits;
 use crate::offline::{ObjectiveEvaluator, SubsetAssignment};
 use amosa::Problem;
 use noc_topology::{ElevatorSet, Mesh3d, NodeId};
@@ -92,55 +93,46 @@ impl ElevatorSubsetProblem {
         &self.evaluator
     }
 
-    fn full_mask(&self) -> u64 {
-        if self.elevator_count >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << self.elevator_count) - 1
-        }
-    }
-
     /// Mutates one router's subset with one of four moves: add an elevator,
     /// drop an elevator, swap one for another, or reset to the nearest
     /// singleton.
     fn perturb_node(&self, assignment: &mut SubsetAssignment, rng: &mut dyn rand::RngCore) {
         let node = NodeId(rng.gen_range(0..self.node_count) as u16);
         let mask = assignment.mask(node);
-        let allowed = self.allowed_masks[node.index()];
         let size = mask.count_ones();
-        let present: Vec<u8> = (0..self.elevator_count as u8)
-            .filter(|&b| mask & (1 << b) != 0)
-            .collect();
         // Only elevators inside the locality bound may be added.
-        let absent: Vec<u8> = (0..self.elevator_count as u8)
-            .filter(|&b| mask & (1 << b) == 0 && allowed & (1 << b) != 0)
-            .collect();
-
+        let absent = self.allowed_masks[node.index()] & !mask;
         let new_mask = match rng.gen_range(0..4u8) {
             // Add.
-            0 if !absent.is_empty() => mask | (1 << absent[rng.gen_range(0..absent.len())]),
+            0 if absent != 0 => mask | draw_member(absent, rng),
             // Remove (keep non-empty).
-            1 if size > 1 => mask & !(1 << present[rng.gen_range(0..present.len())]),
-            // Swap.
-            2 if !absent.is_empty() => {
-                let added = 1u64 << absent[rng.gen_range(0..absent.len())];
-                let removed = 1u64 << present[rng.gen_range(0..present.len())];
-                (mask | added) & !removed | added // re-or in case added == removed bit positions differ
+            1 if size > 1 => mask & !draw_member(mask, rng),
+            // Swap: the added elevator was absent, so it survives the removal.
+            2 if absent != 0 => {
+                let added = draw_member(absent, rng);
+                (mask | added) & !draw_member(mask, rng)
             }
             // Reset to nearest singleton.
             3 => self.nearest_masks[node.index()],
             // Fallbacks when the chosen move is inapplicable.
             _ => {
                 if size > 1 {
-                    mask & !(1 << present[rng.gen_range(0..present.len())])
+                    mask & !draw_member(mask, rng)
                 } else {
-                    self.full_mask() & mask | self.nearest_masks[node.index()]
+                    mask | self.nearest_masks[node.index()]
                 }
             }
         };
         debug_assert_ne!(new_mask, 0);
         assignment.set_mask(node, new_mask);
     }
+}
+
+/// One uniform draw over the members of a non-empty mask, returned as a
+/// single-bit mask.
+fn draw_member(members: u64, rng: &mut dyn rand::RngCore) -> u64 {
+    let nth = rng.gen_range(0..members.count_ones() as usize);
+    1u64 << set_bits(members).nth(nth).expect("nth < member count")
 }
 
 impl Problem for ElevatorSubsetProblem {
@@ -156,9 +148,8 @@ impl Problem for ElevatorSubsetProblem {
         let masks: Vec<u64> = (0..self.node_count)
             .map(|i| {
                 let mut mask = self.nearest_masks[i];
-                let allowed = self.allowed_masks[i];
-                for bit in 0..self.elevator_count as u8 {
-                    if allowed & (1 << bit) != 0 && rng.gen_bool(self.extra_probability) {
+                for bit in set_bits(self.allowed_masks[i]) {
+                    if rng.gen_bool(self.extra_probability) {
                         mask |= 1 << bit;
                     }
                 }

@@ -118,12 +118,14 @@ impl SubsetAssignment {
         self.masks[node.index()].count_ones() as usize
     }
 
+    /// All raw masks, indexed by node.
+    pub(crate) fn masks(&self) -> &[u64] {
+        &self.masks
+    }
+
     /// Iterates over `node`'s subset in ascending elevator-id order.
     pub fn subset(&self, node: NodeId) -> impl Iterator<Item = ElevatorId> + '_ {
-        let mask = self.masks[node.index()];
-        (0..64u8)
-            .filter(move |&bit| mask & (1u64 << bit) != 0)
-            .map(ElevatorId)
+        set_bits(self.masks[node.index()]).map(ElevatorId)
     }
 
     /// `true` if `node`'s subset contains `elevator`.
@@ -170,8 +172,7 @@ impl SubsetAssignment {
             / self.masks.len() as f64
     }
 
-    /// Serialises as one hex mask per line (human-diffable; used by the
-    /// experiment harness to cache offline results).
+    /// Serialises as one hex mask per line (human-diffable).
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = format!("elevators {}\n", self.elevator_count);
@@ -208,6 +209,18 @@ impl SubsetAssignment {
         }
         Self::from_masks(masks, elevator_count)
     }
+}
+
+/// The positions of `mask`'s set bits, ascending: one step per member,
+/// not one per possible elevator.
+pub(crate) fn set_bits(mut mask: u64) -> impl Iterator<Item = u8> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as u8;
+            mask &= mask - 1;
+            bit
+        })
+    })
 }
 
 impl serde::Serialize for SubsetAssignment {

@@ -60,6 +60,9 @@ fn min_measured_energy_among(
 #[derive(Debug, Clone)]
 struct NodeState {
     subset: Vec<ElevatorId>,
+    /// `subset` minus the failed elevators, in the same order. Rebuilt
+    /// when a pillar's status changes, which is rare; read by every pick.
+    alive: Vec<ElevatorId>,
     /// One cost per elevator of the full set; only entries for elevators
     /// this router actually uses ever move away from zero.
     costs: Vec<f64>,
@@ -116,6 +119,7 @@ impl AdeleSelector {
                 let subset: Vec<ElevatorId> = assignment.subset(id).collect();
                 let costs = vec![0.0; elevators.len()];
                 NodeState {
+                    alive: subset.clone(),
                     subset,
                     costs,
                     rr: 0,
@@ -172,6 +176,12 @@ impl AdeleSelector {
     /// surviving elevator.
     pub fn set_elevator_failed(&mut self, elevator: ElevatorId, failed: bool) {
         self.failed.set(elevator, failed);
+        let failed = self.failed;
+        for state in &mut self.nodes {
+            state.alive.clear();
+            let survivors = state.subset.iter().filter(|&&e| !failed.contains(e));
+            state.alive.extend(survivors);
+        }
     }
 
     /// `true` if `elevator` is currently marked failed.
@@ -179,29 +189,23 @@ impl AdeleSelector {
     pub fn is_failed(&self, elevator: ElevatorId) -> bool {
         self.failed.contains(elevator)
     }
-
-    fn alive(&self, e: ElevatorId) -> bool {
-        !self.failed.contains(e)
-    }
 }
 
 impl ElevatorSelector for AdeleSelector {
     fn select(&mut self, ctx: &SelectionContext<'_>) -> ElevatorId {
         let failed = self.failed;
         let state = &mut self.nodes[ctx.src_id.index()];
-        let alive_subset: Vec<ElevatorId> = state
-            .subset
-            .iter()
-            .copied()
-            .filter(|&e| !failed.contains(e))
-            .collect();
+        let alive_subset = state.alive.as_slice();
 
         // Whole subset failed: fall back to the nearest surviving elevator
         // in the full set (fault-tolerance extension).
         if alive_subset.is_empty() {
             return ctx
                 .elevators
-                .nearest_among(ctx.src, ctx.elevators.ids().filter(|&e| self.alive(e)))
+                .nearest_among(
+                    ctx.src,
+                    ctx.elevators.ids().filter(|&e| !failed.contains(e)),
+                )
                 .unwrap_or_else(|| ctx.elevators.nearest(ctx.src));
         }
 

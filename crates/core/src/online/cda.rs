@@ -1,5 +1,5 @@
 use crate::online::{ElevatorSelector, SelectionContext};
-use noc_topology::{route, ElevatorId, ElevatorMask};
+use noc_topology::{Coord, ElevatorId, ElevatorMask};
 
 /// Tuning of the [`CdaSelector`] baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,6 +87,12 @@ impl CdaSelector {
     }
 }
 
+/// `from`, then each coordinate after it up to and including `to`, in
+/// whichever direction `to` lies.
+fn span(from: u8, to: u8) -> impl Iterator<Item = u8> {
+    (0..=from.abs_diff(to)).map(move |i| if to >= from { from + i } else { from - i })
+}
+
 impl Default for CdaSelector {
     fn default() -> Self {
         Self::new()
@@ -120,23 +126,28 @@ impl ElevatorSelector for CdaSelector {
             if failed.contains(id) {
                 continue;
             }
-            let pillar = route::ElevatorCoord::from_set(ctx.elevators, id);
+            let (pillar_x, pillar_y) = ctx.elevators.column(id);
             // Occupancy along source → elevator (source layer), including
             // the pillar router on the source layer. CDA's metric stops at
-            // the elevator: the destination plays no role.
-            let to_elevator = route::route_coords(
-                ctx.src,
-                noc_topology::Coord::new(pillar.x, pillar.y, ctx.src.z),
-                None,
-            );
+            // the elevator: the destination plays no role. The walk is the
+            // XY route — along the source's row, then along the pillar's
+            // column — and its order matters: each visit also refreshes
+            // that router's smoothed estimate, the source router's once
+            // per candidate pillar.
+            let (src, z) = (ctx.src, ctx.src.z);
+            let along_row = span(src.x, pillar_x).map(|x| Coord::new(x, src.y, z));
+            let along_column = span(src.y, pillar_y)
+                .skip(1)
+                .map(|y| Coord::new(pillar_x, y, z));
             let mut occupancy = 0.0;
-            for &coord in &to_elevator {
+            for coord in along_row.chain(along_column) {
                 let node = ctx.probe.node_at(coord);
                 let instantaneous = f64::from(ctx.probe.buffer_occupancy(node));
                 occupancy += self.sample(node, instantaneous);
             }
-            let mean_occupancy = occupancy / (to_elevator.len() as f64 * capacity);
+            // The walk visits both endpoints: `d_se + 1` routers.
             let d_se = ctx.elevators.xy_distance(ctx.src, id);
+            let mean_occupancy = occupancy / (f64::from(d_se + 1) * capacity);
             let score = self.config.congestion_weight * mean_occupancy
                 + self.config.distance_weight * (d_se as f64 / max_len);
             // Ties: closer elevator, then lower id — deterministic.
@@ -238,6 +249,55 @@ mod tests {
         // Despite the longer route, the clear e0 wins.
         assert_eq!(cda.select(&ctx), noc_topology::ElevatorId(0));
         assert_eq!(cda.name(), "CDA");
+    }
+
+    #[test]
+    fn occupancy_walk_visits_the_xy_route_in_order() {
+        use noc_topology::route;
+        use std::cell::RefCell;
+
+        /// Records every router whose occupancy is read.
+        struct Recorder {
+            mesh: Mesh3d,
+            visited: RefCell<Vec<Coord>>,
+        }
+        impl NetworkProbe for Recorder {
+            fn buffer_occupancy(&self, node: NodeId) -> u32 {
+                self.visited.borrow_mut().push(self.mesh.coord(node));
+                0
+            }
+            fn buffer_capacity_per_router(&self) -> u32 {
+                56
+            }
+            fn node_at(&self, coord: Coord) -> NodeId {
+                self.mesh.node_id(coord).expect("in mesh")
+            }
+        }
+
+        let mesh = Mesh3d::new(5, 4, 2).unwrap();
+        // Pillars east/west/north/south of the source, and one under it.
+        let elevators = ElevatorSet::new(&mesh, [(4, 3), (0, 0), (2, 1), (0, 3), (4, 0)]).unwrap();
+        let probe = Recorder {
+            mesh,
+            visited: RefCell::default(),
+        };
+        let src = Coord::new(2, 1, 1);
+        let dst = Coord::new(0, 0, 0);
+        let ctx = SelectionContext {
+            src_id: probe.node_at(src),
+            src,
+            dst_id: probe.node_at(dst),
+            dst,
+            elevators: &elevators,
+            probe: &probe,
+            cycle: 0,
+        };
+        let _ = CdaSelector::new().select(&ctx);
+        let expected: Vec<Coord> = elevators
+            .iter()
+            .flat_map(|(_, (x, y))| route::route_coords(src, Coord::new(x, y, src.z), None))
+            .collect();
+        assert_eq!(*probe.visited.borrow(), expected);
     }
 
     #[test]

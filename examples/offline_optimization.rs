@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // Serialise the latency-leaning pick the way the harness caches it.
+    // The latency-leaning pick round-trips through its text form.
     let pick = result.select(SelectionStrategy::LatencyLeaning);
     let text = pick.assignment.to_text();
     let round_trip = SubsetAssignment::from_text(&text)?;
