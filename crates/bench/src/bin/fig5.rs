@@ -5,15 +5,14 @@
 //! The paper's takeaway: AdEle reduces the load on the most-utilised
 //! elevator (the blue bar) by spreading traffic across the set.
 //!
-//! The per-policy runs execute on the `noc_exp` parallel pool; under
-//! `ADELE_QUICK=1` the binary re-runs them sequentially and asserts the
-//! pooled results are bit-identical. `--stream v1|v2` selects the
-//! workload stream (default the classic polled `v1`); the dump records
-//! the choice.
+//! The per-policy runs execute on the `noc_exp` parallel pool
+//! (`repro_all --verify` checks them against the sequential runs).
+//! `--stream v1|v2` selects the workload stream (default the classic
+//! polled `v1`); the dump records the choice.
 
 use adele_bench::{
-    dump_json, f2, f4, main_policies, offline_assignment, ok_or_die, print_table, quick_mode,
-    sim_config, stream_flag,
+    dump_json, f2, f4, main_policies, offline_assignment, ok_or_die, print_table, sim_config,
+    stream_flag,
 };
 use noc_exp::runner::{default_threads, par_map};
 use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
@@ -56,14 +55,6 @@ fn main() {
         )
     };
     let summaries = par_map(&policies, default_threads(), |_, policy| run_policy(policy));
-    if quick_mode() {
-        // Smoke runs double as the pool's equivalence check.
-        let sequential: Vec<RunSummary> = policies.iter().map(run_policy).collect();
-        assert_eq!(
-            summaries, sequential,
-            "pooled fig5 runs must match the sequential runs bit for bit"
-        );
-    }
 
     let mut bars = Vec::new();
     let mut rows = Vec::new();

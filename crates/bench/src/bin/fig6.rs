@@ -8,10 +8,9 @@
 //! congestion.
 //!
 //! The (regime × placement × policy) grid runs on the `noc_exp` parallel
-//! pool; under `ADELE_QUICK=1` the binary re-runs the grid sequentially
-//! and asserts the pooled results are bit-identical. `--stream v1|v2`
-//! selects the workload stream (default the classic polled `v1`); the
-//! dumps record the choice.
+//! pool (`repro_all --verify` checks it against the sequential grid).
+//! `--stream v1|v2` selects the workload stream (default the classic
+//! polled `v1`); the dumps record the choice.
 //!
 //! **Link-granular mode** (`fig6 --links`, or `ADELE_FIG6_LINKS=1`):
 //! instead of the aggregate cells, reproduce the figure at link
@@ -22,7 +21,7 @@
 use adele::online::ElevatorSelector;
 use adele_bench::{
     dump_json, f2, f4, fig6_rates, main_policies, offline_assignment, ok_or_die, phases,
-    print_table, quick_mode, results_dir, sim_config, stream_flag,
+    print_table, results_dir, sim_config, stream_flag,
 };
 use noc_energy::{HeatmapReport, LinkEnergyReport};
 use noc_exp::runner::{default_threads, par_map};
@@ -115,14 +114,6 @@ fn standard_mode(stream: StreamVersion) {
     let jobs = grid(low.into_iter().chain(high));
 
     let summaries = par_map(&jobs, default_threads(), |_, job| run_job(job, stream));
-    if quick_mode() {
-        // Smoke runs double as the pool's equivalence check.
-        let sequential: Vec<RunSummary> = jobs.iter().map(|job| run_job(job, stream)).collect();
-        assert_eq!(
-            summaries, sequential,
-            "pooled fig6 grid must match the sequential grid bit for bit"
-        );
-    }
 
     let mut cells = Vec::new();
     let mut cursor = 0;

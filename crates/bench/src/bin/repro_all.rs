@@ -11,9 +11,11 @@
 //! Usage: `repro_all [--jobs N] [--verify]`
 //!
 //! * `--jobs N` — worker processes (default: available cores).
-//! * `--verify` — run the suite twice, sequentially and on the pool, and
-//!   fail unless every harness printed byte-identical output both times
-//!   (the bit-identity contract, cheap under `ADELE_QUICK=1`).
+//! * `--verify` — run the suite twice, on the pool and then fully
+//!   sequentially (one harness at a time, each with `NOC_THREADS=1` so
+//!   its inner `par_map` grid is a plain loop too), and fail unless every
+//!   harness printed byte-identical output both times (the bit-identity
+//!   contract, cheap under `ADELE_QUICK=1`).
 //!
 //! Respects `ADELE_QUICK=1` like the individual binaries.
 
@@ -41,14 +43,19 @@ struct HarnessRun {
 }
 
 /// Runs the whole suite on `jobs` workers; results in suite order.
-fn run_suite(bin_dir: &Path, jobs: usize) -> Vec<HarnessRun> {
+/// `sequential_inside` pins the harnesses' own worker pools to one
+/// thread (`NOC_THREADS=1`), so nothing in the pass runs in parallel.
+fn run_suite(bin_dir: &Path, jobs: usize, sequential_inside: bool) -> Vec<HarnessRun> {
     par_map(&EXPERIMENTS, jobs, |_, &name| {
         // Chaos injection is a property of the supervised sweeps, not of
         // the figure harnesses: a NOC_CHAOS set for the parent must not
         // leak into children and corrupt the paper reproductions.
-        let output = Command::new(bin_dir.join(name))
-            .env_remove("NOC_CHAOS")
-            .output();
+        let mut command = Command::new(bin_dir.join(name));
+        command.env_remove("NOC_CHAOS");
+        if sequential_inside {
+            command.env("NOC_THREADS", "1");
+        }
+        let output = command.output();
         let run = match output {
             Ok(out) => HarnessRun {
                 name,
@@ -96,15 +103,16 @@ fn main() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(default_threads);
 
-    let runs = run_suite(&bin_dir, jobs);
+    let runs = run_suite(&bin_dir, jobs, false);
     print_suite(&runs);
 
     if verify {
-        // The contract the pool port rests on: worker count changes
-        // wall-clock time and nothing else. Re-run sequentially and
+        // The contract the pool port rests on: worker count — of this
+        // process fan-out and of each harness's own `par_map` — changes
+        // wall-clock time and nothing else. Re-run with both at one and
         // compare every harness's bytes.
         eprintln!("\n[repro_all] --verify: re-running sequentially…");
-        let sequential = run_suite(&bin_dir, 1);
+        let sequential = run_suite(&bin_dir, 1, true);
         for (par, seq) in runs.iter().zip(&sequential) {
             assert_eq!(par.name, seq.name);
             assert!(

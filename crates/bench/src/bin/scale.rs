@@ -9,17 +9,15 @@
 //! cycles/second and the process peak RSS are reported per point.
 //!
 //! Usage: `scale [--quick] [--stream v1|v2|both] [--shards 1,2,8]
-//! [--split] [--hud [--quiet]] [--resume]` (`ADELE_QUICK=1` works too; the default
+//! [--hud [--quiet]] [--resume]` (`ADELE_QUICK=1` works too; the default
 //! measures **both** streams so the batched-injection speedup is recorded
 //! next to the bit-stable baseline). `--shards` takes a comma-separated
 //! list of shard counts — results are bit-identical at every count, so
-//! the extra points only measure wall clock. `--split` additionally
-//! records the flight recorder's per-phase wall times (inject / compute /
-//! exchange / commit) per point, from which the serial/parallel (Amdahl)
-//! split the sharded-engine README section cites is derived. `--hud`
-//! renders a live progress panel on stderr between points (throughput,
-//! ETA, the last point's latency percentiles); `--quiet` degrades it to
-//! one line per point. Results land in `results/scale.json` under a
+//! the extra points only measure what the partition costs (the per-phase
+//! split of a cycle is the repo benchmark's `noc_sim.*_ns_per_cycle`
+//! rows). `--hud` renders a live progress panel on stderr between points
+//! (throughput, ETA, the last point's latency percentiles); `--quiet`
+//! degrades it to one line per point. Results land in `results/scale.json` under a
 //! `points` key, stamped with the `meta` provenance block (git tree, host
 //! shape, stream × shard grid).
 //!
@@ -53,42 +51,20 @@ struct ScalePoint {
     cycles_per_second: f64,
     injected_packets: u64,
     peak_rss_kb: Option<u64>,
-    /// Seconds generating/injecting traffic (`--split` only, serial).
-    inject_seconds: Option<f64>,
-    /// Seconds inside the parallelisable per-shard network phase
-    /// (`--split` only).
-    compute_seconds: Option<f64>,
-    /// Seconds exchanging and committing cross-shard boundary batches
-    /// (`--split` only; parallel wall time, zero when pooled workers
-    /// exchange internally).
-    exchange_seconds: Option<f64>,
-    /// Seconds in the serial commit/bookkeeping tail (`--split` only).
-    commit_seconds: Option<f64>,
-    /// Fraction of the step outside the parallelisable phases — the
-    /// Amdahl serial share (`--split` only).
-    serial_fraction: Option<f64>,
-    /// Mean end-to-end packet latency over the measured window (absent
-    /// under `--split`, which runs the phase-timed path instead).
-    avg_latency: Option<f64>,
+    /// Mean end-to-end packet latency over the measured window.
+    avg_latency: f64,
     /// Median end-to-end latency, bucket-resolved (see `RunSummary`).
-    latency_p50: Option<u64>,
+    latency_p50: u64,
     /// 99th-percentile end-to-end latency, bucket-resolved.
-    latency_p99: Option<u64>,
+    latency_p99: u64,
 }
 
 /// The ledger key of one grid point: FNV-1a over its grid coordinates and
 /// cycle budget (timings are results, not content).
-fn point_key(
-    mesh: &Mesh3d,
-    rate: f64,
-    stream: StreamVersion,
-    shards: usize,
-    cycles: u64,
-    split: bool,
-) -> u64 {
+fn point_key(mesh: &Mesh3d, rate: f64, stream: StreamVersion, shards: usize, cycles: u64) -> u64 {
     noc_exp::fnv1a(
         format!(
-            "scale|{}x{}x{}|{rate}|{stream}|{shards}|{cycles}|{split}",
+            "scale|{}x{}x{}|{rate}|{stream}|{shards}|{cycles}",
             mesh.x(),
             mesh.y(),
             mesh.layers(),
@@ -137,7 +113,6 @@ fn measure(
     stream: StreamVersion,
     shards: usize,
     cycles: u64,
-    split: bool,
 ) -> ScalePoint {
     let warmup = cycles / 10;
     let config = SimConfig::new(mesh, elevators.clone())
@@ -155,34 +130,9 @@ fn measure(
     reset_peak_rss();
     let mut sim = Simulator::from_input(config, traffic, Box::new(selector));
     ok_or_die(sim.advance(warmup), "scale warm-up");
-    let (wall, injected, phase, latency) = if split {
-        // The Amdahl probe: the flight recorder's phase timers split each
-        // step into inject (serial traffic generation), compute (the
-        // parallelisable per-shard network phase, worklist upkeep
-        // included), exchange (committing the staged arrivals and
-        // credits) and commit (the serial tail).
-        let (phase, total) = ok_or_die(sim.advance_phase_timed(cycles), "scale split window");
-        (
-            total.as_secs_f64(),
-            sim.packet_table().total_created(),
-            Some(phase),
-            None,
-        )
-    } else {
-        let start = Instant::now();
-        let summary = ok_or_die(sim.measure_window(cycles), "scale measure window");
-        (
-            start.elapsed().as_secs_f64(),
-            summary.injected_packets,
-            None,
-            Some((
-                summary.avg_latency,
-                summary.latency_p50,
-                summary.latency_p99,
-            )),
-        )
-    };
-    let secs = |d: std::time::Duration| d.as_secs_f64();
+    let start = Instant::now();
+    let summary = ok_or_die(sim.measure_window(cycles), "scale measure window");
+    let wall = start.elapsed().as_secs_f64();
     ScalePoint {
         mesh: format!("{}x{}x{}", mesh.x(), mesh.y(), mesh.layers()),
         nodes: mesh.node_count(),
@@ -193,16 +143,11 @@ fn measure(
         cycles,
         wall_seconds: wall,
         cycles_per_second: cycles as f64 / wall,
-        injected_packets: injected,
+        injected_packets: summary.injected_packets,
         peak_rss_kb: peak_rss_kb(),
-        inject_seconds: phase.map(|p| secs(p.inject)),
-        compute_seconds: phase.map(|p| secs(p.compute)),
-        exchange_seconds: phase.map(|p| secs(p.exchange)),
-        commit_seconds: phase.map(|p| secs(p.commit)),
-        serial_fraction: phase.map(|p| 1.0 - (secs(p.compute) + secs(p.exchange)) / wall),
-        avg_latency: latency.map(|(avg, _, _)| avg),
-        latency_p50: latency.map(|(_, p50, _)| p50),
-        latency_p99: latency.map(|(_, _, p99)| p99),
+        avg_latency: summary.avg_latency,
+        latency_p50: summary.latency_p50,
+        latency_p99: summary.latency_p99,
     }
 }
 
@@ -227,7 +172,7 @@ fn stream_selection(args: &[String]) -> Vec<StreamVersion> {
     }
 }
 
-/// Parses `--shards 1,2,8` (default `1`, the sequential engine).
+/// Parses `--shards 1,2,8` (default `1`, the single-slab engine).
 fn shard_selection(args: &[String]) -> Vec<usize> {
     let Some(at) = args.iter().position(|a| a == "--shards") else {
         return vec![1];
@@ -250,7 +195,6 @@ fn shard_selection(args: &[String]) -> Vec<usize> {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = quick_mode() || args.iter().any(|a| a == "--quick");
-    let split = args.iter().any(|a| a == "--split");
     let resume = args.iter().any(|a| a == "--resume");
     let streams = stream_selection(&args);
     let shard_counts = shard_selection(&args);
@@ -316,7 +260,7 @@ fn main() {
                         mesh.y(),
                         mesh.layers(),
                     );
-                    let key = point_key(&mesh, rate, stream, shards, cycles, split);
+                    let key = point_key(&mesh, rate, stream, shards, cycles);
                     if let Some(point) = ledger.as_ref().and_then(|l| l.lookup(key)) {
                         beat(&mut hud, index, &label, "cached", serde::Value::Null);
                         index += 1;
@@ -324,25 +268,30 @@ fn main() {
                         continue;
                     }
                     beat(&mut hud, index, &label, "started", serde::Value::Null);
-                    let point = measure(mesh, &elevators, rate, stream, shards, cycles, split);
+                    let point = measure(mesh, &elevators, rate, stream, shards, cycles);
                     if let Some(ledger) = ledger.as_mut() {
                         if let Err(e) = ledger.record(key, &point) {
                             eprintln!("scale: ledger append failed: {e}");
                         }
                     }
-                    let mut detail = vec![(
-                        "run_ns".to_string(),
-                        serde::Value::UInt((point.wall_seconds * 1e9) as u64),
-                    )];
-                    if let Some(avg) = point.avg_latency {
-                        detail.push(("avg_latency".to_string(), serde::Value::Float(avg)));
-                    }
-                    if let Some(p50) = point.latency_p50 {
-                        detail.push(("latency_p50".to_string(), serde::Value::UInt(p50)));
-                    }
-                    if let Some(p99) = point.latency_p99 {
-                        detail.push(("latency_p99".to_string(), serde::Value::UInt(p99)));
-                    }
+                    let detail = vec![
+                        (
+                            "run_ns".to_string(),
+                            serde::Value::UInt((point.wall_seconds * 1e9) as u64),
+                        ),
+                        (
+                            "avg_latency".to_string(),
+                            serde::Value::Float(point.avg_latency),
+                        ),
+                        (
+                            "latency_p50".to_string(),
+                            serde::Value::UInt(point.latency_p50),
+                        ),
+                        (
+                            "latency_p99".to_string(),
+                            serde::Value::UInt(point.latency_p99),
+                        ),
+                    ];
                     beat(
                         &mut hud,
                         index,
@@ -352,15 +301,12 @@ fn main() {
                     );
                     index += 1;
                     println!(
-                        "{:>9}  rate {:.4}  {}  k={:<3}  {:>12.0} cycles/s{}  peak RSS {}",
+                        "{:>9}  rate {:.4}  {}  k={:<3}  {:>12.0} cycles/s  peak RSS {}",
                         point.mesh,
                         rate,
                         point.stream,
                         shards,
                         point.cycles_per_second,
-                        point
-                            .serial_fraction
-                            .map_or(String::new(), |f| format!("  serial {:.1}%", f * 100.0)),
                         point
                             .peak_rss_kb
                             .map_or("n/a".to_string(), |kb| format!("{} MB", kb / 1024)),
@@ -375,7 +321,7 @@ fn main() {
     print_table(
         &[
             "mesh", "nodes", "pillars", "rate", "stream", "shards", "cycles", "kcyc/s", "inj",
-            "serial%", "rss_mb",
+            "rss_mb",
         ],
         &points
             .iter()
@@ -390,7 +336,6 @@ fn main() {
                     p.cycles.to_string(),
                     f1(p.cycles_per_second / 1e3),
                     p.injected_packets.to_string(),
-                    p.serial_fraction.map_or("-".into(), |f| f1(f * 100.0)),
                     p.peak_rss_kb
                         .map_or("n/a".into(), |kb| (kb / 1024).to_string()),
                 ]

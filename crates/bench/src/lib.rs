@@ -17,7 +17,8 @@ use noc_sim::SimConfig;
 use noc_topology::placement::Placement;
 use noc_traffic::StreamVersion;
 use serde::Serialize;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 
 /// `true` when `ADELE_QUICK=1` — shorter windows everywhere.
 #[must_use]
@@ -262,14 +263,29 @@ pub fn results_dir() -> PathBuf {
     root.join("results")
 }
 
-/// Dumps a serialisable result to `results/<name>.json` (best effort).
-/// The write is atomic ([`noc_exp::atomic_write`]): a crash mid-dump
-/// leaves the previous file intact, never a torn one.
+/// Dumps a serialisable result to `results/<name>.json`, or exits with
+/// code 3 after naming the failure on stderr (the [`ok_or_die`]
+/// convention): a figure whose dump could not be written must not exit 0
+/// over a stale file.
 pub fn dump_json<T: Serialize>(name: &str, value: &T) {
-    let dir = results_dir();
-    if let Ok(json) = serde_json::to_string_pretty(value) {
-        let _ = noc_exp::atomic_write(&dir.join(format!("{name}.json")), &json);
+    if let Err(e) = try_dump_json(&results_dir(), name, value) {
+        eprintln!("error: writing results/{name}.json: {e}");
+        std::process::exit(3);
     }
+}
+
+/// Writes `value` as pretty JSON to `<dir>/<name>.json`. The write is
+/// atomic ([`noc_exp::atomic_write`]): a crash mid-dump leaves the
+/// previous file intact, never a torn one.
+///
+/// # Errors
+///
+/// Returns the serialisation failure (as `InvalidData`) or the I/O error
+/// of creating `dir` or writing the file.
+pub fn try_dump_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> io::Result<()> {
+    let json = serde_json::to_string_pretty(value)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+    noc_exp::atomic_write(&dir.join(format!("{name}.json")), &json)
 }
 
 /// Unwraps a simulation result in a trusted figure binary, or exits with
@@ -392,6 +408,18 @@ mod tests {
         assert!(meta.host_cores >= 1);
         assert_eq!(meta.streams, vec!["v1", "v2"]);
         assert_eq!(meta.shard_counts, vec![1, 8]);
+    }
+
+    #[test]
+    fn dump_into_a_regular_file_is_an_error() {
+        let occupied = std::env::temp_dir().join(format!("adele_dump_{}", std::process::id()));
+        std::fs::write(&occupied, "not a directory").unwrap();
+        let outcome = try_dump_json(&occupied, "fig", &vec![1u32, 2]);
+        std::fs::remove_file(&occupied).unwrap();
+        assert!(
+            outcome.is_err(),
+            "a dump that cannot be written must say so"
+        );
     }
 
     #[test]

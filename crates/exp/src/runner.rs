@@ -21,13 +21,53 @@ pub type SyncInputFactory<'a> = dyn Fn(f64) -> TrafficInput + Sync + 'a;
 /// A selector factory shareable across worker threads.
 pub type SyncSelectorFactory<'a> = dyn Fn() -> Box<dyn ElevatorSelector> + Sync + 'a;
 
-/// Default worker count: [`noc_sim::worker_threads`], i.e. the host's
-/// available parallelism unless pinned via the `NOC_THREADS` environment
-/// variable. Sharing one knob with the sharded stepping engine lets CI
-/// pin every pool in the workspace deterministically.
+/// Default worker count of the `noc_exp` pools ([`par_map`], the
+/// supervised batch runner): the one place the workspace sizes a thread
+/// pool, so CI (and any reproduction script) pins parallelism with one
+/// environment variable. The simulator itself is single-threaded.
+///
+/// Resolution order:
+/// 1. `NOC_THREADS` (a positive integer, surrounding whitespace allowed)
+///    — the deterministic override CI uses regardless of the host's core
+///    count;
+/// 2. the host's available parallelism;
+/// 3. `1` when neither is known.
+///
+/// A set-but-unusable `NOC_THREADS` (garbage text, or `0`, which has no
+/// meaning here — use `1` for sequential) is rejected with a one-time
+/// stderr warning naming the offending value, then falls back to the
+/// host count. Silent fallback used to mask typos like
+/// `NOC_THREADS=O2`, which quietly unpinned CI runs.
+///
+/// Read fresh on every call (no caching).
 #[must_use]
 pub fn default_threads() -> usize {
-    noc_sim::worker_threads()
+    let host = std::thread::available_parallelism().map_or(1, usize::from);
+    let raw = std::env::var("NOC_THREADS").ok();
+    parse_threads(raw.as_deref(), host).unwrap_or_else(|why| {
+        // Once per process, so per-sweep resolution cannot flood stderr
+        // with the same typo thousands of times.
+        static WARNED: std::sync::Once = std::sync::Once::new();
+        WARNED.call_once(|| {
+            let raw = raw.as_deref().unwrap_or_default();
+            eprintln!(
+                "warning: ignoring NOC_THREADS={raw:?} ({why}); falling back to host parallelism"
+            );
+        });
+        host
+    })
+}
+
+/// The `NOC_THREADS` grammar, apart from the environment: the worker
+/// count for the variable's value `raw` (`None` = unset) on a host with
+/// `host` cores, or why a set value is unusable.
+fn parse_threads(raw: Option<&str>, host: usize) -> Result<usize, &'static str> {
+    match raw.map(|raw| raw.trim().parse::<usize>()) {
+        None => Ok(host),
+        Some(Ok(0)) => Err("0 is not a worker count (use 1 for sequential)"),
+        Some(Ok(n)) => Ok(n),
+        Some(Err(_)) => Err("not a positive integer"),
+    }
 }
 
 /// Applies `f` to every item on a pool of `threads` scoped workers and
@@ -105,6 +145,18 @@ mod tests {
     use crate::scenario::{Scenario, WorkloadKind};
     use crate::supervise::{run_batch_supervised, PointOutcome, Supervision};
     use noc_topology::{ElevatorSet, Mesh3d};
+
+    #[test]
+    fn env_override_wins_and_garbage_falls_through() {
+        assert_eq!(parse_threads(Some("3"), 8), Ok(3));
+        assert_eq!(parse_threads(Some(" 2\n"), 8), Ok(2));
+        assert_eq!(parse_threads(None, 8), Ok(8), "unset means the host");
+        assert!(parse_threads(Some("0"), 8).is_err(), "zero is rejected");
+        assert!(parse_threads(Some("not-a-number"), 8).is_err());
+        assert!(parse_threads(Some(""), 8).is_err());
+        assert!(parse_threads(Some("-1"), 8).is_err());
+        assert!(default_threads() >= 1);
+    }
 
     #[test]
     fn par_map_preserves_input_order() {

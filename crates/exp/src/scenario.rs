@@ -479,10 +479,10 @@ pub struct Scenario {
     pub seed: u64,
     /// Timed events delivered mid-run.
     pub events: Vec<Event>,
-    /// Mesh shard count for intra-run parallel stepping (1 = sequential,
-    /// 0 = auto-size to the worker count). Results are bit-identical at
-    /// every value; this is purely a wall-clock knob, so older spec
-    /// files without the field parse as sequential.
+    /// Mesh shard count: how many router ranges the fabric is partitioned
+    /// into (1 = one slab; 0 means 1). Shards are stepped one after
+    /// another and results are bit-identical at every value, so older
+    /// spec files without the field parse as 1.
     pub shards: usize,
     /// Opt-in flight-recorder settings; `None` (the default) leaves the
     /// spec's serialised form — and the run — exactly as before.
@@ -598,8 +598,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the mesh shard count (1 = sequential, 0 = auto). Bit-identical
-    /// results at every value — this only trades wall-clock for cores.
+    /// Sets the mesh shard count (1 = one slab; 0 means 1). Bit-identical
+    /// results at every value.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;

@@ -15,11 +15,9 @@ use std::time::Duration;
 ///
 /// * `inject` — command dispatch + traffic generation + injection,
 /// * `compute` — per-shard phase 1: routing/arbitration, NI injection
-///   and worklist re-arming in one pass (on the pooled path this also
-///   covers the exchange, which happens inside workers),
+///   and worklist re-arming in one pass,
 /// * `exchange` — commits of the staged flit arrivals and credit
-///   returns, within and between shards, plus NI credit returns (inline
-///   path only; zero when pooled),
+///   returns, within and between shards, plus NI credit returns,
 /// * `commit` — global effect replay + bookkeeping (`finish_cycle` and
 ///   `post_step`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -28,7 +26,7 @@ pub struct PhaseTimes {
     pub inject: Duration,
     /// Per-shard compute phase.
     pub compute: Duration,
-    /// Boundary exchange phase (inline sharded path only).
+    /// Boundary exchange phase.
     pub exchange: Duration,
     /// Serial commit phase (effect replay + statistics).
     pub commit: Duration,
@@ -93,8 +91,10 @@ pub struct WindowDelta {
 impl WindowDelta {
     /// The `aux` object of a `window` record: shard-layout- and
     /// host-dependent gauges, compared for key presence only on replay.
+    /// `pooled` is a schema-2 key kept for journal compatibility; shards
+    /// are always stepped on the calling thread, so it is always `false`.
     #[must_use]
-    pub fn aux_value(&self, pooled: bool) -> Value {
+    pub fn aux_value(&self) -> Value {
         Value::Object(vec![
             ("cycles".to_string(), Value::UInt(self.cycles)),
             (
@@ -109,7 +109,7 @@ impl WindowDelta {
                 "shard_busy".to_string(),
                 Value::Array(self.shard_busy.iter().map(|&b| Value::UInt(b)).collect()),
             ),
-            ("pooled".to_string(), Value::Bool(pooled)),
+            ("pooled".to_string(), Value::Bool(false)),
         ])
     }
 }
@@ -254,7 +254,7 @@ mod tests {
             boundary_credits: 2,
             shard_busy: vec![3, 4],
         };
-        let Value::Object(aux) = delta.aux_value(false) else {
+        let Value::Object(aux) = delta.aux_value() else {
             panic!("aux must be an object")
         };
         let keys: Vec<&str> = aux.iter().map(|(k, _)| k.as_str()).collect();

@@ -46,12 +46,11 @@ pub struct SimConfig {
     /// per-delivery `Option` check (and zeroes the summary's percentile
     /// fields) for harnesses that want the absolute minimum hot path.
     pub histograms: bool,
-    /// Router shards stepped in parallel (layer ranges, or XY row-bands
-    /// when the mesh has fewer layers than shards). `1` (the default) is
-    /// the sequential engine; `0` asks for one shard per available worker
-    /// ([`crate::worker_threads`]). Results never depend on this knob —
-    /// only wall-clock does (see the sharded-engine determinism contract
-    /// on [`crate::Network`]).
+    /// Router shards the fabric is partitioned into (layer ranges, or XY
+    /// row-bands when the mesh has fewer layers than shards), stepped one
+    /// after another. `1` (the default) is the single-slab engine; `0`
+    /// means 1. Results never depend on this knob (see the sharded-engine
+    /// determinism contract on [`crate::Network`]).
     pub shards: usize,
 }
 
@@ -135,8 +134,7 @@ impl SimConfig {
         self
     }
 
-    /// Sets the shard count (`1` sequential, `0` auto — one shard per
-    /// available worker).
+    /// Sets the shard count (`1` single-slab; `0` means 1).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;

@@ -10,7 +10,7 @@
 //! keep going; harness binaries print them and exit nonzero.
 //!
 //! The diagnostics are deterministic: because runs are functions of
-//! `(config, seed)` at every shard and worker count, an induced deadlock
+//! `(config, seed)` at every shard count, an induced deadlock
 //! fires at the same cycle with the same digest everywhere — which is
 //! what makes these errors *testable* values rather than log lines.
 
@@ -88,7 +88,7 @@ impl SimError {
     }
 
     /// The state digest of the failed run — bit-identical across shard
-    /// and worker counts for the same `(config, seed)`.
+    /// counts for the same `(config, seed)`.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         match self {

@@ -48,13 +48,11 @@ mod error;
 mod flit;
 mod network;
 mod obs;
-mod pool;
 mod scheduler;
 mod shard;
 mod sim;
 mod stats;
 mod table;
-mod threads;
 
 pub mod harness;
 pub mod hooks;
@@ -74,4 +72,3 @@ pub use obs::Tracer;
 pub use sim::{Simulator, TrafficInput};
 pub use stats::{RunSummary, StatsCollector};
 pub use table::PacketTable;
-pub use threads::worker_threads;

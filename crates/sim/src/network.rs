@@ -27,9 +27,8 @@
 //! returns. [`Network::finish_cycle`] closes the cycle serially. The
 //! simulator's one cycle body calls the three in that order and, when
 //! someone is watching, laps a clock between them: those laps are the
-//! `compute`, `exchange` and `commit` phases of `PhaseTimes` and of
-//! `scale --split` — worklist upkeep is compute time, and exchange is
-//! commit work only.
+//! `compute`, `exchange` and `commit` phases of `PhaseTimes` — worklist
+//! upkeep is compute time, and exchange is commit work only.
 //!
 //! # Sharded stepping
 //!
@@ -44,18 +43,18 @@
 //! the one commit boundary a cycle always imposed.
 //!
 //! The determinism contract (proved by `tests/shard_equivalence.rs`):
-//! a run is a function of `(config, seed)` — the shard count and worker
-//! count never affect any architectural state, statistic or telemetry
-//! counter, because staged effects of one cycle commute (see the `shard`
-//! module docs) and everything order-sensitive is replayed in global
-//! router order by [`Network::finish_cycle`]. `k = 1` runs the original
-//! single-slab data path inline.
+//! a run is a function of `(config, seed)` — the shard count never
+//! affects any architectural state, statistic or telemetry counter,
+//! because staged effects of one cycle commute (see the `shard` module
+//! docs) and everything order-sensitive is replayed in global router
+//! order by [`Network::finish_cycle`]. `k = 1` runs the original
+//! single-slab data path.
 //!
-//! With more than one shard and more than one worker thread available
-//! (see [`crate::worker_threads`]), the simulator drives phase 1 and the
-//! boundary exchange on a persistent thread pool; shard ownership moves
-//! to the workers and back each cycle, so the engine stays 100% safe
-//! Rust with no shared mutable state.
+//! Shards are stepped one after another on the calling thread: this
+//! crate spawns no thread and reads no environment variable. The
+//! partition is the seam a parallel executor would use (phase 1 of
+//! different shards shares nothing mutable); parallelism itself lives in
+//! `noc_exp`'s sweep pool, across independent runs.
 //!
 //! # Dense hot-path state
 //!
@@ -91,14 +90,12 @@
 //! [`FlitArena`]: crate::arena::FlitArena
 
 use crate::flit::PacketId;
-use crate::pool::ShardPool;
 use crate::shard::{shard_bounds, Effect, LaneCount, ShardState, Topo, LOCAL, PORTS, VCS};
 use crate::stats::StatsCollector;
 use crate::table::PacketTable;
 use adele::online::{Cycle, NetworkProbe, SourceFeedback};
 use noc_energy::{EnergyLedger, LinkId, LinkLedger, LinkMap};
 use noc_topology::{Coord, Direction, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
-use std::sync::Arc;
 
 /// The network fabric: routers, links, credits and NI queues, partitioned
 /// into one or more shards.
@@ -119,13 +116,10 @@ pub struct Network {
     /// space of the per-link energy telemetry.
     links: LinkMap,
     /// Shared immutable lookup tables (coords, neighbours, telemetry
-    /// lanes, shard map) — one copy for all shards and pool workers.
-    topo: Arc<Topo>,
-    /// The router partition, ascending contiguous node ranges. Boxed so
-    /// ownership can shuttle to pool workers without moving the (large)
-    /// state itself.
-    #[allow(clippy::vec_box)]
-    shards: Vec<Box<ShardState>>,
+    /// lanes, shard map) — one copy for all shards.
+    topo: Topo,
+    /// The router partition, ascending contiguous node ranges.
+    shards: Vec<ShardState>,
 }
 
 impl Network {
@@ -139,11 +133,9 @@ impl Network {
         Self::new_sharded(mesh, elevators, buffer_depth, 1)
     }
 
-    /// Builds an idle network partitioned into `shards` ranges (`0` asks
-    /// for one shard per available worker, see [`crate::worker_threads`]).
-    /// The request is clamped to the router count (and the shard-map
-    /// width, 255). Shard layout never affects results — only how the
-    /// stepping work can be spread over threads.
+    /// Builds an idle network partitioned into `shards` ranges, clamped
+    /// to `1 ..=` the router count (and the shard-map width, 255). Shard
+    /// layout never affects results.
     ///
     /// # Panics
     ///
@@ -157,12 +149,7 @@ impl Network {
     ) -> Self {
         assert!(buffer_depth >= 1, "buffers need at least one slot");
         let n = mesh.node_count();
-        let requested = if shards == 0 {
-            crate::threads::worker_threads()
-        } else {
-            shards
-        };
-        let k = requested.clamp(1, n.min(255));
+        let k = shards.clamp(1, n.min(255));
         let coords: Vec<Coord> = mesh.coords().collect();
         // The link map decides which links exist (vertical links only on
         // elevator pillars); the router fabric mirrors it port for port so
@@ -175,9 +162,9 @@ impl Network {
                 *node = s as u8;
             }
         }
-        let topo = Arc::new(Topo::new(coords, &links, shard_of, buffer_depth));
+        let topo = Topo::new(coords, &links, shard_of, buffer_depth);
         let shards = (0..k)
-            .map(|s| Box::new(ShardState::new(s, bounds[s], bounds[s + 1], k, &topo)))
+            .map(|s| ShardState::new(s, bounds[s], bounds[s + 1], k, &topo))
             .collect();
         Self {
             mesh,
@@ -213,11 +200,6 @@ impl Network {
     #[must_use]
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The shared topology tables (for the pool workers).
-    pub(crate) fn topo_handle(&self) -> Arc<Topo> {
-        Arc::clone(&self.topo)
     }
 
     /// Marks elevator `id` failed (`failed == true`) or repaired.
@@ -285,8 +267,7 @@ impl Network {
 
     /// Advances the network by one cycle: phase 1, the exchange, then the
     /// serial tail — the plain composition of the three calls the
-    /// simulator's cycle body makes (with the pool standing in for the
-    /// first two when there is one).
+    /// simulator's cycle body makes.
     ///
     /// Returns `true` if any flit moved (progress indicator for the
     /// deadlock watchdog). Source-departure feedback events are appended to
@@ -344,24 +325,6 @@ impl Network {
             shard.finish_commit(topo);
         }
         (boundary_flits, boundary_credits)
-    }
-
-    /// Phase 1 and the exchange, run on the worker pool: shard ownership
-    /// (and a read-only view of the packet table) moves to the workers and
-    /// back. The workers exchange boundary batches among themselves, so
-    /// neither the split nor the boundary volumes are observable here.
-    pub(crate) fn step_compute_pooled(
-        &mut self,
-        pool: &mut ShardPool,
-        packets: &mut PacketTable,
-        cycle: Cycle,
-        armed: bool,
-    ) {
-        let table = std::mem::take(packets);
-        let shared = Arc::new(table);
-        pool.run_cycle(&mut self.shards, &shared, cycle, armed);
-        // Workers dropped their handles before reporting done.
-        *packets = Arc::try_unwrap(shared).expect("pool workers released the packet table");
     }
 
     /// The serial tail of a cycle: replays the shards' deferred
@@ -504,7 +467,7 @@ impl Network {
     /// Samples the fabric-occupancy histograms at a window boundary: one
     /// queue-depth sample per router, one VC-occupancy sample per input
     /// lane. Pure functions of committed cycle state in global node order,
-    /// so the samples are bit-identical across shard and worker counts.
+    /// so the samples are bit-identical across shard counts.
     pub(crate) fn sample_fabric(&self, fabric: &mut noc_obs::FabricHists) {
         for shard in &self.shards {
             for rel in 0..shard.routers.len() {
@@ -523,7 +486,7 @@ impl Network {
     /// Routers on the committed next-cycle worklist — the number of
     /// routers that will do work next cycle. A deterministic gauge: the
     /// worklist bitmaps are part of the hashed fabric state, so the count
-    /// is bit-identical across shard and worker counts.
+    /// is bit-identical across shard counts.
     #[must_use]
     pub fn worklist_occupancy(&self) -> u64 {
         self.shards
@@ -1166,17 +1129,16 @@ mod tests {
         /// credit and commits the arrival through the real commit path,
         /// so conservation and the derived bitmaps stay exact.
         fn feed(&mut self, node: NodeId, port: Direction, packet: PacketId, kind: FlitKind) {
-            let topo = Arc::clone(&self.net.topo);
+            let Network { topo, shards, .. } = &mut self.net;
             let link = *topo.link(node.index(), port.index());
             let up = link.peer().expect("fed port has an upstream").index();
-            let shard = &mut self.net.shards[topo.shard_of[up] as usize];
+            let shard = &mut shards[topo.shard_of[up] as usize];
             shard.routers[up - shard.lo].credits[link.peer_port as usize][VC] -= 1;
             let mut batch = BoundaryBatch {
                 arrivals: vec![(node, port.index() as u8, VC as u8, Flit { packet, kind })],
                 credits: Vec::new(),
             };
-            self.net.shards[topo.shard_of[node.index()] as usize]
-                .commit_batch(&topo, &mut batch, true);
+            shards[topo.shard_of[node.index()] as usize].commit_batch(topo, &mut batch, true);
             self.net.check_flow_conservation().unwrap();
         }
 

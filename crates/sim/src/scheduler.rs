@@ -89,7 +89,7 @@ impl InjectionScheduler {
 
     /// Injections currently sitting in prefetched calendar buckets — a
     /// deterministic function of the source stream and the current cycle
-    /// (shard and worker counts never touch the calendar), surfaced as a
+    /// (the shard count never touches the calendar), surfaced as a
     /// trace-window gauge.
     pub(crate) fn calendar_depth(&self) -> u64 {
         self.buckets.iter().map(|b| b.len() as u64).sum()

@@ -221,9 +221,8 @@ impl PortLink {
     }
 }
 
-/// Immutable per-run lookup tables shared by every shard (and, under the
-/// thread pool, by every worker via `Arc`).
-#[derive(Debug)]
+/// Immutable per-run lookup tables shared by every shard.
+#[derive(Debug, Clone)]
 pub(crate) struct Topo {
     pub(crate) coords: Vec<Coord>,
     /// The flat link table, `links[node * PORTS + port]`, mirrored port
@@ -326,13 +325,7 @@ pub(crate) struct BoundaryBatch {
     pub(crate) credits: Vec<(NodeId, u8, u8)>,
 }
 
-impl BoundaryBatch {
-    pub(crate) fn is_empty(&self) -> bool {
-        self.arrivals.is_empty() && self.credits.is_empty()
-    }
-}
-
-/// A packet-table/statistics side effect deferred out of the parallel
+/// A packet-table/statistics side effect deferred out of the per-shard
 /// phase, replayed by the cycle owner in global router order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Effect {

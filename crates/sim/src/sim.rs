@@ -6,7 +6,6 @@ use crate::flit::Packet;
 use crate::hooks::{EventSchedule, SimCommand};
 use crate::network::Network;
 use crate::obs::{command_record, Tracer};
-use crate::pool::ShardPool;
 use crate::scheduler::InjectionScheduler;
 use crate::stats::{RunSummary, StatsCollector};
 use crate::table::PacketTable;
@@ -85,11 +84,6 @@ pub struct Simulator {
     schedule: EventSchedule,
     /// This cycle's staged injections, reused across cycles.
     pending: Vec<(NodeId, InjectionRequest)>,
-    /// The worker pool driving multi-shard networks — present only when
-    /// both the shard count and the worker budget exceed one. Purely a
-    /// wall-clock accelerator: pooled and inline stepping are
-    /// bit-identical (the sharded-engine determinism contract).
-    pool: Option<ShardPool>,
     /// The attached flight recorder. `None` (the default) runs the cycle
     /// body unwatched — no clock, no registry; `Some` runs the same body
     /// watched and books every cycle here.
@@ -147,12 +141,6 @@ impl Simulator {
             config.buffer_depth,
             config.shards,
         );
-        let pool = if net.shard_count() > 1 {
-            let workers = crate::threads::worker_threads().min(net.shard_count());
-            (workers > 1).then(|| ShardPool::new(&net.topo_handle(), net.shard_count(), workers))
-        } else {
-            None
-        };
         if !config.histograms {
             net.set_histograms(false);
         }
@@ -176,7 +164,6 @@ impl Simulator {
             feedbacks: Vec::new(),
             schedule: EventSchedule::new(),
             pending: Vec::new(),
-            pool,
             tracer: None,
             cycle: 0,
             last_progress: 0,
@@ -369,14 +356,13 @@ impl Simulator {
         }
     }
 
-    /// The one cycle body: due commands → injection → network compute
-    /// (the pool, or inline phase 1 then the exchange) → the serial tail
-    /// → [`Self::post_step`]. `WATCHED` is a compile-time choice: the
-    /// unwatched instantiation reads no clock, journals nothing and
-    /// returns zeros; the watched one journals each fired command to the
-    /// attached tracer (if any), laps a wall clock at every phase boundary
-    /// and books the shards' busy flags. Simulation state evolves
-    /// bit-identically either way.
+    /// The one cycle body: due commands → injection → phase 1 → the
+    /// exchange → the serial tail → [`Self::post_step`]. `WATCHED` is a
+    /// compile-time choice: the unwatched instantiation reads no clock,
+    /// journals nothing and returns zeros; the watched one journals each
+    /// fired command to the attached tracer (if any), laps a wall clock at
+    /// every phase boundary and books the shards' busy flags. Simulation
+    /// state evolves bit-identically either way.
     ///
     /// A cycle inside a [`SimCommand::FreezeFabric`] wedge leaves before
     /// the network: commands fire and traffic queues at the NIs, but no
@@ -410,19 +396,10 @@ impl Simulator {
             return self.post_step(false).map(|()| sample);
         }
         let armed = self.stats.armed();
-        match &mut self.pool {
-            Some(pool) => {
-                self.net
-                    .step_compute_pooled(pool, &mut self.packets, self.cycle, armed);
-                sample.phase.compute = lap();
-            }
-            None => {
-                self.net.phase1(&self.packets, self.cycle, armed);
-                sample.phase.compute = lap();
-                (sample.boundary_flits, sample.boundary_credits) = self.net.exchange(armed);
-                sample.phase.exchange = lap();
-            }
-        }
+        self.net.phase1(&self.packets, self.cycle, armed);
+        sample.phase.compute = lap();
+        (sample.boundary_flits, sample.boundary_credits) = self.net.exchange(armed);
+        sample.phase.exchange = lap();
         let progress = self.net.finish_cycle(
             &mut self.packets,
             self.cycle,
@@ -467,9 +444,9 @@ impl Simulator {
     }
 
     /// Closes the metrics window and appends the `window` record: the
-    /// deterministic gauges under `det` (bit-identical across shard and
-    /// worker counts), the layout-dependent ones under `aux`, wall times
-    /// under `timing`.
+    /// deterministic gauges under `det` (bit-identical across shard
+    /// counts), the layout-dependent ones under `aux`, wall times under
+    /// `timing`.
     fn emit_window(&mut self) {
         let mut tracer = self.tracer.take().expect("windows close under a tracer");
         let delta = tracer.metrics_mut().close_window();
@@ -525,7 +502,7 @@ impl Simulator {
         tracer.write(&Record::Window {
             cycle: self.cycle,
             det,
-            aux: delta.aux_value(self.pool.is_some()),
+            aux: delta.aux_value(),
             timing: delta.phase.timing_value(),
         });
         // Schema v2: a `hist` record per window, carrying cumulative
@@ -611,12 +588,10 @@ impl Simulator {
     }
 
     /// Advances `cycles` watched cycles and sums their samples — the probe
-    /// behind the `scale` binary's per-phase (Amdahl) split measurement.
+    /// behind the benchmark's `noc_sim.*_ns_per_cycle` phase split.
     /// Returns the accumulated phase times and the total wall time.
     /// Semantically identical to [`Self::advance`] on a traced simulator,
-    /// journal included; on the pooled path the boundary exchange happens
-    /// inside the workers, so it books as compute and `exchange` stays
-    /// zero.
+    /// journal included.
     ///
     /// # Errors
     ///

@@ -162,7 +162,7 @@ pub struct RunSummary {
     /// Median end-to-end latency (cycles), resolved to its log2 bucket's
     /// upper bound (see `noc_obs::Hist::percentile`). All-integer and
     /// derived from the merged shard histograms, so bit-identical at any
-    /// shard/worker count. `0` when histograms are disabled.
+    /// shard count. `0` when histograms are disabled.
     pub latency_p50: u64,
     /// 90th-percentile end-to-end latency (cycles, bucket-resolved).
     pub latency_p90: u64,

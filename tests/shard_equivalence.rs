@@ -1,10 +1,10 @@
 //! Lockstep equivalence for the sharded stepping engine.
 //!
 //! The contract under test: a `k`-shard run is a *bit-identical* function
-//! of `(config, seed)` alone — the shard count (and the worker count the
-//! pool happens to use) never leaks into results. The suite pins this the
-//! strongest way available: two simulators built from the same config but
-//! different shard counts are stepped in lockstep and their committed
+//! of `(config, seed)` alone — the shard count never leaks into results.
+//! The suite pins this the strongest way available: two simulators built
+//! from the same config but different shard counts are stepped in
+//! lockstep and their committed
 //! network state is compared digest-for-digest **every cycle**, across
 //! random meshes and loads × {ElevFirst, CDA, AdEle} × random mid-run
 //! elevator fail/recover and a sub-watchdog fabric freeze × {v1, v2}
@@ -223,46 +223,6 @@ proptest! {
     }
 }
 
-/// The thread-pool execution path. On this suite's default environment
-/// the pool may never be built (`worker_threads()` can resolve to 1), so
-/// this test forces a multi-worker pool via `NOC_THREADS` and pins the
-/// pooled path against the sequential engine, digest-for-digest and
-/// summary-for-summary. The override only selects the execution path —
-/// results are shard- and worker-count-independent by construction, so
-/// leaking the variable to concurrently running tests cannot change any
-/// outcome (that independence is exactly what this suite proves).
-#[test]
-fn pooled_execution_is_bit_identical_to_sequential() {
-    let mesh = Mesh3d::new(4, 4, 3).unwrap();
-    let case = Case {
-        mesh,
-        elevators: ElevatorSet::new(&mesh, [(0, 0), (3, 3), (1, 2)]).unwrap(),
-        policy: SelectorSpec::ElevatorFirst,
-        v2: true,
-        rate: 0.003,
-        seed: 42,
-        fail_at: 250,
-        recover_after: 200,
-    };
-    std::env::set_var("NOC_THREADS", "3");
-    let mut seq = case.build(1);
-    let mut pooled = case.build(6); // 6 shards on 3 workers: 2 each
-    for cycle in 0..1_500u64 {
-        seq.step().unwrap();
-        pooled.step().unwrap();
-        assert_eq!(
-            pooled.network().state_digest(),
-            seq.network().state_digest(),
-            "cycle {cycle}: pooled execution diverged"
-        );
-    }
-    let summary_seq = case.run(1);
-    let summary_pooled = case.run(6);
-    std::env::remove_var("NOC_THREADS");
-    assert_eq!(summary_pooled, summary_seq);
-    assert!(summary_seq.delivered_packets > 0, "sanity: traffic flowed");
-}
-
 /// Whoever drives the watched cycle, the journal is the same: a traced
 /// simulator advanced by the phase-timed probe writes the `event` and
 /// `window` records that plain `advance` writes, equal on every
@@ -292,9 +252,8 @@ fn phase_timed_advance_journals_like_advance() {
     compare_journals(&want, &got).unwrap();
 }
 
-/// Shard-count edge cases resolve deterministically: `shards: 0` means
-/// "auto" (worker-count-sized, still bit-identical), and a request beyond
-/// the router count clamps instead of panicking.
+/// Shard-count edge cases resolve deterministically: `shards: 0` means 1,
+/// and a request beyond the router count clamps instead of panicking.
 #[test]
 fn degenerate_shard_counts_clamp_and_stay_identical() {
     let mesh = Mesh3d::new(2, 2, 2).unwrap();

@@ -11,7 +11,7 @@
 //! [`Simulator::fold_telemetry`] (plus reads of the ledgers it exposes)
 //! can never change what a later window, summary or energy-feedback push
 //! observes — and what it produces is the same, lane for lane, at every
-//! shard and worker count. These tests pin that invariant so a future
+//! shard count. These tests pin that invariant so a future
 //! refactor that makes the fold non-idempotent, layout-dependent or
 //! leaves counters unfolded fails loudly.
 
@@ -128,18 +128,13 @@ fn two_windows(
 /// The fold's output is layout-independent lane for lane, not just in the
 /// pillar roll-ups a `RunSummary` carries: the whole `LinkLedger` (every
 /// lane × VC, link and NI counter), the aggregate `EnergyLedger` and
-/// `router_flits` are equal at k ∈ {1, 3, 8}, stepped inline and on a
-/// two-worker pool. Three variants: no feedback (one fold per window),
-/// an inert period-100 feedback (folds in the middle of the armed window,
-/// which must also leave every counter where the single fold puts it),
-/// and the measured-energy selector, whose period-256 pushes feed what
-/// they read back into routing.
+/// `router_flits` are equal at k ∈ {1, 3, 8}. Three variants: no
+/// feedback (one fold per window), an inert period-100 feedback (folds in
+/// the middle of the armed window, which must also leave every counter
+/// where the single fold puts it), and the measured-energy selector,
+/// whose period-256 pushes feed what they read back into routing.
 #[test]
 fn folded_ledgers_are_equal_lane_for_lane_at_every_layout() {
-    // The override only picks the execution path of the simulators built
-    // here; results never depend on it, so concurrently running tests
-    // cannot be affected (see `tests/shard_equivalence.rs`).
-    let prior = std::env::var("NOC_THREADS").ok();
     let measured = SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD;
     let unfolded = two_windows(&SelectorSpec::adele(), 0, 1);
     // (selector, feedback period, whether the pushes are inert)
@@ -148,7 +143,6 @@ fn folded_ledgers_are_equal_lane_for_lane_at_every_layout() {
         (SelectorSpec::adele(), 100, true),
         (SelectorSpec::adele_measured_energy(), measured, false),
     ] {
-        std::env::set_var("NOC_THREADS", "1");
         let sequential = two_windows(&selector, period, 1);
         assert!(
             sequential[0].0.delivered_packets > 0,
@@ -157,17 +151,12 @@ fn folded_ledgers_are_equal_lane_for_lane_at_every_layout() {
         if inert {
             assert_eq!(sequential, unfolded, "mid-window folds moved a counter");
         }
-        for (threads, shards) in [("1", 3), ("1", 8), ("2", 3), ("2", 8)] {
-            std::env::set_var("NOC_THREADS", threads);
+        for shards in [3, 8] {
             assert_eq!(
                 two_windows(&selector, period, shards),
                 sequential,
-                "k={shards} on {threads} worker(s), feedback period {period}"
+                "k={shards}, feedback period {period}"
             );
         }
-    }
-    match prior {
-        Some(value) => std::env::set_var("NOC_THREADS", value),
-        None => std::env::remove_var("NOC_THREADS"),
     }
 }
