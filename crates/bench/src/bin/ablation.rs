@@ -48,6 +48,7 @@ fn run(
 }
 
 fn main() {
+    adele_bench::Args::from_env("ablation").finish();
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let amosa = offline_assignment(placement);

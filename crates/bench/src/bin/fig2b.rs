@@ -19,6 +19,7 @@ struct Fig2b {
 }
 
 fn main() {
+    adele_bench::Args::from_env("fig2b").finish();
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let rate = 0.003;
@@ -62,7 +63,6 @@ fn main() {
             cells.push(format!("{}{}", f2(v), if is_elev { " E" } else { "" }));
         }
         rows.push(cells);
-        let _ = y;
     }
     print_table(&header_refs, &rows);
 

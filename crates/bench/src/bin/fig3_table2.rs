@@ -37,6 +37,7 @@ struct Fig3Table2 {
 }
 
 fn main() {
+    adele_bench::Args::from_env("fig3_table2").finish();
     let placement = Placement::Pm;
     let (mesh, elevators) = placement.instantiate();
     println!("# Fig. 3: AMOSA exploration on PM (8x8x4, 12 elevators), uniform assumed traffic");

@@ -3,21 +3,20 @@
 //! PS1/PS2/PS3/PM. The PM panels additionally include the AdEle-RR
 //! ablation, as in the paper.
 //!
-//! Usage: `fig4 [PS1|PS2|PS3|PM] [Uniform|Shuffle] [--stream v1|v2]`
-//! (no args = all panels). `--stream v2` drives the batched event-driven
-//! workload stream instead of the classic polled one (the dump records
-//! which stream produced each panel). `ADELE_QUICK=1` shrinks windows
-//! for a fast smoke run.
+//! Usage: `fig4 [PS1|PS2|PS3|PM] [Uniform|Shuffle]` (no args = all
+//! panels). The panels run on the bit-stable `v1` workload stream (the
+//! dump records it). `ADELE_QUICK=1` shrinks windows for a fast smoke
+//! run.
 //!
 //! Sweep points run on the `noc_exp` parallel runner (one worker per
 //! available core); results are bit-identical to the sequential sweep.
 
 use adele_bench::{
     dump_json, f1, f4, fig4_rates, main_policies, offline_assignment, ok_or_die, print_table,
-    sim_config, stream_flag,
+    sim_config, Args,
 };
 use noc_exp::runner::{default_threads, injection_sweep};
-use noc_exp::{SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec};
+use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_sim::harness::{saturation_rate, zero_load_latency};
 use noc_topology::placement::Placement;
 use serde::Serialize;
@@ -40,7 +39,7 @@ struct Panel {
 }
 
 /// One panel: `workload` is the printed name of the uniform or `shuffle` traffic.
-fn panel(placement: Placement, workload: &str, shuffle: bool, stream: StreamVersion) -> Panel {
+fn panel(placement: Placement, workload: &str, shuffle: bool) -> Panel {
     let (mesh, elevators) = placement.instantiate();
     let rates = fig4_rates(placement, shuffle);
     let assignment = offline_assignment(placement);
@@ -57,19 +56,18 @@ fn panel(placement: Placement, workload: &str, shuffle: bool, stream: StreamVers
         ));
     }
 
+    let spec = |rate: f64| {
+        WorkloadSpec::v1(if shuffle {
+            WorkloadKind::Shuffle { rate }
+        } else {
+            WorkloadKind::Uniform { rate }
+        })
+    };
     let mut series = Vec::new();
     for (name, policy) in &policies {
         let config = sim_config(placement);
-        let traffic = |rate: f64| {
-            let kind = if shuffle {
-                WorkloadKind::Shuffle { rate }
-            } else {
-                WorkloadKind::Uniform { rate }
-            };
-            // Identical traffic stream for every policy at a given rate.
-            let seed = 1000 + (rate * 1e6) as u64;
-            WorkloadSpec { stream, kind }.build(&mesh, seed)
-        };
+        // Identical traffic stream for every policy at a given rate.
+        let traffic = |rate: f64| spec(rate).build(&mesh, 1000 + (rate * 1e6) as u64);
         let selector = || policy.build(&mesh, &elevators, 77);
         let zero = ok_or_die(
             zero_load_latency(&config, &traffic, &selector),
@@ -90,7 +88,7 @@ fn panel(placement: Placement, workload: &str, shuffle: bool, stream: StreamVers
     Panel {
         placement: placement.name().to_string(),
         workload: workload.to_string(),
-        stream: stream.to_string(),
+        stream: spec(0.0).stream.to_string(),
         rates,
         series,
     }
@@ -128,10 +126,10 @@ fn print_panel(panel: &Panel) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stream = stream_flag(&mut args);
-    let placement_filter = args.first().map(|s| s.to_uppercase());
-    let workload_filter = args.get(1).map(|s| s.to_lowercase());
+    let mut args = Args::from_env("fig4");
+    let placement_filter = args.positional().map(|s| s.to_uppercase());
+    let workload_filter = args.positional().map(|s| s.to_lowercase());
+    args.finish();
 
     let mut panels = Vec::new();
     for placement in Placement::ALL {
@@ -146,7 +144,7 @@ fn main() {
                     continue;
                 }
             }
-            let p = panel(placement, workload, shuffle, stream);
+            let p = panel(placement, workload, shuffle);
             print_panel(&p);
             panels.push(p);
         }

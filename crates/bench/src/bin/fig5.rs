@@ -6,13 +6,11 @@
 //! elevator (the blue bar) by spreading traffic across the set.
 //!
 //! The per-policy runs execute on the `noc_exp` parallel pool
-//! (`repro_all --verify` checks them against the sequential runs).
-//! `--stream v1|v2` selects the workload stream (default the classic
-//! polled `v1`); the dump records the choice.
+//! (`repro_all --verify` checks them against the sequential runs), on
+//! the bit-stable `v1` workload stream (the dump records it).
 
 use adele_bench::{
-    dump_json, f2, f4, main_policies, offline_assignment, ok_or_die, print_table, sim_config,
-    stream_flag,
+    dump_json, f2, f4, main_policies, offline_assignment, ok_or_die, print_table, sim_config, Args,
 };
 use noc_exp::runner::{default_threads, par_map};
 use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
@@ -24,8 +22,7 @@ use serde::Serialize;
 #[derive(Serialize)]
 struct Fig5 {
     rate: f64,
-    /// Workload stream the bars were measured on (`v1` polled, `v2`
-    /// batched).
+    /// Workload stream the bars were measured on.
     stream: String,
     /// Per policy: normalised load of each elevator pillar (mean over its
     /// four layer-routers), plus the max.
@@ -33,16 +30,12 @@ struct Fig5 {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stream = stream_flag(&mut args);
+    Args::from_env("fig5").finish();
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let policies = main_policies(&offline_assignment(placement));
     let rate = 0.004;
-    let workload = WorkloadSpec {
-        stream,
-        kind: WorkloadKind::Uniform { rate },
-    };
+    let workload = WorkloadSpec::v1(WorkloadKind::Uniform { rate });
 
     let run_policy = |(name, policy): &(&str, SelectorSpec)| -> RunSummary {
         ok_or_die(
@@ -102,7 +95,7 @@ fn main() {
         "fig5",
         &Fig5 {
             rate,
-            stream: stream.to_string(),
+            stream: workload.stream.to_string(),
             bars,
         },
     );

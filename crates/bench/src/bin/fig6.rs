@@ -8,11 +8,10 @@
 //! congestion.
 //!
 //! The (regime × placement × policy) grid runs on the `noc_exp` parallel
-//! pool (`repro_all --verify` checks it against the sequential grid).
-//! `--stream v1|v2` selects the workload stream (default the classic
-//! polled `v1`); the dumps record the choice.
+//! pool (`repro_all --verify` checks it against the sequential grid), on
+//! the bit-stable `v1` workload stream (the dumps record it).
 //!
-//! **Link-granular mode** (`fig6 --links`, or `ADELE_FIG6_LINKS=1`):
+//! **Link-granular mode** (`fig6 --links`):
 //! instead of the aggregate cells, reproduce the figure at link
 //! granularity from the per-link telemetry — per-pillar TSV energy, the
 //! hottest links of every run, a per-link CSV and a layer/pillar heatmap
@@ -21,15 +20,16 @@
 use adele::online::ElevatorSelector;
 use adele_bench::{
     dump_json, f2, f4, fig6_rates, main_policies, offline_assignment, ok_or_die, phases,
-    print_table, results_dir, sim_config, stream_flag,
+    print_table, results_dir, sim_config, Args,
 };
 use noc_energy::{HeatmapReport, LinkEnergyReport};
 use noc_exp::runner::{default_threads, par_map};
-use noc_exp::{SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec};
+use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_sim::harness::run_once_input;
-use noc_sim::{RunSummary, Simulator, TrafficInput};
+use noc_sim::{RunSummary, Simulator};
 use noc_topology::placement::Placement;
 use noc_topology::{ElevatorSet, Mesh3d};
+use noc_traffic::ScheduledSource;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -53,11 +53,14 @@ struct Job {
 }
 
 impl Job {
-    /// The cell's uniform workload on `stream` — the same packets for
-    /// every policy at a given placement and rate.
-    fn traffic(&self, stream: StreamVersion) -> TrafficInput {
-        let kind = WorkloadKind::Uniform { rate: self.rate };
-        WorkloadSpec { stream, kind }.build(&self.mesh, 999)
+    /// The cell's uniform workload.
+    fn workload(&self) -> WorkloadSpec {
+        WorkloadSpec::v1(WorkloadKind::Uniform { rate: self.rate })
+    }
+
+    /// The same packets for every policy at a given placement and rate.
+    fn traffic(&self) -> Box<dyn ScheduledSource> {
+        self.workload().build(&self.mesh, 999)
     }
 
     fn selector(&self) -> Box<dyn ElevatorSelector> {
@@ -97,23 +100,19 @@ fn grid(points: impl IntoIterator<Item = (Placement, f64)>) -> Vec<Job> {
     jobs
 }
 
-fn run_job(job: &Job, stream: StreamVersion) -> RunSummary {
+fn run_job(job: &Job) -> RunSummary {
     ok_or_die(
-        run_once_input(
-            &sim_config(job.placement),
-            job.traffic(stream),
-            job.selector(),
-        ),
+        run_once_input(&sim_config(job.placement), job.traffic(), job.selector()),
         &format!("fig6 {} {} cell", job.placement.name(), job.policy),
     )
 }
 
-fn standard_mode(stream: StreamVersion) {
+fn standard_mode() {
     let low = Placement::ALL.map(|p| (p, fig6_rates(p).0));
     let high = Placement::ALL.map(|p| (p, fig6_rates(p).1));
     let jobs = grid(low.into_iter().chain(high));
 
-    let summaries = par_map(&jobs, default_threads(), |_, job| run_job(job, stream));
+    let summaries = par_map(&jobs, default_threads(), |_, job| run_job(job));
 
     let mut cells = Vec::new();
     let mut cursor = 0;
@@ -134,7 +133,7 @@ fn standard_mode(stream: StreamVersion) {
                 cells.push(Cell {
                     placement: placement.name().to_string(),
                     rate,
-                    stream: stream.to_string(),
+                    stream: job.workload().stream.to_string(),
                     policy: job.policy.to_string(),
                     energy_per_flit_nj: summary.energy_per_flit_nj,
                     normalized: summary.energy_per_flit_nj / base,
@@ -163,10 +162,10 @@ struct LinkCell {
 /// Runs one link-granularity cell and snapshots its per-link telemetry
 /// (the reports are plain owned data, so pool workers can return them and
 /// the main thread keeps only printing and file writes).
-fn run_link_job(job: &Job, stream: StreamVersion) -> (LinkEnergyReport, HeatmapReport) {
+fn run_link_job(job: &Job) -> (LinkEnergyReport, HeatmapReport) {
     let (warmup, measure, _) = phases(job.placement);
     let config = sim_config(job.placement);
-    let mut sim = Simulator::from_input(config.clone(), job.traffic(stream), job.selector());
+    let mut sim = Simulator::from_scheduled(config.clone(), job.traffic(), job.selector());
     ok_or_die(sim.advance(warmup), "fig6 links warm-up");
     ok_or_die(sim.measure_window(measure), "fig6 links measure window");
     (
@@ -179,12 +178,12 @@ fn run_link_job(job: &Job, stream: StreamVersion) -> (LinkEnergyReport, HeatmapR
 /// from the same runs as the aggregate cells but driven through the
 /// simulator directly so the per-link ledger stays accessible. The grid
 /// runs on the same pool as the aggregate mode.
-fn links_mode(stream: StreamVersion) {
+fn links_mode() {
     let jobs = grid(Placement::ALL.into_iter().flat_map(|p| {
         let (low, high) = fig6_rates(p);
         [(p, low), (p, high)]
     }));
-    let snapshots = par_map(&jobs, default_threads(), |_, job| run_link_job(job, stream));
+    let snapshots = par_map(&jobs, default_threads(), |_, job| run_link_job(job));
 
     let mut cells = Vec::new();
     let mut results = jobs.iter().zip(snapshots);
@@ -227,7 +226,7 @@ fn links_mode(stream: StreamVersion) {
             cells.push(LinkCell {
                 placement: placement.name().to_string(),
                 rate: job.rate,
-                stream: stream.to_string(),
+                stream: job.workload().stream.to_string(),
                 policy: job.policy.to_string(),
                 pillar_tsv_energy_nj: heat.pillar_tsv_energy_nj,
                 hottest_links: hottest,
@@ -241,15 +240,12 @@ fn links_mode(stream: StreamVersion) {
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stream = stream_flag(&mut args);
-    let links = args.iter().any(|a| a == "--links")
-        || std::env::var("ADELE_FIG6_LINKS")
-            .map(|v| v == "1")
-            .unwrap_or(false);
+    let mut args = Args::from_env("fig6");
+    let links = args.flag("--links");
+    args.finish();
     if links {
-        links_mode(stream);
+        links_mode();
     } else {
-        standard_mode(stream);
+        standard_mode();
     }
 }

@@ -37,6 +37,7 @@ struct AppCell {
 }
 
 fn main() {
+    adele_bench::Args::from_env("fig7").finish();
     let placements = [Placement::Ps1, Placement::Ps2, Placement::Ps3];
     let mut cells: Vec<AppCell> = Vec::new();
 

@@ -22,7 +22,7 @@
 //!   directly (phase spans per window, counter tracks, event instants).
 //!   Prometheus output is validated line by line before it is written.
 
-use adele_bench::{quick_mode, quick_shrink};
+use adele_bench::{quick_mode, quick_shrink, Args};
 use noc_exp::{atomic_write, load_dir, load_spec, record_trace, trace_period, verify_trace};
 use std::path::Path;
 
@@ -36,41 +36,21 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// The value following `flag`, parsed, or `None` when the flag is absent.
-/// A present flag with a missing/bad value is a usage error.
-fn flag_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let at = args.iter().position(|a| a == flag)?;
-    match args.get(at + 1).and_then(|s| s.parse().ok()) {
-        Some(v) => Some(v),
-        None => {
-            eprintln!("noc_trace: {flag} needs a value");
-            usage();
-        }
-    }
-}
-
-/// First positional (non-flag, non-flag-value) argument.
-fn positional(args: &[String]) -> Option<&str> {
-    let mut skip = false;
-    for arg in args {
-        if skip {
-            skip = false;
-            continue;
-        }
-        if arg.starts_with("--") || arg == "-o" {
-            skip = true;
-            continue;
-        }
-        return Some(arg);
-    }
-    None
-}
-
-fn cmd_record(args: &[String]) {
-    let Some(path) = positional(args) else {
-        eprintln!("noc_trace: record needs a spec file");
-        usage();
+/// The input file every command but `selfcheck` takes last; its absence
+/// is the usage error `missing`.
+fn input_file(mut args: Args, missing: &str) -> String {
+    let Some(path) = args.positional() else {
+        args.die(missing);
     };
+    args.finish();
+    path
+}
+
+fn cmd_record(mut args: Args) {
+    let shards: Option<usize> = args.value("--shards");
+    let period: Option<u64> = args.value("--period");
+    let out: Option<String> = args.value("-o");
+    let path = &input_file(args, "record needs a spec file");
     let mut scenario = match load_spec(Path::new(path)) {
         Ok(s) => s,
         Err(e) => {
@@ -78,12 +58,12 @@ fn cmd_record(args: &[String]) {
             std::process::exit(1);
         }
     };
-    if let Some(shards) = flag_value::<usize>(args, "--shards") {
+    if let Some(shards) = shards {
         scenario.shards = shards;
     }
-    let period = flag_value::<u64>(args, "--period").unwrap_or_else(|| trace_period(&scenario));
+    let period = period.unwrap_or_else(|| trace_period(&scenario));
     let journal = record_trace(&scenario, period);
-    match flag_value::<String>(args, "-o") {
+    match out {
         Some(out) => {
             if let Err(e) = atomic_write(Path::new(&out), &journal) {
                 eprintln!("noc_trace: cannot write {out}: {e}");
@@ -99,11 +79,9 @@ fn cmd_record(args: &[String]) {
     }
 }
 
-fn cmd_verify(args: &[String]) {
-    let Some(path) = positional(args) else {
-        eprintln!("noc_trace: verify needs a golden journal");
-        usage();
-    };
+fn cmd_verify(mut args: Args) {
+    let shards: Option<usize> = args.value("--shards");
+    let path = &input_file(args, "verify needs a golden journal");
     let golden = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -111,7 +89,6 @@ fn cmd_verify(args: &[String]) {
             std::process::exit(1);
         }
     };
-    let shards = flag_value::<usize>(args, "--shards");
     match verify_trace(&golden, shards) {
         Ok(report) => println!(
             "{path}: OK — {} records match for {:?} (replayed at {} shard{})",
@@ -127,17 +104,13 @@ fn cmd_verify(args: &[String]) {
     }
 }
 
-fn cmd_export(args: &[String]) {
-    let Some(path) = positional(args) else {
-        eprintln!("noc_trace: export needs a journal file");
-        usage();
-    };
-    let prometheus = args.iter().any(|a| a == "--prometheus");
-    let perfetto = args.iter().any(|a| a == "--perfetto");
-    if prometheus == perfetto {
-        eprintln!("noc_trace: export needs exactly one of --prometheus / --perfetto");
-        usage();
+fn cmd_export(mut args: Args) {
+    let prometheus = args.flag("--prometheus");
+    if prometheus == args.flag("--perfetto") {
+        args.die("export needs exactly one of --prometheus / --perfetto");
     }
+    let out: Option<String> = args.value("-o");
+    let path = &input_file(args, "export needs a journal file");
     let journal = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
@@ -167,7 +140,7 @@ fn cmd_export(args: &[String]) {
             "perfetto trace-event JSON",
         )
     };
-    match flag_value::<String>(args, "-o") {
+    match out {
         Some(out) => {
             if let Err(e) = atomic_write(Path::new(&out), &rendered) {
                 eprintln!("noc_trace: cannot write {out}: {e}");
@@ -183,26 +156,11 @@ fn cmd_export(args: &[String]) {
     }
 }
 
-/// Parses `--shards 1,8` into a list (default `[1]`).
-fn shard_list(args: &[String]) -> Vec<usize> {
-    let Some(list) = flag_value::<String>(args, "--shards") else {
-        return vec![1];
-    };
-    list.split(',')
-        .map(|s| match s.trim().parse::<usize>() {
-            Ok(k) => k,
-            Err(_) => {
-                eprintln!("noc_trace: bad shard count {s:?} in --shards {list}");
-                std::process::exit(2);
-            }
-        })
-        .collect()
-}
-
-fn cmd_selfcheck(args: &[String]) {
-    let dir = positional(args).unwrap_or("specs");
-    let shard_counts = shard_list(args);
-    let suite = match load_dir(Path::new(dir)) {
+fn cmd_selfcheck(mut args: Args) {
+    let shard_counts: Vec<usize> = args.list("--shards").unwrap_or_else(|| vec![1]);
+    let dir = args.positional().unwrap_or_else(|| "specs".to_string());
+    args.finish();
+    let suite = match load_dir(Path::new(&dir)) {
         Ok(suite) => suite,
         Err(e) => {
             eprintln!("noc_trace: {e}");
@@ -233,12 +191,12 @@ fn cmd_selfcheck(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("record") => cmd_record(&args[1..]),
-        Some("verify") => cmd_verify(&args[1..]),
-        Some("selfcheck") => cmd_selfcheck(&args[1..]),
-        Some("export") => cmd_export(&args[1..]),
+    let mut args = Args::from_env("noc_trace");
+    match args.positional().as_deref() {
+        Some("record") => cmd_record(args),
+        Some("verify") => cmd_verify(args),
+        Some("selfcheck") => cmd_selfcheck(args),
+        Some("export") => cmd_export(args),
         _ => usage(),
     }
 }

@@ -19,6 +19,7 @@
 //!
 //! Respects `ADELE_QUICK=1` like the individual binaries.
 
+use adele_bench::Args;
 use noc_exp::runner::{default_threads, par_map};
 use std::path::Path;
 use std::process::Command;
@@ -94,14 +95,10 @@ fn print_suite(runs: &[HarnessRun]) {
 fn main() {
     let exe = std::env::current_exe().expect("own path");
     let bin_dir = exe.parent().expect("bin dir").to_path_buf();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let verify = args.iter().any(|a| a == "--verify");
-    let jobs = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(default_threads);
+    let mut args = Args::from_env("repro_all");
+    let verify = args.flag("--verify");
+    let jobs = args.value("--jobs").unwrap_or_else(default_threads);
+    args.finish();
 
     let runs = run_suite(&bin_dir, jobs, false);
     print_suite(&runs);

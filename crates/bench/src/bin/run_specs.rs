@@ -30,8 +30,9 @@
 //!   byte-identical to an uninterrupted run. Without `--resume` the
 //!   ledger starts fresh. Fault injection for chaos runs comes from the
 //!   `NOC_CHAOS` environment grammar (see `noc_exp::chaos`). Any failed
-//!   point makes the exit code nonzero, after every other point has
-//!   completed.
+//!   point — or a `--trace` journal that could not be written in full —
+//!   makes the exit code nonzero, after every other point has completed.
+//!   An unknown flag or a bad value exits 2 before any file is touched.
 //! * `run_specs --emit [DIR]` — (re)write the canonical checked-in suite
 //!   (baseline, baseline-v2, elevator-fail, hotspot-shift,
 //!   measured-energy) into `DIR`, plus the golden traces
@@ -43,7 +44,7 @@
 //! cycles are left untouched; the canonical suite schedules its events
 //! early enough to land inside the shrunken windows too).
 
-use adele_bench::{bench_meta, f1, f2, print_table, quick_mode, quick_shrink};
+use adele_bench::{bench_meta, f1, f2, print_table, quick_mode, quick_shrink, Args};
 use noc_exp::{
     atomic_write, load_dir, progress_record, record_trace_at, results_to_json_with_meta,
     run_batch_supervised, spec_hash, trace_period, BatchEvent, ChaosSpec, Event, Ledger, Scenario,
@@ -170,53 +171,23 @@ fn emit(dir: &Path) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--emit") {
-        let dir = args.get(1).map_or("specs", String::as_str);
-        emit(Path::new(dir));
-        return;
+    let mut args = Args::from_env("run_specs");
+    if args.flag("--emit") {
+        let dir = args.positional().unwrap_or_else(|| "specs".to_string());
+        args.finish();
+        return emit(Path::new(&dir));
     }
+    let shards_override: Option<usize> = args.value("--shards");
+    let retries: Option<u32> = args.value("--retries");
+    let deadline_ms: Option<u64> = args.value("--deadline-ms");
+    let trace_path: Option<String> = args.value("--trace");
+    let hud_on = args.flag("--hud");
+    let quiet = args.flag("--quiet");
+    let resume = args.flag("--resume");
+    let dir = args.positional().unwrap_or_else(|| "specs".to_string());
+    args.finish();
 
-    let uint_flag = |name: &str| -> (Option<usize>, Option<u64>) {
-        let at = args.iter().position(|a| a == name);
-        let value = at.map(|at| {
-            let Some(n) = args.get(at + 1).and_then(|s| s.parse::<u64>().ok()) else {
-                eprintln!("run_specs: {name} needs a non-negative integer");
-                std::process::exit(2);
-            };
-            n
-        });
-        (at, value)
-    };
-    let (shards_at, shards_override) = uint_flag("--shards");
-    let shards_override = shards_override.map(|n| n as usize);
-    let (retries_at, retries) = uint_flag("--retries");
-    let (deadline_at, deadline_ms) = uint_flag("--deadline-ms");
-    let hud_on = args.iter().any(|a| a == "--hud");
-    let quiet = args.iter().any(|a| a == "--quiet");
-    let resume = args.iter().any(|a| a == "--resume");
-    let trace_at = args.iter().position(|a| a == "--trace");
-    let trace_path = trace_at.map(|at| {
-        let Some(path) = args.get(at + 1) else {
-            eprintln!("run_specs: --trace needs an output path");
-            std::process::exit(2);
-        };
-        path.clone()
-    });
-    // The directory is the first argument that is neither a flag nor a
-    // flag's value.
-    let dir = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| {
-            !a.starts_with("--")
-                && shards_at.is_none_or(|at| i != at + 1)
-                && retries_at.is_none_or(|at| i != at + 1)
-                && deadline_at.is_none_or(|at| i != at + 1)
-                && trace_at.is_none_or(|at| i != at + 1)
-        })
-        .map_or("specs", |(_, a)| a.as_str());
-    let suite = match load_dir(Path::new(dir)) {
+    let suite = match load_dir(Path::new(&dir)) {
         Ok(suite) => suite,
         Err(e) => {
             eprintln!("run_specs: {e}");
@@ -240,10 +211,12 @@ fn main() {
     // With `--trace`, stream per-point progress records (trace schema)
     // into a journal while the pool runs; without it the closure is a
     // no-op and the batch behaves exactly as before.
+    // The journal latches its first failed write (as `noc_sim::Tracer`
+    // does): reported once after the batch, and the exit code says so.
     let progress =
         trace_path.as_ref().map(
             |path| match noc_sim::TraceWriter::to_file(Path::new(path)) {
-                Ok(writer) => Mutex::new(writer),
+                Ok(writer) => Mutex::new((writer, None::<std::io::Error>)),
                 Err(e) => {
                     eprintln!("run_specs: cannot open {path}: {e}");
                     std::process::exit(1);
@@ -254,7 +227,7 @@ fn main() {
     // the flags; fault injection from the NOC_CHAOS environment.
     let mut supervision = Supervision::new();
     if let Some(retries) = retries {
-        supervision = supervision.with_retries(u32::try_from(retries).unwrap_or(u32::MAX));
+        supervision = supervision.with_retries(retries);
     }
     if let Some(ms) = deadline_ms {
         supervision = supervision.with_deadline(Duration::from_millis(ms));
@@ -329,8 +302,11 @@ fn main() {
                 }
             }
             let record = progress_record(event);
-            if let Some(writer) = &progress {
-                let _ = writer.lock().expect("progress journal lock").write(&record);
+            if let Some(journal) = &progress {
+                let (writer, error) = &mut *journal.lock().expect("progress journal lock");
+                if error.is_none() {
+                    *error = writer.write(&record).err();
+                }
             }
             if let Some(hud) = &hud {
                 if let Some(text) = hud.lock().expect("hud lock").on_record(&record) {
@@ -339,13 +315,16 @@ fn main() {
             }
         },
     );
-    if let Some(writer) = progress {
-        match writer.into_inner().expect("progress journal lock").finish() {
-            Ok(records) => {
-                let path = trace_path.as_deref().unwrap_or_default();
-                eprintln!("progress journal: {records} records in {path}");
+    let mut journal_failed = false;
+    if let Some(journal) = progress {
+        let (writer, error) = journal.into_inner().expect("progress journal lock");
+        let path = trace_path.as_deref().unwrap_or_default();
+        match error.map_or_else(|| writer.finish(), Err) {
+            Ok(records) => eprintln!("progress journal: {records} records in {path}"),
+            Err(e) => {
+                eprintln!("run_specs: progress journal {path} is incomplete: {e}");
+                journal_failed = true;
             }
-            Err(e) => eprintln!("run_specs: progress journal flush failed: {e}"),
         }
     }
     // Chaos's torn-file fault: wound the ledger's tail the way a hard
@@ -396,10 +375,7 @@ fn main() {
     let streams: Vec<&str> = {
         let mut s: Vec<&str> = scenarios
             .iter()
-            .map(|sc| match sc.workload.stream {
-                noc_exp::StreamVersion::V1 => "v1",
-                noc_exp::StreamVersion::V2 => "v2",
-            })
+            .map(|sc| sc.workload.stream.as_str())
             .collect();
         s.sort_unstable();
         s.dedup();
@@ -434,6 +410,9 @@ fn main() {
 
     if results.iter().any(|r| r.summary.delivered_packets == 0) {
         eprintln!("run_specs: a spec delivered no packets");
+        std::process::exit(1);
+    }
+    if journal_failed {
         std::process::exit(1);
     }
 }

@@ -28,12 +28,13 @@
 //! without `--resume` the ledger is started fresh.
 
 use adele::online::ElevatorFirstSelector;
-use adele_bench::{bench_meta, dump_json, f1, ok_or_die, pillar_grid, print_table, quick_mode};
-use noc_exp::Ledger;
+use adele_bench::{
+    bench_meta, dump_json, f1, ok_or_die, pillar_grid, print_table, quick_mode, Args,
+};
+use noc_exp::{Ledger, StreamVersion, WorkloadKind, WorkloadSpec};
 use noc_obs::{Hud, Record};
-use noc_sim::{SimConfig, Simulator, TrafficInput};
+use noc_sim::{SimConfig, Simulator};
 use noc_topology::{ElevatorSet, Mesh3d};
-use noc_traffic::{BatchedSynthetic, StreamVersion, SyntheticTraffic};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
@@ -118,17 +119,11 @@ fn measure(
     let config = SimConfig::new(mesh, elevators.clone())
         .with_seed(42)
         .with_shards(shards);
-    let traffic = match stream {
-        StreamVersion::V1 => {
-            TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(&mesh, rate, 42)))
-        }
-        StreamVersion::V2 => {
-            TrafficInput::Scheduled(Box::new(BatchedSynthetic::uniform(&mesh, rate, 42)))
-        }
-    };
+    let kind = WorkloadKind::Uniform { rate };
+    let traffic = WorkloadSpec { stream, kind }.build(&mesh, 42);
     let selector = ElevatorFirstSelector::new(&mesh, elevators);
     reset_peak_rss();
-    let mut sim = Simulator::from_input(config, traffic, Box::new(selector));
+    let mut sim = Simulator::from_scheduled(config, traffic, Box::new(selector));
     ok_or_die(sim.advance(warmup), "scale warm-up");
     let start = Instant::now();
     let summary = ok_or_die(sim.measure_window(cycles), "scale measure window");
@@ -151,53 +146,23 @@ fn measure(
     }
 }
 
-/// Parses `--stream v1|v2|both` (default both).
-fn stream_selection(args: &[String]) -> Vec<StreamVersion> {
-    let Some(at) = args.iter().position(|a| a == "--stream") else {
-        return vec![StreamVersion::V1, StreamVersion::V2];
-    };
-    match args.get(at + 1).map(String::as_str) {
-        Some("both") => vec![StreamVersion::V1, StreamVersion::V2],
-        Some(s) => match s.parse::<StreamVersion>() {
-            Ok(stream) => vec![stream],
-            Err(e) => {
-                eprintln!("scale: {e}");
-                std::process::exit(2);
-            }
-        },
-        None => {
-            eprintln!("scale: --stream needs a value (v1, v2 or both)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Parses `--shards 1,2,8` (default `1`, the single-slab engine).
-fn shard_selection(args: &[String]) -> Vec<usize> {
-    let Some(at) = args.iter().position(|a| a == "--shards") else {
-        return vec![1];
-    };
-    let Some(list) = args.get(at + 1) else {
-        eprintln!("scale: --shards needs a comma-separated list (e.g. 1,2,8)");
-        std::process::exit(2);
-    };
-    list.split(',')
-        .map(|s| match s.trim().parse::<usize>() {
-            Ok(k) => k,
-            Err(_) => {
-                eprintln!("scale: bad shard count {s:?} in --shards {list}");
-                std::process::exit(2);
-            }
-        })
-        .collect()
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = quick_mode() || args.iter().any(|a| a == "--quick");
-    let resume = args.iter().any(|a| a == "--resume");
-    let streams = stream_selection(&args);
-    let shard_counts = shard_selection(&args);
+    let mut args = Args::from_env("scale");
+    let quick = args.flag("--quick") || quick_mode();
+    let resume = args.flag("--resume");
+    // `--stream v1|v2|both` (default both).
+    let streams = match args.value::<String>("--stream").as_deref() {
+        None | Some("both") => vec![StreamVersion::V1, StreamVersion::V2],
+        Some(one) => match one.parse() {
+            Ok(stream) => vec![stream],
+            Err(e) => args.die(&format!("--stream: {e}")),
+        },
+    };
+    // `--shards 1,2,8` (default `1`, the single-slab engine).
+    let shard_counts: Vec<usize> = args.list("--shards").unwrap_or_else(|| vec![1]);
+    let hud_on = args.flag("--hud");
+    let quiet = args.flag("--quiet");
+    args.finish();
     let cycles: u64 = if quick { 2_000 } else { 20_000 };
     // Low load (well under pillar saturation at every scale) is where
     // idle-router skipping and batched injection matter; the higher rate
@@ -211,8 +176,6 @@ fn main() {
     // The study is a sequential sweep, so the HUD is fed synthesized
     // `progress` beats (the same wire format `run_specs` streams from its
     // worker pool) — one `started`/`done` pair per point.
-    let hud_on = args.iter().any(|a| a == "--hud");
-    let quiet = args.iter().any(|a| a == "--quiet");
     let grid = meshes().len() * rates.len() * streams.len() * shard_counts.len();
     let mut hud = hud_on.then(|| Hud::new(grid, quiet));
     let beat = |hud: &mut Option<Hud>, index: usize, label: &str, status: &str, detail| {

@@ -17,6 +17,7 @@ struct Row {
 }
 
 fn main() {
+    adele_bench::Args::from_env("table3").finish();
     // The paper synthesises for the 64-node (4×4×4) configuration; AdEle's
     // register count follows the mean offline subset size (rounded up).
     let assignment = offline_assignment(Placement::Ps2);

@@ -3,19 +3,22 @@
 //! Every `fig*`/`table*` binary builds on the helpers here: placement
 //! presets, the policy line-up as `noc_exp` specs (including
 //! running/caching the offline AMOSA stage), figure-specific
-//! injection-rate grids, table printing and JSON result dumping.
+//! injection-rate grids, table printing and JSON result dumping — and the
+//! one strict command-line parser ([`Args`]) they all share.
 //!
 //! Set `ADELE_QUICK=1` to shrink warm-up/measurement windows and the
 //! AMOSA schedule — useful for smoke-testing every harness quickly.
 
 #![forbid(unsafe_code)]
 
+mod cli;
+pub use cli::Args;
+
 use adele::offline::{OfflineOptimizer, OfflineResult, SelectionStrategy, SubsetAssignment};
 use amosa::AmosaParams;
 use noc_exp::{Scenario, SelectorSpec};
 use noc_sim::SimConfig;
 use noc_topology::placement::Placement;
-use noc_traffic::StreamVersion;
 use serde::Serialize;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -113,28 +116,6 @@ pub fn offline_result(placement: Placement) -> OfflineResult {
     OfflineOptimizer::new(mesh, elevators)
         .with_params(amosa_params(0xADE1E))
         .optimize()
-}
-
-/// Parses and strips `--stream v1|v2` from `args` (default `v1`, the
-/// figures' historical stream), so positional-argument parsing in the
-/// fig binaries keeps working unchanged after the flag.
-pub fn stream_flag(args: &mut Vec<String>) -> StreamVersion {
-    let Some(at) = args.iter().position(|a| a == "--stream") else {
-        return StreamVersion::V1;
-    };
-    let stream = match args.get(at + 1).map(|s| s.parse::<StreamVersion>()) {
-        Some(Ok(stream)) => stream,
-        Some(Err(e)) => {
-            eprintln!("--stream: {e}");
-            std::process::exit(2);
-        }
-        None => {
-            eprintln!("--stream needs a value (v1 or v2)");
-            std::process::exit(2);
-        }
-    };
-    args.drain(at..=at + 1);
-    stream
 }
 
 /// Injection-rate grid for one Fig. 4 panel (uniform, or perfect

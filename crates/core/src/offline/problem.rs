@@ -14,7 +14,7 @@ pub struct ElevatorSubsetProblem {
     /// Nearest-elevator mask per router, used to seed random solutions.
     nearest_masks: Vec<u64>,
     /// Per-router mask of elevators within the locality bound
-    /// ([`ElevatorSubsetProblem::with_max_detour`]).
+    /// ([`ElevatorSubsetProblem::DEFAULT_MAX_DETOUR`]).
     allowed_masks: Vec<u64>,
     node_count: usize,
     elevator_count: usize,
@@ -35,7 +35,7 @@ impl ElevatorSubsetProblem {
         )
     }
 
-    /// Default locality bound: an elevator may join a router's subset only
+    /// The locality bound: an elevator may join a router's subset only
     /// if its extra source-to-elevator distance over the nearest elevator
     /// is at most this many hops. Keeps subsets physically local, matching
     /// the narrow average-distance span of the paper's Fig. 3 front.
@@ -51,33 +51,25 @@ impl ElevatorSubsetProblem {
     ) -> Self {
         let nearest = SubsetAssignment::nearest(mesh, elevators);
         let nearest_masks: Vec<u64> = mesh.node_ids().map(|id| nearest.mask(id)).collect();
-        let mut problem = Self {
+        Self {
             evaluator,
             nearest_masks,
-            allowed_masks: Vec::new(),
+            allowed_masks: Self::locality_masks(mesh, elevators),
             node_count: mesh.node_count(),
             elevator_count: elevators.len(),
             extra_probability: 0.3,
             moves_per_neighbour: (mesh.node_count() / 32).max(1),
-        };
-        problem.allowed_masks = Self::locality_masks(mesh, elevators, Self::DEFAULT_MAX_DETOUR);
-        problem
+        }
     }
 
-    /// Overrides the locality bound (`u32::MAX` disables it).
-    #[must_use]
-    pub fn with_max_detour(mut self, mesh: &Mesh3d, elevators: &ElevatorSet, hops: u32) -> Self {
-        self.allowed_masks = Self::locality_masks(mesh, elevators, hops);
-        self
-    }
-
-    fn locality_masks(mesh: &Mesh3d, elevators: &ElevatorSet, max_detour: u32) -> Vec<u64> {
+    fn locality_masks(mesh: &Mesh3d, elevators: &ElevatorSet) -> Vec<u64> {
         mesh.coords()
             .map(|c| {
-                let nearest = elevators.xy_distance(c, elevators.nearest(c));
+                let reach =
+                    elevators.xy_distance(c, elevators.nearest(c)) + Self::DEFAULT_MAX_DETOUR;
                 let mut mask = 0u64;
                 for (id, _) in elevators.iter() {
-                    if elevators.xy_distance(c, id) <= nearest.saturating_add(max_detour) {
+                    if elevators.xy_distance(c, id) <= reach {
                         mask |= 1 << id.index();
                     }
                 }

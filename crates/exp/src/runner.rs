@@ -11,13 +11,13 @@
 
 use adele::online::ElevatorSelector;
 use noc_sim::harness::{run_once_input, SweepPoint};
-use noc_sim::{SimConfig, SimError, TrafficInput};
+use noc_sim::{SimConfig, SimError};
+use noc_traffic::ScheduledSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// A [`TrafficInput`] factory shareable across worker threads (polled
-/// `v1` or scheduled `v2` workloads alike).
-pub type SyncInputFactory<'a> = dyn Fn(f64) -> TrafficInput + Sync + 'a;
+/// A workload factory shareable across worker threads.
+pub type SyncInputFactory<'a> = dyn Fn(f64) -> Box<dyn ScheduledSource> + Sync + 'a;
 /// A selector factory shareable across worker threads.
 pub type SyncSelectorFactory<'a> = dyn Fn() -> Box<dyn ElevatorSelector> + Sync + 'a;
 

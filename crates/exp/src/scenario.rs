@@ -6,19 +6,24 @@
 //! [`crate::runner`] worker pool, serialises into experiment logs, and
 //! keeps the figure harnesses declarative instead of each wiring up its
 //! own simulator.
+//!
+//! A workload is a [`WorkloadKind`] (what is offered) plus a
+//! [`StreamVersion`] (which generator draws it). The kind describes itself
+//! once, as [`SyntheticParts`]; [`WorkloadSpec::build`] is the single
+//! place the stream is matched, and it returns the one workload type
+//! the simulator accepts.
 
 use crate::event::Event;
 use adele::offline::SubsetAssignment;
 use adele::online::ElevatorSelector;
 use adele::online::{AdeleSelector, CdaSelector, ElevatorFirstSelector};
 use adele::AdeleConfig;
-use noc_sim::{RunSummary, SimConfig, SimError, Simulator, TrafficInput};
+use noc_sim::{RunSummary, SimConfig, SimError, Simulator};
 use noc_topology::placement::Placement;
 use noc_topology::{Coord, ElevatorSet, Mesh3d};
-use noc_traffic::injection::{OnOffParams, PacketSizeRange};
-use noc_traffic::pattern::Uniform;
+use noc_traffic::injection::OnOffParams;
 use noc_traffic::{
-    BatchedSynthetic, CompositeSource, CyclePolled, ScheduledSource, StreamVersion,
+    BatchedSynthetic, CompositeSource, CyclePolled, ScheduledSource, StreamVersion, SyntheticParts,
     SyntheticTraffic, TrafficSource,
 };
 use serde::{Deserialize, Serialize};
@@ -129,8 +134,30 @@ impl WorkloadKind {
         }
     }
 
-    /// Instantiates the workload's classic polled (`v1`-stream) form on
-    /// `mesh` with streams derived from `seed`.
+    /// The generator-independent description of a leaf kind on `mesh` —
+    /// what both streams are built from — or, for a composite, which
+    /// exists only as a polled mixture, its components.
+    fn parts(&self, mesh: &Mesh3d) -> Result<SyntheticParts, &[(f64, WorkloadKind)]> {
+        Ok(match self {
+            WorkloadKind::Uniform { rate } => SyntheticParts::uniform(mesh, *rate),
+            WorkloadKind::Shuffle { rate } => SyntheticParts::shuffle(mesh, *rate),
+            WorkloadKind::Hotspot {
+                rate,
+                hotspots,
+                fraction,
+            } => {
+                let hotspots = crate::event::resolve_hotspots(mesh, hotspots);
+                SyntheticParts::hotspot(mesh, *rate, hotspots, *fraction)
+            }
+            WorkloadKind::Bursty { rate, params } => SyntheticParts::bursty(mesh, *rate, *params),
+            WorkloadKind::PerLayer { rates } => SyntheticParts::per_layer(mesh, rates),
+            WorkloadKind::Composite { parts } => return Err(parts),
+        })
+    }
+
+    /// Instantiates the workload's polled form on `mesh` with streams
+    /// derived from `seed` — what the `v1` stream runs, and what
+    /// [`noc_sim::harness::run_once`] takes.
     ///
     /// # Panics
     ///
@@ -139,94 +166,19 @@ impl WorkloadKind {
     /// composites) — scenario authoring errors.
     #[must_use]
     pub fn build_polled(&self, mesh: &Mesh3d, seed: u64) -> Box<dyn TrafficSource> {
-        match self {
-            WorkloadKind::Uniform { rate } => {
-                Box::new(SyntheticTraffic::uniform(mesh, *rate, seed))
-            }
-            WorkloadKind::Shuffle { rate } => {
-                Box::new(SyntheticTraffic::shuffle(mesh, *rate, seed))
-            }
-            WorkloadKind::Hotspot {
-                rate,
-                hotspots,
-                fraction,
-            } => Box::new(SyntheticTraffic::hotspot(
-                mesh,
-                *rate,
-                crate::event::resolve_hotspots(mesh, hotspots),
-                *fraction,
-                seed,
-            )),
-            WorkloadKind::Bursty { rate, params } => {
-                Box::new(SyntheticTraffic::bursty(mesh, *rate, *params, seed))
-            }
-            WorkloadKind::PerLayer { rates } => Box::new(SyntheticTraffic::per_layer(
-                mesh,
-                Box::new(Uniform::new(mesh.node_count())),
-                rates,
-                PacketSizeRange::paper_default(),
-                seed,
-            )),
-            WorkloadKind::Composite { parts } => {
-                let components = parts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (weight, spec))| {
-                        (
-                            *weight,
-                            spec.build_polled(mesh, derive_seed(seed, 1 + i as u64)),
-                        )
-                    })
-                    .collect();
-                Box::new(CompositeSource::new(components, derive_seed(seed, 0)))
-            }
-        }
-    }
-
-    /// Instantiates the workload's batched event-driven (`v2`-stream)
-    /// form: synthetic kinds get native skip-sampling sources, composites
-    /// fall back to the polled mixture behind a [`CyclePolled`] adapter
-    /// (a mixture must advance every component each opportunity, so it
-    /// has no closed-form schedule).
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same authoring errors as [`Self::build_polled`].
-    #[must_use]
-    pub fn build_scheduled(&self, mesh: &Mesh3d, seed: u64) -> Box<dyn ScheduledSource> {
-        match self {
-            WorkloadKind::Uniform { rate } => {
-                Box::new(BatchedSynthetic::uniform(mesh, *rate, seed))
-            }
-            WorkloadKind::Shuffle { rate } => {
-                Box::new(BatchedSynthetic::shuffle(mesh, *rate, seed))
-            }
-            WorkloadKind::Hotspot {
-                rate,
-                hotspots,
-                fraction,
-            } => Box::new(BatchedSynthetic::hotspot(
-                mesh,
-                *rate,
-                crate::event::resolve_hotspots(mesh, hotspots),
-                *fraction,
-                seed,
-            )),
-            WorkloadKind::Bursty { rate, params } => {
-                Box::new(BatchedSynthetic::bursty(mesh, *rate, *params, seed))
-            }
-            WorkloadKind::PerLayer { rates } => Box::new(BatchedSynthetic::per_layer(
-                mesh,
-                Box::new(Uniform::new(mesh.node_count())),
-                rates,
-                PacketSizeRange::paper_default(),
-                seed,
-            )),
-            WorkloadKind::Composite { .. } => Box::new(CyclePolled::new(
-                self.build_polled(mesh, seed),
-                mesh.node_count(),
-            )),
-        }
+        let mixture = match self.parts(mesh) {
+            Ok(parts) => return Box::new(SyntheticTraffic::from_parts(parts, seed)),
+            Err(mixture) => mixture,
+        };
+        let components = mixture
+            .iter()
+            .enumerate()
+            .map(|(i, (weight, kind))| {
+                let seed = derive_seed(seed, 1 + i as u64);
+                (*weight, kind.build_polled(mesh, seed))
+            })
+            .collect();
+        Box::new(CompositeSource::new(components, derive_seed(seed, 0)))
     }
 }
 
@@ -267,13 +219,6 @@ impl WorkloadSpec {
         }
     }
 
-    /// Same workload on the given stream.
-    #[must_use]
-    pub fn with_stream(mut self, stream: StreamVersion) -> Self {
-        self.stream = stream;
-        self
-    }
-
     /// Checks the workload shape against `mesh` (see
     /// [`WorkloadKind::validate`]; the stream version needs no
     /// validation).
@@ -286,17 +231,28 @@ impl WorkloadSpec {
     }
 
     /// Instantiates the workload on `mesh` with streams derived from
-    /// `seed`, in whichever form `stream` selects.
+    /// `seed`, as the one type the simulator takes. This is the only place
+    /// a [`StreamVersion`] picks a generator: `v2` skip-samples a leaf
+    /// kind natively; `v1` — and a `v2` composite, which must advance
+    /// every component each opportunity and so has no closed-form
+    /// schedule — is the polled form behind [`CyclePolled`].
     ///
     /// # Panics
     ///
     /// Panics on scenario authoring errors (see
     /// [`WorkloadKind::build_polled`]).
     #[must_use]
-    pub fn build(&self, mesh: &Mesh3d, seed: u64) -> TrafficInput {
-        match self.stream {
-            StreamVersion::V1 => TrafficInput::Polled(self.kind.build_polled(mesh, seed)),
-            StreamVersion::V2 => TrafficInput::Scheduled(self.kind.build_scheduled(mesh, seed)),
+    pub fn build(&self, mesh: &Mesh3d, seed: u64) -> Box<dyn ScheduledSource> {
+        let batched = match self.stream {
+            StreamVersion::V1 => None,
+            StreamVersion::V2 => self.kind.parts(mesh).ok(),
+        };
+        match batched {
+            Some(parts) => Box::new(BatchedSynthetic::from_parts(parts, seed)),
+            None => Box::new(CyclePolled::new(
+                self.kind.build_polled(mesh, seed),
+                mesh.node_count(),
+            )),
         }
     }
 }
@@ -695,7 +651,7 @@ impl Scenario {
         let selector = self
             .selector
             .build(&self.mesh, &self.elevators, derive_seed(self.seed, 13));
-        let mut sim = Simulator::from_input(self.sim_config(), traffic, selector);
+        let mut sim = Simulator::from_scheduled(self.sim_config(), traffic, selector);
         for event in &self.events {
             let (at, command) = event.compile(&self.mesh);
             sim.schedule_command(at, command);
@@ -854,12 +810,23 @@ mod tests {
                 ],
             },
         ];
-        for spec in specs {
-            let result = tiny().with_workload(spec.clone()).run().unwrap();
-            assert!(
-                result.summary.delivered_packets > 0,
-                "{spec:?} must deliver packets"
-            );
+        let mesh = tiny().mesh;
+        for kind in specs {
+            // Both streams draw a leaf kind from the same parts, so they
+            // agree on what is offered; a composite is polled on both.
+            let (v1, v2) = (WorkloadSpec::v1(kind.clone()), WorkloadSpec::v2(kind));
+            let (a, b) = (v1.build(&mesh, 3), v2.build(&mesh, 3));
+            assert_eq!(a.name(), b.name(), "{v1:?}");
+            assert_eq!(a.mean_rate(), b.mean_rate(), "{v1:?}");
+            let leaf = !matches!(v2.kind, WorkloadKind::Composite { .. });
+            assert_eq!(b.horizon() > 1, leaf, "only a leaf is batched: {v2:?}");
+            for spec in [v1, v2] {
+                let result = tiny().with_workload(spec.clone()).run().unwrap();
+                assert!(
+                    result.summary.delivered_packets > 0,
+                    "{spec:?} must deliver packets"
+                );
+            }
         }
     }
 

@@ -103,13 +103,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the energy model.
-    #[must_use]
-    pub fn with_energy(mut self, model: EnergyModel) -> Self {
-        self.energy = model;
-        self
-    }
-
     /// Sets the measured-energy feedback period (`0` disables the push).
     #[must_use]
     pub fn with_energy_feedback_period(mut self, period: u64) -> Self {

@@ -1,6 +1,8 @@
 //! Experiment helpers: single runs, zero-load latency and saturation
 //! detection — the building blocks every figure harness uses (the
 //! injection sweep itself fans out on `noc_exp::runner::injection_sweep`).
+//! Workloads are boxed [`ScheduledSource`]s, as `WorkloadSpec::build`
+//! returns them; [`run_once`] is the shorthand for a polled source.
 //!
 //! Every entry point propagates [`SimError`]: a deadlocked run surfaces
 //! as a structured value the caller can record (sweep supervisors) or
@@ -9,14 +11,13 @@
 
 use crate::config::SimConfig;
 use crate::error::SimError;
-use crate::sim::{Simulator, TrafficInput};
+use crate::sim::Simulator;
 use crate::stats::RunSummary;
 use adele::online::ElevatorSelector;
-use noc_traffic::TrafficSource;
+use noc_traffic::{ScheduledSource, TrafficSource};
 
-/// A factory producing a fresh [`TrafficInput`] for a given injection
-/// rate (polled `v1` or scheduled `v2` workloads alike).
-pub type InputFactory<'a> = dyn Fn(f64) -> TrafficInput + 'a;
+/// A factory producing a fresh workload for a given injection rate.
+pub type InputFactory<'a> = dyn Fn(f64) -> Box<dyn ScheduledSource> + 'a;
 /// A factory producing a fresh selector for each run.
 pub type SelectorFactory<'a> = dyn Fn() -> Box<dyn ElevatorSelector> + 'a;
 
@@ -29,7 +30,7 @@ pub struct SweepPoint {
     pub summary: RunSummary,
 }
 
-/// Runs one simulation (convenience wrapper).
+/// Runs one simulation over a polled workload (see [`Simulator::new`]).
 ///
 /// Takes the configuration by reference — like every other harness entry
 /// point — and clones it internally; one `SimConfig` can drive a whole
@@ -43,20 +44,20 @@ pub fn run_once(
     traffic: Box<dyn TrafficSource>,
     selector: Box<dyn ElevatorSelector>,
 ) -> Result<RunSummary, SimError> {
-    run_once_input(config, TrafficInput::Polled(traffic), selector)
+    Simulator::new(config.clone(), traffic, selector).run()
 }
 
-/// [`run_once`] over either workload stream.
+/// Runs one simulation (see [`Simulator::from_scheduled`]).
 ///
 /// # Errors
 ///
 /// Propagates [`SimError`] from the run (deadlock watchdog).
 pub fn run_once_input(
     config: &SimConfig,
-    input: TrafficInput,
+    input: Box<dyn ScheduledSource>,
     selector: Box<dyn ElevatorSelector>,
 ) -> Result<RunSummary, SimError> {
-    Simulator::from_input(config.clone(), input, selector).run()
+    Simulator::from_scheduled(config.clone(), input, selector).run()
 }
 
 /// Measures the zero-load latency: the average latency at a token
@@ -94,7 +95,7 @@ mod tests {
     use super::*;
     use adele::online::ElevatorFirstSelector;
     use noc_topology::{ElevatorSet, Mesh3d};
-    use noc_traffic::SyntheticTraffic;
+    use noc_traffic::{CyclePolled, SyntheticTraffic};
 
     fn fixture() -> SimConfig {
         let mesh = Mesh3d::new(4, 4, 2).unwrap();
@@ -132,7 +133,10 @@ mod tests {
         let elevators = config.elevators.clone();
         let zero = zero_load_latency(
             &config,
-            &|rate| TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(&mesh, rate, 9))),
+            &|rate| {
+                let polled = SyntheticTraffic::uniform(&mesh, rate, 9);
+                Box::new(CyclePolled::new(Box::new(polled), mesh.node_count()))
+            },
             &|| Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
         )
         .unwrap();

@@ -34,6 +34,12 @@
 //! assert!(summary.avg_latency > 0.0);
 //! ```
 //!
+//! [`Simulator::new`] is the convenience for a polled
+//! [`noc_traffic::TrafficSource`]; the simulator itself runs one workload
+//! type, a boxed [`noc_traffic::ScheduledSource`]
+//! ([`Simulator::from_scheduled`]), and a polled source is wrapped in
+//! [`noc_traffic::CyclePolled`] in front of it.
+//!
 //! Simulation failure is a structured value, not a panic: a fired
 //! deadlock watchdog or a stalled explicit drain surfaces as a
 //! [`SimError`] carrying exact-cycle diagnostics, so sweep supervisors
@@ -69,6 +75,6 @@ pub use noc_energy::{EnergyLedger, EnergyModel, LinkLedger, LinkMap};
 // `noc_obs`; `Tracer` couples them to a `Simulator`.
 pub use noc_obs::{MetricsRegistry, PhaseTimes, Record, TraceWriter};
 pub use obs::Tracer;
-pub use sim::{Simulator, TrafficInput};
+pub use sim::Simulator;
 pub use stats::{RunSummary, StatsCollector};
 pub use table::PacketTable;

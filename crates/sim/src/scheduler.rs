@@ -1,10 +1,11 @@
 //! The simulator-side injection scheduler: a pending-injection calendar
 //! queue over a [`ScheduledSource`].
 //!
-//! Every workload reaches admission through this calendar — a small
-//! ring of cycle buckets filled by prefetching the source's injection
-//! batches a horizon at a time. On a batched (`v2`) source an idle cycle
-//! costs one bucket lookup; a polled (`v1`) source rides it behind
+//! A [`ScheduledSource`] is the only workload type the simulator takes,
+//! and it reaches admission through this calendar — a small ring of cycle
+//! buckets filled by prefetching the source's injection batches a horizon
+//! at a time. On a batched (`v2`) source an idle cycle costs one bucket
+//! lookup; a polled (`v1`) source arrives already wrapped in
 //! [`CyclePolled`](noc_traffic::CyclePolled) at horizon 1 — one bucket,
 //! refilled by one whole-cycle poll and drained in the same call, so its
 //! calendar depth reads 0 between cycles.

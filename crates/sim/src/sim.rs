@@ -1,4 +1,6 @@
 //! The simulation driver: traffic → selection → network → statistics.
+//! Traffic is one type, a boxed [`ScheduledSource`]; the simulator never
+//! learns which stream version or generator stands behind it.
 
 use crate::config::SimConfig;
 use crate::error::SimError;
@@ -19,43 +21,6 @@ use noc_traffic::{
 };
 use serde::{Serialize, Value};
 use std::time::{Duration, Instant};
-
-/// A workload handed to the simulator: either the classic polled
-/// interface (the [`TrafficSource`] per-node-per-cycle contract — the
-/// bit-stable `v1` stream) or an event-driven [`ScheduledSource`] (the
-/// batched `v2` stream). Both reach admission through the one injection
-/// calendar: a polled source rides it behind [`CyclePolled`], one
-/// [`TrafficSource::poll_cycle`] per cycle.
-///
-/// Spec layers build this with `WorkloadSpec::build`; direct users can
-/// rely on the `From` impls.
-pub enum TrafficInput {
-    /// Per-node-per-cycle polled workload.
-    Polled(Box<dyn TrafficSource>),
-    /// Batched event-driven workload.
-    Scheduled(Box<dyn ScheduledSource>),
-}
-
-impl From<Box<dyn TrafficSource>> for TrafficInput {
-    fn from(source: Box<dyn TrafficSource>) -> Self {
-        TrafficInput::Polled(source)
-    }
-}
-
-impl From<Box<dyn ScheduledSource>> for TrafficInput {
-    fn from(source: Box<dyn ScheduledSource>) -> Self {
-        TrafficInput::Scheduled(source)
-    }
-}
-
-impl std::fmt::Debug for TrafficInput {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TrafficInput::Polled(s) => write!(f, "TrafficInput::Polled({})", s.name()),
-            TrafficInput::Scheduled(s) => write!(f, "TrafficInput::Scheduled({})", s.name()),
-        }
-    }
-}
 
 /// What a watched cycle saw (all zero when nobody watches): the wall time
 /// of each phase and the volumes that crossed shard borders.
@@ -108,7 +73,8 @@ impl std::fmt::Debug for Simulator {
 }
 
 impl Simulator {
-    /// Assembles a simulator.
+    /// Assembles a simulator over a polled workload: [`Self::from_scheduled`]
+    /// with `traffic` behind [`CyclePolled`] over the mesh's nodes.
     ///
     /// # Panics
     ///
@@ -119,19 +85,23 @@ impl Simulator {
         traffic: Box<dyn TrafficSource>,
         selector: Box<dyn ElevatorSelector>,
     ) -> Self {
-        Self::from_input(config, TrafficInput::Polled(traffic), selector)
+        let polled = CyclePolled::new(traffic, config.mesh.node_count());
+        Self::from_scheduled(config, Box::new(polled), selector)
     }
 
-    /// Assembles a simulator from either workload interface; a polled
-    /// source is wrapped in [`CyclePolled`] over the mesh's nodes.
+    /// Assembles a simulator. A [`ScheduledSource`] is the one workload
+    /// type the simulator runs: every injection reaches admission through
+    /// the one injection calendar, and what differs between workloads
+    /// (batched `v2`, polled `v1` behind [`CyclePolled`]) is composed in
+    /// front of it — spec layers do that in `WorkloadSpec::build`.
     ///
     /// # Panics
     ///
     /// Panics if `config` is invalid (see [`SimConfig::validate`]).
     #[must_use]
-    pub fn from_input(
+    pub fn from_scheduled(
         config: SimConfig,
-        traffic: TrafficInput,
+        traffic: Box<dyn ScheduledSource>,
         selector: Box<dyn ElevatorSelector>,
     ) -> Self {
         config.validate();
@@ -146,17 +116,11 @@ impl Simulator {
         }
         let stats = StatsCollector::for_config(&config);
         let telemetry = LinkLedger::new(net.link_map(), VirtualNet::COUNT);
-        let traffic = InjectionScheduler::new(match traffic {
-            TrafficInput::Polled(source) => {
-                Box::new(CyclePolled::new(source, config.mesh.node_count()))
-            }
-            TrafficInput::Scheduled(source) => source,
-        });
         Self {
             config,
             net,
             packets: PacketTable::new(),
-            traffic,
+            traffic: InjectionScheduler::new(traffic),
             selector,
             stats,
             ledger: EnergyLedger::default(),

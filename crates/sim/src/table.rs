@@ -146,16 +146,6 @@ impl PacketTable {
         self.total_created
     }
 
-    /// Live packets, in slot order.
-    pub fn iter_live(&self) -> impl Iterator<Item = (PacketId, &Packet)> {
-        self.packets
-            .iter()
-            .zip(&self.generations)
-            .enumerate()
-            .filter(|(_, (_, &generation))| generation % 2 == 1)
-            .map(|(slot, (packet, &generation))| (PacketId::new(slot as u32, generation), packet))
-    }
-
     /// Strips the measured flag from every in-flight packet and zeroes the
     /// outstanding count: packets created before a measurement window must
     /// not leak into its figures when they eventually deliver.
@@ -228,17 +218,6 @@ mod tests {
         table.retire(c);
         assert_eq!(table.measured_outstanding(), 0);
         assert_eq!(table.live(), 1);
-    }
-
-    #[test]
-    fn iter_live_skips_retired_slots() {
-        let mut table = PacketTable::new();
-        let a = table.insert(packet(false, 1));
-        let b = table.insert(packet(false, 2));
-        let c = table.insert(packet(false, 3));
-        table.retire(b);
-        let live: Vec<PacketId> = table.iter_live().map(|(id, _)| id).collect();
-        assert_eq!(live, vec![a, c]);
     }
 
     #[test]

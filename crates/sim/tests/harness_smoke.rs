@@ -5,9 +5,9 @@
 
 use adele::online::ElevatorFirstSelector;
 use noc_sim::harness::{run_once, saturation_rate, zero_load_latency, SweepPoint};
-use noc_sim::{SimConfig, TrafficInput};
+use noc_sim::SimConfig;
 use noc_topology::{ElevatorSet, Mesh3d};
-use noc_traffic::SyntheticTraffic;
+use noc_traffic::{CyclePolled, SyntheticTraffic};
 
 /// Tiny topology + short windows: the whole file runs in well under a
 /// second even in debug builds.
@@ -40,7 +40,10 @@ fn zero_load_latency_is_finite_and_saturation_detection_terminates() {
     let elevators = config.elevators.clone();
     let zero = zero_load_latency(
         &config,
-        &|rate| TrafficInput::Polled(Box::new(SyntheticTraffic::uniform(&mesh, rate, 5))),
+        &|rate| {
+            let polled = SyntheticTraffic::uniform(&mesh, rate, 5);
+            Box::new(CyclePolled::new(Box::new(polled), mesh.node_count()))
+        },
         &|| Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
     )
     .unwrap();

@@ -16,9 +16,11 @@
 //! spatially spread apps congest the few elevators and give AdEle room to
 //! improve, while low-load local apps stay near zero-load latency.
 
-use crate::injection::{InjectionProcess, OnOffParams, PacketSizeRange};
+use crate::injection::{InjectionProcess, OnOffParams};
 use crate::pattern::{check_hotspots, BitPermutation, Pattern, Uniform};
-use crate::source::{InjectionRequest, SyntheticTraffic, TrafficDirective, TrafficSource};
+use crate::source::{
+    InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective, TrafficSource,
+};
 use noc_topology::{Coord, Mesh3d, NodeId};
 use rand::Rng;
 
@@ -314,11 +316,12 @@ impl AppTraffic {
         };
         Self {
             kind,
-            inner: SyntheticTraffic::new(
-                mesh.node_count(),
-                Box::new(MixturePattern::new(mesh, profile.mix, kind.name())),
-                process,
-                PacketSizeRange::paper_default(),
+            inner: SyntheticTraffic::from_parts(
+                SyntheticParts::new(
+                    mesh,
+                    Box::new(MixturePattern::new(mesh, profile.mix, kind.name())),
+                    process,
+                ),
                 seed ^ 0xADE1E,
             ),
             rate,

@@ -21,10 +21,14 @@
 //!   every polled source reaches the simulator, one
 //!   [`TrafficSource::poll_cycle`] per cycle.
 //!
+//! A synthetic workload is described once, as [`SyntheticParts`] (uniform,
+//! shuffle, hotspot, bursty, per-layer skew), and drawn by either
+//! generator: [`SyntheticTraffic::from_parts`] (polled, the bit-stable
+//! `v1` stream) or [`BatchedSynthetic::from_parts`] (skip-sampled, `v2`).
 //! Workloads compose: [`CompositeSource`] mixes weighted components
-//! (hotspot + bursty, …), [`SyntheticTraffic::per_layer`] skews rates
-//! across layers, and [`TrafficDirective`]s steer a live workload mid-run
-//! (injection bursts, hotspot shifts) through the simulator's event hooks.
+//! (hotspot + bursty, …), and [`TrafficDirective`]s steer a live workload
+//! mid-run (injection bursts, hotspot shifts) through the simulator's
+//! event hooks.
 //!
 //! # Example
 //!
@@ -64,5 +68,6 @@ pub use scheduled::{
     StreamVersion,
 };
 pub use source::{
-    CompositeSource, InjectionRequest, SyntheticTraffic, TrafficDirective, TrafficSource,
+    CompositeSource, InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective,
+    TrafficSource,
 };

@@ -21,15 +21,19 @@
 //! why experiment specs select it through an explicit [`StreamVersion`]
 //! instead of a silent swap.
 //!
-//! Workloads without a closed-form schedule (recorded traces, application
-//! models, [`CompositeSource`](crate::CompositeSource) mixtures) still
-//! work through [`CyclePolled`], the adapter that drives any
-//! [`TrafficSource`] behind the scheduled interface
-//! one cycle at a time.
+//! [`ScheduledSource`] is the one workload type the simulator accepts.
+//! Both generators of a synthetic workload are built from the same
+//! [`SyntheticParts`] ([`BatchedSynthetic::from_parts`] here,
+//! [`SyntheticTraffic::from_parts`](crate::SyntheticTraffic::from_parts)
+//! polled), and every polled [`TrafficSource`] — the `v1` synthetic
+//! stream, and the workloads without a closed-form schedule: recorded
+//! traces, application models, [`CompositeSource`](crate::CompositeSource)
+//! mixtures — is composed in front of it by [`CyclePolled`], the adapter
+//! that drives a polled source one cycle at a time.
 
-use crate::injection::{InjectionProcess, OnOffParams, PacketSizeRange};
-use crate::pattern::{BitPermutation, Hotspot, Pattern, Permutation, Uniform};
-use crate::source::{InjectionRequest, TrafficDirective, TrafficSource};
+use crate::injection::{InjectionProcess, PacketSizeRange};
+use crate::pattern::{Hotspot, Pattern};
+use crate::source::{InjectionRequest, SyntheticParts, TrafficDirective, TrafficSource};
 use noc_topology::{Mesh3d, NodeId};
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 use std::cmp::Reverse;
@@ -275,11 +279,11 @@ pub fn derive_stream_seed(seed: u64, stream: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The batched twin of [`SyntheticTraffic`](crate::SyntheticTraffic): the
-/// same spatial [`Pattern`] × temporal process × packet sizes, but the
-/// temporal half skip-samples each node's next injection cycle instead of
-/// being polled. Statistically equivalent to the polled source (same
-/// support, same inter-arrival distribution, same mean rate), on a
+/// The batched generator of a synthetic workload: the same
+/// [`SyntheticParts`] as [`SyntheticTraffic`](crate::SyntheticTraffic),
+/// but the temporal half skip-samples each node's next injection cycle
+/// instead of being polled. Statistically equivalent to the polled source
+/// (same support, same inter-arrival distribution, same mean rate), on a
 /// different — still fully deterministic — RNG stream.
 pub struct BatchedSynthetic {
     pattern: Box<dyn Pattern>,
@@ -303,27 +307,12 @@ impl std::fmt::Debug for BatchedSynthetic {
 }
 
 impl BatchedSynthetic {
-    /// Builds a batched workload from its parts; `process` is cloned per
-    /// node (independent burst state), and every node gets its own RNG
-    /// stream derived from `seed`.
+    /// Skip-samples `parts`; every node gets its own RNG stream derived
+    /// from `seed`.
     #[must_use]
-    pub fn new(
-        node_count: usize,
-        pattern: Box<dyn Pattern>,
-        process: InjectionProcess,
-        sizes: PacketSizeRange,
-        seed: u64,
-    ) -> Self {
-        Self::from_processes(pattern, vec![process; node_count], sizes, seed)
-    }
-
-    fn from_processes(
-        pattern: Box<dyn Pattern>,
-        processes: Vec<InjectionProcess>,
-        sizes: PacketSizeRange,
-        seed: u64,
-    ) -> Self {
-        let mut nodes: Vec<NodeState> = processes
+    pub fn from_parts(parts: SyntheticParts, seed: u64) -> Self {
+        let mut nodes: Vec<NodeState> = parts
+            .processes
             .into_iter()
             .enumerate()
             .map(|(i, process)| NodeState {
@@ -339,9 +328,9 @@ impl BatchedSynthetic {
         }
         let calendar = Self::rebuild_calendar(&nodes);
         Self {
-            pattern,
+            pattern: parts.pattern,
             nodes,
-            sizes,
+            sizes: parts.sizes,
             calendar,
             out: Vec::new(),
         }
@@ -356,101 +345,10 @@ impl BatchedSynthetic {
             .collect()
     }
 
-    /// Batched uniform traffic at `rate` packets/node/cycle with
-    /// paper-default packet sizes.
+    /// [`SyntheticParts::uniform`], batched.
     #[must_use]
     pub fn uniform(mesh: &Mesh3d, rate: f64, seed: u64) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Uniform::new(mesh.node_count())),
-            InjectionProcess::bernoulli(rate),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Batched perfect-shuffle traffic at `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mesh's node count is not a power of two.
-    #[must_use]
-    pub fn shuffle(mesh: &Mesh3d, rate: f64, seed: u64) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Permutation::new(BitPermutation::Shuffle, mesh.node_count())),
-            InjectionProcess::bernoulli(rate),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Batched hotspot traffic at `rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hotspots` is empty or `fraction` is not a probability.
-    #[must_use]
-    pub fn hotspot(
-        mesh: &Mesh3d,
-        rate: f64,
-        hotspots: Vec<NodeId>,
-        fraction: f64,
-        seed: u64,
-    ) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Hotspot::new(mesh.node_count(), hotspots, fraction)),
-            InjectionProcess::bernoulli(rate),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Batched bursty uniform traffic averaging `rate`, sampled
-    /// phase-aware (per-node on/off Markov modulation).
-    #[must_use]
-    pub fn bursty(mesh: &Mesh3d, rate: f64, params: OnOffParams, seed: u64) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Uniform::new(mesh.node_count())),
-            InjectionProcess::on_off(rate, params),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Batched heterogeneous per-layer injection (`layer_rates[z]` for a
-    /// node on layer `z`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer_rates.len()` does not match the mesh's layer
-    /// count, or a rate is not in `[0, 1]`.
-    #[must_use]
-    pub fn per_layer(
-        mesh: &Mesh3d,
-        pattern: Box<dyn Pattern>,
-        layer_rates: &[f64],
-        sizes: PacketSizeRange,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(
-            layer_rates.len(),
-            mesh.layers(),
-            "need one rate per mesh layer"
-        );
-        let processes = mesh
-            .coords()
-            .map(|c| InjectionProcess::bernoulli(layer_rates[c.z as usize]))
-            .collect();
-        Self::from_processes(pattern, processes, sizes, seed)
-    }
-
-    /// The spatial pattern's name.
-    #[must_use]
-    pub fn pattern_name(&self) -> &'static str {
-        self.pattern.name()
+        Self::from_parts(SyntheticParts::uniform(mesh, rate), seed)
     }
 }
 
@@ -614,6 +512,7 @@ impl ScheduledSource for CyclePolled {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::injection::OnOffParams;
     use crate::SyntheticTraffic;
 
     fn drain(source: &mut dyn ScheduledSource, cycles: u64) -> Vec<ScheduledInjection> {
@@ -683,7 +582,7 @@ mod tests {
     #[test]
     fn shuffle_fixed_points_stay_silent() {
         let mesh = Mesh3d::new(4, 4, 4).unwrap();
-        let mut t = BatchedSynthetic::shuffle(&mesh, 1.0, 5);
+        let mut t = BatchedSynthetic::from_parts(SyntheticParts::shuffle(&mesh, 1.0), 5);
         let all = drain(&mut t, 50);
         assert!(all.iter().all(|inj| inj.node != NodeId(0)));
         assert!(all
@@ -707,14 +606,14 @@ mod tests {
         let mesh = Mesh3d::new(4, 4, 4).unwrap();
         let params = OnOffParams::new(0.02, 0.005, 0.1);
         let (rate, window) = (0.05, 50u64);
-        let mut v1 = SyntheticTraffic::bursty(&mesh, rate, params, 17);
+        let mut v1 = SyntheticTraffic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 17);
         let mut v1_count = 0usize;
         for cycle in 0..window {
             for node in mesh.node_ids() {
                 v1_count += usize::from(v1.maybe_inject(node, cycle).is_some());
             }
         }
-        let mut v2 = BatchedSynthetic::bursty(&mesh, rate, params, 17);
+        let mut v2 = BatchedSynthetic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 17);
         let v2_count = drain(&mut v2, window).len();
         for (what, count) in [("v1", v1_count), ("v2", v2_count)] {
             assert!(
@@ -729,7 +628,7 @@ mod tests {
     fn bursty_preserves_mean_rate() {
         let mesh = Mesh3d::new(4, 4, 2).unwrap();
         let params = OnOffParams::new(0.02, 0.005, 0.1);
-        let mut t = BatchedSynthetic::bursty(&mesh, 0.05, params, 13);
+        let mut t = BatchedSynthetic::from_parts(SyntheticParts::bursty(&mesh, 0.05, params), 13);
         let cycles = 40_000;
         let all = drain(&mut t, cycles);
         let per_node = all.len() as f64 / (cycles as f64 * 32.0);
@@ -739,13 +638,7 @@ mod tests {
     #[test]
     fn per_layer_rates_respect_layers() {
         let mesh = Mesh3d::new(4, 4, 2).unwrap();
-        let mut t = BatchedSynthetic::per_layer(
-            &mesh,
-            Box::new(Uniform::new(mesh.node_count())),
-            &[0.0, 0.2],
-            PacketSizeRange::paper_default(),
-            3,
-        );
+        let mut t = BatchedSynthetic::from_parts(SyntheticParts::per_layer(&mesh, &[0.0, 0.2]), 3);
         assert!((t.mean_rate().unwrap() - 0.1).abs() < 1e-12);
         let all = drain(&mut t, 2_000);
         assert!(!all.is_empty());

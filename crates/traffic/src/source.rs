@@ -77,12 +77,103 @@ pub trait TrafficSource: Send {
     }
 }
 
-/// A synthetic workload: spatial [`Pattern`] × per-node
-/// [`InjectionProcess`] × [`PacketSizeRange`].
-///
-/// This is the polled kernel of the `v1` stream: a poll steps the node's
-/// process (integer [`Coin`](crate::injection::Coin)s) on the concrete
-/// generator; only an actual injection pays the `dyn` [`Pattern`] draw.
+/// What a synthetic workload offers, before a generator draws it: spatial
+/// [`Pattern`] × one [`InjectionProcess`] per node × [`PacketSizeRange`].
+/// [`SyntheticTraffic::from_parts`] polls it (the `v1` stream),
+/// [`BatchedSynthetic::from_parts`](crate::BatchedSynthetic::from_parts)
+/// skip-samples it (`v2`) — the named workloads exist once, here.
+pub struct SyntheticParts {
+    /// Destination pattern.
+    pub pattern: Box<dyn Pattern>,
+    /// One temporal process per node (independent burst state).
+    pub processes: Vec<InjectionProcess>,
+    /// Packet-size distribution.
+    pub sizes: PacketSizeRange,
+}
+
+impl SyntheticParts {
+    /// `process` on every node of `mesh`, paper-default packet sizes.
+    #[must_use]
+    pub fn new(mesh: &Mesh3d, pattern: Box<dyn Pattern>, process: InjectionProcess) -> Self {
+        Self {
+            pattern,
+            processes: vec![process; mesh.node_count()],
+            sizes: PacketSizeRange::paper_default(),
+        }
+    }
+
+    /// Uniform traffic at `rate` packets/node/cycle.
+    #[must_use]
+    pub fn uniform(mesh: &Mesh3d, rate: f64) -> Self {
+        let pattern = Uniform::new(mesh.node_count());
+        Self::new(mesh, Box::new(pattern), InjectionProcess::bernoulli(rate))
+    }
+
+    /// Perfect-shuffle traffic at `rate` (the paper's second synthetic
+    /// pattern).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the mesh's node count is not a power of two.
+    #[must_use]
+    pub fn shuffle(mesh: &Mesh3d, rate: f64) -> Self {
+        let pattern = Permutation::new(BitPermutation::Shuffle, mesh.node_count());
+        Self::new(mesh, Box::new(pattern), InjectionProcess::bernoulli(rate))
+    }
+
+    /// Hotspot traffic at `rate`: a `fraction` of packets target the
+    /// given hotspot nodes, the rest stay uniform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hotspots` is empty or `fraction` is not a probability.
+    #[must_use]
+    pub fn hotspot(mesh: &Mesh3d, rate: f64, hotspots: Vec<NodeId>, fraction: f64) -> Self {
+        let pattern = Hotspot::new(mesh.node_count(), hotspots, fraction);
+        Self::new(mesh, Box::new(pattern), InjectionProcess::bernoulli(rate))
+    }
+
+    /// Bursty uniform traffic averaging `rate`, with per-node on/off
+    /// Markov modulation.
+    #[must_use]
+    pub fn bursty(mesh: &Mesh3d, rate: f64, params: OnOffParams) -> Self {
+        let pattern = Uniform::new(mesh.node_count());
+        Self::new(
+            mesh,
+            Box::new(pattern),
+            InjectionProcess::on_off(rate, params),
+        )
+    }
+
+    /// Heterogeneous per-layer injection, uniform destinations: a node on
+    /// layer `z` injects at `layer_rates[z]` packets/cycle (layer-skewed
+    /// workloads — e.g. a compute die hammering a memory die above it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layer_rates.len()` does not match the mesh's layer count.
+    #[must_use]
+    pub fn per_layer(mesh: &Mesh3d, layer_rates: &[f64]) -> Self {
+        assert_eq!(
+            layer_rates.len(),
+            mesh.layers(),
+            "need one rate per mesh layer"
+        );
+        Self {
+            pattern: Box::new(Uniform::new(mesh.node_count())),
+            processes: mesh
+                .coords()
+                .map(|c| InjectionProcess::bernoulli(layer_rates[c.z as usize]))
+                .collect(),
+            sizes: PacketSizeRange::paper_default(),
+        }
+    }
+}
+
+/// The polled generator of a synthetic workload — the kernel of the `v1`
+/// stream: a poll steps the node's process (integer
+/// [`Coin`](crate::injection::Coin)s) on the concrete generator; only an
+/// actual injection pays the `dyn` [`Pattern`] draw.
 pub struct SyntheticTraffic {
     pattern: Box<dyn Pattern>,
     processes: Vec<InjectionProcess>,
@@ -101,128 +192,21 @@ impl std::fmt::Debug for SyntheticTraffic {
 }
 
 impl SyntheticTraffic {
-    /// Builds a workload from its parts.
-    ///
-    /// `process` is cloned per node so each node has independent burst
-    /// state.
+    /// Polls `parts` on one RNG stream seeded with `seed`.
     #[must_use]
-    pub fn new(
-        node_count: usize,
-        pattern: Box<dyn Pattern>,
-        process: InjectionProcess,
-        sizes: PacketSizeRange,
-        seed: u64,
-    ) -> Self {
+    pub fn from_parts(parts: SyntheticParts, seed: u64) -> Self {
         Self {
-            pattern,
-            processes: vec![process; node_count],
-            sizes,
+            pattern: parts.pattern,
+            processes: parts.processes,
+            sizes: parts.sizes,
             rng: StdRng::seed_from_u64(seed),
         }
     }
 
-    /// Uniform traffic at `rate` packets/node/cycle with paper-default
-    /// packet sizes.
+    /// [`SyntheticParts::uniform`], polled.
     #[must_use]
     pub fn uniform(mesh: &Mesh3d, rate: f64, seed: u64) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Uniform::new(mesh.node_count())),
-            InjectionProcess::bernoulli(rate),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Perfect-shuffle traffic at `rate` packets/node/cycle (the paper's
-    /// second synthetic pattern).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the mesh's node count is not a power of two.
-    #[must_use]
-    pub fn shuffle(mesh: &Mesh3d, rate: f64, seed: u64) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Permutation::new(BitPermutation::Shuffle, mesh.node_count())),
-            InjectionProcess::bernoulli(rate),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Hotspot traffic at `rate` packets/node/cycle: a `fraction` of
-    /// packets target the given hotspot nodes, the rest stay uniform.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hotspots` is empty or `fraction` is not a probability.
-    #[must_use]
-    pub fn hotspot(
-        mesh: &Mesh3d,
-        rate: f64,
-        hotspots: Vec<NodeId>,
-        fraction: f64,
-        seed: u64,
-    ) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Hotspot::new(mesh.node_count(), hotspots, fraction)),
-            InjectionProcess::bernoulli(rate),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Bursty uniform traffic averaging `rate` packets/node/cycle, with
-    /// per-node on/off Markov modulation.
-    #[must_use]
-    pub fn bursty(mesh: &Mesh3d, rate: f64, params: OnOffParams, seed: u64) -> Self {
-        Self::new(
-            mesh.node_count(),
-            Box::new(Uniform::new(mesh.node_count())),
-            InjectionProcess::on_off(rate, params),
-            PacketSizeRange::paper_default(),
-            seed,
-        )
-    }
-
-    /// Heterogeneous per-layer injection: a node on layer `z` injects at
-    /// `layer_rates[z]` packets/cycle (layer-skewed workloads — e.g. a
-    /// compute die hammering a memory die above it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer_rates.len()` does not match the mesh's layer count.
-    #[must_use]
-    pub fn per_layer(
-        mesh: &Mesh3d,
-        pattern: Box<dyn Pattern>,
-        layer_rates: &[f64],
-        sizes: PacketSizeRange,
-        seed: u64,
-    ) -> Self {
-        assert_eq!(
-            layer_rates.len(),
-            mesh.layers(),
-            "need one rate per mesh layer"
-        );
-        let processes = mesh
-            .coords()
-            .map(|c| InjectionProcess::bernoulli(layer_rates[c.z as usize]))
-            .collect();
-        Self {
-            pattern,
-            processes,
-            sizes,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The spatial pattern's name.
-    #[must_use]
-    pub fn pattern_name(&self) -> &'static str {
-        self.pattern.name()
+        Self::from_parts(SyntheticParts::uniform(mesh, rate), seed)
     }
 
     /// The spatial half of an injection at `node`: destination, then size
@@ -444,7 +428,7 @@ mod tests {
     #[test]
     fn shuffle_workload_uses_fixed_destinations() {
         let mesh = Mesh3d::new(4, 4, 4).unwrap();
-        let mut t = SyntheticTraffic::shuffle(&mesh, 1.0, 5);
+        let mut t = SyntheticTraffic::from_parts(SyntheticParts::shuffle(&mesh, 1.0), 5);
         // Node 1 always maps to 2 under rotate-left on 6 bits.
         for cycle in 0..50 {
             let req = t.maybe_inject(NodeId(1), cycle).unwrap();
@@ -454,7 +438,7 @@ mod tests {
         for cycle in 0..50 {
             assert!(t.maybe_inject(NodeId(0), cycle).is_none());
         }
-        assert_eq!(t.pattern_name(), "shuffle");
+        assert_eq!(t.name(), "shuffle");
     }
 
     #[test]
@@ -493,7 +477,7 @@ mod tests {
             hotspots: vec![hot],
             fraction: 1.0,
         });
-        assert_eq!(t.pattern_name(), "hotspot");
+        assert_eq!(t.name(), "hotspot");
         for cycle in 0..50 {
             let req = t.maybe_inject(NodeId(0), cycle).expect("rate 1 injects");
             assert_eq!(req.dst, hot, "fraction 1 sends everything to the hotspot");
@@ -503,13 +487,7 @@ mod tests {
     #[test]
     fn per_layer_rates_respect_layers() {
         let mesh = Mesh3d::new(4, 4, 2).unwrap();
-        let mut t = SyntheticTraffic::per_layer(
-            &mesh,
-            Box::new(Uniform::new(mesh.node_count())),
-            &[0.0, 0.2],
-            PacketSizeRange::paper_default(),
-            3,
-        );
+        let mut t = SyntheticTraffic::from_parts(SyntheticParts::per_layer(&mesh, &[0.0, 0.2]), 3);
         assert!((t.mean_rate().unwrap() - 0.1).abs() < 1e-12);
         let mut layer1 = 0usize;
         for cycle in 0..500 {
@@ -534,11 +512,8 @@ mod tests {
                 (3.0, Box::new(SyntheticTraffic::uniform(&mesh, 0.1, 1))),
                 (
                     1.0,
-                    Box::new(SyntheticTraffic::hotspot(
-                        &mesh,
-                        0.1,
-                        vec![NodeId(5)],
-                        0.9,
+                    Box::new(SyntheticTraffic::from_parts(
+                        SyntheticParts::hotspot(&mesh, 0.1, vec![NodeId(5)], 0.9),
                         2,
                     )),
                 ),
@@ -577,10 +552,8 @@ mod tests {
                     ),
                     (
                         0.5,
-                        Box::new(SyntheticTraffic::bursty(
-                            &mesh,
-                            0.05,
-                            OnOffParams::new(0.02, 0.005, 0.1),
+                        Box::new(SyntheticTraffic::from_parts(
+                            SyntheticParts::bursty(&mesh, 0.05, OnOffParams::new(0.02, 0.005, 0.1)),
                             2,
                         )),
                     ),

@@ -7,8 +7,8 @@ use noc_traffic::injection::{Coin, InjectionProcess, OnOffParams, PacketSizeRang
 use noc_traffic::pattern::{BitPermutation, Hotspot, Pattern, Permutation, Uniform};
 use noc_traffic::trace::Trace;
 use noc_traffic::{
-    CompositeSource, InjectionRequest, SyntheticTraffic, TrafficDirective, TrafficMatrix,
-    TrafficSource,
+    CompositeSource, InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective,
+    TrafficMatrix, TrafficSource,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
@@ -205,13 +205,7 @@ proptest! {
         let mesh = Mesh3d::new(3, 3, 3).unwrap();
         let mut rates = vec![0.0; 3];
         rates[live_layer] = rate;
-        let mut t = SyntheticTraffic::per_layer(
-            &mesh,
-            Box::new(Uniform::new(mesh.node_count())),
-            &rates,
-            PacketSizeRange::paper_default(),
-            seed,
-        );
+        let mut t = SyntheticTraffic::from_parts(SyntheticParts::per_layer(&mesh, &rates), seed);
         let mut live_injections = 0usize;
         for cycle in 0..300 {
             for node in mesh.node_ids() {
@@ -233,11 +227,8 @@ proptest! {
             let mut c = CompositeSource::new(
                 vec![
                     (0.7, Box::new(SyntheticTraffic::uniform(&mesh, 0.1, 1)) as _),
-                    (0.3, Box::new(SyntheticTraffic::hotspot(
-                        &mesh,
-                        0.1,
-                        vec![NodeId(4)],
-                        0.8,
+                    (0.3, Box::new(SyntheticTraffic::from_parts(
+                        SyntheticParts::hotspot(&mesh, 0.1, vec![NodeId(4)], 0.8),
                         2,
                     )) as _),
                 ],
@@ -498,26 +489,21 @@ proptest! {
         let mesh = Mesh3d::new(4, 4, 4).unwrap();
         let nodes = mesh.node_count();
         let burst = OnOffParams::new(0.05, 0.02, 0.1);
-        let trace = Trace::record(&mut SyntheticTraffic::bursty(&mesh, rate, burst, seed), &mesh, 35);
+        let polled = |parts| SyntheticTraffic::from_parts(parts, seed);
+        let trace = Trace::record(&mut polled(SyntheticParts::bursty(&mesh, rate, burst)), &mesh, 35);
         type Build<'a> = Box<dyn Fn() -> Box<dyn TrafficSource + 'a> + 'a>;
         let mut builders: Vec<Build<'_>> = vec![
             Box::new(|| Box::new(SyntheticTraffic::uniform(&mesh, rate, seed))),
-            Box::new(|| Box::new(SyntheticTraffic::shuffle(&mesh, rate, seed))),
-            Box::new(|| Box::new(SyntheticTraffic::hotspot(&mesh, rate, vec![NodeId(7)], 0.5, seed))),
-            Box::new(|| Box::new(SyntheticTraffic::bursty(&mesh, rate, burst, seed))),
+            Box::new(|| Box::new(polled(SyntheticParts::shuffle(&mesh, rate)))),
+            Box::new(|| Box::new(polled(SyntheticParts::hotspot(&mesh, rate, vec![NodeId(7)], 0.5)))),
+            Box::new(|| Box::new(polled(SyntheticParts::bursty(&mesh, rate, burst)))),
             Box::new(|| {
-                Box::new(SyntheticTraffic::per_layer(
-                    &mesh,
-                    Box::new(Uniform::new(nodes)),
-                    &[0.0, rate, 1.0, rate / 2.0],
-                    PacketSizeRange::paper_default(),
-                    seed,
-                ))
+                Box::new(polled(SyntheticParts::per_layer(&mesh, &[0.0, rate, 1.0, rate / 2.0])))
             }),
             Box::new(|| {
                 Box::new(CompositeSource::new(
                     vec![
-                        (2.0, Box::new(SyntheticTraffic::bursty(&mesh, rate, burst, seed))),
+                        (2.0, Box::new(polled(SyntheticParts::bursty(&mesh, rate, burst)))),
                         (1.0, Box::new(AppTraffic::new(AppKind::Fft, &mesh, rate, seed + 1))),
                     ],
                     seed + 2,

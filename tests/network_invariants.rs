@@ -198,19 +198,11 @@ proptest! {
 #[test]
 fn saturating_hotspot_does_not_deadlock() {
     use noc_topology::NodeId;
-    use noc_traffic::injection::{InjectionProcess, PacketSizeRange};
-    use noc_traffic::pattern::Hotspot;
 
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
     let elevators = ElevatorSet::new(&mesh, [(0, 0)]).unwrap();
-    let pattern = Hotspot::new(mesh.node_count(), vec![NodeId(31)], 0.8);
-    let traffic = SyntheticTraffic::new(
-        mesh.node_count(),
-        Box::new(pattern),
-        InjectionProcess::bernoulli(0.05),
-        PacketSizeRange::paper_default(),
-        123,
-    );
+    let parts = noc_traffic::SyntheticParts::hotspot(&mesh, 0.05, vec![NodeId(31)], 0.8);
+    let traffic = SyntheticTraffic::from_parts(parts, 123);
     let selector = ElevatorFirstSelector::new(&mesh, &elevators);
     let config = SimConfig::new(mesh, elevators)
         .with_phases(200, 2_000, 500)

@@ -85,7 +85,7 @@ impl Case {
             *assignment = Some(pick.assignment.clone());
         }
         let selector = policy.build(&self.mesh, &self.elevators, self.seed);
-        let mut sim = Simulator::from_input(config, input, selector);
+        let mut sim = Simulator::from_scheduled(config, input, selector);
         let victim = ElevatorId((self.seed % self.elevators.len() as u64) as u8);
         sim.schedule_command(self.fail_at, SimCommand::FailElevator(victim));
         sim.schedule_command(

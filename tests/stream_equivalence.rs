@@ -19,12 +19,12 @@
 use noc_exp::{
     run_batch_supervised, Event, Scenario, StreamVersion, Supervision, WorkloadKind, WorkloadSpec,
 };
-use noc_sim::{SimConfig, Simulator, TrafficInput};
+use noc_sim::{SimConfig, Simulator};
 use noc_topology::{Coord, ElevatorSet, Mesh3d, NodeId};
 use noc_traffic::injection::OnOffParams;
 use noc_traffic::{
-    BatchedSynthetic, CyclePolled, ScheduledInjection, ScheduledSource, SyntheticTraffic,
-    TrafficSource,
+    BatchedSynthetic, CyclePolled, ScheduledInjection, ScheduledSource, SyntheticParts,
+    SyntheticTraffic, TrafficSource,
 };
 use proptest::prelude::*;
 
@@ -176,12 +176,12 @@ fn bursty_phase_aware_sampling_preserves_load_and_support() {
     let (rate, cycles) = (0.03, 60_000);
     let params = OnOffParams::new(0.02, 0.005, 0.1);
     let v1 = polled_events(
-        &mut SyntheticTraffic::bursty(&mesh, rate, params, 7),
+        &mut SyntheticTraffic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 7),
         &mesh,
         cycles,
     );
     let v2 = scheduled_events(
-        &mut BatchedSynthetic::bursty(&mesh, rate, params, 7),
+        &mut BatchedSynthetic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 7),
         cycles,
     );
     // The on/off modulation inflates count variance beyond plain binomial
@@ -210,11 +210,14 @@ fn shuffle_and_per_layer_share_support_with_v1() {
     let mesh = mesh();
     // Shuffle: exactly the fixed points stay silent on both streams.
     let v1 = polled_events(
-        &mut SyntheticTraffic::shuffle(&mesh, 0.05, 3),
+        &mut SyntheticTraffic::from_parts(SyntheticParts::shuffle(&mesh, 0.05), 3),
         &mesh,
         20_000,
     );
-    let v2 = scheduled_events(&mut BatchedSynthetic::shuffle(&mesh, 0.05, 3), 20_000);
+    let v2 = scheduled_events(
+        &mut BatchedSynthetic::from_parts(SyntheticParts::shuffle(&mesh, 0.05), 3),
+        20_000,
+    );
     let silent = |events: &[(u64, u16)]| {
         let counts = per_node_counts(events, 64);
         (0..64u16)
@@ -232,20 +235,8 @@ fn shuffle_and_per_layer_share_support_with_v1() {
 
     // Per-layer: silent layers are silent on both streams.
     let rates = [0.0, 0.01, 0.0, 0.02];
-    let mut v1 = SyntheticTraffic::per_layer(
-        &mesh,
-        Box::new(noc_traffic::pattern::Uniform::new(64)),
-        &rates,
-        noc_traffic::injection::PacketSizeRange::paper_default(),
-        9,
-    );
-    let mut v2 = BatchedSynthetic::per_layer(
-        &mesh,
-        Box::new(noc_traffic::pattern::Uniform::new(64)),
-        &rates,
-        noc_traffic::injection::PacketSizeRange::paper_default(),
-        9,
-    );
+    let mut v1 = SyntheticTraffic::from_parts(SyntheticParts::per_layer(&mesh, &rates), 9);
+    let mut v2 = BatchedSynthetic::from_parts(SyntheticParts::per_layer(&mesh, &rates), 9);
     let e1 = polled_events(&mut v1, &mesh, 10_000);
     let e2 = scheduled_events(&mut v2, 10_000);
     for events in [&e1, &e2] {
@@ -300,9 +291,9 @@ fn v2_windows_are_bit_identical_at_every_shard_count() {
             .with_phases(200, 800, 4_000)
             .with_seed(11)
             .with_shards(shards);
-        let input = TrafficInput::Scheduled(Box::new(BatchedSynthetic::uniform(&mesh, 0.004, 11)));
+        let input = Box::new(BatchedSynthetic::uniform(&mesh, 0.004, 11));
         let selector = adele::online::ElevatorFirstSelector::new(&mesh, &elevators);
-        let mut sim = Simulator::from_input(config, input, Box::new(selector));
+        let mut sim = Simulator::from_scheduled(config, input, Box::new(selector));
         sim.advance(200).unwrap();
         sim.measure_window(800).unwrap()
     };
@@ -397,9 +388,9 @@ fn v2_simulator(rate: f64, seed: u64) -> Simulator {
     let config = SimConfig::new(mesh, elevators.clone())
         .with_phases(200, 800, 4_000)
         .with_seed(seed);
-    let input = TrafficInput::Scheduled(Box::new(BatchedSynthetic::uniform(&mesh, rate, seed)));
+    let input = Box::new(BatchedSynthetic::uniform(&mesh, rate, seed));
     let selector = adele::online::ElevatorFirstSelector::new(&mesh, &elevators);
-    Simulator::from_input(config, input, Box::new(selector))
+    Simulator::from_scheduled(config, input, Box::new(selector))
 }
 
 proptest! {
@@ -553,28 +544,25 @@ fn polled_adapter_keeps_composites_working_under_v2() {
     );
 }
 
-/// Why app, trace and composite workloads are stream-invariant (and
-/// `fig7` needs no `--stream` flag): the simulator wraps every polled
-/// source in [`CyclePolled`] itself, so handing it the source polled or
-/// pre-wrapped as a scheduled one is the same run.
+/// Why app, trace and composite workloads are stream-invariant:
+/// [`Simulator::new`] wraps a polled source in [`CyclePolled`] itself, so
+/// handing the simulator the source polled or pre-wrapped as a scheduled
+/// one is the same run.
 #[test]
 fn a_polled_source_runs_identically_polled_and_cycle_polled() {
     use noc_traffic::apps::{AppKind, AppTraffic};
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
     let elevators = ElevatorSet::new(&mesh, [(0, 0), (3, 3)]).unwrap();
     let config = SimConfig::new(mesh, elevators.clone()).with_phases(200, 800, 4_000);
-    let run = |input: TrafficInput| {
-        let selector = adele::online::ElevatorFirstSelector::new(&mesh, &elevators);
-        Simulator::from_input(config.clone(), input, Box::new(selector))
-            .run()
-            .unwrap()
-    };
+    let selector = || Box::new(adele::online::ElevatorFirstSelector::new(&mesh, &elevators));
     let app = || Box::new(AppTraffic::new(AppKind::ALL[0], &mesh, 0.004, 21));
-    let polled = run(TrafficInput::Polled(app()));
-    let scheduled = run(TrafficInput::Scheduled(Box::new(CyclePolled::new(
-        app(),
-        mesh.node_count(),
-    ))));
+    let polled = Simulator::new(config.clone(), app(), selector())
+        .run()
+        .unwrap();
+    let wrapped = Box::new(CyclePolled::new(app(), mesh.node_count()));
+    let scheduled = Simulator::from_scheduled(config.clone(), wrapped, selector())
+        .run()
+        .unwrap();
     assert!(polled.delivered_packets > 0, "sanity: the app injected");
     assert_eq!(polled, scheduled);
 }
