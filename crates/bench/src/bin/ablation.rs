@@ -11,12 +11,11 @@
 //! * the offline stage itself (AMOSA subsets vs nearest-only vs full).
 
 use adele::offline::SubsetAssignment;
-use adele::online::AdeleSelector;
 use adele::AdeleConfig;
-use adele_bench::{dump_json, f1, f2, offline_assignment, ok_or_die, print_table, sim_config};
-use noc_exp::WorkloadKind;
-use noc_sim::harness::run_once;
-use noc_sim::RunSummary;
+use adele_bench::{
+    dump_json, f1, f2, offline_assignment, print_table, run_grid, Cell, Policy, Traffic,
+};
+use noc_exp::{WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
 use serde::Serialize;
 
@@ -26,25 +25,6 @@ struct AblationRow {
     high_load_latency: f64,
     high_load_completed: bool,
     low_load_energy_nj: f64,
-}
-
-fn run(
-    placement: Placement,
-    assignment: &SubsetAssignment,
-    config: AdeleConfig,
-    rate: f64,
-) -> RunSummary {
-    let (mesh, elevators) = placement.instantiate();
-    let selector =
-        AdeleSelector::from_assignment(&mesh, &elevators, assignment, config, 77).unwrap();
-    ok_or_die(
-        run_once(
-            &sim_config(placement),
-            WorkloadKind::Uniform { rate }.build_polled(&mesh, 4242),
-            Box::new(selector),
-        ),
-        "ablation run",
-    )
 }
 
 fn main() {
@@ -58,7 +38,7 @@ fn main() {
     let low_rate = 0.001;
 
     let paper = AdeleConfig::paper_default();
-    let mut variants: Vec<(String, &SubsetAssignment, AdeleConfig)> = vec![
+    let variants: Vec<(String, &SubsetAssignment, AdeleConfig)> = vec![
         ("AdEle (paper defaults)".into(), &amosa, paper),
         (
             "- skipping (Eq. 8-9) off".into(),
@@ -136,11 +116,23 @@ fn main() {
     println!(
         "# AdEle ablations on PS1, uniform traffic (high load {high_rate}, low load {low_rate})"
     );
+    // Per variant: the high-load cell, then the low-load one.
+    let cells: Vec<Cell> = variants
+        .iter()
+        .flat_map(|(_, assignment, config)| {
+            [high_rate, low_rate].map(|rate| {
+                let uniform = Traffic::Spec(WorkloadSpec::v1(WorkloadKind::Uniform { rate }));
+                let policy = Policy::Tuned((*assignment).clone(), *config);
+                Cell(placement, uniform, 4242, policy)
+            })
+        })
+        .collect();
+    let summaries = run_grid(&cells);
+
     let mut rows = Vec::new();
     let mut json = Vec::new();
-    for (label, assignment, config) in variants.drain(..) {
-        let high = run(placement, assignment, config, high_rate);
-        let low = run(placement, assignment, config, low_rate);
+    for ((label, ..), runs) in variants.into_iter().zip(summaries.chunks(2)) {
+        let (high, low) = (&runs[0], &runs[1]);
         rows.push(vec![
             label.clone(),
             format!(

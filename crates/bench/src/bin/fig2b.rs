@@ -2,9 +2,8 @@
 //! Elevator-First selection policy and uniform traffic, demonstrating the
 //! uneven elevator utilisation that motivates AdEle.
 
-use adele_bench::{dump_json, f2, ok_or_die, print_table, sim_config};
-use noc_exp::{SelectorSpec, WorkloadKind};
-use noc_sim::harness::run_once;
+use adele_bench::{dump_json, f2, print_table, run_grid, Cell, Policy, Traffic};
+use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
 use noc_topology::Coord;
 use serde::Serialize;
@@ -23,14 +22,9 @@ fn main() {
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let rate = 0.003;
-    let summary = ok_or_die(
-        run_once(
-            &sim_config(placement),
-            WorkloadKind::Uniform { rate }.build_polled(&mesh, 1234),
-            SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 77),
-        ),
-        "fig2b baseline run",
-    );
+    let uniform = Traffic::Spec(WorkloadSpec::v1(WorkloadKind::Uniform { rate }));
+    let baseline = Policy::Spec(SelectorSpec::ElevatorFirst);
+    let summary = &run_grid(&[Cell(placement, uniform, 1234, baseline)])[0];
 
     let layer = (mesh.layers() / 2) as u8;
     let mut loads = vec![vec![0.0; mesh.x()]; mesh.y()];

@@ -3,12 +3,10 @@
 //! the network performance (latency, energy/flit) of six solutions S0–S5
 //! spread along the front versus Elevator-First.
 
-use adele::online::AdeleSelector;
 use adele_bench::{
-    dump_json, f1, f2, offline_result, ok_or_die, print_table, sim_config, table2_rate,
+    dump_json, f1, f2, offline_result, print_table, run_grid, table2_rate, Cell, Policy, Traffic,
 };
-use noc_exp::{SelectorSpec, WorkloadKind};
-use noc_sim::harness::run_once;
+use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
 use serde::Serialize;
 
@@ -39,7 +37,6 @@ struct Fig3Table2 {
 fn main() {
     adele_bench::Args::from_env("fig3_table2").finish();
     let placement = Placement::Pm;
-    let (mesh, elevators) = placement.instantiate();
     println!("# Fig. 3: AMOSA exploration on PM (8x8x4, 12 elevators), uniform assumed traffic");
     let result = offline_result(placement);
     println!(
@@ -68,50 +65,37 @@ fn main() {
     println!("paper Fig. 3: variance spans ≈0–7, distance ≈6.65–6.95 (absolute scales differ");
     println!("with our re-derived PM placement; the trade-off shape is the comparison).");
 
-    // ---- Table II: simulate S0..S5 + Elevator-First on PM. ----
+    // ---- Table II: simulate Elevator-First + S0..S5 on PM, one grid. ----
     let picks = result.spread(6);
     let rate = table2_rate();
+    // (label, the front point behind it, policy): the baseline, then S0..S5.
+    let baseline = ("ElevFirst".to_string(), None, SelectorSpec::ElevatorFirst);
+    let solutions = picks.iter().enumerate().map(|(i, &pick)| {
+        let adele = SelectorSpec::Adele {
+            rr_only: false,
+            measured_energy: false,
+            assignment: Some(pick.assignment.clone()),
+        };
+        (format!("S{i}"), Some(pick), adele)
+    });
+    let variants: Vec<_> = std::iter::once(baseline).chain(solutions).collect();
+    let cells: Vec<Cell> = variants
+        .iter()
+        .map(|(.., policy)| {
+            let uniform = Traffic::Spec(WorkloadSpec::v1(WorkloadKind::Uniform { rate }));
+            Cell(placement, uniform, 555, Policy::Spec(policy.clone()))
+        })
+        .collect();
+
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-
-    let ef = ok_or_die(
-        run_once(
-            &sim_config(placement),
-            WorkloadKind::Uniform { rate }.build_polled(&mesh, 555),
-            SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 77),
-        ),
-        "table2 ElevFirst run",
-    );
-    rows.push(vec![
-        "ElevFirst".to_string(),
-        "-".to_string(),
-        "-".to_string(),
-        f1(ef.avg_latency),
-        f1(ef.energy_per_flit_nj),
-    ]);
-    json_rows.push(Table2Row {
-        label: "ElevFirst".into(),
-        variance: None,
-        distance: None,
-        latency: ef.avg_latency,
-        energy_per_flit_nj: ef.energy_per_flit_nj,
-        completed: ef.completed,
-    });
-
-    for (i, pick) in picks.iter().enumerate() {
-        let selector = AdeleSelector::from_solution(&mesh, &elevators, pick, 77);
-        let summary = ok_or_die(
-            run_once(
-                &sim_config(placement),
-                WorkloadKind::Uniform { rate }.build_polled(&mesh, 555),
-                Box::new(selector),
-            ),
-            &format!("table2 S{i} run"),
-        );
+    for ((label, pick, _), summary) in variants.into_iter().zip(run_grid(&cells)) {
+        let variance = pick.map(|p| p.utilization_variance);
+        let distance = pick.map(|p| p.average_distance);
         rows.push(vec![
-            format!("S{i}"),
-            f2(pick.utilization_variance),
-            f2(pick.average_distance),
+            label.clone(),
+            variance.map_or("-".to_string(), f2),
+            distance.map_or("-".to_string(), f2),
             format!(
                 "{}{}",
                 f1(summary.avg_latency),
@@ -120,9 +104,9 @@ fn main() {
             f1(summary.energy_per_flit_nj),
         ]);
         json_rows.push(Table2Row {
-            label: format!("S{i}"),
-            variance: Some(pick.utilization_variance),
-            distance: Some(pick.average_distance),
+            label,
+            variance,
+            distance,
             latency: summary.avg_latency,
             energy_per_flit_nj: summary.energy_per_flit_nj,
             completed: summary.completed,
@@ -143,24 +127,19 @@ fn main() {
     println!("paper Table II: ElevFirst 161.4 cyc / 94.4 nJ; S0 396 / 93.1; S5 56.6 / 98.3 —");
     println!("latency falls S0→S5 as variance falls, energy rises slightly with distance.");
 
+    let point = |variance, distance| FrontPoint { variance, distance };
     dump_json(
         "fig3_table2",
         &Fig3Table2 {
             explored: result
                 .explored
                 .iter()
-                .map(|e| FrontPoint {
-                    variance: e.utilization_variance,
-                    distance: e.average_distance,
-                })
+                .map(|e| point(e.utilization_variance, e.average_distance))
                 .collect(),
             pareto: result
                 .pareto
                 .iter()
-                .map(|p| FrontPoint {
-                    variance: p.utilization_variance,
-                    distance: p.average_distance,
-                })
+                .map(|p| point(p.utilization_variance, p.average_distance))
                 .collect(),
             evaluations: result.evaluations,
             table2: json_rows,

@@ -4,22 +4,28 @@
 //! ablation, as in the paper.
 //!
 //! Usage: `fig4 [PS1|PS2|PS3|PM] [Uniform|Shuffle]` (no args = all
-//! panels). The panels run on the bit-stable `v1` workload stream (the
-//! dump records it). `ADELE_QUICK=1` shrinks windows for a fast smoke
-//! run.
+//! panels; an unknown name is a usage error). The panels run on the
+//! bit-stable `v1` workload stream (the dump records it). `ADELE_QUICK=1`
+//! shrinks windows for a fast smoke run.
 //!
-//! Sweep points run on the `noc_exp` parallel runner (one worker per
-//! available core); results are bit-identical to the sequential sweep.
+//! A panel is one grid on the figure runner: per policy, the zero-load
+//! probe and the swept rates, all independent cells.
 
 use adele_bench::{
-    dump_json, f1, f4, fig4_rates, main_policies, offline_assignment, ok_or_die, print_table,
-    sim_config, Args,
+    dump_json, f1, f4, fig4_rates, main_policies, offline_assignment, print_table, run_grid, Args,
+    Cell, Policy, Traffic,
 };
-use noc_exp::runner::{default_threads, injection_sweep};
 use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
-use noc_sim::harness::{saturation_rate, zero_load_latency};
+use noc_sim::harness::saturation_rate;
 use noc_topology::placement::Placement;
 use serde::Serialize;
+
+/// The token injection rate whose latency is the baseline of the paper's
+/// saturation definition.
+const ZERO_LOAD_RATE: f64 = 1e-4;
+
+/// The panel workloads: printed name, and whether it is `shuffle` traffic.
+const WORKLOADS: [(&str, bool); 2] = [("Uniform", false), ("Shuffle", true)];
 
 #[derive(Serialize)]
 struct Series {
@@ -40,7 +46,6 @@ struct Panel {
 
 /// One panel: `workload` is the printed name of the uniform or `shuffle` traffic.
 fn panel(placement: Placement, workload: &str, shuffle: bool) -> Panel {
-    let (mesh, elevators) = placement.instantiate();
     let rates = fig4_rates(placement, shuffle);
     let assignment = offline_assignment(placement);
 
@@ -63,27 +68,36 @@ fn panel(placement: Placement, workload: &str, shuffle: bool) -> Panel {
             WorkloadKind::Uniform { rate }
         })
     };
-    let mut series = Vec::new();
-    for (name, policy) in &policies {
-        let config = sim_config(placement);
-        // Identical traffic stream for every policy at a given rate.
-        let traffic = |rate: f64| spec(rate).build(&mesh, 1000 + (rate * 1e6) as u64);
-        let selector = || policy.build(&mesh, &elevators, 77);
-        let zero = ok_or_die(
-            zero_load_latency(&config, &traffic, &selector),
-            &format!("fig4 {name} zero-load probe"),
-        );
-        let points = ok_or_die(
-            injection_sweep(&config, &rates, &traffic, &selector, default_threads()),
-            &format!("fig4 {name} sweep"),
-        );
-        series.push(Series {
-            policy: name.to_string(),
-            latency: points.iter().map(|p| p.summary.avg_latency).collect(),
-            completed: points.iter().map(|p| p.summary.completed).collect(),
-            saturation_rate: saturation_rate(&points, zero),
-        });
-    }
+    // Policy-major; each policy's zero-load probe, then its sweep.
+    let probed: Vec<f64> = std::iter::once(ZERO_LOAD_RATE)
+        .chain(rates.iter().copied())
+        .collect();
+    let cells: Vec<Cell> = policies
+        .iter()
+        .flat_map(|(_, policy)| {
+            probed.iter().map(|&rate| {
+                // Identical traffic stream for every policy at a given rate.
+                let seed = 1000 + (rate * 1e6) as u64;
+                let policy = Policy::Spec(policy.clone());
+                Cell(placement, Traffic::Spec(spec(rate)), seed, policy)
+            })
+        })
+        .collect();
+    let summaries = run_grid(&cells);
+
+    let series = policies
+        .iter()
+        .zip(summaries.chunks(probed.len()))
+        .map(|((name, _), runs)| {
+            let (zero, points) = runs.split_first().expect("the zero-load probe");
+            Series {
+                policy: name.to_string(),
+                latency: points.iter().map(|p| p.avg_latency).collect(),
+                completed: points.iter().map(|p| p.completed).collect(),
+                saturation_rate: saturation_rate(&rates, points, zero.avg_latency),
+            }
+        })
+        .collect();
 
     Panel {
         placement: placement.name().to_string(),
@@ -125,25 +139,40 @@ fn print_panel(panel: &Panel) {
     println!("  paper: AdEle achieves the lowest latency and highest saturation threshold in every panel.");
 }
 
+/// The entries of `all` named `word` (every entry when no word was
+/// given). A word that names none is a usage error: a typo must not pass
+/// for an empty figure.
+fn pick<T: Copy>(
+    args: &Args,
+    what: &str,
+    all: &[(&'static str, T)],
+    word: Option<String>,
+) -> Vec<(&'static str, T)> {
+    let named = |name: &str| word.as_deref().is_none_or(|w| name.eq_ignore_ascii_case(w));
+    let picked: Vec<_> = all.iter().copied().filter(|(n, _)| named(n)).collect();
+    if picked.is_empty() {
+        let names: Vec<&str> = all.iter().map(|&(name, _)| name).collect();
+        let word = word.unwrap_or_default();
+        args.die(&format!(
+            "unknown {what} {word:?} (one of {})",
+            names.join(", ")
+        ));
+    }
+    picked
+}
+
 fn main() {
     let mut args = Args::from_env("fig4");
-    let placement_filter = args.positional().map(|s| s.to_uppercase());
-    let workload_filter = args.positional().map(|s| s.to_lowercase());
+    let placement = args.positional();
+    let workload = args.positional();
     args.finish();
+    let placements = Placement::ALL.map(|p| (p.name(), p));
+    let placements = pick(&args, "placement", &placements, placement);
+    let workloads = pick(&args, "workload", &WORKLOADS, workload);
 
     let mut panels = Vec::new();
-    for placement in Placement::ALL {
-        if let Some(f) = &placement_filter {
-            if placement.name() != f {
-                continue;
-            }
-        }
-        for (workload, shuffle) in [("Uniform", false), ("Shuffle", true)] {
-            if let Some(f) = &workload_filter {
-                if workload.to_lowercase() != *f {
-                    continue;
-                }
-            }
+    for &(_, placement) in &placements {
+        for &(workload, shuffle) in &workloads {
             let p = panel(placement, workload, shuffle);
             print_panel(&p);
             panels.push(p);

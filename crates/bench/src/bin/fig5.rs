@@ -5,17 +5,15 @@
 //! The paper's takeaway: AdEle reduces the load on the most-utilised
 //! elevator (the blue bar) by spreading traffic across the set.
 //!
-//! The per-policy runs execute on the `noc_exp` parallel pool
-//! (`repro_all --verify` checks them against the sequential runs), on
-//! the bit-stable `v1` workload stream (the dump records it).
+//! The per-policy runs are one grid on the figure runner (`repro_all
+//! --verify` checks the pool against sequential runs), on the bit-stable
+//! `v1` workload stream (the dump records it).
 
 use adele_bench::{
-    dump_json, f2, f4, main_policies, offline_assignment, ok_or_die, print_table, sim_config, Args,
+    dump_json, f2, f4, main_policies, offline_assignment, print_table, run_grid, Args, Cell,
+    Policy, Traffic,
 };
-use noc_exp::runner::{default_threads, par_map};
-use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
-use noc_sim::harness::run_once_input;
-use noc_sim::RunSummary;
+use noc_exp::{WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
 use serde::Serialize;
 
@@ -37,17 +35,11 @@ fn main() {
     let rate = 0.004;
     let workload = WorkloadSpec::v1(WorkloadKind::Uniform { rate });
 
-    let run_policy = |(name, policy): &(&str, SelectorSpec)| -> RunSummary {
-        ok_or_die(
-            run_once_input(
-                &sim_config(placement),
-                workload.build(&mesh, 777),
-                policy.build(&mesh, &elevators, 77),
-            ),
-            &format!("fig5 {name} run"),
-        )
-    };
-    let summaries = par_map(&policies, default_threads(), |_, policy| run_policy(policy));
+    let cells = policies.clone().map(|(_, policy)| {
+        let uniform = Traffic::Spec(workload.clone());
+        Cell(placement, uniform, 777, Policy::Spec(policy))
+    });
+    let summaries = run_grid(&cells);
 
     let mut bars = Vec::new();
     let mut rows = Vec::new();

@@ -7,22 +7,18 @@
 //! application models of `noc-traffic::apps` (substitution documented in
 //! DESIGN.md).
 //!
-//! The app × policy grid of each placement runs on the `noc_exp` parallel
-//! runner; every cell is an independent seeded simulation, so results are
+//! The placement × app × policy grid is one call of the figure runner;
+//! every cell is an independent seeded simulation, so results are
 //! bit-identical to the sequential loop. The app models are polled
-//! sources, which run the same on either workload stream (the simulator
-//! wraps every polled source in `CyclePolled`), so there is no `--stream`
-//! flag; the dump records `v1`.
+//! sources, which run the same on either workload stream (behind
+//! `CyclePolled`), so there is no `--stream` flag; the dump records `v1`.
 
 use adele_bench::{
-    dump_json, f2, fig7_base_rate, main_policies, offline_assignment, ok_or_die, print_table,
-    sim_config,
+    dump_json, f2, fig7_base_rate, main_policies, offline_assignment, print_table, run_grid, Cell,
+    Policy, Traffic,
 };
-use noc_exp::runner::{default_threads, par_map};
-use noc_exp::SelectorSpec;
-use noc_sim::harness::run_once;
 use noc_topology::placement::Placement;
-use noc_traffic::apps::{AppKind, AppTraffic};
+use noc_traffic::apps::AppKind;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -39,65 +35,52 @@ struct AppCell {
 fn main() {
     adele_bench::Args::from_env("fig7").finish();
     let placements = [Placement::Ps1, Placement::Ps2, Placement::Ps3];
-    let mut cells: Vec<AppCell> = Vec::new();
+    let policies = placements.map(|p| main_policies(&offline_assignment(p)));
 
-    for placement in placements {
-        let (mesh, elevators) = placement.instantiate();
-        let policies = main_policies(&offline_assignment(placement));
+    // One cell per (placement, app, policy), in that order.
+    let mut grid = Vec::new();
+    for (placement, policies) in placements.into_iter().zip(&policies) {
+        for app in AppKind::ALL {
+            for (_, policy) in policies {
+                let traffic = Traffic::App(app, fig7_base_rate(placement));
+                grid.push(Cell(placement, traffic, 4321, Policy::Spec(policy.clone())));
+            }
+        }
+    }
+    let all = run_grid(&grid);
+
+    let mut cells: Vec<AppCell> = Vec::new();
+    let per_placement = all.chunks(AppKind::ALL.len() * policies[0].len());
+    for ((placement, policies), summaries) in
+        placements.into_iter().zip(&policies).zip(per_placement)
+    {
         println!(
             "\n# Fig. 7: {} — latency normalised to ElevFirst (absolute cycles in parentheses)",
             placement.name()
         );
-        // One grid cell per (app, policy), sharded across cores.
-        let grid: Vec<(AppKind, &(&str, SelectorSpec))> = AppKind::ALL
-            .into_iter()
-            .flat_map(|app| policies.iter().map(move |policy| (app, policy)))
-            .collect();
-        let summaries = par_map(&grid, default_threads(), |_, &(app, (name, policy))| {
-            let traffic = AppTraffic::new(app, &mesh, fig7_base_rate(placement), 4321);
-            ok_or_die(
-                run_once(
-                    &sim_config(placement),
-                    Box::new(traffic),
-                    policy.build(&mesh, &elevators, 77),
-                ),
-                &format!("fig7 {}/{name} cell", app.name()),
-            )
-        });
-
         let mut rows = Vec::new();
         let mut improvements = Vec::new();
-        for (a, app) in AppKind::ALL.into_iter().enumerate() {
-            let latencies: Vec<(String, f64, f64)> = policies
-                .iter()
-                .enumerate()
-                .map(|(p, (name, _))| {
-                    let summary = &summaries[a * policies.len() + p];
-                    (
-                        name.to_string(),
-                        summary.avg_latency,
-                        summary.energy_per_flit_nj,
-                    )
-                })
-                .collect();
-            let base = latencies[0].1.max(1e-12);
+        for (app, runs) in AppKind::ALL
+            .into_iter()
+            .zip(summaries.chunks(policies.len()))
+        {
+            let base = runs[0].avg_latency.max(1e-12);
             let mut row = vec![app.name().to_string()];
-            for (policy, lat, energy) in &latencies {
-                row.push(format!("{} ({})", f2(lat / base), f2(*lat)));
+            for ((policy, _), run) in policies.iter().zip(runs) {
+                let lat = run.avg_latency;
+                row.push(format!("{} ({})", f2(lat / base), f2(lat)));
                 cells.push(AppCell {
                     placement: placement.name().to_string(),
                     app: app.name().to_string(),
                     stream: "v1".to_string(),
-                    policy: policy.clone(),
-                    latency: *lat,
+                    policy: policy.to_string(),
+                    latency: lat,
                     normalized_latency: lat / base,
-                    energy_per_flit_nj: *energy,
+                    energy_per_flit_nj: run.energy_per_flit_nj,
                 });
             }
             // AdEle improvement vs CDA for the average row.
-            let cda = latencies[1].1;
-            let adele = latencies[2].1;
-            improvements.push(1.0 - adele / cda.max(1e-12));
+            improvements.push(1.0 - runs[2].avg_latency / runs[1].avg_latency.max(1e-12));
             rows.push(row);
         }
         let avg: f64 = improvements.iter().sum::<f64>() / improvements.len() as f64;

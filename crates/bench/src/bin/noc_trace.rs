@@ -49,6 +49,9 @@ fn input_file(mut args: Args, missing: &str) -> String {
 fn cmd_record(mut args: Args) {
     let shards: Option<usize> = args.value("--shards");
     let period: Option<u64> = args.value("--period");
+    if period == Some(0) {
+        args.die("bad value 0 for --period (at least 1 cycle)");
+    }
     let out: Option<String> = args.value("-o");
     let path = &input_file(args, "record needs a spec file");
     let mut scenario = match load_spec(Path::new(path)) {

@@ -71,7 +71,8 @@ impl Args {
     }
 
     /// Rejects whatever was not taken: an unknown flag or a stray word.
-    pub fn finish(self) {
+    /// What was taken can still be refused afterwards ([`Args::die`]).
+    pub fn finish(&self) {
         if let Some(stray) = self.rest.first() {
             self.die(&format!("unknown argument {stray:?}"));
         }

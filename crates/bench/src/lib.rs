@@ -1,10 +1,13 @@
 //! Shared infrastructure for the paper-reproduction harness.
 //!
 //! Every `fig*`/`table*` binary builds on the helpers here: placement
-//! presets, the policy line-up as `noc_exp` specs (including
-//! running/caching the offline AMOSA stage), figure-specific
-//! injection-rate grids, table printing and JSON result dumping — and the
-//! one strict command-line parser ([`Args`]) they all share.
+//! presets, the policy line-up as `noc_exp` specs (including running the
+//! offline AMOSA stage), figure-specific injection-rate grids, table
+//! printing and JSON result dumping, the one strict command-line parser
+//! ([`Args`]) they all share — and the one figure runner: a figure builds
+//! a flat list of [`Cell`]s, hands it to [`run_grid`] (or
+//! [`run_grid_with`]) and prints the table. No figure binary assembles a
+//! simulator, a pool or a seed of its own.
 //!
 //! Set `ADELE_QUICK=1` to shrink warm-up/measurement windows and the
 //! AMOSA schedule — useful for smoke-testing every harness quickly.
@@ -12,7 +15,9 @@
 #![forbid(unsafe_code)]
 
 mod cli;
+mod grid;
 pub use cli::Args;
+pub use grid::{run_grid, run_grid_with, Cell, Policy, Traffic};
 
 use adele::offline::{OfflineOptimizer, OfflineResult, SelectionStrategy, SubsetAssignment};
 use amosa::AmosaParams;
@@ -31,29 +36,17 @@ pub fn quick_mode() -> bool {
         .unwrap_or(false)
 }
 
-/// Simulation windows `(warmup, measure, drain_max)` for a placement,
-/// honouring quick mode.
-#[must_use]
-pub fn phases(placement: Placement) -> (u64, u64, u64) {
-    let large = matches!(placement, Placement::Pm);
-    if quick_mode() {
-        if large {
-            (500, 2_000, 8_000)
-        } else {
-            (1_000, 4_000, 12_000)
-        }
-    } else if large {
-        (3_000, 12_000, 40_000)
-    } else {
-        (5_000, 20_000, 60_000)
-    }
-}
-
-/// Standard [`SimConfig`] for a placement.
+/// Standard [`SimConfig`] for a placement: its fabric, and the windows
+/// `(warmup, measure, drain_max)`, which honour quick mode.
 #[must_use]
 pub fn sim_config(placement: Placement) -> SimConfig {
     let (mesh, elevators) = placement.instantiate();
-    let (warmup, measure, drain) = phases(placement);
+    let (warmup, measure, drain) = match (quick_mode(), placement == Placement::Pm) {
+        (true, true) => (500, 2_000, 8_000),
+        (true, false) => (1_000, 4_000, 12_000),
+        (false, true) => (3_000, 12_000, 40_000),
+        (false, false) => (5_000, 20_000, 60_000),
+    };
     SimConfig::new(mesh, elevators).with_phases(warmup, measure, drain)
 }
 
@@ -244,13 +237,19 @@ pub fn results_dir() -> PathBuf {
     root.join("results")
 }
 
-/// Dumps a serialisable result to `results/<name>.json`, or exits with
-/// code 3 after naming the failure on stderr (the [`ok_or_die`]
-/// convention): a figure whose dump could not be written must not exit 0
-/// over a stale file.
+/// Dumps a serialisable result to `results/<name>.json`, or exits
+/// ([`written_or_die`]).
 pub fn dump_json<T: Serialize>(name: &str, value: &T) {
-    if let Err(e) = try_dump_json(&results_dir(), name, value) {
-        eprintln!("error: writing results/{name}.json: {e}");
+    let outcome = try_dump_json(&results_dir(), name, value);
+    written_or_die(&format!("{name}.json"), outcome);
+}
+
+/// Exits with code 3 after naming `results/<file>` and the failure on
+/// stderr (the [`ok_or_die`] convention) unless `outcome` is `Ok`: a figure
+/// whose output could not be written must not exit 0 over a stale file.
+pub fn written_or_die(file: &str, outcome: io::Result<()>) {
+    if let Err(e) = outcome {
+        eprintln!("error: writing results/{file}: {e}");
         std::process::exit(3);
     }
 }

@@ -3,8 +3,12 @@
 //! unparsable one exits 2 naming the offender on stderr, before the
 //! binary touches a file. The case that motivated it: `run_specs specs
 //! --resum` used to read as "not resuming", delete the ledger the user
-//! meant to resume from, and start over.
+//! meant to resume from, and start over. Input that parses but cannot be
+//! run — a name that matches no panel, an empty measurement window, a
+//! results file that cannot be written — is a named error too (exit 2, 1
+//! and 3), never a panic and never an emptied result file.
 
+use std::path::Path;
 use std::process::Command;
 
 const RUN_SPECS: &str = env!("CARGO_BIN_EXE_run_specs");
@@ -14,16 +18,38 @@ const REPRO_ALL: &str = env!("CARGO_BIN_EXE_repro_all");
 const FIG4: &str = env!("CARGO_BIN_EXE_fig4");
 const FIG6: &str = env!("CARGO_BIN_EXE_fig6");
 
-/// Exit code and stderr of `bin args…`.
+/// Exit code and stderr of `bin args…` (under `ADELE_QUICK=1`, for the
+/// rows that get as far as simulating).
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(bin)
         .args(args)
+        .env("ADELE_QUICK", "1")
         .output()
         .expect("launch the binary");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+    (out.status.code(), stderr)
+}
+
+/// Runs `body` with `results/<name>` holding known bytes and returns what
+/// it holds afterwards. A file left by a real run is used as it is;
+/// otherwise a stand-in is written and removed again.
+fn results_file_after(name: &str, body: impl FnOnce()) -> (Vec<u8>, Option<Vec<u8>>) {
+    let dir = adele_bench::results_dir();
+    let file = dir.join(name);
+    let existing = std::fs::read(&file).ok();
+    let before = existing.clone().unwrap_or_else(|| {
+        std::fs::create_dir_all(&dir).expect("create results/");
+        let stand_in = b"{\"hash\":\"stand-in\"}\n".to_vec();
+        std::fs::write(&file, &stand_in).expect("write the stand-in file");
+        stand_in
+    });
+    body();
+    let after = std::fs::read(&file).ok();
+    if existing.is_none() {
+        let _ = std::fs::remove_file(&file);
+    }
+    (before, after)
 }
 
 #[test]
@@ -71,6 +97,13 @@ fn usage_errors_exit_2_naming_the_offender() {
         ),
         (NOC_TRACE, &["selfcheck", "--shards", "1,,8"], "--shards"),
         (REPRO_ALL, &["--jobs", "x"], "--jobs"),
+        // A value that parses but cannot be used (it used to panic in
+        // `Tracer::new`).
+        (
+            NOC_TRACE,
+            &["record", "spec.json", "--period", "0"],
+            "--period",
+        ),
     ];
     for (bin, args, named) in cases {
         let (code, stderr) = run(bin, args);
@@ -84,22 +117,59 @@ fn usage_errors_exit_2_naming_the_offender() {
 
 #[test]
 fn a_typoed_resume_leaves_the_ledger_untouched() {
-    let dir = adele_bench::results_dir();
-    let ledger = dir.join("specs.ledger.jsonl");
-    // A ledger left by a real run is used as it is; otherwise a stand-in
-    // is written and removed again.
-    let existing = std::fs::read(&ledger).ok();
-    let before = existing.clone().unwrap_or_else(|| {
-        std::fs::create_dir_all(&dir).expect("create results/");
-        let stand_in = b"{\"hash\":\"stand-in\"}\n".to_vec();
-        std::fs::write(&ledger, &stand_in).expect("write the stand-in ledger");
-        stand_in
+    let (before, after) = results_file_after("specs.ledger.jsonl", || {
+        let (code, stderr) = run(RUN_SPECS, &["specs", "--resum"]);
+        assert_eq!(code, Some(2), "{stderr}");
     });
-    let (code, stderr) = run(RUN_SPECS, &["specs", "--resum"]);
-    let after = std::fs::read(&ledger).ok();
-    if existing.is_none() {
-        let _ = std::fs::remove_file(&ledger);
-    }
-    assert_eq!(code, Some(2), "{stderr}");
     assert_eq!(after, Some(before), "the ledger must survive byte for byte");
+}
+
+/// `fig4 PS9` used to match no panel, print nothing, overwrite
+/// `results/fig4.json` with `[]` and exit 0.
+#[test]
+fn an_unknown_panel_name_is_a_usage_error_not_an_empty_figure() {
+    let (before, after) = results_file_after("fig4.json", || {
+        for (args, named) in [(&["PS9"][..], "PS9"), (&["PM", "Unifrm"][..], "Unifrm")] {
+            let (code, stderr) = run(FIG4, args);
+            assert_eq!(code, Some(2), "fig4 {args:?} must exit 2: {stderr}");
+            assert!(stderr.contains(named), "fig4 {args:?}: {stderr}");
+        }
+    });
+    assert_eq!(after, Some(before), "results/fig4.json must be untouched");
+}
+
+/// A spec whose measurement window is empty used to pass validation and
+/// trip an assertion in the simulator (exit 101 with a backtrace).
+#[test]
+fn an_empty_measurement_window_fails_at_the_parse_site() {
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let baseline = std::fs::read_to_string(specs.join("baseline.json")).expect("checked-in spec");
+    let spec = std::env::temp_dir().join(format!("adele_empty_window_{}.json", std::process::id()));
+    std::fs::write(
+        &spec,
+        baseline.replace("\"measure\": 4000", "\"measure\": 0"),
+    )
+    .unwrap();
+    let (code, stderr) = run(NOC_TRACE, &["record", spec.to_str().unwrap()]);
+    std::fs::remove_file(&spec).unwrap();
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("measure must be"), "{stderr}");
+}
+
+/// `fig6 --links` used to `.expect(..)` its CSV and heatmap writes.
+#[test]
+fn an_unwritable_link_artefact_exits_3_naming_the_file() {
+    let csv = adele_bench::results_dir().join("fig6_links_PS1.csv");
+    // A directory squatting on the CSV's path makes the write fail; a CSV
+    // left by a real run is moved aside and put back.
+    let existing = std::fs::read(&csv).ok();
+    let _ = std::fs::remove_file(&csv);
+    std::fs::create_dir_all(&csv).expect("squat on the CSV path");
+    let (code, stderr) = run(FIG6, &["--links"]);
+    std::fs::remove_dir(&csv).expect("remove the squatter");
+    if let Some(bytes) = existing {
+        std::fs::write(&csv, bytes).expect("restore the CSV");
+    }
+    assert_eq!(code, Some(3), "{stderr}");
+    assert!(stderr.contains("fig6_links_PS1.csv"), "{stderr}");
 }

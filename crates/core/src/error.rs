@@ -24,11 +24,6 @@ pub enum AdeleError {
         /// The offending router.
         node: u16,
     },
-    /// Failed to parse a serialised subset assignment.
-    ParseAssignment {
-        /// Line number (1-based) of the malformed entry.
-        line: usize,
-    },
 }
 
 impl fmt::Display for AdeleError {
@@ -44,9 +39,6 @@ impl fmt::Display for AdeleError {
             ),
             AdeleError::EmptySubset { node } => {
                 write!(f, "router n{node} has an empty elevator subset")
-            }
-            AdeleError::ParseAssignment { line } => {
-                write!(f, "malformed subset assignment at line {line}")
             }
         }
     }

@@ -160,6 +160,9 @@ fn min_max(values: impl Iterator<Item = f64>) -> (f64, f64) {
     })
 }
 
+/// Cap on the explored points recorded for Fig. 3's cloud.
+const EXPLORED_SAMPLES: usize = 2000;
+
 /// Configurable offline optimiser (builder-style).
 #[derive(Debug, Clone)]
 pub struct OfflineOptimizer {
@@ -167,7 +170,6 @@ pub struct OfflineOptimizer {
     elevators: ElevatorSet,
     traffic: Option<TrafficMatrix>,
     params: AmosaParams,
-    explored_samples: usize,
 }
 
 impl OfflineOptimizer {
@@ -180,7 +182,6 @@ impl OfflineOptimizer {
             elevators,
             traffic: None,
             params: AmosaParams::paper_default(0xADE1E),
-            explored_samples: 2000,
         }
     }
 
@@ -198,13 +199,6 @@ impl OfflineOptimizer {
         self
     }
 
-    /// Caps the number of explored points recorded for Fig. 3.
-    #[must_use]
-    pub fn with_explored_samples(mut self, samples: usize) -> Self {
-        self.explored_samples = samples;
-        self
-    }
-
     /// Runs AMOSA and returns the Pareto front plus exploration trace.
     #[must_use]
     pub fn optimize(&self) -> OfflineResult {
@@ -216,7 +210,7 @@ impl OfflineOptimizer {
         let amosa = Amosa::new(problem, self.params.clone());
 
         let total = self.params.total_iterations().max(1);
-        let stride = (total / self.explored_samples.max(1)).max(1);
+        let stride = (total / EXPLORED_SAMPLES).max(1);
         let mut explored = Vec::new();
         let result = amosa.run_with_observer(|e| {
             if e.iteration % stride as u64 == 0 {

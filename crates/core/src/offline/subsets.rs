@@ -172,7 +172,9 @@ impl SubsetAssignment {
             / self.masks.len() as f64
     }
 
-    /// Serialises as one hex mask per line (human-diffable).
+    /// Renders one hex mask per line — human-diffable, and what the offline
+    /// bit-identity pins hash. Write-only: the format that is read back is
+    /// JSON (the `serde` impls below).
     #[must_use]
     pub fn to_text(&self) -> String {
         let mut out = format!("elevators {}\n", self.elevator_count);
@@ -180,34 +182,6 @@ impl SubsetAssignment {
             out.push_str(&format!("{mask:x}\n"));
         }
         out
-    }
-
-    /// Parses the [`SubsetAssignment::to_text`] format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AdeleError::ParseAssignment`] on malformed input, plus the
-    /// same validation as [`SubsetAssignment::from_masks`].
-    pub fn from_text(text: &str) -> Result<Self, AdeleError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines
-            .next()
-            .ok_or(AdeleError::ParseAssignment { line: 1 })?;
-        let elevator_count: usize = header
-            .strip_prefix("elevators ")
-            .and_then(|s| s.trim().parse().ok())
-            .ok_or(AdeleError::ParseAssignment { line: 1 })?;
-        let mut masks = Vec::new();
-        for (idx, line) in lines {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            let mask = u64::from_str_radix(trimmed, 16)
-                .map_err(|_| AdeleError::ParseAssignment { line: idx + 1 })?;
-            masks.push(mask);
-        }
-        Self::from_masks(masks, elevator_count)
     }
 }
 
@@ -293,23 +267,6 @@ mod tests {
             Err(AdeleError::ElevatorCountMismatch { .. })
         ));
         assert!(SubsetAssignment::from_masks(vec![0b11], 2).is_ok());
-    }
-
-    #[test]
-    fn text_round_trip() {
-        let (mesh, elevators) = fixture();
-        let mut a = SubsetAssignment::nearest(&mesh, &elevators);
-        a.set_mask(NodeId(5), 0b101);
-        let text = a.to_text();
-        let parsed = SubsetAssignment::from_text(&text).unwrap();
-        assert_eq!(parsed, a);
-    }
-
-    #[test]
-    fn from_text_rejects_garbage() {
-        assert!(SubsetAssignment::from_text("").is_err());
-        assert!(SubsetAssignment::from_text("elevators x\n1\n").is_err());
-        assert!(SubsetAssignment::from_text("elevators 2\nzz\n").is_err());
     }
 
     #[test]

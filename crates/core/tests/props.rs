@@ -292,14 +292,14 @@ proptest! {
         }
     }
 
-    /// Text serialisation round-trips arbitrary valid assignments.
+    /// The JSON text form round-trips arbitrary valid assignments.
     #[test]
     fn assignment_text_round_trip((mesh, elevators) in arb_topology(), seed in 0u64..100) {
         let problem = ElevatorSubsetProblem::new(&mesh, &elevators);
         let mut rng = StdRng::seed_from_u64(seed);
         let assignment = problem.random_solution(&mut rng);
-        let parsed = SubsetAssignment::from_text(&assignment.to_text()).unwrap();
-        prop_assert_eq!(parsed, assignment);
+        let text = serde_json::to_string(&assignment).unwrap();
+        prop_assert_eq!(serde_json::from_str::<SubsetAssignment>(&text).unwrap(), assignment);
     }
 }
 

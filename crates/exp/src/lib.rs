@@ -67,7 +67,7 @@ pub use chaos::ChaosSpec;
 pub use event::Event;
 pub use ledger::{atomic_write, canonical_spec_json, fnv1a, spec_hash, Ledger};
 pub use noc_traffic::StreamVersion;
-pub use runner::{default_threads, injection_sweep, par_map};
+pub use runner::{default_threads, par_map};
 pub use scenario::{
     results_to_json, results_to_json_with_meta, Scenario, ScenarioResult, SelectorSpec, TraceSpec,
     WorkloadKind, WorkloadSpec,

@@ -1,25 +1,20 @@
-//! A deterministic parallel runner for independent simulations.
+//! A deterministic parallel map for independent simulations:
+//! [`default_threads`] sizes the pool, [`par_map`] runs on it.
 //!
-//! Sweep points and scenario batches are embarrassingly parallel — every
-//! run owns its configuration, workload and selector, all seeded — so the
-//! runner shards them across a scoped-thread worker pool (no dependencies
-//! beyond `std`) and returns results **in input order**, bit-identical to
-//! a sequential run: parallelism changes wall-clock time and nothing else.
+//! Figure cells and scenario batches are embarrassingly parallel — every
+//! run owns its configuration, workload and selector, all seeded — so
+//! [`par_map`] shards them across a scoped-thread worker pool (no
+//! dependencies beyond `std`) and returns results **in input order**,
+//! bit-identical to a sequential run: parallelism changes wall-clock time
+//! and nothing else. What a work item *is* belongs to the caller: the
+//! figures' grid (`adele_bench::run_grid`) and the supervised batch
+//! ([`crate::supervise`]) are both one `par_map` call.
 //!
 //! Work is distributed by an atomic cursor (work stealing), so a slow
 //! point (a saturated sweep rate) does not stall the pool behind it.
 
-use adele::online::ElevatorSelector;
-use noc_sim::harness::{run_once_input, SweepPoint};
-use noc_sim::{SimConfig, SimError};
-use noc_traffic::ScheduledSource;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// A workload factory shareable across worker threads.
-pub type SyncInputFactory<'a> = dyn Fn(f64) -> Box<dyn ScheduledSource> + Sync + 'a;
-/// A selector factory shareable across worker threads.
-pub type SyncSelectorFactory<'a> = dyn Fn() -> Box<dyn ElevatorSelector> + Sync + 'a;
 
 /// Default worker count of the `noc_exp` pools ([`par_map`], the
 /// supervised batch runner): the one place the workspace sizes a thread
@@ -110,33 +105,6 @@ where
     debug_assert_eq!(tagged.len(), items.len());
     tagged.sort_unstable_by_key(|&(i, _)| i);
     tagged.into_iter().map(|(_, r)| r).collect()
-}
-
-/// Sweeps packet-injection rates on `threads` workers, building fresh
-/// traffic and selector state per point (state must not leak between
-/// offered loads). Points come back in `rates` order, bit-identical for
-/// any worker count; `threads = 1` is the plain sequential sweep.
-///
-/// # Errors
-///
-/// Returns the first (in input order) [`SimError`] any point surfaced:
-/// the grid fails as a unit. Per-point isolation with retries lives in
-/// [`crate::supervise`].
-pub fn injection_sweep(
-    config: &SimConfig,
-    rates: &[f64],
-    new_input: &SyncInputFactory<'_>,
-    new_selector: &SyncSelectorFactory<'_>,
-    threads: usize,
-) -> Result<Vec<SweepPoint>, SimError> {
-    par_map(rates, threads, |_, &rate| {
-        Ok(SweepPoint {
-            rate,
-            summary: run_once_input(config, new_input(rate), new_selector())?,
-        })
-    })
-    .into_iter()
-    .collect()
 }
 
 #[cfg(test)]

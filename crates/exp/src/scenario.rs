@@ -581,7 +581,8 @@ impl Scenario {
 
     /// Checks that the scenario's pieces agree with each other: the
     /// elevator set matches the mesh geometry, the workload fits the mesh,
-    /// an explicit offline assignment matches the topology, and every
+    /// the measurement window is not empty, an explicit offline
+    /// assignment matches the topology, and every
     /// event references an existing elevator / in-mesh hotspot with sane
     /// parameters. Run automatically when a scenario is deserialised.
     ///
@@ -598,6 +599,9 @@ impl Scenario {
             ));
         }
         self.workload.validate(&self.mesh)?;
+        if self.measure == 0 {
+            return Err("measure must be at least 1 cycle".into());
+        }
         if let SelectorSpec::Adele {
             assignment: Some(assignment),
             ..

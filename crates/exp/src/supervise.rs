@@ -11,8 +11,7 @@
 //!
 //! Retries are for *environmental* faults only — panics and missed
 //! deadlines, the things a flaky host inflicts. Deterministic failures
-//! (a [`SimError`] from the engine, a cycle budget the spec cannot fit
-//! in) are recorded on the first strike: re-running deterministic code
+//! (a [`SimError`] from the engine) are recorded on the first strike: re-running deterministic code
 //! on the same input is spinning, not supervision.
 
 use crate::chaos::ChaosSpec;
@@ -26,7 +25,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The supervisor's policy knobs. The default supervises with no
-/// retries, no deadline and no budget — pure isolation.
+/// retries and no deadline — pure isolation.
 #[derive(Debug, Clone, Default)]
 pub struct Supervision {
     /// Extra attempts after a *retryable* failure (panic, missed
@@ -37,17 +36,12 @@ pub struct Supervision {
     /// disowned (a simulation always terminates — bounded cycles — so it
     /// drains in the background rather than wedging the pool).
     pub deadline: Option<Duration>,
-    /// Cycle budget per point: a spec whose `warmup + measure +
-    /// drain_max` exceeds it fails fast with
-    /// [`PointError::BudgetExceeded`] *without running* — deterministic,
-    /// never retried.
-    pub cycle_budget: Option<u64>,
     /// Fault injection for chaos runs; `None` in production.
     pub chaos: Option<ChaosSpec>,
 }
 
 impl Supervision {
-    /// Pure isolation: no retries, deadline, budget or chaos.
+    /// Pure isolation: no retries, deadline or chaos.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
@@ -64,13 +58,6 @@ impl Supervision {
     #[must_use]
     pub fn with_deadline(mut self, deadline: Duration) -> Self {
         self.deadline = Some(deadline);
-        self
-    }
-
-    /// Sets the per-point cycle budget.
-    #[must_use]
-    pub fn with_cycle_budget(mut self, budget: u64) -> Self {
-        self.cycle_budget = Some(budget);
         self
     }
 
@@ -100,26 +87,17 @@ pub enum PointError {
         /// The deadline that was missed, milliseconds.
         limit_ms: u64,
     },
-    /// The spec needs more cycles than the budget grants — deterministic,
-    /// failed without running.
-    BudgetExceeded {
-        /// The configured budget.
-        budget: u64,
-        /// `warmup + measure + drain_max` for the spec.
-        required: u64,
-    },
 }
 
 impl PointError {
     /// A short machine-readable tag ("deadlock", "drain_stalled",
-    /// "panic", "deadline", "budget") for records and tables.
+    /// "panic", "deadline") for records and tables.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
             PointError::Sim(e) => e.kind(),
             PointError::Panicked { .. } => "panic",
             PointError::DeadlineExceeded { .. } => "deadline",
-            PointError::BudgetExceeded { .. } => "budget",
         }
     }
 
@@ -141,9 +119,6 @@ impl std::fmt::Display for PointError {
             PointError::DeadlineExceeded { limit_ms } => {
                 write!(f, "point exceeded its {limit_ms} ms deadline")
             }
-            PointError::BudgetExceeded { budget, required } => {
-                write!(f, "spec needs {required} cycles but the budget is {budget}")
-            }
         }
     }
 }
@@ -163,10 +138,6 @@ impl Serialize for PointError {
             PointError::DeadlineExceeded { limit_ms } => {
                 fields.push(("limit_ms".to_string(), Value::UInt(*limit_ms)));
             }
-            PointError::BudgetExceeded { budget, required } => {
-                fields.push(("budget".to_string(), Value::UInt(*budget)));
-                fields.push(("required".to_string(), Value::UInt(*required)));
-            }
         }
         Value::Object(fields)
     }
@@ -178,7 +149,7 @@ impl Serialize for PointError {
 pub struct PointFailure {
     /// The last (decisive) error.
     pub error: PointError,
-    /// Attempts made (0 for budget failures, which never run).
+    /// Attempts made.
     pub attempts: u32,
     /// Wall clock across all attempts.
     pub elapsed: Duration,
@@ -410,16 +381,6 @@ where
     F: Fn(&BatchEvent) + Sync,
 {
     let begun = Instant::now();
-    if let Some(budget) = supervision.cycle_budget {
-        let required = scenario.warmup + scenario.measure + scenario.drain_max;
-        if required > budget {
-            return PointOutcome::Failed(PointFailure {
-                error: PointError::BudgetExceeded { budget, required },
-                attempts: 0,
-                elapsed: begun.elapsed(),
-            });
-        }
-    }
     let max_attempts = supervision.retries.saturating_add(1);
     let mut attempts = 0;
     loop {
@@ -607,23 +568,6 @@ mod tests {
         }
         let starts = events.into_inner().unwrap();
         assert_eq!(starts.len(), 3, "no retry attempts were started");
-    }
-
-    #[test]
-    fn budget_overruns_fail_fast_without_running() {
-        let scenarios = batch(2);
-        let outcomes = run_batch_supervised(
-            &scenarios,
-            1,
-            &Supervision::new().with_cycle_budget(100),
-            None,
-            |_| {},
-        );
-        for outcome in &outcomes {
-            let failure = outcome.failure().expect("budget is 100, spec needs 2500");
-            assert_eq!(failure.error.kind(), "budget");
-            assert_eq!(failure.attempts, 0, "never ran");
-        }
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! overloaded point but not on the light one.
 
 use adele::online::ElevatorFirstSelector;
-use noc_sim::harness::{run_once, saturation_rate, zero_load_latency, SweepPoint};
-use noc_sim::SimConfig;
+use noc_sim::harness::{run_once, saturation_rate};
+use noc_sim::{RunSummary, SimConfig};
 use noc_topology::{ElevatorSet, Mesh3d};
-use noc_traffic::{CyclePolled, SyntheticTraffic};
+use noc_traffic::SyntheticTraffic;
 
 /// Tiny topology + short windows: the whole file runs in well under a
 /// second even in debug builds.
@@ -17,18 +17,17 @@ fn tiny_config() -> SimConfig {
     SimConfig::new(mesh, elevators).with_phases(100, 400, 2_000)
 }
 
-/// One [`SweepPoint`] per rate, fresh traffic and selector each.
-fn sweep(config: &SimConfig, rates: &[f64]) -> Vec<SweepPoint> {
+/// One run per rate, fresh traffic and selector each.
+fn sweep(config: &SimConfig, rates: &[f64]) -> Vec<RunSummary> {
     rates
         .iter()
-        .map(|&rate| SweepPoint {
-            rate,
-            summary: run_once(
+        .map(|&rate| {
+            run_once(
                 config,
                 Box::new(SyntheticTraffic::uniform(&config.mesh, rate, 5)),
                 Box::new(ElevatorFirstSelector::new(&config.mesh, &config.elevators)),
             )
-            .unwrap(),
+            .unwrap()
         })
         .collect()
 }
@@ -36,17 +35,8 @@ fn sweep(config: &SimConfig, rates: &[f64]) -> Vec<SweepPoint> {
 #[test]
 fn zero_load_latency_is_finite_and_saturation_detection_terminates() {
     let config = tiny_config();
-    let mesh = config.mesh;
-    let elevators = config.elevators.clone();
-    let zero = zero_load_latency(
-        &config,
-        &|rate| {
-            let polled = SyntheticTraffic::uniform(&mesh, rate, 5);
-            Box::new(CyclePolled::new(Box::new(polled), mesh.node_count()))
-        },
-        &|| Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
-    )
-    .unwrap();
+    // The latency at a token injection rate, as `fig4` probes it.
+    let zero = sweep(&config, &[1e-4])[0].avg_latency;
     assert!(
         zero.is_finite(),
         "zero-load latency must be finite, got {zero}"
@@ -58,21 +48,19 @@ fn zero_load_latency_is_finite_and_saturation_detection_terminates() {
 
     // The second rate (0.5 packets/node/cycle) is far past saturation for
     // two elevator columns; the drain cap guarantees the sweep returns.
-    let points = sweep(&config, &[0.001, 0.5]);
+    let rates = [0.001, 0.5];
+    let points = sweep(&config, &rates);
     assert_eq!(points.len(), 2);
-    assert!(
-        points[0].summary.completed,
-        "the light point must drain completely"
-    );
+    assert!(points[0].completed, "the light point must drain completely");
 
-    let sat = saturation_rate(&points, zero);
+    let sat = saturation_rate(&rates, &points, zero);
     assert_eq!(
         sat,
         Some(0.5),
         "saturation must be detected exactly at the overloaded point \
          (latencies: {:.1} / {:.1}, zero-load {zero:.1})",
-        points[0].summary.avg_latency,
-        points[1].summary.avg_latency,
+        points[0].avg_latency,
+        points[1].avg_latency,
     );
 }
 

@@ -13,7 +13,6 @@
 //!   lu, radix, water).
 //! * [`matrix`] — long-run traffic frequency matrices `f_ij`, consumed by
 //!   AdEle's offline objectives (Eq. 1 of the paper).
-//! * [`trace`] — recorded injection events for replay and testing.
 //! * [`scheduled`] — event-driven batched injection: sources that
 //!   skip-sample each node's next injection cycle (geometric for
 //!   Bernoulli, phase-aware for bursty) so idle nodes cost nothing
@@ -58,7 +57,6 @@ pub mod injection;
 pub mod matrix;
 pub mod pattern;
 pub mod scheduled;
-pub mod trace;
 
 mod source;
 

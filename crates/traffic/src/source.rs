@@ -37,8 +37,8 @@ pub enum TrafficDirective {
 
 /// A workload: asked once per node per cycle whether that node injects.
 ///
-/// The simulator drives this interface for synthetic patterns, application
-/// models and recorded traces alike.
+/// The simulator drives this interface for synthetic patterns and
+/// application models alike.
 pub trait TrafficSource: Send {
     /// Returns the packet injected by `node` at `cycle`, if any.
     ///
@@ -71,7 +71,7 @@ pub trait TrafficSource: Send {
     }
 
     /// Applies a mid-run [`TrafficDirective`]. Default: ignored (sources
-    /// without a notion of rate or hotspots, e.g. recorded traces).
+    /// without a notion of rate or hotspots).
     fn apply(&mut self, directive: &TrafficDirective) {
         let _ = directive;
     }

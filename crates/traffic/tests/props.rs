@@ -5,7 +5,6 @@ use noc_topology::{Mesh3d, NodeId};
 use noc_traffic::apps::{AppKind, AppTraffic};
 use noc_traffic::injection::{Coin, InjectionProcess, OnOffParams, PacketSizeRange};
 use noc_traffic::pattern::{BitPermutation, Hotspot, Pattern, Permutation, Uniform};
-use noc_traffic::trace::Trace;
 use noc_traffic::{
     CompositeSource, InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective,
     TrafficMatrix, TrafficSource,
@@ -490,7 +489,6 @@ proptest! {
         let nodes = mesh.node_count();
         let burst = OnOffParams::new(0.05, 0.02, 0.1);
         let polled = |parts| SyntheticTraffic::from_parts(parts, seed);
-        let trace = Trace::record(&mut polled(SyntheticParts::bursty(&mesh, rate, burst)), &mesh, 35);
         type Build<'a> = Box<dyn Fn() -> Box<dyn TrafficSource + 'a> + 'a>;
         let mut builders: Vec<Build<'_>> = vec![
             Box::new(|| Box::new(SyntheticTraffic::uniform(&mesh, rate, seed))),
@@ -509,7 +507,6 @@ proptest! {
                     seed + 2,
                 ))
             }),
-            Box::new(|| Box::new(trace.replayer())),
         ];
         for kind in AppKind::ALL {
             let mesh = &mesh;
@@ -527,7 +524,7 @@ proptest! {
         for build in &builders {
             let (mut bulk, mut per_node) = (build(), build());
             // The per-node tail on both sides checks the state left behind
-            // (RNG position, burst phases, trace cursor), not just the
+            // (RNG position, burst phases), not just the
             // injections so far.
             let expected = polled_stream(per_node.as_mut(), nodes, 90, 0, &directives);
             let got = polled_stream(bulk.as_mut(), nodes, 90, 60, &directives);

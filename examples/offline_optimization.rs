@@ -49,11 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The latency-leaning pick round-trips through its text form.
+    // The latency-leaning pick round-trips through its JSON form (what a
+    // spec file's `SelectorSpec::Adele { assignment, .. }` carries).
     let pick = result.select(SelectionStrategy::LatencyLeaning);
-    let text = pick.assignment.to_text();
-    let round_trip = SubsetAssignment::from_text(&text)?;
+    let json = serde_json::to_string(&pick.assignment)?;
+    let round_trip: SubsetAssignment = serde_json::from_str(&json)?;
     assert_eq!(round_trip, pick.assignment);
-    println!("\nassignment serialises to {} bytes of text", text.len());
+    println!("\nassignment serialises to {} bytes of JSON", json.len());
     Ok(())
 }

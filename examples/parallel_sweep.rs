@@ -1,4 +1,4 @@
-//! The `noc_exp` parallel sweep runner on the paper's large PM
+//! The `noc_exp` parallel map (`par_map`) on the paper's large PM
 //! configuration (8×8×4 mesh, 12 elevators): the same 8-point injection
 //! sweep runs once on one worker (the plain sequential map) and once on
 //! the scoped-thread worker pool, the results are asserted
@@ -10,9 +10,9 @@
 //! (`ADELE_QUICK=1` shrinks the windows for a smoke pass).
 
 use adele_bench::quick_mode;
-use noc_exp::runner::{default_threads, injection_sweep};
+use noc_exp::runner::{default_threads, par_map};
 use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
-use noc_sim::SimConfig;
+use noc_sim::{SimConfig, Simulator};
 use noc_topology::placement::Placement;
 use std::time::Instant;
 
@@ -26,8 +26,16 @@ fn main() {
     let config = SimConfig::new(mesh, elevators.clone()).with_phases(warmup, measure, drain);
     let rates: Vec<f64> = (1..=8).map(|i| 0.003 * f64::from(i) / 8.0).collect();
 
-    let traffic = |rate: f64| WorkloadSpec::v1(WorkloadKind::Uniform { rate }).build(&mesh, 11);
-    let selector = || SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 0);
+    // Fresh traffic and selector state per point; summaries in `rates` order.
+    let sweep = |threads: usize| {
+        par_map(&rates, threads, |_, &rate| {
+            let traffic = WorkloadSpec::v1(WorkloadKind::Uniform { rate }).build(&mesh, 11);
+            let selector = SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 0);
+            Simulator::from_scheduled(config.clone(), traffic, selector)
+                .run()
+                .expect("healthy sweep: default watchdog")
+        })
+    };
 
     let threads = default_threads();
     println!(
@@ -37,13 +45,11 @@ fn main() {
     );
 
     let t = Instant::now();
-    let sequential = injection_sweep(&config, &rates, &traffic, &selector, 1)
-        .expect("healthy sweep: default watchdog");
+    let sequential = sweep(1);
     let t_seq = t.elapsed();
 
     let t = Instant::now();
-    let parallel = injection_sweep(&config, &rates, &traffic, &selector, threads)
-        .expect("healthy sweep: default watchdog");
+    let parallel = sweep(threads);
     let t_par = t.elapsed();
 
     assert_eq!(
@@ -52,10 +58,10 @@ fn main() {
     );
 
     println!("{:>8}  {:>12}  {:>10}", "rate", "avg latency", "completed");
-    for p in &parallel {
+    for (rate, summary) in rates.iter().zip(&parallel) {
         println!(
-            "{:>8.4}  {:>12.1}  {:>10}",
-            p.rate, p.summary.avg_latency, p.summary.completed
+            "{rate:>8.4}  {:>12.1}  {:>10}",
+            summary.avg_latency, summary.completed
         );
     }
 

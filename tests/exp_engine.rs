@@ -1,13 +1,13 @@
-//! The scenario engine end to end: the parallel sweep is bit-identical
-//! to the single-worker sweep, scenario batches preserve order and
+//! The scenario engine end to end: a sweep on the `par_map` pool is
+//! bit-identical to the plain loop, scenario batches preserve order and
 //! determinism, and a mid-run `ElevatorFail` event demonstrably changes
 //! AdEle's selection.
 
 use noc_exp::{
-    injection_sweep, run_batch_supervised, Event, Scenario, ScenarioResult, SelectorSpec,
-    Supervision, WorkloadKind, WorkloadSpec,
+    par_map, run_batch_supervised, Event, Scenario, ScenarioResult, SelectorSpec, Supervision,
+    WorkloadKind, WorkloadSpec,
 };
-use noc_sim::SimConfig;
+use noc_sim::{SimConfig, Simulator};
 use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d};
 
 fn tiny_topology() -> (Mesh3d, ElevatorSet) {
@@ -24,20 +24,26 @@ fn run_all(scenarios: &[Scenario], threads: usize) -> Vec<ScenarioResult> {
         .collect()
 }
 
-/// The acceptance contract of the parallel runner: for a fixed seed, the
-/// sweep output equals the single-worker (plain sequential map) output
-/// exactly — every `SweepPoint`, bit for bit — for any worker count.
+/// The acceptance contract of the parallel runner: for a fixed seed, a
+/// sweep mapped over the pool equals the single-worker (plain sequential
+/// map) output exactly — every summary, bit for bit — for any worker
+/// count.
 #[test]
 fn parallel_sweep_is_bit_identical_to_sequential() {
     let (mesh, elevators) = tiny_topology();
     let config = SimConfig::new(mesh, elevators.clone()).with_phases(150, 600, 3_000);
     let rates: Vec<f64> = (1..=8).map(|i| 0.004 * f64::from(i) / 8.0).collect();
-    let traffic = |rate: f64| WorkloadSpec::v1(WorkloadKind::Uniform { rate }).build(&mesh, 5);
-    let selector = || SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 0);
+    let sweep = |threads: usize| {
+        par_map(&rates, threads, |_, &rate| {
+            let traffic = WorkloadSpec::v1(WorkloadKind::Uniform { rate }).build(&mesh, 5);
+            let selector = SelectorSpec::ElevatorFirst.build(&mesh, &elevators, 0);
+            Simulator::from_scheduled(config.clone(), traffic, selector).run()
+        })
+    };
 
-    let sequential = injection_sweep(&config, &rates, &traffic, &selector, 1);
+    let sequential = sweep(1);
     for threads in [2, 4, 8] {
-        let parallel = injection_sweep(&config, &rates, &traffic, &selector, threads);
+        let parallel = sweep(threads);
         assert_eq!(
             parallel, sequential,
             "{threads}-thread sweep must match the sequential output exactly"

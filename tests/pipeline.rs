@@ -55,8 +55,9 @@ fn cached_assignment_text_round_trips_through_simulation() {
         .optimize();
     let original = &result.select(SelectionStrategy::Knee).assignment;
 
-    // Serialise + parse (the harness's results/ cache format).
-    let restored = SubsetAssignment::from_text(&original.to_text()).unwrap();
+    // Serialise + parse (JSON text, the form a spec file carries).
+    let text = serde_json::to_string(original).unwrap();
+    let restored: SubsetAssignment = serde_json::from_str(&text).unwrap();
     assert_eq!(&restored, original);
 
     // Both must drive identical simulations.
