@@ -13,9 +13,9 @@
 use adele::offline::SubsetAssignment;
 use adele::AdeleConfig;
 use adele_bench::{
-    dump_json, f1, f2, offline_assignment, print_table, run_grid, Cell, Policy, Traffic,
+    dump_json, f1, f2, figure_scenario, offline_assignment, print_table, run_scenarios,
 };
-use noc_exp::{WorkloadKind, WorkloadSpec};
+use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
 use noc_topology::placement::Placement;
 use serde::Serialize;
 
@@ -116,18 +116,22 @@ fn main() {
     println!(
         "# AdEle ablations on PS1, uniform traffic (high load {high_rate}, low load {low_rate})"
     );
-    // Per variant: the high-load cell, then the low-load one.
-    let cells: Vec<Cell> = variants
+    // Per variant: the high-load scenario, then the low-load one.
+    let scenarios: Vec<Scenario> = variants
         .iter()
-        .flat_map(|(_, assignment, config)| {
+        .flat_map(|(label, assignment, config)| {
             [high_rate, low_rate].map(|rate| {
-                let uniform = Traffic::Spec(WorkloadSpec::v1(WorkloadKind::Uniform { rate }));
-                let policy = Policy::Tuned((*assignment).clone(), *config);
-                Cell(placement, uniform, 4242, policy)
+                let selector = SelectorSpec::AdeleTuned {
+                    config: *config,
+                    assignment: Some((*assignment).clone()),
+                };
+                figure_scenario(format!("ablation {label} @ {rate}"), placement)
+                    .with_workload(WorkloadKind::Uniform { rate })
+                    .with_selector(selector)
             })
         })
         .collect();
-    let summaries = run_grid(&cells);
+    let summaries = run_scenarios(&scenarios);
 
     let mut rows = Vec::new();
     let mut json = Vec::new();

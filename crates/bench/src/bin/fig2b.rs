@@ -2,8 +2,8 @@
 //! Elevator-First selection policy and uniform traffic, demonstrating the
 //! uneven elevator utilisation that motivates AdEle.
 
-use adele_bench::{dump_json, f2, print_table, run_grid, Cell, Policy, Traffic};
-use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
+use adele_bench::{dump_json, f2, figure_scenario, print_table, run_scenarios};
+use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_topology::placement::Placement;
 use noc_topology::Coord;
 use serde::Serialize;
@@ -22,9 +22,10 @@ fn main() {
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let rate = 0.003;
-    let uniform = Traffic::Spec(WorkloadSpec::v1(WorkloadKind::Uniform { rate }));
-    let baseline = Policy::Spec(SelectorSpec::ElevatorFirst);
-    let summary = &run_grid(&[Cell(placement, uniform, 1234, baseline)])[0];
+    let scenario = figure_scenario("fig2b", placement)
+        .with_workload(WorkloadKind::Uniform { rate })
+        .with_selector(SelectorSpec::ElevatorFirst);
+    let summary = &run_scenarios(&[scenario])[0];
 
     let layer = (mesh.layers() / 2) as u8;
     let mut loads = vec![vec![0.0; mesh.x()]; mesh.y()];

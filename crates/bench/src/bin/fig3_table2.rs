@@ -4,9 +4,9 @@
 //! spread along the front versus Elevator-First.
 
 use adele_bench::{
-    dump_json, f1, f2, offline_result, print_table, run_grid, table2_rate, Cell, Policy, Traffic,
+    dump_json, f1, f2, figure_scenario, offline_result, print_table, run_scenarios, table2_rate,
 };
-use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
+use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
 use noc_topology::placement::Placement;
 use serde::Serialize;
 
@@ -79,17 +79,18 @@ fn main() {
         (format!("S{i}"), Some(pick), adele)
     });
     let variants: Vec<_> = std::iter::once(baseline).chain(solutions).collect();
-    let cells: Vec<Cell> = variants
+    let scenarios: Vec<Scenario> = variants
         .iter()
-        .map(|(.., policy)| {
-            let uniform = Traffic::Spec(WorkloadSpec::v1(WorkloadKind::Uniform { rate }));
-            Cell(placement, uniform, 555, Policy::Spec(policy.clone()))
+        .map(|(label, _, policy)| {
+            figure_scenario(format!("table2 {label}"), placement)
+                .with_workload(WorkloadKind::Uniform { rate })
+                .with_selector(policy.clone())
         })
         .collect();
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    for ((label, pick, _), summary) in variants.into_iter().zip(run_grid(&cells)) {
+    for ((label, pick, _), summary) in variants.into_iter().zip(run_scenarios(&scenarios)) {
         let variance = pick.map(|p| p.utilization_variance);
         let distance = pick.map(|p| p.average_distance);
         rows.push(vec![

@@ -8,14 +8,14 @@
 //! bit-stable `v1` workload stream (the dump records it). `ADELE_QUICK=1`
 //! shrinks windows for a fast smoke run.
 //!
-//! A panel is one grid on the figure runner: per policy, the zero-load
-//! probe and the swept rates, all independent cells.
+//! A panel is one batch on the figure runner: per policy, the zero-load
+//! probe and the swept rates, all independent scenarios.
 
 use adele_bench::{
-    dump_json, f1, f4, fig4_rates, main_policies, offline_assignment, print_table, run_grid, Args,
-    Cell, Policy, Traffic,
+    dump_json, f1, f4, fig4_rates, figure_scenario, main_policies, offline_assignment, print_table,
+    run_scenarios, Args,
 };
-use noc_exp::{SelectorSpec, WorkloadKind, WorkloadSpec};
+use noc_exp::{Scenario, SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_sim::harness::saturation_rate;
 use noc_topology::placement::Placement;
 use serde::Serialize;
@@ -68,22 +68,22 @@ fn panel(placement: Placement, workload: &str, shuffle: bool) -> Panel {
             WorkloadKind::Uniform { rate }
         })
     };
-    // Policy-major; each policy's zero-load probe, then its sweep.
+    // Selector-major; each policy's zero-load probe, then its sweep.
     let probed: Vec<f64> = std::iter::once(ZERO_LOAD_RATE)
         .chain(rates.iter().copied())
         .collect();
-    let cells: Vec<Cell> = policies
+    let scenarios: Vec<Scenario> = policies
         .iter()
-        .flat_map(|(_, policy)| {
-            probed.iter().map(|&rate| {
-                // Identical traffic stream for every policy at a given rate.
-                let seed = 1000 + (rate * 1e6) as u64;
-                let policy = Policy::Spec(policy.clone());
-                Cell(placement, Traffic::Spec(spec(rate)), seed, policy)
+        .flat_map(|(name, policy)| {
+            probed.iter().map(move |&rate| {
+                let label = format!("fig4 {placement} {workload} {name} @ {rate}");
+                figure_scenario(label, placement)
+                    .with_workload(spec(rate))
+                    .with_selector(policy.clone())
             })
         })
         .collect();
-    let summaries = run_grid(&cells);
+    let summaries = run_scenarios(&scenarios);
 
     let series = policies
         .iter()

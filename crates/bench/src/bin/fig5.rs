@@ -5,13 +5,13 @@
 //! The paper's takeaway: AdEle reduces the load on the most-utilised
 //! elevator (the blue bar) by spreading traffic across the set.
 //!
-//! The per-policy runs are one grid on the figure runner (`repro_all
+//! The per-policy runs are one batch on the figure runner (`repro_all
 //! --verify` checks the pool against sequential runs), on the bit-stable
 //! `v1` workload stream (the dump records it).
 
 use adele_bench::{
-    dump_json, f2, f4, main_policies, offline_assignment, print_table, run_grid, Args, Cell,
-    Policy, Traffic,
+    dump_json, f2, f4, figure_scenario, main_policies, offline_assignment, print_table,
+    run_scenarios, Args,
 };
 use noc_exp::{WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
@@ -35,11 +35,12 @@ fn main() {
     let rate = 0.004;
     let workload = WorkloadSpec::v1(WorkloadKind::Uniform { rate });
 
-    let cells = policies.clone().map(|(_, policy)| {
-        let uniform = Traffic::Spec(workload.clone());
-        Cell(placement, uniform, 777, Policy::Spec(policy))
+    let scenarios = policies.clone().map(|(name, policy)| {
+        figure_scenario(format!("fig5 {name}"), placement)
+            .with_workload(workload.clone())
+            .with_selector(policy)
     });
-    let summaries = run_grid(&cells);
+    let summaries = run_scenarios(&scenarios);
 
     let mut bars = Vec::new();
     let mut rows = Vec::new();

@@ -8,8 +8,8 @@
 //! congestion.
 //!
 //! The (regime × placement × policy) grid is one call of the figure
-//! runner (`repro_all --verify` checks the pool against the sequential
-//! grid), on the bit-stable `v1` workload stream (the dumps record it).
+//! runner (`repro_all --verify` checks the pool against sequential runs),
+//! on the bit-stable `v1` workload stream (the dumps record it).
 //!
 //! **Link-granular mode** (`fig6 --links`):
 //! instead of the aggregate cells, reproduce the figure at link
@@ -18,11 +18,11 @@
 //! JSON per placement under `results/`.
 
 use adele_bench::{
-    dump_json, f2, f4, fig6_rates, main_policies, offline_assignment, print_table, results_dir,
-    run_grid, run_grid_with, written_or_die, Args, Cell, Policy, Traffic,
+    dump_json, f2, f4, fig6_rates, figure_scenario, main_policies, offline_assignment, print_table,
+    results_dir, run_scenarios, run_scenarios_with, written_or_die, Args,
 };
 use noc_energy::{HeatmapReport, LinkEnergyReport};
-use noc_exp::{WorkloadKind, WorkloadSpec};
+use noc_exp::{Scenario, WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
 use serde::Serialize;
 
@@ -36,7 +36,7 @@ struct EnergyCell {
     normalized: f64,
 }
 
-/// A cell's uniform workload.
+/// A scenario's uniform workload.
 fn workload(rate: f64) -> WorkloadSpec {
     WorkloadSpec::v1(WorkloadKind::Uniform { rate })
 }
@@ -45,30 +45,29 @@ fn workload(rate: f64) -> WorkloadSpec {
 const POLICIES: usize = 3;
 
 /// Both modes' grid: placement-major, each placement's low- then
-/// high-rate point, each point × [`main_policies`]. Beside every cell, the
-/// `(rate, policy name)` the tables print with its result.
-fn grid() -> (Vec<(f64, &'static str)>, Vec<Cell>) {
+/// high-rate point, each point × [`main_policies`]. Beside every scenario,
+/// the `(rate, policy name)` the tables print with its result.
+fn grid() -> (Vec<(f64, &'static str)>, Vec<Scenario>) {
     let mut keys = Vec::new();
-    let mut cells = Vec::new();
+    let mut scenarios = Vec::new();
     for placement in Placement::ALL {
         let policies = main_policies(&offline_assignment(placement));
         let (low, high) = fig6_rates(placement);
         for rate in [low, high] {
             for (policy, selector) in policies.clone() {
                 keys.push((rate, policy));
-                // The same packets for every policy at a given placement
-                // and rate.
-                let uniform = Traffic::Spec(workload(rate));
-                cells.push(Cell(placement, uniform, 999, Policy::Spec(selector)));
+                let name = format!("fig6 {placement} {policy} @ {rate}");
+                let scenario = figure_scenario(name, placement).with_workload(workload(rate));
+                scenarios.push(scenario.with_selector(selector));
             }
         }
     }
-    (keys, cells)
+    (keys, scenarios)
 }
 
 fn standard_mode() {
-    let (keys, cells) = grid();
-    let summaries = run_grid(&cells);
+    let (keys, scenarios) = grid();
+    let summaries = run_scenarios(&scenarios);
 
     let mut dump = Vec::new();
     for (regime, label, load) in [(0, "a", "Low"), (1, "b", "High")] {
@@ -114,18 +113,19 @@ struct LinkCell {
 }
 
 /// Fig. 6 at link granularity: per-pillar TSV energy and hottest links,
-/// from the same cells as the aggregate mode, but each driven through its
-/// warm-up and measurement window only, so the per-link ledger can be
+/// from the same scenarios as the aggregate mode, but each driven through
+/// its warm-up and measurement window only, so the per-link ledger can be
 /// snapshot (the reports are plain owned data: pool workers return them
 /// and the main thread keeps only printing and file writes).
 fn links_mode() {
-    let (keys, cells) = grid();
-    let snapshots = run_grid_with(&cells, |config, mut sim| {
-        sim.advance(config.warmup)?;
-        sim.measure_window(config.measure)?;
+    let (keys, scenarios) = grid();
+    let snapshots = run_scenarios_with(&scenarios, |scenario, mut sim| {
+        sim.advance(scenario.warmup)?;
+        sim.measure_window(scenario.measure)?;
+        let energy = scenario.sim_config().energy;
         Ok((
-            LinkEnergyReport::from_ledger(sim.link_map(), sim.link_ledger(), &config.energy),
-            HeatmapReport::from_ledger(sim.link_map(), sim.link_ledger(), &config.energy),
+            LinkEnergyReport::from_ledger(sim.link_map(), sim.link_ledger(), &energy),
+            HeatmapReport::from_ledger(sim.link_map(), sim.link_ledger(), &energy),
         ))
     });
 
@@ -136,7 +136,7 @@ fn links_mode() {
         println!("\n# Fig. 6 (link granularity): {}", placement.name());
         let mut rows = Vec::new();
         for _ in 0..2 * POLICIES {
-            let ((rate, policy), (report, heat)) = results.next().expect("one snapshot per cell");
+            let ((rate, policy), (report, heat)) = results.next().expect("one snapshot each");
             let hottest: Vec<String> = report
                 .hottest(3)
                 .iter()

@@ -8,15 +8,16 @@
 //! DESIGN.md).
 //!
 //! The placement × app × policy grid is one call of the figure runner;
-//! every cell is an independent seeded simulation, so results are
+//! every scenario is an independent seeded simulation, so results are
 //! bit-identical to the sequential loop. The app models are polled
 //! sources, which run the same on either workload stream (behind
 //! `CyclePolled`), so there is no `--stream` flag; the dump records `v1`.
 
 use adele_bench::{
-    dump_json, f2, fig7_base_rate, main_policies, offline_assignment, print_table, run_grid, Cell,
-    Policy, Traffic,
+    dump_json, f2, fig7_base_rate, figure_scenario, main_policies, offline_assignment, print_table,
+    run_scenarios,
 };
+use noc_exp::WorkloadKind;
 use noc_topology::placement::Placement;
 use noc_traffic::apps::AppKind;
 use serde::Serialize;
@@ -37,17 +38,19 @@ fn main() {
     let placements = [Placement::Ps1, Placement::Ps2, Placement::Ps3];
     let policies = placements.map(|p| main_policies(&offline_assignment(p)));
 
-    // One cell per (placement, app, policy), in that order.
+    // One scenario per (placement, app, policy), in that order.
     let mut grid = Vec::new();
     for (placement, policies) in placements.into_iter().zip(&policies) {
+        let rate = fig7_base_rate(placement);
         for app in AppKind::ALL {
-            for (_, policy) in policies {
-                let traffic = Traffic::App(app, fig7_base_rate(placement));
-                grid.push(Cell(placement, traffic, 4321, Policy::Spec(policy.clone())));
+            for (name, policy) in policies {
+                let scenario = figure_scenario(format!("fig7 {placement} {app} {name}"), placement)
+                    .with_workload(WorkloadKind::App { app, rate });
+                grid.push(scenario.with_selector(policy.clone()));
             }
         }
     }
-    let all = run_grid(&grid);
+    let all = run_scenarios(&grid);
 
     let mut cells: Vec<AppCell> = Vec::new();
     let per_placement = all.chunks(AppKind::ALL.len() * policies[0].len());

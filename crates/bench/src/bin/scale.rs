@@ -8,8 +8,8 @@
 //! driven for a fixed cycle budget after a warm-up; the wall-clock
 //! cycles/second and the process peak RSS are reported per point.
 //!
-//! Usage: `scale [--quick] [--stream v1|v2|both] [--shards 1,2,8]
-//! [--hud [--quiet]] [--resume]` (`ADELE_QUICK=1` works too; the default
+//! Usage: `scale [--stream v1|v2|both] [--shards 1,2,8] [--hud [--quiet]]
+//! [--resume]` (`ADELE_QUICK=1` shrinks the cycle budget; the default
 //! measures **both** streams so the batched-injection speedup is recorded
 //! next to the bit-stable baseline). `--shards` takes a comma-separated
 //! list of shard counts — results are bit-identical at every count, so
@@ -148,7 +148,6 @@ fn measure(
 
 fn main() {
     let mut args = Args::from_env("scale");
-    let quick = args.flag("--quick") || quick_mode();
     let resume = args.flag("--resume");
     // `--stream v1|v2|both` (default both).
     let streams = match args.value::<String>("--stream").as_deref() {
@@ -163,7 +162,7 @@ fn main() {
     let hud_on = args.flag("--hud");
     let quiet = args.flag("--quiet");
     args.finish();
-    let cycles: u64 = if quick { 2_000 } else { 20_000 };
+    let cycles: u64 = if quick_mode() { 2_000 } else { 20_000 };
     // Low load (well under pillar saturation at every scale) is where
     // idle-router skipping and batched injection matter; the higher rate
     // saturates the pillar grid, so it measures busy-network switching

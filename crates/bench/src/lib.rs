@@ -4,10 +4,11 @@
 //! presets, the policy line-up as `noc_exp` specs (including running the
 //! offline AMOSA stage), figure-specific injection-rate grids, table
 //! printing and JSON result dumping, the one strict command-line parser
-//! ([`Args`]) they all share — and the one figure runner: a figure builds
-//! a flat list of [`Cell`]s, hands it to [`run_grid`] (or
-//! [`run_grid_with`]) and prints the table. No figure binary assembles a
-//! simulator, a pool or a seed of its own.
+//! ([`Args`]) they all share — and the one figure runner: every figure
+//! simulation is a `noc_exp` [`Scenario`] started from
+//! [`figure_scenario`], and a figure hands its flat list of them to
+//! [`run_scenarios`] (or [`run_scenarios_with`]) and prints the table. No
+//! figure binary assembles a simulator, a pool or a seed of its own.
 //!
 //! Set `ADELE_QUICK=1` to shrink warm-up/measurement windows and the
 //! AMOSA schedule — useful for smoke-testing every harness quickly.
@@ -17,12 +18,11 @@
 mod cli;
 mod grid;
 pub use cli::Args;
-pub use grid::{run_grid, run_grid_with, Cell, Policy, Traffic};
+pub use grid::{figure_scenario, run_scenarios, run_scenarios_with};
 
 use adele::offline::{OfflineOptimizer, OfflineResult, SelectionStrategy, SubsetAssignment};
 use amosa::AmosaParams;
 use noc_exp::{Scenario, SelectorSpec};
-use noc_sim::SimConfig;
 use noc_topology::placement::Placement;
 use serde::Serialize;
 use std::io;
@@ -34,20 +34,6 @@ pub fn quick_mode() -> bool {
     std::env::var("ADELE_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)
-}
-
-/// Standard [`SimConfig`] for a placement: its fabric, and the windows
-/// `(warmup, measure, drain_max)`, which honour quick mode.
-#[must_use]
-pub fn sim_config(placement: Placement) -> SimConfig {
-    let (mesh, elevators) = placement.instantiate();
-    let (warmup, measure, drain) = match (quick_mode(), placement == Placement::Pm) {
-        (true, true) => (500, 2_000, 8_000),
-        (true, false) => (1_000, 4_000, 12_000),
-        (false, true) => (3_000, 12_000, 40_000),
-        (false, false) => (5_000, 20_000, 60_000),
-    };
-    SimConfig::new(mesh, elevators).with_phases(warmup, measure, drain)
 }
 
 /// The three policies every figure compares, as `(column name, spec)`,

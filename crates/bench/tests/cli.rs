@@ -4,10 +4,14 @@
 //! binary touches a file. The case that motivated it: `run_specs specs
 //! --resum` used to read as "not resuming", delete the ledger the user
 //! meant to resume from, and start over. Input that parses but cannot be
-//! run — a name that matches no panel, an empty measurement window, a
-//! results file that cannot be written — is a named error too (exit 2, 1
-//! and 3), never a panic and never an emptied result file.
+//! run — a name that matches no panel, an empty measurement window or an
+//! out-of-range AdEle tuning or app rate, a results file that cannot be
+//! written — is a named error too (exit 2, 1 and 3), never a panic and
+//! never an emptied result file.
 
+use adele::AdeleConfig;
+use noc_exp::{SelectorSpec, WorkloadKind};
+use noc_traffic::apps::AppKind;
 use std::path::Path;
 use std::process::Command;
 
@@ -59,7 +63,8 @@ fn usage_errors_exit_2_naming_the_offender() {
         // An unknown flag — a typo, or a flag another binary has.
         (RUN_SPECS, &["specs", "--resum"], "--resum"),
         (RUN_SPECS, &["--emit", "specs", "--resume"], "--resume"),
-        (SCALE, &["--quick", "--shard", "2"], "--shard"),
+        (SCALE, &["--quick"], "--quick"),
+        (SCALE, &["--shard", "2"], "--shard"),
         (
             NOC_TRACE,
             &["verify", "golden.jsonl", "--shard", "8"],
@@ -154,6 +159,50 @@ fn an_empty_measurement_window_fails_at_the_parse_site() {
     std::fs::remove_file(&spec).unwrap();
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("measure must be"), "{stderr}");
+}
+
+/// AdEle tuning and application rates became spec input with the figures'
+/// move onto scenarios; out of range, they used to trip an `assert!` in
+/// `AdeleConfig::validate` or `AppTraffic::new`.
+#[test]
+fn an_out_of_range_tuning_or_app_rate_fails_at_the_parse_site() {
+    let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
+    let baseline = noc_exp::load_spec(&specs.join("baseline.json")).expect("checked-in spec");
+    let config = AdeleConfig {
+        ewma_alpha: 1.5,
+        ..AdeleConfig::paper_default()
+    };
+    let tuned = SelectorSpec::AdeleTuned {
+        config,
+        assignment: None,
+    };
+    let app = WorkloadKind::App {
+        app: AppKind::Canneal,
+        rate: 2.0,
+    };
+    let cases = [
+        (baseline.clone().with_selector(tuned), "ewma_alpha 1.5"),
+        (baseline.with_workload(app), "app rate 2"),
+    ];
+    for (at, (scenario, named)) in cases.into_iter().enumerate() {
+        let dir = std::env::temp_dir().join(format!("adele_bad_spec_{}_{at}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("bad.json");
+        std::fs::write(&spec, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
+        let (dir_arg, spec_arg) = (dir.to_str().unwrap(), spec.to_str().unwrap());
+        for (bin, args) in [
+            (RUN_SPECS, vec![dir_arg]),
+            (NOC_TRACE, vec!["record", spec_arg]),
+        ] {
+            let (code, stderr) = run(bin, &args);
+            assert_eq!(code, Some(1), "{bin} {args:?}: {stderr}");
+            assert!(
+                stderr.contains(named),
+                "{bin} {args:?} must name {named}: {stderr}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// `fig6 --links` used to `.expect(..)` its CSV and heatmap writes.

@@ -1,5 +1,5 @@
 /// Tuning knobs of AdEle's online selection policy (paper Section III.C).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct AdeleConfig {
     /// EWMA coefficient `a` of the cost update (Eq. 7). The paper found
     /// `a = 0.2` works well.
@@ -73,27 +73,27 @@ impl AdeleConfig {
 
     /// Validates parameter ranges.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `ewma_alpha` is outside `[0, 1]`, `exploration` outside
-    /// `[0, 1)`, or the threshold is negative.
-    pub fn validate(&self) {
-        assert!(
-            (0.0..=1.0).contains(&self.ewma_alpha),
-            "ewma_alpha must be in [0,1] (Eq. 7)"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.exploration),
-            "exploration xi must be in [0,1)"
-        );
-        assert!(
-            self.low_traffic_threshold >= 0.0,
-            "low_traffic_threshold must be non-negative"
-        );
-        assert!(
-            (0.0..=1.0).contains(&self.override_reentry_factor),
-            "override_reentry_factor must be in [0,1]"
-        );
+    /// Names the first field out of range: `ewma_alpha` outside `[0, 1]`,
+    /// `exploration` outside `[0, 1)`, a negative `low_traffic_threshold`
+    /// or `override_reentry_factor` outside `[0, 1]`.
+    pub fn validate(&self) -> Result<(), String> {
+        let check = |field: &str, value: f64, ok: bool, range: &str| {
+            if ok {
+                Ok(())
+            } else {
+                Err(format!("{field} {value} outside {range}"))
+            }
+        };
+        let (alpha, xi) = (self.ewma_alpha, self.exploration);
+        check("ewma_alpha", alpha, (0.0..=1.0).contains(&alpha), "[0, 1]")?;
+        check("exploration", xi, (0.0..1.0).contains(&xi), "[0, 1)")?;
+        let theta = self.low_traffic_threshold;
+        check("low_traffic_threshold", theta, theta >= 0.0, "[0, inf)")?;
+        let reentry = self.override_reentry_factor;
+        let ok = (0.0..=1.0).contains(&reentry);
+        check("override_reentry_factor", reentry, ok, "[0, 1]")
     }
 }
 
@@ -113,14 +113,14 @@ mod tests {
         assert_eq!(c.ewma_alpha, 0.2);
         assert_eq!(c.exploration, 0.05);
         assert!(c.skipping_enabled && c.low_traffic_override);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
     fn rr_only_disables_adaptivity() {
         let c = AdeleConfig::rr_only();
         assert!(!c.skipping_enabled && !c.low_traffic_override);
-        c.validate();
+        assert_eq!(c.validate(), Ok(()));
     }
 
     #[test]
@@ -129,14 +129,44 @@ mod tests {
         assert!(!AdeleConfig::rr_only().measured_energy_override);
         let m = AdeleConfig::measured_energy();
         assert!(m.measured_energy_override && m.low_traffic_override);
-        m.validate();
+        assert_eq!(m.validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "ewma_alpha")]
-    fn validate_rejects_bad_alpha() {
-        let mut c = AdeleConfig::paper_default();
-        c.ewma_alpha = 1.5;
-        c.validate();
+    fn validate_names_the_field_out_of_range() {
+        let paper = AdeleConfig::paper_default();
+        for (bad, field) in [
+            (
+                AdeleConfig {
+                    ewma_alpha: 1.5,
+                    ..paper
+                },
+                "ewma_alpha",
+            ),
+            (
+                AdeleConfig {
+                    exploration: 1.0,
+                    ..paper
+                },
+                "exploration",
+            ),
+            (
+                AdeleConfig {
+                    low_traffic_threshold: -0.1,
+                    ..paper
+                },
+                "low_traffic_threshold",
+            ),
+            (
+                AdeleConfig {
+                    override_reentry_factor: f64::NAN,
+                    ..paper
+                },
+                "override_reentry_factor",
+            ),
+        ] {
+            let error = bad.validate().unwrap_err();
+            assert!(error.starts_with(field), "{error}");
+        }
     }
 }

@@ -24,6 +24,12 @@ pub enum AdeleError {
         /// The offending router.
         node: u16,
     },
+    /// An [`AdeleConfig`](crate::AdeleConfig) field is out of range.
+    InvalidConfig {
+        /// [`AdeleConfig::validate`](crate::AdeleConfig::validate)'s
+        /// message, naming the field.
+        reason: String,
+    },
 }
 
 impl fmt::Display for AdeleError {
@@ -40,6 +46,7 @@ impl fmt::Display for AdeleError {
             AdeleError::EmptySubset { node } => {
                 write!(f, "router n{node} has an empty elevator subset")
             }
+            AdeleError::InvalidConfig { reason } => write!(f, "AdEle config: {reason}"),
         }
     }
 }

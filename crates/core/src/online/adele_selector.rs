@@ -103,7 +103,7 @@ impl AdeleSelector {
     /// # Errors
     ///
     /// Returns an [`AdeleError`] if the assignment does not match the mesh
-    /// or elevator set.
+    /// or elevator set, or a `config` field is out of range.
     pub fn from_assignment(
         mesh: &Mesh3d,
         elevators: &ElevatorSet,
@@ -112,7 +112,9 @@ impl AdeleSelector {
         seed: u64,
     ) -> Result<Self, AdeleError> {
         assignment.check_compatible(mesh, elevators)?;
-        config.validate();
+        config
+            .validate()
+            .map_err(|reason| AdeleError::InvalidConfig { reason })?;
         let nodes = mesh
             .node_ids()
             .map(|id| {
@@ -182,12 +184,6 @@ impl AdeleSelector {
             let survivors = state.subset.iter().filter(|&&e| !failed.contains(e));
             state.alive.extend(survivors);
         }
-    }
-
-    /// `true` if `elevator` is currently marked failed.
-    #[must_use]
-    pub fn is_failed(&self, elevator: ElevatorId) -> bool {
-        self.failed.contains(elevator)
     }
 }
 
@@ -528,7 +524,6 @@ mod tests {
             Coord::new(1, 1, 1),
         );
         sel.set_elevator_failed(ElevatorId(0), true);
-        assert!(sel.is_failed(ElevatorId(0)));
         for _ in 0..100 {
             assert_ne!(sel.select(&c), ElevatorId(0));
         }
@@ -606,5 +601,14 @@ mod tests {
             0
         )
         .is_err());
+        // An out-of-range tuning is a named error, not a panic.
+        let full = SubsetAssignment::full(&mesh, &elevators);
+        let config = AdeleConfig {
+            ewma_alpha: 1.5,
+            ..AdeleConfig::paper_default()
+        };
+        let error =
+            AdeleSelector::from_assignment(&mesh, &elevators, &full, config, 0).unwrap_err();
+        assert!(error.to_string().contains("ewma_alpha"), "{error}");
     }
 }

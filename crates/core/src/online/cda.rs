@@ -1,35 +1,23 @@
 use crate::online::{ElevatorSelector, SelectionContext};
 use noc_topology::{Coord, ElevatorId, ElevatorMask};
 
-/// Tuning of the [`CdaSelector`] baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CdaConfig {
-    /// Weight of the path-congestion term relative to the detour term.
-    /// The CDA paper is congestion-first; 1.0 reproduces that emphasis.
-    pub congestion_weight: f64,
-    /// Weight of the normalised route-length (detour) term. A small
-    /// tie-breaking weight keeps CDA from wandering to distant elevators
-    /// when the network is idle.
-    pub distance_weight: f64,
-    /// EWMA coefficient for the *utilization* estimate each selection
-    /// refreshes from the instantaneous occupancy probe. CDA's metric is
-    /// buffer utilization — a windowed rate kept in per-router tables —
-    /// so `1.0` (use the raw instantaneous occupancy, the most optimistic
-    /// reading of the paper's "instantaneously received" assumption) is an
-    /// upper bound on fidelity; smaller values model the epoch-averaged
-    /// counters of the CDA paper.
-    pub smoothing: f64,
-}
+/// Weight of the path-congestion term relative to the detour term. The
+/// CDA paper is congestion-first; 1.0 reproduces that emphasis.
+const CONGESTION_WEIGHT: f64 = 1.0;
 
-impl Default for CdaConfig {
-    fn default() -> Self {
-        Self {
-            congestion_weight: 1.0,
-            distance_weight: 0.25,
-            smoothing: 0.1,
-        }
-    }
-}
+/// Weight of the normalised route-length (detour) term. A small
+/// tie-breaking weight keeps CDA from wandering to distant elevators when
+/// the network is idle.
+const DISTANCE_WEIGHT: f64 = 0.25;
+
+/// EWMA coefficient for the *utilization* estimate each selection
+/// refreshes from the instantaneous occupancy probe. CDA's metric is
+/// buffer utilization — a windowed rate kept in per-router tables — so
+/// `1.0` (use the raw instantaneous occupancy, the most optimistic reading
+/// of the paper's "instantaneously received" assumption) is an upper bound
+/// on fidelity; smaller values model the epoch-averaged counters of the
+/// CDA paper.
+const SMOOTHING: f64 = 0.1;
 
 /// The CDA baseline (Fu et al. \[12\]): congestion-aware dynamic elevator
 /// assignment using **global** buffer-utilisation information.
@@ -49,7 +37,6 @@ impl Default for CdaConfig {
 /// cost appears only in the Table III area comparison.
 #[derive(Debug, Clone)]
 pub struct CdaSelector {
-    config: CdaConfig,
     /// Smoothed per-router utilization estimates (lazy-grown to N).
     utilization: Vec<f64>,
     /// Failed elevators — CDA's global view is assumed to learn of pillar
@@ -58,17 +45,10 @@ pub struct CdaSelector {
 }
 
 impl CdaSelector {
-    /// Creates the selector with default weights.
+    /// Creates the selector.
     #[must_use]
     pub fn new() -> Self {
-        Self::with_config(CdaConfig::default())
-    }
-
-    /// Creates the selector with explicit weights.
-    #[must_use]
-    pub fn with_config(config: CdaConfig) -> Self {
         Self {
-            config,
             utilization: Vec::new(),
             failed: ElevatorMask::EMPTY,
         }
@@ -81,8 +61,7 @@ impl CdaSelector {
             self.utilization.resize(node.index() + 1, 0.0);
         }
         let entry = &mut self.utilization[node.index()];
-        let a = self.config.smoothing;
-        *entry = a * instantaneous + (1.0 - a) * *entry;
+        *entry = SMOOTHING * instantaneous + (1.0 - SMOOTHING) * *entry;
         *entry
     }
 }
@@ -148,8 +127,8 @@ impl ElevatorSelector for CdaSelector {
             // The walk visits both endpoints: `d_se + 1` routers.
             let d_se = ctx.elevators.xy_distance(ctx.src, id);
             let mean_occupancy = occupancy / (f64::from(d_se + 1) * capacity);
-            let score = self.config.congestion_weight * mean_occupancy
-                + self.config.distance_weight * (d_se as f64 / max_len);
+            let score =
+                CONGESTION_WEIGHT * mean_occupancy + DISTANCE_WEIGHT * (d_se as f64 / max_len);
             // Ties: closer elevator, then lower id — deterministic.
             let key = (score, d_se, id);
             if best.is_none_or(|(s, l, i)| key.0 < s || (key.0 == s && (key.1, key.2) < (l, i))) {

@@ -12,7 +12,7 @@ mod elevator_first;
 mod selector;
 
 pub use adele_selector::{skip_probability, AdeleSelector};
-pub use cda::{CdaConfig, CdaSelector};
+pub use cda::CdaSelector;
 pub use elevator_first::ElevatorFirstSelector;
 pub use selector::{
     Cycle, ElevatorSelector, NetworkProbe, SelectionContext, SourceFeedback, ZeroProbe,

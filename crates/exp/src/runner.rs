@@ -1,14 +1,14 @@
 //! A deterministic parallel map for independent simulations:
 //! [`default_threads`] sizes the pool, [`par_map`] runs on it.
 //!
-//! Figure cells and scenario batches are embarrassingly parallel — every
-//! run owns its configuration, workload and selector, all seeded — so
-//! [`par_map`] shards them across a scoped-thread worker pool (no
-//! dependencies beyond `std`) and returns results **in input order**,
-//! bit-identical to a sequential run: parallelism changes wall-clock time
-//! and nothing else. What a work item *is* belongs to the caller: the
-//! figures' grid (`adele_bench::run_grid`) and the supervised batch
-//! ([`crate::supervise`]) are both one `par_map` call.
+//! Scenario batches are embarrassingly parallel — every [`crate::Scenario`]
+//! owns its configuration, workload and selector, all seeded from its
+//! master seed — so [`par_map`] shards them across a scoped-thread worker
+//! pool (no dependencies beyond `std`) and returns results **in input
+//! order**, bit-identical to a sequential run: parallelism changes
+//! wall-clock time and nothing else. What a work item *is* belongs to the
+//! caller: the figures' runner (`adele_bench::run_scenarios`) and the
+//! supervised batch ([`crate::supervise`]) are both one `par_map` call.
 //!
 //! Work is distributed by an atomic cursor (work stealing), so a slow
 //! point (a saturated sweep rate) does not stall the pool behind it.

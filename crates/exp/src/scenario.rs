@@ -21,6 +21,7 @@ use adele::AdeleConfig;
 use noc_sim::{RunSummary, SimConfig, SimError, Simulator};
 use noc_topology::placement::Placement;
 use noc_topology::{Coord, ElevatorSet, Mesh3d};
+use noc_traffic::apps::{AppKind, AppTraffic};
 use noc_traffic::injection::OnOffParams;
 use noc_traffic::{
     BatchedSynthetic, CompositeSource, CyclePolled, ScheduledSource, StreamVersion, SyntheticParts,
@@ -73,6 +74,14 @@ pub enum WorkloadKind {
     Composite {
         /// `(weight, workload)` components; weights are normalised.
         parts: Vec<(f64, WorkloadKind)>,
+    },
+    /// A synthetic application model (Fig. 7) at a base `rate`, which
+    /// the app scales by its intensity.
+    App {
+        /// Which benchmark is modelled.
+        app: AppKind,
+        /// Packets/node/cycle of a full-intensity app.
+        rate: f64,
     },
 }
 
@@ -131,14 +140,15 @@ impl WorkloadKind {
                 }
                 Ok(())
             }
+            WorkloadKind::App { rate, .. } => rate_ok(*rate, "app"),
         }
     }
 
     /// The generator-independent description of a leaf kind on `mesh` —
-    /// what both streams are built from — or, for a composite, which
-    /// exists only as a polled mixture, its components.
-    fn parts(&self, mesh: &Mesh3d) -> Result<SyntheticParts, &[(f64, WorkloadKind)]> {
-        Ok(match self {
+    /// what both streams are built from — or `None` for the kinds that
+    /// exist only polled: an application model and a composite.
+    fn parts(&self, mesh: &Mesh3d) -> Option<SyntheticParts> {
+        Some(match self {
             WorkloadKind::Uniform { rate } => SyntheticParts::uniform(mesh, *rate),
             WorkloadKind::Shuffle { rate } => SyntheticParts::shuffle(mesh, *rate),
             WorkloadKind::Hotspot {
@@ -151,7 +161,7 @@ impl WorkloadKind {
             }
             WorkloadKind::Bursty { rate, params } => SyntheticParts::bursty(mesh, *rate, *params),
             WorkloadKind::PerLayer { rates } => SyntheticParts::per_layer(mesh, rates),
-            WorkloadKind::Composite { parts } => return Err(parts),
+            WorkloadKind::Composite { .. } | WorkloadKind::App { .. } => return None,
         })
     }
 
@@ -166,19 +176,26 @@ impl WorkloadKind {
     /// composites) — scenario authoring errors.
     #[must_use]
     pub fn build_polled(&self, mesh: &Mesh3d, seed: u64) -> Box<dyn TrafficSource> {
-        let mixture = match self.parts(mesh) {
-            Ok(parts) => return Box::new(SyntheticTraffic::from_parts(parts, seed)),
-            Err(mixture) => mixture,
-        };
-        let components = mixture
-            .iter()
-            .enumerate()
-            .map(|(i, (weight, kind))| {
-                let seed = derive_seed(seed, 1 + i as u64);
-                (*weight, kind.build_polled(mesh, seed))
-            })
-            .collect();
-        Box::new(CompositeSource::new(components, derive_seed(seed, 0)))
+        match self {
+            WorkloadKind::App { app, rate } => Box::new(AppTraffic::new(*app, mesh, *rate, seed)),
+            WorkloadKind::Composite { parts } => {
+                let components = parts
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (weight, kind))| {
+                        let seed = derive_seed(seed, 1 + i as u64);
+                        (*weight, kind.build_polled(mesh, seed))
+                    })
+                    .collect();
+                Box::new(CompositeSource::new(components, derive_seed(seed, 0)))
+            }
+            leaf => {
+                let parts = leaf
+                    .parts(mesh)
+                    .expect("every other kind is a synthetic leaf");
+                Box::new(SyntheticTraffic::from_parts(parts, seed))
+            }
+        }
     }
 }
 
@@ -233,9 +250,9 @@ impl WorkloadSpec {
     /// Instantiates the workload on `mesh` with streams derived from
     /// `seed`, as the one type the simulator takes. This is the only place
     /// a [`StreamVersion`] picks a generator: `v2` skip-samples a leaf
-    /// kind natively; `v1` — and a `v2` composite, which must advance
-    /// every component each opportunity and so has no closed-form
-    /// schedule — is the polled form behind [`CyclePolled`].
+    /// kind natively; `v1` — and a `v2` app or composite, which have no
+    /// batched generator (a composite must advance every component each
+    /// opportunity) — is the polled form behind [`CyclePolled`].
     ///
     /// # Panics
     ///
@@ -245,7 +262,7 @@ impl WorkloadSpec {
     pub fn build(&self, mesh: &Mesh3d, seed: u64) -> Box<dyn ScheduledSource> {
         let batched = match self.stream {
             StreamVersion::V1 => None,
-            StreamVersion::V2 => self.kind.parts(mesh).ok(),
+            StreamVersion::V2 => self.kind.parts(mesh),
         };
         match batched {
             Some(parts) => Box::new(BatchedSynthetic::from_parts(parts, seed)),
@@ -314,9 +331,10 @@ pub enum SelectorSpec {
     ElevatorFirst,
     /// Congestion-aware dynamic assignment baseline.
     Cda,
-    /// AdEle (or its round-robin ablation with `rr_only`). Without an
-    /// explicit offline `assignment`, every router gets the full elevator
-    /// set (maximal redundancy).
+    /// AdEle (or its round-robin ablation with `rr_only`): shorthand for
+    /// [`SelectorSpec::AdeleTuned`] with a preset configuration. Without
+    /// an explicit offline `assignment`, every router gets the full
+    /// elevator set (maximal redundancy).
     Adele {
         /// Drop the congestion-skipping stage (the AdEle-RR ablation).
         rr_only: bool,
@@ -326,9 +344,41 @@ pub enum SelectorSpec {
         /// Offline subset assignment; `None` means the full set.
         assignment: Option<SubsetAssignment>,
     },
+    /// AdEle with an explicit configuration (the ablation's rows).
+    AdeleTuned {
+        /// The online stage's tuning.
+        config: AdeleConfig,
+        /// Offline subset assignment; `None` means the full set.
+        assignment: Option<SubsetAssignment>,
+    },
 }
 
 impl SelectorSpec {
+    /// An AdEle variant's configuration and explicit assignment; `None`
+    /// for the baselines. [`SelectorSpec::Adele`] reads as its preset.
+    fn tuned(&self) -> Option<(AdeleConfig, Option<&SubsetAssignment>)> {
+        match self {
+            SelectorSpec::ElevatorFirst | SelectorSpec::Cda => None,
+            SelectorSpec::Adele {
+                rr_only,
+                measured_energy,
+                assignment,
+            } => {
+                let preset = if *rr_only {
+                    AdeleConfig::rr_only()
+                } else {
+                    AdeleConfig::paper_default()
+                };
+                let config = AdeleConfig {
+                    measured_energy_override: *measured_energy,
+                    ..preset
+                };
+                Some((config, assignment.as_ref()))
+            }
+            SelectorSpec::AdeleTuned { config, assignment } => Some((*config, assignment.as_ref())),
+        }
+    }
+
     /// AdEle with paper defaults and the full-subset assignment.
     #[must_use]
     pub fn adele() -> Self {
@@ -354,7 +404,8 @@ impl SelectorSpec {
     ///
     /// # Panics
     ///
-    /// Panics if an explicit assignment does not match the topology.
+    /// Panics if an explicit assignment does not match the topology or the
+    /// configuration is out of range ([`Scenario::validate`] errors).
     #[must_use]
     pub fn build(
         &self,
@@ -362,34 +413,18 @@ impl SelectorSpec {
         elevators: &ElevatorSet,
         seed: u64,
     ) -> Box<dyn ElevatorSelector> {
-        match self {
-            SelectorSpec::ElevatorFirst => Box::new(ElevatorFirstSelector::new(mesh, elevators)),
-            SelectorSpec::Cda => Box::new(CdaSelector::new()),
-            SelectorSpec::Adele {
-                rr_only,
-                measured_energy,
-                assignment,
-            } => {
-                let mut config = if *rr_only {
-                    AdeleConfig::rr_only()
-                } else {
-                    AdeleConfig::paper_default()
-                };
-                config.measured_energy_override = *measured_energy;
-                let full;
-                let assignment = match assignment {
-                    Some(a) => a,
-                    None => {
-                        full = SubsetAssignment::full(mesh, elevators);
-                        &full
-                    }
-                };
-                Box::new(
-                    AdeleSelector::from_assignment(mesh, elevators, assignment, config, seed)
-                        .expect("scenario assignment matches its topology"),
-                )
-            }
-        }
+        let Some((config, assignment)) = self.tuned() else {
+            return match self {
+                SelectorSpec::Cda => Box::new(CdaSelector::new()),
+                _ => Box::new(ElevatorFirstSelector::new(mesh, elevators)),
+            };
+        };
+        let full = SubsetAssignment::full(mesh, elevators);
+        let assignment = assignment.unwrap_or(&full);
+        Box::new(
+            AdeleSelector::from_assignment(mesh, elevators, assignment, config, seed)
+                .expect("a validated scenario's assignment and configuration"),
+        )
     }
 }
 
@@ -581,8 +616,9 @@ impl Scenario {
 
     /// Checks that the scenario's pieces agree with each other: the
     /// elevator set matches the mesh geometry, the workload fits the mesh,
-    /// the measurement window is not empty, an explicit offline
-    /// assignment matches the topology, and every
+    /// the measurement window is not empty, an AdEle policy's explicit
+    /// offline assignment matches the topology and its configuration is in
+    /// range ([`AdeleConfig::validate`]), and every
     /// event references an existing elevator / in-mesh hotspot with sane
     /// parameters. Run automatically when a scenario is deserialised.
     ///
@@ -602,14 +638,15 @@ impl Scenario {
         if self.measure == 0 {
             return Err("measure must be at least 1 cycle".into());
         }
-        if let SelectorSpec::Adele {
-            assignment: Some(assignment),
-            ..
-        } = &self.selector
-        {
-            assignment
-                .check_compatible(&self.mesh, &self.elevators)
-                .map_err(|e| format!("offline assignment: {e}"))?;
+        if let Some((config, assignment)) = self.selector.tuned() {
+            if let Some(assignment) = assignment {
+                assignment
+                    .check_compatible(&self.mesh, &self.elevators)
+                    .map_err(|e| format!("offline assignment: {e}"))?;
+            }
+            config
+                .validate()
+                .map_err(|e| format!("AdEle config: {e}"))?;
         }
         for event in &self.events {
             event.validate(&self.mesh, &self.elevators)?;
@@ -634,13 +671,8 @@ impl Scenario {
         }
         // Telemetry pushes cost a roll-up each period: enable them only
         // for the selector that consumes the signal.
-        if matches!(
-            self.selector,
-            SelectorSpec::Adele {
-                measured_energy: true,
-                ..
-            }
-        ) {
+        let tuned = self.selector.tuned();
+        if tuned.is_some_and(|(adele, _)| adele.measured_energy_override) {
             config.with_energy_feedback_period(SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD)
         } else {
             config
@@ -813,16 +845,21 @@ mod tests {
                     ),
                 ],
             },
+            WorkloadKind::App {
+                app: AppKind::Fft,
+                rate: 0.004,
+            },
         ];
         let mesh = tiny().mesh;
         for kind in specs {
             // Both streams draw a leaf kind from the same parts, so they
-            // agree on what is offered; a composite is polled on both.
+            // agree on what is offered; an app or a composite is polled on
+            // both.
             let (v1, v2) = (WorkloadSpec::v1(kind.clone()), WorkloadSpec::v2(kind));
             let (a, b) = (v1.build(&mesh, 3), v2.build(&mesh, 3));
             assert_eq!(a.name(), b.name(), "{v1:?}");
             assert_eq!(a.mean_rate(), b.mean_rate(), "{v1:?}");
-            let leaf = !matches!(v2.kind, WorkloadKind::Composite { .. });
+            let leaf = v2.kind.parts(&mesh).is_some();
             assert_eq!(b.horizon() > 1, leaf, "only a leaf is batched: {v2:?}");
             for spec in [v1, v2] {
                 let result = tiny().with_workload(spec.clone()).run().unwrap();
@@ -852,6 +889,28 @@ mod tests {
             let scenario = tiny().with_selector(spec);
             let result = scenario.run().unwrap();
             assert_eq!(result.summary.policy, name);
+        }
+    }
+
+    #[test]
+    fn adele_shorthand_runs_as_its_tuned_preset() {
+        let full = SubsetAssignment::full(&tiny().mesh, &tiny().elevators);
+        for (rr_only, measured_energy, preset) in [
+            (false, false, AdeleConfig::paper_default()),
+            (true, false, AdeleConfig::rr_only()),
+            (false, true, AdeleConfig::measured_energy()),
+        ] {
+            let shorthand = SelectorSpec::Adele {
+                rr_only,
+                measured_energy,
+                assignment: Some(full.clone()),
+            };
+            let tuned = SelectorSpec::AdeleTuned {
+                config: preset,
+                assignment: Some(full.clone()),
+            };
+            let run = |selector| tiny().with_selector(selector).run().unwrap().summary;
+            assert_eq!(run(shorthand), run(tuned), "{preset:?}");
         }
     }
 

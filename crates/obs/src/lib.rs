@@ -13,9 +13,9 @@
 //!   from them) are bit-identical at any shard or worker count.
 //! * [`trace`] — the append-only JSONL trace journal: a versioned
 //!   [`Record`] schema (`header`, `phase`, `event`, `window`, `hist`,
-//!   `summary`, `progress`, `meta`), a [`TraceWriter`]/[`TraceReader`]
-//!   pair, and [`parse_journal`] which fails with a *named record index*
-//!   instead of panicking on truncated or corrupted input.
+//!   `summary`, `progress`, `meta`), a [`TraceWriter`], and
+//!   [`parse_journal`], which reads a journal back and fails with a *named
+//!   record index* instead of panicking on truncated or corrupted input.
 //! * [`compare_journals`] — the golden-trace replay oracle: record-for-
 //!   record comparison on the deterministic fields (digests, counts,
 //!   latency sums, histograms) while timing and shard-layout fields are
@@ -41,5 +41,5 @@ pub use hud::Hud;
 pub use metrics::{MetricsRegistry, PhaseTimes, WindowDelta};
 pub use trace::{
     compare_journals, parse_journal, strip_v2_summary, Record, SharedBuffer, TraceError,
-    TraceReader, TraceWriter, TRACE_SCHEMA_VERSION, V2_SUMMARY_KEYS,
+    TraceWriter, TRACE_SCHEMA_VERSION, V2_SUMMARY_KEYS,
 };

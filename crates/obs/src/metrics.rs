@@ -177,12 +177,6 @@ impl MetricsRegistry {
         &self.phase
     }
 
-    /// Cumulative boundary-batch volumes `(flits, credits)`.
-    #[must_use]
-    pub fn boundary_volumes(&self) -> (u64, u64) {
-        (self.boundary_flits, self.boundary_credits)
-    }
-
     /// Closes the current window: returns the delta since the last close
     /// and advances the marks. Cumulative totals are untouched.
     pub fn close_window(&mut self) -> WindowDelta {
@@ -241,7 +235,7 @@ mod tests {
 
         assert_eq!(m.cycles(), 5);
         assert_eq!(m.windows(), 2);
-        assert_eq!(m.boundary_volumes(), (15, 10));
+        assert_eq!((m.boundary_flits, m.boundary_credits), (15, 10));
         assert_eq!(m.phase().total(), Duration::from_nanos(5 * 23));
     }
 

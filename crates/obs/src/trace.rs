@@ -372,40 +372,6 @@ impl Drop for TraceWriter {
     }
 }
 
-/// Reads a journal back from disk or memory.
-#[derive(Debug, Clone)]
-pub struct TraceReader {
-    text: String,
-}
-
-impl TraceReader {
-    /// Reads the journal at `path` into memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the read failure.
-    pub fn from_path(path: &std::path::Path) -> io::Result<Self> {
-        Ok(Self {
-            text: std::fs::read_to_string(path)?,
-        })
-    }
-
-    /// Wraps an in-memory journal.
-    #[must_use]
-    pub fn from_text(text: impl Into<String>) -> Self {
-        Self { text: text.into() }
-    }
-
-    /// Parses every record.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] naming the first malformed record.
-    pub fn records(&self) -> Result<Vec<Record>, TraceError> {
-        parse_journal(&self.text)
-    }
-}
-
 /// Parses a JSONL journal. Blank lines are skipped; record indices count
 /// non-blank lines from zero.
 ///
@@ -740,7 +706,7 @@ mod tests {
             writer.write(r).unwrap();
         }
         assert_eq!(writer.finish().unwrap(), records.len() as u64);
-        let parsed = TraceReader::from_text(buffer.contents()).records().unwrap();
+        let parsed = parse_journal(&buffer.contents()).unwrap();
         assert_eq!(parsed, records);
     }
 

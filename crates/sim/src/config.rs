@@ -96,13 +96,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the buffer depth in flits.
-    #[must_use]
-    pub fn with_buffer_depth(mut self, depth: u8) -> Self {
-        self.buffer_depth = depth;
-        self
-    }
-
     /// Sets the measured-energy feedback period (`0` disables the push).
     #[must_use]
     pub fn with_energy_feedback_period(mut self, period: u64) -> Self {
@@ -156,13 +149,11 @@ mod tests {
         let c = SimConfig::new(mesh, elevators)
             .with_phases(1, 2, 3)
             .with_seed(9)
-            .with_buffer_depth(8)
             .with_watchdog(7)
             .with_histograms(false)
             .with_shards(4);
         assert_eq!((c.warmup, c.measure, c.drain_max), (1, 2, 3));
         assert_eq!(c.seed, 9);
-        assert_eq!(c.buffer_depth, 8);
         assert_eq!(c.watchdog, 7);
         assert!(!c.histograms);
         assert_eq!(c.shards, 4);
@@ -174,8 +165,8 @@ mod tests {
     fn validate_rejects_zero_depth() {
         let mesh = Mesh3d::new(2, 2, 2).unwrap();
         let elevators = ElevatorSet::new(&mesh, [(0, 0)]).unwrap();
-        SimConfig::new(mesh, elevators)
-            .with_buffer_depth(0)
-            .validate();
+        let mut config = SimConfig::new(mesh, elevators);
+        config.buffer_depth = 0;
+        config.validate();
     }
 }

@@ -1,8 +1,8 @@
 //! Experiment helpers: the single polled run ([`run_once`]) and the
-//! paper's saturation criterion ([`saturation_rate`]). Grids of runs live
-//! a layer up — `adele_bench::run_grid` for the figures,
-//! `noc_exp::run_batch_supervised` for spec files — on
-//! `noc_exp::runner::par_map`.
+//! paper's saturation criterion ([`saturation_rate`]). Batches of runs
+//! live a layer up, as `noc_exp::Scenario`s on `noc_exp::runner::par_map`
+//! — `adele_bench::run_scenarios` for the figures,
+//! `noc_exp::run_batch_supervised` for spec files.
 //!
 //! [`run_once`] propagates [`SimError`]: a deadlocked run surfaces as a
 //! structured value the caller can record or print-and-exit on — never a

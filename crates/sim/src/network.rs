@@ -218,12 +218,6 @@ impl Network {
         self.failed_elevators.contains(id)
     }
 
-    /// The failed-elevator set.
-    #[must_use]
-    pub fn failed_elevators(&self) -> ElevatorMask {
-        self.failed_elevators
-    }
-
     /// Queues a freshly created packet at its source NI.
     pub fn enqueue_packet(&mut self, src: NodeId, id: PacketId) {
         let s = self.topo.shard_of[src.index()] as usize;

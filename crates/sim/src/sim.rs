@@ -295,12 +295,6 @@ impl Simulator {
         self.net.enqueue_packet(node, id);
     }
 
-    /// The workload's name (experiment output).
-    #[must_use]
-    pub fn workload_name(&self) -> &'static str {
-        self.traffic.name()
-    }
-
     /// Advances one cycle.
     ///
     /// # Errors

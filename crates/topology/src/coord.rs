@@ -47,18 +47,6 @@ impl Coord {
     pub fn xy_distance(self, other: Coord) -> u32 {
         self.x.abs_diff(other.x) as u32 + self.y.abs_diff(other.y) as u32
     }
-
-    /// Returns `true` if both coordinates lie on the same layer.
-    #[must_use]
-    pub fn same_layer(self, other: Coord) -> bool {
-        self.z == other.z
-    }
-
-    /// Returns `true` if both coordinates share the same `(x, y)` column.
-    #[must_use]
-    pub fn same_column(self, other: Coord) -> bool {
-        self.x == other.x && self.y == other.y
-    }
 }
 
 impl fmt::Display for Coord {
@@ -119,8 +107,7 @@ mod tests {
         let a = Coord::new(1, 1, 0);
         let b = Coord::new(1, 1, 3);
         assert_eq!(a.xy_distance(b), 0);
-        assert!(a.same_column(b));
-        assert!(!a.same_layer(b));
+        assert_eq!(a.manhattan(b), 3);
     }
 
     #[test]

@@ -174,13 +174,6 @@ impl ElevatorSet {
         self.columns[id.index()]
     }
 
-    /// The coordinate of elevator `id` on layer `z`.
-    #[must_use]
-    pub fn coord_on_layer(&self, id: ElevatorId, z: u8) -> Coord {
-        let (x, y) = self.column(id);
-        Coord::new(x, y, z)
-    }
-
     /// Elevator id at `coord`'s column, if that column has a TSV pillar.
     #[must_use]
     pub fn column_at(&self, coord: Coord) -> Option<ElevatorId> {
@@ -414,12 +407,6 @@ mod tests {
         // Minimal-path elevator among all three is e2 at (1,3): 3+2=5? No:
         // e1 at (3,1): 3 + 4 = 7; e2 at (1,3): 3 + 2 = 5. e0 wins.
         assert_eq!(s.minimal_path_among(src, dst, s.ids()), Some(ElevatorId(0)));
-    }
-
-    #[test]
-    fn coord_on_layer_places_pillar() {
-        let s = set();
-        assert_eq!(s.coord_on_layer(ElevatorId(1), 2), Coord::new(3, 1, 2));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use noc_topology::{Coord, Mesh3d, NodeId};
 use rand::Rng;
 
 /// The six benchmarks of the paper's Fig. 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum AppKind {
     /// PARSEC canneal: cache-thrashing simulated annealing; heavy,
     /// irregular, hotspot-rich traffic.

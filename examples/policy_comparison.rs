@@ -2,16 +2,14 @@
 //! AdEle, AdEle-RR) on one congested scenario — a miniature version of the
 //! paper's Fig. 4 experiment.
 //!
-//! Run with: `cargo run --release -p adele-bench --example policy_comparison`
+//! Run with: `cargo run --release -p adele-repro --example policy_comparison`
 
-use adele_bench::{main_policies, offline_assignment, sim_config};
+use adele_bench::{figure_scenario, main_policies, offline_assignment, run_scenarios};
 use noc_exp::{SelectorSpec, WorkloadKind};
-use noc_sim::harness::run_once;
 use noc_topology::placement::Placement;
 
 fn main() {
     let placement = Placement::Ps1;
-    let (mesh, elevators) = placement.instantiate();
     let assignment = offline_assignment(placement);
     let rate = 0.004; // near PS1's saturation knee under uniform traffic
 
@@ -26,13 +24,16 @@ fn main() {
         assignment: Some(assignment.clone()),
     };
     let policies = main_policies(&assignment).map(|(_, policy)| policy);
-    for policy in policies.iter().chain([&adele_rr]) {
-        let summary = run_once(
-            &sim_config(placement),
-            WorkloadKind::Uniform { rate }.build_polled(&mesh, 99),
-            policy.build(&mesh, &elevators, 7),
-        )
-        .unwrap();
+    let scenarios: Vec<_> = policies
+        .into_iter()
+        .chain([adele_rr])
+        .map(|policy| {
+            figure_scenario("policy_comparison", placement)
+                .with_workload(WorkloadKind::Uniform { rate })
+                .with_selector(policy)
+        })
+        .collect();
+    for summary in run_scenarios(&scenarios) {
         println!(
             "{:<10} {:>10.1}cy {:>10.1}cy {:>11.1}nJ {:>10}",
             summary.policy,

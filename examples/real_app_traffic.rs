@@ -3,17 +3,17 @@
 //! how AdEle's benefit tracks application load — heavy apps (canneal, fft,
 //! radix, water) gain, light ones (fluidanimate, lu) run near zero-load.
 //!
-//! Run with: `cargo run --release -p adele-bench --example real_app_traffic`
+//! Run with: `cargo run --release -p adele-repro --example real_app_traffic`
 
-use adele_bench::{fig7_base_rate, main_policies, offline_assignment, sim_config};
-use noc_exp::SelectorSpec;
-use noc_sim::harness::run_once;
+use adele_bench::{
+    fig7_base_rate, figure_scenario, main_policies, offline_assignment, run_scenarios,
+};
+use noc_exp::WorkloadKind;
 use noc_topology::placement::Placement;
-use noc_traffic::apps::{AppKind, AppTraffic};
+use noc_traffic::apps::AppKind;
 
 fn main() {
     let placement = Placement::Ps2;
-    let (mesh, elevators) = placement.instantiate();
     let [(_, elev_first), _, (_, adele)] = main_policies(&offline_assignment(placement));
 
     println!("PS2 (4x4x4, 4 elevators) under application-model traffic\n");
@@ -21,18 +21,21 @@ fn main() {
         "{:<14} {:>10} {:>12} {:>12} {:>10}",
         "app", "intensity", "ElevFirst", "AdEle", "gain"
     );
-    for app in AppKind::ALL {
-        let run = |policy: &SelectorSpec| {
-            let traffic = AppTraffic::new(app, &mesh, fig7_base_rate(placement), 2024);
-            run_once(
-                &sim_config(placement),
-                Box::new(traffic),
-                policy.build(&mesh, &elevators, 7),
-            )
-            .unwrap()
-        };
-        let baseline = run(&elev_first);
-        let adele = run(&adele);
+    let rate = fig7_base_rate(placement);
+    // Per app: the Elevator-First run, then the AdEle one.
+    let scenarios: Vec<_> = AppKind::ALL
+        .into_iter()
+        .flat_map(|app| {
+            [&elev_first, &adele].map(|policy| {
+                figure_scenario(app.name(), placement)
+                    .with_workload(WorkloadKind::App { app, rate })
+                    .with_selector(policy.clone())
+            })
+        })
+        .collect();
+    let summaries = run_scenarios(&scenarios);
+    for (app, runs) in AppKind::ALL.into_iter().zip(summaries.chunks(2)) {
+        let (baseline, adele) = (&runs[0], &runs[1]);
         let gain = 1.0 - adele.avg_latency / baseline.avg_latency.max(1e-9);
         println!(
             "{:<14} {:>10.2} {:>10.1}cy {:>10.1}cy {:>9.1}%",

@@ -4,10 +4,12 @@
 //! to the original.
 
 use adele::offline::SubsetAssignment;
+use adele::AdeleConfig;
 use noc_exp::{
     results_to_json, Event, Scenario, SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec,
 };
 use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d};
+use noc_traffic::apps::AppKind;
 use noc_traffic::injection::OnOffParams;
 
 fn topology() -> (Mesh3d, ElevatorSet) {
@@ -74,26 +76,47 @@ fn kitchen_sink() -> Scenario {
         })
 }
 
+/// The kitchen sink as a figure scenario would write it: an application
+/// model under AdEle with an explicit configuration.
+fn tuned_app() -> Scenario {
+    let (mesh, elevators) = topology();
+    let config = AdeleConfig {
+        exploration: 0.2,
+        ..AdeleConfig::rr_only()
+    };
+    kitchen_sink()
+        .with_workload(WorkloadKind::App {
+            app: AppKind::Radix,
+            rate: 0.004,
+        })
+        .with_selector(SelectorSpec::AdeleTuned {
+            config,
+            assignment: Some(SubsetAssignment::nearest(&mesh, &elevators)),
+        })
+}
+
 #[test]
 fn scenario_json_round_trip_is_lossless() {
-    let original = kitchen_sink();
-    let json = serde_json::to_string_pretty(&original).unwrap();
-    let parsed: Scenario = serde_json::from_str(&json).unwrap();
-    assert_eq!(parsed, original);
-    // The compact form round-trips too.
-    let compact = serde_json::to_string(&original).unwrap();
-    assert_eq!(
-        serde_json::from_str::<Scenario>(&compact).unwrap(),
-        original
-    );
+    for original in [kitchen_sink(), tuned_app()] {
+        let json = serde_json::to_string_pretty(&original).unwrap();
+        let parsed: Scenario = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed, original);
+        // The compact form round-trips too.
+        let compact = serde_json::to_string(&original).unwrap();
+        assert_eq!(
+            serde_json::from_str::<Scenario>(&compact).unwrap(),
+            original
+        );
+    }
 }
 
 #[test]
 fn parsed_scenario_runs_bit_identically() {
-    let original = kitchen_sink();
-    let json = serde_json::to_string(&original).unwrap();
-    let parsed: Scenario = serde_json::from_str(&json).unwrap();
-    assert_eq!(parsed.run().unwrap(), original.run().unwrap());
+    for original in [kitchen_sink(), tuned_app()] {
+        let json = serde_json::to_string(&original).unwrap();
+        let parsed: Scenario = serde_json::from_str(&json).unwrap();
+        assert_eq!(parsed.run().unwrap(), original.run().unwrap());
+    }
 }
 
 #[test]
@@ -112,6 +135,10 @@ fn every_workload_and_selector_spec_round_trips() {
         },
         WorkloadKind::PerLayer {
             rates: vec![0.001, 0.002],
+        },
+        WorkloadKind::App {
+            app: AppKind::Canneal,
+            rate: 0.003,
         },
     ];
     for kind in workloads {
@@ -137,6 +164,10 @@ fn every_workload_and_selector_spec_round_trips() {
         SelectorSpec::Adele {
             rr_only: true,
             measured_energy: false,
+            assignment: None,
+        },
+        SelectorSpec::AdeleTuned {
+            config: AdeleConfig::measured_energy(),
             assignment: None,
         },
     ];
@@ -197,6 +228,20 @@ fn cross_field_inconsistencies_fail_at_parse_time() {
         serde_json::from_str::<Scenario>(&serde_json::to_string(&wrong).unwrap()).unwrap_err();
     assert!(err.to_string().contains("assignment"), "{err}");
 
+    // An AdEle tuning out of range, and an app rate that is no probability.
+    let tuned = serde_json::to_string(&tuned_app()).unwrap();
+    for (bad, named) in [
+        (
+            tuned.replace("\"ewma_alpha\":0.2", "\"ewma_alpha\":1.5"),
+            "ewma_alpha",
+        ),
+        (tuned.replace("\"rate\":0.004", "\"rate\":2.0"), "app rate"),
+    ] {
+        assert_ne!(bad, tuned, "replacement must hit");
+        let err = serde_json::from_str::<Scenario>(&bad).unwrap_err();
+        assert!(err.to_string().contains(named), "{err}");
+    }
+
     // And the validator is callable directly on constructed scenarios.
     assert!(base.validate().is_ok());
     assert!(wrong.validate().is_err());
@@ -245,12 +290,18 @@ fn measured_energy_selector_enables_the_feedback_period() {
         0,
         "default policies pay nothing for telemetry pushes"
     );
-    let measured = base.with_selector(SelectorSpec::adele_measured_energy());
-    assert_eq!(
-        measured.sim_config().energy_feedback_period,
-        noc_sim::SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD,
-        "the measured-energy selector opts in automatically"
-    );
+    let tuned = SelectorSpec::AdeleTuned {
+        config: AdeleConfig::measured_energy(),
+        assignment: None,
+    };
+    for selector in [SelectorSpec::adele_measured_energy(), tuned] {
+        let measured = base.clone().with_selector(selector);
+        assert_eq!(
+            measured.sim_config().energy_feedback_period,
+            noc_sim::SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD,
+            "the measured-energy selector opts in automatically"
+        );
+    }
 }
 
 #[test]
