@@ -6,8 +6,8 @@
 //! meant to resume from, and start over. Input that parses but cannot be
 //! run — a name that matches no panel, an empty measurement window or an
 //! out-of-range AdEle tuning or app rate, a results file that cannot be
-//! written — is a named error too (exit 2, 1 and 3), never a panic and
-//! never an emptied result file.
+//! written, a journal too damaged to verify — is a named error too (exit
+//! 2, 1 and 3), never a panic and never an emptied result file.
 
 use adele::AdeleConfig;
 use noc_exp::{SelectorSpec, WorkloadKind};
@@ -202,6 +202,45 @@ fn an_out_of_range_tuning_or_app_rate_fails_at_the_parse_site() {
             );
         }
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A journal `noc_trace verify` cannot read is a named error: exit 1,
+/// naming the record and why, whatever the damage.
+#[test]
+fn a_damaged_journal_fails_verify_naming_the_record() {
+    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_small.jsonl");
+    let golden = std::fs::read_to_string(golden).expect("checked-in journal");
+    let two_records: usize = golden.lines().take(2).map(|l| l.len() + 1).sum();
+    let cases = [
+        (
+            "garbage",
+            "garbage, not JSON\n".to_string(),
+            "record 0: malformed JSON",
+        ),
+        (
+            "truncated",
+            golden[..two_records + 20].to_string(),
+            "record 2: malformed JSON",
+        ),
+        (
+            "future",
+            golden.replacen("\"schema\":1,", "\"schema\":99,", 1),
+            "record 0: unsupported trace schema 99",
+        ),
+        (
+            "empty",
+            String::new(),
+            "record 0: journal does not start with a header",
+        ),
+    ];
+    for (name, journal, named) in cases {
+        let path = std::env::temp_dir().join(format!("adele_{name}_{}.jsonl", std::process::id()));
+        std::fs::write(&path, journal).unwrap();
+        let (code, stderr) = run(NOC_TRACE, &["verify", path.to_str().unwrap()]);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(code, Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(named), "{name} must name {named}: {stderr}");
     }
 }
 

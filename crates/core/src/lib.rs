@@ -24,6 +24,7 @@
 //! ```
 //! use adele::offline::{OfflineOptimizer, SelectionStrategy};
 //! use adele::online::{AdeleSelector, ElevatorSelector};
+//! use adele::AdeleConfig;
 //! use amosa::AmosaParams;
 //! use noc_topology::placement::Placement;
 //!
@@ -31,9 +32,11 @@
 //! let optimizer = OfflineOptimizer::new(mesh, elevators.clone())
 //!     .with_params(AmosaParams::fast(1));
 //! let result = optimizer.optimize();
-//! let chosen = result.select(SelectionStrategy::LatencyLeaning);
-//! let selector = AdeleSelector::from_solution(&mesh, &elevators, chosen, 99);
+//! let chosen = &result.select(SelectionStrategy::LatencyLeaning).assignment;
+//! let config = AdeleConfig::paper_default();
+//! let selector = AdeleSelector::from_assignment(&mesh, &elevators, chosen, config, 99)?;
 //! assert_eq!(selector.name(), "AdEle");
+//! # Ok::<(), adele::AdeleError>(())
 //! ```
 
 #![forbid(unsafe_code)]

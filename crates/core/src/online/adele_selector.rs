@@ -1,4 +1,4 @@
-use crate::offline::{SolutionPoint, SubsetAssignment};
+use crate::offline::SubsetAssignment;
 use crate::online::{ElevatorSelector, SelectionContext, SourceFeedback};
 use crate::{AdeleConfig, AdeleError};
 use noc_topology::{Coord, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
@@ -136,30 +136,6 @@ impl AdeleSelector {
             pillar_energy: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         })
-    }
-
-    /// Builds a selector from an offline Pareto pick with paper-default
-    /// configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the solution's assignment does not match the mesh/elevator
-    /// set it was optimised for (a logic error in the calling pipeline).
-    #[must_use]
-    pub fn from_solution(
-        mesh: &Mesh3d,
-        elevators: &ElevatorSet,
-        solution: &SolutionPoint,
-        seed: u64,
-    ) -> Self {
-        Self::from_assignment(
-            mesh,
-            elevators,
-            &solution.assignment,
-            AdeleConfig::paper_default(),
-            seed,
-        )
-        .expect("offline solution matches its own topology")
     }
 
     /// Current smoothed cost `C_k` of `elevator` at `node`, if the elevator

@@ -80,7 +80,10 @@
 //!   table load per port it touches,
 //! * armed energy telemetry is one `{writes, reads}` counter pair per
 //!   FIFO lane, indexed like the arena; every other energy counter is
-//!   derived from those at [`Network::drain_partials`].
+//!   derived from those at [`Network::drain_partials`],
+//! * a router streaming a worm's body between same-shard neighbours is a
+//!   *relay*: a flag check instead of a flit move, with its lane counters
+//!   booked in bulk (the `shard` module docs argue it is state-identical).
 //!
 //! After construction, steady-state stepping performs no heap allocation
 //! (the staging buffers reach their high-water capacity and stay there);
@@ -316,7 +319,7 @@ impl Network {
             }
         }
         for shard in shards {
-            shard.finish_commit(topo);
+            shard.finish_commit(topo, armed);
         }
         (boundary_flits, boundary_credits)
     }
@@ -404,6 +407,7 @@ impl Network {
     ) {
         let Self { topo, shards, .. } = self;
         for shard in shards {
+            shard.book_relays();
             let lo = shard.lo;
             let routers = shard.lane_counts.chunks_exact_mut(PORTS * VCS);
             for (rel, (lanes, ejects)) in routers.zip(&mut shard.ejects).enumerate() {
@@ -504,12 +508,14 @@ impl Network {
         }
     }
 
-    /// `true` when every shard's lane counters, ejection counters and
-    /// histogram partition have been fully drained into the aggregate
-    /// sinks — the invariant readers rely on.
+    /// `true` when every shard's lane counters (what relays owe them
+    /// included), ejection counters and histogram partition have been
+    /// fully drained into the aggregate sinks — the invariant readers rely
+    /// on.
     pub(crate) fn partials_clear(&self) -> bool {
         self.shards.iter().all(|shard| {
-            shard.lane_counts.iter().all(|&c| c == LaneCount::default())
+            shard.relays_booked()
+                && shard.lane_counts.iter().all(|&c| c == LaneCount::default())
                 && shard.ejects.iter().all(|&c| c == 0)
                 && shard.part_hist.as_ref().is_none_or(|h| h.is_zero())
         })
@@ -626,6 +632,25 @@ mod tests {
     use noc_topology::route::{ElevatorCoord, VirtualNet};
 
     impl Network {
+        /// Steps the per-flit engine only: no router is ever promoted to
+        /// a relay (the relay oracle's reference side).
+        pub(crate) fn disable_relays(&mut self) {
+            for shard in &mut self.shards {
+                shard.promote = false;
+            }
+        }
+
+        /// Relays at the current cycle boundary, i.e. the sends the next
+        /// cycle makes as relay cycles.
+        pub(crate) fn relay_count(&self) -> usize {
+            self.shards.iter().map(|s| s.relay_count()).sum()
+        }
+
+        /// Audits every relay at a cycle boundary (`ShardState::check_relays`).
+        pub(crate) fn check_relays(&self) -> Result<(), String> {
+            self.shards.iter().try_for_each(|s| s.check_relays())
+        }
+
         fn router(&self, r: usize) -> &crate::shard::RouterState {
             let (shard, rel) = self.locate(r);
             &shard.routers[rel]

@@ -12,10 +12,10 @@
 //! "non-empty source queue" bitmap is set, and sets the router's
 //! next-cycle worklist bit while flits stay buffered or packets stay
 //! queued. Arrival commits set the bit of every router they land in, so
-//! nothing rescans the worklist afterwards: [`ShardState::finish_commit`]
-//! only returns NI credits. With no rescan to heal a missed bit, the
-//! bitmaps are audited instead ([`ShardState::check_derived_state`], run
-//! every cycle by the lockstep suites).
+//! nothing rescans the worklist: [`ShardState::finish_commit`] only
+//! returns NI credits and resolves relays. With no rescan to heal a missed
+//! bit, the bitmaps are audited instead ([`ShardState::check_derived_state`],
+//! run every cycle by the lockstep suites).
 //!
 //! A flit-hop reads one [`PortLink`] record per port it touches — peer
 //! router, peer port and peer shard in one load — for the send and the
@@ -57,6 +57,48 @@
 //!
 //! The choice between the paths is made from router state alone, per
 //! router per cycle; no setting selects it.
+//!
+//! # Why a relay cycle is state-identical
+//!
+//! At a cycle boundary a router is a *relay* for the next cycle when its
+//! only occupied input lane `L` is a non-`Local` lane holding exactly one
+//! `Body` flit, that flit's packet owns a non-`Local` output channel
+//! `(o, v)` with a credit, its source queue is empty, and the routers on
+//! both links are in its own shard. The streaming path would certainly
+//! send that flit next cycle. A relay cycle sends it without moving it:
+//!
+//! * *Net zero.* If the relay is *fed* (its upstream sends into `L`) and
+//!   *drained* (its downstream pops the lane `(o, v)` feeds), the per-flit
+//!   cycle pops `L`'s `Body` and pushes the next: the same `{packet,
+//!   Body}`, as a flit carries no sequence number, and the credit it takes
+//!   comes straight back. Every other write is idempotent, as only a router
+//!   that has just streamed out of `L` on `(o, v)` is promoted:
+//!   `req_cache[L]` is already [`REQ_UNKNOWN`], `rr_vc[o]` points past `v`,
+//!   `owner`/`own`/`rr_grant` keep the wormhole, `quiet` stays false.
+//! * *Fed and drained come from the relays at the start of the cycle.*
+//!   Only [`ShardState::resolve_relays`] promotes and demotes. A relay
+//!   upstream always sends and a relay downstream always pops, so a relay
+//!   stages nothing toward a relay on the matching lane or channel. Any
+//!   other router sees in its `feeds_relay`/`fed_by_relay` masks that a
+//!   send or a pop meets a relay, and sets the relay's flag instead of
+//!   staging it (a `Tail` replaces the relay's flit), so the commit never
+//!   touches a relay lane or channel. Phase 1 visits only *awake* relays:
+//!   next to a non-relay, just promoted, or with a packet to inject.
+//! * *The resolve* applies what did not net out: an unfed relay pops `L`,
+//!   an undrained one spends the credit. Phase 1 keeps relays off the
+//!   worklist, so a relay's worklist bit after the commit is a flit in
+//!   another of its lanes (its NI injection included). Every relay left
+//!   holds its flit and goes back on the worklist.
+//! * *What differs at a boundary:* a relay lane's ring head, which is
+//!   unobservable (`hash_state` reads `len` and `front`), and the lane
+//!   counters. An armed relay cycle owes its lane one `reads` and, if
+//!   fed, one `writes`, booked from the shard's armed-cycle count at
+//!   demotion and in `Network::drain_partials`; `Network::partials_clear`
+//!   holds only when none are owed.
+//! * *Fallbacks.* Everything else is the per-flit path. A relay demotes
+//!   when not fed, not drained, fed a `Tail`, or when a flit lands in
+//!   another of its lanes. It never ejects or sends from `Local` (so it
+//!   defers no [`Effect`]) and meets other shards only in other lanes.
 //!
 //! # Why the result is independent of shard count *and* commit order
 //!
@@ -115,6 +157,36 @@ const REQ_UNKNOWN: u8 = u8::MAX;
 /// blocked non-head fronts are not re-inspected every cycle.
 const REQ_NONE: u8 = u8::MAX - 1;
 
+/// A router's relay record (module docs), all zero for any other router:
+/// [`local_lane`] indices (never 0, `Local`) and neighbours resolved once.
+#[derive(Debug, Clone, Copy, Default)]
+struct Relay {
+    /// Armed cycles the relay's lane counters are booked up to.
+    booked: u64,
+    /// Local ids of the upstream and the downstream neighbour.
+    up: u32,
+    down: u32,
+    /// The relay's lane and channel, the upstream's channel into the lane,
+    /// the downstream's lane the channel feeds, and [`FED`] | [`DRAINED`] |
+    /// [`DEMOTE`] | [`AWAKE`].
+    lane: u8,
+    out: u8,
+    up_out: u8,
+    down_lane: u8,
+    flags: u8,
+}
+
+/// Relay flags: fed, drained, to demote, and on next cycle's awake list.
+const FED: u8 = 1;
+const DRAINED: u8 = 2;
+const DEMOTE: u8 = 4;
+const AWAKE: u8 = 8;
+
+/// Whether bit `i` of bitmap `bits` is set.
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits[i / 64] >> (i % 64) & 1 == 1
+}
+
 /// Lane index of `(port, vc)` within one router's `PORTS × VCS` block
 /// (the bit position used by the occupancy/owner masks).
 #[inline]
@@ -159,6 +231,10 @@ pub(crate) struct RouterState {
     /// the router for the cost of one flag read. Cleared by every arrival
     /// and credit commit.
     pub(crate) quiet: bool,
+    /// Output channels feeding a relay lane and input lanes a relay feeds,
+    /// bit [`local_lane`]`(port, vc)`: derived state kept by the resolve.
+    feeds_relay: u32,
+    fed_by_relay: u32,
 }
 
 impl RouterState {
@@ -179,6 +255,8 @@ impl RouterState {
             rr_vc: [0; PORTS],
             buffered: 0,
             quiet: false,
+            feeds_relay: 0,
+            fed_by_relay: 0,
         }
     }
 }
@@ -423,6 +501,19 @@ pub(crate) struct ShardState {
     pub(crate) part_hist: Option<Box<PacketHists>>,
     /// `true` if this shard moved or injected a flit this cycle.
     pub(crate) progress: bool,
+    /// Relay record per local router, cached as a bitmap and a count.
+    relay: Vec<Relay>,
+    relay_bits: Vec<u64>,
+    relay_count: usize,
+    /// The relays phase 1 visits, those the resolve decides on, and the
+    /// promotion candidates (module docs) as `(router, lane, channel)`.
+    awake: Vec<u32>,
+    unsettled: Vec<u32>,
+    streamed: Vec<(u32, u8, u8)>,
+    /// Armed cycles so far: the clock of the relays' lazy booking.
+    armed_cycles: u64,
+    /// Whether routers are promoted to relays (tests step without).
+    pub(crate) promote: bool,
 }
 
 impl ShardState {
@@ -487,6 +578,15 @@ impl ShardState {
             ejects: vec![0; n],
             part_hist: Some(Box::new(PacketHists::new())),
             progress: false,
+            relay: vec![Relay::default(); n],
+            relay_bits: vec![0; n.div_ceil(64)],
+            relay_count: 0,
+            awake: Vec::with_capacity(n),
+            // Each relay at most twice: next to a non-relay, and demoted.
+            unsettled: Vec::with_capacity(2 * n),
+            streamed: Vec::with_capacity(n),
+            armed_cycles: 0,
+            promote: true,
         }
     }
 
@@ -502,6 +602,7 @@ impl ShardState {
         self.queued_total += 1;
         self.active_bits[rel / 64] |= 1 << (rel % 64);
         self.src_bits[rel / 64] |= 1 << (rel % 64);
+        self.wake(rel); // only an awake relay injects
     }
 
     /// Phase 1 of the cycle for this shard, one pass over the worklist:
@@ -510,14 +611,20 @@ impl ShardState {
     /// the packet table; every effect on another router is staged
     /// (outboxes, NI credits, deferred [`Effect`]s).
     pub(crate) fn phase1(&mut self, topo: &Topo, packets: &PacketTable, cycle: Cycle, armed: bool) {
-        self.progress = false;
+        self.armed_cycles += u64::from(armed);
 
         // Take this cycle's worklist bitmap; `active_bits` (all zero: the
         // previous pass consumed every word) accumulates next cycle's.
         std::mem::swap(&mut self.active_bits, &mut self.work_bits);
 
+        // Awake relays first; the others have nothing to do (module docs).
+        self.progress = self.relay_count > 0;
+        while let Some(rel) = self.awake.pop() {
+            self.relay_cycle(rel as usize, packets);
+        }
+
         for w in 0..self.work_bits.len() {
-            let mut bits = std::mem::take(&mut self.work_bits[w]);
+            let mut bits = std::mem::take(&mut self.work_bits[w]) & !self.relay_bits[w];
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
                 let rel = w * 64 + bits.trailing_zeros() as usize;
@@ -547,9 +654,63 @@ impl ShardState {
         }
     }
 
+    /// Phase 1 of awake relay `rel` (module docs): the send, flagged
+    /// against its relay neighbours, then the NI injection.
+    fn relay_cycle(&mut self, rel: usize, packets: &PacketTable) {
+        let (r, own, vcs) = (self.relay[rel], self.index, VCS as u8);
+        if r.lane == 0 {
+            return; // demoted since it was woken
+        }
+        let fed = self.relay[r.up as usize].out == r.up_out;
+        let drained = self.relay[r.down as usize].lane == r.down_lane;
+        self.relay[rel].flags = if fed { FED } else { 0 } | if drained { DRAINED } else { 0 };
+        if !(fed && drained) {
+            self.unsettled.push(rel as u32);
+        }
+        let node = |local: u32| NodeId((self.lo + local as usize) as u16);
+        let (up, down) = (node(r.up), node(r.down));
+        if !fed {
+            let credit = (up, r.up_out / vcs, r.up_out % vcs);
+            self.outboxes[own].credits.push(credit);
+        }
+        if !drained {
+            let fifo = rel * PORTS * VCS + usize::from(r.lane);
+            let flit = self.fifos.front(fifo).expect("a relay holds a flit");
+            let arrival = (down, r.down_lane / vcs, r.down_lane % vcs, flit);
+            self.outboxes[own].arrivals.push(arrival);
+        }
+        if bit(&self.src_bits, rel) {
+            self.inject(rel, packets);
+        }
+    }
+
+    /// Takes a send over `link` on `vc` into the relay lane it feeds, in
+    /// place of the flit the relay sent; its write is the relay's.
+    #[inline(never)]
+    fn relay_arrival(&mut self, link: &PortLink, vc: usize, flit: Flit) {
+        let down = link.peer.index() - self.lo;
+        self.relay[down].flags |= FED;
+        if flit.kind.is_tail() {
+            self.relay[down].flags |= DEMOTE;
+            let fifo = down * PORTS * VCS + local_lane(link.peer_port.into(), vc);
+            self.fifos.pop_front(fifo);
+            self.fifos.push_back(fifo, flit);
+        }
+    }
+
+    /// Puts router `rel`, if a relay, on next cycle's awake list.
+    fn wake(&mut self, rel: usize) {
+        let r = &mut self.relay[rel];
+        if r.lane != 0 && r.flags & AWAKE == 0 {
+            r.flags |= AWAKE;
+            self.awake.push(rel as u32);
+        }
+    }
+
     /// NI injection at local router `rel`, whose source queue is
     /// non-empty: stages the front packet's next flit into the local
     /// input port if the NI holds a credit for its VC.
+    #[inline(always)]
     fn inject(&mut self, rel: usize, packets: &PacketTable) {
         let pid = *self.sources[rel]
             .queue
@@ -626,13 +787,88 @@ impl ShardState {
 
     /// Completes the shard's commit: the NI credit returns staged by this
     /// cycle's local-port pops (always intra-shard, so they need no
-    /// boundary batch).
-    pub(crate) fn finish_commit(&mut self, topo: &Topo) {
+    /// boundary batch), then the relays.
+    pub(crate) fn finish_commit(&mut self, topo: &Topo, armed: bool) {
         for (rel, vc) in self.staged_ni_credits.drain(..) {
             let c = &mut self.ni_credits[rel][vc as usize];
             *c += 1;
             debug_assert!(*c <= topo.buffer_depth, "NI credit overflow");
         }
+        self.resolve_relays(topo, armed);
+    }
+
+    /// Ends the cycle's relays (module docs): demotes those not fed, not
+    /// drained or disturbed, applying and booking what did not net out, and
+    /// promotes the candidates that qualify.
+    fn resolve_relays(&mut self, topo: &Topo, armed: bool) {
+        // Phase 1 keeps relays off the worklist, so a bit there is an
+        // arrival the commit landed in another lane of the relay.
+        for w in 0..self.relay_bits.len() {
+            let mut hit = self.active_bits[w] & self.relay_bits[w];
+            while hit != 0 {
+                let rel = w * 64 + hit.trailing_zeros() as usize;
+                hit &= hit - 1;
+                self.relay[rel].flags |= DEMOTE;
+                self.unsettled.push(rel as u32);
+            }
+        }
+        while let Some(rel) = self.unsettled.pop() {
+            let (rel, r) = (rel as usize, self.relay[rel as usize]);
+            if r.lane == 0 || r.flags & !AWAKE == FED | DRAINED {
+                // Listed twice, or kept: next to a non-relay, it has work.
+                self.wake(rel);
+                continue;
+            }
+            self.relay[rel] = Relay::default();
+            self.relay_bits[rel / 64] &= !(1 << (rel % 64));
+            self.relay_count -= 1;
+            self.routers[r.up as usize].feeds_relay &= !(1 << r.up_out);
+            self.routers[r.down as usize].fed_by_relay &= !(1 << r.down_lane);
+            let (fifo, fed) = (rel * PORTS * VCS + usize::from(r.lane), r.flags & FED != 0);
+            let owed = self.armed_cycles - r.booked;
+            self.lane_counts[fifo].reads += owed;
+            self.lane_counts[fifo].writes += owed - u64::from(armed && !fed);
+            let router = &mut self.routers[rel];
+            if !fed {
+                // The pop the relay cycle owed: the lane empties.
+                self.fifos.pop_front(fifo);
+                self.buffered_total -= 1;
+                router.buffered -= 1;
+                router.occ &= !(1 << r.lane);
+            }
+            let (o, v) = (usize::from(r.out) / VCS, usize::from(r.out) % VCS);
+            router.credits[o][v] -= u8::from(r.flags & DRAINED == 0);
+            // A flit left, a queued packet or an arrival keeps it listed.
+            if fed || bit(&self.src_bits, rel) {
+                self.active_bits[rel / 64] |= 1 << (rel % 64);
+            }
+            self.wake(r.up as usize); // its relay neighbours lose one
+            self.wake(r.down as usize);
+        }
+        // A relay's lane is refilled: it stays on the worklist.
+        for w in 0..self.relay_bits.len() {
+            self.active_bits[w] |= self.relay_bits[w];
+        }
+        while let Some((rel, lane, out)) = self.streamed.pop() {
+            self.promote_relay(rel as usize, lane.into(), out.into(), topo);
+        }
+    }
+
+    /// Books what every relay owes its lane counters: all its cycles so
+    /// far were fed, since it is still a relay.
+    pub(crate) fn book_relays(&mut self) {
+        let relays = self.relay.iter_mut();
+        for (rel, r) in relays.enumerate().filter(|(_, r)| r.lane != 0) {
+            let owed = self.armed_cycles - std::mem::replace(&mut r.booked, self.armed_cycles);
+            let counts = &mut self.lane_counts[rel * PORTS * VCS + usize::from(r.lane)];
+            counts.reads += owed;
+            counts.writes += owed;
+        }
+    }
+
+    /// `true` if no relay owes its lane counters anything.
+    pub(crate) fn relays_booked(&self) -> bool {
+        (self.relay.iter()).all(|r| r.lane == 0 || r.booked == self.armed_cycles)
     }
 
     /// The output port requested by the front flit of input lane `b`
@@ -777,7 +1013,49 @@ impl ShardState {
         }
         let grant = Grant { v, ip, iv, is_new };
         self.send(rel, o, grant, topo, packets, cycle, armed);
+        // A candidate if it sent no tail and the lane holds no second flit.
+        let out = local_lane(o, v);
+        let held = self.routers[rel].own >> out & 1 != 0;
+        if ip != LOCAL && o != LOCAL && held && self.fifos.len(self.lane(rel, ip, iv)) < 2 {
+            self.streamed.push((rel as u32, b as u8, out as u8));
+        }
         true
+    }
+
+    /// Makes router `rel`, which streamed out of lane `lane` on channel
+    /// `out` this cycle, a relay if it now qualifies (module docs).
+    fn promote_relay(&mut self, rel: usize, lane: usize, out: usize, topo: &Topo) {
+        let (g, fifo) = (self.lo + rel, rel * PORTS * VCS + lane);
+        let (router, o, v) = (&self.routers[rel], out / VCS, out % VCS);
+        // A `Body` behind the flit just sent is the same packet's, which
+        // keeps the channel; behind a backed-up lane it would not last.
+        let body = self.fifos.front(fifo).map(|f| f.kind) == Some(FlitKind::Body);
+        let lone = self.promote && router.occ == 1 << lane && self.fifos.len(fifo) == 1 && body;
+        let credits = router.credits[o][v];
+        let flowing = credits > 0 && credits + 1 >= topo.buffer_depth;
+        if !(lone && flowing && !bit(&self.src_bits, rel)) {
+            return;
+        }
+        let (input, output) = (topo.link(g, lane / VCS), topo.link(g, o));
+        if [input.peer_shard, output.peer_shard] != [self.index as u8; 2] {
+            return;
+        }
+        let r = Relay {
+            booked: self.armed_cycles,
+            up: (input.peer.index() - self.lo) as u32,
+            down: (output.peer.index() - self.lo) as u32,
+            lane: lane as u8,
+            out: out as u8,
+            up_out: local_lane(input.peer_port.into(), lane % VCS) as u8,
+            down_lane: local_lane(output.peer_port.into(), v) as u8,
+            flags: 0,
+        };
+        self.relay[rel] = r;
+        self.relay_bits[rel / 64] |= 1 << (rel % 64);
+        self.relay_count += 1;
+        self.routers[r.up as usize].feeds_relay |= 1 << r.up_out;
+        self.routers[r.down as usize].fed_by_relay |= 1 << r.down_lane;
+        self.wake(rel);
     }
 
     /// Arbitrates one output port of one router among several occupied
@@ -889,11 +1167,16 @@ impl ShardState {
         if o != LOCAL {
             router.credits[o][v] -= 1;
         }
+        let to_relay = router.feeds_relay >> out_lane_bit & 1 != 0;
+        let from_relay = router.fed_by_relay >> in_lane_bit & 1 != 0;
 
         // Credit return to the upstream of the freed input slot.
         let input = topo.link(g, ip);
         if ip == LOCAL {
             self.staged_ni_credits.push((rel, iv as u8));
+        } else if from_relay {
+            // The relay upstream spent this credit in its own relay cycle.
+            self.relay[input.peer.index() - self.lo].flags |= DRAINED;
         } else {
             debug_assert!(input.peer().is_some(), "input port implies neighbour");
             self.outboxes[input.peer_shard as usize].credits.push((
@@ -940,12 +1223,14 @@ impl ShardState {
 
         let output = topo.link(g, o);
         debug_assert!(output.peer().is_some(), "credit implies neighbour");
-        self.outboxes[output.peer_shard as usize].arrivals.push((
-            output.peer,
-            output.peer_port,
-            v as u8,
-            flit,
-        ));
+        if to_relay {
+            self.relay_arrival(output, v, flit);
+        } else {
+            let arrival = (output.peer, output.peer_port, v as u8, flit);
+            self.outboxes[output.peer_shard as usize]
+                .arrivals
+                .push(arrival);
+        }
 
         // Source-router departure feedback (Eq. 6 inputs). A flit is
         // leaving its source exactly when it exits through a LOCAL
@@ -1001,15 +1286,14 @@ impl ShardState {
         }
         for (rel, router) in self.routers.iter().enumerate() {
             let node = self.lo + rel;
-            let bit = |bits: &[u64]| bits[rel / 64] >> (rel % 64) & 1 == 1;
             let queued = !self.sources[rel].queue.is_empty();
-            if bit(&self.src_bits) != queued {
+            if bit(&self.src_bits, rel) != queued {
                 return Err(format!(
                     "router {node}: source bit {} but queue non-empty is {queued}",
-                    bit(&self.src_bits)
+                    bit(&self.src_bits, rel)
                 ));
             }
-            if (router.buffered > 0 || queued) && !bit(&self.active_bits) {
+            if (router.buffered > 0 || queued) && !bit(&self.active_bits, rel) {
                 return Err(format!(
                     "router {node}: {} flits buffered, queued = {queued}, but off the worklist",
                     router.buffered
@@ -1056,6 +1340,11 @@ impl ShardState {
             + self.feedbacks.capacity()
             + self.lane_counts.capacity()
             + self.ejects.capacity()
+            + self.relay.capacity()
+            + self.relay_bits.capacity()
+            + self.awake.capacity()
+            + self.unsettled.capacity()
+            + self.streamed.capacity()
             + self
                 .sources
                 .iter()
@@ -1122,6 +1411,69 @@ impl ShardState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShardState {
+        pub(crate) fn relay_count(&self) -> usize {
+            self.relay_count
+        }
+
+        /// Verifies, at a cycle boundary, what every relay cycle relies on
+        /// (module docs): the relay's own state is what a relay cycle
+        /// leaves as it found, its neighbours carry its marks, and a relay
+        /// off the awake list nets out with relay neighbours and injects
+        /// nothing.
+        pub(crate) fn check_relays(&self) -> Result<(), String> {
+            if !self.unsettled.is_empty() || !self.streamed.is_empty() {
+                return Err(format!("shard {}: relays left unresolved", self.index));
+            }
+            let marks =
+                |m: fn(&RouterState) -> u32| self.routers.iter().map(|r| m(r).count_ones()).sum();
+            let bits: u32 = self.relay_bits.iter().map(|w| w.count_ones()).sum();
+            let marked = [marks(|r| r.feeds_relay), marks(|r| r.fed_by_relay), bits];
+            if marked != [self.relay_count as u32; 3] {
+                return Err(format!("shard {}: relay marks are off", self.index));
+            }
+            for (rel, r) in self.relay.iter().enumerate().filter(|(_, r)| r.lane != 0) {
+                if !bit(&self.relay_bits, rel) {
+                    return Err(format!(
+                        "router {}: relay off the relay bitmap",
+                        self.lo + rel
+                    ));
+                }
+                // Everything a relay cycle leaves as it found (module docs);
+                // a relay asleep nets out with relay neighbours and injects
+                // nothing.
+                let (lane, out) = (usize::from(r.lane), usize::from(r.out));
+                let (o, v) = (out / VCS, out % VCS);
+                let (router, fifo) = (&self.routers[rel], rel * PORTS * VCS + lane);
+                let settled = self.relay[r.up as usize].out == r.up_out
+                    && self.relay[r.down as usize].lane == r.down_lane
+                    && self.sources[rel].queue.is_empty();
+                let awake = r.flags & AWAKE != 0 && self.awake.contains(&(rel as u32));
+                let holds = (settled || awake)
+                    && self.routers[r.up as usize].feeds_relay >> r.up_out & 1 == 1
+                    && self.routers[r.down as usize].fed_by_relay >> r.down_lane & 1 == 1
+                    && router.occ == 1 << lane
+                    && self.fifos.len(fifo) == 1
+                    && self
+                        .fifos
+                        .front(fifo)
+                        .is_some_and(|f| f.kind == FlitKind::Body)
+                    && router.owner[o][v] == Some(((lane / VCS) as u8, (lane % VCS) as u8))
+                    && router.credits[o][v] > 0
+                    && router.req_cache[lane] == REQ_UNKNOWN
+                    && router.rr_vc[o] as usize == (v + 1) % VCS
+                    && !router.quiet;
+                if !holds {
+                    let node = self.lo + rel;
+                    return Err(format!(
+                        "router {node}: relay of lane {lane} no longer qualifies"
+                    ));
+                }
+            }
+            Ok(())
+        }
+    }
 
     #[test]
     fn layer_major_bounds_split_whole_layers() {

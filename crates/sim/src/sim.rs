@@ -1032,3 +1032,6 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod relay_oracle;

@@ -5,12 +5,13 @@
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy};
 use adele::online::AdeleSelector;
+use adele::AdeleConfig;
 use amosa::AmosaParams;
 use noc_sim::{SimConfig, Simulator};
 use noc_topology::placement::Placement;
 use noc_traffic::SyntheticTraffic;
 
-fn main() {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pick a topology: the paper's PS1 pattern — a 4×4×4 mesh whose
     //    vertical TSV links exist at only 3 of the 16 columns.
     let (mesh, elevators) = Placement::Ps1.instantiate();
@@ -38,14 +39,19 @@ fn main() {
 
     // 3. Online stage: plug the AdEle selector into the cycle-level
     //    simulator under uniform traffic.
-    let selector = AdeleSelector::from_solution(&mesh, &elevators, solution, 7);
+    let assignment = &solution.assignment;
+    let selector = AdeleSelector::from_assignment(
+        &mesh,
+        &elevators,
+        assignment,
+        AdeleConfig::paper_default(),
+        7,
+    )?;
     let traffic = SyntheticTraffic::uniform(&mesh, 0.003, 7);
     let config = SimConfig::new(mesh, elevators)
         .with_phases(2_000, 10_000, 30_000)
         .with_seed(7);
-    let summary = Simulator::new(config, Box::new(traffic), Box::new(selector))
-        .run()
-        .unwrap();
+    let summary = Simulator::new(config, Box::new(traffic), Box::new(selector)).run()?;
 
     println!(
         "simulated: {} packets delivered, avg latency {:.1} cycles, {:.1} nJ/flit, throughput {:.4} flits/node/cycle",
@@ -55,4 +61,5 @@ fn main() {
         summary.throughput_flits
     );
     println!("per-elevator packet counts: {:?}", summary.elevator_packets);
+    Ok(())
 }

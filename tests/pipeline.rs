@@ -3,6 +3,7 @@
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy, SubsetAssignment};
 use adele::online::AdeleSelector;
+use adele::AdeleConfig;
 use amosa::AmosaParams;
 use noc_sim::{SimConfig, Simulator};
 use noc_topology::placement::Placement;
@@ -24,12 +25,15 @@ fn offline_to_online_pipeline_delivers_packets() {
     );
 
     let solution = result.select(SelectionStrategy::LatencyLeaning);
-    solution
-        .assignment
-        .check_compatible(&mesh, &elevators)
-        .expect("offline output matches its topology");
-
-    let selector = AdeleSelector::from_solution(&mesh, &elevators, solution, 9);
+    let assignment = &solution.assignment;
+    let selector = AdeleSelector::from_assignment(
+        &mesh,
+        &elevators,
+        assignment,
+        AdeleConfig::paper_default(),
+        9,
+    )
+    .expect("offline output matches its topology");
     let traffic = SyntheticTraffic::uniform(&mesh, 0.002, 9);
     let config = quick_phases(SimConfig::new(mesh, elevators)).with_seed(9);
     let summary = Simulator::new(config, Box::new(traffic), Box::new(selector))
