@@ -3,18 +3,15 @@
 //! benchmark metric: `noc_obs.armed_tracer_ratio` /
 //! `bench.trace_overhead_ratio` from `benchmark/run.sh layers`.)
 //!
-//! * `noc_trace record <spec.json> [-o FILE] [--period N] [--shards N]` —
-//!   run the spec with the tracer attached and write the JSONL journal
-//!   (stdout by default).
-//! * `noc_trace verify <golden.jsonl> [--shards N]` — re-run the spec
-//!   embedded in the golden journal and compare record for record on the
-//!   deterministic fields. `--shards` reruns at a different shard count;
-//!   the deterministic fields must still match bit for bit. Exits 1 with
-//!   `trace record N: ...` on the first divergence.
-//! * `noc_trace selfcheck [DIR] [--shards 1,8]` — for every spec in the
-//!   suite directory (default `specs/`), record a fresh trace at each
-//!   shard count and verify it against itself. `ADELE_QUICK=1` shrinks
-//!   windows exactly like `run_specs`.
+//! * `noc_trace record <spec.json> [-o FILE] [--period N]` — run the spec
+//!   with the tracer attached and write the JSONL journal (stdout by
+//!   default).
+//! * `noc_trace verify <golden.jsonl>` — re-run the spec embedded in the
+//!   golden journal and compare record for record on the deterministic
+//!   fields. Exits 1 with `trace record N: ...` on the first divergence.
+//! * `noc_trace selfcheck [DIR]` — for every spec in the suite directory
+//!   (default `specs/`), record a fresh trace and verify it against
+//!   itself. `ADELE_QUICK=1` shrinks windows exactly like `run_specs`.
 //! * `noc_trace export <journal.jsonl> --prometheus|--perfetto [-o FILE]`
 //!   — render a recorded journal for an external consumer: the Prometheus
 //!   text exposition format (histograms, summary gauges, run info), or a
@@ -28,9 +25,9 @@ use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: noc_trace record <spec.json> [-o FILE] [--period N] [--shards N]\n       \
-         noc_trace verify <golden.jsonl> [--shards N]\n       \
-         noc_trace selfcheck [DIR] [--shards 1,8]\n       \
+        "usage: noc_trace record <spec.json> [-o FILE] [--period N]\n       \
+         noc_trace verify <golden.jsonl>\n       \
+         noc_trace selfcheck [DIR]\n       \
          noc_trace export <journal.jsonl> --prometheus|--perfetto [-o FILE]"
     );
     std::process::exit(2);
@@ -47,23 +44,19 @@ fn input_file(mut args: Args, missing: &str) -> String {
 }
 
 fn cmd_record(mut args: Args) {
-    let shards: Option<usize> = args.value("--shards");
     let period: Option<u64> = args.value("--period");
     if period == Some(0) {
         args.die("bad value 0 for --period (at least 1 cycle)");
     }
     let out: Option<String> = args.value("-o");
     let path = &input_file(args, "record needs a spec file");
-    let mut scenario = match load_spec(Path::new(path)) {
+    let scenario = match load_spec(Path::new(path)) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("noc_trace: {e}");
             std::process::exit(1);
         }
     };
-    if let Some(shards) = shards {
-        scenario.shards = shards;
-    }
     let period = period.unwrap_or_else(|| trace_period(&scenario));
     let journal = record_trace(&scenario, period);
     match out {
@@ -82,8 +75,7 @@ fn cmd_record(mut args: Args) {
     }
 }
 
-fn cmd_verify(mut args: Args) {
-    let shards: Option<usize> = args.value("--shards");
+fn cmd_verify(args: Args) {
     let path = &input_file(args, "verify needs a golden journal");
     let golden = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -92,13 +84,10 @@ fn cmd_verify(mut args: Args) {
             std::process::exit(1);
         }
     };
-    match verify_trace(&golden, shards) {
+    match verify_trace(&golden) {
         Ok(report) => println!(
-            "{path}: OK — {} records match for {:?} (replayed at {} shard{})",
-            report.records,
-            report.name,
-            report.shards,
-            if report.shards == 1 { "" } else { "s" },
+            "{path}: OK — {} records match for {:?}",
+            report.records, report.name,
         ),
         Err(e) => {
             eprintln!("{path}: {e}");
@@ -160,7 +149,6 @@ fn cmd_export(mut args: Args) {
 }
 
 fn cmd_selfcheck(mut args: Args) {
-    let shard_counts: Vec<usize> = args.list("--shards").unwrap_or_else(|| vec![1]);
     let dir = args.positional().unwrap_or_else(|| "specs".to_string());
     args.finish();
     let suite = match load_dir(Path::new(&dir)) {
@@ -176,15 +164,12 @@ fn cmd_selfcheck(mut args: Args) {
         if quick_mode() {
             quick_shrink(&mut scenario);
         }
-        for &shards in &shard_counts {
-            scenario.shards = shards;
-            let journal = record_trace(&scenario, trace_period(&scenario));
-            match verify_trace(&journal, None) {
-                Ok(report) => println!("{stem} k={shards}: OK ({} records)", report.records),
-                Err(e) => {
-                    eprintln!("{stem} k={shards}: FAIL — {e}");
-                    failed = true;
-                }
+        let journal = record_trace(&scenario, trace_period(&scenario));
+        match verify_trace(&journal) {
+            Ok(report) => println!("{stem}: OK ({} records)", report.records),
+            Err(e) => {
+                eprintln!("{stem}: FAIL — {e}");
+                failed = true;
             }
         }
     }

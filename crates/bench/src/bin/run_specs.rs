@@ -7,17 +7,14 @@
 //!
 //! Usage:
 //!
-//! * `run_specs [DIR] [--shards N] [--trace FILE] [--hud [--quiet]]
-//!   [--resume] [--retries N] [--deadline-ms N]` —
-//!   run the suite in `DIR` (default `specs/`). `--shards N` overrides
-//!   every scenario's mesh shard count; results are bit-identical at any
-//!   value (the override only trades wall-clock for cores, and CI uses it
-//!   to sweep the sharded engine over the whole suite). `--trace FILE`
-//!   streams per-point `progress` records (trace schema) into a JSONL
-//!   journal while the pool runs. `--hud` renders the same progress
-//!   stream as a live terminal panel on stderr (throughput, ETA,
-//!   per-point latency percentiles, worklist occupancy); `--quiet`
-//!   degrades it to one plain line per completed point for CI logs.
+//! * `run_specs [DIR] [--trace FILE] [--hud [--quiet]] [--resume]
+//!   [--retries N] [--deadline-ms N]` —
+//!   run the suite in `DIR` (default `specs/`). `--trace FILE` streams
+//!   per-point `progress` records (trace schema) into a JSONL journal
+//!   while the pool runs. `--hud` renders the same progress stream as a
+//!   live terminal panel on stderr (throughput, ETA, per-point latency
+//!   percentiles, worklist occupancy); `--quiet` degrades it to one plain
+//!   line per completed point for CI logs.
 //!
 //!   The suite runs on the **supervised** pool: every point is isolated
 //!   (a panic or a structured `SimError` fails that point, never the
@@ -177,7 +174,6 @@ fn main() {
         args.finish();
         return emit(Path::new(&dir));
     }
-    let shards_override: Option<usize> = args.value("--shards");
     let retries: Option<u32> = args.value("--retries");
     let deadline_ms: Option<u64> = args.value("--deadline-ms");
     let trace_path: Option<String> = args.value("--trace");
@@ -201,9 +197,6 @@ fn main() {
             let mut scenario = scenario.clone();
             if quick_mode() {
                 quick_shrink(&mut scenario);
-            }
-            if let Some(shards) = shards_override {
-                scenario.shards = shards;
             }
             scenario
         })
@@ -371,7 +364,7 @@ fn main() {
         );
     }
     // Stamp the dump with the provenance block: which tree produced the
-    // numbers, on what machine shape, over which stream/shard grid.
+    // numbers, on what machine shape, over which streams.
     let streams: Vec<&str> = {
         let mut s: Vec<&str> = scenarios
             .iter()
@@ -381,10 +374,7 @@ fn main() {
         s.dedup();
         s
     };
-    let mut shard_counts: Vec<usize> = scenarios.iter().map(|sc| sc.shards).collect();
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
-    let meta = bench_meta(&streams, &shard_counts).to_value();
+    let meta = bench_meta(&streams).to_value();
     let dir = adele_bench::results_dir();
     // Only a fully successful suite owns results/specs.json: a partial
     // dump would be mistaken for a complete one. The completed points

@@ -1,6 +1,6 @@
 //! Scaling study beyond the paper: cycles/second and peak RSS on
 //! 8×8×4 → 16×16×8 → 32×32×8 meshes at low and moderate injection, on
-//! either workload stream, at one or more mesh shard counts.
+//! either workload stream.
 //!
 //! The paper stops at PM (8×8×4); this binary measures where the cycle
 //! loop stops scaling. Each mesh gets a regular elevator grid (columns
@@ -8,18 +8,16 @@
 //! driven for a fixed cycle budget after a warm-up; the wall-clock
 //! cycles/second and the process peak RSS are reported per point.
 //!
-//! Usage: `scale [--stream v1|v2|both] [--shards 1,2,8] [--hud [--quiet]]
-//! [--resume]` (`ADELE_QUICK=1` shrinks the cycle budget; the default
-//! measures **both** streams so the batched-injection speedup is recorded
-//! next to the bit-stable baseline). `--shards` takes a comma-separated
-//! list of shard counts — results are bit-identical at every count, so
-//! the extra points only measure what the partition costs (the per-phase
-//! split of a cycle is the repo benchmark's `noc_sim.*_ns_per_cycle`
-//! rows). `--hud` renders a live progress panel on stderr between points
-//! (throughput, ETA, the last point's latency percentiles); `--quiet`
-//! degrades it to one line per point. Results land in `results/scale.json` under a
-//! `points` key, stamped with the `meta` provenance block (git tree, host
-//! shape, stream × shard grid).
+//! Usage: `scale [--stream v1|v2|both] [--hud [--quiet]] [--resume]`
+//! (`ADELE_QUICK=1` shrinks the cycle budget; the default measures
+//! **both** streams so the batched-injection speedup is recorded next to
+//! the bit-stable baseline; the per-phase split of a cycle is the repo
+//! benchmark's `noc_sim.*_ns_per_cycle` rows). `--hud` renders a live
+//! progress panel on stderr between points (throughput, ETA, the last
+//! point's latency percentiles); `--quiet` degrades it to one line per
+//! point. Results land in `results/scale.json` under a `points` key,
+//! stamped with the `meta` provenance block (git tree, host shape,
+//! streams).
 //!
 //! Every completed point is appended to `results/scale.ledger.jsonl`
 //! (a `noc_exp::Ledger` — the crash-safety contract of the `run_specs`
@@ -46,7 +44,6 @@ struct ScalePoint {
     pillars: usize,
     rate: f64,
     stream: String,
-    shards: usize,
     cycles: u64,
     wall_seconds: f64,
     cycles_per_second: f64,
@@ -62,10 +59,10 @@ struct ScalePoint {
 
 /// The ledger key of one grid point: FNV-1a over its grid coordinates and
 /// cycle budget (timings are results, not content).
-fn point_key(mesh: &Mesh3d, rate: f64, stream: StreamVersion, shards: usize, cycles: u64) -> u64 {
+fn point_key(mesh: &Mesh3d, rate: f64, stream: StreamVersion, cycles: u64) -> u64 {
     noc_exp::fnv1a(
         format!(
-            "scale|{}x{}x{}|{rate}|{stream}|{shards}|{cycles}",
+            "scale|{}x{}x{}|{rate}|{stream}|{cycles}",
             mesh.x(),
             mesh.y(),
             mesh.layers(),
@@ -112,13 +109,10 @@ fn measure(
     elevators: &ElevatorSet,
     rate: f64,
     stream: StreamVersion,
-    shards: usize,
     cycles: u64,
 ) -> ScalePoint {
     let warmup = cycles / 10;
-    let config = SimConfig::new(mesh, elevators.clone())
-        .with_seed(42)
-        .with_shards(shards);
+    let config = SimConfig::new(mesh, elevators.clone()).with_seed(42);
     let kind = WorkloadKind::Uniform { rate };
     let traffic = WorkloadSpec { stream, kind }.build(&mesh, 42);
     let selector = ElevatorFirstSelector::new(&mesh, elevators);
@@ -134,7 +128,6 @@ fn measure(
         pillars: elevators.len(),
         rate,
         stream: stream.to_string(),
-        shards,
         cycles,
         wall_seconds: wall,
         cycles_per_second: cycles as f64 / wall,
@@ -157,8 +150,6 @@ fn main() {
             Err(e) => args.die(&format!("--stream: {e}")),
         },
     };
-    // `--shards 1,2,8` (default `1`, the single-slab engine).
-    let shard_counts: Vec<usize> = args.list("--shards").unwrap_or_else(|| vec![1]);
     let hud_on = args.flag("--hud");
     let quiet = args.flag("--quiet");
     args.finish();
@@ -175,7 +166,7 @@ fn main() {
     // The study is a sequential sweep, so the HUD is fed synthesized
     // `progress` beats (the same wire format `run_specs` streams from its
     // worker pool) — one `started`/`done` pair per point.
-    let grid = meshes().len() * rates.len() * streams.len() * shard_counts.len();
+    let grid = meshes().len() * rates.len() * streams.len();
     let mut hud = hud_on.then(|| Hud::new(grid, quiet));
     let beat = |hud: &mut Option<Hud>, index: usize, label: &str, status: &str, detail| {
         let record = Record::Progress {
@@ -215,66 +206,63 @@ fn main() {
     for (mesh, elevators) in meshes() {
         for rate in rates {
             for &stream in &streams {
-                for &shards in &shard_counts {
-                    let label = format!(
-                        "{}x{}x{} r{rate:.4} {stream} k={shards}",
-                        mesh.x(),
-                        mesh.y(),
-                        mesh.layers(),
-                    );
-                    let key = point_key(&mesh, rate, stream, shards, cycles);
-                    if let Some(point) = ledger.as_ref().and_then(|l| l.lookup(key)) {
-                        beat(&mut hud, index, &label, "cached", serde::Value::Null);
-                        index += 1;
-                        points.push(point.clone());
-                        continue;
-                    }
-                    beat(&mut hud, index, &label, "started", serde::Value::Null);
-                    let point = measure(mesh, &elevators, rate, stream, shards, cycles);
-                    if let Some(ledger) = ledger.as_mut() {
-                        if let Err(e) = ledger.record(key, &point) {
-                            eprintln!("scale: ledger append failed: {e}");
-                        }
-                    }
-                    let detail = vec![
-                        (
-                            "run_ns".to_string(),
-                            serde::Value::UInt((point.wall_seconds * 1e9) as u64),
-                        ),
-                        (
-                            "avg_latency".to_string(),
-                            serde::Value::Float(point.avg_latency),
-                        ),
-                        (
-                            "latency_p50".to_string(),
-                            serde::Value::UInt(point.latency_p50),
-                        ),
-                        (
-                            "latency_p99".to_string(),
-                            serde::Value::UInt(point.latency_p99),
-                        ),
-                    ];
-                    beat(
-                        &mut hud,
-                        index,
-                        &label,
-                        "done",
-                        serde::Value::Object(detail),
-                    );
+                let label = format!(
+                    "{}x{}x{} r{rate:.4} {stream}",
+                    mesh.x(),
+                    mesh.y(),
+                    mesh.layers(),
+                );
+                let key = point_key(&mesh, rate, stream, cycles);
+                if let Some(point) = ledger.as_ref().and_then(|l| l.lookup(key)) {
+                    beat(&mut hud, index, &label, "cached", serde::Value::Null);
                     index += 1;
-                    println!(
-                        "{:>9}  rate {:.4}  {}  k={:<3}  {:>12.0} cycles/s  peak RSS {}",
-                        point.mesh,
-                        rate,
-                        point.stream,
-                        shards,
-                        point.cycles_per_second,
-                        point
-                            .peak_rss_kb
-                            .map_or("n/a".to_string(), |kb| format!("{} MB", kb / 1024)),
-                    );
-                    points.push(point);
+                    points.push(point.clone());
+                    continue;
                 }
+                beat(&mut hud, index, &label, "started", serde::Value::Null);
+                let point = measure(mesh, &elevators, rate, stream, cycles);
+                if let Some(ledger) = ledger.as_mut() {
+                    if let Err(e) = ledger.record(key, &point) {
+                        eprintln!("scale: ledger append failed: {e}");
+                    }
+                }
+                let detail = vec![
+                    (
+                        "run_ns".to_string(),
+                        serde::Value::UInt((point.wall_seconds * 1e9) as u64),
+                    ),
+                    (
+                        "avg_latency".to_string(),
+                        serde::Value::Float(point.avg_latency),
+                    ),
+                    (
+                        "latency_p50".to_string(),
+                        serde::Value::UInt(point.latency_p50),
+                    ),
+                    (
+                        "latency_p99".to_string(),
+                        serde::Value::UInt(point.latency_p99),
+                    ),
+                ];
+                beat(
+                    &mut hud,
+                    index,
+                    &label,
+                    "done",
+                    serde::Value::Object(detail),
+                );
+                index += 1;
+                println!(
+                    "{:>9}  rate {:.4}  {}  {:>12.0} cycles/s  peak RSS {}",
+                    point.mesh,
+                    rate,
+                    point.stream,
+                    point.cycles_per_second,
+                    point
+                        .peak_rss_kb
+                        .map_or("n/a".to_string(), |kb| format!("{} MB", kb / 1024)),
+                );
+                points.push(point);
             }
         }
     }
@@ -282,8 +270,7 @@ fn main() {
     println!();
     print_table(
         &[
-            "mesh", "nodes", "pillars", "rate", "stream", "shards", "cycles", "kcyc/s", "inj",
-            "rss_mb",
+            "mesh", "nodes", "pillars", "rate", "stream", "cycles", "kcyc/s", "inj", "rss_mb",
         ],
         &points
             .iter()
@@ -294,7 +281,6 @@ fn main() {
                     p.pillars.to_string(),
                     format!("{:.4}", p.rate),
                     p.stream.clone(),
-                    p.shards.to_string(),
                     p.cycles.to_string(),
                     f1(p.cycles_per_second / 1e3),
                     p.injected_packets.to_string(),
@@ -309,10 +295,7 @@ fn main() {
     let stream_names: Vec<String> = streams.iter().map(ToString::to_string).collect();
     let stream_refs: Vec<&str> = stream_names.iter().map(String::as_str).collect();
     let doc = serde::Value::Object(vec![
-        (
-            "meta".to_string(),
-            bench_meta(&stream_refs, &shard_counts).to_value(),
-        ),
+        ("meta".to_string(), bench_meta(&stream_refs).to_value()),
         ("points".to_string(), points.to_value()),
     ]);
     dump_json("scale", &doc);

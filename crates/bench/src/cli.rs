@@ -43,23 +43,12 @@ impl Args {
         Some(self.rest.remove(at))
     }
 
-    fn parse<T: FromStr>(&self, name: &str, text: &str) -> T {
-        let parsed = text.trim().parse();
-        parsed.unwrap_or_else(|_| self.die(&format!("bad value {text:?} for {name}")))
-    }
-
     /// Takes `name VALUE` and parses the value; `None` if `name` is
     /// absent. A missing or unparsable value is a usage error.
     pub fn value<T: FromStr>(&mut self, name: &str) -> Option<T> {
         let raw = self.raw(name)?;
-        Some(self.parse(name, &raw))
-    }
-
-    /// Takes `name A,B,…` and parses every element; `None` if `name` is
-    /// absent. A missing value or an unparsable element is a usage error.
-    pub fn list<T: FromStr>(&mut self, name: &str) -> Option<Vec<T>> {
-        let raw = self.raw(name)?;
-        Some(raw.split(',').map(|s| self.parse(name, s)).collect())
+        let parsed = raw.trim().parse();
+        Some(parsed.unwrap_or_else(|_| self.die(&format!("bad value {raw:?} for {name}"))))
     }
 
     /// Takes the first remaining argument that is not a flag. Call after

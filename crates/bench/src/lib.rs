@@ -184,15 +184,13 @@ pub struct BenchMeta {
     pub noc_threads: Option<String>,
     /// Workload streams the grid covers.
     pub streams: Vec<String>,
-    /// Mesh shard counts the grid covers.
-    pub shard_counts: Vec<usize>,
 }
 
-/// Builds the provenance stamp for a benchmark covering `streams` ×
-/// `shard_counts`. Best effort: a missing `git` binary degrades to
-/// `"unknown"`, never an error.
+/// Builds the provenance stamp for a benchmark covering `streams`. Best
+/// effort: a missing `git` binary degrades to `"unknown"`, never an
+/// error.
 #[must_use]
-pub fn bench_meta(streams: &[&str], shard_counts: &[usize]) -> BenchMeta {
+pub fn bench_meta(streams: &[&str]) -> BenchMeta {
     let git = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -208,7 +206,6 @@ pub fn bench_meta(streams: &[&str], shard_counts: &[usize]) -> BenchMeta {
         host_cores: std::thread::available_parallelism().map_or(1, usize::from),
         noc_threads: std::env::var("NOC_THREADS").ok(),
         streams: streams.iter().map(ToString::to_string).collect(),
-        shard_counts: shard_counts.to_vec(),
     }
 }
 
@@ -369,11 +366,10 @@ mod tests {
 
     #[test]
     fn bench_meta_captures_the_grid() {
-        let meta = bench_meta(&["v1", "v2"], &[1, 8]);
+        let meta = bench_meta(&["v1", "v2"]);
         assert!(!meta.git.is_empty());
         assert!(meta.host_cores >= 1);
         assert_eq!(meta.streams, vec!["v1", "v2"]);
-        assert_eq!(meta.shard_counts, vec![1, 8]);
     }
 
     #[test]

@@ -6,14 +6,16 @@
 //! meant to resume from, and start over. Input that parses but cannot be
 //! run — a name that matches no panel, an empty measurement window or an
 //! out-of-range AdEle tuning or app rate, a results file that cannot be
-//! written, a journal too damaged to verify — is a named error too (exit
-//! 2, 1 and 3), never a panic and never an emptied result file.
+//! written, a journal too damaged to verify, a ledger that is not text —
+//! is a named error too (exit 2, 1 and 3), never a panic and never an
+//! emptied result file.
 
 use adele::AdeleConfig;
 use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_traffic::apps::AppKind;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Mutex;
 
 const RUN_SPECS: &str = env!("CARGO_BIN_EXE_run_specs");
 const SCALE: &str = env!("CARGO_BIN_EXE_scale");
@@ -21,6 +23,14 @@ const NOC_TRACE: &str = env!("CARGO_BIN_EXE_noc_trace");
 const REPRO_ALL: &str = env!("CARGO_BIN_EXE_repro_all");
 const FIG4: &str = env!("CARGO_BIN_EXE_fig4");
 const FIG6: &str = env!("CARGO_BIN_EXE_fig6");
+
+/// Serialises the tests that read or rewrite `results/specs.*`.
+static SPECS_RESULTS: Mutex<()> = Mutex::new(());
+
+/// The checked-in spec suite.
+fn specs_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs")
+}
 
 /// Exit code and stderr of `bin args…` (under `ADELE_QUICK=1`, for the
 /// rows that get as far as simulating).
@@ -81,7 +91,6 @@ fn usage_errors_exit_2_naming_the_offender() {
         (FIG6, &["--link"], "--link"),
         (FIG6, &["--links", "--stream", "v2"], "--stream"),
         // A flag whose value is missing.
-        (RUN_SPECS, &["specs", "--shards"], "--shards"),
         (RUN_SPECS, &["--trace", "--hud"], "--trace"),
         (SCALE, &["--stream"], "--stream"),
         (NOC_TRACE, &["record", "spec.json", "-o"], "-o"),
@@ -93,14 +102,12 @@ fn usage_errors_exit_2_naming_the_offender() {
             &["specs", "--deadline-ms", "1.5"],
             "--deadline-ms",
         ),
-        (SCALE, &["--shards", "1,x"], "--shards"),
         (SCALE, &["--stream", "v3"], "--stream"),
         (
             NOC_TRACE,
             &["record", "spec.json", "--period", "x"],
             "--period",
         ),
-        (NOC_TRACE, &["selfcheck", "--shards", "1,,8"], "--shards"),
         (REPRO_ALL, &["--jobs", "x"], "--jobs"),
         // A value that parses but cannot be used (it used to panic in
         // `Tracer::new`).
@@ -122,11 +129,123 @@ fn usage_errors_exit_2_naming_the_offender() {
 
 #[test]
 fn a_typoed_resume_leaves_the_ledger_untouched() {
+    let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
     let (before, after) = results_file_after("specs.ledger.jsonl", || {
         let (code, stderr) = run(RUN_SPECS, &["specs", "--resum"]);
         assert_eq!(code, Some(2), "{stderr}");
     });
     assert_eq!(after, Some(before), "the ledger must survive byte for byte");
+}
+
+/// The fabric is one router range, so no binary takes `--shards`: it is
+/// refused like any unknown flag before a file is touched — the ledgers
+/// `run_specs` and `scale` would start over, and the journal
+/// `noc_trace record -o` would write.
+#[test]
+fn shards_is_an_unknown_flag_in_every_binary() {
+    let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let path = |rel: &str| root.join(rel).to_str().unwrap().to_string();
+    let (specs, spec) = (path("specs"), path("specs/baseline.json"));
+    let golden = path("tests/golden/trace_small.jsonl");
+    let journal = std::env::temp_dir().join(format!("adele_shards_{}.jsonl", std::process::id()));
+    let out = journal.to_str().unwrap();
+    let cases: [(&str, &str, Vec<&str>); 5] = [
+        (
+            RUN_SPECS,
+            "specs.ledger.jsonl",
+            vec![&specs, "--shards", "2"],
+        ),
+        (SCALE, "scale.ledger.jsonl", vec!["--shards", "1,2,8"]),
+        (
+            NOC_TRACE,
+            "specs.json",
+            vec!["record", &spec, "-o", out, "--shards", "8"],
+        ),
+        (
+            NOC_TRACE,
+            "specs.json",
+            vec!["verify", &golden, "--shards", "8"],
+        ),
+        (
+            NOC_TRACE,
+            "specs.json",
+            vec!["selfcheck", &specs, "--shards", "1,8"],
+        ),
+    ];
+    for (bin, results_file, args) in cases {
+        let (before, after) = results_file_after(results_file, || {
+            let (code, stderr) = run(bin, &args);
+            assert_eq!(code, Some(2), "{bin} {args:?} must exit 2: {stderr}");
+            assert!(
+                stderr.contains("unknown argument \"--shards\""),
+                "{bin} {args:?}: {stderr}"
+            );
+        });
+        assert_eq!(after, Some(before), "{bin} {args:?} touched {results_file}");
+        assert!(!journal.exists(), "{bin} {args:?} wrote the journal");
+    }
+}
+
+/// Snapshots `results/<name>` for each name, runs `body`, and puts every
+/// file back as it was (removing any the body created).
+fn restoring_results(names: &[&str], body: impl FnOnce()) {
+    let dir = adele_bench::results_dir();
+    let saved: Vec<(PathBuf, Option<Vec<u8>>)> = names
+        .iter()
+        .map(|name| (dir.join(name), std::fs::read(dir.join(name)).ok()))
+        .collect();
+    body();
+    for (path, bytes) in saved {
+        match bytes {
+            Some(bytes) => std::fs::write(&path, bytes).expect("restore a results file"),
+            None => {
+                let _ = std::fs::remove_file(&path);
+            }
+        }
+    }
+}
+
+/// A ledger whose writer was killed mid-append resumes: the torn last line
+/// is dropped and said so, the completed points are restored, and the run
+/// exits 0.
+#[test]
+fn resume_drops_a_torn_ledger_tail() {
+    let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
+    restoring_results(&["specs.ledger.jsonl", "specs.json"], || {
+        let specs = specs_dir();
+        let specs = specs.to_str().unwrap();
+        let (code, stderr) = run(RUN_SPECS, &[specs]);
+        assert_eq!(code, Some(0), "{stderr}");
+        let ledger = adele_bench::results_dir().join("specs.ledger.jsonl");
+        let mut text = std::fs::read_to_string(&ledger).expect("the run wrote its ledger");
+        let points = text.lines().count();
+        text.push_str("{\"hash\":\"torn\",\"name\":\"cut");
+        std::fs::write(&ledger, text).unwrap();
+        let (code, stderr) = run(RUN_SPECS, &[specs, "--resume"]);
+        assert_eq!(code, Some(0), "{stderr}");
+        assert!(stderr.contains("torn tail dropped"), "{stderr}");
+        let restored = format!("resuming: {points} completed point(s)");
+        assert!(stderr.contains(&restored), "{stderr}");
+    });
+}
+
+/// A ledger that is not UTF-8 is a named error, not a panic and not a
+/// fresh start: exit 1 naming the ledger, which is left byte for byte.
+#[test]
+fn resume_refuses_a_non_utf8_ledger_naming_it() {
+    let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
+    restoring_results(&["specs.ledger.jsonl", "specs.json"], || {
+        let ledger = adele_bench::results_dir().join("specs.ledger.jsonl");
+        std::fs::create_dir_all(adele_bench::results_dir()).unwrap();
+        let garbage = b"{\"hash\":\"\xff\xfe\"}\n".to_vec();
+        std::fs::write(&ledger, &garbage).unwrap();
+        let specs = specs_dir();
+        let (code, stderr) = run(RUN_SPECS, &[specs.to_str().unwrap(), "--resume"]);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.contains("specs.ledger.jsonl"), "{stderr}");
+        assert_eq!(std::fs::read(&ledger).unwrap(), garbage, "ledger untouched");
+    });
 }
 
 /// `fig4 PS9` used to match no panel, print nothing, overwrite

@@ -470,10 +470,13 @@ pub struct Scenario {
     pub seed: u64,
     /// Timed events delivered mid-run.
     pub events: Vec<Event>,
-    /// Mesh shard count: how many router ranges the fabric is partitioned
-    /// into (1 = one slab; 0 means 1). Shards are stepped one after
-    /// another and results are bit-identical at every value, so older
-    /// spec files without the field parse as 1.
+    /// Accepted for spec compatibility and ignored: the simulated fabric
+    /// is one router range whatever this says. It must still parse as a
+    /// non-negative integer, is absent from older spec files (parsed as
+    /// 1), and round-trips as written, so spec files and [`spec_hash`]es
+    /// that carry it stay byte-identical.
+    ///
+    /// [`spec_hash`]: crate::spec_hash
     pub shards: usize,
     /// Opt-in flight-recorder settings; `None` (the default) leaves the
     /// spec's serialised form — and the run — exactly as before.
@@ -589,8 +592,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the mesh shard count (1 = one slab; 0 means 1). Bit-identical
-    /// results at every value.
+    /// Sets the ignored [`Self::shards`] field: it changes the spec's
+    /// serialised form and nothing about the run.
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards;
@@ -664,8 +667,7 @@ impl Scenario {
     pub fn sim_config(&self) -> SimConfig {
         let mut config = SimConfig::new(self.mesh, self.elevators.clone())
             .with_phases(self.warmup, self.measure, self.drain_max)
-            .with_seed(self.seed)
-            .with_shards(self.shards);
+            .with_seed(self.seed);
         if let Some(watchdog) = self.watchdog {
             config = config.with_watchdog(watchdog);
         }
@@ -725,8 +727,8 @@ impl Deserialize for Scenario {
             drain_max: serde::field(value, "drain_max")?,
             seed: serde::field(value, "seed")?,
             events: serde::field(value, "events")?,
-            // Grew after the spec format shipped: absent means sequential
-            // (a malformed value still errors — see `optional_field`).
+            // Grew after the spec format shipped: absent means 1 (a
+            // malformed value still errors — see `optional_field`).
             shards: serde::optional_field(value, "shards")?.unwrap_or(1),
             // Also post-format: absent means no flight recorder.
             trace: serde::optional_field(value, "trace")?,

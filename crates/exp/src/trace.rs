@@ -5,10 +5,9 @@
 //! the full spec + seed — every trace is self-describing. [`verify_trace`]
 //! is the golden-trace oracle: it parses a journal, re-runs the embedded
 //! spec and compares fresh against golden record for record on the
-//! deterministic fields (see [`noc_obs::compare_journals`]). Because the
-//! deterministic fields are bit-identical across shard and worker counts,
-//! a golden trace recorded sequentially verifies under any `--shards`
-//! override, and vice versa.
+//! deterministic fields (see [`noc_obs::compare_journals`]), which are
+//! bit-identical on every host. The spec's ignored `shards` field is
+//! environmental, so a journal verifies whatever it says.
 
 use crate::scenario::Scenario;
 use noc_obs::{parse_journal, Record, SharedBuffer, TraceError, TraceWriter, TRACE_SCHEMA_VERSION};
@@ -79,28 +78,20 @@ pub struct VerifyReport {
     pub name: String,
     /// Records compared.
     pub records: usize,
-    /// Shard count the fresh replay ran at.
-    pub shards: usize,
     /// Schema version the golden journal was recorded at (the replay
     /// re-records at the same version, whatever the reader supports).
     pub schema: u32,
 }
 
 /// Re-runs the spec embedded in a golden journal and compares the fresh
-/// trace record for record. `shards_override` reruns at a different
-/// shard count — deterministic fields must still match bit for bit (the
-/// sharded-engine equivalence contract), so this doubles as an
-/// end-to-end shard-equivalence check.
+/// trace record for record.
 ///
 /// # Errors
 ///
 /// Returns a [`TraceError`] naming the offending record: parse failures
 /// (truncation, corruption), a missing or malformed header, an embedded
 /// spec that no longer validates, or the first diverging record.
-pub fn verify_trace(
-    golden: &str,
-    shards_override: Option<usize>,
-) -> Result<VerifyReport, TraceError> {
+pub fn verify_trace(golden: &str) -> Result<VerifyReport, TraceError> {
     let golden = parse_journal(golden)?;
     let Some(Record::Header {
         schema,
@@ -125,11 +116,8 @@ pub fn verify_trace(
             ),
         ));
     }
-    let mut scenario = Scenario::from_value(spec)
+    let scenario = Scenario::from_value(spec)
         .map_err(|e| TraceError::new(0, format!("embedded spec: {}", e.0)))?;
-    if let Some(shards) = shards_override {
-        scenario.shards = shards;
-    }
     let fresh = record_trace_at(&scenario, *period, *schema);
     let fresh = parse_journal(&fresh)
         .map_err(|e| TraceError::new(e.record, format!("fresh replay: {}", e.message)))?;
@@ -137,7 +125,6 @@ pub fn verify_trace(
     Ok(VerifyReport {
         name: scenario.name.clone(),
         records,
-        shards: scenario.shards,
         schema: *schema,
     })
 }
@@ -162,18 +149,22 @@ mod tests {
     fn recorded_trace_verifies_against_itself() {
         let scenario = tiny();
         let journal = record_trace(&scenario, trace_period(&scenario));
-        let report = verify_trace(&journal, None).expect("self-verification");
+        let report = verify_trace(&journal).expect("self-verification");
         assert_eq!(report.name, "tiny-trace");
         assert!(report.records > 3, "header + phases + windows + summary");
     }
 
+    /// The spec's `shards` field is accepted and ignored: a journal whose
+    /// header and embedded spec are rewritten to any other value still
+    /// verifies record for record.
     #[test]
     fn verification_is_shard_independent() {
-        let scenario = tiny();
-        let journal = record_trace(&scenario, 100);
-        for shards in [2, 4] {
-            let report = verify_trace(&journal, Some(shards)).expect("shard override verifies");
-            assert_eq!(report.shards, shards);
+        let journal = record_trace(&tiny(), 100);
+        assert_eq!(journal.matches("\"shards\":1").count(), 2, "header + spec");
+        for shards in [0, 8] {
+            let rewritten = journal.replace("\"shards\":1", &format!("\"shards\":{shards}"));
+            let report = verify_trace(&rewritten).expect("the ignored field verifies");
+            assert_eq!(report.records, parse_journal(&journal).unwrap().len());
         }
     }
 
@@ -202,12 +193,12 @@ mod tests {
             !v1.contains("latency_p99"),
             "v1 summaries carry no percentile keys"
         );
-        let report = verify_trace(&v1, None).expect("v2 reader verifies v1 journals");
+        let report = verify_trace(&v1).expect("v2 reader verifies v1 journals");
         assert_eq!(report.schema, 1);
         let v2 = record_trace(&scenario, 100);
         assert!(v2.contains("\"type\":\"hist\""));
         assert!(v2.contains("latency_p99"));
-        assert_eq!(verify_trace(&v2, None).unwrap().schema, 2);
+        assert_eq!(verify_trace(&v2).unwrap().schema, 2);
     }
 
     #[test]
@@ -215,18 +206,15 @@ mod tests {
         let scenario = tiny();
         let journal = record_trace(&scenario, 100);
         let bumped = journal.replacen("\"schema\":2", "\"schema\":99", 1);
-        let err = verify_trace(&bumped, None).unwrap_err();
+        let err = verify_trace(&bumped).unwrap_err();
         assert_eq!(err.record, 0);
         assert!(err.message.contains("unsupported trace schema 99"), "{err}");
     }
 
     #[test]
     fn headerless_journal_is_rejected() {
-        let err = verify_trace(
-            "{\"type\":\"phase\",\"cycle\":0,\"phase\":\"warmup\"}",
-            None,
-        )
-        .unwrap_err();
+        let err =
+            verify_trace("{\"type\":\"phase\",\"cycle\":0,\"phase\":\"warmup\"}").unwrap_err();
         assert_eq!(err.record, 0);
         assert!(err.message.contains("header"), "{err}");
     }

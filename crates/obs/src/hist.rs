@@ -1,12 +1,12 @@
 //! Fixed-bucket log2 histograms: plain counter arrays, mergeable
-//! counter-for-counter across shard partitions exactly like the energy
+//! counter-for-counter (add-and-zero folds) exactly like the energy
 //! crate's `LinkLedger`.
 //!
 //! Bucket 0 holds the value `0`; bucket `i` (for `i >= 1`) holds the
 //! half-open power-of-two range `[2^(i-1), 2^i - 1]`. With 65 buckets the
 //! whole `u64` domain is covered, so recording never saturates or drops.
 //! Everything is integer arithmetic — recording, merging and percentile
-//! extraction are bit-identical at any shard or worker count, which is
+//! extraction are bit-identical at any worker count, which is
 //! what lets `RunSummary` report p50/p90/p99 that never depend on the
 //! parallelism knobs.
 
@@ -19,7 +19,7 @@ pub const HIST_BUCKETS: usize = 65;
 ///
 /// Plain counters only: merging two partitions is element-wise addition
 /// (plus a max of the exact maxima), so a histogram assembled from
-/// per-shard partitions equals the sequential histogram bit for bit.
+/// partitions equals the one recorded in one piece, bit for bit.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Hist {
     counts: [u64; HIST_BUCKETS],
@@ -97,8 +97,8 @@ impl Hist {
         self.max = self.max.max(other.max);
     }
 
-    /// Adds `other` into `self` and zeroes `other` — the add-and-zero
-    /// partition fold the shard drain uses.
+    /// Adds `other` into `self` and zeroes `other` — an add-and-zero
+    /// fold, so folding the same partition twice counts it once.
     pub fn merge_from(&mut self, other: &mut Hist) {
         self.merge(other);
         *other = Hist::new();
@@ -245,9 +245,9 @@ impl Deserialize for Hist {
     }
 }
 
-/// The per-packet delivery histograms recorded on the ejection path: one
-/// triple per shard partition and one aggregate on the collector, folded
-/// add-and-zero at window boundaries exactly like the link ledger.
+/// The per-packet delivery histograms, recorded once per measured packet
+/// as its delivery is booked; triples merge counter for counter like the
+/// link ledger.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PacketHists {
     /// End-to-end latency (creation → tail ejection), cycles.
@@ -282,7 +282,7 @@ impl PacketHists {
 /// The fabric-occupancy histograms sampled serially at window boundaries
 /// by a traced simulator: per-router queue depth, per-lane VC occupancy
 /// and the injection calendar's depth. All pure functions of committed
-/// cycle state, so deterministic across shard and worker counts.
+/// cycle state, so deterministic across worker counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FabricHists {
     /// Buffered flits per router, one sample per router per window.

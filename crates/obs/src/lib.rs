@@ -8,9 +8,9 @@
 //!   incrementing it never allocates, and a simulator without a tracer
 //!   attached never touches one at all.
 //! * [`hist`] — mergeable fixed-bucket log2 histograms ([`Hist`]): plain
-//!   counter arrays recorded per shard partition and folded add-and-zero,
-//!   so latency/congestion distributions (and the percentiles derived
-//!   from them) are bit-identical at any shard or worker count.
+//!   counter arrays folded add-and-zero, so latency/congestion
+//!   distributions (and the percentiles derived from them) are
+//!   bit-identical at any worker count.
 //! * [`trace`] — the append-only JSONL trace journal: a versioned
 //!   [`Record`] schema (`header`, `phase`, `event`, `window`, `hist`,
 //!   `summary`, `progress`, `meta`), a [`TraceWriter`], and
@@ -18,9 +18,9 @@
 //!   record index* instead of panicking on truncated or corrupted input.
 //! * [`compare_journals`] — the golden-trace replay oracle: record-for-
 //!   record comparison on the deterministic fields (digests, counts,
-//!   latency sums, histograms) while timing and shard-layout fields are
-//!   checked only for presence, so a golden trace recorded at one shard
-//!   count verifies at any other.
+//!   latency sums, histograms) while timing and other environmental
+//!   fields are checked only for presence, so a golden trace recorded on
+//!   one host verifies on any other.
 //! * [`export`] — journal exit ramps: Prometheus text format and Chrome
 //!   trace-event / Perfetto JSON, both pure functions of a parsed record
 //!   list.

@@ -14,19 +14,19 @@ use std::time::Duration;
 /// Wall-clock time spent in each phase of a simulation cycle.
 ///
 /// * `inject` — command dispatch + traffic generation + injection,
-/// * `compute` — per-shard phase 1: routing/arbitration, NI injection
-///   and worklist re-arming in one pass,
-/// * `exchange` — commits of the staged flit arrivals and credit
-///   returns, within and between shards, plus NI credit returns,
+/// * `compute` — phase 1: routing/arbitration, NI injection and worklist
+///   re-arming in one pass,
+/// * `exchange` — commits of the staged flit arrivals, credit returns
+///   and NI credit returns,
 /// * `commit` — global effect replay + bookkeeping (`finish_cycle` and
 ///   `post_step`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
     /// Injection phase (traffic generation + command dispatch).
     pub inject: Duration,
-    /// Per-shard compute phase.
+    /// Compute phase (phase 1).
     pub compute: Duration,
-    /// Boundary exchange phase.
+    /// Exchange phase (the commit of staged traffic).
     pub exchange: Duration,
     /// Serial commit phase (effect replay + statistics).
     pub commit: Duration,
@@ -80,34 +80,25 @@ pub struct WindowDelta {
     pub cycles: u64,
     /// Phase wall times accumulated over the window.
     pub phase: PhaseTimes,
-    /// Boundary flit arrivals over the window.
-    pub boundary_flits: u64,
-    /// Boundary credit returns over the window.
-    pub boundary_credits: u64,
-    /// Per-shard busy cycles (cycles in which the shard moved a flit).
-    pub shard_busy: Vec<u64>,
+    /// Cycles in which the fabric moved or injected a flit.
+    pub busy: u64,
 }
 
 impl WindowDelta {
-    /// The `aux` object of a `window` record: shard-layout- and
-    /// host-dependent gauges, compared for key presence only on replay.
-    /// `pooled` is a schema-2 key kept for journal compatibility; shards
-    /// are always stepped on the calling thread, so it is always `false`.
+    /// The `aux` object of a `window` record: environmental gauges,
+    /// compared for key presence only on replay. The schema-2 keys stay
+    /// for journal compatibility: the fabric is one router range, so
+    /// nothing crosses a boundary (`boundary_*` are 0), `shard_busy` has
+    /// the one entry [`Self::busy`], and `pooled` is `false`.
     #[must_use]
     pub fn aux_value(&self) -> Value {
         Value::Object(vec![
             ("cycles".to_string(), Value::UInt(self.cycles)),
-            (
-                "boundary_flits".to_string(),
-                Value::UInt(self.boundary_flits),
-            ),
-            (
-                "boundary_credits".to_string(),
-                Value::UInt(self.boundary_credits),
-            ),
+            ("boundary_flits".to_string(), Value::UInt(0)),
+            ("boundary_credits".to_string(), Value::UInt(0)),
             (
                 "shard_busy".to_string(),
-                Value::Array(self.shard_busy.iter().map(|&b| Value::UInt(b)).collect()),
+                Value::Array(vec![Value::UInt(self.busy)]),
             ),
             ("pooled".to_string(), Value::Bool(false)),
         ])
@@ -119,16 +110,12 @@ impl WindowDelta {
 pub struct MetricsRegistry {
     cycles: u64,
     phase: PhaseTimes,
-    boundary_flits: u64,
-    boundary_credits: u64,
-    shard_busy: Vec<u64>,
+    busy: u64,
     windows: u64,
     // Marks at the last window close (cumulative values snapshot).
     mark_cycles: u64,
     mark_phase: PhaseTimes,
-    mark_boundary_flits: u64,
-    mark_boundary_credits: u64,
-    mark_shard_busy: Vec<u64>,
+    mark_busy: u64,
 }
 
 impl MetricsRegistry {
@@ -138,25 +125,12 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// Sizes the per-shard busy counters for `shards` shards.
-    pub fn ensure_shards(&mut self, shards: usize) {
-        self.shard_busy.resize(shards, 0);
-        self.mark_shard_busy.resize(shards, 0);
-    }
-
-    /// Books one watched cycle: its phase wall times plus the flit
-    /// arrivals and credit returns that crossed a shard boundary.
-    pub fn on_cycle(&mut self, phase: &PhaseTimes, boundary_flits: u64, boundary_credits: u64) {
+    /// Books one watched cycle: its phase wall times and whether the
+    /// fabric moved or injected a flit.
+    pub fn on_cycle(&mut self, phase: &PhaseTimes, busy: bool) {
         self.cycles += 1;
         self.phase.accumulate(phase);
-        self.boundary_flits += boundary_flits;
-        self.boundary_credits += boundary_credits;
-    }
-
-    /// Mutable view of the per-shard busy counters (the simulator adds
-    /// each shard's progress flag after the cycle commits).
-    pub fn shard_busy_mut(&mut self) -> &mut [u64] {
-        &mut self.shard_busy
+        self.busy += u64::from(busy);
     }
 
     /// Cycles booked so far.
@@ -183,20 +157,11 @@ impl MetricsRegistry {
         let delta = WindowDelta {
             cycles: self.cycles - self.mark_cycles,
             phase: self.phase.since(&self.mark_phase),
-            boundary_flits: self.boundary_flits - self.mark_boundary_flits,
-            boundary_credits: self.boundary_credits - self.mark_boundary_credits,
-            shard_busy: self
-                .shard_busy
-                .iter()
-                .zip(&self.mark_shard_busy)
-                .map(|(&now, &mark)| now - mark)
-                .collect(),
+            busy: self.busy - self.mark_busy,
         };
         self.mark_cycles = self.cycles;
         self.mark_phase = self.phase;
-        self.mark_boundary_flits = self.boundary_flits;
-        self.mark_boundary_credits = self.boundary_credits;
-        self.mark_shard_busy.copy_from_slice(&self.shard_busy);
+        self.mark_busy = self.busy;
         self.windows += 1;
         delta
     }
@@ -209,33 +174,28 @@ mod tests {
     #[test]
     fn window_deltas_are_exact_and_totals_survive() {
         let mut m = MetricsRegistry::new();
-        m.ensure_shards(2);
         let phase = PhaseTimes {
             inject: Duration::from_nanos(1),
             compute: Duration::from_nanos(10),
             exchange: Duration::from_nanos(5),
             commit: Duration::from_nanos(7),
         };
-        for _ in 0..4 {
-            m.on_cycle(&phase, 3, 2);
-            m.shard_busy_mut()[0] += 1;
+        for i in 0..4 {
+            m.on_cycle(&phase, i != 2);
         }
         let w1 = m.close_window();
         assert_eq!(w1.cycles, 4);
-        assert_eq!(w1.boundary_flits, 12);
-        assert_eq!(w1.shard_busy, vec![4, 0]);
+        assert_eq!(w1.busy, 3);
         assert_eq!(w1.phase.compute, Duration::from_nanos(40));
 
-        m.on_cycle(&phase, 3, 2);
-        m.shard_busy_mut()[1] += 1;
+        m.on_cycle(&phase, true);
         let w2 = m.close_window();
         assert_eq!(w2.cycles, 1);
-        assert_eq!(w2.boundary_flits, 3);
-        assert_eq!(w2.shard_busy, vec![0, 1]);
+        assert_eq!(w2.busy, 1);
 
         assert_eq!(m.cycles(), 5);
         assert_eq!(m.windows(), 2);
-        assert_eq!((m.boundary_flits, m.boundary_credits), (15, 10));
+        assert_eq!(m.busy, 4);
         assert_eq!(m.phase().total(), Duration::from_nanos(5 * 23));
     }
 
@@ -244,9 +204,7 @@ mod tests {
         let delta = WindowDelta {
             cycles: 8,
             phase: PhaseTimes::default(),
-            boundary_flits: 1,
-            boundary_credits: 2,
-            shard_busy: vec![3, 4],
+            busy: 3,
         };
         let Value::Object(aux) = delta.aux_value() else {
             panic!("aux must be an object")

@@ -10,12 +10,12 @@
 //! Two classes of fields:
 //!
 //! * **deterministic** — digests, packet/flit counts, latency sums,
-//!   worklist occupancy, calendar depth. Bit-identical across shard and
-//!   worker counts (PR 6's equivalence contract), so they are compared
-//!   for equality on replay.
-//! * **environmental** — wall-clock timings and shard-layout gauges
-//!   (`timing` and `aux` objects of `window` records, the `shards` knob
-//!   itself). Compared for key *presence* only.
+//!   worklist occupancy, calendar depth. Bit-identical across hosts and
+//!   worker counts, so they are compared for equality on replay.
+//! * **environmental** — wall-clock timings and busy gauges (`timing` and
+//!   `aux` objects of `window` records) and the spec's `shards` field,
+//!   which the simulator accepts and ignores. Compared for key *presence*
+//!   only.
 //!
 //! # Schema history
 //!
@@ -55,7 +55,7 @@ pub enum Record {
         seed: u64,
         /// Window period (cycles between `window` records).
         period: u64,
-        /// Shard count the trace was recorded at (environmental).
+        /// The spec's `shards` field (accepted and ignored; environmental).
         shards: usize,
         /// The full scenario spec, as serialised by `noc_exp`.
         spec: Value,
@@ -471,9 +471,10 @@ fn missing_key(golden: &Value, fresh: &Value) -> Option<String> {
 /// Compares a fresh replay against a golden journal, record for record.
 ///
 /// Deterministic fields must match exactly; environmental fields
-/// (`window.timing`, `window.aux`, the header's `shards` knob and the
+/// (`window.timing`, `window.aux`, the header's `shards` field and the
 /// `shards` field of its embedded spec) are checked for presence only, so
-/// a golden trace verifies at any shard count. `progress` and `meta`
+/// a golden trace verifies whatever its spec's ignored `shards` says and
+/// on whatever host it replays. `progress` and `meta`
 /// records are matched on type alone. Returns the number of records
 /// compared.
 ///
@@ -734,7 +735,8 @@ mod tests {
     fn comparison_tolerates_environmental_divergence_only() {
         let golden = sample_records();
         let mut fresh = golden.clone();
-        // A different shard count and different timings must pass.
+        // A different (ignored) `shards` field and different timings must
+        // pass.
         if let Record::Header { shards, spec, .. } = &mut fresh[0] {
             *shards = 8;
             if let Value::Object(entries) = spec {

@@ -40,18 +40,12 @@ pub struct SimConfig {
     /// is what the chaos harness uses to test supervisors.
     pub watchdog: u64,
     /// Record latency/hop histograms on the delivery path (`true` by
-    /// default). The histograms are plain per-shard counter arrays folded
-    /// exactly like the link ledger, so they never affect architectural
-    /// state or any other statistic; disabling them removes the one
-    /// per-delivery `Option` check (and zeroes the summary's percentile
-    /// fields) for harnesses that want the absolute minimum hot path.
+    /// default). The histograms are plain counter arrays recorded as each
+    /// delivery is booked, so they never affect architectural state or
+    /// any other statistic; disabling them removes the one per-delivery
+    /// `Option` check (and zeroes the summary's percentile fields) for
+    /// harnesses that want the absolute minimum hot path.
     pub histograms: bool,
-    /// Router shards the fabric is partitioned into (layer ranges, or XY
-    /// row-bands when the mesh has fewer layers than shards), stepped one
-    /// after another. `1` (the default) is the single-slab engine; `0`
-    /// means 1. Results never depend on this knob (see the sharded-engine
-    /// determinism contract on [`crate::Network`]).
-    pub shards: usize,
 }
 
 impl SimConfig {
@@ -75,7 +69,6 @@ impl SimConfig {
             energy_feedback_period: 0,
             watchdog: 20_000,
             histograms: true,
-            shards: 1,
         }
     }
 
@@ -120,13 +113,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the shard count (`1` single-slab; `0` means 1).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Panics
@@ -150,13 +136,11 @@ mod tests {
             .with_phases(1, 2, 3)
             .with_seed(9)
             .with_watchdog(7)
-            .with_histograms(false)
-            .with_shards(4);
+            .with_histograms(false);
         assert_eq!((c.warmup, c.measure, c.drain_max), (1, 2, 3));
         assert_eq!(c.seed, 9);
         assert_eq!(c.watchdog, 7);
         assert!(!c.histograms);
-        assert_eq!(c.shards, 4);
         c.validate();
     }
 

@@ -3,14 +3,13 @@
 //! The engine's promise is that *failure is a value*: a wedged fabric or
 //! a drain that cannot finish surfaces as a [`SimError`] carrying the
 //! exact-cycle diagnostics a post-mortem needs (what cycle, when progress
-//! last happened, how much state was in flight, and the shard-layout-
-//! independent state digest that lets two hosts compare the wedged state
-//! bit for bit) — never as a panic that takes a whole sweep pool down
+//! last happened, how much state was in flight, and the state digest
+//! that lets two hosts compare the wedged state bit for bit) — never as a panic that takes a whole sweep pool down
 //! with it. Supervisors ([`noc_exp`]'s runner) record these per point and
 //! keep going; harness binaries print them and exit nonzero.
 //!
 //! The diagnostics are deterministic: because runs are functions of
-//! `(config, seed)` at every shard count, an induced deadlock
+//! `(config, seed)`, an induced deadlock
 //! fires at the same cycle with the same digest everywhere — which is
 //! what makes these errors *testable* values rather than log lines.
 
@@ -42,8 +41,8 @@ pub enum SimError {
         buffered: u64,
         /// Pending injections in the calendar (0 on the polled stream).
         calendar_depth: u64,
-        /// The shard-layout-independent FNV-1a digest of the wedged
-        /// architectural state (`Network::state_digest`).
+        /// The FNV-1a digest of the wedged architectural state
+        /// (`Network::state_digest`).
         state_digest: u64,
     },
     /// An explicit drain ([`crate::Simulator::drain_to_empty`]) hit its
@@ -87,8 +86,8 @@ impl SimError {
         }
     }
 
-    /// The state digest of the failed run — bit-identical across shard
-    /// counts for the same `(config, seed)`.
+    /// The state digest of the failed run — bit-identical for the same
+    /// `(config, seed)` on every host.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         match self {

@@ -1,25 +1,25 @@
-//! The sharded stepping core: one [`ShardState`] owns a contiguous range
-//! of routers (its arena slice, worklist, sources and telemetry
-//! partition) and steps them independently; shards exchange flits and
-//! credits through [`BoundaryBatch`] channel buffers that are part of the
-//! committed cycle state.
+//! The stepping kernel: one [`Kernel`] owns the switching state of every
+//! router — the flit arena, the worklist, the source queues and the armed
+//! telemetry counters — and steps the fabric in two phases. Phase 1 reads
+//! committed state and stages its effects on other routers in one
+//! `{arrivals, credits}` pair; [`Kernel::commit`] applies them.
 //!
 //! # One pass per cycle
 //!
-//! [`ShardState::phase1`] walks the worklist bitmap once. Per visited
-//! router it routes & sends (unless the router holds no flits or is
-//! `quiet`), injects from the NI if the router's bit in the derived
-//! "non-empty source queue" bitmap is set, and sets the router's
-//! next-cycle worklist bit while flits stay buffered or packets stay
-//! queued. Arrival commits set the bit of every router they land in, so
-//! nothing rescans the worklist: [`ShardState::finish_commit`] only
-//! returns NI credits and resolves relays. With no rescan to heal a missed
-//! bit, the bitmaps are audited instead ([`ShardState::check_derived_state`],
+//! [`Kernel::phase1`] walks the worklist bitmap once. Per visited router
+//! it routes & sends (unless the router holds no flits or is `quiet`),
+//! injects from the NI if the router's bit in the derived "non-empty
+//! source queue" bitmap is set, and sets the router's next-cycle worklist
+//! bit while flits stay buffered or packets stay queued. Arrival commits
+//! set the bit of every router they land in, so nothing rescans the
+//! worklist: besides landing what was staged (the NI's credit returns
+//! included), [`Kernel::commit`] only resolves relays. With no rescan to
+//! heal a missed bit, the bitmaps are audited instead ([`Kernel::check_derived_state`],
 //! run every cycle by the lockstep suites).
 //!
 //! A flit-hop reads one [`PortLink`] record per port it touches — peer
-//! router, peer port and peer shard in one load — for the send and the
-//! credit return alike.
+//! router and peer port in one load — for the send and the credit return
+//! alike.
 //!
 //! While the measurement window is armed, an arrival commit bumps the
 //! `writes` of the FIFO lane it lands in, a send bumps the `reads` of the
@@ -31,7 +31,7 @@
 //! # Why streaming one lane is state-identical to arbitrating it
 //!
 //! When exactly one input lane `L` of a router is occupied
-//! (`occ.is_power_of_two()`), [`ShardState::stream_lane`] moves its front
+//! (`occ.is_power_of_two()`), [`Kernel::stream_lane`] moves its front
 //! flit without building candidate tables or scanning either round-robin.
 //! The outcome and every state write equal the arbitrated path's:
 //!
@@ -49,11 +49,10 @@
 //!   gates in front of them (channel free or owned by `L`, a credit
 //!   unless ejecting) are the ones `stream_lane` applies.
 //! * *The writes are the same code.* `req_cache` is filled by the shared
-//!   [`ShardState::front_request`] before either path decides, and a
-//!   granted flit moves through the one [`ShardState::send`], which
-//!   performs every `owner`/`own`/`rr_grant`/`rr_vc`/`credits`/`occ`/
-//!   `req_cache` update, in the same cycle. A blocked lane writes nothing
-//!   on either path.
+//!   [`Kernel::front_request`] before either path decides, and a granted
+//!   flit moves through the one [`Kernel::send`], which performs every
+//!   `owner`/`own`/`rr_grant`/`rr_vc`/`credits`/`occ`/`req_cache` update,
+//!   in the same cycle. A blocked lane writes nothing on either path.
 //!
 //! The choice between the paths is made from router state alone, per
 //! router per cycle; no setting selects it.
@@ -63,9 +62,9 @@
 //! At a cycle boundary a router is a *relay* for the next cycle when its
 //! only occupied input lane `L` is a non-`Local` lane holding exactly one
 //! `Body` flit, that flit's packet owns a non-`Local` output channel
-//! `(o, v)` with a credit, its source queue is empty, and the routers on
-//! both links are in its own shard. The streaming path would certainly
-//! send that flit next cycle. A relay cycle sends it without moving it:
+//! `(o, v)` with a credit, and its source queue is empty. The streaming
+//! path would certainly send that flit next cycle. A relay cycle sends it
+//! without moving it:
 //!
 //! * *Net zero.* If the relay is *fed* (its upstream sends into `L`) and
 //!   *drained* (its downstream pops the lane `(o, v)` feeds), the per-flit
@@ -76,7 +75,7 @@
 //!   `req_cache[L]` is already [`REQ_UNKNOWN`], `rr_vc[o]` points past `v`,
 //!   `owner`/`own`/`rr_grant` keep the wormhole, `quiet` stays false.
 //! * *Fed and drained come from the relays at the start of the cycle.*
-//!   Only [`ShardState::resolve_relays`] promotes and demotes. A relay
+//!   Only [`Kernel::resolve_relays`] promotes and demotes. A relay
 //!   upstream always sends and a relay downstream always pops, so a relay
 //!   stages nothing toward a relay on the matching lane or channel. Any
 //!   other router sees in its `feeds_relay`/`fed_by_relay` masks that a
@@ -92,51 +91,45 @@
 //! * *What differs at a boundary:* a relay lane's ring head, which is
 //!   unobservable (`hash_state` reads `len` and `front`), and the lane
 //!   counters. An armed relay cycle owes its lane one `reads` and, if
-//!   fed, one `writes`, booked from the shard's armed-cycle count at
+//!   fed, one `writes`, booked from the kernel's armed-cycle count at
 //!   demotion and in `Network::drain_partials`; `Network::partials_clear`
 //!   holds only when none are owed.
 //! * *Fallbacks.* Everything else is the per-flit path. A relay demotes
 //!   when not fed, not drained, fed a `Tail`, or when a flit lands in
-//!   another of its lanes. It never ejects or sends from `Local` (so it
-//!   defers no [`Effect`]) and meets other shards only in other lanes.
+//!   another of its lanes. It never ejects or sends from `Local`, so it
+//!   defers no [`Effect`].
 //!
-//! # Why the result is independent of shard count *and* commit order
+//! # Why the result is independent of commit order
 //!
-//! The two-phase cycle already guarantees that phase 1 only *reads*
-//! other routers' committed state and only *stages* effects on them.
-//! Sharding keeps that split and adds one observation: every staged
-//! effect commutes with every other staged effect of the same cycle —
+//! Phase 1 only *reads* other routers' committed state and only *stages*
+//! effects on them, and every staged effect commutes with every other
+//! staged effect of the same cycle:
 //!
 //! * at most one flit arrives per `(router, port, vc)` lane per cycle
 //!   (each upstream output port sends at most one flit, and exactly one
-//!   upstream channel feeds each lane), so arrival commits from different
-//!   source shards never touch the same FIFO,
+//!   upstream channel feeds each lane), so no two arrival commits touch
+//!   the same FIFO,
 //! * at most one credit returns per channel per cycle (each input lane
 //!   pops at most once), so credit commits are disjoint too,
 //! * worklist bits are idempotent and counters commute.
 //!
-//! Boundary batches therefore need no sorting and no fixed merge order: a
-//! k-shard run commits the *same set* of disjoint effects as the
-//! sequential engine, in any order, and lands in the same state — which
-//! is what `tests/shard_equivalence.rs` proves per cycle. For the same
-//! reason a router's sends and its NI injection may be staged back to
-//! back in the one pass: neither reads what the other writes.
+//! The commit therefore lands the same state whatever order it applies
+//! the staged effects in. For the same reason a router's sends and its NI
+//! injection may be staged back to back in the one pass: neither reads
+//! what the other writes.
 //!
 //! The only order-sensitive work of a cycle is what touches the shared
 //! [`PacketTable`] and statistics (delivery bookkeeping, slot retirement,
-//! departure feedback). Shards *defer* those as [`Effect`]s, recorded in
-//! emission order; the owner of the cycle replays them shard-ascending —
-//! which, because shards are ascending contiguous router ranges and each
-//! shard emits in ascending router order, is exactly the sequential
-//! engine's global router order. Slot retirement order (and with it every
-//! future [`PacketId`] assignment) is preserved bit-exactly.
+//! departure feedback). Phase 1 *defers* those as [`Effect`]s, recorded in
+//! ascending router order (the order it walks the worklist in), and the
+//! owner of the cycle replays them in that order, so slot retirement order
+//! (and with it every future [`PacketId`] assignment) is fixed.
 
 use crate::arena::FlitArena;
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::table::PacketTable;
 use adele::online::{Cycle, SourceFeedback};
 use noc_energy::LinkMap;
-use noc_obs::PacketHists;
 use noc_topology::route::{self, VirtualNet};
 use noc_topology::{Coord, Direction, NodeId};
 use std::collections::VecDeque;
@@ -163,7 +156,7 @@ const REQ_NONE: u8 = u8::MAX - 1;
 struct Relay {
     /// Armed cycles the relay's lane counters are booked up to.
     booked: u64,
-    /// Local ids of the upstream and the downstream neighbour.
+    /// Node ids of the upstream and the downstream neighbour.
     up: u32,
     down: u32,
     /// The relay's lane and channel, the upstream's channel into the lane,
@@ -194,7 +187,13 @@ pub(crate) const fn local_lane(port: usize, vc: usize) -> usize {
     port * VCS + vc
 }
 
-/// Per-router switching state (flit storage lives in the shard's arena).
+/// Arena index of [`local_lane`] `lane` of router `r`.
+#[inline]
+pub(crate) const fn arena_lane(r: usize, lane: usize) -> usize {
+    r * PORTS * VCS + lane
+}
+
+/// Per-router switching state (flit storage lives in the kernel's arena).
 #[derive(Debug, Clone)]
 pub(crate) struct RouterState {
     /// Non-empty input lanes, bit [`local_lane`]`(port, vc)`. A pure
@@ -280,8 +279,6 @@ pub(crate) struct PortLink {
     /// through this port, and its *output* port for credits returned
     /// through it (mesh links are bidirectional).
     pub(crate) peer_port: u8,
-    /// Owning shard of `peer`.
-    pub(crate) peer_shard: u8,
     /// Telemetry lane of this port's input FIFOs: the upstream link
     /// feeding it (lane id == link id), or the router's NI lane on the
     /// local port. Read by the telemetry fold only.
@@ -299,7 +296,7 @@ impl PortLink {
     }
 }
 
-/// Immutable per-run lookup tables shared by every shard.
+/// Immutable per-run lookup tables.
 #[derive(Debug, Clone)]
 pub(crate) struct Topo {
     pub(crate) coords: Vec<Coord>,
@@ -307,26 +304,19 @@ pub(crate) struct Topo {
     /// for port from the [`LinkMap`] so switching and telemetry can never
     /// disagree about which links exist.
     links: Vec<PortLink>,
-    /// Owning shard of every router.
-    pub(crate) shard_of: Vec<u8>,
     pub(crate) buffer_depth: u8,
 }
 
 impl Topo {
-    pub(crate) fn new(
-        coords: Vec<Coord>,
-        map: &LinkMap,
-        shard_of: Vec<u8>,
-        buffer_depth: u8,
-    ) -> Self {
+    pub(crate) fn new(coords: Vec<Coord>, map: &LinkMap, buffer_depth: u8) -> Self {
         let mut links = Vec::with_capacity(coords.len() * PORTS);
         for node in 0..coords.len() {
             for dir in Direction::ALL {
-                let peer = map.neighbour(NodeId(node as u16), dir);
                 links.push(PortLink {
-                    peer: peer.unwrap_or(PortLink::NO_PEER),
+                    peer: map
+                        .neighbour(NodeId(node as u16), dir)
+                        .unwrap_or(PortLink::NO_PEER),
                     peer_port: dir.opposite().index() as u8,
-                    peer_shard: peer.map_or(0, |p| shard_of[p.index()]),
                     in_lane: map.in_lane_raw(node, dir.index()),
                 });
             }
@@ -334,7 +324,6 @@ impl Topo {
         Self {
             coords,
             links,
-            shard_of,
             buffer_depth,
         }
     }
@@ -364,47 +353,8 @@ pub(crate) fn route_hops(topo: &Topo, pkt: &crate::flit::Packet) -> u64 {
     }
 }
 
-/// Partitions `nodes` routers into `shards` ascending contiguous ranges:
-/// whole layers when there are at least as many layers as shards (z-major
-/// node ids make layers contiguous), XY row-bands otherwise. Returns
-/// `shards + 1` monotone bounds with `bounds[0] == 0` and
-/// `bounds[shards] == nodes`; every shard is non-empty for
-/// `shards <= min(nodes, layers.max(1) * per_layer)`.
-pub(crate) fn shard_bounds(
-    nodes: usize,
-    per_layer: usize,
-    layers: usize,
-    shards: usize,
-) -> Vec<usize> {
-    debug_assert!(shards >= 1 && shards <= nodes);
-    let mut bounds = Vec::with_capacity(shards + 1);
-    for i in 0..=shards {
-        let b = if layers >= shards {
-            (i * layers / shards) * per_layer
-        } else {
-            i * nodes / shards
-        };
-        bounds.push(b);
-    }
-    debug_assert_eq!(bounds[shards], nodes);
-    bounds
-}
-
-/// One cycle's staged cross-shard traffic on a directed shard-to-shard
-/// channel: flit arrivals into the destination shard's FIFOs and credit
-/// returns to its routers. Drained (committed) every cycle — the channel
-/// has a fixed latency of exactly the one commit boundary the sequential
-/// engine's staging buffers already had.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct BoundaryBatch {
-    /// `(router, input port, vc, flit)` arrivals.
-    pub(crate) arrivals: Vec<(NodeId, u8, u8, Flit)>,
-    /// `(router, output port, vc)` credit returns.
-    pub(crate) credits: Vec<(NodeId, u8, u8)>,
-}
-
-/// A packet-table/statistics side effect deferred out of the per-shard
-/// phase, replayed by the cycle owner in global router order.
+/// A packet-table/statistics side effect deferred out of phase 1,
+/// replayed by the cycle owner in router order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Effect {
     /// A flit ejected into its destination NI (`tail` ends the packet).
@@ -447,61 +397,54 @@ pub(crate) struct LaneCount {
     pub(crate) reads: u64,
 }
 
-/// One shard of the network: a contiguous router range with its own arena
-/// slice, worklist, source queues and telemetry counters.
+/// The fabric's cycle state: every router's switching state, its flit
+/// arena, worklist, source queues and telemetry counters, indexed by node
+/// id.
 #[derive(Debug, Clone)]
-pub(crate) struct ShardState {
-    /// This shard's index within the network's shard vector.
-    pub(crate) index: usize,
-    /// First owned router (global node id); the shard owns
-    /// `lo .. lo + routers.len()`.
-    pub(crate) lo: usize,
+pub(crate) struct Kernel {
+    /// The fabric's immutable lookup tables.
+    pub(crate) topo: Topo,
     pub(crate) routers: Vec<RouterState>,
-    /// The shard's input FIFOs, one ring per local `(router, port, vc)`.
+    /// The input FIFOs, one ring per `(router, port, vc)`.
     pub(crate) fifos: FlitArena,
     pub(crate) sources: Vec<SourceQueue>,
     /// NI credits towards the local input port, per VC.
     pub(crate) ni_credits: Vec<[u8; VCS]>,
-    /// Flits buffered across the shard's routers (incremental).
+    /// Flits buffered across all routers (incremental).
     pub(crate) buffered_total: u64,
-    /// Packets waiting in the shard's source queues (incremental).
+    /// Packets waiting in the source queues (incremental).
     pub(crate) queued_total: u64,
-    /// Worklist bitmap of routers to visit next cycle (bit = local id).
+    /// Worklist bitmap of routers to visit next cycle (bit = node id).
     pub(crate) active_bits: Vec<u64>,
     /// Previous cycle's worklist, swapped in as this cycle's visit set
     /// and zeroed word by word as phase 1 consumes it.
     work_bits: Vec<u64>,
-    /// Routers whose source queue is non-empty (bit = local id): a pure
-    /// cache of `sources[rel].queue.is_empty()`, maintained at every
+    /// Routers whose source queue is non-empty (bit = node id): a pure
+    /// cache of `sources[r].queue.is_empty()`, maintained at every
     /// enqueue and at the pop that empties a queue, so phase 1 injects
     /// without probing a `VecDeque` per visited router. Always a subset
     /// of the worklist. Derived state — not hashed.
     pub(crate) src_bits: Vec<u64>,
-    /// Staged outbound traffic, one channel per destination shard
-    /// (`outboxes[index]` is the shard's own intra-shard staging).
-    pub(crate) outboxes: Vec<BoundaryBatch>,
-    /// Staged NI credit returns (always intra-shard).
-    staged_ni_credits: Vec<(usize, u8)>,
+    /// Staged `(router, input port, vc, flit)` arrivals.
+    arrivals: Vec<(NodeId, u8, u8, Flit)>,
+    /// Staged `(router, output port, vc)` credit returns; port `Local`
+    /// returns one to the router's NI.
+    credits: Vec<(NodeId, u8, u8)>,
     /// Deferred packet-table/statistics effects, in emission order.
     pub(crate) effects: Vec<Effect>,
     /// Deferred source-departure feedback, in emission order.
     pub(crate) feedbacks: Vec<SourceFeedback>,
-    /// Armed events per local FIFO lane, indexed like [`Self::fifos`] —
-    /// the only telemetry the stepping kernel books (see the module
-    /// docs). Drained on demand by `Network::drain_partials`.
+    /// Armed events per FIFO lane, indexed like [`Self::fifos`] — the
+    /// only telemetry the stepping kernel books (see the module docs).
+    /// Drained on demand by `Network::drain_partials`.
     pub(crate) lane_counts: Vec<LaneCount>,
-    /// Armed ejections per local router: the one event no lane counter
-    /// tells apart (an ejecting pop and a forwarding pop are both
-    /// `reads`). Drained on demand.
+    /// Armed ejections per router: the one event no lane counter tells
+    /// apart (an ejecting pop and a forwarding pop are both `reads`).
+    /// Drained on demand.
     pub(crate) ejects: Vec<u64>,
-    /// Shard partition of the delivery histograms: each measured packet
-    /// ejects in exactly one shard, so partitions are disjoint and merge
-    /// by plain counter addition. `None` when histograms are disabled
-    /// (the one `Option` check per tail ejection is the whole cost).
-    pub(crate) part_hist: Option<Box<PacketHists>>,
-    /// `true` if this shard moved or injected a flit this cycle.
+    /// `true` if a flit moved or was injected this cycle.
     pub(crate) progress: bool,
-    /// Relay record per local router, cached as a bitmap and a count.
+    /// Relay record per router, cached as a bitmap and a count.
     relay: Vec<Relay>,
     relay_bits: Vec<u64>,
     relay_count: usize,
@@ -516,11 +459,11 @@ pub(crate) struct ShardState {
     pub(crate) promote: bool,
 }
 
-impl ShardState {
-    pub(crate) fn new(index: usize, lo: usize, hi: usize, shard_count: usize, topo: &Topo) -> Self {
-        let n = hi - lo;
+impl Kernel {
+    pub(crate) fn new(topo: Topo) -> Self {
+        let n = topo.node_count();
         let depth = topo.buffer_depth;
-        let routers = (lo..hi)
+        let routers = (0..n)
             .map(|r| {
                 let credit_mask: [bool; PORTS] =
                     std::array::from_fn(|p| topo.link(r, p).peer().is_some());
@@ -532,32 +475,11 @@ impl ShardState {
         // allocation-free from cycle 0. Each directed link carries at most
         // one flit per cycle (one send per output port) and returns at
         // most `VCS` credits per cycle (each input lane pops at most
-        // once), so per-outbox bounds follow from the link counts into
-        // each destination shard.
-        let mut links_to = vec![0usize; shard_count];
-        for r in lo..hi {
-            for p in 0..PORTS {
-                let link = topo.link(r, p);
-                if link.peer().is_some() {
-                    links_to[link.peer_shard as usize] += 1;
-                }
-            }
-        }
-        let outboxes = links_to
-            .iter()
-            .enumerate()
-            .map(|(dst, &links)| BoundaryBatch {
-                // Mesh links are bidirectional, so `links` also counts the
-                // reverse links whose credits this shard stages for `dst`.
-                // The own outbox additionally takes one NI injection per
-                // source per cycle.
-                arrivals: Vec::with_capacity(links + if dst == index { n } else { 0 }),
-                credits: Vec::with_capacity(VCS * links),
-            })
-            .collect();
+        // once); each NI injects at most one flit per cycle and takes back
+        // at most `VCS` credits (its LOCAL input lanes).
+        let links = topo.links.iter().filter(|l| l.peer().is_some()).count();
         Self {
-            index,
-            lo,
+            topo,
             routers,
             fifos: FlitArena::new(n * PORTS * VCS, depth),
             sources: vec![SourceQueue::default(); n],
@@ -567,16 +489,14 @@ impl ShardState {
             active_bits: vec![0; n.div_ceil(64)],
             work_bits: vec![0; n.div_ceil(64)],
             src_bits: vec![0; n.div_ceil(64)],
-            outboxes,
-            // Per cycle: at most `VCS` NI credit returns per router (the
-            // LOCAL input lanes), one ejection plus `VCS` source
-            // departures per router, one feedback per departure.
-            staged_ni_credits: Vec::with_capacity(VCS * n),
+            arrivals: Vec::with_capacity(links + n),
+            credits: Vec::with_capacity(VCS * (links + n)),
+            // Per cycle: one ejection plus `VCS` source departures per
+            // router, one feedback per departure.
             effects: Vec::with_capacity((1 + VCS) * n),
             feedbacks: Vec::with_capacity(VCS * n),
             lane_counts: vec![LaneCount::default(); n * PORTS * VCS],
             ejects: vec![0; n],
-            part_hist: Some(Box::new(PacketHists::new())),
             progress: false,
             relay: vec![Relay::default(); n],
             relay_bits: vec![0; n.div_ceil(64)],
@@ -590,27 +510,21 @@ impl ShardState {
         }
     }
 
-    /// FIFO lane of local router `rel`, `(port, vc)` in the shard arena.
-    #[inline]
-    fn lane(&self, rel: usize, port: usize, vc: usize) -> usize {
-        (rel * PORTS + port) * VCS + vc
-    }
-
-    /// Queues a freshly created packet at its source NI (`rel` local).
-    pub(crate) fn enqueue(&mut self, rel: usize, id: PacketId) {
-        self.sources[rel].queue.push_back(id);
+    /// Queues a freshly created packet at router `r`'s source NI.
+    pub(crate) fn enqueue(&mut self, r: usize, id: PacketId) {
+        self.sources[r].queue.push_back(id);
         self.queued_total += 1;
-        self.active_bits[rel / 64] |= 1 << (rel % 64);
-        self.src_bits[rel / 64] |= 1 << (rel % 64);
-        self.wake(rel); // only an awake relay injects
+        self.active_bits[r / 64] |= 1 << (r % 64);
+        self.src_bits[r / 64] |= 1 << (r % 64);
+        self.wake(r); // only an awake relay injects
     }
 
-    /// Phase 1 of the cycle for this shard, one pass over the worklist:
-    /// per visited router, route & send, then NI injection if its source
-    /// queue is non-empty, then its next-cycle worklist bit. Only reads
-    /// the packet table; every effect on another router is staged
-    /// (outboxes, NI credits, deferred [`Effect`]s).
-    pub(crate) fn phase1(&mut self, topo: &Topo, packets: &PacketTable, cycle: Cycle, armed: bool) {
+    /// Phase 1 of the cycle, one pass over the worklist: per visited
+    /// router, route & send, then NI injection if its source queue is
+    /// non-empty, then its next-cycle worklist bit. Only reads the packet
+    /// table; every effect on another router or the NI is staged
+    /// (arrivals, credits, deferred [`Effect`]s).
+    pub(crate) fn phase1(&mut self, packets: &PacketTable, cycle: Cycle, armed: bool) {
         self.armed_cycles += u64::from(armed);
 
         // Take this cycle's worklist bitmap; `active_bits` (all zero: the
@@ -619,68 +533,67 @@ impl ShardState {
 
         // Awake relays first; the others have nothing to do (module docs).
         self.progress = self.relay_count > 0;
-        while let Some(rel) = self.awake.pop() {
-            self.relay_cycle(rel as usize, packets);
+        while let Some(r) = self.awake.pop() {
+            self.relay_cycle(r as usize, packets);
         }
 
         for w in 0..self.work_bits.len() {
             let mut bits = std::mem::take(&mut self.work_bits[w]) & !self.relay_bits[w];
             while bits != 0 {
                 let bit = bits & bits.wrapping_neg();
-                let rel = w * 64 + bits.trailing_zeros() as usize;
+                let r = w * 64 + bits.trailing_zeros() as usize;
                 bits ^= bit;
-                let router = &self.routers[rel];
+                let router = &self.routers[r];
                 // A router only queued at its source NI has nothing to
                 // switch; a quiet one is provably stuck since its last
                 // arbitration.
                 if router.buffered > 0 && !router.quiet {
-                    let moved = self.process_router(rel, topo, packets, cycle, armed);
+                    let moved = self.process_router(r, packets, cycle, armed);
                     self.progress |= moved;
                     // A fruitless arbitration stays fruitless until an
                     // arrival or credit changes the router's inputs.
-                    self.routers[rel].quiet = !moved;
+                    self.routers[r].quiet = !moved;
                 }
                 if self.src_bits[w] & bit != 0 {
-                    self.inject(rel, packets);
+                    self.inject(r, packets);
                 }
                 // Re-arm while flits stay buffered (quiet routers
                 // included) or packets stay queued; everything else goes
                 // idle and costs nothing until an arrival commit or an
                 // enqueue sets its bit again.
-                if self.routers[rel].buffered > 0 || self.src_bits[w] & bit != 0 {
+                if self.routers[r].buffered > 0 || self.src_bits[w] & bit != 0 {
                     self.active_bits[w] |= bit;
                 }
             }
         }
     }
 
-    /// Phase 1 of awake relay `rel` (module docs): the send, flagged
+    /// Phase 1 of awake relay `r` (module docs): the send, flagged
     /// against its relay neighbours, then the NI injection.
-    fn relay_cycle(&mut self, rel: usize, packets: &PacketTable) {
-        let (r, own, vcs) = (self.relay[rel], self.index, VCS as u8);
-        if r.lane == 0 {
+    fn relay_cycle(&mut self, r: usize, packets: &PacketTable) {
+        let (rec, vcs) = (self.relay[r], VCS as u8);
+        if rec.lane == 0 {
             return; // demoted since it was woken
         }
-        let fed = self.relay[r.up as usize].out == r.up_out;
-        let drained = self.relay[r.down as usize].lane == r.down_lane;
-        self.relay[rel].flags = if fed { FED } else { 0 } | if drained { DRAINED } else { 0 };
+        let fed = self.relay[rec.up as usize].out == rec.up_out;
+        let drained = self.relay[rec.down as usize].lane == rec.down_lane;
+        self.relay[r].flags = if fed { FED } else { 0 } | if drained { DRAINED } else { 0 };
         if !(fed && drained) {
-            self.unsettled.push(rel as u32);
+            self.unsettled.push(r as u32);
         }
-        let node = |local: u32| NodeId((self.lo + local as usize) as u16);
-        let (up, down) = (node(r.up), node(r.down));
         if !fed {
-            let credit = (up, r.up_out / vcs, r.up_out % vcs);
-            self.outboxes[own].credits.push(credit);
+            let up = NodeId(rec.up as u16);
+            self.credits.push((up, rec.up_out / vcs, rec.up_out % vcs));
         }
         if !drained {
-            let fifo = rel * PORTS * VCS + usize::from(r.lane);
-            let flit = self.fifos.front(fifo).expect("a relay holds a flit");
-            let arrival = (down, r.down_lane / vcs, r.down_lane % vcs, flit);
-            self.outboxes[own].arrivals.push(arrival);
+            let at = arena_lane(r, rec.lane.into());
+            let flit = self.fifos.front(at).expect("a relay holds a flit");
+            let down = NodeId(rec.down as u16);
+            let arrival = (down, rec.down_lane / vcs, rec.down_lane % vcs, flit);
+            self.arrivals.push(arrival);
         }
-        if bit(&self.src_bits, rel) {
-            self.inject(rel, packets);
+        if bit(&self.src_bits, r) {
+            self.inject(r, packets);
         }
     }
 
@@ -688,169 +601,160 @@ impl ShardState {
     /// place of the flit the relay sent; its write is the relay's.
     #[inline(never)]
     fn relay_arrival(&mut self, link: &PortLink, vc: usize, flit: Flit) {
-        let down = link.peer.index() - self.lo;
+        let down = link.peer.index();
         self.relay[down].flags |= FED;
         if flit.kind.is_tail() {
             self.relay[down].flags |= DEMOTE;
-            let fifo = down * PORTS * VCS + local_lane(link.peer_port.into(), vc);
-            self.fifos.pop_front(fifo);
-            self.fifos.push_back(fifo, flit);
+            let at = arena_lane(down, local_lane(link.peer_port.into(), vc));
+            self.fifos.pop_front(at);
+            self.fifos.push_back(at, flit);
         }
     }
 
-    /// Puts router `rel`, if a relay, on next cycle's awake list.
-    fn wake(&mut self, rel: usize) {
-        let r = &mut self.relay[rel];
-        if r.lane != 0 && r.flags & AWAKE == 0 {
-            r.flags |= AWAKE;
-            self.awake.push(rel as u32);
+    /// Puts router `r`, if a relay, on next cycle's awake list.
+    fn wake(&mut self, r: usize) {
+        let rec = &mut self.relay[r];
+        if rec.lane != 0 && rec.flags & AWAKE == 0 {
+            rec.flags |= AWAKE;
+            self.awake.push(r as u32);
         }
     }
 
-    /// NI injection at local router `rel`, whose source queue is
-    /// non-empty: stages the front packet's next flit into the local
-    /// input port if the NI holds a credit for its VC.
+    /// NI injection at router `r`, whose source queue is non-empty:
+    /// stages the front packet's next flit into the local input port if
+    /// the NI holds a credit for its VC.
     #[inline(always)]
-    fn inject(&mut self, rel: usize, packets: &PacketTable) {
-        let pid = *self.sources[rel]
+    fn inject(&mut self, r: usize, packets: &PacketTable) {
+        let pid = *self.sources[r]
             .queue
             .front()
             .expect("source bit implies a queued packet");
         let pkt = packets.get(pid);
         let vc = pkt.vnet.index();
-        if self.ni_credits[rel][vc] == 0 {
+        if self.ni_credits[r][vc] == 0 {
             return;
         }
-        let kind = FlitKind::for_position(self.sources[rel].sent, pkt.flits);
-        self.ni_credits[rel][vc] -= 1;
-        let own = self.index;
-        self.outboxes[own].arrivals.push((
-            NodeId((self.lo + rel) as u16),
+        let kind = FlitKind::for_position(self.sources[r].sent, pkt.flits);
+        self.ni_credits[r][vc] -= 1;
+        self.arrivals.push((
+            NodeId(r as u16),
             LOCAL as u8,
             vc as u8,
             Flit { packet: pid, kind },
         ));
-        let sq = &mut self.sources[rel];
+        let sq = &mut self.sources[r];
         sq.sent += 1;
         if sq.sent == pkt.flits {
             sq.queue.pop_front();
             sq.sent = 0;
             self.queued_total -= 1;
             if sq.queue.is_empty() {
-                self.src_bits[rel / 64] &= !(1 << (rel % 64));
+                self.src_bits[r / 64] &= !(1 << (r % 64));
             }
         }
         self.progress = true;
     }
 
-    /// Commits one inbound boundary batch (flit arrivals + credit
-    /// returns), draining it in place. Batches from different source
-    /// shards touch disjoint lanes/channels (see the module docs), so the
-    /// caller may commit them in any order.
-    pub(crate) fn commit_batch(&mut self, topo: &Topo, batch: &mut BoundaryBatch, armed: bool) {
-        for (node, port, vc, flit) in batch.arrivals.drain(..) {
-            let n = node.index();
-            debug_assert_eq!(topo.shard_of[n] as usize, self.index, "misrouted batch");
-            let rel = n - self.lo;
-            let fifo = self.lane(rel, port as usize, vc as usize);
+    /// Commits the cycle: lands the staged flit arrivals and credit
+    /// returns (the NI's included), draining them in place, then resolves
+    /// the relays. The staged effects of one cycle touch disjoint
+    /// lanes and channels (see the module docs), so their order is
+    /// immaterial.
+    pub(crate) fn commit(&mut self, armed: bool) {
+        for (node, port, vc, flit) in self.arrivals.drain(..) {
+            let r = node.index();
+            let lane = local_lane(port.into(), vc.into());
+            let at = arena_lane(r, lane);
             debug_assert!(
-                self.fifos.len(fifo) < topo.buffer_depth as usize,
+                self.fifos.len(at) < self.topo.buffer_depth as usize,
                 "credit protocol violated: FIFO overflow at {node}"
             );
-            self.fifos.push_back(fifo, flit);
-            let arrival_bit = local_lane(port as usize, vc as usize);
-            let router = &mut self.routers[rel];
-            if router.occ & (1 << arrival_bit) == 0 {
+            self.fifos.push_back(at, flit);
+            let router = &mut self.routers[r];
+            if router.occ & (1 << lane) == 0 {
                 // The lane was empty: this flit is its new front.
-                router.occ |= 1 << arrival_bit;
-                router.req_cache[arrival_bit] = REQ_UNKNOWN;
+                router.occ |= 1 << lane;
+                router.req_cache[lane] = REQ_UNKNOWN;
             }
             router.buffered += 1;
             router.quiet = false;
             self.buffered_total += 1;
             if armed {
-                self.lane_counts[fifo].writes += 1;
+                self.lane_counts[at].writes += 1;
             }
             // An arrival is next cycle's work wherever it lands.
-            self.active_bits[rel / 64] |= 1 << (rel % 64);
+            self.active_bits[r / 64] |= 1 << (r % 64);
         }
-        for (node, oport, vc) in batch.credits.drain(..) {
-            let n = node.index();
-            debug_assert_eq!(topo.shard_of[n] as usize, self.index, "misrouted batch");
-            let router = &mut self.routers[n - self.lo];
-            let c = &mut router.credits[oport as usize][vc as usize];
+        for (node, port, vc) in self.credits.drain(..) {
+            let (r, port, vc) = (node.index(), usize::from(port), usize::from(vc));
+            let c = if port == LOCAL {
+                // The NI's: no router reads it, so none wakes.
+                &mut self.ni_credits[r][vc]
+            } else {
+                let router = &mut self.routers[r];
+                router.quiet = false;
+                &mut router.credits[port][vc]
+            };
             *c += 1;
-            router.quiet = false;
-            debug_assert!(*c <= topo.buffer_depth, "credit overflow at {node}");
+            debug_assert!(*c <= self.topo.buffer_depth, "credit overflow at {node}");
         }
-    }
-
-    /// Completes the shard's commit: the NI credit returns staged by this
-    /// cycle's local-port pops (always intra-shard, so they need no
-    /// boundary batch), then the relays.
-    pub(crate) fn finish_commit(&mut self, topo: &Topo, armed: bool) {
-        for (rel, vc) in self.staged_ni_credits.drain(..) {
-            let c = &mut self.ni_credits[rel][vc as usize];
-            *c += 1;
-            debug_assert!(*c <= topo.buffer_depth, "NI credit overflow");
-        }
-        self.resolve_relays(topo, armed);
+        self.resolve_relays(armed);
     }
 
     /// Ends the cycle's relays (module docs): demotes those not fed, not
     /// drained or disturbed, applying and booking what did not net out, and
     /// promotes the candidates that qualify.
-    fn resolve_relays(&mut self, topo: &Topo, armed: bool) {
+    fn resolve_relays(&mut self, armed: bool) {
         // Phase 1 keeps relays off the worklist, so a bit there is an
         // arrival the commit landed in another lane of the relay.
         for w in 0..self.relay_bits.len() {
             let mut hit = self.active_bits[w] & self.relay_bits[w];
             while hit != 0 {
-                let rel = w * 64 + hit.trailing_zeros() as usize;
+                let r = w * 64 + hit.trailing_zeros() as usize;
                 hit &= hit - 1;
-                self.relay[rel].flags |= DEMOTE;
-                self.unsettled.push(rel as u32);
+                self.relay[r].flags |= DEMOTE;
+                self.unsettled.push(r as u32);
             }
         }
-        while let Some(rel) = self.unsettled.pop() {
-            let (rel, r) = (rel as usize, self.relay[rel as usize]);
-            if r.lane == 0 || r.flags & !AWAKE == FED | DRAINED {
+        while let Some(r) = self.unsettled.pop() {
+            let (r, rec) = (r as usize, self.relay[r as usize]);
+            if rec.lane == 0 || rec.flags & !AWAKE == FED | DRAINED {
                 // Listed twice, or kept: next to a non-relay, it has work.
-                self.wake(rel);
+                self.wake(r);
                 continue;
             }
-            self.relay[rel] = Relay::default();
-            self.relay_bits[rel / 64] &= !(1 << (rel % 64));
+            self.relay[r] = Relay::default();
+            self.relay_bits[r / 64] &= !(1 << (r % 64));
             self.relay_count -= 1;
-            self.routers[r.up as usize].feeds_relay &= !(1 << r.up_out);
-            self.routers[r.down as usize].fed_by_relay &= !(1 << r.down_lane);
-            let (fifo, fed) = (rel * PORTS * VCS + usize::from(r.lane), r.flags & FED != 0);
-            let owed = self.armed_cycles - r.booked;
-            self.lane_counts[fifo].reads += owed;
-            self.lane_counts[fifo].writes += owed - u64::from(armed && !fed);
-            let router = &mut self.routers[rel];
+            self.routers[rec.up as usize].feeds_relay &= !(1 << rec.up_out);
+            self.routers[rec.down as usize].fed_by_relay &= !(1 << rec.down_lane);
+            let (at, fed) = (arena_lane(r, rec.lane.into()), rec.flags & FED != 0);
+            let owed = self.armed_cycles - rec.booked;
+            self.lane_counts[at].reads += owed;
+            self.lane_counts[at].writes += owed - u64::from(armed && !fed);
+            let router = &mut self.routers[r];
             if !fed {
                 // The pop the relay cycle owed: the lane empties.
-                self.fifos.pop_front(fifo);
+                self.fifos.pop_front(at);
                 self.buffered_total -= 1;
                 router.buffered -= 1;
-                router.occ &= !(1 << r.lane);
+                router.occ &= !(1 << rec.lane);
             }
-            let (o, v) = (usize::from(r.out) / VCS, usize::from(r.out) % VCS);
-            router.credits[o][v] -= u8::from(r.flags & DRAINED == 0);
+            let (o, v) = (usize::from(rec.out) / VCS, usize::from(rec.out) % VCS);
+            router.credits[o][v] -= u8::from(rec.flags & DRAINED == 0);
             // A flit left, a queued packet or an arrival keeps it listed.
-            if fed || bit(&self.src_bits, rel) {
-                self.active_bits[rel / 64] |= 1 << (rel % 64);
+            if fed || bit(&self.src_bits, r) {
+                self.active_bits[r / 64] |= 1 << (r % 64);
             }
-            self.wake(r.up as usize); // its relay neighbours lose one
-            self.wake(r.down as usize);
+            self.wake(rec.up as usize); // its relay neighbours lose one
+            self.wake(rec.down as usize);
         }
         // A relay's lane is refilled: it stays on the worklist.
         for w in 0..self.relay_bits.len() {
             self.active_bits[w] |= self.relay_bits[w];
         }
-        while let Some((rel, lane, out)) = self.streamed.pop() {
-            self.promote_relay(rel as usize, lane.into(), out.into(), topo);
+        while let Some((r, lane, out)) = self.streamed.pop() {
+            self.promote_relay(r as usize, lane.into(), out.into());
         }
     }
 
@@ -858,9 +762,9 @@ impl ShardState {
     /// far were fed, since it is still a relay.
     pub(crate) fn book_relays(&mut self) {
         let relays = self.relay.iter_mut();
-        for (rel, r) in relays.enumerate().filter(|(_, r)| r.lane != 0) {
-            let owed = self.armed_cycles - std::mem::replace(&mut r.booked, self.armed_cycles);
-            let counts = &mut self.lane_counts[rel * PORTS * VCS + usize::from(r.lane)];
+        for (r, rec) in relays.enumerate().filter(|(_, rec)| rec.lane != 0) {
+            let owed = self.armed_cycles - std::mem::replace(&mut rec.booked, self.armed_cycles);
+            let counts = &mut self.lane_counts[arena_lane(r, rec.lane.into())];
             counts.reads += owed;
             counts.writes += owed;
         }
@@ -868,7 +772,7 @@ impl ShardState {
 
     /// `true` if no relay owes its lane counters anything.
     pub(crate) fn relays_booked(&self) -> bool {
-        (self.relay.iter()).all(|r| r.lane == 0 || r.booked == self.armed_cycles)
+        (self.relay.iter()).all(|rec| rec.lane == 0 || rec.booked == self.armed_cycles)
     }
 
     /// The output port requested by the front flit of input lane `b`
@@ -876,28 +780,28 @@ impl ShardState {
     /// if the front is not a routable head. The route of a given front is
     /// constant, so a blocked head reuses the cached request.
     #[inline]
-    fn front_request(&mut self, rel: usize, b: usize, topo: &Topo, packets: &PacketTable) -> u8 {
-        let cached = self.routers[rel].req_cache[b];
+    fn front_request(&mut self, r: usize, b: usize, packets: &PacketTable) -> u8 {
+        let cached = self.routers[r].req_cache[b];
         if cached != REQ_UNKNOWN {
             return cached;
         }
         let front = self
             .fifos
-            .front(rel * PORTS * VCS + b)
+            .front(arena_lane(r, b))
             .expect("occ bit implies a flit");
         let mut request = REQ_NONE;
         if front.kind.is_head() {
             let pkt = packets.get(front.packet);
             if pkt.vnet.index() == b % VCS {
                 request = route::route_step(
-                    topo.coords[self.lo + rel],
-                    topo.coords[pkt.dst.index()],
+                    self.topo.coords[r],
+                    self.topo.coords[pkt.dst.index()],
                     pkt.elevator,
                 )
                 .index() as u8;
             }
         }
-        self.routers[rel].req_cache[b] = request;
+        self.routers[r].req_cache[b] = request;
         request
     }
 
@@ -908,16 +812,15 @@ impl ShardState {
     /// requesting head or a live wormhole with buffered flits.
     fn process_router(
         &mut self,
-        rel: usize,
-        topo: &Topo,
+        r: usize,
         packets: &PacketTable,
         cycle: Cycle,
         armed: bool,
     ) -> bool {
-        let occ = self.routers[rel].occ;
+        let occ = self.routers[r].occ;
         if occ.is_power_of_two() {
             let b = occ.trailing_zeros() as usize;
-            return self.stream_lane(rel, b, topo, packets, cycle, armed);
+            return self.stream_lane(r, b, packets, cycle, armed);
         }
         // Output ports worth arbitrating: wormhole owners with flits
         // ready. Only channels with their `own` bit set can have an
@@ -926,12 +829,12 @@ impl ShardState {
         // VCs per output that can possibly field a candidate (live owner
         // or requesting head); arbitration skips the rest unseen.
         let mut vc_mask = [0u8; PORTS];
-        let mut own_bits = self.routers[rel].own;
+        let mut own_bits = self.routers[r].own;
         while own_bits != 0 {
             let b = own_bits.trailing_zeros() as usize;
             own_bits &= own_bits - 1;
             let (o, v) = (b / VCS, b % VCS);
-            let (ip, iv) = self.routers[rel].owner[o][v].expect("own bit implies an owner");
+            let (ip, iv) = self.routers[r].owner[o][v].expect("own bit implies an owner");
             if occ & (1 << local_lane(ip as usize, iv as usize)) != 0 {
                 out_mask |= 1 << o;
                 vc_mask[o] |= 1 << v;
@@ -946,7 +849,7 @@ impl ShardState {
         while occ_bits != 0 {
             let b = occ_bits.trailing_zeros() as usize;
             occ_bits &= occ_bits - 1;
-            let request = self.front_request(rel, b, topo, packets);
+            let request = self.front_request(r, b, packets);
             if request < PORTS as u8 {
                 head_request[b / VCS][b % VCS] = request;
                 out_mask |= 1 << request;
@@ -959,9 +862,9 @@ impl ShardState {
         while out_mask != 0 {
             let o = out_mask.trailing_zeros() as usize;
             out_mask &= out_mask - 1;
-            if let Some(grant) = self.arbitrate(rel, o, vc_mask[o], &head_request, &input_used) {
+            if let Some(grant) = self.arbitrate(r, o, vc_mask[o], &head_request, &input_used) {
                 input_used[grant.ip][grant.iv] = true;
-                self.send(rel, o, grant, topo, packets, cycle, armed);
+                self.send(r, o, grant, packets, cycle, armed);
                 progress = true;
             }
         }
@@ -976,16 +879,15 @@ impl ShardState {
     /// the flit through the same [`Self::send`].
     fn stream_lane(
         &mut self,
-        rel: usize,
+        r: usize,
         b: usize,
-        topo: &Topo,
         packets: &PacketTable,
         cycle: Cycle,
         armed: bool,
     ) -> bool {
         let (ip, iv) = (b / VCS, b % VCS);
-        let request = self.front_request(rel, b, topo, packets);
-        let router = &self.routers[rel];
+        let request = self.front_request(r, b, packets);
+        let router = &self.routers[r];
         let (o, v, is_new) = if request < PORTS as u8 {
             // A head asks for a new grant on its own VC; a channel still
             // held by another wormhole (whose lane is empty) blocks it.
@@ -1012,50 +914,47 @@ impl ShardState {
             return false;
         }
         let grant = Grant { v, ip, iv, is_new };
-        self.send(rel, o, grant, topo, packets, cycle, armed);
+        self.send(r, o, grant, packets, cycle, armed);
         // A candidate if it sent no tail and the lane holds no second flit.
         let out = local_lane(o, v);
-        let held = self.routers[rel].own >> out & 1 != 0;
-        if ip != LOCAL && o != LOCAL && held && self.fifos.len(self.lane(rel, ip, iv)) < 2 {
-            self.streamed.push((rel as u32, b as u8, out as u8));
+        let held = self.routers[r].own >> out & 1 != 0;
+        if ip != LOCAL && o != LOCAL && held && self.fifos.len(arena_lane(r, b)) < 2 {
+            self.streamed.push((r as u32, b as u8, out as u8));
         }
         true
     }
 
-    /// Makes router `rel`, which streamed out of lane `lane` on channel
+    /// Makes router `r`, which streamed out of lane `lane` on channel
     /// `out` this cycle, a relay if it now qualifies (module docs).
-    fn promote_relay(&mut self, rel: usize, lane: usize, out: usize, topo: &Topo) {
-        let (g, fifo) = (self.lo + rel, rel * PORTS * VCS + lane);
-        let (router, o, v) = (&self.routers[rel], out / VCS, out % VCS);
+    fn promote_relay(&mut self, r: usize, lane: usize, out: usize) {
+        let at = arena_lane(r, lane);
+        let (router, o, v) = (&self.routers[r], out / VCS, out % VCS);
         // A `Body` behind the flit just sent is the same packet's, which
         // keeps the channel; behind a backed-up lane it would not last.
-        let body = self.fifos.front(fifo).map(|f| f.kind) == Some(FlitKind::Body);
-        let lone = self.promote && router.occ == 1 << lane && self.fifos.len(fifo) == 1 && body;
+        let body = self.fifos.front(at).map(|f| f.kind) == Some(FlitKind::Body);
+        let lone = self.promote && router.occ == 1 << lane && self.fifos.len(at) == 1 && body;
         let credits = router.credits[o][v];
-        let flowing = credits > 0 && credits + 1 >= topo.buffer_depth;
-        if !(lone && flowing && !bit(&self.src_bits, rel)) {
+        let flowing = credits > 0 && credits + 1 >= self.topo.buffer_depth;
+        if !(lone && flowing && !bit(&self.src_bits, r)) {
             return;
         }
-        let (input, output) = (topo.link(g, lane / VCS), topo.link(g, o));
-        if [input.peer_shard, output.peer_shard] != [self.index as u8; 2] {
-            return;
-        }
-        let r = Relay {
+        let (input, output) = (self.topo.link(r, lane / VCS), self.topo.link(r, o));
+        let rec = Relay {
             booked: self.armed_cycles,
-            up: (input.peer.index() - self.lo) as u32,
-            down: (output.peer.index() - self.lo) as u32,
+            up: input.peer.index() as u32,
+            down: output.peer.index() as u32,
             lane: lane as u8,
             out: out as u8,
             up_out: local_lane(input.peer_port.into(), lane % VCS) as u8,
             down_lane: local_lane(output.peer_port.into(), v) as u8,
             flags: 0,
         };
-        self.relay[rel] = r;
-        self.relay_bits[rel / 64] |= 1 << (rel % 64);
+        self.relay[r] = rec;
+        self.relay_bits[r / 64] |= 1 << (r % 64);
         self.relay_count += 1;
-        self.routers[r.up as usize].feeds_relay |= 1 << r.up_out;
-        self.routers[r.down as usize].fed_by_relay |= 1 << r.down_lane;
-        self.wake(rel);
+        self.routers[rec.up as usize].feeds_relay |= 1 << rec.up_out;
+        self.routers[rec.down as usize].fed_by_relay |= 1 << rec.down_lane;
+        self.wake(r);
     }
 
     /// Arbitrates one output port of one router among several occupied
@@ -1063,13 +962,13 @@ impl ShardState {
     /// cycle. Reads state only; [`Self::send`] applies the grant.
     fn arbitrate(
         &self,
-        rel: usize,
+        r: usize,
         o: usize,
         vc_mask: u8,
         head_request: &[[u8; VCS]; PORTS],
         input_used: &[[bool; VCS]; PORTS],
     ) -> Option<Grant> {
-        let router = &self.routers[rel];
+        let router = &self.routers[r];
         // Gather, per VC, the input (port, vc) able to send on (o, vc).
         let mut candidates: [Option<Grant>; VCS] = [None; VCS];
         let mut vcs = vc_mask;
@@ -1119,7 +1018,7 @@ impl ShardState {
         (0..VCS).find_map(|t| candidates[(start_vc + t) % VCS])
     }
 
-    /// Moves one granted flit out of local router `rel` through output
+    /// Moves one granted flit out of router `r` through output
     /// `(o, grant.v)` — the only implementation of flit movement, shared
     /// by the streaming and arbitrated paths: pops the input lane,
     /// updates owner / round-robin / credit state, stages the credit
@@ -1128,27 +1027,25 @@ impl ShardState {
     #[allow(clippy::too_many_arguments)] // the per-cycle context of one hop
     fn send(
         &mut self,
-        rel: usize,
+        r: usize,
         o: usize,
         grant: Grant,
-        topo: &Topo,
         packets: &PacketTable,
         cycle: Cycle,
         armed: bool,
     ) {
-        let g = self.lo + rel;
         let Grant { v, ip, iv, is_new } = grant;
 
         // Dequeue and update switching state.
-        let in_fifo = self.lane(rel, ip, iv);
+        let in_lane_bit = local_lane(ip, iv);
+        let in_fifo = arena_lane(r, in_lane_bit);
         let flit = self.fifos.pop_front(in_fifo);
         self.buffered_total -= 1;
         let emptied = self.fifos.is_empty(in_fifo);
-        let router = &mut self.routers[rel];
+        let router = &mut self.routers[r];
         router.buffered -= 1;
         // The lane's front changed: drop its cached route and, if it
         // emptied, its occupancy bit.
-        let in_lane_bit = local_lane(ip, iv);
         router.req_cache[in_lane_bit] = REQ_UNKNOWN;
         if emptied {
             router.occ &= !(1 << in_lane_bit);
@@ -1171,19 +1068,15 @@ impl ShardState {
         let from_relay = router.fed_by_relay >> in_lane_bit & 1 != 0;
 
         // Credit return to the upstream of the freed input slot.
-        let input = topo.link(g, ip);
+        let input = *self.topo.link(r, ip);
         if ip == LOCAL {
-            self.staged_ni_credits.push((rel, iv as u8));
+            self.credits.push((NodeId(r as u16), LOCAL as u8, iv as u8));
         } else if from_relay {
             // The relay upstream spent this credit in its own relay cycle.
-            self.relay[input.peer.index() - self.lo].flags |= DRAINED;
+            self.relay[input.peer.index()].flags |= DRAINED;
         } else {
             debug_assert!(input.peer().is_some(), "input port implies neighbour");
-            self.outboxes[input.peer_shard as usize].credits.push((
-                input.peer,
-                input.peer_port,
-                iv as u8,
-            ));
+            self.credits.push((input.peer, input.peer_port, iv as u8));
         }
 
         if armed {
@@ -1192,27 +1085,10 @@ impl ShardState {
 
         if o == LOCAL {
             // Ejection into the NI sink. Packet bookkeeping (delivery
-            // statistics, slot retirement) is deferred to the cycle owner.
+            // statistics and histograms, slot retirement) is deferred to
+            // the cycle owner.
             if armed {
-                self.ejects[rel] += 1;
-            }
-            if flit.kind.is_tail() {
-                // Delivery histograms: the packet completes here and in no
-                // other shard, so recording into this shard's partition
-                // makes the folded aggregate equal the sequential one.
-                // The reads are stable within the cycle: a packet's head
-                // left its source in a *strictly earlier* cycle (src != dst
-                // is enforced at admission), so `head_out_src` committed
-                // before this phase ran.
-                if let Some(hist) = &mut self.part_hist {
-                    let pkt = packets.get(flit.packet);
-                    if pkt.measured {
-                        hist.latency.record(cycle.saturating_sub(pkt.created));
-                        let net_start = pkt.head_out_src.unwrap_or(pkt.created);
-                        hist.network_latency.record(cycle.saturating_sub(net_start));
-                        hist.hops.record(route_hops(topo, pkt));
-                    }
-                }
+                self.ejects[r] += 1;
             }
             self.effects.push(Effect::Eject {
                 packet: flit.packet,
@@ -1221,15 +1097,13 @@ impl ShardState {
             return;
         }
 
-        let output = topo.link(g, o);
+        let output = *self.topo.link(r, o);
         debug_assert!(output.peer().is_some(), "credit implies neighbour");
         if to_relay {
-            self.relay_arrival(output, v, flit);
+            self.relay_arrival(&output, v, flit);
         } else {
-            let arrival = (output.peer, output.peer_port, v as u8, flit);
-            self.outboxes[output.peer_shard as usize]
-                .arrivals
-                .push(arrival);
+            self.arrivals
+                .push((output.peer, output.peer_port, v as u8, flit));
         }
 
         // Source-router departure feedback (Eq. 6 inputs). A flit is
@@ -1251,7 +1125,7 @@ impl ShardState {
                 let pkt = packets.get(flit.packet);
                 debug_assert_eq!(
                     pkt.src,
-                    NodeId(g as u16),
+                    NodeId(r as u16),
                     "LOCAL input lane implies source router"
                 );
                 if let Some(elevator) = pkt.elevator {
@@ -1282,37 +1156,36 @@ impl ShardState {
     /// Returns the first violated invariant, described.
     pub(crate) fn check_derived_state(&self) -> Result<(), String> {
         if self.work_bits.iter().any(|&w| w != 0) {
-            return Err(format!("shard {}: stale visit-set bits", self.index));
+            return Err("stale visit-set bits".to_string());
         }
-        for (rel, router) in self.routers.iter().enumerate() {
-            let node = self.lo + rel;
-            let queued = !self.sources[rel].queue.is_empty();
-            if bit(&self.src_bits, rel) != queued {
+        for (r, router) in self.routers.iter().enumerate() {
+            let queued = !self.sources[r].queue.is_empty();
+            if bit(&self.src_bits, r) != queued {
                 return Err(format!(
-                    "router {node}: source bit {} but queue non-empty is {queued}",
-                    bit(&self.src_bits, rel)
+                    "router {r}: source bit {} but queue non-empty is {queued}",
+                    bit(&self.src_bits, r)
                 ));
             }
-            if (router.buffered > 0 || queued) && !bit(&self.active_bits, rel) {
+            if (router.buffered > 0 || queued) && !bit(&self.active_bits, r) {
                 return Err(format!(
-                    "router {node}: {} flits buffered, queued = {queued}, but off the worklist",
+                    "router {r}: {} flits buffered, queued = {queued}, but off the worklist",
                     router.buffered
                 ));
             }
             for p in 0..PORTS {
                 for v in 0..VCS {
                     let lane_bit = 1 << local_lane(p, v);
-                    let occupied = !self.fifos.is_empty(self.lane(rel, p, v));
+                    let occupied = !self.fifos.is_empty(arena_lane(r, local_lane(p, v)));
                     if (router.occ & lane_bit != 0) != occupied {
                         return Err(format!(
-                            "router {node} lane ({p}, {v}): occ bit disagrees with FIFO \
+                            "router {r} lane ({p}, {v}): occ bit disagrees with FIFO \
                              occupancy {occupied}"
                         ));
                     }
                     let owned = router.owner[p][v].is_some();
                     if (router.own & lane_bit != 0) != owned {
                         return Err(format!(
-                            "router {node} channel ({p}, {v}): own bit disagrees with owner \
+                            "router {r} channel ({p}, {v}): own bit disagrees with owner \
                              {:?}",
                             router.owner[p][v]
                         ));
@@ -1323,16 +1196,12 @@ impl ShardState {
         Ok(())
     }
 
-    /// Heap capacity (in elements) reserved by the shard's cycle state —
-    /// the zero-allocation contract's summand for this shard.
+    /// Heap capacity (in elements) reserved by the cycle state — the
+    /// zero-allocation contract's sum.
     pub(crate) fn heap_footprint(&self) -> usize {
         self.fifos.capacity_flits()
-            + self
-                .outboxes
-                .iter()
-                .map(|b| b.arrivals.capacity() + b.credits.capacity())
-                .sum::<usize>()
-            + self.staged_ni_credits.capacity()
+            + self.arrivals.capacity()
+            + self.credits.capacity()
             + self.active_bits.capacity()
             + self.work_bits.capacity()
             + self.src_bits.capacity()
@@ -1352,52 +1221,49 @@ impl ShardState {
                 .sum::<usize>()
     }
 
-    /// Folds the shard's committed state into `h` (FNV-1a) in ascending
-    /// local router order with a fixed per-router field order. The stream
-    /// only depends on global node order and per-node state — never on
-    /// the shard layout — so digests are comparable across shard counts.
+    /// Folds the committed state into `h` (FNV-1a) in ascending router
+    /// order with a fixed per-router field order.
     pub(crate) fn hash_state(&self, h: &mut u64) {
         #[inline]
         fn mix(h: &mut u64, v: u64) {
             *h ^= v;
             *h = h.wrapping_mul(0x0100_0000_01b3);
         }
-        for rel in 0..self.routers.len() {
-            let r = &self.routers[rel];
-            mix(h, u64::from(r.occ));
-            mix(h, u64::from(r.own));
-            for &b in &r.req_cache {
+        for (r, router) in self.routers.iter().enumerate() {
+            mix(h, u64::from(router.occ));
+            mix(h, u64::from(router.own));
+            for &b in &router.req_cache {
                 mix(h, u64::from(b));
             }
             for p in 0..PORTS {
                 for v in 0..VCS {
                     mix(
                         h,
-                        match r.owner[p][v] {
+                        match router.owner[p][v] {
                             None => u64::MAX,
                             Some((ip, iv)) => (u64::from(ip) << 8) | u64::from(iv),
                         },
                     );
-                    mix(h, u64::from(r.credits[p][v]));
-                    mix(h, u64::from(r.rr_grant[p][v]));
-                    let fifo = self.lane(rel, p, v);
-                    mix(h, self.fifos.len(fifo) as u64);
-                    if let Some(front) = self.fifos.front(fifo) {
+                    mix(h, u64::from(router.credits[p][v]));
+                    mix(h, u64::from(router.rr_grant[p][v]));
+                    let at = arena_lane(r, local_lane(p, v));
+                    mix(h, self.fifos.len(at) as u64);
+                    if let Some(front) = self.fifos.front(at) {
                         mix(h, u64::from(front.packet.slot()));
                         mix(h, u64::from(front.packet.generation()));
                     }
                 }
-                mix(h, u64::from(r.rr_vc[p]));
+                mix(h, u64::from(router.rr_vc[p]));
             }
-            mix(h, u64::from(r.buffered));
-            mix(h, u64::from(r.quiet));
+            mix(h, u64::from(router.buffered));
+            mix(h, u64::from(router.quiet));
             // The worklist membership is part of committed state: it
             // decides which routers next cycle visits.
-            mix(h, (self.active_bits[rel / 64] >> (rel % 64)) & 1);
+            mix(h, (self.active_bits[r / 64] >> (r % 64)) & 1);
             for v in 0..VCS {
-                mix(h, u64::from(self.ni_credits[rel][v]));
+                mix(h, u64::from(self.ni_credits[r][v]));
             }
-            let sq = &self.sources[rel];
+            let sq = &self.sources[r];
             mix(h, sq.queue.len() as u64);
             for &pid in &sq.queue {
                 mix(h, u64::from(pid.slot()));
@@ -1412,9 +1278,15 @@ impl ShardState {
 mod tests {
     use super::*;
 
-    impl ShardState {
+    impl Kernel {
         pub(crate) fn relay_count(&self) -> usize {
             self.relay_count
+        }
+
+        /// Stages `flit` into input lane `(node, port, vc)`, as its
+        /// upstream's send would, for the next [`Self::commit`].
+        pub(crate) fn stage_arrival(&mut self, node: NodeId, port: usize, vc: usize, flit: Flit) {
+            self.arrivals.push((node, port as u8, vc as u8, flit));
         }
 
         /// Verifies, at a cycle boundary, what every relay cycle relies on
@@ -1424,40 +1296,42 @@ mod tests {
         /// nothing.
         pub(crate) fn check_relays(&self) -> Result<(), String> {
             if !self.unsettled.is_empty() || !self.streamed.is_empty() {
-                return Err(format!("shard {}: relays left unresolved", self.index));
+                return Err("relays left unresolved".to_string());
             }
             let marks =
                 |m: fn(&RouterState) -> u32| self.routers.iter().map(|r| m(r).count_ones()).sum();
             let bits: u32 = self.relay_bits.iter().map(|w| w.count_ones()).sum();
             let marked = [marks(|r| r.feeds_relay), marks(|r| r.fed_by_relay), bits];
             if marked != [self.relay_count as u32; 3] {
-                return Err(format!("shard {}: relay marks are off", self.index));
+                return Err("relay marks are off".to_string());
             }
-            for (rel, r) in self.relay.iter().enumerate().filter(|(_, r)| r.lane != 0) {
-                if !bit(&self.relay_bits, rel) {
-                    return Err(format!(
-                        "router {}: relay off the relay bitmap",
-                        self.lo + rel
-                    ));
+            for (r, rec) in self
+                .relay
+                .iter()
+                .enumerate()
+                .filter(|(_, rec)| rec.lane != 0)
+            {
+                if !bit(&self.relay_bits, r) {
+                    return Err(format!("router {r}: relay off the relay bitmap"));
                 }
                 // Everything a relay cycle leaves as it found (module docs);
                 // a relay asleep nets out with relay neighbours and injects
                 // nothing.
-                let (lane, out) = (usize::from(r.lane), usize::from(r.out));
+                let (lane, out) = (usize::from(rec.lane), usize::from(rec.out));
                 let (o, v) = (out / VCS, out % VCS);
-                let (router, fifo) = (&self.routers[rel], rel * PORTS * VCS + lane);
-                let settled = self.relay[r.up as usize].out == r.up_out
-                    && self.relay[r.down as usize].lane == r.down_lane
-                    && self.sources[rel].queue.is_empty();
-                let awake = r.flags & AWAKE != 0 && self.awake.contains(&(rel as u32));
+                let (router, at) = (&self.routers[r], arena_lane(r, lane));
+                let settled = self.relay[rec.up as usize].out == rec.up_out
+                    && self.relay[rec.down as usize].lane == rec.down_lane
+                    && self.sources[r].queue.is_empty();
+                let awake = rec.flags & AWAKE != 0 && self.awake.contains(&(r as u32));
                 let holds = (settled || awake)
-                    && self.routers[r.up as usize].feeds_relay >> r.up_out & 1 == 1
-                    && self.routers[r.down as usize].fed_by_relay >> r.down_lane & 1 == 1
+                    && self.routers[rec.up as usize].feeds_relay >> rec.up_out & 1 == 1
+                    && self.routers[rec.down as usize].fed_by_relay >> rec.down_lane & 1 == 1
                     && router.occ == 1 << lane
-                    && self.fifos.len(fifo) == 1
+                    && self.fifos.len(at) == 1
                     && self
                         .fifos
-                        .front(fifo)
+                        .front(at)
                         .is_some_and(|f| f.kind == FlitKind::Body)
                     && router.owner[o][v] == Some(((lane / VCS) as u8, (lane % VCS) as u8))
                     && router.credits[o][v] > 0
@@ -1465,47 +1339,12 @@ mod tests {
                     && router.rr_vc[o] as usize == (v + 1) % VCS
                     && !router.quiet;
                 if !holds {
-                    let node = self.lo + rel;
                     return Err(format!(
-                        "router {node}: relay of lane {lane} no longer qualifies"
+                        "router {r}: relay of lane {lane} no longer qualifies"
                     ));
                 }
             }
             Ok(())
-        }
-    }
-
-    #[test]
-    fn layer_major_bounds_split_whole_layers() {
-        // 8 layers of 12 nodes over 4 shards: 2 layers each.
-        let b = shard_bounds(96, 12, 8, 4);
-        assert_eq!(b, vec![0, 24, 48, 72, 96]);
-        // 3 layers over 2 shards: 1 + 2 layers.
-        let b = shard_bounds(36, 12, 3, 2);
-        assert_eq!(b, vec![0, 12, 36]);
-    }
-
-    #[test]
-    fn row_band_bounds_cover_single_layer_meshes() {
-        // 1 layer of 64 nodes over 4 shards: 16-node bands.
-        let b = shard_bounds(64, 64, 1, 4);
-        assert_eq!(b, vec![0, 16, 32, 48, 64]);
-        // shards == nodes degenerates to one router per shard.
-        let b = shard_bounds(4, 4, 1, 4);
-        assert_eq!(b, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn bounds_are_monotone_and_nonempty() {
-        for (nodes, per_layer, layers) in [(18, 9, 2), (128, 16, 8), (27, 9, 3), (50, 25, 2)] {
-            for shards in 1..=nodes.min(8) {
-                let b = shard_bounds(nodes, per_layer, layers, shards);
-                assert_eq!(b[0], 0);
-                assert_eq!(b[shards], nodes);
-                for i in 0..shards {
-                    assert!(b[i] < b[i + 1], "empty shard {i} in {b:?}");
-                }
-            }
         }
     }
 }

@@ -52,10 +52,10 @@ mod arena;
 mod config;
 mod error;
 mod flit;
+mod kernel;
 mod network;
 mod obs;
 mod scheduler;
-mod shard;
 mod sim;
 mod stats;
 mod table;

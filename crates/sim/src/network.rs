@@ -16,54 +16,33 @@
 //! with the same mechanism on the `Local` port.
 //!
 //! A cycle is computed in two phases, so results do not depend on router
-//! iteration order. *Phase 1* is one pass over the active-router
-//! worklist: per router, route & send (reads committed state, stages
-//! flit arrivals and credit returns), NI injection from its source queue,
-//! and the decision whether it stays on next cycle's worklist. A router
-//! with a single occupied input lane streams that lane's front flit
-//! without arbitration; the `shard` module docs argue why that is
+//! iteration order (the synchronous-network semantics the `kernel` module
+//! docs argue). *Phase 1* is one pass over the active-router worklist:
+//! per router, route & send (reads committed state, stages flit arrivals
+//! and credit returns), NI injection from its source queue, and the
+//! decision whether it stays on next cycle's worklist. A router with a
+//! single occupied input lane streams that lane's front flit without
+//! arbitration; the `kernel` module docs argue why that is
 //! state-identical. The *exchange* then commits the staged arrivals and
-//! credits (arrivals put their router on the worklist) and the NI credit
-//! returns. [`Network::finish_cycle`] closes the cycle serially. The
+//! credit returns, the NI's included (arrivals put their router on the
+//! worklist). [`Network::finish_cycle`] closes the cycle serially, replaying
+//! the packet-table effects phase 1 deferred in router order. The
 //! simulator's one cycle body calls the three in that order and, when
 //! someone is watching, laps a clock between them: those laps are the
 //! `compute`, `exchange` and `commit` phases of `PhaseTimes` — worklist
 //! upkeep is compute time, and exchange is commit work only.
 //!
-//! # Sharded stepping
-//!
-//! The fabric is partitioned into 1..=k contiguous router ranges
-//! ([`ShardState`]), each with its own flit-arena slice, active-router
-//! worklist and armed event counters (one per local FIFO lane — nothing
-//! in a shard is sized by the whole fabric). Flits and credits crossing
-//! a shard boundary travel through per-shard-pair channel buffers
-//! (`BoundaryBatch`) that are committed every cycle — they are the same
-//! staging buffers the sequential engine always had, merely keyed by
-//! destination shard, so the boundary channel's fixed latency is exactly
-//! the one commit boundary a cycle always imposed.
-//!
-//! The determinism contract (proved by `tests/shard_equivalence.rs`):
-//! a run is a function of `(config, seed)` — the shard count never
-//! affects any architectural state, statistic or telemetry counter,
-//! because staged effects of one cycle commute (see the `shard` module
-//! docs) and everything order-sensitive is replayed in global router
-//! order by [`Network::finish_cycle`]. `k = 1` runs the original
-//! single-slab data path.
-//!
-//! Shards are stepped one after another on the calling thread: this
-//! crate spawns no thread and reads no environment variable. The
-//! partition is the seam a parallel executor would use (phase 1 of
-//! different shards shares nothing mutable); parallelism itself lives in
+//! The network is stepped on the calling thread: this crate spawns no
+//! thread and reads no environment variable. Parallelism lives in
 //! `noc_exp`'s sweep pool, across independent runs.
 //!
 //! # Dense hot-path state
 //!
 //! All per-cycle state lives in arenas sized once at construction:
 //!
-//! * every input FIFO is a fixed ring in a flat [`FlitArena`] slab per
-//!   shard (lane = router × port × VC), so a router's 14 occupancy
-//!   counters sit in a single cache line instead of 14 heap-allocated
-//!   `VecDeque`s,
+//! * every input FIFO is a fixed ring in one flat [`FlitArena`] slab
+//!   (lane = router × port × VC), so a router's 14 occupancy counters sit
+//!   in a single cache line instead of 14 heap-allocated `VecDeque`s,
 //! * packets live in a recycling [`PacketTable`] owned by the caller,
 //! * an **active-router worklist** (a bitmap keyed by node id) makes
 //!   [`Network::step`] visit only routers with buffered flits, staged
@@ -76,14 +55,14 @@
 //!   mark occupied input lanes and owned output channels; all three are
 //!   derived state, audited by [`Network::check_flow_conservation`],
 //! * one flat link table keyed by `(node, port)` holds, per port, the
-//!   peer router, the peer's port and its shard, so a flit-hop costs one
-//!   table load per port it touches,
+//!   peer router and the peer's port, so a flit-hop costs one table load
+//!   per port it touches,
 //! * armed energy telemetry is one `{writes, reads}` counter pair per
 //!   FIFO lane, indexed like the arena; every other energy counter is
 //!   derived from those at [`Network::drain_partials`],
-//! * a router streaming a worm's body between same-shard neighbours is a
+//! * a router streaming a worm's body between two neighbours is a
 //!   *relay*: a flag check instead of a flit move, with its lane counters
-//!   booked in bulk (the `shard` module docs argue it is state-identical).
+//!   booked in bulk (the `kernel` module docs argue it is state-identical).
 //!
 //! After construction, steady-state stepping performs no heap allocation
 //! (the staging buffers reach their high-water capacity and stay there);
@@ -93,15 +72,16 @@
 //! [`FlitArena`]: crate::arena::FlitArena
 
 use crate::flit::PacketId;
-use crate::shard::{shard_bounds, Effect, LaneCount, ShardState, Topo, LOCAL, PORTS, VCS};
+use crate::kernel::{
+    arena_lane, local_lane, route_hops, Effect, Kernel, LaneCount, Topo, LOCAL, PORTS, VCS,
+};
 use crate::stats::StatsCollector;
 use crate::table::PacketTable;
 use adele::online::{Cycle, NetworkProbe, SourceFeedback};
 use noc_energy::{EnergyLedger, LinkId, LinkLedger, LinkMap};
 use noc_topology::{Coord, Direction, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 
-/// The network fabric: routers, links, credits and NI queues, partitioned
-/// into one or more shards.
+/// The network fabric: routers, links, credits and NI queues.
 #[derive(Debug, Clone)]
 pub struct Network {
     mesh: Mesh3d,
@@ -113,70 +93,35 @@ pub struct Network {
     /// registry exists so harnesses and tests can query pillar health
     /// without reaching into the policy.
     failed_elevators: ElevatorMask,
-    buffer_depth: u8,
     /// Canonical directed-link enumeration: the single source of truth for
     /// which links exist (the fabric below is derived from it) and the key
     /// space of the per-link energy telemetry.
     links: LinkMap,
-    /// Shared immutable lookup tables (coords, neighbours, telemetry
-    /// lanes, shard map) — one copy for all shards.
-    topo: Topo,
-    /// The router partition, ascending contiguous node ranges.
-    shards: Vec<ShardState>,
+    /// The routers' cycle state and the fabric's lookup tables.
+    kernel: Kernel,
 }
 
 impl Network {
-    /// Builds an idle single-shard network (the sequential data path).
+    /// Builds an idle network.
     ///
     /// # Panics
     ///
     /// Panics if `buffer_depth` is zero.
     #[must_use]
     pub fn new(mesh: Mesh3d, elevators: ElevatorSet, buffer_depth: u8) -> Self {
-        Self::new_sharded(mesh, elevators, buffer_depth, 1)
-    }
-
-    /// Builds an idle network partitioned into `shards` ranges, clamped
-    /// to `1 ..=` the router count (and the shard-map width, 255). Shard
-    /// layout never affects results.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `buffer_depth` is zero.
-    #[must_use]
-    pub fn new_sharded(
-        mesh: Mesh3d,
-        elevators: ElevatorSet,
-        buffer_depth: u8,
-        shards: usize,
-    ) -> Self {
         assert!(buffer_depth >= 1, "buffers need at least one slot");
-        let n = mesh.node_count();
-        let k = shards.clamp(1, n.min(255));
         let coords: Vec<Coord> = mesh.coords().collect();
         // The link map decides which links exist (vertical links only on
         // elevator pillars); the router fabric mirrors it port for port so
         // telemetry and switching can never disagree.
         let links = LinkMap::new(&mesh, &elevators);
-        let bounds = shard_bounds(n, mesh.nodes_per_layer(), mesh.layers(), k);
-        let mut shard_of = vec![0u8; n];
-        for s in 0..k {
-            for node in shard_of.iter_mut().take(bounds[s + 1]).skip(bounds[s]) {
-                *node = s as u8;
-            }
-        }
-        let topo = Topo::new(coords, &links, shard_of, buffer_depth);
-        let shards = (0..k)
-            .map(|s| ShardState::new(s, bounds[s], bounds[s + 1], k, &topo))
-            .collect();
+        let kernel = Kernel::new(Topo::new(coords, &links, buffer_depth));
         Self {
             mesh,
             elevators,
             failed_elevators: ElevatorMask::EMPTY,
-            buffer_depth,
             links,
-            topo,
-            shards,
+            kernel,
         }
     }
 
@@ -199,12 +144,6 @@ impl Network {
         &self.links
     }
 
-    /// How many shards the fabric is partitioned into.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Marks elevator `id` failed (`failed == true`) or repaired.
     ///
     /// The network keeps draining flits already routed through the pillar
@@ -223,110 +162,57 @@ impl Network {
 
     /// Queues a freshly created packet at its source NI.
     pub fn enqueue_packet(&mut self, src: NodeId, id: PacketId) {
-        let s = self.topo.shard_of[src.index()] as usize;
-        let rel = src.index() - self.shards[s].lo;
-        self.shards[s].enqueue(rel, id);
+        self.kernel.enqueue(src.index(), id);
     }
 
     /// Flits currently buffered in router FIFOs.
     #[must_use]
     pub fn buffered_flits(&self) -> u64 {
-        self.shards.iter().map(|s| s.buffered_total).sum()
-    }
-
-    /// The shard owning router `node`, and the router's local index in it.
-    fn locate(&self, node: usize) -> (&ShardState, usize) {
-        let shard = &self.shards[self.topo.shard_of[node] as usize];
-        (shard, node - shard.lo)
+        self.kernel.buffered_total
     }
 
     /// Flits buffered in input lane `(node, port, vc)`.
     #[must_use]
     pub fn lane_occupancy(&self, node: NodeId, port: Direction, vc: usize) -> usize {
-        let (shard, rel) = self.locate(node.index());
-        shard.fifos.len((rel * PORTS + port.index()) * VCS + vc)
+        let lane = local_lane(port.index(), vc);
+        self.kernel.fifos.len(arena_lane(node.index(), lane))
     }
 
     /// Packets still waiting (fully or partially) in source queues.
     #[must_use]
     pub fn queued_packets(&self) -> u64 {
-        self.shards.iter().map(|s| s.queued_total).sum()
+        self.kernel.queued_total
     }
 
     /// Heap capacity (in elements) reserved by the fabric's cycle state:
-    /// the flit arenas plus every reusable staging/worklist/source buffer.
+    /// the flit arena plus every reusable staging/worklist/source buffer.
     /// Sized at construction or during warm-up and constant afterwards —
-    /// the zero-allocation contract [`Network::step`] is tested against.
+    /// the zero-allocation contract stepping is tested against.
     #[must_use]
     pub fn heap_footprint(&self) -> usize {
-        self.shards.iter().map(|s| s.heap_footprint()).sum()
+        self.kernel.heap_footprint()
     }
 
-    /// Advances the network by one cycle: phase 1, the exchange, then the
-    /// serial tail — the plain composition of the three calls the
-    /// simulator's cycle body makes.
-    ///
-    /// Returns `true` if any flit moved (progress indicator for the
-    /// deadlock watchdog). Source-departure feedback events are appended to
-    /// `feedbacks` for the simulator to forward to the selector. While
-    /// `stats` is armed, each flit event is counted once, in its shard's
-    /// per-lane counters; only the static per-cycle counts go to `ledger`
-    /// and `telemetry` directly. Both sinks are completed from the lane
-    /// counters by `Network::drain_partials`, which the simulator calls
-    /// before any reader needs them.
-    pub fn step(
-        &mut self,
-        packets: &mut PacketTable,
-        cycle: Cycle,
-        stats: &mut StatsCollector,
-        ledger: &mut EnergyLedger,
-        telemetry: &mut LinkLedger,
-        feedbacks: &mut Vec<SourceFeedback>,
-    ) -> bool {
-        let armed = stats.armed();
-        self.phase1(packets, cycle, armed);
-        self.exchange(armed);
-        self.finish_cycle(packets, cycle, stats, ledger, telemetry, feedbacks)
-    }
-
-    /// Phase 1 (route & send, NI injection, worklist re-arm) on every
-    /// shard.
+    /// Phase 1: route & send, NI injection, worklist re-arm.
     pub(crate) fn phase1(&mut self, packets: &PacketTable, cycle: Cycle, armed: bool) {
-        let Self { topo, shards, .. } = self;
-        for shard in shards {
-            shard.phase1(topo, packets, cycle, armed);
-        }
+        self.kernel.phase1(packets, cycle, armed);
     }
 
-    /// Exchanges & commits the boundary channels (src == dst included: a
-    /// shard's intra-shard traffic uses the same staging), then the NI
-    /// credit returns. Commit order is irrelevant — see the `shard`
-    /// module docs — this loop just picks one. Returns the flit arrivals
-    /// and credit returns that crossed a shard border.
-    pub(crate) fn exchange(&mut self, armed: bool) -> (u64, u64) {
-        let Self { topo, shards, .. } = self;
-        let (mut boundary_flits, mut boundary_credits) = (0u64, 0u64);
-        let k = shards.len();
-        for dst in 0..k {
-            for src in 0..k {
-                let mut batch = std::mem::take(&mut shards[src].outboxes[dst]);
-                if src != dst {
-                    boundary_flits += batch.arrivals.len() as u64;
-                    boundary_credits += batch.credits.len() as u64;
-                }
-                shards[dst].commit_batch(topo, &mut batch, armed);
-                shards[src].outboxes[dst] = batch;
-            }
-        }
-        for shard in shards {
-            shard.finish_commit(topo, armed);
-        }
-        (boundary_flits, boundary_credits)
+    /// Commits what phase 1 staged: flit arrivals and credit returns (the
+    /// NI's included). Commit order is irrelevant — see the `kernel`
+    /// module docs.
+    pub(crate) fn exchange(&mut self, armed: bool) {
+        self.kernel.commit(armed);
     }
 
-    /// The serial tail of a cycle: replays the shards' deferred
-    /// packet-table effects in global router order, forwards feedback,
-    /// and closes per-cycle statistics. Returns the progress flag.
+    /// The serial tail of a cycle: replays the deferred packet-table
+    /// effects in router order, forwards feedback, and closes per-cycle
+    /// statistics. Returns `true` if any flit moved or was injected (the
+    /// deadlock watchdog's progress indicator). While `stats` is armed,
+    /// each flit event was counted once, in the per-lane counters; only the
+    /// static per-cycle counts go to `ledger` and `telemetry` here, and
+    /// [`Self::drain_partials`] completes both before any reader needs
+    /// them.
     pub(crate) fn finish_cycle(
         &mut self,
         packets: &mut PacketTable,
@@ -337,52 +223,49 @@ impl Network {
         feedbacks: &mut Vec<SourceFeedback>,
     ) -> bool {
         let armed = stats.armed();
-        let mut progress = false;
-        // Shards are ascending contiguous ranges and each shard records
-        // its effects in ascending router order, so shard-ascending
-        // replay is exactly the sequential engine's global order —
-        // delivery statistics and slot-retirement order are bit-equal.
-        for shard in &mut self.shards {
-            progress |= shard.progress;
-            for effect in shard.effects.drain(..) {
-                match effect {
-                    Effect::Eject { packet, tail } => {
-                        stats.on_flit_delivered();
-                        let pkt = packets.get_mut(packet);
-                        pkt.flits_delivered += 1;
-                        if tail {
-                            pkt.delivered = Some(cycle);
-                            stats.on_packet_delivered(pkt, cycle);
-                            // The tail was the packet's last flit anywhere
-                            // in the fabric: recycle its slot.
-                            packets.retire(packet);
-                        }
+        let kernel = &mut self.kernel;
+        // Phase 1 records its effects in ascending router order, so
+        // delivery statistics and slot-retirement order follow the node
+        // order. A packet's head left its source in a strictly earlier
+        // cycle than its tail ejects (src != dst is enforced at
+        // admission), so its `head_out_src` is final by the replay.
+        for effect in kernel.effects.drain(..) {
+            match effect {
+                Effect::Eject { packet, tail } => {
+                    stats.on_flit_delivered();
+                    let pkt = packets.get_mut(packet);
+                    pkt.flits_delivered += 1;
+                    if tail {
+                        pkt.delivered = Some(cycle);
+                        stats.on_packet_delivered(pkt, cycle, || route_hops(&kernel.topo, pkt));
+                        // The tail was the packet's last flit anywhere
+                        // in the fabric: recycle its slot.
+                        packets.retire(packet);
                     }
-                    Effect::SrcDeparture { packet, head, tail } => {
-                        let pkt = packets.get_mut(packet);
-                        if head {
-                            pkt.head_out_src = Some(cycle);
-                        }
-                        if tail {
-                            pkt.tail_out_src = Some(cycle);
-                        }
+                }
+                Effect::SrcDeparture { packet, head, tail } => {
+                    let pkt = packets.get_mut(packet);
+                    if head {
+                        pkt.head_out_src = Some(cycle);
+                    }
+                    if tail {
+                        pkt.tail_out_src = Some(cycle);
                     }
                 }
             }
-            feedbacks.append(&mut shard.feedbacks);
         }
+        feedbacks.append(&mut kernel.feedbacks);
         if armed {
-            ledger.router_cycles += self.topo.node_count() as u64;
+            ledger.router_cycles += kernel.topo.node_count() as u64;
             telemetry.on_cycle();
         }
         stats.on_cycle();
-        progress
+        kernel.progress
     }
 
-    /// Folds the shards' armed lane counters (and delivery histograms)
-    /// into the aggregate sinks — adds and zeroes, so draining is
-    /// idempotent and incremental, and visits only each shard's own
-    /// lanes. Everything the sinks carry is derived from one
+    /// Folds the armed lane counters into the aggregate sinks — adds and
+    /// zeroes, so draining is idempotent and
+    /// incremental. Everything the sinks carry is derived from one
     /// `{writes, reads}` pair per FIFO lane plus one `ejects` count per
     /// router:
     ///
@@ -405,169 +288,121 @@ impl Network {
         ledger: &mut EnergyLedger,
         telemetry: &mut LinkLedger,
     ) {
-        let Self { topo, shards, .. } = self;
-        for shard in shards {
-            shard.book_relays();
-            let lo = shard.lo;
-            let routers = shard.lane_counts.chunks_exact_mut(PORTS * VCS);
-            for (rel, (lanes, ejects)) in routers.zip(&mut shard.ejects).enumerate() {
-                let node = lo + rel;
-                // Event-free routers are only read: folding an idle stretch
-                // of fabric dirties no memory.
-                if lanes.iter().fold(*ejects, |a, c| a | c.writes | c.reads) == 0 {
+        let kernel = &mut self.kernel;
+        kernel.book_relays();
+        let routers = kernel.lane_counts.chunks_exact_mut(PORTS * VCS);
+        for (node, (lanes, ejects)) in routers.zip(&mut kernel.ejects).enumerate() {
+            // Event-free routers are only read: folding an idle stretch
+            // of fabric dirties no memory.
+            if lanes.iter().fold(*ejects, |a, c| a | c.writes | c.reads) == 0 {
+                continue;
+            }
+            let mut ni_events = std::mem::take(ejects);
+            for (i, count) in lanes.iter_mut().enumerate() {
+                let LaneCount { writes, reads } = std::mem::take(count);
+                if writes | reads == 0 {
                     continue;
                 }
-                let mut ni_events = std::mem::take(ejects);
-                for (i, count) in lanes.iter_mut().enumerate() {
-                    let LaneCount { writes, reads } = std::mem::take(count);
-                    if writes | reads == 0 {
-                        continue;
-                    }
-                    let (port, vc) = (i / VCS, i % VCS);
-                    let lane = topo.link(node, port).in_lane;
-                    telemetry.add_lane_events(lane as usize, vc, writes, reads);
-                    ledger.buffer_writes += writes;
-                    ledger.buffer_reads += reads;
-                    ledger.crossbar_traversals += reads;
-                    stats.router_flits[node] += writes;
-                    if port == LOCAL {
-                        ni_events += writes;
-                        continue;
-                    }
-                    telemetry.add_link_flits(LinkId(lane), vc, writes);
-                    if Direction::ALL[port].is_vertical() {
-                        ledger.vertical_hops += writes;
-                    } else {
-                        ledger.horizontal_hops += writes;
-                    }
+                let (port, vc) = (i / VCS, i % VCS);
+                let lane = kernel.topo.link(node, port).in_lane;
+                telemetry.add_lane_events(lane as usize, vc, writes, reads);
+                ledger.buffer_writes += writes;
+                ledger.buffer_reads += reads;
+                ledger.crossbar_traversals += reads;
+                stats.router_flits[node] += writes;
+                if port == LOCAL {
+                    ni_events += writes;
+                    continue;
                 }
-                if ni_events != 0 {
-                    telemetry.add_ni_events(NodeId(node as u16), ni_events);
-                    ledger.ni_events += ni_events;
+                telemetry.add_link_flits(LinkId(lane), vc, writes);
+                if Direction::ALL[port].is_vertical() {
+                    ledger.vertical_hops += writes;
+                } else {
+                    ledger.horizontal_hops += writes;
                 }
             }
-            if let (Some(sink), Some(part)) = (stats.hists.as_mut(), shard.part_hist.as_mut()) {
-                sink.merge_from(part);
+            if ni_events != 0 {
+                telemetry.add_ni_events(NodeId(node as u16), ni_events);
+                ledger.ni_events += ni_events;
             }
-        }
-    }
-
-    /// Enables or disables the per-shard delivery histograms. Disabling
-    /// drops the partitions entirely, so the ejection path pays only the
-    /// `Option` check; the fold then leaves the collector's aggregate
-    /// untouched.
-    pub fn set_histograms(&mut self, enabled: bool) {
-        for shard in &mut self.shards {
-            shard.part_hist = enabled.then(|| Box::new(noc_obs::PacketHists::new()));
         }
     }
 
     /// Samples the fabric-occupancy histograms at a window boundary: one
     /// queue-depth sample per router, one VC-occupancy sample per input
-    /// lane. Pure functions of committed cycle state in global node order,
-    /// so the samples are bit-identical across shard counts.
+    /// lane. Pure functions of committed cycle state in node order.
     pub(crate) fn sample_fabric(&self, fabric: &mut noc_obs::FabricHists) {
-        for shard in &self.shards {
-            for rel in 0..shard.routers.len() {
-                fabric
-                    .queue_depth
-                    .record(u64::from(shard.routers[rel].buffered));
-                for lane in 0..PORTS * VCS {
-                    fabric
-                        .vc_occupancy
-                        .record(shard.fifos.len(rel * PORTS * VCS + lane) as u64);
-                }
+        for (r, router) in self.kernel.routers.iter().enumerate() {
+            fabric.queue_depth.record(u64::from(router.buffered));
+            for lane in 0..PORTS * VCS {
+                let occupancy = self.kernel.fifos.len(arena_lane(r, lane));
+                fabric.vc_occupancy.record(occupancy as u64);
             }
         }
     }
 
     /// Routers on the committed next-cycle worklist — the number of
     /// routers that will do work next cycle. A deterministic gauge: the
-    /// worklist bitmaps are part of the hashed fabric state, so the count
-    /// is bit-identical across shard counts.
+    /// worklist bitmap is part of the hashed fabric state.
     #[must_use]
     pub fn worklist_occupancy(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.active_bits
-                    .iter()
-                    .map(|&w| u64::from(w.count_ones()))
-                    .sum::<u64>()
-            })
+        (self.kernel.active_bits.iter())
+            .map(|&w| u64::from(w.count_ones()))
             .sum()
     }
 
-    /// Adds each shard's progress flag for the cycle just committed into
-    /// `busy` (one slot per shard) — the per-shard busy/idle gauge of the
-    /// flight recorder. Shard-layout dependent, so traces treat it as
-    /// environmental.
-    pub(crate) fn accumulate_shard_busy(&self, busy: &mut [u64]) {
-        for (slot, shard) in busy.iter_mut().zip(&self.shards) {
-            *slot += u64::from(shard.progress);
-        }
-    }
-
-    /// `true` when every shard's lane counters (what relays owe them
-    /// included), ejection counters and histogram partition have been
-    /// fully drained into the aggregate sinks — the invariant readers rely
-    /// on.
+    /// `true` when the lane counters (what relays owe them included) and
+    /// ejection counters have been fully drained into the aggregate sinks —
+    /// the invariant readers rely on.
     pub(crate) fn partials_clear(&self) -> bool {
-        self.shards.iter().all(|shard| {
-            shard.relays_booked()
-                && shard.lane_counts.iter().all(|&c| c == LaneCount::default())
-                && shard.ejects.iter().all(|&c| c == 0)
-                && shard.part_hist.as_ref().is_none_or(|h| h.is_zero())
-        })
+        let kernel = &self.kernel;
+        kernel.relays_booked()
+            && kernel
+                .lane_counts
+                .iter()
+                .all(|&c| c == LaneCount::default())
+            && kernel.ejects.iter().all(|&c| c == 0)
     }
 
     /// An FNV-1a digest of the complete committed fabric state (router
     /// switching state, FIFO contents, source queues, NI credits,
-    /// worklists) in global node order. Digests of equal-`(config, seed)`
-    /// runs are comparable **across shard counts** — the byte stream
-    /// never depends on the shard layout — which is what the lockstep
-    /// equivalence suite asserts per cycle.
+    /// worklist) in node order — what the lockstep suites compare per
+    /// cycle.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for shard in &self.shards {
-            shard.hash_state(&mut h);
-        }
+        self.kernel.hash_state(&mut h);
         h
     }
 
     /// Verifies flit/credit conservation on every channel of the fabric
     /// at a cycle boundary: for each directed link, the upstream credit
     /// count plus the downstream FIFO occupancy equals the buffer depth
-    /// (no flit or credit is ever lost or duplicated, including across
-    /// shard boundaries), and likewise for every NI channel. Also audits
-    /// the derived bitmaps the stepping kernel relies on: every router
-    /// with buffered flits or a non-empty source queue is on the
-    /// worklist, the source bitmap mirrors the queues, and the `occ`/`own`
-    /// masks mirror FIFO occupancy and the owner table.
+    /// (no flit or credit is ever lost or duplicated), and likewise for
+    /// every NI channel. Also audits the derived bitmaps the stepping
+    /// kernel relies on: every router with buffered flits or a non-empty
+    /// source queue is on the worklist, the source bitmap mirrors the
+    /// queues, and the `occ`/`own` masks mirror FIFO occupancy and the
+    /// owner table.
     ///
     /// # Errors
     ///
     /// Returns the first violated channel or invariant, described.
     pub fn check_flow_conservation(&self) -> Result<(), String> {
-        for shard in &self.shards {
-            shard.check_derived_state()?;
-        }
-        let depth = u32::from(self.buffer_depth);
-        let n = self.topo.node_count();
-        for g in 0..n {
-            let (shard, rel) = self.locate(g);
+        self.kernel.check_derived_state()?;
+        let depth = u32::from(self.kernel.topo.buffer_depth);
+        for (g, router) in self.kernel.routers.iter().enumerate() {
             for p in 0..PORTS {
                 if p == LOCAL {
                     continue;
                 }
-                let link = self.topo.link(g, p);
+                let link = self.kernel.topo.link(g, p);
                 let Some(d) = link.peer() else {
                     continue;
                 };
                 let opp = Direction::ALL[link.peer_port as usize];
                 for v in 0..VCS {
-                    let credits = u32::from(shard.routers[rel].credits[p][v]);
+                    let credits = u32::from(router.credits[p][v]);
                     let occupancy = self.lane_occupancy(d, opp, v) as u32;
                     if credits + occupancy != depth {
                         return Err(format!(
@@ -579,7 +414,7 @@ impl Network {
                 }
             }
             for v in 0..VCS {
-                let credits = u32::from(shard.ni_credits[rel][v]);
+                let credits = u32::from(self.kernel.ni_credits[g][v]);
                 let occupancy = self.lane_occupancy(NodeId(g as u16), Direction::Local, v) as u32;
                 if credits + occupancy != depth {
                     return Err(format!(
@@ -589,15 +424,9 @@ impl Network {
                 }
             }
         }
-        // The incremental totals must agree with the ground truth.
-        let truth: u64 = self
-            .shards
-            .iter()
-            .map(|s| {
-                (0..s.routers.len())
-                    .map(|rel| u64::from(s.routers[rel].buffered))
-                    .sum::<u64>()
-            })
+        // The incremental total must agree with the ground truth.
+        let truth: u64 = (self.kernel.routers.iter())
+            .map(|r| u64::from(r.buffered))
             .sum();
         if truth != self.buffered_flits() {
             return Err(format!(
@@ -611,12 +440,11 @@ impl Network {
 
 impl NetworkProbe for Network {
     fn buffer_occupancy(&self, node: NodeId) -> u32 {
-        let (shard, rel) = self.locate(node.index());
-        shard.routers[rel].buffered
+        self.kernel.routers[node.index()].buffered
     }
 
     fn buffer_capacity_per_router(&self) -> u32 {
-        (PORTS * VCS) as u32 * u32::from(self.buffer_depth)
+        (PORTS * VCS) as u32 * u32::from(self.kernel.topo.buffer_depth)
     }
 
     fn node_at(&self, coord: Coord) -> NodeId {
@@ -628,46 +456,54 @@ impl NetworkProbe for Network {
 mod tests {
     use super::*;
     use crate::flit::{Flit, FlitKind, Packet};
-    use crate::shard::BoundaryBatch;
     use noc_topology::route::{ElevatorCoord, VirtualNet};
 
     impl Network {
+        /// One cycle: the plain composition of the three calls the
+        /// simulator's cycle body makes.
+        fn step(
+            &mut self,
+            packets: &mut PacketTable,
+            cycle: Cycle,
+            stats: &mut StatsCollector,
+            ledger: &mut EnergyLedger,
+            telemetry: &mut LinkLedger,
+            feedbacks: &mut Vec<SourceFeedback>,
+        ) -> bool {
+            let armed = stats.armed();
+            self.phase1(packets, cycle, armed);
+            self.exchange(armed);
+            self.finish_cycle(packets, cycle, stats, ledger, telemetry, feedbacks)
+        }
+
         /// Steps the per-flit engine only: no router is ever promoted to
         /// a relay (the relay oracle's reference side).
         pub(crate) fn disable_relays(&mut self) {
-            for shard in &mut self.shards {
-                shard.promote = false;
-            }
+            self.kernel.promote = false;
         }
 
         /// Relays at the current cycle boundary, i.e. the sends the next
         /// cycle makes as relay cycles.
         pub(crate) fn relay_count(&self) -> usize {
-            self.shards.iter().map(|s| s.relay_count()).sum()
+            self.kernel.relay_count()
         }
 
-        /// Audits every relay at a cycle boundary (`ShardState::check_relays`).
+        /// Audits every relay at a cycle boundary (`Kernel::check_relays`).
         pub(crate) fn check_relays(&self) -> Result<(), String> {
-            self.shards.iter().try_for_each(|s| s.check_relays())
+            self.kernel.check_relays()
         }
 
-        fn router(&self, r: usize) -> &crate::shard::RouterState {
-            let (shard, rel) = self.locate(r);
-            &shard.routers[rel]
+        fn router(&self, r: usize) -> &crate::kernel::RouterState {
+            &self.kernel.routers[r]
         }
 
         fn lane_flits(&self, r: usize, port: usize, vc: usize) -> Vec<Flit> {
-            let (shard, rel) = self.locate(r);
-            shard
-                .fifos
-                .iter_lane(((rel * PORTS) + port) * VCS + vc)
-                .collect()
+            let lane = arena_lane(r, local_lane(port, vc));
+            self.kernel.fifos.iter_lane(lane).collect()
         }
 
         fn is_idle(&self) -> bool {
-            self.shards
-                .iter()
-                .all(|s| s.active_bits.iter().all(|&w| w == 0))
+            self.kernel.active_bits.iter().all(|&w| w == 0)
         }
     }
 
@@ -714,7 +550,7 @@ mod tests {
     }
 
     /// Drives the network until every packet retires or `max` cycles pass,
-    /// then drains the telemetry partitions into `stats`. A stall comes
+    /// then folds the lane counters into `stats`. A stall comes
     /// back as the same structured [`crate::SimError::DrainStalled`] the
     /// simulator's strict drain reports, so failing tests print the full
     /// diagnostics (outstanding packets, buffered flits, state digest).
@@ -912,15 +748,13 @@ mod tests {
     /// Wormhole correctness: within any input FIFO, the flits of a packet
     /// are contiguous and well-formed (Head, Body*, Tail) — no two packets
     /// ever interleave on a virtual channel. Checked every cycle of a
-    /// heavily congested run, across every shard of a 3-shard partition
-    /// (so pillar traffic crosses two shard boundaries), together with
+    /// heavily congested run through a single pillar, together with
     /// per-channel flit/credit conservation.
     #[test]
     fn wormhole_flits_never_interleave() {
         let mesh = Mesh3d::new(3, 3, 3).unwrap();
         let elevators = ElevatorSet::new(&mesh, [(1, 1)]).unwrap();
-        let mut net = Network::new_sharded(mesh, elevators.clone(), 4, 3);
-        assert_eq!(net.shard_count(), 3);
+        let mut net = Network::new(mesh, elevators.clone(), 4);
         let mut stats = StatsCollector::new(27, 1);
         let mut ledger = EnergyLedger::default();
         let mut telemetry = telemetry_for(&net);
@@ -1013,7 +847,8 @@ mod tests {
         let net = Network::new(mesh, elevators, 4);
         let corner = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
         let pillar = mesh.node_id(Coord::new(1, 1, 0)).unwrap();
-        let peer = |node: NodeId, dir: Direction| net.topo.link(node.index(), dir.index()).peer();
+        let peer =
+            |node: NodeId, dir: Direction| net.kernel.topo.link(node.index(), dir.index()).peer();
         assert!(peer(corner, Direction::Up).is_none());
         assert_eq!(
             peer(pillar, Direction::Up),
@@ -1063,42 +898,6 @@ mod tests {
         assert_eq!(net.heap_footprint(), footprint);
     }
 
-    /// No per-shard state is sized by the whole fabric: cut eight ways,
-    /// the same fabric reserves what the single shard does — arenas, lane
-    /// and ejection counters, worklists, per-router staging — plus at
-    /// most its cross-shard boundary buffers and the rounding of the
-    /// per-shard bitmaps. (A shard-sized copy of anything fabric-wide
-    /// would add seven times that thing.)
-    #[test]
-    fn sharding_adds_only_boundary_staging_to_the_footprint() {
-        let mesh = Mesh3d::new(8, 8, 8).unwrap();
-        let elevators = ElevatorSet::new(&mesh, [(1, 1), (6, 6)]).unwrap();
-        let one = Network::new(mesh, elevators.clone(), 4);
-        let eight = Network::new_sharded(mesh, elevators, 4, 8);
-        assert_eq!(eight.shard_count(), 8);
-        // The counters are part of the zero-allocation contract's sum.
-        let lanes = mesh.node_count() * PORTS * VCS;
-        assert!(one.heap_footprint() >= one.shards[0].fifos.capacity_flits() + lanes);
-        let boundary: usize = eight
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.outboxes
-                    .iter()
-                    .enumerate()
-                    .filter(|&(dst, _)| dst != s.index)
-            })
-            .map(|(_, b)| b.arrivals.capacity() + b.credits.capacity())
-            .sum();
-        let bitmap_rounding = 3 * eight.shard_count();
-        assert!(
-            eight.heap_footprint() <= one.heap_footprint() + boundary + bitmap_rounding,
-            "k = 8 reserves {} elements, k = 1 {} (+ {boundary} boundary)",
-            eight.heap_footprint(),
-            one.heap_footprint()
-        );
-    }
-
     /// A hand-driven fabric for the directed streaming-path cases: steps
     /// one cycle at a time and audits conservation plus the derived
     /// bitmaps at every boundary.
@@ -1115,10 +914,9 @@ mod tests {
     const VC: usize = 0;
 
     impl Rig {
-        fn new(shards: usize) -> Self {
+        fn new() -> Self {
             let (mesh, elevators) = fixture();
-            let net = Network::new_sharded(mesh, elevators.clone(), 4, shards);
-            assert_eq!(net.shard_count(), shards);
+            let net = Network::new(mesh, elevators.clone(), 4);
             let mut stats = StatsCollector::new(18, 1);
             stats.set_armed(true);
             Self {
@@ -1148,16 +946,12 @@ mod tests {
         /// credit and commits the arrival through the real commit path,
         /// so conservation and the derived bitmaps stay exact.
         fn feed(&mut self, node: NodeId, port: Direction, packet: PacketId, kind: FlitKind) {
-            let Network { topo, shards, .. } = &mut self.net;
-            let link = *topo.link(node.index(), port.index());
+            let kernel = &mut self.net.kernel;
+            let link = *kernel.topo.link(node.index(), port.index());
             let up = link.peer().expect("fed port has an upstream").index();
-            let shard = &mut shards[topo.shard_of[up] as usize];
-            shard.routers[up - shard.lo].credits[link.peer_port as usize][VC] -= 1;
-            let mut batch = BoundaryBatch {
-                arrivals: vec![(node, port.index() as u8, VC as u8, Flit { packet, kind })],
-                credits: Vec::new(),
-            };
-            shards[topo.shard_of[node.index()] as usize].commit_batch(topo, &mut batch, true);
+            kernel.routers[up].credits[link.peer_port as usize][VC] -= 1;
+            kernel.stage_arrival(node, port.index(), VC, Flit { packet, kind });
+            kernel.commit(true);
             self.net.check_flow_conservation().unwrap();
         }
 
@@ -1175,7 +969,7 @@ mod tests {
             self.net.check_flow_conservation().unwrap();
         }
 
-        fn router(&self, node: NodeId) -> &crate::shard::RouterState {
+        fn router(&self, node: NodeId) -> &crate::kernel::RouterState {
             self.net.router(node.index())
         }
 
@@ -1194,7 +988,7 @@ mod tests {
     }
 
     const NORTH: usize = Direction::North.index();
-    const LOCAL_LANE: usize = crate::shard::local_lane(LOCAL, VC);
+    const LOCAL_LANE: usize = local_lane(LOCAL, VC);
 
     /// Streaming path, blocked head: a lone head whose output channel is
     /// held by a wormhole with nothing buffered makes no progress, the
@@ -1202,44 +996,39 @@ mod tests {
     /// the owner's next flit arrives.
     #[test]
     fn lone_head_waits_for_the_wormhole_holding_its_channel() {
-        for k in [1, 3] {
-            let mut rig = Rig::new(k);
-            let r = rig.node(1, 1);
-            // A enters r from the south, bound north; only its head so far.
-            let a = rig.packet((1, 0), (1, 2), 2);
-            rig.feed(r, Direction::South, a, FlitKind::Head);
-            rig.step();
-            let held = Some((Direction::South.index() as u8, VC as u8));
-            assert_eq!(rig.router(r).owner[NORTH][VC], held);
-            assert_eq!(rig.router(r).buffered, 0, "A's lane is empty again");
-            // B starts at r, bound north too: one flit, so nothing trails it.
-            let b = rig.packet((1, 1), (1, 2), 1);
-            rig.net.enqueue_packet(r, b);
-            rig.step(); // NI injection
-            assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
-            assert!(!rig.router(r).quiet);
+        let mut rig = Rig::new();
+        let r = rig.node(1, 1);
+        // A enters r from the south, bound north; only its head so far.
+        let a = rig.packet((1, 0), (1, 2), 2);
+        rig.feed(r, Direction::South, a, FlitKind::Head);
+        rig.step();
+        let held = Some((Direction::South.index() as u8, VC as u8));
+        assert_eq!(rig.router(r).owner[NORTH][VC], held);
+        assert_eq!(rig.router(r).buffered, 0, "A's lane is empty again");
+        // B starts at r, bound north too: one flit, so nothing trails it.
+        let b = rig.packet((1, 1), (1, 2), 1);
+        rig.net.enqueue_packet(r, b);
+        rig.step(); // NI injection
+        assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
+        assert!(!rig.router(r).quiet);
 
-            rig.step(); // the only occupied lane fronts a blocked head
-            assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
-            assert!(
-                rig.router(r).quiet,
-                "k = {k}: fruitless router must go quiet"
-            );
-            assert_eq!(rig.router(r).req_cache[LOCAL_LANE], NORTH as u8);
-            let digest = rig.net.state_digest();
-            rig.step(); // skipped: nothing at all may change
-            assert_eq!(rig.net.state_digest(), digest, "k = {k}");
+        rig.step(); // the only occupied lane fronts a blocked head
+        assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
+        assert!(rig.router(r).quiet, "fruitless router must go quiet");
+        assert_eq!(rig.router(r).req_cache[LOCAL_LANE], NORTH as u8);
+        let digest = rig.net.state_digest();
+        rig.step(); // skipped: nothing at all may change
+        assert_eq!(rig.net.state_digest(), digest);
 
-            rig.feed(r, Direction::South, a, FlitKind::Tail);
-            assert!(!rig.router(r).quiet, "an arrival wakes the router");
-            rig.step(); // two lanes: the owner's tail wins, B still waits
-            assert_eq!(rig.router(r).owner[NORTH][VC], None);
-            assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
-            rig.step(); // B streams the cycle after
-            assert_eq!(rig.router(r).buffered, 0, "k = {k}: B must have left");
-            rig.drain();
-            assert_eq!(rig.stats.delivered_flits, 3);
-        }
+        rig.feed(r, Direction::South, a, FlitKind::Tail);
+        assert!(!rig.router(r).quiet, "an arrival wakes the router");
+        rig.step(); // two lanes: the owner's tail wins, B still waits
+        assert_eq!(rig.router(r).owner[NORTH][VC], None);
+        assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
+        rig.step(); // B streams the cycle after
+        assert_eq!(rig.router(r).buffered, 0, "B must have left");
+        rig.drain();
+        assert_eq!(rig.stats.delivered_flits, 3);
     }
 
     /// Streaming path, no credit: a lone head whose downstream FIFO is
@@ -1247,42 +1036,40 @@ mod tests {
     /// until the first credit comes back.
     #[test]
     fn credit_starved_lone_head_keeps_its_request() {
-        for k in [1, 3] {
-            let mut rig = Rig::new(k);
-            let (r, d) = (rig.node(1, 1), rig.node(1, 2));
-            let b = rig.packet((1, 1), (1, 2), 1);
-            rig.net.enqueue_packet(r, b);
-            rig.step(); // NI injection
+        let mut rig = Rig::new();
+        let (r, d) = (rig.node(1, 1), rig.node(1, 2));
+        let b = rig.packet((1, 1), (1, 2), 1);
+        rig.net.enqueue_packet(r, b);
+        rig.step(); // NI injection
 
-            // Fill the downstream lane with a packet that ejects at d.
-            let q = rig.packet((1, 1), (1, 2), 4);
-            for kind in [
-                FlitKind::Head,
-                FlitKind::Body,
-                FlitKind::Body,
-                FlitKind::Tail,
-            ] {
-                rig.feed(d, Direction::South, q, kind);
-            }
-            assert_eq!(rig.router(r).credits[NORTH][VC], 0);
-            let before = rig.router(r).clone();
-
-            rig.step(); // blocked; d ejects Q's head and returns one credit
-            let after = rig.router(r);
-            assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
-            assert_eq!(after.req_cache[LOCAL_LANE], NORTH as u8, "request kept");
-            assert_eq!(after.credits[NORTH][VC], 1);
-            assert_eq!(after.owner, before.owner, "k = {k}: no channel taken");
-            assert_eq!(
-                (after.rr_grant, after.rr_vc),
-                (before.rr_grant, before.rr_vc)
-            );
-
-            rig.step(); // the returned credit lets the head go
-            assert_eq!(rig.router(r).buffered, 0, "k = {k}");
-            rig.drain();
-            assert_eq!(rig.stats.delivered_flits, 5);
+        // Fill the downstream lane with a packet that ejects at d.
+        let q = rig.packet((1, 1), (1, 2), 4);
+        for kind in [
+            FlitKind::Head,
+            FlitKind::Body,
+            FlitKind::Body,
+            FlitKind::Tail,
+        ] {
+            rig.feed(d, Direction::South, q, kind);
         }
+        assert_eq!(rig.router(r).credits[NORTH][VC], 0);
+        let before = rig.router(r).clone();
+
+        rig.step(); // blocked; d ejects Q's head and returns one credit
+        let after = rig.router(r);
+        assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
+        assert_eq!(after.req_cache[LOCAL_LANE], NORTH as u8, "request kept");
+        assert_eq!(after.credits[NORTH][VC], 1);
+        assert_eq!(after.owner, before.owner, "no channel taken");
+        assert_eq!(
+            (after.rr_grant, after.rr_vc),
+            (before.rr_grant, before.rr_vc)
+        );
+
+        rig.step(); // the returned credit lets the head go
+        assert_eq!(rig.router(r).buffered, 0);
+        rig.drain();
+        assert_eq!(rig.stats.delivered_flits, 5);
     }
 
     /// Streaming path, single-flit packet: takes and releases the channel
@@ -1292,109 +1079,33 @@ mod tests {
     /// bound for a different output.
     #[test]
     fn lone_single_flit_matches_the_arbitrated_path() {
-        for k in [1, 3] {
-            let mut streamed = Rig::new(k);
-            let mut arbitrated = Rig::new(k);
-            let r = streamed.node(1, 1);
-            for rig in [&mut streamed, &mut arbitrated] {
-                let b = rig.packet((1, 1), (1, 2), 1);
-                rig.net.enqueue_packet(r, b);
-                rig.step(); // NI injection
-            }
-            let c = arbitrated.packet((1, 0), (2, 1), 1);
-            arbitrated.feed(r, Direction::South, c, FlitKind::Single);
-            assert!(streamed.router(r).occ.is_power_of_two());
-            assert!(!arbitrated.router(r).occ.is_power_of_two());
-            streamed.step();
-            arbitrated.step();
-
-            let (s, a) = (streamed.router(r), arbitrated.router(r));
-            assert_eq!(s.buffered, 0, "k = {k}");
-            assert_eq!(s.owner[NORTH][VC], None, "released in the same cycle");
-            assert_eq!(s.own, 0);
-            assert_eq!(s.rr_grant[NORTH][VC], (LOCAL as u8 + 1) % PORTS as u8);
-            assert_eq!(s.rr_vc[NORTH], ((VC + 1) % VCS) as u8);
-            assert_eq!(s.credits[NORTH][VC], 3);
-            assert_eq!(s.owner[NORTH], a.owner[NORTH]);
-            assert_eq!(s.rr_grant[NORTH], a.rr_grant[NORTH]);
-            assert_eq!(s.rr_vc[NORTH], a.rr_vc[NORTH]);
-            assert_eq!(s.credits[NORTH], a.credits[NORTH]);
-            assert_eq!(s.req_cache[LOCAL_LANE], a.req_cache[LOCAL_LANE]);
-            assert_eq!((s.own, s.occ), (a.own, a.occ));
+        let mut streamed = Rig::new();
+        let mut arbitrated = Rig::new();
+        let r = streamed.node(1, 1);
+        for rig in [&mut streamed, &mut arbitrated] {
+            let b = rig.packet((1, 1), (1, 2), 1);
+            rig.net.enqueue_packet(r, b);
+            rig.step(); // NI injection
         }
-    }
+        let c = arbitrated.packet((1, 0), (2, 1), 1);
+        arbitrated.feed(r, Direction::South, c, FlitKind::Single);
+        assert!(streamed.router(r).occ.is_power_of_two());
+        assert!(!arbitrated.router(r).occ.is_power_of_two());
+        streamed.step();
+        arbitrated.step();
 
-    /// Inline lockstep smoke check (the root proptest suite does this at
-    /// scale): a congested inter-layer run stepped at k ∈ {2, 3} tracks
-    /// the k = 1 engine digest-for-digest every cycle, and ends with the
-    /// same statistics and telemetry.
-    #[test]
-    fn sharded_step_matches_sequential_cycle_for_cycle() {
-        let mesh = Mesh3d::new(3, 3, 3).unwrap();
-        let elevators = ElevatorSet::new(&mesh, [(1, 1)]).unwrap();
-        for k in [2usize, 3] {
-            let mut seq = Network::new(mesh, elevators.clone(), 4);
-            let mut shd = Network::new_sharded(mesh, elevators.clone(), 4, k);
-            let mut seq_stats = StatsCollector::new(27, 1);
-            let mut shd_stats = StatsCollector::new(27, 1);
-            seq_stats.set_armed(true);
-            shd_stats.set_armed(true);
-            let (mut seq_led, mut shd_led) = (EnergyLedger::default(), EnergyLedger::default());
-            let mut seq_tel = telemetry_for(&seq);
-            let mut shd_tel = telemetry_for(&shd);
-            let (mut seq_fb, mut shd_fb) = (Vec::new(), Vec::new());
-            let (mut seq_tab, mut shd_tab) = (PacketTable::new(), PacketTable::new());
-            let dst = Coord::new(2, 2, 2);
-            for src in mesh.coords() {
-                if src == dst {
-                    continue;
-                }
-                let pkt = make_packet(&mesh, &elevators, src, dst, 8, 0);
-                launch(&mut seq, &mut seq_tab, pkt.clone());
-                launch(&mut shd, &mut shd_tab, pkt);
-            }
-            for cycle in 0..2000 {
-                let a = seq.step(
-                    &mut seq_tab,
-                    cycle,
-                    &mut seq_stats,
-                    &mut seq_led,
-                    &mut seq_tel,
-                    &mut seq_fb,
-                );
-                let b = shd.step(
-                    &mut shd_tab,
-                    cycle,
-                    &mut shd_stats,
-                    &mut shd_led,
-                    &mut shd_tel,
-                    &mut shd_fb,
-                );
-                assert_eq!(a, b, "progress diverged at cycle {cycle} (k = {k})");
-                assert_eq!(
-                    seq.state_digest(),
-                    shd.state_digest(),
-                    "state diverged at cycle {cycle} (k = {k})"
-                );
-                assert_eq!(seq_fb, shd_fb, "feedback diverged at cycle {cycle}");
-                seq.check_flow_conservation().unwrap();
-                shd.check_flow_conservation().unwrap();
-                if seq_tab.live() == 0 && shd_tab.live() == 0 {
-                    break;
-                }
-            }
-            assert_eq!(seq_tab.live(), 0, "sequential run must drain");
-            seq.drain_partials(&mut seq_stats, &mut seq_led, &mut seq_tel);
-            shd.drain_partials(&mut shd_stats, &mut shd_led, &mut shd_tel);
-            assert_eq!(seq_led, shd_led, "energy ledgers diverged (k = {k})");
-            assert_eq!(seq_tel, shd_tel, "telemetry diverged (k = {k})");
-            assert_eq!(seq_stats.delivered_flits, shd_stats.delivered_flits);
-            assert_eq!(seq_stats.router_flits, shd_stats.router_flits);
-            assert_eq!(
-                seq_tab.capacity(),
-                shd_tab.capacity(),
-                "slot recycling diverged"
-            );
-        }
+        let (s, a) = (streamed.router(r), arbitrated.router(r));
+        assert_eq!(s.buffered, 0);
+        assert_eq!(s.owner[NORTH][VC], None, "released in the same cycle");
+        assert_eq!(s.own, 0);
+        assert_eq!(s.rr_grant[NORTH][VC], (LOCAL as u8 + 1) % PORTS as u8);
+        assert_eq!(s.rr_vc[NORTH], ((VC + 1) % VCS) as u8);
+        assert_eq!(s.credits[NORTH][VC], 3);
+        assert_eq!(s.owner[NORTH], a.owner[NORTH]);
+        assert_eq!(s.rr_grant[NORTH], a.rr_grant[NORTH]);
+        assert_eq!(s.rr_vc[NORTH], a.rr_vc[NORTH]);
+        assert_eq!(s.credits[NORTH], a.credits[NORTH]);
+        assert_eq!(s.req_cache[LOCAL_LANE], a.req_cache[LOCAL_LANE]);
+        assert_eq!((s.own, s.occ), (a.own, a.occ));
     }
 }

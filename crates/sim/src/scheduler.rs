@@ -89,9 +89,8 @@ impl InjectionScheduler {
     }
 
     /// Injections currently sitting in prefetched calendar buckets — a
-    /// deterministic function of the source stream and the current cycle
-    /// (the shard count never touches the calendar), surfaced as a
-    /// trace-window gauge.
+    /// deterministic function of the source stream and the current cycle,
+    /// surfaced as a trace-window gauge.
     pub(crate) fn calendar_depth(&self) -> u64 {
         self.buckets.iter().map(|b| b.len() as u64).sum()
     }

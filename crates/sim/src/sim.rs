@@ -23,12 +23,11 @@ use serde::{Serialize, Value};
 use std::time::{Duration, Instant};
 
 /// What a watched cycle saw (all zero when nobody watches): the wall time
-/// of each phase and the volumes that crossed shard borders.
+/// of each phase and whether the fabric moved or injected a flit.
 #[derive(Default)]
 struct CycleSample {
     phase: PhaseTimes,
-    boundary_flits: u64,
-    boundary_credits: u64,
+    busy: bool,
 }
 
 /// A configured simulation run.
@@ -105,15 +104,7 @@ impl Simulator {
         selector: Box<dyn ElevatorSelector>,
     ) -> Self {
         config.validate();
-        let mut net = Network::new_sharded(
-            config.mesh,
-            config.elevators.clone(),
-            config.buffer_depth,
-            config.shards,
-        );
-        if !config.histograms {
-            net.set_histograms(false);
-        }
+        let net = Network::new(config.mesh, config.elevators.clone(), config.buffer_depth);
         let stats = StatsCollector::for_config(&config);
         let telemetry = LinkLedger::new(net.link_map(), VirtualNet::COUNT);
         Self {
@@ -140,9 +131,7 @@ impl Simulator {
     /// receives `phase`/`event`/`window`/`summary` records until the
     /// tracer is detached or the simulator is dropped.
     pub fn attach_tracer(&mut self, tracer: Tracer) {
-        let mut tracer = Box::new(tracer);
-        tracer.metrics_mut().ensure_shards(self.net.shard_count());
-        self.tracer = Some(tracer);
+        self.tracer = Some(Box::new(tracer));
     }
 
     /// Detaches the flight recorder, returning it so the caller can
@@ -318,9 +307,9 @@ impl Simulator {
     /// exchange → the serial tail → [`Self::post_step`]. `WATCHED` is a
     /// compile-time choice: the unwatched instantiation reads no clock,
     /// journals nothing and returns zeros; the watched one journals each
-    /// fired command to the attached tracer (if any), laps a wall clock at
-    /// every phase boundary and books the shards' busy flags. Simulation
-    /// state evolves bit-identically either way.
+    /// fired command to the attached tracer (if any) and laps a wall clock
+    /// at every phase boundary. Simulation state evolves bit-identically
+    /// either way.
     ///
     /// A cycle inside a [`SimCommand::FreezeFabric`] wedge leaves before
     /// the network: commands fire and traffic queues at the NIs, but no
@@ -356,7 +345,7 @@ impl Simulator {
         let armed = self.stats.armed();
         self.net.phase1(&self.packets, self.cycle, armed);
         sample.phase.compute = lap();
-        (sample.boundary_flits, sample.boundary_credits) = self.net.exchange(armed);
+        self.net.exchange(armed);
         sample.phase.exchange = lap();
         let progress = self.net.finish_cycle(
             &mut self.packets,
@@ -366,14 +355,8 @@ impl Simulator {
             &mut self.telemetry,
             &mut self.feedbacks,
         );
-        if WATCHED {
-            // Booked here rather than with the sample: a frozen cycle never
-            // gets this far, and its shards' flags are stale.
-            if let Some(tracer) = self.tracer.as_mut() {
-                self.net
-                    .accumulate_shard_busy(tracer.metrics_mut().shard_busy_mut());
-            }
-        }
+        // A frozen cycle never gets this far, so it books as idle.
+        sample.busy = progress;
         self.post_step(progress)?;
         sample.phase.commit = lap();
         Ok(sample)
@@ -387,11 +370,7 @@ impl Simulator {
     fn step_watched(&mut self) -> Result<CycleSample, SimError> {
         let sample = self.run_cycle::<true>()?;
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer.metrics_mut().on_cycle(
-                &sample.phase,
-                sample.boundary_flits,
-                sample.boundary_credits,
-            );
+            tracer.metrics_mut().on_cycle(&sample.phase, sample.busy);
             // The body advanced the cycle, so `self.cycle` now counts
             // completed cycles.
             if self.cycle.is_multiple_of(tracer.period()) {
@@ -402,9 +381,8 @@ impl Simulator {
     }
 
     /// Closes the metrics window and appends the `window` record: the
-    /// deterministic gauges under `det` (bit-identical across shard
-    /// counts), the layout-dependent ones under `aux`, wall times under
-    /// `timing`.
+    /// deterministic gauges under `det`, the environmental ones under
+    /// `aux`, wall times under `timing`.
     fn emit_window(&mut self) {
         let mut tracer = self.tracer.take().expect("windows close under a tracer");
         let delta = tracer.metrics_mut().close_window();
@@ -464,11 +442,8 @@ impl Simulator {
             timing: delta.phase.timing_value(),
         });
         // Schema v2: a `hist` record per window, carrying cumulative
-        // snapshots of the delivery and fabric histograms. Folding the
-        // shard partitions here is the same add-and-zero drain every other
-        // reader uses — idempotent, so it can never change a later summary.
+        // snapshots of the delivery and fabric histograms.
         if tracer.schema() >= 2 && self.stats.hists.is_some() {
-            self.fold_telemetry();
             let fabric = tracer.fabric_mut();
             self.net.sample_fabric(fabric);
             fabric.calendar_depth.record(calendar);
@@ -522,8 +497,8 @@ impl Simulator {
         // explicitly enabled.
         let period = self.config.energy_feedback_period;
         if period > 0 && self.stats.armed() && self.cycle.is_multiple_of(period) {
-            // The signal reads the telemetry store: fold the shard
-            // partitions in first so the push sees the complete window.
+            // The signal reads the telemetry store: fold the lane counters
+            // in first so the push sees the complete window.
             self.fold_telemetry();
             let signal = self
                 .telemetry
@@ -642,7 +617,7 @@ impl Simulator {
         // Orphan unfinished packets from earlier windows so their eventual
         // delivery does not leak into this window's figures.
         self.packets.orphan_unfinished();
-        // Flush any shard partials left by an earlier window into the old
+        // Flush any lane counters left by an earlier window into the old
         // sinks before those are replaced, so nothing stale leaks in.
         self.fold_telemetry();
         self.stats = StatsCollector::for_config(&self.config);
@@ -655,7 +630,7 @@ impl Simulator {
         Ok(self.summarise(self.packets.measured_outstanding() == 0))
     }
 
-    /// Folds the shard partitions into the window's sinks — after this,
+    /// Folds the lane counters into the window's sinks — after this,
     /// the `energy_ledger`/`link_ledger` accessors see the complete
     /// window, counter-for-counter — and summarises them.
     fn summarise(&mut self, completed: bool) -> RunSummary {
@@ -729,9 +704,9 @@ impl Simulator {
         Ok(summary)
     }
 
-    /// Folds the shards' armed lane counters (from which per-router flit
-    /// counts, the energy ledger and the link ledger are derived) and
-    /// histogram partitions into the aggregate sinks right now.
+    /// Folds the armed lane counters (from which per-router flit counts,
+    /// the energy ledger and the link ledger are derived) into the
+    /// aggregate sinks right now.
     ///
     /// The engine already folds at every point a reader needs the
     /// aggregates — before [`Self::measure_window`]'s summary, before
@@ -739,16 +714,15 @@ impl Simulator {
     /// push — so [`Self::energy_ledger`]/[`Self::link_ledger`] are
     /// complete whenever those paths hand control back. Call this first
     /// when reading the accessors at any *other* moment (mid-window
-    /// probing of a sharded simulator); the fold is add-and-zero, so
-    /// calling it at arbitrary times is idempotent and can never change
-    /// any later summary.
+    /// probing); the fold is add-and-zero, so calling it at arbitrary
+    /// times is idempotent and can never change any later summary.
     pub fn fold_telemetry(&mut self) {
         self.net
             .drain_partials(&mut self.stats, &mut self.ledger, &mut self.telemetry);
     }
 
-    /// `true` when no telemetry remains unfolded in any shard, i.e. the
-    /// aggregate sinks are complete (test/diagnostic probe).
+    /// `true` when no telemetry remains unfolded, i.e. the aggregate sinks
+    /// are complete (test/diagnostic probe).
     #[doc(hidden)]
     #[must_use]
     pub fn telemetry_partials_clear(&self) -> bool {

@@ -22,7 +22,6 @@ struct Case {
     /// Packet sizes, inclusive.
     sizes: (u16, u16),
     rate: f64,
-    shards: usize,
     cda: bool,
     seed: u64,
     /// Cycle at which the fabric freezes and, with two pillars or more,
@@ -35,7 +34,7 @@ struct Case {
 impl Case {
     fn build(&self, relays: bool) -> Simulator {
         let elevators = ElevatorSet::new(&self.mesh, self.columns.iter().copied()).unwrap();
-        let mut config = SimConfig::new(self.mesh, elevators.clone()).with_shards(self.shards);
+        let mut config = SimConfig::new(self.mesh, elevators.clone());
         config.buffer_depth = self.depth;
         let mut parts = SyntheticParts::uniform(&self.mesh, self.rate);
         parts.sizes = PacketSizeRange::new(self.sizes.0, self.sizes.1);
@@ -115,7 +114,7 @@ proptest! {
 
     /// Relays change nothing: meshes up to 5×5×3 with failed pillars,
     /// depths 1, 2 and 4, packets of 1–30 flits, loads from idle to past
-    /// saturation, one and three shards, and a fabric freeze mid-run.
+    /// saturation, and a fabric freeze mid-run.
     #[test]
     fn relays_step_like_the_per_flit_engine(
         (mesh, columns) in (2usize..=5, 2usize..=5, 1usize..=3).prop_flat_map(|(x, y, z)| {
@@ -123,7 +122,7 @@ proptest! {
             (Just(Mesh3d::new(x, y, z).unwrap()), columns)
         }),
         (depth, sizes, load) in (0usize..3, (1u16..=30, 1u16..=30), 0.0f64..1.0),
-        (shards, cda, seed) in (0usize..2, 0usize..2, 0u64..1_000),
+        (cda, seed) in (0usize..2, 0u64..1_000),
         (event_at, fold_every) in (0u64..300, 1u64..150),
     ) {
         // Sorted, so a reported case reproduces whatever the set's order.
@@ -136,7 +135,6 @@ proptest! {
             sizes: (sizes.0.min(sizes.1), sizes.0.max(sizes.1)),
             // Skewed toward light loads, where worms stream.
             rate: 0.02 * load * load,
-            shards: [1, 3][shards],
             cda: cda == 1,
             seed,
             event_at,
@@ -157,7 +155,6 @@ fn most_light_load_sends_are_relay_cycles() {
         depth: 4,
         sizes: (20, 30),
         rate: 0.0005,
-        shards: 1,
         cda: false,
         seed: 3,
         event_at: 150,
@@ -184,23 +181,23 @@ fn relay_share_of_benchmark_shaped_fabrics() {
         (mesh, ElevatorSet::new(&mesh, pillars).unwrap())
     };
     let mut fabrics = vec![
-        ("mesh16_idle", grid(16, 16, 8), 5e-5, 1),
-        ("mesh16_loaded", grid(16, 16, 8), 5e-4, 1),
-        ("mesh32_sharded", grid(32, 32, 8), 3e-4, 8),
+        ("mesh16_idle", grid(16, 16, 8), 5e-5),
+        ("mesh16_loaded", grid(16, 16, 8), 5e-4),
+        ("mesh32_sharded", grid(32, 32, 8), 3e-4),
     ];
     for rate in [1e-3, 2e-3, 3e-3, 4e-3, 5e-3, 6e-3] {
-        fabrics.push(("fig4_pm", Placement::Pm.instantiate(), rate, 1));
+        fabrics.push(("fig4_pm", Placement::Pm.instantiate(), rate));
     }
     for (placement, rate) in [
         (Placement::Ps1, 0.005),
         (Placement::Ps2, 0.0065),
         (Placement::Ps3, 0.009),
     ] {
-        fabrics.push(("fig7_apps", placement.instantiate(), 0.85 * rate, 1));
+        fabrics.push(("fig7_apps", placement.instantiate(), 0.85 * rate));
     }
-    fabrics.push(("spec_sweep", Placement::Ps1.instantiate(), 3e-3, 1));
-    for (name, (mesh, elevators), rate, shards) in fabrics {
-        let config = SimConfig::new(mesh, elevators.clone()).with_shards(shards);
+    fabrics.push(("spec_sweep", Placement::Ps1.instantiate(), 3e-3));
+    for (name, (mesh, elevators), rate) in fabrics {
+        let config = SimConfig::new(mesh, elevators.clone());
         let traffic = BatchedSynthetic::from_parts(SyntheticParts::uniform(&mesh, rate), 7);
         let selector = ElevatorFirstSelector::new(&mesh, &elevators);
         let mut sim = Simulator::from_scheduled(config, Box::new(traffic), Box::new(selector));

@@ -25,10 +25,8 @@ pub struct StatsCollector {
     /// Network-only latency (source-router head departure → delivery).
     pub(crate) total_network_latency: u64,
     pub(crate) measured_cycles: u64,
-    /// Aggregate delivery histograms, folded in from the shard partitions
-    /// by `Network::drain_partials` (never recorded into directly — the
-    /// ejection path records into its shard's partition so the aggregate
-    /// is bit-identical at any shard count). `None` when disabled.
+    /// Delivery histograms of the measured packets, recorded as each one's
+    /// tail ejection is replayed. `None` when disabled.
     pub(crate) hists: Option<Box<PacketHists>>,
 }
 
@@ -61,8 +59,7 @@ impl StatsCollector {
         stats
     }
 
-    /// The aggregate delivery histograms (complete once the shard
-    /// partitions have been drained); `None` when disabled.
+    /// The delivery histograms; `None` when disabled.
     #[must_use]
     pub fn packet_hists(&self) -> Option<&PacketHists> {
         self.hists.as_deref()
@@ -107,14 +104,28 @@ impl StatsCollector {
         }
     }
 
-    pub(crate) fn on_packet_delivered(&mut self, packet: &Packet, now: u64) {
+    /// Books a packet whose tail ejected at `now`; `hops` is its route
+    /// length, asked for only when the histograms record it.
+    pub(crate) fn on_packet_delivered(
+        &mut self,
+        packet: &Packet,
+        now: u64,
+        hops: impl FnOnce() -> u64,
+    ) {
         if !packet.measured {
             return;
         }
-        self.delivered_packets += 1;
-        self.total_latency += now.saturating_sub(packet.created);
+        let latency = now.saturating_sub(packet.created);
         let net_start = packet.head_out_src.unwrap_or(packet.created);
-        self.total_network_latency += now.saturating_sub(net_start);
+        let network_latency = now.saturating_sub(net_start);
+        self.delivered_packets += 1;
+        self.total_latency += latency;
+        self.total_network_latency += network_latency;
+        if let Some(hists) = &mut self.hists {
+            hists.latency.record(latency);
+            hists.network_latency.record(network_latency);
+            hists.hops.record(hops());
+        }
     }
 }
 
@@ -161,8 +172,8 @@ pub struct RunSummary {
     pub completed: bool,
     /// Median end-to-end latency (cycles), resolved to its log2 bucket's
     /// upper bound (see `noc_obs::Hist::percentile`). All-integer and
-    /// derived from the merged shard histograms, so bit-identical at any
-    /// shard count. `0` when histograms are disabled.
+    /// derived from the folded histograms, so bit-identical on every host.
+    /// `0` when histograms are disabled.
     pub latency_p50: u64,
     /// 90th-percentile end-to-end latency (cycles, bucket-resolved).
     pub latency_p90: u64,
@@ -294,12 +305,15 @@ mod tests {
             flits_delivered: 0,
             measured,
         };
-        c.on_packet_delivered(&make(false), 150);
+        c.on_packet_delivered(&make(false), 150, || unreachable!("unmeasured"));
         assert_eq!(c.delivered_packets, 0);
-        c.on_packet_delivered(&make(true), 150);
+        c.on_packet_delivered(&make(true), 150, || 3);
         assert_eq!(c.delivered_packets, 1);
         assert_eq!(c.total_latency, 50);
         assert_eq!(c.total_network_latency, 45);
+        let hists = c.packet_hists().unwrap();
+        assert_eq!(hists.latency.max(), 50);
+        assert_eq!(hists.hops.max(), 3);
     }
 
     #[test]

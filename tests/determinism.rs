@@ -45,38 +45,6 @@ fn identical_seeds_reproduce_bit_identical_summaries() {
     assert_eq!(a, b);
 }
 
-/// The sharded engine keeps the same contract at every shard count: each
-/// `k` reproduces bit-identically across repeats, and — stronger — every
-/// `k` reproduces the `k = 1` summary exactly, full stack (offline AMOSA
-/// assignment, AdEle selection, simulation).
-#[test]
-fn every_shard_count_reproduces_the_sequential_summary() {
-    let (mesh, elevators) = Placement::Ps1.instantiate();
-    let adele = adele_on_offline_pick(3);
-    let run = |shards: usize| {
-        let config = SimConfig::new(mesh, elevators.clone())
-            .with_phases(300, 1_500, 10_000)
-            .with_shards(shards);
-        run_once(
-            &config,
-            uniform().build_polled(&mesh, 2),
-            adele.build(&mesh, &elevators, 1),
-        )
-        .unwrap()
-    };
-    let sequential = run(1);
-    assert_ne!(sequential.delivered_packets, 0, "sanity: packets flowed");
-    for shards in [2usize, 4, 8] {
-        let a = run(shards);
-        let b = run(shards);
-        assert_eq!(a, b, "shards={shards} must reproduce across repeats");
-        assert_eq!(
-            a, sequential,
-            "shards={shards} must be bit-identical to the sequential engine"
-        );
-    }
-}
-
 #[test]
 fn traffic_seed_changes_results() {
     let a = run_full_stack(1, 2, 3);

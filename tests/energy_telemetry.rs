@@ -97,7 +97,7 @@ proptest! {
     }
 
     /// The independent audit of the lane counters and their fold: over an
-    /// armed window, at any shard count, the folded telemetry must balance
+    /// armed window, the folded telemetry must balance
     /// against state the fabric keeps without it — FIFO occupancies, the
     /// buffered-flit total and the delivery count.
     #[test]
@@ -105,12 +105,10 @@ proptest! {
         (mesh, elevators) in arb_topology(),
         rate in 0.001f64..0.008,
         seed in 0u64..1_000,
-        shards in 1usize..=4,
     ) {
         let config = SimConfig::new(mesh, elevators.clone())
             .with_phases(50, 400, 2_000)
-            .with_seed(seed)
-            .with_shards(shards);
+            .with_seed(seed);
         let traffic = SyntheticTraffic::uniform(&mesh, rate, seed);
         let selector = ElevatorFirstSelector::new(&mesh, &elevators);
         let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));

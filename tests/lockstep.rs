@@ -1,16 +1,16 @@
-//! Lockstep equivalence for the sharded stepping engine.
+//! Lockstep equivalence of the watched and unwatched cycle bodies.
 //!
-//! The contract under test: a `k`-shard run is a *bit-identical* function
-//! of `(config, seed)` alone — the shard count never leaks into results.
-//! The suite pins this the strongest way available: two simulators built
-//! from the same config but different shard counts are stepped in
-//! lockstep and their committed
-//! network state is compared digest-for-digest **every cycle**, across
-//! random meshes and loads × {ElevFirst, CDA, AdEle} × random mid-run
-//! elevator fail/recover and a sub-watchdog fabric freeze × {v1, v2}
-//! workload streams. The same lockstep carries the *watched* cycle body —
-//! a tracer-attached simulator and one driven by `advance_phase_timed` —
-//! beside the plain `step()` one. Whole-run [`RunSummary`] equality then
+//! The contract under test: a simulator's results are a *bit-identical*
+//! function of `(config, seed)` alone — whether a tracer watches it, or
+//! the phase-timed probe drives it, never leaks into results. The suite
+//! pins this the strongest way available: a plain `step()` simulator, a
+//! tracer-attached one and one driven by `advance_phase_timed`, all built
+//! from the same case, are stepped in lockstep and their committed network
+//! state is compared digest-for-digest **every cycle**, with flow
+//! conservation and the worklist/bitmap audit run on each of them every
+//! cycle, across random meshes and loads × {ElevFirst, CDA, AdEle} ×
+//! random mid-run elevator fail/recover and a sub-watchdog fabric freeze ×
+//! {v1, v2} workload streams. Whole-run [`RunSummary`] equality then
 //! covers the statistics/energy paths on top of the raw network state.
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy};
@@ -44,9 +44,9 @@ const POLICIES: [SelectorSpec; 3] = [
     },
 ];
 
-/// Everything that parameterises one equivalence scenario. One instance
-/// builds *many* simulators (one per shard count, plus repeats) that must
-/// all agree bit for bit.
+/// Everything that parameterises one lockstep scenario. One instance
+/// builds *several* simulators (plain, traced, phase-timed, repeats) that
+/// must all agree bit for bit.
 struct Case {
     mesh: Mesh3d,
     elevators: ElevatorSet,
@@ -59,14 +59,13 @@ struct Case {
 }
 
 impl Case {
-    /// Builds the simulator for `shards`, with the case's fail/recover
-    /// pair and a short freeze already scheduled. AdEle runs from a deterministic offline
-    /// assignment (same seed for every shard count, so the selector
-    /// stream is identical by construction).
-    fn build(&self, shards: usize) -> Simulator {
-        let config = SimConfig::new(self.mesh, self.elevators.clone())
-            .with_phases(100, 500, 20_000)
-            .with_shards(shards);
+    /// Builds the simulator, with the case's fail/recover pair and a short
+    /// freeze already scheduled. AdEle runs from a deterministic offline
+    /// assignment (same seed for every build, so the selector stream is
+    /// identical by construction).
+    fn build(&self) -> Simulator {
+        let config =
+            SimConfig::new(self.mesh, self.elevators.clone()).with_phases(100, 500, 20_000);
         let input = WorkloadSpec {
             stream: if self.v2 {
                 StreamVersion::V2
@@ -98,46 +97,41 @@ impl Case {
 
     /// [`Self::build`] with a flight recorder attached, journaling into
     /// the returned buffer.
-    fn build_traced(&self, shards: usize) -> (Simulator, SharedBuffer) {
+    fn build_traced(&self) -> (Simulator, SharedBuffer) {
         let journal = SharedBuffer::new();
-        let mut sim = self.build(shards);
+        let mut sim = self.build();
         sim.attach_tracer(Tracer::new(TraceWriter::new(Box::new(journal.clone())), 64));
         (sim, journal)
     }
 
-    /// Steps three `k`-shard simulators — plain, traced, and driven by
-    /// the phase-timed probe — against the sequential engine for
-    /// `cycles`, requiring digest equality at **every** cycle boundary
-    /// (and flow conservation plus the worklist/bitmap audit on the
-    /// unwatched pair).
-    fn assert_lockstep(&self, k: usize, cycles: u64) -> Result<(), TestCaseError> {
-        let mut seq = self.build(1);
-        let mut sharded = self.build(k);
-        let (mut traced, _journal) = self.build_traced(k);
-        let mut timed = self.build(k);
+    /// Steps a traced simulator and one driven by the phase-timed probe
+    /// against a plain one for `cycles`, requiring digest equality at
+    /// **every** cycle boundary, and flow conservation plus the
+    /// worklist/bitmap audit on all three.
+    fn assert_lockstep(&self, cycles: u64) -> Result<(), TestCaseError> {
+        let mut plain = self.build();
+        let (mut traced, _journal) = self.build_traced();
+        let mut timed = self.build();
         for cycle in 0..cycles {
-            seq.step().unwrap();
-            sharded.step().unwrap();
+            plain.step().unwrap();
             traced.step().unwrap();
             timed.advance_phase_timed(1).unwrap();
-            for (label, sim) in [("step", &sharded), ("traced", &traced), ("timed", &timed)] {
+            for (label, sim) in [("traced", &traced), ("timed", &timed)] {
                 prop_assert_eq!(
                     sim.network().state_digest(),
-                    seq.network().state_digest(),
-                    "cycle {}: {} at k={} diverged from the sequential engine \
-                     ({:?}, v2={}, seed={})",
+                    plain.network().state_digest(),
+                    "cycle {}: {} diverged from plain stepping ({:?}, v2={}, seed={})",
                     cycle,
                     label,
-                    k,
                     self.policy,
                     self.v2,
                     self.seed
                 );
             }
-            for (label, sim) in [("k=1", &seq), ("sharded", &sharded)] {
+            for (label, sim) in [("plain", &plain), ("traced", &traced), ("timed", &timed)] {
                 if let Err(e) = sim.network().check_flow_conservation() {
                     return Err(TestCaseError::fail(format!(
-                        "cycle {cycle}: {label} (k={k}) broke conservation: {e}"
+                        "cycle {cycle}: {label} broke conservation: {e}"
                     )));
                 }
             }
@@ -145,10 +139,15 @@ impl Case {
         Ok(())
     }
 
-    /// Full `run()` at `shards`, exercising warm-up, the measurement
-    /// window, the drain phase and the summary assembly.
-    fn run(&self, shards: usize) -> RunSummary {
-        self.build(shards).run().unwrap()
+    /// Full `run()`, exercising warm-up, the measurement window, the drain
+    /// phase and the summary assembly, untraced or traced.
+    fn run(&self, traced: bool) -> RunSummary {
+        let sim = if traced {
+            self.build_traced().0
+        } else {
+            self.build()
+        };
+        sim.run().unwrap()
     }
 }
 
@@ -157,12 +156,13 @@ proptest! {
         cases: 8, ..ProptestConfig::default()
     })]
 
-    /// The tentpole claim, cycle by cycle: for k ∈ {2, 4, 8} the sharded
-    /// engine's committed state digest tracks the k = 1 engine at every
-    /// cycle boundary, through the warm-up, a mid-run elevator failure
-    /// and its recovery, on both workload streams and all three policies.
+    /// The contract cycle by cycle: the watched cycle body (traced and
+    /// phase-timed) tracks the plain one's committed state digest at every
+    /// cycle boundary, through the warm-up, a fabric freeze, a mid-run
+    /// elevator failure and its recovery, on both workload streams and all
+    /// three policies.
     #[test]
-    fn sharded_state_tracks_sequential_every_cycle(
+    fn watched_state_tracks_plain_every_cycle(
         (mesh, columns) in arb_topology(),
         rate in 0.0005f64..0.004,
         seed in 0u64..1000,
@@ -181,18 +181,16 @@ proptest! {
             fail_at,
             recover_after,
         };
-        for k in [2usize, 4, 8] {
-            case.assert_lockstep(k, 1_000)?;
-        }
+        case.assert_lockstep(1_000)?;
     }
 
     /// Whole-run equality: the same scenarios driven through `run()`
     /// (warm-up + window + drain + watchdog + summary assembly) produce a
-    /// `RunSummary` that is equal field-for-field at every shard count —
-    /// latencies, throughput, per-router loads, per-pillar energy, all of
-    /// it.
+    /// `RunSummary` that is equal field-for-field traced or not, and
+    /// across repeats — latencies, throughput, per-router loads,
+    /// per-pillar energy, all of it.
     #[test]
-    fn run_summaries_are_identical_at_every_shard_count(
+    fn run_summaries_are_identical_traced_or_not(
         (mesh, columns) in arb_topology(),
         rate in 0.0005f64..0.004,
         seed in 0u64..1000,
@@ -211,15 +209,13 @@ proptest! {
             fail_at,
             recover_after,
         };
-        let sequential = case.run(1);
-        for k in [2usize, 4, 8] {
-            let sharded = case.run(k);
-            prop_assert_eq!(
-                &sharded, &sequential,
-                "k={} summary diverged ({:?}, v2={}, seed={})",
-                k, case.policy, case.v2, case.seed
-            );
-        }
+        let plain = case.run(false);
+        prop_assert_eq!(
+            &case.run(true), &plain,
+            "traced summary diverged ({:?}, v2={}, seed={})",
+            case.policy, case.v2, case.seed
+        );
+        prop_assert_eq!(&case.run(false), &plain, "repeat diverged");
     }
 }
 
@@ -240,8 +236,8 @@ fn phase_timed_advance_journals_like_advance() {
         fail_at: 250,
         recover_after: 200,
     };
-    let (mut stepped, stepped_journal) = case.build_traced(4);
-    let (mut timed, timed_journal) = case.build_traced(4);
+    let (mut stepped, stepped_journal) = case.build_traced();
+    let (mut timed, timed_journal) = case.build_traced();
     stepped.advance(1_000).unwrap();
     timed.advance_phase_timed(1_000).unwrap();
     let want = parse_journal(&stepped_journal.contents()).unwrap();
@@ -250,29 +246,4 @@ fn phase_timed_advance_journals_like_advance() {
     assert_eq!(count("event"), 3, "fail, recover and freeze are journaled");
     assert_eq!(count("window"), 1_000 / 64, "one window per period");
     compare_journals(&want, &got).unwrap();
-}
-
-/// Shard-count edge cases resolve deterministically: `shards: 0` means 1,
-/// and a request beyond the router count clamps instead of panicking.
-#[test]
-fn degenerate_shard_counts_clamp_and_stay_identical() {
-    let mesh = Mesh3d::new(2, 2, 2).unwrap();
-    let case = Case {
-        mesh,
-        elevators: ElevatorSet::new(&mesh, [(0, 0)]).unwrap(),
-        policy: SelectorSpec::Cda,
-        v2: false,
-        rate: 0.004,
-        seed: 9,
-        fail_at: 100,
-        recover_after: 50,
-    };
-    let sequential = case.run(1);
-    for k in [0usize, 7, 8, 64, 10_000] {
-        assert_eq!(
-            case.run(k),
-            sequential,
-            "shards={k} must clamp to the router count and stay identical"
-        );
-    }
 }

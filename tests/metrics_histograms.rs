@@ -1,12 +1,11 @@
 //! The metrics observatory's core contracts, pinned permanently:
 //!
-//! * **Shard merge exactness** — per-shard histogram partitions fold
-//!   into the aggregate counter for counter, so a sharded run's
-//!   histograms (and the percentile fields derived from them) are
-//!   bit-identical to the sequential run's at every shard and worker
-//!   count. Same argument as the link ledger: each measured packet's
-//!   tail ejects in exactly one shard, so the partitions are disjoint
-//!   and merge by addition.
+//! * **Merge exactness** — histogram partitions fold into the aggregate
+//!   counter for counter, so histograms recorded in pieces and folded
+//!   add-and-zero (and the percentile fields derived from them) are
+//!   bit-identical to one recorded whole. Same argument as the link
+//!   ledger: each measured packet's tail ejects once, so the partitions
+//!   are disjoint and merge by addition.
 //! * **Percentile fidelity** — a log2-bucketed histogram cannot return
 //!   the exact quantile, but it must land in the same bucket as the
 //!   exact quantile of the underlying value list, and never below it.
@@ -54,33 +53,27 @@ proptest! {
     })]
 
     /// The whole `RunSummary` — including the histogram-derived
-    /// percentile fields — is bit-identical across shard counts
-    /// {1, 2, 8}. This is the end-to-end form of the merge contract:
-    /// if a partition were dropped, double-folded, or recorded into a
-    /// wrong shard, a percentile would move.
+    /// percentile fields — is bit-identical across repeats, whatever the
+    /// spec's ignored `shards` field says, and delivered packets surface
+    /// in the latency histogram: if a delivery were booked twice or not
+    /// at all, a percentile would move.
     #[test]
     fn summaries_with_percentiles_are_shard_independent(
         scenario in arb_scenario(),
     ) {
-        let mut base = scenario.clone();
-        base.shards = 1;
-        let sequential = base.run().unwrap();
+        let first = scenario.run().unwrap();
         prop_assert!(
-            sequential.summary.delivered_packets == 0
-                || sequential.summary.latency_max > 0,
+            first.summary.delivered_packets == 0 || first.summary.latency_max > 0,
             "delivered packets must surface in the latency histogram"
         );
-        for shards in [2usize, 8] {
-            let mut sharded = scenario.clone();
-            sharded.shards = shards;
-            let result = sharded.run().unwrap();
-            prop_assert_eq!(&result.summary, &sequential.summary);
-        }
+        let mut repeat = scenario.clone();
+        repeat.shards = 8;
+        prop_assert_eq!(&repeat.run().unwrap().summary, &first.summary);
     }
 
     /// Merging per-partition histograms equals recording sequentially,
     /// counter for counter, at k ∈ {1, 2, 8} partitions — the pure-data
-    /// core of what the sharded stepping engine relies on.
+    /// core of the add-and-zero fold the simulator relies on.
     #[test]
     fn partitioned_histograms_merge_to_the_sequential_one(
         values in prop::collection::vec(0u64..100_000, 0..300),

@@ -115,14 +115,12 @@ proptest! {
         );
     }
 
-    /// Boundary-channel conservation under a fail/recover storm: at every
-    /// committed cycle boundary, every link channel holds exactly
-    /// `buffer_depth` tokens (upstream credits + downstream FIFO
+    /// Channel conservation under a fail/recover storm: at every committed
+    /// cycle boundary, every link channel between two routers holds
+    /// exactly `buffer_depth` tokens (upstream credits + downstream FIFO
     /// occupancy) and every NI channel likewise — so no flit or credit is
-    /// ever lost or duplicated crossing a shard boundary. The check runs
-    /// at several shard counts (boundary channels move between the inline
-    /// and cross-shard exchange paths) and the run must still drain every
-    /// measured packet afterwards.
+    /// ever lost or duplicated crossing a link — and the run must still
+    /// drain every measured packet afterwards.
     #[test]
     fn boundary_channels_conserve_flits_and_credits(
         (mesh, columns) in arb_topology(),
@@ -134,40 +132,32 @@ proptest! {
         use noc_topology::ElevatorId;
 
         let elevators = ElevatorSet::new(&mesh, columns).unwrap();
-        for shards in [2usize, 3, 8] {
-            let traffic = SyntheticTraffic::uniform(&mesh, rate, seed);
-            let selector = ElevatorFirstSelector::new(&mesh, &elevators);
-            let config = SimConfig::new(mesh, elevators.clone())
-                .with_phases(100, 600, 20_000)
-                .with_seed(seed)
-                .with_shards(shards);
-            let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
-            for (i, &(fail_at, dur)) in storm.iter().enumerate() {
-                let victim = ElevatorId(((seed + i as u64) % elevators.len() as u64) as u8);
-                sim.schedule_command(fail_at, SimCommand::FailElevator(victim));
-                sim.schedule_command(fail_at + dur, SimCommand::RecoverElevator(victim));
-            }
-            for cycle in 0..1_000u64 {
-                sim.step().unwrap();
-                if let Err(e) = sim.network().check_flow_conservation() {
-                    return Err(TestCaseError::fail(format!(
-                        "cycle {cycle}, shards={shards}: {e}"
-                    )));
-                }
-            }
-            // No flit was lost across a boundary: the network still
-            // drains every measured packet after the storm.
-            let mut drained = 0u64;
-            while sim.packet_table().measured_outstanding() > 0 {
-                sim.step().unwrap();
-                drained += 1;
-                prop_assert!(
-                    drained < 20_000,
-                    "shards={shards}: network failed to drain after the storm"
-                );
-            }
-            sim.network().check_flow_conservation().unwrap();
+        let traffic = SyntheticTraffic::uniform(&mesh, rate, seed);
+        let selector = ElevatorFirstSelector::new(&mesh, &elevators);
+        let config = SimConfig::new(mesh, elevators.clone())
+            .with_phases(100, 600, 20_000)
+            .with_seed(seed);
+        let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
+        for (i, &(fail_at, dur)) in storm.iter().enumerate() {
+            let victim = ElevatorId(((seed + i as u64) % elevators.len() as u64) as u8);
+            sim.schedule_command(fail_at, SimCommand::FailElevator(victim));
+            sim.schedule_command(fail_at + dur, SimCommand::RecoverElevator(victim));
         }
+        for cycle in 0..1_000u64 {
+            sim.step().unwrap();
+            if let Err(e) = sim.network().check_flow_conservation() {
+                return Err(TestCaseError::fail(format!("cycle {cycle}: {e}")));
+            }
+        }
+        // No flit was lost on a link: the network still drains every
+        // measured packet after the storm.
+        let mut drained = 0u64;
+        while sim.packet_table().measured_outstanding() > 0 {
+            sim.step().unwrap();
+            drained += 1;
+            prop_assert!(drained < 20_000, "network failed to drain after the storm");
+        }
+        sim.network().check_flow_conservation().unwrap();
     }
 
     /// Per-router flit loads are consistent: elevator routers carry at

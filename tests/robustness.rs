@@ -1,7 +1,7 @@
 //! Robustness suite: rigged deadlocks surface as *structured*,
 //! exactly-diagnosable [`SimError`]s — never panics — with diagnostics
-//! that are invariant across shard layouts and worker counts, and a
-//! dead point never perturbs its neighbours' numbers.
+//! that are invariant across repeats and worker counts, and a dead point
+//! never perturbs its neighbours' numbers.
 //!
 //! Natural deadlocks cannot occur in this engine (Elevator-First routing
 //! is deadlock-free and ejection always drains), so every test here uses
@@ -27,7 +27,7 @@ fn healthy(name: &str, seed: u64, rate: f64) -> Scenario {
 
 /// The same scenario rigged to wedge: burst-fill the fabric, freeze it
 /// for far longer than the tightened watchdog tolerates.
-fn rigged(name: &str, seed: u64, rate: f64, shards: usize) -> Scenario {
+fn rigged(name: &str, seed: u64, rate: f64) -> Scenario {
     healthy(name, seed, rate)
         .with_event(Event::InjectionBurst {
             cycle: 0,
@@ -38,7 +38,6 @@ fn rigged(name: &str, seed: u64, rate: f64, shards: usize) -> Scenario {
             cycles: 10_000,
         })
         .with_watchdog(32)
-        .with_shards(shards)
 }
 
 /// The deadlock diagnostics a run surfaced, or a test failure if it did
@@ -80,36 +79,32 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    /// Satellite (c), first half: at every shard layout the rig produces
-    /// `SimError::Deadlock` — never a panic — and the *exact-cycle*
-    /// diagnostics (fire cycle, last progress, state digest) are
-    /// bit-identical across layouts, the same invariance the lockstep
-    /// equivalence suite proves for healthy runs.
+    /// Satellite (c), first half: the rig produces `SimError::Deadlock` —
+    /// never a panic — and the *exact-cycle* diagnostics (fire cycle, last
+    /// progress, state digest) are bit-identical across repeats, whatever
+    /// the spec's ignored `shards` field says — the same determinism the
+    /// lockstep suite proves for healthy runs.
     #[test]
     fn rigged_deadlocks_are_structured_and_shard_invariant(
         seed in 0u64..1_000,
         rate in 0.002f64..0.01,
     ) {
-        let mut seen = Vec::new();
-        for shards in [1usize, 2, 8] {
-            let scenario = rigged("rig", seed, rate, shards);
-            seen.push(deadlock_diag(&scenario)?);
-        }
-        prop_assert_eq!(seen[0], seen[1], "shards=1 vs shards=2");
-        prop_assert_eq!(seen[1], seen[2], "shards=2 vs shards=8");
+        let scenario = rigged("rig", seed, rate);
+        let mut repeat = scenario.clone();
+        repeat.shards = 8;
+        prop_assert_eq!(deadlock_diag(&scenario)?, deadlock_diag(&repeat)?, "repeat diverged");
     }
 
     /// Satellite (c), second half: the same rig run through the
     /// *supervised pool* at worker counts 1 and 3 ends as a structured
     /// `PointError::Sim(Deadlock)` outcome — one strike, no retry, no
-    /// panic — with diagnostics identical to the direct runs at every
-    /// shard count × worker count combination.
+    /// panic — with diagnostics identical to the direct run at every
+    /// worker count.
     #[test]
     fn supervised_deadlock_diagnostics_are_worker_invariant(seed in 0u64..500) {
         let rate = 0.004;
-        let scenarios: Vec<Scenario> = [1usize, 2, 8]
-            .iter()
-            .map(|&k| rigged(&format!("rig-k{k}"), seed, rate, k))
+        let scenarios: Vec<Scenario> = (0..3)
+            .map(|i| rigged(&format!("rig-{i}"), seed, rate))
             .collect();
         let direct = deadlock_diag(&scenarios[0])?;
         for threads in [1usize, 3] {
@@ -152,7 +147,7 @@ proptest! {
     fn a_deadlocked_point_leaves_neighbours_bit_identical(seed in 0u64..500) {
         let batch = vec![
             healthy("left", seed, 0.004),
-            rigged("middle", seed.wrapping_add(1), 0.004, 2),
+            rigged("middle", seed.wrapping_add(1), 0.004),
             healthy("right", seed.wrapping_add(2), 0.005),
         ];
         let outcomes = run_batch_supervised(&batch, 2, &Supervision::new(), None, |_| {});
@@ -176,7 +171,7 @@ proptest! {
 /// names the wedge precisely.
 #[test]
 fn deadlock_reports_survive_serialization() {
-    let scenario = rigged("rig", 7, 0.004, 1);
+    let scenario = rigged("rig", 7, 0.004);
     let error = scenario.run().expect_err("rigged to deadlock");
     let text = format!("{error}");
     assert!(text.contains("deadlock at cycle"), "{text}");

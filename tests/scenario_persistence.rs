@@ -6,7 +6,8 @@
 use adele::offline::SubsetAssignment;
 use adele::AdeleConfig;
 use noc_exp::{
-    results_to_json, Event, Scenario, SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec,
+    results_to_json, spec_hash, Event, Scenario, SelectorSpec, StreamVersion, WorkloadKind,
+    WorkloadSpec,
 };
 use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d};
 use noc_traffic::apps::AppKind;
@@ -248,10 +249,9 @@ fn cross_field_inconsistencies_fail_at_parse_time() {
 }
 
 /// The `shards` field grew after the spec format shipped: pre-existing
-/// spec files (no `shards` key) must keep parsing — as sequential — while
-/// a malformed value still errors, the field round-trips, and a sharded
-/// scenario runs bit-identically to its sequential twin through the
-/// scenario layer.
+/// spec files (no `shards` key) must keep parsing — as 1 — while a
+/// malformed value still errors, the field round-trips, and a scenario
+/// with another value runs bit-identically to its `"shards": 1` twin.
 #[test]
 fn shards_field_defaults_round_trips_and_never_changes_results() {
     let original = kitchen_sink();
@@ -262,7 +262,7 @@ fn shards_field_defaults_round_trips_and_never_changes_results() {
     let legacy = json.replace(",\"shards\":1", "");
     assert_ne!(legacy, json, "replacement must hit");
     let parsed: Scenario = serde_json::from_str(&legacy).unwrap();
-    assert_eq!(parsed.shards, 1, "absent field means sequential");
+    assert_eq!(parsed.shards, 1, "absent field means 1");
     assert_eq!(parsed, original);
 
     // Present but malformed is an error, not a silent default.
@@ -270,15 +270,49 @@ fn shards_field_defaults_round_trips_and_never_changes_results() {
     let err = serde_json::from_str::<Scenario>(&bad).unwrap_err();
     assert!(err.to_string().contains("shards"), "{err}");
 
-    // A non-default count round-trips and cannot perturb results.
-    let sharded = original.clone().with_shards(4);
-    let round: Scenario = serde_json::from_str(&serde_json::to_string(&sharded).unwrap()).unwrap();
-    assert_eq!(round, sharded);
+    // A non-default value round-trips and cannot perturb results.
+    let mut other = original.clone();
+    other.shards = 4;
+    let round: Scenario = serde_json::from_str(&serde_json::to_string(&other).unwrap()).unwrap();
+    assert_eq!(round, other);
     assert_eq!(
-        sharded.run().unwrap().summary,
+        other.run().unwrap().summary,
         original.run().unwrap().summary,
-        "shard count is a wall-clock knob, never a results knob"
+        "the shards field is ignored"
     );
+}
+
+/// The simulated fabric is one router range, and a spec's `shards` is an
+/// accepted, validated and ignored compatibility field: any non-negative
+/// value parses, writes back byte for byte (so its `spec_hash` holds), and
+/// runs exactly like `"shards": 1`; a negative or non-numeric value is a
+/// parse error naming the field.
+#[test]
+fn ignored_shards_values_parse_round_trip_and_change_nothing() {
+    let (mesh, elevators) = topology();
+    let base = Scenario::new("ignored-shards", mesh, elevators)
+        .with_phases(200, 800, 4_000)
+        .with_workload(WorkloadKind::Uniform { rate: 0.004 })
+        .with_selector(SelectorSpec::Cda)
+        .with_seed(9);
+    let json = serde_json::to_string(&base).unwrap();
+    let reference = base.run().unwrap().summary;
+    for shards in ["0", "8", "10000"] {
+        let text = json.replace("\"shards\":1", &format!("\"shards\":{shards}"));
+        assert_ne!(text, json, "replacement must hit");
+        let parsed: Scenario = serde_json::from_str(&text).unwrap();
+        let written = serde_json::to_string(&parsed).unwrap();
+        assert_eq!(written, text, "shards {shards}");
+        let reparsed: Scenario = serde_json::from_str(&written).unwrap();
+        assert_eq!(spec_hash(&reparsed), spec_hash(&parsed));
+        assert_ne!(spec_hash(&parsed), spec_hash(&base), "the field is hashed");
+        assert_eq!(parsed.run().unwrap().summary, reference, "shards {shards}");
+    }
+    for bad in ["-1", "\"8\""] {
+        let text = json.replace("\"shards\":1", &format!("\"shards\":{bad}"));
+        let err = serde_json::from_str::<Scenario>(&text).unwrap_err();
+        assert!(err.to_string().contains("shards"), "{bad}: {err}");
+    }
 }
 
 #[test]

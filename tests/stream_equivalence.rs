@@ -278,39 +278,21 @@ fn v2_runs_are_bit_identical_across_repeats_and_worker_counts() {
     }
 }
 
-/// The sharded engine on a `v2` stream: measured windows are
-/// bit-identical across repeats at every shard count, and every shard
-/// count reproduces the sequential window exactly (the batched calendar
-/// hands injections to per-shard sources without perturbing the stream).
+/// Measured windows on a `v2` stream repeat bit-identically, whatever the
+/// spec's ignored `shards` field says: the batched calendar hands its
+/// injections to the one router range without perturbing the stream.
 #[test]
 fn v2_windows_are_bit_identical_at_every_shard_count() {
     let run = |shards: usize| {
-        let mesh = Mesh3d::new(4, 4, 2).unwrap();
-        let elevators = ElevatorSet::new(&mesh, [(0, 0), (3, 3)]).unwrap();
-        let config = SimConfig::new(mesh, elevators.clone())
-            .with_phases(200, 800, 4_000)
-            .with_seed(11)
-            .with_shards(shards);
-        let input = Box::new(BatchedSynthetic::uniform(&mesh, 0.004, 11));
-        let selector = adele::online::ElevatorFirstSelector::new(&mesh, &elevators);
-        let mut sim = Simulator::from_scheduled(config, input, Box::new(selector));
+        let mut scenario = v2_scenario(11);
+        scenario.shards = shards;
+        let mut sim = scenario.build_simulator();
         sim.advance(200).unwrap();
         sim.measure_window(800).unwrap()
     };
-    let sequential = run(1);
-    assert!(sequential.delivered_packets > 0, "sanity: traffic flowed");
-    for shards in [2usize, 4, 8] {
-        let a = run(shards);
-        assert_eq!(
-            a,
-            run(shards),
-            "shards={shards} must repeat bit-identically"
-        );
-        assert_eq!(
-            a, sequential,
-            "shards={shards} must match the sequential window"
-        );
-    }
+    let window = run(1);
+    assert!(window.delivered_packets > 0, "sanity: traffic flowed");
+    assert_eq!(window, run(8), "the window must repeat bit-identically");
 }
 
 #[test]

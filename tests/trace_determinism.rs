@@ -3,8 +3,8 @@
 //!
 //! The contract: a trace journal is a pure function of the scenario spec
 //! on its deterministic fields — two recordings of the same spec agree
-//! record for record, and a golden journal recorded at one shard count
-//! verifies under replay at any other (`{1, 2, 8}` here). Damaged
+//! record for record, and a golden journal verifies under replay whatever
+//! its spec's ignored `shards` field says. Damaged
 //! journals — corrupted lines, truncation, a missing header — must fail
 //! [`noc_exp::verify_trace`] with a [`noc_obs::TraceError`] naming the
 //! offending record index, never a panic.
@@ -49,7 +49,8 @@ proptest! {
 
     /// Two recordings of the same spec agree on every deterministic
     /// field, in both comparison directions, with the same record count —
-    /// and the journal verifies under replay at shard counts {1, 2, 8}.
+    /// and the journal verifies under replay, also with its header and
+    /// spec rewritten to `"shards": 8`.
     #[test]
     fn journals_are_deterministic_and_shard_independent(
         scenario in arb_scenario(),
@@ -63,10 +64,8 @@ proptest! {
         compare_journals(&parsed_a, &parsed_b).expect("a vs b deterministic fields");
         compare_journals(&parsed_b, &parsed_a).expect("b vs a deterministic fields");
 
-        for shards in [1usize, 2, 8] {
-            let report = verify_trace(&a, Some(shards))
-                .expect("golden journal verifies at every shard count");
-            prop_assert_eq!(report.shards, shards);
+        for journal in [a.clone(), a.replace("\"shards\":1", "\"shards\":8")] {
+            let report = verify_trace(&journal).expect("golden journal verifies");
             prop_assert_eq!(report.records, parsed_a.len());
         }
     }
@@ -96,7 +95,7 @@ proptest! {
             .join("\n");
         let err = parse_journal(&corrupted).expect_err("corruption must not parse");
         prop_assert_eq!(err.record, victim);
-        let err = verify_trace(&corrupted, None).expect_err("verify must refuse, not panic");
+        let err = verify_trace(&corrupted).expect_err("verify must refuse, not panic");
         prop_assert_eq!(err.record, victim);
     }
 
@@ -112,7 +111,7 @@ proptest! {
         // Keep at least the header so verification reaches the compare.
         let keep = lines.len().saturating_sub(drop).max(1);
         let truncated = lines[..keep].join("\n");
-        let err = verify_trace(&truncated, None).expect_err("truncation must fail verification");
+        let err = verify_trace(&truncated).expect_err("truncation must fail verification");
         prop_assert_eq!(err.record, keep, "error names the first missing record");
     }
 
@@ -127,13 +126,8 @@ proptest! {
         let v1 = record_trace_at(&scenario, trace_period(&scenario), 1);
         prop_assert!(!v1.contains("\"type\":\"hist\""), "v1 carries no hist records");
         prop_assert!(!v1.contains("latency_p99"), "v1 summaries carry no percentiles");
-        let report = verify_trace(&v1, None).expect("v2 reader verifies v1 journals");
+        let report = verify_trace(&v1).expect("v2 reader verifies v1 journals");
         prop_assert_eq!(report.schema, 1);
-        for shards in [2usize, 8] {
-            let report = verify_trace(&v1, Some(shards))
-                .expect("v1 journals stay shard-independent under the v2 reader");
-            prop_assert_eq!(report.schema, 1);
-        }
     }
 }
 
@@ -175,7 +169,7 @@ fn corrupted_histogram_records_fail_with_the_record_index() {
     assert_eq!(err.record, victim);
     assert!(err.message.contains("corrupt"), "unexpected message: {err}");
 
-    let err = verify_trace(&corrupted, None).expect_err("verify must refuse, not panic");
+    let err = verify_trace(&corrupted).expect_err("verify must refuse, not panic");
     assert_eq!(err.record, victim);
 }
 
@@ -184,11 +178,11 @@ fn corrupted_histogram_records_fail_with_the_record_index() {
 #[test]
 fn headerless_journals_are_rejected_at_record_zero() {
     let headerless = r#"{"type":"phase","cycle":0,"phase":"warmup"}"#;
-    let err = verify_trace(headerless, None).unwrap_err();
+    let err = verify_trace(headerless).unwrap_err();
     assert_eq!(err.record, 0);
     assert!(err.message.contains("header"), "unexpected message: {err}");
 
-    let empty = verify_trace("", None).unwrap_err();
+    let empty = verify_trace("").unwrap_err();
     assert_eq!(empty.record, 0);
 }
 
