@@ -133,6 +133,11 @@ impl LinkLedger {
         self.ejects[node] += 1;
     }
 
+    /// Books `n` flits ejected into router `node`'s NI at once.
+    pub fn add_ejections(&mut self, node: usize, n: u64) {
+        self.ejects[node] += n;
+    }
+
     /// Books one measured cycle.
     #[inline]
     pub fn on_cycle(&mut self) {

@@ -61,11 +61,14 @@
 //! # Why a relay cycle is state-identical
 //!
 //! At a cycle boundary a router is a *relay* for the next cycle when its
-//! only occupied input lane `L` is a non-`Local` lane holding exactly one
-//! `Body` flit, that flit's packet owns a non-`Local` output channel
-//! `(o, v)` with a credit, and its source queue is empty. The streaming
-//! path would certainly send that flit next cycle. A relay cycle sends it
-//! without moving it:
+//! only occupied input lane `L` holds exactly one `Body` flit, that flit's
+//! packet owns an output channel `(o, v)` (with a credit unless `o` is
+//! `Local`), and the NI feeds `L` if `L` is `Local` and injects nothing
+//! otherwise. The streaming path would certainly send that flit next
+//! cycle. A relay cycle sends it without moving it. Its two neighbours
+//! are routers, or its NI at either end of a worm: a *source relay*
+//! (`L` is `Local`) is fed by the NI injecting the packet, a *sink
+//! relay* (`o` is `Local`) is drained by the NI it ejects into.
 //!
 //! * *Net zero.* If the relay is *fed* (its upstream sends into `L`) and
 //!   *drained* (its downstream pops the lane `(o, v)` feeds), the per-flit
@@ -75,6 +78,18 @@
 //!   that has just streamed out of `L` on `(o, v)` is promoted:
 //!   `req_cache[L]` is already [`REQ_UNKNOWN`], `rr_vc[o]` points past `v`,
 //!   `owner`/`own`/`rr_grant` keep the wormhole, `quiet` stays false.
+//! * *The NI ends.* A source relay's NI holds a credit (`L` holds one flit
+//!   of a deeper FIFO) and the front packet's next flit is a `Body`, so the
+//!   per-flit cycle injects it: the NI's credit goes out and comes back,
+//!   and only `SourceQueue::sent` moves, by one per relay cycle. It is
+//!   settled lazily from the kernel's clock of phase-1 passes (read
+//!   through [`Kernel::sent`] until the relay demotes), and a timer wakes
+//!   the relay on the clock its NI feeds the `Tail`, which replaces the
+//!   relay's flit, pops the source queue and demotes it. A sink relay's
+//!   ejection takes no credit, so it is always drained; the per-flit
+//!   ejection of a `Body` books a read and an ejection and defers an
+//!   [`Effect::Eject`] that `finish_cycle` ignores (only a `Tail` delivers
+//!   a packet), so a sink relay books both lazily and defers nothing.
 //! * *Fed and drained come from the relays at the start of the cycle.*
 //!   Only [`Kernel::resolve_relays`] promotes and demotes. A relay
 //!   upstream always sends and a relay downstream always pops, so a relay
@@ -83,22 +98,28 @@
 //!   send or a pop meets a relay, and sets the relay's flag instead of
 //!   staging it (a `Tail` replaces the relay's flit), so the commit never
 //!   touches a relay lane or channel. Phase 1 visits only *awake* relays:
-//!   next to a non-relay, just promoted, or with a packet to inject.
+//!   next to a non-relay router, just promoted, with a packet to inject,
+//!   or fed a `Tail` by their NI. A worm streaming from its source to its
+//!   sink keeps none awake.
 //! * *The resolve* applies what did not net out: an unfed relay pops `L`,
-//!   an undrained one spends the credit. Phase 1 keeps relays off the
-//!   worklist, so a relay's worklist bit after the commit is a flit in
-//!   another of its lanes (its NI injection included). Every relay left
-//!   holds its flit and goes back on the worklist.
+//!   an undrained one spends the credit, a demoted source relay settles
+//!   `sent`. Phase 1 keeps relays off the worklist, so a relay's worklist
+//!   bit after the commit is a flit in another of its lanes (its NI
+//!   injection included). Every relay left holds its flit and goes back
+//!   on the worklist.
 //! * *What differs at a boundary:* a relay lane's ring head, which is
-//!   unobservable (`hash_state` reads `len` and `front`), and the lane
-//!   counters. An armed relay cycle owes its lane one read and, if fed,
-//!   one write, booked from the ledger's measured-cycle count at demotion
+//!   unobservable (`hash_state` reads `len` and `front`), a source relay's
+//!   `sent` (hashed through [`Kernel::sent`]), and the counter store. An
+//!   armed relay cycle owes its lane one read and, if fed, one write (a
+//!   source relay's the NI's injection), and a sink relay its router one
+//!   ejection, booked from the ledger's measured-cycle count at demotion
 //!   and by [`Kernel::book_relays`], which the simulator runs before
 //!   anyone reads the ledger.
 //! * *Fallbacks.* Everything else is the per-flit path. A relay demotes
 //!   when not fed, not drained, fed a `Tail`, or when a flit lands in
-//!   another of its lanes. It never ejects or sends from `Local`, so it
-//!   defers no [`Effect`].
+//!   another of its lanes. The head and the `Tail` of a packet always
+//!   move one flit at a time, so the only [`Effect`]s a relay skips are
+//!   a sink's `Body` ejections.
 //!
 //! # Why the result is independent of commit order
 //!
@@ -133,7 +154,8 @@ use adele::online::{Cycle, SourceFeedback};
 use noc_energy::{LinkLedger, LinkMap};
 use noc_topology::route::{self, VirtualNet};
 use noc_topology::{Coord, Direction, NodeId};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 pub(crate) const PORTS: usize = Direction::COUNT;
 pub(crate) const VCS: usize = VirtualNet::COUNT;
@@ -151,23 +173,69 @@ const REQ_UNKNOWN: u8 = u8::MAX;
 /// blocked non-head fronts are not re-inspected every cycle.
 const REQ_NONE: u8 = u8::MAX - 1;
 
-/// A router's relay record (module docs), all zero for any other router:
-/// [`local_lane`] indices (never 0, `Local`) and neighbours resolved once.
-#[derive(Debug, Clone, Copy, Default)]
+/// A router's relay record (module docs), [`Relay::NONE`] for any other
+/// router: [`local_lane`] indices and neighbours resolved once.
+#[derive(Debug, Clone, Copy)]
 struct Relay {
-    /// Measured cycles the relay's lane counters are booked up to.
-    booked: u64,
-    /// Node ids of the upstream and the downstream neighbour.
+    /// Stamps ([`elapsed`]) of the measured cycle the relay's lane
+    /// counters are booked up to, and of the kernel clock at which a
+    /// source relay's `SourceQueue::sent` was last settled: its NI has fed
+    /// one flit per relay cycle since.
+    booked: u32,
+    since: u32,
+    /// Node ids of the upstream and the downstream neighbour (the relay's
+    /// own id where its NI is that neighbour).
     up: u32,
     down: u32,
     /// The relay's lane and channel, the upstream's channel into the lane,
-    /// the downstream's lane the channel feeds, and [`FED`] | [`DRAINED`] |
-    /// [`DEMOTE`] | [`AWAKE`].
+    /// the downstream's lane the channel feeds ([`NO_LANE`] where the NI
+    /// is that neighbour), and [`FED`] | [`DRAINED`] | [`DEMOTE`] |
+    /// [`AWAKE`].
     lane: u8,
     out: u8,
     up_out: u8,
     down_lane: u8,
     flags: u8,
+}
+
+/// Cycles from `stamp`, the low 32 bits of a cycle count, to `now`. A
+/// relay passes one flit of its packet per relay cycle, so it lives fewer
+/// than 2^16 of them, and a stamp it holds wraps at most once.
+fn elapsed(now: u64, stamp: u32) -> u64 {
+    u64::from((now as u32).wrapping_sub(stamp))
+}
+
+/// Lane and channel sentinel of [`Relay::NONE`] and of a relay's NI end.
+const NO_LANE: u8 = u8::MAX;
+
+impl Relay {
+    /// Not a relay: no live record's lane, channel or neighbour lane
+    /// matches it.
+    const NONE: Relay = Relay {
+        booked: 0,
+        since: 0,
+        up: 0,
+        down: 0,
+        lane: NO_LANE,
+        out: NO_LANE,
+        up_out: NO_LANE,
+        down_lane: NO_LANE,
+        flags: 0,
+    };
+
+    fn is_live(&self) -> bool {
+        self.lane != NO_LANE
+    }
+
+    /// A source relay: its lane is `Local`, fed by its NI.
+    fn at_source(&self) -> bool {
+        usize::from(self.lane) < VCS
+    }
+
+    /// A sink relay: its channel is `Local`, drained by its NI.
+    fn at_sink(&self) -> bool {
+        usize::from(self.out) < VCS
+    }
 }
 
 /// Relay flags: fed, drained, to demote, and on next cycle's awake list.
@@ -434,6 +502,13 @@ pub(crate) struct Kernel {
     awake: Vec<u32>,
     unsettled: Vec<u32>,
     streamed: Vec<(u32, u8, u8)>,
+    /// Cycles phase 1 has run (a frozen cycle runs none): the clock of
+    /// the source relays' lazily fed flits.
+    clock: u64,
+    /// Wake-ups of source relays on the clock their NI feeds the `Tail`,
+    /// `clock << 16 | router`, at most one per router: its bit in `timed`.
+    timers: BinaryHeap<Reverse<u64>>,
+    timed: Vec<u64>,
     /// Whether routers are promoted to relays (tests step without).
     pub(crate) promote: bool,
 }
@@ -477,13 +552,16 @@ impl Kernel {
             feedbacks: Vec::with_capacity(VCS * n),
             ledger,
             progress: false,
-            relay: vec![Relay::default(); n],
+            relay: vec![Relay::NONE; n],
             relay_bits: vec![0; n.div_ceil(64)],
             relay_count: 0,
             awake: Vec::with_capacity(n),
             // Each relay at most twice: next to a non-relay, and demoted.
             unsettled: Vec::with_capacity(2 * n),
             streamed: Vec::with_capacity(n),
+            clock: 0,
+            timers: BinaryHeap::with_capacity(n),
+            timed: vec![0; n.div_ceil(64)],
             promote: true,
         }
     }
@@ -511,7 +589,18 @@ impl Kernel {
         // previous pass consumed every word) accumulates next cycle's.
         std::mem::swap(&mut self.active_bits, &mut self.work_bits);
 
-        // Awake relays first; the others have nothing to do (module docs).
+        // Awake relays first, those a timer wakes included; the others
+        // have nothing to do (module docs).
+        self.clock += 1;
+        while let Some(&Reverse(timer)) = self.timers.peek() {
+            if timer >> 16 > self.clock {
+                break;
+            }
+            self.timers.pop();
+            let r = (timer & 0xFFFF) as usize;
+            self.timed[r / 64] &= !(1 << (r % 64));
+            self.wake(r);
+        }
         self.progress = self.relay_count > 0;
         while let Some(r) = self.awake.pop() {
             self.relay_cycle(r as usize, packets);
@@ -549,14 +638,15 @@ impl Kernel {
     }
 
     /// Phase 1 of awake relay `r` (module docs): the send, flagged
-    /// against its relay neighbours, then the NI injection.
+    /// against its relay neighbours (an NI neighbour always feeds or
+    /// drains it), then the NI's feed or injection.
     fn relay_cycle(&mut self, r: usize, packets: &PacketTable) {
         let (rec, vcs) = (self.relay[r], VCS as u8);
-        if rec.lane == 0 {
+        if !rec.is_live() {
             return; // demoted since it was woken
         }
-        let fed = self.relay[rec.up as usize].out == rec.up_out;
-        let drained = self.relay[rec.down as usize].lane == rec.down_lane;
+        let fed = rec.at_source() || self.relay[rec.up as usize].out == rec.up_out;
+        let drained = rec.at_sink() || self.relay[rec.down as usize].lane == rec.down_lane;
         self.relay[r].flags = if fed { FED } else { 0 } | if drained { DRAINED } else { 0 };
         if !(fed && drained) {
             self.unsettled.push(r as u32);
@@ -572,9 +662,63 @@ impl Kernel {
             let arrival = (down, rec.down_lane / vcs, rec.down_lane % vcs, flit);
             self.arrivals.push(arrival);
         }
-        if bit(&self.src_bits, r) {
+        if rec.at_source() {
+            self.feed_source_relay(r, packets);
+        } else if bit(&self.src_bits, r) {
             self.inject(r, packets);
         }
+    }
+
+    /// The NI's side of source relay `r`'s cycle: it has fed a `Body`
+    /// every relay cycle since `since`, and feeds the `Tail` on the clock
+    /// its timer is set to. The `Tail` replaces the relay's flit, ends
+    /// the packet's injection and demotes the relay.
+    fn feed_source_relay(&mut self, r: usize, packets: &PacketTable) {
+        let sent = self.sent(r);
+        let sq = &mut self.sources[r];
+        let packet = *sq.queue.front().expect("a source relay's NI injects");
+        let flits = packets.get(packet).flits;
+        if sent < flits {
+            self.set_timer(r, self.clock + u64::from(flits - sent));
+            return;
+        }
+        debug_assert_eq!(sent, flits, "the timer fires on the Tail's clock");
+        sq.queue.pop_front();
+        sq.sent = 0;
+        self.queued_total -= 1;
+        if sq.queue.is_empty() {
+            self.src_bits[r / 64] &= !(1 << (r % 64));
+        }
+        let at = arena_lane(r, self.relay[r].lane.into());
+        self.fifos.pop_front(at);
+        let kind = FlitKind::Tail;
+        self.fifos.push_back(at, Flit { packet, kind });
+        let rec = &mut self.relay[r];
+        rec.since = self.clock as u32;
+        rec.flags |= DEMOTE;
+        self.unsettled.push(r as u32);
+    }
+
+    /// Wakes router `r` on clock `at`, unless a timer already set wakes
+    /// it no later (it then runs [`Self::feed_source_relay`], which sets
+    /// this one again).
+    fn set_timer(&mut self, r: usize, at: u64) {
+        if !bit(&self.timed, r) {
+            self.timed[r / 64] |= 1 << (r % 64);
+            self.timers.push(Reverse(at << 16 | r as u64));
+        }
+    }
+
+    /// Flits of router `r`'s front packet its NI has fed: a source
+    /// relay's `sent` lags by the relay cycles since it was settled.
+    fn sent(&self, r: usize) -> u16 {
+        let rec = &self.relay[r];
+        let lag = if rec.at_source() {
+            elapsed(self.clock, rec.since)
+        } else {
+            0
+        };
+        self.sources[r].sent + lag as u16
     }
 
     /// Takes a send over `link` on `vc` into the relay lane it feeds, in
@@ -594,7 +738,7 @@ impl Kernel {
     /// Puts router `r`, if a relay, on next cycle's awake list.
     fn wake(&mut self, r: usize) {
         let rec = &mut self.relay[r];
-        if rec.lane != 0 && rec.flags & AWAKE == 0 {
+        if rec.is_live() && rec.flags & AWAKE == 0 {
             rec.flags |= AWAKE;
             self.awake.push(r as u32);
         }
@@ -640,7 +784,7 @@ impl Kernel {
     /// the relays. The staged effects of one cycle touch disjoint
     /// lanes and channels (see the module docs), so their order is
     /// immaterial.
-    pub(crate) fn commit(&mut self, armed: bool) {
+    pub(crate) fn commit(&mut self, packets: &PacketTable, armed: bool) {
         for (node, port, vc, flit) in self.arrivals.drain(..) {
             let r = node.index();
             let lane = local_lane(port.into(), vc.into());
@@ -678,17 +822,21 @@ impl Kernel {
             *c += 1;
             debug_assert!(*c <= self.topo.buffer_depth, "credit overflow at {node}");
         }
-        self.resolve_relays(armed);
+        self.resolve_relays(packets, armed);
     }
 
     /// Ends the cycle's relays (module docs): demotes those not fed, not
     /// drained or disturbed, applying and booking what did not net out, and
     /// promotes the candidates that qualify.
-    fn resolve_relays(&mut self, armed: bool) {
+    fn resolve_relays(&mut self, packets: &PacketTable, armed: bool) {
         // Phase 1 keeps relays off the worklist, so a bit there is an
-        // arrival the commit landed in another lane of the relay.
+        // arrival the commit landed in another lane of the relay. Every
+        // relay goes back on it, as its lane is refilled; a demoted one
+        // left with no flit comes off below.
         for w in 0..self.relay_bits.len() {
-            let mut hit = self.active_bits[w] & self.relay_bits[w];
+            let relays = self.relay_bits[w];
+            let mut hit = self.active_bits[w] & relays;
+            self.active_bits[w] |= relays;
             while hit != 0 {
                 let r = w * 64 + hit.trailing_zeros() as usize;
                 hit &= hit - 1;
@@ -698,20 +846,25 @@ impl Kernel {
         }
         while let Some(r) = self.unsettled.pop() {
             let (r, rec) = (r as usize, self.relay[r as usize]);
-            if rec.lane == 0 || rec.flags & !AWAKE == FED | DRAINED {
+            if !rec.is_live() || rec.flags & !AWAKE == FED | DRAINED {
                 // Listed twice, or kept: next to a non-relay, it has work.
                 self.wake(r);
                 continue;
             }
-            self.relay[r] = Relay::default();
+            if rec.at_source() {
+                self.sources[r].sent += elapsed(self.clock, rec.since) as u16;
+            }
+            self.relay[r] = Relay::NONE;
             self.relay_bits[r / 64] &= !(1 << (r % 64));
             self.relay_count -= 1;
-            self.routers[rec.up as usize].feeds_relay &= !(1 << rec.up_out);
-            self.routers[rec.down as usize].fed_by_relay &= !(1 << rec.down_lane);
+            if !rec.at_source() {
+                self.routers[rec.up as usize].feeds_relay &= !(1 << rec.up_out);
+            }
+            if !rec.at_sink() {
+                self.routers[rec.down as usize].fed_by_relay &= !(1 << rec.down_lane);
+            }
             let (at, fed) = (arena_lane(r, rec.lane.into()), rec.flags & FED != 0);
-            let owed = self.ledger.cycles() - rec.booked;
-            self.ledger
-                .add_events(at, owed - u64::from(armed && !fed), owed);
+            self.book(r, &rec, u64::from(armed && !fed));
             let router = &mut self.routers[r];
             if !fed {
                 // The pop the relay cycle owed: the lane empties.
@@ -722,19 +875,28 @@ impl Kernel {
             }
             let (o, v) = (usize::from(rec.out) / VCS, usize::from(rec.out) % VCS);
             router.credits[o][v] -= u8::from(rec.flags & DRAINED == 0);
-            // A flit left, a queued packet or an arrival keeps it listed.
-            if fed || bit(&self.src_bits, r) {
-                self.active_bits[r / 64] |= 1 << (r % 64);
+            // A flit left, a queued packet or an arrival (which demoted it,
+            // as does a `Tail` fed) keeps it listed.
+            if !(fed || rec.flags & DEMOTE != 0 || bit(&self.src_bits, r)) {
+                self.active_bits[r / 64] &= !(1 << (r % 64));
             }
             self.wake(rec.up as usize); // its relay neighbours lose one
             self.wake(rec.down as usize);
         }
-        // A relay's lane is refilled: it stays on the worklist.
-        for w in 0..self.relay_bits.len() {
-            self.active_bits[w] |= self.relay_bits[w];
-        }
         while let Some((r, lane, out)) = self.streamed.pop() {
-            self.promote_relay(r as usize, lane.into(), out.into());
+            self.promote_relay(r as usize, lane.into(), out.into(), packets);
+        }
+    }
+
+    /// Books what relay `rec` of router `r` owes the ledger since it was
+    /// last booked: per measured cycle one read of its lane, one write
+    /// (`unfed` fewer) and, at a sink, one ejection.
+    fn book(&mut self, r: usize, rec: &Relay, unfed: u64) {
+        let owed = elapsed(self.ledger.cycles(), rec.booked);
+        let at = arena_lane(r, rec.lane.into());
+        self.ledger.add_events(at, owed - unfed, owed);
+        if rec.at_sink() {
+            self.ledger.add_ejections(r, owed);
         }
     }
 
@@ -742,12 +904,16 @@ impl Kernel {
     /// far were fed, since it is still a relay. After this the ledger is
     /// complete; booking again adds nothing.
     pub(crate) fn book_relays(&mut self) {
-        let now = self.ledger.cycles();
-        let relays = self.relay.iter_mut().enumerate();
-        for (r, rec) in relays.filter(|(_, rec)| rec.lane != 0) {
-            let owed = now - std::mem::replace(&mut rec.booked, now);
-            self.ledger
-                .add_events(arena_lane(r, rec.lane.into()), owed, owed);
+        let now = self.ledger.cycles() as u32;
+        for w in 0..self.relay_bits.len() {
+            let mut relays = self.relay_bits[w];
+            while relays != 0 {
+                let r = w * 64 + relays.trailing_zeros() as usize;
+                relays &= relays - 1;
+                let rec = self.relay[r];
+                self.book(r, &rec, 0);
+                self.relay[r].booked = now;
+            }
         }
     }
 
@@ -903,7 +1069,7 @@ impl Kernel {
         // A candidate if it sent no tail and the lane holds no second flit.
         let out = local_lane(o, v);
         let held = self.routers[r].own >> out & 1 != 0;
-        if ip != LOCAL && o != LOCAL && held && self.fifos.len(arena_lane(r, b)) < 2 {
+        if held && self.fifos.len(arena_lane(r, b)) < 2 {
             self.streamed.push((r as u32, b as u8, out as u8));
         }
         true
@@ -911,34 +1077,63 @@ impl Kernel {
 
     /// Makes router `r`, which streamed out of lane `lane` on channel
     /// `out` this cycle, a relay if it now qualifies (module docs).
-    fn promote_relay(&mut self, r: usize, lane: usize, out: usize) {
+    fn promote_relay(&mut self, r: usize, lane: usize, out: usize, packets: &PacketTable) {
         let at = arena_lane(r, lane);
         let (router, o, v) = (&self.routers[r], out / VCS, out % VCS);
         // A `Body` behind the flit just sent is the same packet's, which
         // keeps the channel; behind a backed-up lane it would not last.
-        let body = self.fifos.front(at).map(|f| f.kind) == Some(FlitKind::Body);
-        let lone = self.promote && router.occ == 1 << lane && self.fifos.len(at) == 1 && body;
+        let Some(front) = self.fifos.front(at) else {
+            return;
+        };
+        let lone = self.promote && router.occ == 1 << lane && self.fifos.len(at) == 1;
         let credits = router.credits[o][v];
-        let flowing = credits > 0 && credits + 1 >= self.topo.buffer_depth;
-        if !(lone && flowing && !bit(&self.src_bits, r)) {
+        let flowing = o == LOCAL || credits > 0 && credits + 1 >= self.topo.buffer_depth;
+        if !(lone && front.kind == FlitKind::Body && flowing) {
+            return;
+        }
+        let (source, sink) = (lane / VCS == LOCAL, o == LOCAL);
+        // A source relay's NI feeds it: the `Body` is the front packet's,
+        // and the NI holds a credit and has more than the `Tail` to feed.
+        // Any other relay's NI injects nothing.
+        let ni_ready = if source {
+            let sq = &self.sources[r];
+            debug_assert_eq!(sq.queue.front(), Some(&front.packet));
+            self.ni_credits[r][lane % VCS] > 0 && sq.sent + 1 < packets.get(front.packet).flits
+        } else {
+            !bit(&self.src_bits, r)
+        };
+        if !ni_ready {
             return;
         }
         let (input, output) = (self.topo.link(r, lane / VCS), self.topo.link(r, o));
         let rec = Relay {
-            booked: self.ledger.cycles(),
-            up: input.peer.index() as u32,
-            down: output.peer.index() as u32,
+            booked: self.ledger.cycles() as u32,
+            since: self.clock as u32,
+            up: if source { r } else { input.peer.index() } as u32,
+            down: if sink { r } else { output.peer.index() } as u32,
             lane: lane as u8,
             out: out as u8,
-            up_out: local_lane(input.peer_port.into(), lane % VCS) as u8,
-            down_lane: local_lane(output.peer_port.into(), v) as u8,
+            up_out: if source {
+                NO_LANE
+            } else {
+                local_lane(input.peer_port.into(), lane % VCS) as u8
+            },
+            down_lane: if sink {
+                NO_LANE
+            } else {
+                local_lane(output.peer_port.into(), v) as u8
+            },
             flags: 0,
         };
         self.relay[r] = rec;
         self.relay_bits[r / 64] |= 1 << (r % 64);
         self.relay_count += 1;
-        self.routers[rec.up as usize].feeds_relay |= 1 << rec.up_out;
-        self.routers[rec.down as usize].fed_by_relay |= 1 << rec.down_lane;
+        if !source {
+            self.routers[rec.up as usize].feeds_relay |= 1 << rec.up_out;
+        }
+        if !sink {
+            self.routers[rec.down as usize].fed_by_relay |= 1 << rec.down_lane;
+        }
         self.wake(r);
     }
 
@@ -1197,6 +1392,8 @@ impl Kernel {
             + self.awake.capacity()
             + self.unsettled.capacity()
             + self.streamed.capacity()
+            + self.timers.capacity()
+            + self.timed.capacity()
             + self
                 .sources
                 .iter()
@@ -1252,7 +1449,7 @@ impl Kernel {
                 mix(h, u64::from(pid.slot()));
                 mix(h, u64::from(pid.generation()));
             }
-            mix(h, u64::from(sq.sent));
+            mix(h, u64::from(self.sent(r)));
         }
     }
 }
@@ -1272,12 +1469,38 @@ mod tests {
             self.arrivals.push((node, port as u8, vc as u8, flit));
         }
 
+        /// Relays at the current cycle boundary fed by their NI and
+        /// drained by it: the source and the sink relays.
+        pub(crate) fn end_relay_counts(&self) -> (usize, usize) {
+            let live = self.relay.iter().filter(|rec| rec.is_live());
+            live.fold((0, 0), |(src, sink), rec| {
+                (
+                    src + usize::from(rec.at_source()),
+                    sink + usize::from(rec.at_sink()),
+                )
+            })
+        }
+
+        /// Relays the next cycle's phase 1 visits: the awake list plus
+        /// the source relays whose timer fires.
+        pub(crate) fn awake_relay_count(&self) -> usize {
+            let next = self.clock + 1;
+            let timed = (self.timers.iter())
+                .filter(|Reverse(timer)| {
+                    let rec = &self.relay[(timer & 0xFFFF) as usize];
+                    timer >> 16 <= next && rec.is_live() && rec.flags & AWAKE == 0
+                })
+                .count();
+            self.awake.len() + timed
+        }
+
         /// Verifies, at a cycle boundary, what every relay cycle relies on
         /// (module docs): the relay's own state is what a relay cycle
-        /// leaves as it found, its neighbours carry its marks, and a relay
+        /// leaves as it found, its neighbours carry its marks, a relay
         /// off the awake list nets out with relay neighbours and injects
-        /// nothing.
-        pub(crate) fn check_relays(&self) -> Result<(), String> {
+        /// nothing, and a source relay's NI can feed it and wakes it by
+        /// the `Tail`'s clock.
+        pub(crate) fn check_relays(&self, packets: &PacketTable) -> Result<(), String> {
             if !self.unsettled.is_empty() || !self.streamed.is_empty() {
                 return Err("relays left unresolved".to_string());
             }
@@ -1285,15 +1508,12 @@ mod tests {
                 |m: fn(&RouterState) -> u32| self.routers.iter().map(|r| m(r).count_ones()).sum();
             let bits: u32 = self.relay_bits.iter().map(|w| w.count_ones()).sum();
             let marked = [marks(|r| r.feeds_relay), marks(|r| r.fed_by_relay), bits];
-            if marked != [self.relay_count as u32; 3] {
+            let (sources, sinks) = self.end_relay_counts();
+            let count = self.relay_count;
+            if marked != [count - sources, count - sinks, count].map(|c| c as u32) {
                 return Err("relay marks are off".to_string());
             }
-            for (r, rec) in self
-                .relay
-                .iter()
-                .enumerate()
-                .filter(|(_, rec)| rec.lane != 0)
-            {
+            for (r, rec) in (self.relay.iter().enumerate()).filter(|(_, rec)| rec.is_live()) {
                 if !bit(&self.relay_bits, r) {
                     return Err(format!("router {r}: relay off the relay bitmap"));
                 }
@@ -1303,21 +1523,40 @@ mod tests {
                 let (lane, out) = (usize::from(rec.lane), usize::from(rec.out));
                 let (o, v) = (out / VCS, out % VCS);
                 let (router, at) = (&self.routers[r], arena_lane(r, lane));
-                let settled = self.relay[rec.up as usize].out == rec.up_out
-                    && self.relay[rec.down as usize].lane == rec.down_lane
-                    && self.sources[r].queue.is_empty();
+                let Some(front) = self.fifos.front(at) else {
+                    return Err(format!("router {r}: relay of lane {lane} is empty"));
+                };
+                let sq = &self.sources[r];
+                let (ni_feeds, settled) = if rec.at_source() {
+                    // `left` flits for its NI to feed, the `Tail` last.
+                    let left = packets.get(front.packet).flits.checked_sub(self.sent(r));
+                    let timer = (self.timers.iter())
+                        .find(|Reverse(timer)| timer & 0xFFFF == r as u64)
+                        .map_or(0, |Reverse(timer)| timer >> 16);
+                    let feeds = sq.queue.front() == Some(&front.packet)
+                        && self.ni_credits[r][lane] > 0
+                        && left.is_some_and(|left| left > 0);
+                    let tail_at = self.clock + u64::from(left.unwrap_or(0));
+                    (feeds, self.clock < timer && timer <= tail_at)
+                } else {
+                    let fed = self.relay[rec.up as usize].out == rec.up_out;
+                    (true, fed && sq.queue.is_empty())
+                };
+                let drained = rec.at_sink() || self.relay[rec.down as usize].lane == rec.down_lane;
                 let awake = rec.flags & AWAKE != 0 && self.awake.contains(&(r as u32));
-                let holds = (settled || awake)
-                    && self.routers[rec.up as usize].feeds_relay >> rec.up_out & 1 == 1
-                    && self.routers[rec.down as usize].fed_by_relay >> rec.down_lane & 1 == 1
+                let marked_up = rec.at_source()
+                    || self.routers[rec.up as usize].feeds_relay >> rec.up_out & 1 == 1;
+                let marked_down = rec.at_sink()
+                    || self.routers[rec.down as usize].fed_by_relay >> rec.down_lane & 1 == 1;
+                let holds = ni_feeds
+                    && (settled && drained || awake)
+                    && marked_up
+                    && marked_down
                     && router.occ == 1 << lane
                     && self.fifos.len(at) == 1
-                    && self
-                        .fifos
-                        .front(at)
-                        .is_some_and(|f| f.kind == FlitKind::Body)
+                    && front.kind == FlitKind::Body
                     && router.owner[o][v] == Some(((lane / VCS) as u8, (lane % VCS) as u8))
-                    && router.credits[o][v] > 0
+                    && (rec.at_sink() || router.credits[o][v] > 0)
                     && router.req_cache[lane] == REQ_UNKNOWN
                     && router.rr_vc[o] as usize == (v + 1) % VCS
                     && !router.quiet;

@@ -61,9 +61,10 @@
 //!   FIFO lane in the one [`LinkLedger`], indexed like the arena and
 //!   booked where the event happens; every other energy counter is
 //!   derived from those when read,
-//! * a router streaming a worm's body between two neighbours is a
-//!   *relay*: a flag check instead of a flit move, with its lane counters
-//!   booked in bulk (the `kernel` module docs argue it is state-identical).
+//! * a router streaming a worm's body between two neighbours — routers,
+//!   or its NI at the worm's source or sink — is a *relay*: a flag check
+//!   instead of a flit move, with its lane counters booked in bulk (the
+//!   `kernel` module docs argue it is state-identical).
 //!
 //! After construction, steady-state stepping performs no heap allocation
 //! (the staging buffers reach their high-water capacity and stay there);
@@ -219,8 +220,8 @@ impl Network {
     /// Commits what phase 1 staged: flit arrivals and credit returns (the
     /// NI's included). Commit order is irrelevant — see the `kernel`
     /// module docs.
-    pub(crate) fn exchange(&mut self, armed: bool) {
-        self.kernel.commit(armed);
+    pub(crate) fn exchange(&mut self, packets: &PacketTable, armed: bool) {
+        self.kernel.commit(packets, armed);
     }
 
     /// The serial tail of a cycle: replays the deferred packet-table
@@ -396,7 +397,7 @@ mod tests {
         ) -> bool {
             let armed = stats.armed();
             self.phase1(packets, cycle, armed);
-            self.exchange(armed);
+            self.exchange(packets, armed);
             self.finish_cycle(packets, cycle, stats, feedbacks)
         }
 
@@ -412,9 +413,19 @@ mod tests {
             self.kernel.relay_count()
         }
 
+        /// Source and sink relays at the current cycle boundary.
+        pub(crate) fn end_relay_counts(&self) -> (usize, usize) {
+            self.kernel.end_relay_counts()
+        }
+
+        /// Relays the next cycle visits.
+        pub(crate) fn awake_relay_count(&self) -> usize {
+            self.kernel.awake_relay_count()
+        }
+
         /// Audits every relay at a cycle boundary (`Kernel::check_relays`).
-        pub(crate) fn check_relays(&self) -> Result<(), String> {
-            self.kernel.check_relays()
+        pub(crate) fn check_relays(&self, packets: &PacketTable) -> Result<(), String> {
+            self.kernel.check_relays(packets)
         }
 
         fn router(&self, r: usize) -> &crate::kernel::RouterState {
@@ -826,7 +837,7 @@ mod tests {
             let up = link.peer().expect("fed port has an upstream").index();
             kernel.routers[up].credits[link.peer_port as usize][VC] -= 1;
             kernel.stage_arrival(node, port.index(), VC, Flit { packet, kind });
-            kernel.commit(true);
+            kernel.commit(&self.table, true);
             self.net.check_flow_conservation().unwrap();
         }
 

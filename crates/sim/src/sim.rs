@@ -336,7 +336,7 @@ impl Simulator {
         let armed = self.stats.armed();
         self.net.phase1(&self.packets, self.cycle, armed);
         sample.phase.compute = lap();
-        self.net.exchange(armed);
+        self.net.exchange(&self.packets, armed);
         sample.phase.exchange = lap();
         let progress = self.net.finish_cycle(
             &mut self.packets,
@@ -376,6 +376,9 @@ impl Simulator {
         let mut tracer = self.tracer.take().expect("windows close under a tracer");
         let delta = tracer.metrics_mut().close_window();
         let calendar = self.traffic.calendar_depth();
+        // `delivered_flits` reads the counter store: the relays book what
+        // they owe first (a sink relay's ejections included).
+        self.net.book_relays();
         let det = Value::Object(vec![
             (
                 "digest".to_string(),

@@ -3,13 +3,16 @@
 //! workload. Every cycle their committed fabric state and progress must
 //! agree and both must pass the conservation and relay audits; whenever
 //! the relays book what they owe, so must their summaries and counter
-//! stores, lane for lane.
+//! stores, lane for lane; and their journals must agree record for
+//! record.
 
 use super::Simulator;
-use crate::{SimCommand, SimConfig};
+use crate::{SimCommand, SimConfig, TraceWriter, Tracer};
 use adele::online::{CdaSelector, ElevatorFirstSelector, ElevatorSelector};
-use noc_topology::{ElevatorId, ElevatorSet, Mesh3d};
-use noc_traffic::injection::PacketSizeRange;
+use noc_obs::{compare_journals, parse_journal, SharedBuffer};
+use noc_topology::{ElevatorId, ElevatorSet, Mesh3d, NodeId};
+use noc_traffic::injection::{InjectionProcess, OnOffParams, PacketSizeRange};
+use noc_traffic::pattern::Hotspot;
 use noc_traffic::{BatchedSynthetic, SyntheticParts};
 use proptest::prelude::*;
 
@@ -22,22 +25,49 @@ struct Case {
     /// Packet sizes, inclusive.
     sizes: (u16, u16),
     rate: f64,
+    /// A quarter of the packets go to node 0, which is a sink of several
+    /// worms and a source at once.
+    hotspot: bool,
+    /// On/off bursts, which queue several packets at one source.
+    bursty: bool,
     cda: bool,
     seed: u64,
-    /// Cycle at which the fabric freezes and, with two pillars or more,
-    /// pillar 0 fails.
+    /// Earliest cycle at which the fabric freezes and, with two pillars or
+    /// more, pillar 0 fails: the first from here on with a source or sink
+    /// relay live, at the latest 100 cycles later.
     event_at: u64,
     /// Cycles between relay bookings.
     book_every: u64,
 }
 
+/// Relay cycles of the armed cycles, by kind, and their sends; whether
+/// the freeze landed while a source or sink relay was live.
+#[derive(Debug, Default)]
+struct Tally {
+    relay: u64,
+    source: u64,
+    sink: u64,
+    sends: u64,
+    event_on_end_relay: bool,
+}
+
 impl Case {
-    fn build(&self, relays: bool) -> Simulator {
+    /// The simulator, journaling a window every 50 cycles into the
+    /// returned buffer.
+    fn build(&self, relays: bool) -> (Simulator, SharedBuffer) {
         let elevators = ElevatorSet::new(&self.mesh, self.columns.iter().copied()).unwrap();
         let mut config = SimConfig::new(self.mesh, elevators.clone());
         config.buffer_depth = self.depth;
         let mut parts = SyntheticParts::uniform(&self.mesh, self.rate);
         parts.sizes = PacketSizeRange::new(self.sizes.0, self.sizes.1);
+        if self.hotspot {
+            let n = self.mesh.node_count();
+            parts.pattern = Box::new(Hotspot::new(n, vec![NodeId(0)], 0.25));
+        }
+        if self.bursty {
+            let process = InjectionProcess::on_off(self.rate, OnOffParams::new(0.05, 0.01, 0.0));
+            parts.processes.fill(process);
+        }
         let traffic = BatchedSynthetic::from_parts(parts, self.seed);
         let selector: Box<dyn ElevatorSelector> = if self.cda {
             Box::new(CdaSelector::new())
@@ -48,25 +78,44 @@ impl Case {
         if !relays {
             sim.net.disable_relays();
         }
-        sim.schedule_command(self.event_at, SimCommand::FreezeFabric { cycles: 7 });
+        let journal = SharedBuffer::new();
+        let writer = TraceWriter::new(Box::new(journal.clone()));
+        sim.attach_tracer(Tracer::new(writer, 50).with_schema(2));
+        (sim, journal)
+    }
+
+    /// Schedules the freeze and the pillar failure on cycle `at`.
+    fn schedule_event(&self, sim: &mut Simulator, at: u64) {
+        sim.schedule_command(at, SimCommand::FreezeFabric { cycles: 7 });
         if self.columns.len() > 1 {
-            sim.schedule_command(self.event_at, SimCommand::FailElevator(ElevatorId(0)));
+            sim.schedule_command(at, SimCommand::FailElevator(ElevatorId(0)));
         }
-        sim
     }
 
     /// Steps both engines `cycles` cycles, armed on the second and fourth
-    /// quarters. Returns the relay cycles and the sends of the armed
-    /// cycles.
-    fn lockstep(&self, cycles: u64) -> Result<(u64, u64), TestCaseError> {
-        let (mut relay, mut plain) = (self.build(true), self.build(false));
-        let mut relay_cycles = 0;
+    /// quarters, and tallies the armed cycles' relay cycles and sends.
+    fn lockstep(&self, cycles: u64) -> Result<Tally, TestCaseError> {
+        let ((mut relay, relay_journal), (mut plain, plain_journal)) =
+            (self.build(true), self.build(false));
+        let mut tally = Tally::default();
+        let mut event = false;
         for cycle in 0..cycles {
+            let (sources, sinks) = relay.net.end_relay_counts();
+            if !event && cycle >= self.event_at {
+                tally.event_on_end_relay = sources + sinks > 0;
+                event = tally.event_on_end_relay || cycle >= self.event_at + 100;
+                if event {
+                    self.schedule_event(&mut relay, cycle);
+                    self.schedule_event(&mut plain, cycle);
+                }
+            }
             let armed = cycle * 4 / cycles % 2 == 1;
             relay.stats.set_armed(armed);
             plain.stats.set_armed(armed);
             if armed {
-                relay_cycles += relay.net.relay_count() as u64;
+                tally.relay += relay.net.relay_count() as u64;
+                tally.source += sources as u64;
+                tally.sink += sinks as u64;
             }
             relay.step().unwrap();
             plain.step().unwrap();
@@ -87,7 +136,7 @@ impl Case {
                 let audit = sim
                     .net
                     .check_flow_conservation()
-                    .and(sim.net.check_relays());
+                    .and(sim.net.check_relays(&sim.packets));
                 if let Err(e) = audit {
                     return Err(TestCaseError::fail(why(&e)));
                 }
@@ -105,7 +154,15 @@ impl Case {
                 );
             }
         }
-        Ok((relay_cycles, relay.link_ledger().aggregate().buffer_reads))
+        let journals = [relay_journal, plain_journal].map(|j| parse_journal(&j.contents()));
+        let [relay_records, plain_records] = journals.map(Result::unwrap);
+        if let Err(e) = compare_journals(&plain_records, &relay_records) {
+            return Err(TestCaseError::fail(format!(
+                "journals diverged in {self:?}: {e}"
+            )));
+        }
+        tally.sends = relay.link_ledger().aggregate().buffer_reads;
+        Ok(tally)
     }
 }
 
@@ -113,28 +170,34 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
     /// Relays change nothing: meshes up to 5×5×3 with failed pillars,
-    /// depths 1, 2 and 4, packets of 1–30 flits, loads from idle to past
-    /// saturation, and a fabric freeze mid-run.
+    /// depths 1 to 4, packets of 1–3 or 1–30 flits, loads from idle
+    /// to past saturation, uniform or hotspot destinations, steady or
+    /// bursty sources, and a fabric freeze mid-run.
     #[test]
     fn relays_step_like_the_per_flit_engine(
         (mesh, columns) in (2usize..=5, 2usize..=5, 1usize..=3).prop_flat_map(|(x, y, z)| {
             let columns = prop::collection::hash_set((0..x as u8, 0..y as u8), 1..=3);
             (Just(Mesh3d::new(x, y, z).unwrap()), columns)
         }),
-        (depth, sizes, load) in (0usize..3, (1u16..=30, 1u16..=30), 0.0f64..1.0),
-        (cda, seed) in (0usize..2, 0u64..1_000),
+        (depth, short, sizes, load) in (0usize..4, 0usize..2, (1u16..=30, 1u16..=30), 0.0f64..1.0),
+        (hotspot, bursty, cda, seed) in (0usize..2, 0usize..2, 0usize..2, 0u64..1_000),
         (event_at, book_every) in (0u64..300, 1u64..150),
     ) {
         // Sorted, so a reported case reproduces whatever the set's order.
         let mut columns: Vec<(u8, u8)> = columns.into_iter().collect();
         columns.sort_unstable();
+        let sizes = if short == 1 { (1 + sizes.0 % 3, 1 + sizes.1 % 3) } else { sizes };
+        let sizes = (sizes.0.min(sizes.1), sizes.0.max(sizes.1));
+        let mean = f64::from(sizes.0 + sizes.1) / 2.0;
         let case = Case {
             mesh,
             columns,
-            depth: [1, 2, 4][depth],
-            sizes: (sizes.0.min(sizes.1), sizes.0.max(sizes.1)),
+            depth: [1, 2, 3, 4][depth],
+            sizes,
             // Skewed toward light loads, where worms stream.
-            rate: 0.02 * load * load,
+            rate: 0.3 * load * load / mean,
+            hotspot: hotspot == 1,
+            bursty: bursty == 1,
             cda: cda == 1,
             seed,
             event_at,
@@ -145,7 +208,8 @@ proptest! {
 }
 
 /// The oracle is not vacuous: a lightly loaded fabric of long packets
-/// runs most of its sends as relay cycles.
+/// runs most of its sends as relay cycles, its NIs feeding and draining
+/// relays among them.
 #[test]
 fn most_light_load_sends_are_relay_cycles() {
     let mesh = Mesh3d::new(8, 8, 2).unwrap();
@@ -155,21 +219,94 @@ fn most_light_load_sends_are_relay_cycles() {
         depth: 4,
         sizes: (20, 30),
         rate: 0.0005,
+        hotspot: false,
+        bursty: false,
         cda: false,
         seed: 3,
         event_at: 150,
         book_every: 50,
     };
-    let (relay_cycles, sends) = case.lockstep(600).unwrap();
-    assert!(
-        relay_cycles * 2 > sends,
-        "{relay_cycles} relay cycles of {sends} sends"
-    );
+    let tally = case.lockstep(600).unwrap();
+    assert!(tally.relay * 2 > tally.sends, "{tally:?}");
+    assert!(tally.source > 0 && tally.sink > 0, "{tally:?}");
 }
 
-/// Prints the relay share of sends on fabrics shaped like the benchmark
-/// workloads, uniform traffic standing in for their own (`cargo test -p
-/// noc_sim --release -- --ignored --nocapture relay_share`).
+/// A light load of long packets on `mesh`, depth 4, one pillar.
+fn light_long_packets(mesh: Mesh3d) -> Case {
+    Case {
+        mesh,
+        columns: vec![(0, 0)],
+        depth: 4,
+        sizes: (20, 30),
+        rate: 0.002,
+        hotspot: false,
+        bursty: false,
+        cda: false,
+        seed: 11,
+        event_at: 200,
+        book_every: 37,
+    }
+}
+
+/// One-hop worms: a source relay drains into a sink relay, and the
+/// `Tail` its NI feeds reaches the sink the cycle after it demotes.
+#[test]
+fn one_hop_worms_stream_from_a_source_relay_into_a_sink_relay() {
+    let tally = light_long_packets(Mesh3d::new(2, 1, 1).unwrap())
+        .lockstep(600)
+        .unwrap();
+    assert!(tally.source > 0 && tally.sink > 0, "{tally:?}");
+}
+
+/// At depth 1 the NI gets its credit back a cycle after each send, so it
+/// cannot feed every cycle, and no router ever ejects every cycle either:
+/// no end relay is promoted, and nothing diverges.
+#[test]
+fn depth_one_promotes_no_end_relay() {
+    let case = Case {
+        depth: 1,
+        ..light_long_packets(Mesh3d::new(4, 4, 1).unwrap())
+    };
+    let tally = case.lockstep(600).unwrap();
+    assert_eq!((tally.source, tally.sink), (0, 0), "{tally:?}");
+}
+
+/// Bursts queue packets behind the one a source relay injects, and a
+/// hotspot makes node 0 the sink of several worms and a source at once:
+/// a packet enqueued at a sink relay's router demotes it, one enqueued
+/// behind a source relay's packet waits for its `Tail`.
+#[test]
+fn queued_packets_and_a_hotspot_sink_that_is_also_a_source() {
+    let case = Case {
+        rate: 0.004,
+        hotspot: true,
+        bursty: true,
+        ..light_long_packets(Mesh3d::new(4, 4, 2).unwrap())
+    };
+    let tally = case.lockstep(800).unwrap();
+    assert!(tally.source > 0 && tally.sink > 0, "{tally:?}");
+}
+
+/// The fabric freezes and pillar 0 fails while an end relay is live, on
+/// two pillars and packets of 1 to 30 flits (a source relay carries four
+/// or more).
+#[test]
+fn freeze_and_pillar_failure_land_on_a_live_end_relay() {
+    let case = Case {
+        columns: vec![(0, 0), (3, 3)],
+        sizes: (1, 30),
+        event_at: 50,
+        ..light_long_packets(Mesh3d::new(4, 4, 2).unwrap())
+    };
+    let tally = case.lockstep(600).unwrap();
+    assert!(tally.event_on_end_relay, "{tally:?}");
+}
+
+/// Prints, on fabrics shaped like the benchmark workloads (uniform
+/// traffic standing in for their own), the relay share of sends, the
+/// awake relays per live relay, and the share of relay cycles at NI ends
+/// (`cargo test -p noc_sim --release -- --ignored --nocapture
+/// relay_share`).
 #[test]
 #[ignore = "a measurement, not a check"]
 fn relay_share_of_benchmark_shaped_fabrics() {
@@ -203,16 +340,25 @@ fn relay_share_of_benchmark_shaped_fabrics() {
         let mut sim = Simulator::from_scheduled(config, Box::new(traffic), Box::new(selector));
         sim.advance(5_000).unwrap();
         sim.stats.set_armed(true);
-        let mut relay_cycles = 0;
+        let (mut tally, mut awake) = (Tally::default(), 0);
         for _ in 0..4_000 {
-            relay_cycles += sim.net.relay_count() as u64;
+            let (sources, sinks) = sim.net.end_relay_counts();
+            tally.relay += sim.net.relay_count() as u64;
+            tally.source += sources as u64;
+            tally.sink += sinks as u64;
+            awake += sim.net.awake_relay_count() as u64;
             sim.step().unwrap();
         }
         sim.net.book_relays();
         let sends = sim.link_ledger().aggregate().buffer_reads;
-        let share = 100.0 * relay_cycles as f64 / sends.max(1) as f64;
+        let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
         println!(
-            "{name} @ {rate:.2e}: {relay_cycles} relay cycles of {sends} sends ({share:.1} %)"
+            "{name} @ {rate:.2e}: {} relay cycles of {sends} sends ({:.1} %), \
+             awake {:.1} % of live, NI ends {:.1} % of relay cycles",
+            tally.relay,
+            pct(tally.relay, sends),
+            pct(awake, tally.relay),
+            pct(tally.source + tally.sink, tally.relay),
         );
     }
 }

@@ -9,11 +9,14 @@
 //! window edges and mid-window neither loses nor duplicates an event, so
 //! a refactor that does fails loudly.
 
+use adele::online::ElevatorFirstSelector;
 use noc_energy::{EnergyLedger, LinkLedger};
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
 use noc_sim::{RunSummary, SimConfig, Simulator};
 use noc_topology::placement::Placement;
-use noc_traffic::SyntheticTraffic;
+use noc_topology::{ElevatorSet, Mesh3d};
+use noc_traffic::injection::PacketSizeRange;
+use noc_traffic::{BatchedSynthetic, SyntheticParts, SyntheticTraffic};
 
 fn measured_energy_scenario() -> Scenario {
     Scenario::from_placement("telemetry-store", Placement::Ps1)
@@ -37,22 +40,19 @@ fn ps1_simulator(selector: &SelectorSpec, feedback_period: u64) -> Simulator {
     sim
 }
 
-/// Windows partition the flit events: arming never changes the fabric,
-/// so the ledgers of two back-to-back windows add up, counter for
-/// counter, to the ledger of one window spanning both. A relay streaming
-/// across the boundary owes each window its own share: the first close
-/// books it, the second open starts from zero.
-#[test]
-fn window_ledgers_add_up_to_one_long_window() {
-    let mut split = ps1_simulator(&SelectorSpec::adele(), 0);
-    let mut long = ps1_simulator(&SelectorSpec::adele(), 0);
-    let whole = long.measure_window(1_400).unwrap();
+/// Steps `split` through `windows` back-to-back windows of `len` cycles
+/// and `long` through one window spanning them all, and checks that the
+/// windows' ledgers add up, counter for counter, to the long one's.
+fn assert_windows_add_up(mut split: Simulator, mut long: Simulator, windows: u64, len: u64) {
+    let whole = long.measure_window(windows * len).unwrap();
     assert!(whole.delivered_packets > 0, "sanity: traffic flowed");
     let mut sum = EnergyLedger::default();
+    let mut ejections = 0;
     let mut router_flits = vec![0; whole.router_flits.len()];
-    for _ in 0..2 {
-        let window = split.measure_window(700).unwrap();
+    for _ in 0..windows {
+        let window = split.measure_window(len).unwrap();
         sum.merge(&split.link_ledger().aggregate());
+        ejections += split.link_ledger().ejections();
         for (total, flits) in router_flits.iter_mut().zip(window.router_flits) {
             *total += flits;
         }
@@ -66,7 +66,42 @@ fn window_ledgers_add_up_to_one_long_window() {
         long.link_ledger().aggregate(),
         "a window edge moved an event"
     );
+    assert_eq!(ejections, long.link_ledger().ejections());
     assert_eq!(router_flits, whole.router_flits);
+}
+
+/// Windows partition the flit events: arming never changes the fabric,
+/// so the ledgers of two back-to-back windows add up, counter for
+/// counter, to the ledger of one window spanning both. A relay streaming
+/// across the boundary owes each window its own share: the first close
+/// books it, the second open starts from zero.
+#[test]
+fn window_ledgers_add_up_to_one_long_window() {
+    let split = ps1_simulator(&SelectorSpec::adele(), 0);
+    let long = ps1_simulator(&SelectorSpec::adele(), 0);
+    assert_windows_add_up(split, long, 2, 700);
+}
+
+/// The same at the ends of worms: on a lightly loaded fabric of long
+/// packets a worm streams from a relay its NI feeds (booking `Local`
+/// writes) to one its NI drains (booking ejections), and forty short
+/// windows put their edges on such relays again and again. A close that
+/// left either unbooked would drop it from every window's sum.
+#[test]
+fn window_ledgers_add_up_across_end_relays() {
+    let light_load = || {
+        let mesh = Mesh3d::new(8, 8, 2).unwrap();
+        let elevators = ElevatorSet::new(&mesh, [(2, 2), (5, 5)]).unwrap();
+        let config = SimConfig::new(mesh, elevators.clone()).with_seed(5);
+        let mut parts = SyntheticParts::uniform(&mesh, 0.001);
+        parts.sizes = PacketSizeRange::new(20, 30);
+        let traffic = BatchedSynthetic::from_parts(parts, 5);
+        let selector = ElevatorFirstSelector::new(&mesh, &elevators);
+        let mut sim = Simulator::from_scheduled(config, Box::new(traffic), Box::new(selector));
+        sim.advance(500).unwrap();
+        sim
+    };
+    assert_windows_add_up(light_load(), light_load(), 40, 25);
 }
 
 /// The full scenario path (warm-up + window + drain + summary), on the
