@@ -38,6 +38,9 @@ struct Case {
     event_at: u64,
     /// Cycles between relay bookings.
     book_every: u64,
+    /// Both engines journal a window every 50 cycles (which books the
+    /// relays), and the journals must agree.
+    traced: bool,
 }
 
 /// Relay cycles of the armed cycles, by kind, and their sends; whether
@@ -52,8 +55,7 @@ struct Tally {
 }
 
 impl Case {
-    /// The simulator, journaling a window every 50 cycles into the
-    /// returned buffer.
+    /// The simulator and, if traced, the buffer it journals into.
     fn build(&self, relays: bool) -> (Simulator, SharedBuffer) {
         let elevators = ElevatorSet::new(&self.mesh, self.columns.iter().copied()).unwrap();
         let mut config = SimConfig::new(self.mesh, elevators.clone());
@@ -79,8 +81,10 @@ impl Case {
             sim.net.disable_relays();
         }
         let journal = SharedBuffer::new();
-        let writer = TraceWriter::new(Box::new(journal.clone()));
-        sim.attach_tracer(Tracer::new(writer, 50).with_schema(2));
+        if self.traced {
+            let writer = TraceWriter::new(Box::new(journal.clone()));
+            sim.attach_tracer(Tracer::new(writer, 50).with_schema(2));
+        }
         (sim, journal)
     }
 
@@ -154,12 +158,14 @@ impl Case {
                 );
             }
         }
-        let journals = [relay_journal, plain_journal].map(|j| parse_journal(&j.contents()));
-        let [relay_records, plain_records] = journals.map(Result::unwrap);
-        if let Err(e) = compare_journals(&plain_records, &relay_records) {
-            return Err(TestCaseError::fail(format!(
-                "journals diverged in {self:?}: {e}"
-            )));
+        if self.traced {
+            let journals = [relay_journal, plain_journal].map(|j| parse_journal(&j.contents()));
+            let [relay_records, plain_records] = journals.map(Result::unwrap);
+            if let Err(e) = compare_journals(&plain_records, &relay_records) {
+                return Err(TestCaseError::fail(format!(
+                    "journals diverged in {self:?}: {e}"
+                )));
+            }
         }
         tally.sends = relay.link_ledger().aggregate().buffer_reads;
         Ok(tally)
@@ -172,7 +178,7 @@ proptest! {
     /// Relays change nothing: meshes up to 5×5×3 with failed pillars,
     /// depths 1 to 4, packets of 1–3 or 1–30 flits, loads from idle
     /// to past saturation, uniform or hotspot destinations, steady or
-    /// bursty sources, and a fabric freeze mid-run.
+    /// bursty sources, traced or not, and a fabric freeze mid-run.
     #[test]
     fn relays_step_like_the_per_flit_engine(
         (mesh, columns) in (2usize..=5, 2usize..=5, 1usize..=3).prop_flat_map(|(x, y, z)| {
@@ -181,7 +187,7 @@ proptest! {
         }),
         (depth, short, sizes, load) in (0usize..4, 0usize..2, (1u16..=30, 1u16..=30), 0.0f64..1.0),
         (hotspot, bursty, cda, seed) in (0usize..2, 0usize..2, 0usize..2, 0u64..1_000),
-        (event_at, book_every) in (0u64..300, 1u64..150),
+        (event_at, book_every, traced) in (0u64..300, 1u64..150, 0usize..2),
     ) {
         // Sorted, so a reported case reproduces whatever the set's order.
         let mut columns: Vec<(u8, u8)> = columns.into_iter().collect();
@@ -202,6 +208,7 @@ proptest! {
             seed,
             event_at,
             book_every,
+            traced: traced == 1,
         };
         case.lockstep(400)?;
     }
@@ -225,6 +232,7 @@ fn most_light_load_sends_are_relay_cycles() {
         seed: 3,
         event_at: 150,
         book_every: 50,
+        traced: false,
     };
     let tally = case.lockstep(600).unwrap();
     assert!(tally.relay * 2 > tally.sends, "{tally:?}");
@@ -245,6 +253,7 @@ fn light_long_packets(mesh: Mesh3d) -> Case {
         seed: 11,
         event_at: 200,
         book_every: 37,
+        traced: true,
     }
 }
 
