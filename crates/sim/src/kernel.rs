@@ -177,12 +177,11 @@ const REQ_NONE: u8 = u8::MAX - 1;
 /// router: [`local_lane`] indices and neighbours resolved once.
 #[derive(Debug, Clone, Copy)]
 struct Relay {
-    /// Stamps ([`elapsed`]) of the measured cycle the relay's lane
-    /// counters are booked up to, and of the kernel clock at which a
-    /// source relay's `SourceQueue::sent` was last settled: its NI has fed
-    /// one flit per relay cycle since.
-    booked: u32,
-    since: u32,
+    /// The measured cycle the relay's lane counters are booked up to, and
+    /// the kernel clock at which a source relay's `SourceQueue::sent` was
+    /// last settled: its NI has fed one flit per relay cycle since.
+    booked: u64,
+    since: u64,
     /// Node ids of the upstream and the downstream neighbour (the relay's
     /// own id where its NI is that neighbour).
     up: u32,
@@ -196,13 +195,6 @@ struct Relay {
     up_out: u8,
     down_lane: u8,
     flags: u8,
-}
-
-/// Cycles from `stamp`, the low 32 bits of a cycle count, to `now`. A
-/// relay passes one flit of its packet per relay cycle, so it lives fewer
-/// than 2^16 of them, and a stamp it holds wraps at most once.
-fn elapsed(now: u64, stamp: u32) -> u64 {
-    u64::from((now as u32).wrapping_sub(stamp))
 }
 
 /// Lane and channel sentinel of [`Relay::NONE`] and of a relay's NI end.
@@ -694,9 +686,12 @@ impl Kernel {
         let kind = FlitKind::Tail;
         self.fifos.push_back(at, Flit { packet, kind });
         let rec = &mut self.relay[r];
-        rec.since = self.clock as u32;
+        rec.since = self.clock;
         rec.flags |= DEMOTE;
-        self.unsettled.push(r as u32);
+        if rec.flags & DRAINED != 0 {
+            // An undrained relay is listed already.
+            self.unsettled.push(r as u32);
+        }
     }
 
     /// Wakes router `r` on clock `at`, unless a timer already set wakes
@@ -714,7 +709,7 @@ impl Kernel {
     fn sent(&self, r: usize) -> u16 {
         let rec = &self.relay[r];
         let lag = if rec.at_source() {
-            elapsed(self.clock, rec.since)
+            self.clock - rec.since
         } else {
             0
         };
@@ -852,7 +847,7 @@ impl Kernel {
                 continue;
             }
             if rec.at_source() {
-                self.sources[r].sent += elapsed(self.clock, rec.since) as u16;
+                self.sources[r].sent += (self.clock - rec.since) as u16;
             }
             self.relay[r] = Relay::NONE;
             self.relay_bits[r / 64] &= !(1 << (r % 64));
@@ -892,7 +887,7 @@ impl Kernel {
     /// last booked: per measured cycle one read of its lane, one write
     /// (`unfed` fewer) and, at a sink, one ejection.
     fn book(&mut self, r: usize, rec: &Relay, unfed: u64) {
-        let owed = elapsed(self.ledger.cycles(), rec.booked);
+        let owed = self.ledger.cycles() - rec.booked;
         let at = arena_lane(r, rec.lane.into());
         self.ledger.add_events(at, owed - unfed, owed);
         if rec.at_sink() {
@@ -904,7 +899,7 @@ impl Kernel {
     /// far were fed, since it is still a relay. After this the ledger is
     /// complete; booking again adds nothing.
     pub(crate) fn book_relays(&mut self) {
-        let now = self.ledger.cycles() as u32;
+        let now = self.ledger.cycles();
         for w in 0..self.relay_bits.len() {
             let mut relays = self.relay_bits[w];
             while relays != 0 {
@@ -1107,8 +1102,8 @@ impl Kernel {
         }
         let (input, output) = (self.topo.link(r, lane / VCS), self.topo.link(r, o));
         let rec = Relay {
-            booked: self.ledger.cycles() as u32,
-            since: self.clock as u32,
+            booked: self.ledger.cycles(),
+            since: self.clock,
             up: if source { r } else { input.peer.index() } as u32,
             down: if sink { r } else { output.peer.index() } as u32,
             lane: lane as u8,
