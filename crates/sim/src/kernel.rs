@@ -60,23 +60,44 @@
 //!
 //! # Why a relay cycle is state-identical
 //!
-//! At a cycle boundary a router is a *relay* for the next cycle when its
-//! only occupied input lane `L` holds exactly one `Body` flit, that flit's
+//! At a cycle boundary an input lane `L` of router `r` is a *relay* for
+//! the next cycle when `L` holds exactly one `Body` flit, that flit's
 //! packet owns an output channel `(o, v)` (with a credit unless `o` is
-//! `Local`), and the NI feeds `L` if `L` is `Local` and injects nothing
-//! otherwise. The streaming path would certainly send that flit next
-//! cycle. A relay cycle sends it without moving it. Its two neighbours
-//! are routers, or its NI at either end of a worm: a *source relay*
-//! (`L` is `Local`) is fed by the NI injecting the packet, a *sink
-//! relay* (`o` is `Local`) is drained by the NI it ejects into.
+//! `Local`), its upstream feeds it (a router, or the NI for a `Local`
+//! lane), and nothing else in `r` is an arbitration candidate for port
+//! `o`: no other occupied lane owns a channel on `o`, and no other front
+//! is a head asking for `o` on a free channel. `r` may hold other flits;
+//! its relay lanes own distinct ports, so it has at most [`PORTS`]. The
+//! per-flit cycle would certainly send that flit next cycle. A relay
+//! cycle sends it without moving it. Its two neighbours are routers, or
+//! its NI at either end of a worm: a *source relay* (`L` is `Local`) is
+//! fed by the NI injecting the packet, a *sink relay* (`o` is `Local`) is
+//! drained by the NI it ejects into.
 //!
+//! * *Port `o` has one candidate,* as on the streaming path: the grant
+//!   scan over input ports and the VC scan over `o`'s channels each find
+//!   only `L`, wherever `rr_grant` and `rr_vc` start, and `L`'s credit
+//!   gate is open. `L` fronts a `Body`, which requests nothing, and owns
+//!   only `(o, v)`, so it is a candidate for no other port; no other lane
+//!   is one for `o`. Port `o`'s grant and every other port's therefore
+//!   share nothing: `input_used` marks `L` for `o` alone, and only `o`'s
+//!   grant writes `o`'s channels. Phase 1 arbitrates `r` with its relay
+//!   lanes masked out of `occ` (their channels drop out of `out_mask`; a
+//!   head asking for a relay's own channel is granted nothing either way),
+//!   which leaves every other port's outcome as it is, the streaming path
+//!   included when one lane is left. The masked
+//!   arbitration skips `front_request` on `L`, whose `REQ_NONE` the send
+//!   would overwrite, and the send itself, which nets out (next). The
+//!   per-flit cycle moves `L`'s flit, so a router with a live relay lane
+//!   counts as having moved and never goes `quiet`; arrivals and credits
+//!   only ever clear the flag.
 //! * *Net zero.* If the relay is *fed* (its upstream sends into `L`) and
 //!   *drained* (its downstream pops the lane `(o, v)` feeds), the per-flit
 //!   cycle pops `L`'s `Body` and pushes the next: the same `{packet,
 //!   Body}`, as a flit carries no sequence number, and the credit it takes
-//!   comes straight back. Every other write is idempotent, as only a router
-//!   that has just streamed out of `L` on `(o, v)` is promoted:
-//!   `req_cache[L]` is already [`REQ_UNKNOWN`], `rr_vc[o]` points past `v`,
+//!   comes straight back. Every other write is idempotent, as only a lane
+//!   that has just sent a flit on `(o, v)` is promoted: `req_cache[L]` is
+//!   already [`REQ_UNKNOWN`], `rr_vc[o]` points past `v`,
 //!   `owner`/`own`/`rr_grant` keep the wormhole, `quiet` stays false.
 //! * *The NI ends.* A source relay's NI holds a credit (`L` holds one flit
 //!   of a deeper FIFO) and the front packet's next flit is a `Body`, so the
@@ -85,28 +106,30 @@
 //!   settled lazily from the kernel's clock of phase-1 passes (read
 //!   through [`Kernel::sent`] until the relay demotes), and a timer wakes
 //!   the relay on the clock its NI feeds the `Tail`, which replaces the
-//!   relay's flit, pops the source queue and demotes it. A sink relay's
-//!   ejection takes no credit, so it is always drained; the per-flit
-//!   ejection of a `Body` books a read and an ejection and defers an
-//!   [`Effect::Eject`] that `finish_cycle` ignores (only a `Tail` delivers
-//!   a packet), so a sink relay books both lazily and defers nothing.
+//!   relay's flit, pops the source queue and demotes it. Meanwhile the
+//!   router's NI injects nothing else. A sink relay's ejection takes no
+//!   credit, so it is always drained; the per-flit ejection of a `Body`
+//!   books a read and an ejection and defers an [`Effect::Eject`] that
+//!   `finish_cycle` ignores (only a `Tail` delivers a packet), so a sink
+//!   relay books both lazily and defers nothing.
 //! * *Fed and drained come from the relays at the start of the cycle.*
 //!   Only [`Kernel::resolve_relays`] promotes and demotes. A relay
 //!   upstream always sends and a relay downstream always pops, so a relay
-//!   stages nothing toward a relay on the matching lane or channel. Any
-//!   other router sees in its `feeds_relay`/`fed_by_relay` masks that a
-//!   send or a pop meets a relay, and sets the relay's flag instead of
-//!   staging it (a `Tail` replaces the relay's flit), so the commit never
-//!   touches a relay lane or channel. Phase 1 visits only *awake* relays:
-//!   next to a non-relay router, just promoted, with a packet to inject,
-//!   or fed a `Tail` by their NI. A worm streaming from its source to its
-//!   sink keeps none awake.
+//!   stages nothing toward a relay on the matching lane or channel: its
+//!   own router's `fed_by_relay`/`feeds_relay` marks say which. Any other
+//!   lane sees in the same marks that a send or a pop meets a relay, and
+//!   sets the relay's flag instead of staging it (a `Tail` replaces the
+//!   relay's flit), so the commit never touches a relay lane or channel.
+//!   Phase 1 visits only *awake* relays: next to a non-relay lane, just
+//!   promoted, or fed a `Tail` by their NI. A worm streaming from its
+//!   source to its sink keeps none awake. It skips a router whose occupied
+//!   lanes are all relays and whose NI has nothing else to inject, until
+//!   an arrival or an enqueue gives it other work.
 //! * *The resolve* applies what did not net out: an unfed relay pops `L`,
 //!   an undrained one spends the credit, a demoted source relay settles
-//!   `sent`. Phase 1 keeps relays off the worklist, so a relay's worklist
-//!   bit after the commit is a flit in another of its lanes (its NI
-//!   injection included). Every relay left holds its flit and goes back
-//!   on the worklist.
+//!   `sent`, and a demoted relay's router goes on the worklist if it
+//!   holds a flit or a queued packet, as the per-flit cycle leaves it.
+//!   Every relay left holds its flit and stays on the worklist.
 //! * *What differs at a boundary:* a relay lane's ring head, which is
 //!   unobservable (`hash_state` reads `len` and `front`), a source relay's
 //!   `sent` (hashed through [`Kernel::sent`]), and the counter store. An
@@ -116,10 +139,16 @@
 //!   and by [`Kernel::book_relays`], which the simulator runs before
 //!   anyone reads the ledger.
 //! * *Fallbacks.* Everything else is the per-flit path. A relay demotes
-//!   when not fed, not drained, fed a `Tail`, or when a flit lands in
-//!   another of its lanes. The head and the `Tail` of a packet always
-//!   move one flit at a time, so the only [`Effect`]s a relay skips are
-//!   a sink's `Body` ejections.
+//!   when not fed, not drained, fed a `Tail`, or when another lane of its
+//!   router gets a front that could compete for `o`: an arrival into an
+//!   empty lane (an NI injection included) or a pop that leaves a new
+//!   front. The check runs where the front changes and routes a head with
+//!   `route_step` without writing `req_cache`, which is hashed; its answer
+//!   holds for the cycle, as `o`'s channels change only by `o`'s grants.
+//!   Any lane that sent a flit other than a `Tail`, streamed or
+//!   arbitrated, is a promotion candidate. The head and the `Tail` of a
+//!   packet always move one flit at a time, so the only [`Effect`]s a
+//!   relay skips are a sink's `Body` ejections.
 //!
 //! # Why the result is independent of commit order
 //!
@@ -173,8 +202,9 @@ const REQ_UNKNOWN: u8 = u8::MAX;
 /// blocked non-head fronts are not re-inspected every cycle.
 const REQ_NONE: u8 = u8::MAX - 1;
 
-/// A router's relay record (module docs), [`Relay::NONE`] for any other
-/// router: [`local_lane`] indices and neighbours resolved once.
+/// A relay lane's record (module docs) in the kernel's relay slab; a
+/// free slot's lane is [`NO_LANE`]. Neighbours are read from the link
+/// table when needed.
 #[derive(Debug, Clone, Copy)]
 struct Relay {
     /// The measured cycle the relay's lane counters are booked up to, and
@@ -182,39 +212,18 @@ struct Relay {
     /// last settled: its NI has fed one flit per relay cycle since.
     booked: u64,
     since: u64,
-    /// Node ids of the upstream and the downstream neighbour (the relay's
-    /// own id where its NI is that neighbour).
-    up: u32,
-    down: u32,
-    /// The relay's lane and channel, the upstream's channel into the lane,
-    /// the downstream's lane the channel feeds ([`NO_LANE`] where the NI
-    /// is that neighbour), and [`FED`] | [`DRAINED`] | [`DEMOTE`] |
-    /// [`AWAKE`].
+    router: u32,
+    /// The relay's lane and channel, and [`FED`] | [`DRAINED`] |
+    /// [`DEMOTE`] | [`AWAKE`] | [`LISTED`].
     lane: u8,
     out: u8,
-    up_out: u8,
-    down_lane: u8,
     flags: u8,
 }
 
-/// Lane and channel sentinel of [`Relay::NONE`] and of a relay's NI end.
+/// Lane sentinel of a free relay slot.
 const NO_LANE: u8 = u8::MAX;
 
 impl Relay {
-    /// Not a relay: no live record's lane, channel or neighbour lane
-    /// matches it.
-    const NONE: Relay = Relay {
-        booked: 0,
-        since: 0,
-        up: 0,
-        down: 0,
-        lane: NO_LANE,
-        out: NO_LANE,
-        up_out: NO_LANE,
-        down_lane: NO_LANE,
-        flags: 0,
-    };
-
     fn is_live(&self) -> bool {
         self.lane != NO_LANE
     }
@@ -230,11 +239,16 @@ impl Relay {
     }
 }
 
-/// Relay flags: fed, drained, to demote, and on next cycle's awake list.
+/// Relay flags: fed, drained, to demote, on next cycle's awake list, and
+/// on the resolve's list.
 const FED: u8 = 1;
 const DRAINED: u8 = 2;
 const DEMOTE: u8 = 4;
 const AWAKE: u8 = 8;
+const LISTED: u8 = 16;
+
+/// A router's `Local` input lanes, bits [`local_lane`]`(LOCAL, v)`.
+const LOCAL_LANES: u32 = (1 << VCS) - 1;
 
 /// Whether bit `i` of bitmap `bits` is set.
 fn bit(bits: &[u64], i: usize) -> bool {
@@ -291,8 +305,10 @@ pub(crate) struct RouterState {
     /// the router for the cost of one flag read. Cleared by every arrival
     /// and credit commit.
     pub(crate) quiet: bool,
-    /// Output channels feeding a relay lane and input lanes a relay feeds,
-    /// bit [`local_lane`]`(port, vc)`: derived state kept by the resolve.
+    /// Relay lanes, output channels feeding a relay lane and input lanes a
+    /// relay feeds, bit [`local_lane`]`(port, vc)`: derived state kept by
+    /// the resolve.
+    relay_lanes: u32,
     feeds_relay: u32,
     fed_by_relay: u32,
 }
@@ -315,6 +331,7 @@ impl RouterState {
             rr_vc: [0; PORTS],
             buffered: 0,
             quiet: false,
+            relay_lanes: 0,
             feeds_relay: 0,
             fed_by_relay: 0,
         }
@@ -485,10 +502,16 @@ pub(crate) struct Kernel {
     pub(crate) ledger: LinkLedger,
     /// `true` if a flit moved or was injected this cycle.
     pub(crate) progress: bool,
-    /// Relay record per router, cached as a bitmap and a count.
-    relay: Vec<Relay>,
-    relay_bits: Vec<u64>,
+    /// The relay slab, its free slots, the slot of each relay lane
+    /// (indexed like [`Self::fifos`], read only where `relay_lanes` says
+    /// the lane is a relay) and the live count.
+    relays: Vec<Relay>,
+    free: Vec<u32>,
+    relay_of: Vec<u32>,
     relay_count: usize,
+    /// Routers phase 1 skips: every occupied lane a relay and nothing for
+    /// the NI to inject but what a source relay's NI feeds (bit = node id).
+    relay_bits: Vec<u64>,
     /// The relays phase 1 visits, those the resolve decides on, and the
     /// promotion candidates (module docs) as `(router, lane, channel)`.
     awake: Vec<u32>,
@@ -544,13 +567,17 @@ impl Kernel {
             feedbacks: Vec::with_capacity(VCS * n),
             ledger,
             progress: false,
-            relay: vec![Relay::NONE; n],
-            relay_bits: vec![0; n.div_ceil(64)],
+            // A router's relay lanes own distinct output ports, so at most
+            // `PORTS` per router; every list below holds a relay or a
+            // candidate at most once.
+            relays: Vec::with_capacity(PORTS * n),
+            free: Vec::with_capacity(PORTS * n),
+            relay_of: vec![0; n * PORTS * VCS],
             relay_count: 0,
-            awake: Vec::with_capacity(n),
-            // Each relay at most twice: next to a non-relay, and demoted.
-            unsettled: Vec::with_capacity(2 * n),
-            streamed: Vec::with_capacity(n),
+            relay_bits: vec![0; n.div_ceil(64)],
+            awake: Vec::with_capacity(PORTS * n),
+            unsettled: Vec::with_capacity(PORTS * n),
+            streamed: Vec::with_capacity(PORTS * n),
             clock: 0,
             timers: BinaryHeap::with_capacity(n),
             timed: vec![0; n.div_ceil(64)],
@@ -564,7 +591,8 @@ impl Kernel {
         self.queued_total += 1;
         self.active_bits[r / 64] |= 1 << (r % 64);
         self.src_bits[r / 64] |= 1 << (r % 64);
-        self.wake(r); // only an awake relay injects
+        // The NI may have a packet to inject: phase 1 visits the router.
+        self.relay_bits[r / 64] &= !(1 << (r % 64));
     }
 
     /// Phase 1 of the cycle, one pass over the worklist: per visited
@@ -591,11 +619,13 @@ impl Kernel {
             self.timers.pop();
             let r = (timer & 0xFFFF) as usize;
             self.timed[r / 64] &= !(1 << (r % 64));
-            self.wake(r);
+            if let Some(i) = self.source_relay(r) {
+                self.wake(i);
+            }
         }
         self.progress = self.relay_count > 0;
-        while let Some(r) = self.awake.pop() {
-            self.relay_cycle(r as usize, packets);
+        while let Some(i) = self.awake.pop() {
+            self.relay_cycle(i as usize, packets);
         }
 
         for w in 0..self.work_bits.len() {
@@ -605,67 +635,82 @@ impl Kernel {
                 let r = w * 64 + bits.trailing_zeros() as usize;
                 bits ^= bit;
                 let router = &self.routers[r];
-                // A router only queued at its source NI has nothing to
-                // switch; a quiet one is provably stuck since its last
-                // arbitration.
-                if router.buffered > 0 && !router.quiet {
-                    let moved = self.process_router(r, packets, cycle, armed);
+                // Arbitration skips the relay lanes (module docs). A router
+                // only queued at its source NI has nothing to switch; a
+                // quiet one is provably stuck since its last arbitration.
+                let (lanes, relays) = (router.occ & !router.relay_lanes, router.relay_lanes);
+                if lanes != 0 && !router.quiet {
+                    let moved = self.process_router(r, lanes, packets, cycle, armed);
                     self.progress |= moved;
                     // A fruitless arbitration stays fruitless until an
-                    // arrival or credit changes the router's inputs.
-                    self.routers[r].quiet = !moved;
+                    // arrival or credit changes the router's inputs; a
+                    // relay lane moves every cycle.
+                    self.routers[r].quiet = !moved && relays == 0;
                 }
-                if self.src_bits[w] & bit != 0 {
+                // A source relay's NI feeds it in its relay cycle.
+                let queued = self.src_bits[w] & bit != 0;
+                if queued && relays & LOCAL_LANES == 0 {
                     self.inject(r, packets);
                 }
                 // Re-arm while flits stay buffered (quiet routers
                 // included) or packets stay queued; everything else goes
                 // idle and costs nothing until an arrival commit or an
-                // enqueue sets its bit again.
-                if self.routers[r].buffered > 0 || self.src_bits[w] & bit != 0 {
+                // enqueue sets its bit again. A router left with relay
+                // lanes only is skipped, and re-armed by the resolve.
+                let router = &self.routers[r];
+                let queued = self.src_bits[w] & bit != 0;
+                if relays != 0 && router.occ == relays && (!queued || relays & LOCAL_LANES != 0) {
+                    self.relay_bits[w] |= bit;
+                } else if router.buffered > 0 || queued {
                     self.active_bits[w] |= bit;
                 }
             }
         }
     }
 
-    /// Phase 1 of awake relay `r` (module docs): the send, flagged
+    /// Phase 1 of awake relay `i` (module docs): the send, flagged
     /// against its relay neighbours (an NI neighbour always feeds or
-    /// drains it), then the NI's feed or injection.
-    fn relay_cycle(&mut self, r: usize, packets: &PacketTable) {
-        let (rec, vcs) = (self.relay[r], VCS as u8);
+    /// drains it), then its NI's feed at a source.
+    fn relay_cycle(&mut self, i: usize, packets: &PacketTable) {
+        let rec = self.relays[i];
         if !rec.is_live() {
-            return; // demoted since it was woken
+            self.relays[i].flags = 0; // demoted since it was woken
+            return;
         }
-        let fed = rec.at_source() || self.relay[rec.up as usize].out == rec.up_out;
-        let drained = rec.at_sink() || self.relay[rec.down as usize].lane == rec.down_lane;
-        self.relay[r].flags = if fed { FED } else { 0 } | if drained { DRAINED } else { 0 };
+        let (r, lane, out) = (
+            rec.router as usize,
+            usize::from(rec.lane),
+            usize::from(rec.out),
+        );
+        let router = &self.routers[r];
+        let fed = rec.at_source() || router.fed_by_relay >> lane & 1 != 0;
+        let drained = rec.at_sink() || router.feeds_relay >> out & 1 != 0;
+        self.relays[i].flags = if fed { FED } else { 0 } | if drained { DRAINED } else { 0 };
         if !(fed && drained) {
-            self.unsettled.push(r as u32);
+            self.list(i);
         }
         if !fed {
-            let up = NodeId(rec.up as u16);
-            self.credits.push((up, rec.up_out / vcs, rec.up_out % vcs));
+            let input = self.topo.link(r, lane / VCS);
+            self.credits
+                .push((input.peer, input.peer_port, (lane % VCS) as u8));
         }
         if !drained {
-            let at = arena_lane(r, rec.lane.into());
-            let flit = self.fifos.front(at).expect("a relay holds a flit");
-            let down = NodeId(rec.down as u16);
-            let arrival = (down, rec.down_lane / vcs, rec.down_lane % vcs, flit);
+            let output = self.topo.link(r, out / VCS);
+            let flit = (self.fifos.front(arena_lane(r, lane))).expect("a relay holds a flit");
+            let arrival = (output.peer, output.peer_port, (out % VCS) as u8, flit);
             self.arrivals.push(arrival);
         }
         if rec.at_source() {
-            self.feed_source_relay(r, packets);
-        } else if bit(&self.src_bits, r) {
-            self.inject(r, packets);
+            self.feed_source_relay(i, packets);
         }
     }
 
-    /// The NI's side of source relay `r`'s cycle: it has fed a `Body`
+    /// The NI's side of source relay `i`'s cycle: it has fed a `Body`
     /// every relay cycle since `since`, and feeds the `Tail` on the clock
     /// its timer is set to. The `Tail` replaces the relay's flit, ends
     /// the packet's injection and demotes the relay.
-    fn feed_source_relay(&mut self, r: usize, packets: &PacketTable) {
+    fn feed_source_relay(&mut self, i: usize, packets: &PacketTable) {
+        let r = self.relays[i].router as usize;
         let sent = self.sent(r);
         let sq = &mut self.sources[r];
         let packet = *sq.queue.front().expect("a source relay's NI injects");
@@ -681,17 +726,12 @@ impl Kernel {
         if sq.queue.is_empty() {
             self.src_bits[r / 64] &= !(1 << (r % 64));
         }
-        let at = arena_lane(r, self.relay[r].lane.into());
+        let at = arena_lane(r, self.relays[i].lane.into());
         self.fifos.pop_front(at);
         let kind = FlitKind::Tail;
         self.fifos.push_back(at, Flit { packet, kind });
-        let rec = &mut self.relay[r];
-        rec.since = self.clock;
-        rec.flags |= DEMOTE;
-        if rec.flags & DRAINED != 0 {
-            // An undrained relay is listed already.
-            self.unsettled.push(r as u32);
-        }
+        self.relays[i].since = self.clock;
+        self.demote(i);
     }
 
     /// Wakes router `r` on clock `at`, unless a timer already set wakes
@@ -704,15 +744,30 @@ impl Kernel {
         }
     }
 
+    /// The slot of router `r`'s source relay, if it has one.
+    fn source_relay(&self, r: usize) -> Option<usize> {
+        let lanes = self.routers[r].relay_lanes & LOCAL_LANES;
+        (lanes != 0).then(|| self.slot(r, lanes.trailing_zeros() as usize))
+    }
+
+    /// The slot of relay lane `lane` of router `r`.
+    fn slot(&self, r: usize, lane: usize) -> usize {
+        self.relay_of[arena_lane(r, lane)] as usize
+    }
+
+    /// The slot of the relay lane of router `r` that owns channel `out`.
+    fn channel_relay(&self, r: usize, out: usize) -> usize {
+        let owner = self.routers[r].owner[out / VCS][out % VCS];
+        let (ip, iv) = owner.expect("a relay owns its channel");
+        self.slot(r, local_lane(ip.into(), iv.into()))
+    }
+
     /// Flits of router `r`'s front packet its NI has fed: a source
     /// relay's `sent` lags by the relay cycles since it was settled.
     fn sent(&self, r: usize) -> u16 {
-        let rec = &self.relay[r];
-        let lag = if rec.at_source() {
-            self.clock - rec.since
-        } else {
-            0
-        };
+        let lag = self
+            .source_relay(r)
+            .map_or(0, |i| self.clock - self.relays[i].since);
         self.sources[r].sent + lag as u16
     }
 
@@ -720,23 +775,39 @@ impl Kernel {
     /// place of the flit the relay sent; its write is the relay's.
     #[inline(never)]
     fn relay_arrival(&mut self, link: &PortLink, vc: usize, flit: Flit) {
-        let down = link.peer.index();
-        self.relay[down].flags |= FED;
+        let (down, lane) = (link.peer.index(), local_lane(link.peer_port.into(), vc));
+        let i = self.slot(down, lane);
+        self.relays[i].flags |= FED;
         if flit.kind.is_tail() {
-            self.relay[down].flags |= DEMOTE;
-            let at = arena_lane(down, local_lane(link.peer_port.into(), vc));
+            self.relays[i].flags |= DEMOTE;
+            let at = arena_lane(down, lane);
             self.fifos.pop_front(at);
             self.fifos.push_back(at, flit);
         }
     }
 
-    /// Puts router `r`, if a relay, on next cycle's awake list.
-    fn wake(&mut self, r: usize) {
-        let rec = &mut self.relay[r];
+    /// Puts relay `i`, if live, on next cycle's awake list.
+    fn wake(&mut self, i: usize) {
+        let rec = &mut self.relays[i];
         if rec.is_live() && rec.flags & AWAKE == 0 {
             rec.flags |= AWAKE;
-            self.awake.push(r as u32);
+            self.awake.push(i as u32);
         }
+    }
+
+    /// Puts relay `i` on the resolve's list, once.
+    fn list(&mut self, i: usize) {
+        let rec = &mut self.relays[i];
+        if rec.flags & LISTED == 0 {
+            rec.flags |= LISTED;
+            self.unsettled.push(i as u32);
+        }
+    }
+
+    /// Flags relay `i` for demotion at the resolve.
+    fn demote(&mut self, i: usize) {
+        self.relays[i].flags |= DEMOTE;
+        self.list(i);
     }
 
     /// NI injection at router `r`, whose source queue is non-empty:
@@ -780,7 +851,8 @@ impl Kernel {
     /// lanes and channels (see the module docs), so their order is
     /// immaterial.
     pub(crate) fn commit(&mut self, packets: &PacketTable, armed: bool) {
-        for (node, port, vc, flit) in self.arrivals.drain(..) {
+        for k in 0..self.arrivals.len() {
+            let (node, port, vc, flit) = self.arrivals[k];
             let r = node.index();
             let lane = local_lane(port.into(), vc.into());
             let at = arena_lane(r, lane);
@@ -790,7 +862,8 @@ impl Kernel {
             );
             self.fifos.push_back(at, flit);
             let router = &mut self.routers[r];
-            if router.occ & (1 << lane) == 0 {
+            let fresh = router.occ & (1 << lane) == 0;
+            if fresh {
                 // The lane was empty: this flit is its new front.
                 router.occ |= 1 << lane;
                 router.req_cache[lane] = REQ_UNKNOWN;
@@ -803,7 +876,11 @@ impl Kernel {
             }
             // An arrival is next cycle's work wherever it lands.
             self.active_bits[r / 64] |= 1 << (r % 64);
+            if fresh && self.routers[r].relay_lanes != 0 {
+                self.disturb(r, lane, packets);
+            }
         }
+        self.arrivals.clear();
         for (node, port, vc) in self.credits.drain(..) {
             let (r, port, vc) = (node.index(), usize::from(port), usize::from(vc));
             let c = if port == LOCAL {
@@ -824,62 +901,100 @@ impl Kernel {
     /// drained or disturbed, applying and booking what did not net out, and
     /// promotes the candidates that qualify.
     fn resolve_relays(&mut self, packets: &PacketTable, armed: bool) {
-        // Phase 1 keeps relays off the worklist, so a bit there is an
-        // arrival the commit landed in another lane of the relay. Every
-        // relay goes back on it, as its lane is refilled; a demoted one
-        // left with no flit comes off below.
+        // Phase 1 keeps the routers it skipped off the worklist, so a bit
+        // there is an arrival the commit landed in another of their lanes:
+        // next cycle visits them. Every relay goes back on the worklist, as
+        // its lane is refilled.
         for w in 0..self.relay_bits.len() {
-            let relays = self.relay_bits[w];
-            let mut hit = self.active_bits[w] & relays;
-            self.active_bits[w] |= relays;
-            while hit != 0 {
-                let r = w * 64 + hit.trailing_zeros() as usize;
-                hit &= hit - 1;
-                self.relay[r].flags |= DEMOTE;
-                self.unsettled.push(r as u32);
-            }
+            let skipped = self.relay_bits[w];
+            self.relay_bits[w] &= !self.active_bits[w];
+            self.active_bits[w] |= skipped;
         }
-        while let Some(r) = self.unsettled.pop() {
-            let (r, rec) = (r as usize, self.relay[r as usize]);
-            if !rec.is_live() || rec.flags & !AWAKE == FED | DRAINED {
-                // Listed twice, or kept: next to a non-relay, it has work.
-                self.wake(r);
-                continue;
+        while let Some(i) = self.unsettled.pop() {
+            let i = i as usize;
+            self.relays[i].flags &= !LISTED;
+            if self.relays[i].flags & !AWAKE == FED | DRAINED {
+                // Kept: next to a non-relay, it has work.
+                self.wake(i);
+            } else {
+                self.retire(i, armed);
             }
-            if rec.at_source() {
-                self.sources[r].sent += (self.clock - rec.since) as u16;
-            }
-            self.relay[r] = Relay::NONE;
-            self.relay_bits[r / 64] &= !(1 << (r % 64));
-            self.relay_count -= 1;
-            if !rec.at_source() {
-                self.routers[rec.up as usize].feeds_relay &= !(1 << rec.up_out);
-            }
-            if !rec.at_sink() {
-                self.routers[rec.down as usize].fed_by_relay &= !(1 << rec.down_lane);
-            }
-            let (at, fed) = (arena_lane(r, rec.lane.into()), rec.flags & FED != 0);
-            self.book(r, &rec, u64::from(armed && !fed));
-            let router = &mut self.routers[r];
-            if !fed {
-                // The pop the relay cycle owed: the lane empties.
-                self.fifos.pop_front(at);
-                self.buffered_total -= 1;
-                router.buffered -= 1;
-                router.occ &= !(1 << rec.lane);
-            }
-            let (o, v) = (usize::from(rec.out) / VCS, usize::from(rec.out) % VCS);
-            router.credits[o][v] -= u8::from(rec.flags & DRAINED == 0);
-            // A flit left, a queued packet or an arrival (which demoted it,
-            // as does a `Tail` fed) keeps it listed.
-            if !(fed || rec.flags & DEMOTE != 0 || bit(&self.src_bits, r)) {
-                self.active_bits[r / 64] &= !(1 << (r % 64));
-            }
-            self.wake(rec.up as usize); // its relay neighbours lose one
-            self.wake(rec.down as usize);
         }
         while let Some((r, lane, out)) = self.streamed.pop() {
             self.promote_relay(r as usize, lane.into(), out.into(), packets);
+        }
+    }
+
+    /// Demotes relay `i`: applies what its cycle did not net out (an unfed
+    /// relay pops its lane, an undrained one spends the credit, a source
+    /// relay settles `sent`), books what it owes and frees its slot.
+    fn retire(&mut self, i: usize, armed: bool) {
+        let rec = self.relays[i];
+        let (r, lane, out) = (
+            rec.router as usize,
+            usize::from(rec.lane),
+            usize::from(rec.out),
+        );
+        if rec.at_source() {
+            self.sources[r].sent += (self.clock - rec.since) as u16;
+        }
+        // A slot still on the awake list keeps its flag, so a relay
+        // promoted into it is not listed twice.
+        self.relays[i] = Relay {
+            lane: NO_LANE,
+            flags: rec.flags & AWAKE,
+            ..rec
+        };
+        self.free.push(i as u32);
+        self.relay_count -= 1;
+        // Its relay neighbours lose one: their marks go, and they wake.
+        let router = &self.routers[r];
+        let (relay_up, relay_down) = (
+            router.fed_by_relay >> lane & 1,
+            router.feeds_relay >> out & 1,
+        );
+        if !rec.at_source() {
+            let input = *self.topo.link(r, lane / VCS);
+            let (up, up_out) = (
+                input.peer.index(),
+                local_lane(input.peer_port.into(), lane % VCS),
+            );
+            self.routers[up].feeds_relay &= !(1 << up_out);
+            if relay_up != 0 {
+                self.wake(self.channel_relay(up, up_out));
+            }
+        }
+        if !rec.at_sink() {
+            let output = *self.topo.link(r, out / VCS);
+            let (down, down_lane) = (
+                output.peer.index(),
+                local_lane(output.peer_port.into(), out % VCS),
+            );
+            self.routers[down].fed_by_relay &= !(1 << down_lane);
+            if relay_down != 0 {
+                self.wake(self.slot(down, down_lane));
+            }
+        }
+        let (at, fed) = (arena_lane(r, lane), rec.flags & FED != 0);
+        self.book(r, &rec, u64::from(armed && !fed));
+        let router = &mut self.routers[r];
+        router.relay_lanes &= !(1 << lane);
+        if !fed {
+            // The pop the relay cycle owed: the lane empties.
+            self.fifos.pop_front(at);
+            self.buffered_total -= 1;
+            router.buffered -= 1;
+            router.occ &= !(1 << lane);
+        }
+        router.credits[out / VCS][out % VCS] -= u8::from(rec.flags & DRAINED == 0);
+        // Next cycle visits the router if it holds a flit or a queued
+        // packet, as the per-flit cycle leaves it.
+        let (w, bit) = (r / 64, 1u64 << (r % 64));
+        self.relay_bits[w] &= !bit;
+        if router.buffered > 0 || self.src_bits[w] & bit != 0 {
+            self.active_bits[w] |= bit;
+        } else {
+            self.active_bits[w] &= !bit;
         }
     }
 
@@ -900,14 +1015,11 @@ impl Kernel {
     /// complete; booking again adds nothing.
     pub(crate) fn book_relays(&mut self) {
         let now = self.ledger.cycles();
-        for w in 0..self.relay_bits.len() {
-            let mut relays = self.relay_bits[w];
-            while relays != 0 {
-                let r = w * 64 + relays.trailing_zeros() as usize;
-                relays &= relays - 1;
-                let rec = self.relay[r];
-                self.book(r, &rec, 0);
-                self.relay[r].booked = now;
+        for i in 0..self.relays.len() {
+            let rec = self.relays[i];
+            if rec.is_live() {
+                self.book(rec.router as usize, &rec, 0);
+                self.relays[i].booked = now;
             }
         }
     }
@@ -916,7 +1028,7 @@ impl Kernel {
     /// relays owed the old one.
     pub(crate) fn reset_ledger(&mut self) {
         self.ledger.reset();
-        for rec in &mut self.relay {
+        for rec in &mut self.relays {
             rec.booked = 0;
         }
     }
@@ -931,39 +1043,90 @@ impl Kernel {
         if cached != REQ_UNKNOWN {
             return cached;
         }
-        let front = self
-            .fifos
-            .front(arena_lane(r, b))
-            .expect("occ bit implies a flit");
-        let mut request = REQ_NONE;
-        if front.kind.is_head() {
-            let pkt = packets.get(front.packet);
-            if pkt.vnet.index() == b % VCS {
-                request = route::route_step(
-                    self.topo.coords[r],
-                    self.topo.coords[pkt.dst.index()],
-                    pkt.elevator,
-                )
-                .index() as u8;
-            }
-        }
+        let request = self.route_front(r, b, packets);
         self.routers[r].req_cache[b] = request;
         request
     }
 
-    /// Routes & sends for one active router. With a single occupied input
-    /// lane there is nothing to arbitrate ([`Self::stream_lane`]);
-    /// otherwise computes, once, which output each buffered head flit
-    /// requests and arbitrates only the output ports that have a
-    /// requesting head or a live wormhole with buffered flits.
+    /// [`Self::front_request`] without the cache write.
+    fn peek_request(&self, r: usize, b: usize, packets: &PacketTable) -> u8 {
+        match self.routers[r].req_cache[b] {
+            REQ_UNKNOWN => self.route_front(r, b, packets),
+            cached => cached,
+        }
+    }
+
+    /// The output port the front of occupied lane `b` of router `r`
+    /// requests, or [`REQ_NONE`] if it is not a routable head.
+    fn route_front(&self, r: usize, b: usize, packets: &PacketTable) -> u8 {
+        let front = self
+            .fifos
+            .front(arena_lane(r, b))
+            .expect("occ bit implies a flit");
+        if !front.kind.is_head() {
+            return REQ_NONE;
+        }
+        let pkt = packets.get(front.packet);
+        if pkt.vnet.index() != b % VCS {
+            return REQ_NONE;
+        }
+        let (here, there) = (self.topo.coords[r], self.topo.coords[pkt.dst.index()]);
+        route::route_step(here, there, pkt.elevator).index() as u8
+    }
+
+    /// The output port occupied lane `b` of router `r` is an arbitration
+    /// candidate for: the port of the channel its packet owns, else the
+    /// port its head requests if that head's channel is free.
+    fn claim(&self, r: usize, b: usize, packets: &PacketTable) -> Option<usize> {
+        let router = &self.routers[r];
+        let lane = Some(((b / VCS) as u8, (b % VCS) as u8));
+        let mut own_bits = router.own;
+        while own_bits != 0 {
+            let c = own_bits.trailing_zeros() as usize;
+            own_bits &= own_bits - 1;
+            if router.owner[c / VCS][c % VCS] == lane {
+                return Some(c / VCS);
+            }
+        }
+        let o = usize::from(self.peek_request(r, b, packets));
+        (o < PORTS && router.owner[o][b % VCS].is_none()).then_some(o)
+    }
+
+    /// The relay lane of router `r` whose channel is on port `o`, if any
+    /// (a router's relay lanes own distinct ports).
+    fn relay_on_port(&self, r: usize, o: usize) -> Option<usize> {
+        let router = &self.routers[r];
+        (router.owner[o].iter().flatten())
+            .map(|&(ip, iv)| local_lane(ip.into(), iv.into()))
+            .find(|&l| router.relay_lanes >> l & 1 != 0)
+    }
+
+    /// Lane `b` of router `r`, which has relay lanes, has a new front: a
+    /// relay whose port it could now compete for demotes (module docs).
+    #[inline(never)]
+    fn disturb(&mut self, r: usize, b: usize, packets: &PacketTable) {
+        let Some(o) = self.claim(r, b, packets) else {
+            return;
+        };
+        if let Some(lane) = self.relay_on_port(r, o) {
+            self.demote(self.slot(r, lane));
+        }
+    }
+
+    /// Routes & sends for one active router among its occupied input
+    /// lanes `occ` (its relay lanes masked out). With a single one there is
+    /// nothing to arbitrate ([`Self::stream_lane`]); otherwise computes,
+    /// once, which output each buffered head flit requests and arbitrates
+    /// only the output ports that have a requesting head or a live wormhole
+    /// with buffered flits.
     fn process_router(
         &mut self,
         r: usize,
+        occ: u32,
         packets: &PacketTable,
         cycle: Cycle,
         armed: bool,
     ) -> bool {
-        let occ = self.routers[r].occ;
         if occ.is_power_of_two() {
             let b = occ.trailing_zeros() as usize;
             return self.stream_lane(r, b, packets, cycle, armed);
@@ -1008,7 +1171,8 @@ impl Kernel {
         while out_mask != 0 {
             let o = out_mask.trailing_zeros() as usize;
             out_mask &= out_mask - 1;
-            if let Some(grant) = self.arbitrate(r, o, vc_mask[o], &head_request, &input_used) {
+            let lanes = (occ, &head_request, &input_used);
+            if let Some(grant) = self.arbitrate(r, o, vc_mask[o], lanes) {
                 input_used[grant.ip][grant.iv] = true;
                 self.send(r, o, grant, packets, cycle, armed);
                 progress = true;
@@ -1018,7 +1182,7 @@ impl Kernel {
     }
 
     /// The streaming path: input lane `b` is the router's only occupied
-    /// lane, so at most one output channel can be requested or
+    /// lane but its relay lanes, so at most one output channel can be requested or
     /// owned-and-ready and both round-robin scans of [`Self::arbitrate`]
     /// could only find that one candidate (see the module docs). Resolves
     /// it directly, applies the same owner and credit gates, and moves
@@ -1061,17 +1225,11 @@ impl Kernel {
         }
         let grant = Grant { v, ip, iv, is_new };
         self.send(r, o, grant, packets, cycle, armed);
-        // A candidate if it sent no tail and the lane holds no second flit.
-        let out = local_lane(o, v);
-        let held = self.routers[r].own >> out & 1 != 0;
-        if held && self.fifos.len(arena_lane(r, b)) < 2 {
-            self.streamed.push((r as u32, b as u8, out as u8));
-        }
         true
     }
 
-    /// Makes router `r`, which streamed out of lane `lane` on channel
-    /// `out` this cycle, a relay if it now qualifies (module docs).
+    /// Makes lane `lane` of router `r`, which sent on channel `out` this
+    /// cycle, a relay if it now qualifies (module docs).
     fn promote_relay(&mut self, r: usize, lane: usize, out: usize, packets: &PacketTable) {
         let at = arena_lane(r, lane);
         let (router, o, v) = (&self.routers[r], out / VCS, out % VCS);
@@ -1080,7 +1238,7 @@ impl Kernel {
         let Some(front) = self.fifos.front(at) else {
             return;
         };
-        let lone = self.promote && router.occ == 1 << lane && self.fifos.len(at) == 1;
+        let lone = self.promote && self.fifos.len(at) == 1;
         let credits = router.credits[o][v];
         let flowing = o == LOCAL || credits > 0 && credits + 1 >= self.topo.buffer_depth;
         if !(lone && front.kind == FlitKind::Body && flowing) {
@@ -1089,47 +1247,64 @@ impl Kernel {
         let (source, sink) = (lane / VCS == LOCAL, o == LOCAL);
         // A source relay's NI feeds it: the `Body` is the front packet's,
         // and the NI holds a credit and has more than the `Tail` to feed.
-        // Any other relay's NI injects nothing.
-        let ni_ready = if source {
+        if source {
             let sq = &self.sources[r];
             debug_assert_eq!(sq.queue.front(), Some(&front.packet));
-            self.ni_credits[r][lane % VCS] > 0 && sq.sent + 1 < packets.get(front.packet).flits
-        } else {
-            !bit(&self.src_bits, r)
-        };
-        if !ni_ready {
-            return;
+            let flits = packets.get(front.packet).flits;
+            if self.ni_credits[r][lane % VCS] == 0 || sq.sent + 1 >= flits {
+                return;
+            }
         }
-        let (input, output) = (self.topo.link(r, lane / VCS), self.topo.link(r, o));
+        // Nothing else in the router may compete for the port.
+        let mut others = router.occ & !(1 << lane);
+        while others != 0 {
+            let b = others.trailing_zeros() as usize;
+            others &= others - 1;
+            if self.claim(r, b, packets) == Some(o) {
+                return;
+            }
+        }
         let rec = Relay {
             booked: self.ledger.cycles(),
             since: self.clock,
-            up: if source { r } else { input.peer.index() } as u32,
-            down: if sink { r } else { output.peer.index() } as u32,
+            router: r as u32,
             lane: lane as u8,
             out: out as u8,
-            up_out: if source {
-                NO_LANE
-            } else {
-                local_lane(input.peer_port.into(), lane % VCS) as u8
-            },
-            down_lane: if sink {
-                NO_LANE
-            } else {
-                local_lane(output.peer_port.into(), v) as u8
-            },
             flags: 0,
         };
-        self.relay[r] = rec;
-        self.relay_bits[r / 64] |= 1 << (r % 64);
+        let i = match self.free.pop() {
+            Some(i) => {
+                let i = i as usize;
+                // Still on the awake list if its last relay was woken.
+                let flags = self.relays[i].flags & AWAKE;
+                self.relays[i] = Relay { flags, ..rec };
+                i
+            }
+            None => {
+                self.relays.push(rec);
+                self.relays.len() - 1
+            }
+        };
+        self.relay_of[at] = i as u32;
         self.relay_count += 1;
         if !source {
-            self.routers[rec.up as usize].feeds_relay |= 1 << rec.up_out;
+            let input = self.topo.link(r, lane / VCS);
+            let up_out = local_lane(input.peer_port.into(), lane % VCS);
+            self.routers[input.peer.index()].feeds_relay |= 1 << up_out;
         }
         if !sink {
-            self.routers[rec.down as usize].fed_by_relay |= 1 << rec.down_lane;
+            let output = self.topo.link(r, o);
+            let down_lane = local_lane(output.peer_port.into(), v);
+            self.routers[output.peer.index()].fed_by_relay |= 1 << down_lane;
         }
-        self.wake(r);
+        let router = &mut self.routers[r];
+        router.relay_lanes |= 1 << lane;
+        // Phase 1 skips a router holding relay lanes only.
+        let relays = router.relay_lanes;
+        if router.occ == relays && (relays & LOCAL_LANES != 0 || !bit(&self.src_bits, r)) {
+            self.relay_bits[r / 64] |= 1 << (r % 64);
+        }
+        self.wake(i);
     }
 
     /// Arbitrates one output port of one router among several occupied
@@ -1140,8 +1315,7 @@ impl Kernel {
         r: usize,
         o: usize,
         vc_mask: u8,
-        head_request: &[[u8; VCS]; PORTS],
-        input_used: &[[bool; VCS]; PORTS],
+        (occ, head_request, input_used): (u32, &[[u8; VCS]; PORTS], &[[bool; VCS]; PORTS]),
     ) -> Option<Grant> {
         let router = &self.routers[r];
         // Gather, per VC, the input (port, vc) able to send on (o, vc).
@@ -1159,7 +1333,7 @@ impl Kernel {
                 if input_used[ip][iv] {
                     continue;
                 }
-                if router.occ & (1 << local_lane(ip, iv)) != 0 {
+                if occ & (1 << local_lane(ip, iv)) != 0 {
                     candidates[v] = Some(Grant {
                         v,
                         ip,
@@ -1225,6 +1399,7 @@ impl Kernel {
         if emptied {
             router.occ &= !(1 << in_lane_bit);
         }
+        let disturbs = !emptied && router.relay_lanes != 0;
         let out_lane_bit = local_lane(o, v);
         if is_new {
             router.owner[o][v] = Some((ip as u8, iv as u8));
@@ -1241,6 +1416,15 @@ impl Kernel {
         }
         let to_relay = router.feeds_relay >> out_lane_bit & 1 != 0;
         let from_relay = router.fed_by_relay >> in_lane_bit & 1 != 0;
+        // A relay candidate if it sent no tail and the lane holds no
+        // second flit.
+        if !flit.kind.is_tail() && self.fifos.len(in_fifo) < 2 {
+            let candidate = (r as u32, in_lane_bit as u8, out_lane_bit as u8);
+            self.streamed.push(candidate);
+        }
+        if disturbs {
+            self.disturb(r, in_lane_bit, packets);
+        }
 
         // Credit return to the upstream of the freed input slot.
         let input = *self.topo.link(r, ip);
@@ -1248,7 +1432,9 @@ impl Kernel {
             self.credits.push((NodeId(r as u16), LOCAL as u8, iv as u8));
         } else if from_relay {
             // The relay upstream spent this credit in its own relay cycle.
-            self.relay[input.peer.index()].flags |= DRAINED;
+            let up_out = local_lane(input.peer_port.into(), iv);
+            let i = self.channel_relay(input.peer.index(), up_out);
+            self.relays[i].flags |= DRAINED;
         } else {
             debug_assert!(input.peer().is_some(), "input port implies neighbour");
             self.credits.push((input.peer, input.peer_port, iv as u8));
@@ -1382,7 +1568,9 @@ impl Kernel {
             + self.src_bits.capacity()
             + self.effects.capacity()
             + self.feedbacks.capacity()
-            + self.relay.capacity()
+            + self.relays.capacity()
+            + self.free.capacity()
+            + self.relay_of.capacity()
             + self.relay_bits.capacity()
             + self.awake.capacity()
             + self.unsettled.capacity()
@@ -1464,16 +1652,86 @@ mod tests {
             self.arrivals.push((node, port as u8, vc as u8, flit));
         }
 
+        fn live_relays(&self) -> impl Iterator<Item = (usize, &Relay)> {
+            (self.relays.iter().enumerate()).filter(|(_, rec)| rec.is_live())
+        }
+
         /// Relays at the current cycle boundary fed by their NI and
         /// drained by it: the source and the sink relays.
         pub(crate) fn end_relay_counts(&self) -> (usize, usize) {
-            let live = self.relay.iter().filter(|rec| rec.is_live());
-            live.fold((0, 0), |(src, sink), rec| {
+            self.live_relays().fold((0, 0), |(src, sink), (_, rec)| {
                 (
                     src + usize::from(rec.at_source()),
                     sink + usize::from(rec.at_sink()),
                 )
             })
+        }
+
+        /// Relay lanes at the current cycle boundary whose router holds
+        /// flits in another lane, and those of them at NI ends.
+        pub(crate) fn busy_relay_counts(&self) -> (usize, usize) {
+            let busy = self
+                .live_relays()
+                .map(|(_, rec)| rec)
+                .filter(|rec| self.routers[rec.router as usize].occ != 1 << rec.lane);
+            busy.fold((0, 0), |(all, ends), rec| {
+                (
+                    all + 1,
+                    ends + usize::from(rec.at_source() || rec.at_sink()),
+                )
+            })
+        }
+
+        /// Live relays at the current cycle boundary as `(router, lane,
+        /// output port)`.
+        pub(crate) fn relay_lanes(&self) -> Vec<(usize, usize, usize)> {
+            let lanes = self.live_relays().map(|(_, rec)| {
+                let (lane, out) = (usize::from(rec.lane), usize::from(rec.out));
+                (rec.router as usize, lane, out / VCS)
+            });
+            lanes.collect()
+        }
+
+        /// Whether the front of an occupied non-relay lane of router `r`
+        /// other than `lane` is a head asking for port `o` on a free
+        /// channel.
+        pub(crate) fn head_claims(
+            &self,
+            (r, lane, o): (usize, usize, usize),
+            packets: &PacketTable,
+        ) -> bool {
+            let router = &self.routers[r];
+            let lanes = router.occ & !router.relay_lanes & !(1 << lane);
+            (0..PORTS * VCS).any(|b| {
+                let head = self
+                    .fifos
+                    .front(arena_lane(r, b))
+                    .is_some_and(|f| f.kind.is_head());
+                lanes >> b & 1 != 0 && head && self.claim(r, b, packets) == Some(o)
+            })
+        }
+
+        /// Relay lanes whose router holds other flits, none of which can
+        /// move next cycle: a router the per-flit engine keeps from going
+        /// quiet only by the relay's send.
+        pub(crate) fn stuck_mate_count(&self, packets: &PacketTable) -> usize {
+            let can_send = |r: usize, b: usize| {
+                let router = &self.routers[r];
+                let Some(p) = self.claim(r, b, packets) else {
+                    return false;
+                };
+                let lane = Some(((b / VCS) as u8, (b % VCS) as u8));
+                let v = (0..VCS)
+                    .find(|&v| router.owner[p][v] == lane)
+                    .unwrap_or(b % VCS);
+                p == LOCAL || router.credits[p][v] > 0
+            };
+            let stuck = |rec: &Relay| {
+                let r = rec.router as usize;
+                let others = self.routers[r].occ & !self.routers[r].relay_lanes;
+                others != 0 && (0..PORTS * VCS).all(|b| others >> b & 1 == 0 || !can_send(r, b))
+            };
+            self.live_relays().filter(|(_, rec)| stuck(rec)).count()
         }
 
         /// Relays the next cycle's phase 1 visits: the awake list plus
@@ -1482,46 +1740,93 @@ mod tests {
             let next = self.clock + 1;
             let timed = (self.timers.iter())
                 .filter(|Reverse(timer)| {
-                    let rec = &self.relay[(timer & 0xFFFF) as usize];
-                    timer >> 16 <= next && rec.is_live() && rec.flags & AWAKE == 0
+                    let r = (timer & 0xFFFF) as usize;
+                    let asleep = self
+                        .source_relay(r)
+                        .map(|i| self.relays[i].flags & AWAKE == 0);
+                    timer >> 16 <= next && asleep == Some(true)
                 })
                 .count();
             self.awake.len() + timed
         }
 
+        /// The non-relay lanes the next cycle certainly sends a lone `Body`
+        /// out of, uncontended (what a relay would carry), as `(arena lane,
+        /// whether its router holds flits in another lane)`.
+        pub(crate) fn lone_body_lanes(&self, packets: &PacketTable) -> Vec<(usize, bool)> {
+            let mut lanes = Vec::new();
+            for (r, router) in self.routers.iter().enumerate() {
+                let mut own_bits = router.own;
+                while own_bits != 0 {
+                    let c = own_bits.trailing_zeros() as usize;
+                    own_bits &= own_bits - 1;
+                    let (o, v) = (c / VCS, c % VCS);
+                    let (ip, iv) = router.owner[o][v].expect("own bit implies an owner");
+                    let lane = local_lane(ip.into(), iv.into());
+                    let at = arena_lane(r, lane);
+                    let lone = self.fifos.len(at) == 1
+                        && self.fifos.front(at).map(|f| f.kind) == Some(FlitKind::Body);
+                    let others = router.occ & !(1 << lane);
+                    let free = (0..PORTS * VCS)
+                        .filter(|b| others >> b & 1 != 0)
+                        .all(|b| self.claim(r, b, packets) != Some(o));
+                    if lone
+                        && free
+                        && (o == LOCAL || router.credits[o][v] > 0)
+                        && router.relay_lanes >> lane & 1 == 0
+                    {
+                        lanes.push((at, others != 0));
+                    }
+                }
+            }
+            lanes
+        }
+
         /// Verifies, at a cycle boundary, what every relay cycle relies on
-        /// (module docs): the relay's own state is what a relay cycle
-        /// leaves as it found, its neighbours carry its marks, a relay
-        /// off the awake list nets out with relay neighbours and injects
-        /// nothing, and a source relay's NI can feed it and wakes it by
-        /// the `Tail`'s clock.
+        /// (module docs): the relay lane's state is what a relay cycle
+        /// leaves as it found, nothing else in its router competes for its
+        /// port, the masked arbitration leaves its router awake and on the
+        /// worklist, its neighbours carry its marks, a relay off the awake
+        /// list nets out with relay neighbours, and a source relay's NI can
+        /// feed it and wakes it by the `Tail`'s clock.
         pub(crate) fn check_relays(&self, packets: &PacketTable) -> Result<(), String> {
             if !self.unsettled.is_empty() || !self.streamed.is_empty() {
                 return Err("relays left unresolved".to_string());
             }
             let marks =
                 |m: fn(&RouterState) -> u32| self.routers.iter().map(|r| m(r).count_ones()).sum();
-            let bits: u32 = self.relay_bits.iter().map(|w| w.count_ones()).sum();
-            let marked = [marks(|r| r.feeds_relay), marks(|r| r.fed_by_relay), bits];
+            let live = self.live_relays().count() as u32;
+            let marked = [
+                marks(|r| r.feeds_relay),
+                marks(|r| r.fed_by_relay),
+                marks(|r| r.relay_lanes),
+                live,
+            ];
             let (sources, sinks) = self.end_relay_counts();
             let count = self.relay_count;
-            if marked != [count - sources, count - sinks, count].map(|c| c as u32) {
+            if marked != [count - sources, count - sinks, count, count].map(|c| c as u32) {
                 return Err("relay marks are off".to_string());
             }
-            for (r, rec) in (self.relay.iter().enumerate()).filter(|(_, rec)| rec.is_live()) {
-                if !bit(&self.relay_bits, r) {
-                    return Err(format!("router {r}: relay off the relay bitmap"));
+            for (r, router) in self.routers.iter().enumerate() {
+                let relays = router.relay_lanes;
+                let queued = bit(&self.src_bits, r) && relays & LOCAL_LANES == 0;
+                if bit(&self.relay_bits, r) && (relays == 0 || router.occ != relays || queued) {
+                    return Err(format!("router {r}: skipped with other work"));
                 }
-                // Everything a relay cycle leaves as it found (module docs);
-                // a relay asleep nets out with relay neighbours and injects
-                // nothing.
+            }
+            for (i, rec) in self.live_relays() {
+                let r = rec.router as usize;
                 let (lane, out) = (usize::from(rec.lane), usize::from(rec.out));
                 let (o, v) = (out / VCS, out % VCS);
                 let (router, at) = (&self.routers[r], arena_lane(r, lane));
+                if router.relay_lanes >> lane & 1 == 0 || self.slot(r, lane) != i {
+                    return Err(format!("router {r}: relay of lane {lane} is not indexed"));
+                }
                 let Some(front) = self.fifos.front(at) else {
                     return Err(format!("router {r}: relay of lane {lane} is empty"));
                 };
                 let sq = &self.sources[r];
+                let fed = router.fed_by_relay >> lane & 1 != 0;
                 let (ni_feeds, settled) = if rec.at_source() {
                     // `left` flits for its NI to feed, the `Tail` last.
                     let left = packets.get(front.packet).flits.checked_sub(self.sent(r));
@@ -1534,27 +1839,50 @@ mod tests {
                     let tail_at = self.clock + u64::from(left.unwrap_or(0));
                     (feeds, self.clock < timer && timer <= tail_at)
                 } else {
-                    let fed = self.relay[rec.up as usize].out == rec.up_out;
-                    (true, fed && sq.queue.is_empty())
+                    (true, fed)
                 };
-                let drained = rec.at_sink() || self.relay[rec.down as usize].lane == rec.down_lane;
-                let awake = rec.flags & AWAKE != 0 && self.awake.contains(&(r as u32));
+                let drained = rec.at_sink() || router.feeds_relay >> out & 1 != 0;
+                let awake = rec.flags & AWAKE != 0 && self.awake.contains(&(i as u32));
+                // Its relay neighbours' marks, and the relays they name.
+                let input = self.topo.link(r, lane / VCS);
+                let output = self.topo.link(r, o);
+                let up_out = local_lane(input.peer_port.into(), lane % VCS);
+                let down_lane = local_lane(output.peer_port.into(), v);
                 let marked_up = rec.at_source()
-                    || self.routers[rec.up as usize].feeds_relay >> rec.up_out & 1 == 1;
+                    || self.routers[input.peer.index()].feeds_relay >> up_out & 1 == 1;
                 let marked_down = rec.at_sink()
-                    || self.routers[rec.down as usize].fed_by_relay >> rec.down_lane & 1 == 1;
+                    || self.routers[output.peer.index()].fed_by_relay >> down_lane & 1 == 1;
+                let up_relay = !fed || {
+                    let up = &self.routers[input.peer.index()];
+                    let owner = up.owner[up_out / VCS][up_out % VCS];
+                    owner.is_some_and(|(p, c)| {
+                        up.relay_lanes >> local_lane(p.into(), c.into()) & 1 == 1
+                    })
+                };
+                let down_relay = !drained
+                    || rec.at_sink()
+                    || self.routers[output.peer.index()].relay_lanes >> down_lane & 1 == 1;
+                // Nothing else in the router is a candidate for its port.
+                let others = router.occ & !(1 << lane);
+                let uncontended = (0..PORTS * VCS)
+                    .filter(|b| others >> b & 1 != 0)
+                    .all(|b| self.claim(r, b, packets) != Some(o));
                 let holds = ni_feeds
                     && (settled && drained || awake)
+                    && rec.flags & (LISTED | DEMOTE) == 0
                     && marked_up
                     && marked_down
-                    && router.occ == 1 << lane
+                    && up_relay
+                    && down_relay
+                    && uncontended
                     && self.fifos.len(at) == 1
                     && front.kind == FlitKind::Body
                     && router.owner[o][v] == Some(((lane / VCS) as u8, (lane % VCS) as u8))
                     && (rec.at_sink() || router.credits[o][v] > 0)
                     && router.req_cache[lane] == REQ_UNKNOWN
                     && router.rr_vc[o] as usize == (v + 1) % VCS
-                    && !router.quiet;
+                    && !router.quiet
+                    && bit(&self.active_bits, r);
                 if !holds {
                     return Err(format!(
                         "router {r}: relay of lane {lane} no longer qualifies"

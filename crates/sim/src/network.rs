@@ -61,10 +61,12 @@
 //!   FIFO lane in the one [`LinkLedger`], indexed like the arena and
 //!   booked where the event happens; every other energy counter is
 //!   derived from those when read,
-//! * a router streaming a worm's body between two neighbours — routers,
-//!   or its NI at the worm's source or sink — is a *relay*: a flag check
-//!   instead of a flit move, with its lane counters booked in bulk (the
-//!   `kernel` module docs argue it is state-identical).
+//! * an input lane streaming a worm's body between two neighbours —
+//!   routers, or its NI at the worm's source or sink — with nothing else
+//!   in its router competing for its output port is a *relay*: a flag
+//!   check instead of a flit move, with its lane counters booked in bulk,
+//!   while the router arbitrates its other lanes as usual (the `kernel`
+//!   module docs argue it is state-identical).
 //!
 //! After construction, steady-state stepping performs no heap allocation
 //! (the staging buffers reach their high-water capacity and stay there);
@@ -421,6 +423,38 @@ mod tests {
         /// Relays the next cycle visits.
         pub(crate) fn awake_relay_count(&self) -> usize {
             self.kernel.awake_relay_count()
+        }
+
+        /// Relay lanes whose router holds other flits, and those of them
+        /// at NI ends.
+        pub(crate) fn busy_relay_counts(&self) -> (usize, usize) {
+            self.kernel.busy_relay_counts()
+        }
+
+        /// Live relays as `(router, lane, output port)`.
+        pub(crate) fn relay_lanes(&self) -> Vec<(usize, usize, usize)> {
+            self.kernel.relay_lanes()
+        }
+
+        /// Whether a head asks for the port of relay `(router, lane,
+        /// port)` (`Kernel::head_claims`).
+        pub(crate) fn head_claims(
+            &self,
+            relay: (usize, usize, usize),
+            packets: &PacketTable,
+        ) -> bool {
+            self.kernel.head_claims(relay, packets)
+        }
+
+        /// Relay lanes whose router's other flits are all blocked.
+        pub(crate) fn stuck_mate_count(&self, packets: &PacketTable) -> usize {
+            self.kernel.stuck_mate_count(packets)
+        }
+
+        /// Uncontended lone-`Body` sends the next cycle makes per flit
+        /// (`Kernel::lone_body_lanes`).
+        pub(crate) fn lone_body_lanes(&self, packets: &PacketTable) -> Vec<(usize, bool)> {
+            self.kernel.lone_body_lanes(packets)
         }
 
         /// Audits every relay at a cycle boundary (`Kernel::check_relays`).
@@ -832,13 +866,32 @@ mod tests {
         /// credit and commits the arrival through the real commit path,
         /// so conservation and the derived bitmaps stay exact.
         fn feed(&mut self, node: NodeId, port: Direction, packet: PacketId, kind: FlitKind) {
+            let vc = self.table.get(packet).vnet.index();
             let kernel = &mut self.net.kernel;
             let link = *kernel.topo.link(node.index(), port.index());
             let up = link.peer().expect("fed port has an upstream").index();
-            kernel.routers[up].credits[link.peer_port as usize][VC] -= 1;
-            kernel.stage_arrival(node, port.index(), VC, Flit { packet, kind });
+            kernel.routers[up].credits[link.peer_port as usize][vc] -= 1;
+            kernel.stage_arrival(node, port.index(), vc, Flit { packet, kind });
             kernel.commit(&self.table, true);
             self.net.check_flow_conservation().unwrap();
+        }
+
+        /// Plays the upstream neighbour of input `(node, port)` sending
+        /// `kind` of `packet` during the next cycle, and steps it.
+        fn step_feeding(
+            &mut self,
+            node: NodeId,
+            port: Direction,
+            packet: PacketId,
+            kind: FlitKind,
+        ) {
+            let vc = self.table.get(packet).vnet.index();
+            let kernel = &mut self.net.kernel;
+            let link = *kernel.topo.link(node.index(), port.index());
+            let up = link.peer().expect("fed port has an upstream").index();
+            kernel.routers[up].credits[link.peer_port as usize][vc] -= 1;
+            kernel.stage_arrival(node, port.index(), vc, Flit { packet, kind });
+            self.step();
         }
 
         fn step(&mut self) {
@@ -872,6 +925,74 @@ mod tests {
 
     const NORTH: usize = Direction::North.index();
     const LOCAL_LANE: usize = local_lane(LOCAL, VC);
+
+    /// A worm relays east through router (1, 0, 0) on VC 0 while a
+    /// descending worm owns the other VC's channel on that port with its
+    /// lane there left empty; a `Body` landing in that lane demotes the
+    /// relay (a case no scheduled workload reaches: the owner's flits only
+    /// pause this long when its upstream is played by hand). Stepped in
+    /// lockstep with a twin that never promotes.
+    #[test]
+    fn a_body_landing_in_an_empty_owner_lane_demotes_the_relay_on_its_port() {
+        let mut rigs = [Rig::new(), Rig::new()];
+        rigs[1].net.disable_relays();
+        let east = Direction::East.index();
+        let (r, lane) = (rigs[0].node(1, 0), local_lane(Direction::West.index(), VC));
+        let mut ids = Vec::new();
+        for rig in &mut rigs {
+            let (src, dst) = (Coord::new(0, 0, 1), Coord::new(2, 0, 0));
+            let x = make_packet(&rig.mesh, &rig.elevators, src, dst, 4, 0);
+            let x = rig.table.insert(x);
+            let w = rig.packet((0, 0), (2, 0), 20);
+            ids.push((x, w));
+        }
+        let lockstep = |rigs: &mut [Rig; 2], op: &dyn Fn(&mut Rig, (PacketId, PacketId))| {
+            for (rig, &ids) in rigs.iter_mut().zip(&ids) {
+                op(rig, ids);
+                rig.net.kernel.check_relays(&rig.table).unwrap();
+            }
+            assert_eq!(rigs[0].net.state_digest(), rigs[1].net.state_digest());
+        };
+        let relay_at_r = |rig: &Rig| {
+            rig.net
+                .kernel
+                .relay_lanes()
+                .contains(&(r.index(), lane, east))
+        };
+        // X's head takes channel (East, 1) and leaves its lane empty.
+        lockstep(&mut rigs, &|rig, (x, _)| {
+            rig.feed(r, Direction::West, x, FlitKind::Head)
+        });
+        lockstep(&mut rigs, &|rig, _| rig.step());
+        let owner = Some((Direction::West.index() as u8, 1));
+        assert_eq!(rigs[0].router(r).owner[east][1], owner);
+        // W streams through r on (East, 0) until its lane there relays.
+        lockstep(&mut rigs, &|rig, (_, w)| {
+            rig.net.enqueue_packet(rig.node(0, 0), w)
+        });
+        while !relay_at_r(&rigs[0]) {
+            assert!(rigs[0].cycle < 20, "W's lane at r never relayed");
+            lockstep(&mut rigs, &|rig, _| rig.step());
+        }
+        // X's body lands in its empty lane: it could compete for East.
+        let west = Direction::West;
+        lockstep(&mut rigs, &|rig, (x, _)| {
+            rig.step_feeding(r, west, x, FlitKind::Body)
+        });
+        assert!(
+            !relay_at_r(&rigs[0]),
+            "the owner's body must demote the relay"
+        );
+        for kind in [FlitKind::Body, FlitKind::Tail] {
+            lockstep(&mut rigs, &|rig, _| rig.step());
+            lockstep(&mut rigs, &|rig, (x, _)| rig.step_feeding(r, west, x, kind));
+        }
+        while rigs[0].table.live() > 0 {
+            assert!(rigs[0].cycle < 100, "directed case failed to drain");
+            lockstep(&mut rigs, &|rig, _| rig.step());
+        }
+        assert_eq!(rigs[0].net.link_ledger(), rigs[1].net.link_ledger());
+    }
 
     /// Streaming path, blocked head: a lone head whose output channel is
     /// held by a wormhole with nothing buffered makes no progress, the

@@ -10,11 +10,53 @@ use super::Simulator;
 use crate::{SimCommand, SimConfig, TraceWriter, Tracer};
 use adele::online::{CdaSelector, ElevatorFirstSelector, ElevatorSelector};
 use noc_obs::{compare_journals, parse_journal, SharedBuffer};
-use noc_topology::{ElevatorId, ElevatorSet, Mesh3d, NodeId};
+use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d, NodeId};
 use noc_traffic::injection::{InjectionProcess, OnOffParams, PacketSizeRange};
 use noc_traffic::pattern::Hotspot;
-use noc_traffic::{BatchedSynthetic, SyntheticParts};
+use noc_traffic::scheduled::{ScheduledInjection, ScheduledSource};
+use noc_traffic::{BatchedSynthetic, InjectionRequest, SyntheticParts, TrafficDirective};
 use proptest::prelude::*;
+
+/// A named case's injections, sorted by `(cycle, node)`, replayed as is.
+#[derive(Debug, Clone, Default)]
+struct Script {
+    injections: Vec<ScheduledInjection>,
+    next: usize,
+}
+
+impl Script {
+    /// Six packets of `flits` flits from `src` to `dst`, one every 40
+    /// cycles from cycle `from` on, merged into the script.
+    fn worms(mut self, mesh: &Mesh3d, (src, dst): (Coord, Coord), flits: u16, from: u64) -> Self {
+        let (node, dst) = (mesh.node_id(src).unwrap(), mesh.node_id(dst).unwrap());
+        for k in 0..6 {
+            self.injections.push(ScheduledInjection {
+                cycle: from + 40 * k,
+                node,
+                request: InjectionRequest { dst, flits },
+            });
+        }
+        self.injections.sort_by_key(|i| (i.cycle, i.node));
+        self
+    }
+}
+
+impl ScheduledSource for Script {
+    fn next_injections(&mut self, up_to: u64) -> &[ScheduledInjection] {
+        let first = self.next;
+        let due = self.injections[first..]
+            .iter()
+            .take_while(|i| i.cycle <= up_to);
+        self.next += due.count();
+        &self.injections[first..self.next]
+    }
+
+    fn name(&self) -> &'static str {
+        "script"
+    }
+
+    fn apply(&mut self, _: &TrafficDirective, _: u64) {}
+}
 
 /// One lockstep scenario.
 #[derive(Debug, Clone)]
@@ -41,16 +83,25 @@ struct Case {
     /// Both engines journal a window every 50 cycles (which books the
     /// relays), and the journals must agree.
     traced: bool,
+    /// Replayed in place of the synthetic workload if not empty.
+    script: Script,
 }
 
-/// Relay cycles of the armed cycles, by kind, and their sends; whether
-/// the freeze landed while a source or sink relay was live.
+/// Relay cycles of the armed cycles, by kind, and their sends; over all
+/// cycles, relay cycles in routers holding other flits (at NI ends among
+/// them), and those whose router's other flits were all blocked; relays
+/// demoted as a head came to ask for their port; and whether the freeze
+/// landed while a source or sink relay was live.
 #[derive(Debug, Default)]
 struct Tally {
     relay: u64,
     source: u64,
     sink: u64,
     sends: u64,
+    busy: u64,
+    busy_ends: u64,
+    stuck: u64,
+    head_demotes: u64,
     event_on_end_relay: bool,
 }
 
@@ -70,13 +121,17 @@ impl Case {
             let process = InjectionProcess::on_off(self.rate, OnOffParams::new(0.05, 0.01, 0.0));
             parts.processes.fill(process);
         }
-        let traffic = BatchedSynthetic::from_parts(parts, self.seed);
+        let traffic: Box<dyn ScheduledSource> = if self.script.injections.is_empty() {
+            Box::new(BatchedSynthetic::from_parts(parts, self.seed))
+        } else {
+            Box::new(self.script.clone())
+        };
         let selector: Box<dyn ElevatorSelector> = if self.cda {
             Box::new(CdaSelector::new())
         } else {
             Box::new(ElevatorFirstSelector::new(&self.mesh, &elevators))
         };
-        let mut sim = Simulator::from_scheduled(config, Box::new(traffic), selector);
+        let mut sim = Simulator::from_scheduled(config, traffic, selector);
         if !relays {
             sim.net.disable_relays();
         }
@@ -121,8 +176,18 @@ impl Case {
                 tally.source += sources as u64;
                 tally.sink += sinks as u64;
             }
+            let (busy, busy_ends) = relay.net.busy_relay_counts();
+            tally.busy += busy as u64;
+            tally.busy_ends += busy_ends as u64;
+            tally.stuck += relay.net.stuck_mate_count(&relay.packets) as u64;
+            let lanes = relay.net.relay_lanes();
             relay.step().unwrap();
             plain.step().unwrap();
+            let after = relay.net.relay_lanes();
+            let demoted = lanes.iter().filter(|l| !after.contains(l));
+            tally.head_demotes += demoted
+                .filter(|&&lane| relay.net.head_claims(lane, &relay.packets))
+                .count() as u64;
             let why = |what: &str| format!("cycle {cycle}: {what} diverged in {self:?}");
             prop_assert_eq!(
                 relay.net.state_digest(),
@@ -210,6 +275,7 @@ proptest! {
             event_at,
             book_every,
             traced: traced == 1,
+            script: Script::default(),
         };
         case.lockstep(400)?;
     }
@@ -234,6 +300,7 @@ fn most_light_load_sends_are_relay_cycles() {
         event_at: 150,
         book_every: 50,
         traced: false,
+        script: Script::default(),
     };
     let tally = case.lockstep(600).unwrap();
     assert!(tally.relay * 2 > tally.sends, "{tally:?}");
@@ -255,6 +322,7 @@ fn light_long_packets(mesh: Mesh3d) -> Case {
         event_at: 200,
         book_every: 37,
         traced: true,
+        script: Script::default(),
     }
 }
 
@@ -312,15 +380,107 @@ fn freeze_and_pillar_failure_land_on_a_live_end_relay() {
     assert!(tally.event_on_end_relay, "{tally:?}");
 }
 
+/// Lane relays are not vacuous: at a moderate load of mid-sized packets
+/// on a small 3-D mesh, relay lanes share their router with other flits,
+/// at NI ends too.
+#[test]
+fn moderate_load_keeps_lane_relays_in_busy_routers() {
+    let case = Case {
+        sizes: (4, 16),
+        rate: 0.006,
+        columns: vec![(1, 1), (2, 2)],
+        ..light_long_packets(Mesh3d::new(4, 4, 3).unwrap())
+    };
+    let tally = case.lockstep(600).unwrap();
+    assert!(tally.busy > 0 && tally.busy_ends > 0, "{tally:?}");
+}
+
+/// A router's `(x, y, z)`.
+type At = (u8, u8, u8);
+
+/// A scripted case on a 4×4×2 mesh with one pillar at `pillar`: `worms`
+/// lists `(source, destination, first cycle)` in `(x, y, z)`, six 30-flit
+/// packets each.
+fn scripted(pillar: (u8, u8), worms: &[(At, At, u64)]) -> Case {
+    let mesh = Mesh3d::new(4, 4, 2).unwrap();
+    let at = |(x, y, z): At| Coord { x, y, z };
+    let script = (worms.iter()).fold(Script::default(), |script, &(src, dst, from)| {
+        script.worms(&mesh, (at(src), at(dst)), 30, from)
+    });
+    Case {
+        columns: vec![pillar],
+        event_at: 1_000,
+        script,
+        ..light_long_packets(mesh)
+    }
+}
+
+/// Worms cross in router (1, 1, 0) on both VCs (one same-layer, one
+/// descending), and router (2, 1, 0) holds a crossing worm, a worm its NI
+/// injects and one it ejects: lane relays at both NI ends of a busy
+/// router.
+#[test]
+fn crossing_worms_and_end_lane_relays_share_busy_routers() {
+    let case = scripted(
+        (1, 0),
+        &[
+            ((0, 1, 0), (3, 1, 0), 0),
+            ((1, 0, 1), (1, 3, 0), 5),
+            ((2, 1, 0), (2, 3, 0), 10),
+            ((2, 3, 0), (2, 1, 0), 15),
+        ],
+    );
+    let tally = case.lockstep(600).unwrap();
+    assert!(tally.busy > 0 && tally.busy_ends > 0, "{tally:?}");
+}
+
+/// A descending worm follows a same-layer one east out of pillar (0, 1):
+/// its head, on the other VC, asks for the relay's port on a free channel
+/// at the source router and again downstream. (A `Body` landing in an
+/// empty lane that owns a channel on a relay's port is a directed case in
+/// the `network` tests: no scheduled workload pauses a worm that long.)
+#[test]
+fn a_head_on_the_other_vc_demotes_a_lane_relay() {
+    let case = scripted(
+        (0, 1),
+        &[((0, 1, 0), (3, 1, 0), 0), ((0, 1, 1), (3, 1, 0), 12)],
+    );
+    let tally = case.lockstep(600).unwrap();
+    assert!(tally.head_demotes > 0, "{tally:?}");
+}
+
+/// A worm relays east through router (1, 1, 0) while one crossing it
+/// northward waits for credits behind three more worms ejecting at
+/// (1, 3, 0): the router moves only the relay's flit, so it never goes
+/// quiet.
+#[test]
+fn a_relay_lane_keeps_a_router_of_blocked_lanes_awake() {
+    let case = scripted(
+        (0, 0),
+        &[
+            ((0, 1, 0), (3, 1, 0), 0),
+            ((1, 0, 0), (1, 3, 0), 3),
+            ((0, 3, 0), (1, 3, 0), 0),
+            ((2, 3, 0), (1, 3, 0), 0),
+            ((3, 3, 0), (1, 3, 0), 0),
+        ],
+    );
+    let tally = case.lockstep(600).unwrap();
+    assert!(tally.stuck > 0, "{tally:?}");
+}
+
 /// Prints, on fabrics shaped like the benchmark workloads (uniform
 /// traffic standing in for their own), the relay share of sends, the
-/// awake relays per live relay, and the share of relay cycles at NI ends
-/// (`cargo test -p noc_sim --release -- --ignored --nocapture
-/// relay_share`).
+/// awake relays per live relay, the shares of relay cycles at NI ends and
+/// in routers holding other flits, and the uncontended lone-`Body` sends
+/// still made per flit (what a relay would carry) with the send-weighted
+/// histogram of their run lengths on one lane (`cargo test -p noc_sim
+/// --release -- --ignored --nocapture relay_share`).
 #[test]
 #[ignore = "a measurement, not a check"]
 fn relay_share_of_benchmark_shaped_fabrics() {
     use noc_topology::placement::Placement;
+    use std::collections::HashMap;
     let grid = |x: usize, y: usize, z: usize| {
         let mesh = Mesh3d::new(x, y, z).unwrap();
         let (x, y) = (x as u8 / 4, y as u8 / 4);
@@ -351,24 +511,60 @@ fn relay_share_of_benchmark_shaped_fabrics() {
         sim.advance(5_000).unwrap();
         sim.stats.set_armed(true);
         let (mut tally, mut awake) = (Tally::default(), 0);
+        // Lone-`Body` sends left: all, those in busy routers, and the
+        // send-weighted run lengths 1, 2, 3-7 and >= 8.
+        let (mut lone, mut lone_busy, mut runs) = (0, 0, [0u64; 4]);
+        let mut open: HashMap<usize, u64> = HashMap::new();
+        let close = |runs: &mut [u64; 4], k: u64| {
+            runs[match k {
+                1 | 2 => k as usize - 1,
+                3..=7 => 2,
+                _ => 3,
+            }] += k;
+        };
         for _ in 0..4_000 {
             let (sources, sinks) = sim.net.end_relay_counts();
             tally.relay += sim.net.relay_count() as u64;
             tally.source += sources as u64;
             tally.sink += sinks as u64;
+            tally.busy += sim.net.busy_relay_counts().0 as u64;
             awake += sim.net.awake_relay_count() as u64;
+            let lanes = sim.net.lone_body_lanes(&sim.packets);
+            lone += lanes.len() as u64;
+            lone_busy += lanes.iter().filter(|(_, busy)| *busy).count() as u64;
+            let mut next = HashMap::with_capacity(lanes.len());
+            for (lane, _) in lanes {
+                next.insert(lane, open.remove(&lane).unwrap_or(0) + 1);
+            }
+            for (_, k) in open.drain() {
+                close(&mut runs, k);
+            }
+            open = next;
             sim.step().unwrap();
+        }
+        for (_, k) in open.drain() {
+            close(&mut runs, k);
         }
         sim.net.book_relays();
         let sends = sim.link_ledger().aggregate().buffer_reads;
         let pct = |part: u64, whole: u64| 100.0 * part as f64 / whole.max(1) as f64;
+        let total: u64 = runs.iter().sum();
         println!(
             "{name} @ {rate:.2e}: {} relay cycles of {sends} sends ({:.1} %), \
-             awake {:.1} % of live, NI ends {:.1} % of relay cycles",
+             awake {:.1} % of live, NI ends {:.1} % and busy routers {:.1} % of relay cycles; \
+             lone-Body sends left {:.1} % of sends ({:.1} % in busy routers), \
+             run lengths 1/2/3-7/>=8: {:.0}/{:.0}/{:.0}/{:.0} %",
             tally.relay,
             pct(tally.relay, sends),
             pct(awake, tally.relay),
             pct(tally.source + tally.sink, tally.relay),
+            pct(tally.busy, tally.relay),
+            pct(lone, sends),
+            pct(lone_busy, sends),
+            pct(runs[0], total),
+            pct(runs[1], total),
+            pct(runs[2], total),
+            pct(runs[3], total),
         );
     }
 }
