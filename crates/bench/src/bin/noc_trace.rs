@@ -18,6 +18,9 @@
 //!   Chrome trace-event JSON that Perfetto / `chrome://tracing` loads
 //!   directly (phase spans per window, counter tracks, event instants).
 //!   Prometheus output is validated line by line before it is written.
+//!
+//! A usage error exits 2; a file that cannot be read, parsed or written,
+//! or a trace that does not verify, exits 1 naming it.
 
 use adele_bench::{quick_mode, quick_shrink, Args};
 use noc_exp::{atomic_write, load_dir, load_spec, record_trace, trace_period, verify_trace};
@@ -43,28 +46,23 @@ fn input_file(mut args: Args, missing: &str) -> String {
     path
 }
 
-fn cmd_record(mut args: Args) {
+/// A command's outcome: `Err` is the failure, named, for stderr.
+type Outcome = Result<(), String>;
+
+fn cmd_record(mut args: Args) -> Outcome {
     let period: Option<u64> = args.value("--period");
     if period == Some(0) {
         args.die("bad value 0 for --period (at least 1 cycle)");
     }
     let out: Option<String> = args.value("-o");
     let path = &input_file(args, "record needs a spec file");
-    let scenario = match load_spec(Path::new(path)) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("noc_trace: {e}");
-            std::process::exit(1);
-        }
-    };
+    let scenario = load_spec(Path::new(path)).map_err(|e| format!("noc_trace: {e}"))?;
     let period = period.unwrap_or_else(|| trace_period(&scenario));
     let journal = record_trace(&scenario, period);
     match out {
         Some(out) => {
-            if let Err(e) = atomic_write(Path::new(&out), &journal) {
-                eprintln!("noc_trace: cannot write {out}: {e}");
-                std::process::exit(1);
-            }
+            atomic_write(Path::new(&out), &journal)
+                .map_err(|e| format!("noc_trace: cannot write {out}: {e}"))?;
             eprintln!(
                 "recorded {} ({} records, period {period})",
                 out,
@@ -73,58 +71,38 @@ fn cmd_record(mut args: Args) {
         }
         None => print!("{journal}"),
     }
+    Ok(())
 }
 
-fn cmd_verify(args: Args) {
+/// The text of the file at `path`.
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("noc_trace: cannot read {path}: {e}"))
+}
+
+fn cmd_verify(args: Args) -> Outcome {
     let path = &input_file(args, "verify needs a golden journal");
-    let golden = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("noc_trace: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    match verify_trace(&golden) {
-        Ok(report) => println!(
-            "{path}: OK — {} records match for {:?}",
-            report.records, report.name,
-        ),
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-    }
+    let report = verify_trace(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    println!(
+        "{path}: OK — {} records match for {:?}",
+        report.records, report.name,
+    );
+    Ok(())
 }
 
-fn cmd_export(mut args: Args) {
+fn cmd_export(mut args: Args) -> Outcome {
     let prometheus = args.flag("--prometheus");
     if prometheus == args.flag("--perfetto") {
         args.die("export needs exactly one of --prometheus / --perfetto");
     }
     let out: Option<String> = args.value("-o");
     let path = &input_file(args, "export needs a journal file");
-    let journal = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            eprintln!("noc_trace: cannot read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let records = match noc_obs::parse_journal(&journal) {
-        Ok(records) => records,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let records = noc_obs::parse_journal(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
     let (rendered, what) = if prometheus {
         let text = noc_obs::export::prometheus(&records);
         // The validator is the same one CI runs: every exposition line
         // must parse as `name{labels} value` with a finite value.
-        if let Err(e) = noc_obs::export::validate_prometheus(&text) {
-            eprintln!("noc_trace: generated Prometheus text is malformed: {e}");
-            std::process::exit(1);
-        }
+        noc_obs::export::validate_prometheus(&text)
+            .map_err(|e| format!("noc_trace: generated Prometheus text is malformed: {e}"))?;
         (text, "prometheus text")
     } else {
         (
@@ -134,10 +112,8 @@ fn cmd_export(mut args: Args) {
     };
     match out {
         Some(out) => {
-            if let Err(e) = atomic_write(Path::new(&out), &rendered) {
-                eprintln!("noc_trace: cannot write {out}: {e}");
-                std::process::exit(1);
-            }
+            atomic_write(Path::new(&out), &rendered)
+                .map_err(|e| format!("noc_trace: cannot write {out}: {e}"))?;
             eprintln!(
                 "exported {out} ({what}, {} lines from {} records)",
                 rendered.lines().count(),
@@ -146,19 +122,14 @@ fn cmd_export(mut args: Args) {
         }
         None => print!("{rendered}"),
     }
+    Ok(())
 }
 
-fn cmd_selfcheck(mut args: Args) {
+fn cmd_selfcheck(mut args: Args) -> Outcome {
     let dir = args.positional().unwrap_or_else(|| "specs".to_string());
     args.finish();
-    let suite = match load_dir(Path::new(&dir)) {
-        Ok(suite) => suite,
-        Err(e) => {
-            eprintln!("noc_trace: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut failed = false;
+    let suite = load_dir(Path::new(&dir)).map_err(|e| format!("noc_trace: {e}"))?;
+    let mut failed = 0;
     for (stem, scenario) in suite {
         let mut scenario = scenario;
         if quick_mode() {
@@ -169,22 +140,27 @@ fn cmd_selfcheck(mut args: Args) {
             Ok(report) => println!("{stem}: OK ({} records)", report.records),
             Err(e) => {
                 eprintln!("{stem}: FAIL — {e}");
-                failed = true;
+                failed += 1;
             }
         }
     }
-    if failed {
-        std::process::exit(1);
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("noc_trace: {n} spec(s) failed selfcheck")),
     }
 }
 
 fn main() {
     let mut args = Args::from_env("noc_trace");
-    match args.positional().as_deref() {
+    let outcome = match args.positional().as_deref() {
         Some("record") => cmd_record(args),
         Some("verify") => cmd_verify(args),
         Some("selfcheck") => cmd_selfcheck(args),
         Some("export") => cmd_export(args),
         _ => usage(),
+    };
+    if let Err(why) = outcome {
+        eprintln!("{why}");
+        std::process::exit(1);
     }
 }

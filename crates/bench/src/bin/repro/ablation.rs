@@ -13,11 +13,12 @@
 use adele::offline::SubsetAssignment;
 use adele::AdeleConfig;
 use adele_bench::{
-    dump_json, f1, f2, figure_scenario, offline_assignment, print_table, run_scenarios,
+    dump_json, f1, f2, figure_scenario, offline_assignment, run_scenarios, table, FigureError,
 };
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
 use noc_topology::placement::Placement;
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
 struct AblationRow {
@@ -27,8 +28,8 @@ struct AblationRow {
     low_load_energy_nj: f64,
 }
 
-fn main() {
-    adele_bench::Args::from_env("ablation").finish();
+/// The study on `threads` workers; writes `results/ablation.json`.
+pub fn run(threads: usize) -> Result<String, FigureError> {
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let amosa = offline_assignment(placement);
@@ -38,84 +39,34 @@ fn main() {
     let low_rate = 0.001;
 
     let paper = AdeleConfig::paper_default();
-    let variants: Vec<(String, &SubsetAssignment, AdeleConfig)> = vec![
-        ("AdEle (paper defaults)".into(), &amosa, paper),
-        (
-            "- skipping (Eq. 8-9) off".into(),
-            &amosa,
-            AdeleConfig {
-                skipping_enabled: false,
-                ..paper
-            },
-        ),
-        (
-            "- override off".into(),
-            &amosa,
-            AdeleConfig {
-                low_traffic_override: false,
-                ..paper
-            },
-        ),
-        (
-            "- both off (plain RR)".into(),
-            &amosa,
-            AdeleConfig::rr_only(),
-        ),
-        (
-            "xi = 0 (no exploration)".into(),
-            &amosa,
-            AdeleConfig {
-                exploration: 0.0,
-                ..paper
-            },
-        ),
-        (
-            "xi = 0.2".into(),
-            &amosa,
-            AdeleConfig {
-                exploration: 0.2,
-                ..paper
-            },
-        ),
-        (
-            "a = 0.05 (slow EWMA)".into(),
-            &amosa,
-            AdeleConfig {
-                ewma_alpha: 0.05,
-                ..paper
-            },
-        ),
-        (
-            "a = 0.8 (fast EWMA)".into(),
-            &amosa,
-            AdeleConfig {
-                ewma_alpha: 0.8,
-                ..paper
-            },
-        ),
-        (
-            "theta = 0.3".into(),
-            &amosa,
-            AdeleConfig {
-                low_traffic_threshold: 0.3,
-                ..paper
-            },
-        ),
-        (
-            "no re-entry hysteresis".into(),
-            &amosa,
-            AdeleConfig {
-                override_reentry_factor: 1.0,
-                ..paper
-            },
-        ),
-        ("nearest-only subsets".into(), &nearest, paper),
-        ("full subsets".into(), &full, paper),
+    // A variant on the AMOSA subsets whose config is the paper's, tuned.
+    let tuned = |label, tune: fn(&mut AdeleConfig)| {
+        let mut config = paper;
+        tune(&mut config);
+        (label, &amosa, config)
+    };
+    let variants = [
+        ("AdEle (paper defaults)", &amosa, paper),
+        tuned("- skipping (Eq. 8-9) off", |c| c.skipping_enabled = false),
+        tuned("- override off", |c| c.low_traffic_override = false),
+        ("- both off (plain RR)", &amosa, AdeleConfig::rr_only()),
+        tuned("xi = 0 (no exploration)", |c| c.exploration = 0.0),
+        tuned("xi = 0.2", |c| c.exploration = 0.2),
+        tuned("a = 0.05 (slow EWMA)", |c| c.ewma_alpha = 0.05),
+        tuned("a = 0.8 (fast EWMA)", |c| c.ewma_alpha = 0.8),
+        tuned("theta = 0.3", |c| c.low_traffic_threshold = 0.3),
+        tuned("no re-entry hysteresis", |c| {
+            c.override_reentry_factor = 1.0
+        }),
+        ("nearest-only subsets", &nearest, paper),
+        ("full subsets", &full, paper),
     ];
 
-    println!(
+    let mut out = String::new();
+    writeln!(
+        out,
         "# AdEle ablations on PS1, uniform traffic (high load {high_rate}, low load {low_rate})"
-    );
+    )?;
     // Per variant: the high-load scenario, then the low-load one.
     let scenarios: Vec<Scenario> = variants
         .iter()
@@ -131,14 +82,14 @@ fn main() {
             })
         })
         .collect();
-    let summaries = run_scenarios(&scenarios);
+    let summaries = run_scenarios(&scenarios, threads)?;
 
     let mut rows = Vec::new();
     let mut json = Vec::new();
     for ((label, ..), runs) in variants.into_iter().zip(summaries.chunks(2)) {
         let (high, low) = (&runs[0], &runs[1]);
         rows.push(vec![
-            label.clone(),
+            label.to_string(),
             format!(
                 "{}{}",
                 f1(high.avg_latency),
@@ -147,13 +98,13 @@ fn main() {
             f2(low.energy_per_flit_nj),
         ]);
         json.push(AblationRow {
-            variant: label,
+            variant: label.to_string(),
             high_load_latency: high.avg_latency,
             high_load_completed: high.completed,
             low_load_energy_nj: low.energy_per_flit_nj,
         });
     }
-    print_table(
+    out += &table(
         &[
             "variant",
             "latency @0.0045 (cyc)",
@@ -161,8 +112,9 @@ fn main() {
         ],
         &rows,
     );
-    println!("\nReading guide: the offline subsets carry most of the latency win (compare");
-    println!("nearest-only/full rows); the override buys low-load energy; skipping and");
-    println!("exploration fine-tune behaviour near saturation.");
-    dump_json("ablation", &json);
+    out += "\nReading guide: the offline subsets carry most of the latency win (compare\n\
+            nearest-only/full rows); the override buys low-load energy; skipping and\n\
+            exploration fine-tune behaviour near saturation.\n";
+    dump_json("ablation", &json)?;
+    Ok(out)
 }

@@ -2,11 +2,12 @@
 //! Elevator-First selection policy and uniform traffic, demonstrating the
 //! uneven elevator utilisation that motivates AdEle.
 
-use adele_bench::{dump_json, f2, figure_scenario, print_table, run_scenarios};
+use adele_bench::{dump_json, f2, figure_scenario, run_scenarios, table, FigureError};
 use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_topology::placement::Placement;
 use noc_topology::Coord;
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
 struct Fig2b {
@@ -17,15 +18,15 @@ struct Fig2b {
     max_over_mean: f64,
 }
 
-fn main() {
-    adele_bench::Args::from_env("fig2b").finish();
+/// The figure on `threads` workers; writes `results/fig2b.json`.
+pub fn run(threads: usize) -> Result<String, FigureError> {
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let rate = 0.003;
     let scenario = figure_scenario("fig2b", placement)
         .with_workload(WorkloadKind::Uniform { rate })
         .with_selector(SelectorSpec::ElevatorFirst);
-    let summary = &run_scenarios(&[scenario])[0];
+    let summary = &run_scenarios(&[scenario], threads)?[0];
 
     let layer = (mesh.layers() / 2) as u8;
     let mut loads = vec![vec![0.0; mesh.x()]; mesh.y()];
@@ -43,9 +44,13 @@ fn main() {
         }
     }
 
-    println!("# Fig. 2(b): per-router traffic load, layer {layer} of PS1 (4x4x4, 3 elevators),");
-    println!("# Elevator-First selection, uniform traffic @ rate {rate}. Loads normalised to the layer mean;");
-    println!("# elevator-column routers marked with 'E'.");
+    let mut out = String::new();
+    writeln!(
+        out,
+        "# Fig. 2(b): per-router traffic load, layer {layer} of PS1 (4x4x4, 3 elevators),"
+    )?;
+    writeln!(out, "# Elevator-First selection, uniform traffic @ rate {rate}. Loads normalised to the layer mean;")?;
+    writeln!(out, "# elevator-column routers marked with 'E'.")?;
     let headers: Vec<String> = (0..mesh.x()).map(|x| format!("x={x}")).collect();
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut rows = Vec::new();
@@ -59,12 +64,12 @@ fn main() {
         }
         rows.push(cells);
     }
-    print_table(&header_refs, &rows);
+    out += &table(&header_refs, &rows);
 
     let max = loads.iter().flatten().copied().fold(0.0, f64::max);
-    println!("\nmax/mean load on this layer: {}", f2(max));
-    println!("paper: the middle elevator (e2) is highly congested under Elevator-First —");
-    println!("expect the elevator columns to carry multiples of the mean load, unevenly.");
+    writeln!(out, "\nmax/mean load on this layer: {}", f2(max))?;
+    out += "paper: the middle elevator (e2) is highly congested under Elevator-First —\n\
+            expect the elevator columns to carry multiples of the mean load, unevenly.\n";
 
     dump_json(
         "fig2b",
@@ -74,5 +79,6 @@ fn main() {
             elevators: elevators.iter().map(|(_, c)| c).collect(),
             max_over_mean: max,
         },
-    );
+    )?;
+    Ok(out)
 }

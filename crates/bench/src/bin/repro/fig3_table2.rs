@@ -4,11 +4,17 @@
 //! spread along the front versus Elevator-First.
 
 use adele_bench::{
-    dump_json, f1, f2, figure_scenario, offline_result, print_table, run_scenarios, table2_rate,
+    dump_json, f1, f2, figure_scenario, offline_result, run_scenarios, table, FigureError,
 };
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
 use noc_topology::placement::Placement;
 use serde::Serialize;
+use std::fmt::Write;
+
+/// Fixed injection rate used to compare Table II's S0–S5 picks on PM —
+/// just past Elevator-First's saturation knee, where the paper's baseline
+/// sits at ≈161 cycles.
+const TABLE2_RATE: f64 = 0.004;
 
 #[derive(Serialize)]
 struct FrontPoint {
@@ -34,20 +40,23 @@ struct Fig3Table2 {
     table2: Vec<Table2Row>,
 }
 
-fn main() {
-    adele_bench::Args::from_env("fig3_table2").finish();
+/// Both, Table II on `threads` workers; writes `results/fig3_table2.json`.
+pub fn run(threads: usize) -> Result<String, FigureError> {
     let placement = Placement::Pm;
-    println!("# Fig. 3: AMOSA exploration on PM (8x8x4, 12 elevators), uniform assumed traffic");
+    let mut out = String::from(
+        "# Fig. 3: AMOSA exploration on PM (8x8x4, 12 elevators), uniform assumed traffic\n",
+    );
     let result = offline_result(placement);
-    println!(
+    writeln!(
+        out,
         "AMOSA evaluations: {}; Pareto-front size: {}; explored points recorded: {}",
         result.evaluations,
         result.pareto.len(),
         result.explored.len()
-    );
+    )?;
 
-    println!("\n## Pareto front (utilization variance vs average distance)");
-    print_table(
+    out += "\n## Pareto front (utilization variance vs average distance)\n";
+    out += &table(
         &["solution", "util. variance", "avg distance"],
         &result
             .pareto
@@ -62,12 +71,12 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    println!("paper Fig. 3: variance spans ≈0–7, distance ≈6.65–6.95 (absolute scales differ");
-    println!("with our re-derived PM placement; the trade-off shape is the comparison).");
+    out += "paper Fig. 3: variance spans ≈0–7, distance ≈6.65–6.95 (absolute scales differ\n\
+            with our re-derived PM placement; the trade-off shape is the comparison).\n";
 
     // ---- Table II: simulate Elevator-First + S0..S5 on PM, one grid. ----
     let picks = result.spread(6);
-    let rate = table2_rate();
+    let rate = TABLE2_RATE;
     // (label, the front point behind it, policy): the baseline, then S0..S5.
     let baseline = ("ElevFirst".to_string(), None, SelectorSpec::ElevatorFirst);
     let solutions = picks.iter().enumerate().map(|(i, &pick)| {
@@ -90,7 +99,8 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    for ((label, pick, _), summary) in variants.into_iter().zip(run_scenarios(&scenarios)) {
+    let summaries = run_scenarios(&scenarios, threads)?;
+    for ((label, pick, _), summary) in variants.into_iter().zip(summaries) {
         let variance = pick.map(|p| p.utilization_variance);
         let distance = pick.map(|p| p.average_distance);
         rows.push(vec![
@@ -114,8 +124,11 @@ fn main() {
         });
     }
 
-    println!("\n# Table II: performance of selected solutions (PM, uniform @ rate {rate})");
-    print_table(
+    writeln!(
+        out,
+        "\n# Table II: performance of selected solutions (PM, uniform @ rate {rate})"
+    )?;
+    out += &table(
         &[
             "solution",
             "variance",
@@ -125,8 +138,8 @@ fn main() {
         ],
         &rows,
     );
-    println!("paper Table II: ElevFirst 161.4 cyc / 94.4 nJ; S0 396 / 93.1; S5 56.6 / 98.3 —");
-    println!("latency falls S0→S5 as variance falls, energy rises slightly with distance.");
+    out += "paper Table II: ElevFirst 161.4 cyc / 94.4 nJ; S0 396 / 93.1; S5 56.6 / 98.3 —\n\
+            latency falls S0→S5 as variance falls, energy rises slightly with distance.\n";
 
     let point = |variance, distance| FrontPoint { variance, distance };
     dump_json(
@@ -145,5 +158,6 @@ fn main() {
             evaluations: result.evaluations,
             table2: json_rows,
         },
-    );
+    )?;
+    Ok(out)
 }

@@ -3,7 +3,7 @@
 //! PS1/PS2/PS3/PM. The PM panels additionally include the AdEle-RR
 //! ablation, as in the paper.
 //!
-//! Usage: `fig4 [PS1|PS2|PS3|PM] [Uniform|Shuffle]` (no args = all
+//! Usage: `repro fig4 [PS1|PS2|PS3|PM] [Uniform|Shuffle]` (no args = all
 //! panels; an unknown name is a usage error). The panels run on the
 //! bit-stable `v1` workload stream (the dump records it). `ADELE_QUICK=1`
 //! shrinks windows for a fast smoke run.
@@ -12,13 +12,14 @@
 //! probe and the swept rates, all independent scenarios.
 
 use adele_bench::{
-    dump_json, f1, f4, fig4_rates, figure_scenario, main_policies, offline_assignment, print_table,
-    run_scenarios, Args,
+    dump_json, f1, f4, fig4_rates, figure_scenario, main_policies, offline_assignment,
+    run_scenarios, table, Args, FigureError,
 };
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_sim::harness::saturation_rate;
 use noc_topology::placement::Placement;
 use serde::Serialize;
+use std::fmt::Write;
 
 /// The token injection rate whose latency is the baseline of the paper's
 /// saturation definition.
@@ -45,7 +46,12 @@ struct Panel {
 }
 
 /// One panel: `workload` is the printed name of the uniform or `shuffle` traffic.
-fn panel(placement: Placement, workload: &str, shuffle: bool) -> Panel {
+fn panel(
+    placement: Placement,
+    workload: &str,
+    shuffle: bool,
+    threads: usize,
+) -> Result<Panel, FigureError> {
     let rates = fig4_rates(placement, shuffle);
     let assignment = offline_assignment(placement);
 
@@ -83,7 +89,7 @@ fn panel(placement: Placement, workload: &str, shuffle: bool) -> Panel {
             })
         })
         .collect();
-    let summaries = run_scenarios(&scenarios);
+    let summaries = run_scenarios(&scenarios, threads)?;
 
     let series = policies
         .iter()
@@ -99,20 +105,21 @@ fn panel(placement: Placement, workload: &str, shuffle: bool) -> Panel {
         })
         .collect();
 
-    Panel {
+    Ok(Panel {
         placement: placement.name().to_string(),
         workload: workload.to_string(),
         stream: spec(0.0).stream.to_string(),
         rates,
         series,
-    }
+    })
 }
 
-fn print_panel(panel: &Panel) {
-    println!(
+fn write_panel(out: &mut String, panel: &Panel) -> std::fmt::Result {
+    writeln!(
+        out,
         "\n# Fig. 4 panel: {} — {} traffic (avg latency, cycles; * = unsaturated run did not fully drain)",
         panel.placement, panel.workload
-    );
+    )?;
     let mut headers = vec!["rate"];
     let names: Vec<&str> = panel.series.iter().map(|s| s.policy.as_str()).collect();
     headers.extend(names);
@@ -129,14 +136,14 @@ fn print_panel(panel: &Panel) {
             row
         })
         .collect();
-    print_table(&headers, &rows);
+    out.push_str(&table(&headers, &rows));
     for s in &panel.series {
         match s.saturation_rate {
-            Some(r) => println!("  saturation({}) ≈ {}", s.policy, f4(r)),
-            None => println!("  saturation({}) beyond swept range", s.policy),
+            Some(r) => writeln!(out, "  saturation({}) ≈ {}", s.policy, f4(r))?,
+            None => writeln!(out, "  saturation({}) beyond swept range", s.policy)?,
         }
     }
-    println!("  paper: AdEle achieves the lowest latency and highest saturation threshold in every panel.");
+    writeln!(out, "  paper: AdEle achieves the lowest latency and highest saturation threshold in every panel.")
 }
 
 /// The entries of `all` named `word` (every entry when no word was
@@ -152,31 +159,43 @@ fn pick<T: Copy>(
     let picked: Vec<_> = all.iter().copied().filter(|(n, _)| named(n)).collect();
     if picked.is_empty() {
         let names: Vec<&str> = all.iter().map(|&(name, _)| name).collect();
-        let word = word.unwrap_or_default();
-        args.die(&format!(
-            "unknown {what} {word:?} (one of {})",
-            names.join(", ")
-        ));
+        let (word, names) = (word.unwrap_or_default(), names.join(", "));
+        args.die(&format!("unknown {what} {word:?} (one of {names})"));
     }
     picked
 }
 
-fn main() {
-    let mut args = Args::from_env("fig4");
+/// Every panel on `threads` workers; writes `results/fig4.json`.
+pub fn run(threads: usize) -> Result<String, FigureError> {
+    panels(&Placement::ALL.map(|p| (p.name(), p)), &WORKLOADS, threads)
+}
+
+/// The panels the rest of `repro fig4`'s command line names.
+pub fn run_named(mut args: Args, threads: usize) -> Result<String, FigureError> {
     let placement = args.positional();
     let workload = args.positional();
     args.finish();
     let placements = Placement::ALL.map(|p| (p.name(), p));
     let placements = pick(&args, "placement", &placements, placement);
     let workloads = pick(&args, "workload", &WORKLOADS, workload);
+    panels(&placements, &workloads, threads)
+}
 
+/// The `placements` × `workloads` panels, each panel's grid on `threads`.
+fn panels(
+    placements: &[(&str, Placement)],
+    workloads: &[(&str, bool)],
+    threads: usize,
+) -> Result<String, FigureError> {
+    let mut out = String::new();
     let mut panels = Vec::new();
-    for &(_, placement) in &placements {
-        for &(workload, shuffle) in &workloads {
-            let p = panel(placement, workload, shuffle);
-            print_panel(&p);
+    for &(_, placement) in placements {
+        for &(workload, shuffle) in workloads {
+            let p = panel(placement, workload, shuffle, threads)?;
+            write_panel(&mut out, &p)?;
             panels.push(p);
         }
     }
-    dump_json("fig4", &panels);
+    dump_json("fig4", &panels)?;
+    Ok(out)
 }

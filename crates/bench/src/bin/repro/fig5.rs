@@ -5,17 +5,18 @@
 //! The paper's takeaway: AdEle reduces the load on the most-utilised
 //! elevator (the blue bar) by spreading traffic across the set.
 //!
-//! The per-policy runs are one batch on the figure runner (`repro_all
+//! The per-policy runs are one batch on the figure runner (`repro all
 //! --verify` checks the pool against sequential runs), on the bit-stable
 //! `v1` workload stream (the dump records it).
 
 use adele_bench::{
-    dump_json, f2, f4, figure_scenario, main_policies, offline_assignment, print_table,
-    run_scenarios, Args,
+    dump_json, f2, f4, figure_scenario, main_policies, offline_assignment, run_scenarios, table,
+    FigureError,
 };
 use noc_exp::{WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
 struct Fig5 {
@@ -27,8 +28,8 @@ struct Fig5 {
     bars: Vec<(String, Vec<f64>)>,
 }
 
-fn main() {
-    Args::from_env("fig5").finish();
+/// The figure on `threads` workers; writes `results/fig5.json`.
+pub fn run(threads: usize) -> Result<String, FigureError> {
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let policies = main_policies(&offline_assignment(placement));
@@ -40,7 +41,7 @@ fn main() {
             .with_workload(workload.clone())
             .with_selector(policy)
     });
-    let summaries = run_scenarios(&scenarios);
+    let summaries = run_scenarios(&scenarios, threads)?;
 
     let mut bars = Vec::new();
     let mut rows = Vec::new();
@@ -71,18 +72,21 @@ fn main() {
         bars.push((name.to_string(), pillar_means));
     }
 
-    println!("# Fig. 5: elevator-router load normalised to the mean elevator-less router load");
-    println!(
+    let mut out = String::from(
+        "# Fig. 5: elevator-router load normalised to the mean elevator-less router load\n",
+    );
+    writeln!(
+        out,
         "# (PS1, uniform @ rate {}; bar per elevator pillar)",
         f4(rate)
-    );
+    )?;
     let mut headers = vec!["policy".to_string()];
     headers.extend(elevators.ids().map(|e| format!("{e}")));
     headers.push("max".to_string());
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
-    print_table(&header_refs, &rows);
-    println!("\npaper: AdEle lowers the most-loaded elevator bar relative to ElevFirst;");
-    println!("elevator routers carry multiples of the elevator-less average in all schemes.");
+    out += &table(&header_refs, &rows);
+    out += "\npaper: AdEle lowers the most-loaded elevator bar relative to ElevFirst;\n\
+            elevator routers carry multiples of the elevator-less average in all schemes.\n";
 
     dump_json(
         "fig5",
@@ -91,5 +95,6 @@ fn main() {
             stream: workload.stream.to_string(),
             bars,
         },
-    );
+    )?;
+    Ok(out)
 }

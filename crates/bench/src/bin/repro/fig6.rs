@@ -8,23 +8,24 @@
 //! congestion.
 //!
 //! The (regime × placement × policy) grid is one call of the figure
-//! runner (`repro_all --verify` checks the pool against sequential runs),
+//! runner (`repro all --verify` checks the pool against sequential runs),
 //! on the bit-stable `v1` workload stream (the dumps record it).
 //!
-//! **Link-granular mode** (`fig6 --links`):
+//! **Link-granular mode** (`repro fig6 --links`):
 //! instead of the aggregate cells, reproduce the figure at link
 //! granularity from the per-link telemetry — per-pillar TSV energy, the
 //! hottest links of every run, a per-link CSV and a layer/pillar heatmap
 //! JSON per placement under `results/`.
 
 use adele_bench::{
-    dump_json, f2, f4, fig6_rates, figure_scenario, main_policies, offline_assignment, print_table,
-    results_dir, run_scenarios, run_scenarios_with, written_or_die, Args,
+    dump_json, f2, f4, fig6_rates, figure_scenario, main_policies, offline_assignment, results_dir,
+    run_scenarios, run_scenarios_with, table, written, FigureError,
 };
 use noc_energy::{HeatmapReport, LinkEnergyReport};
 use noc_exp::{Scenario, WorkloadKind, WorkloadSpec};
 use noc_topology::placement::Placement;
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
 struct EnergyCell {
@@ -65,15 +66,18 @@ fn grid() -> (Vec<(f64, &'static str)>, Vec<Scenario>) {
     (keys, scenarios)
 }
 
-fn standard_mode() {
+/// The figure on `threads` workers; writes `results/fig6.json`.
+pub fn run(threads: usize) -> Result<String, FigureError> {
     let (keys, scenarios) = grid();
-    let summaries = run_scenarios(&scenarios);
+    let summaries = run_scenarios(&scenarios, threads)?;
 
+    let mut out = String::new();
     let mut dump = Vec::new();
     for (regime, label, load) in [(0, "a", "Low"), (1, "b", "High")] {
-        println!(
+        writeln!(
+            out,
             "\n# Fig. 6({label}): energy/flit normalised to ElevFirst — {load} injection rate"
-        );
+        )?;
         let mut rows = Vec::new();
         for (p, placement) in Placement::ALL.into_iter().enumerate() {
             let at = (2 * p + regime) * POLICIES;
@@ -94,12 +98,11 @@ fn standard_mode() {
             }
             rows.push(row);
         }
-        print_table(&["placement", "rate", "ElevFirst", "CDA", "AdEle"], &rows);
+        out += &table(&["placement", "rate", "ElevFirst", "CDA", "AdEle"], &rows);
     }
-    println!(
-        "\npaper: AdEle lowest at low rates (minimal-path override); ≤9.7% over CDA at high rates."
-    );
-    dump_json("fig6", &dump);
+    out += "\npaper: AdEle lowest at low rates (minimal-path override); ≤9.7% over CDA at high rates.\n";
+    dump_json("fig6", &dump)?;
+    Ok(out)
 }
 
 #[derive(Serialize)]
@@ -116,10 +119,10 @@ struct LinkCell {
 /// from the same scenarios as the aggregate mode, but each driven through
 /// its warm-up and measurement window only, so the per-link ledger can be
 /// snapshot (the reports are plain owned data: pool workers return them
-/// and the main thread keeps only printing and file writes).
-fn links_mode() {
+/// and the calling thread keeps only the report and file writes).
+pub fn run_links(threads: usize) -> Result<String, FigureError> {
     let (keys, scenarios) = grid();
-    let snapshots = run_scenarios_with(&scenarios, |scenario, mut sim| {
+    let snapshots = run_scenarios_with(&scenarios, threads, |scenario, mut sim| {
         sim.advance(scenario.warmup)?;
         sim.measure_window(scenario.measure)?;
         let energy = scenario.sim_config().energy;
@@ -127,13 +130,14 @@ fn links_mode() {
             LinkEnergyReport::from_ledger(sim.link_map(), sim.link_ledger(), &energy),
             HeatmapReport::from_ledger(sim.link_map(), sim.link_ledger(), &energy),
         ))
-    });
+    })?;
 
+    let mut out = String::new();
     let mut dump = Vec::new();
     let mut results = keys.into_iter().zip(snapshots);
     for placement in Placement::ALL {
         let (_, high) = fig6_rates(placement);
-        println!("\n# Fig. 6 (link granularity): {}", placement.name());
+        writeln!(out, "\n# Fig. 6 (link granularity): {}", placement.name())?;
         let mut rows = Vec::new();
         for _ in 0..2 * POLICIES {
             let ((rate, policy), (report, heat)) = results.next().expect("one snapshot each");
@@ -160,9 +164,9 @@ fn links_mode() {
             if policy == "AdEle" && rate == high {
                 let dir = results_dir();
                 let csv = format!("fig6_links_{}.csv", placement.name());
-                written_or_die(&csv, report.write_csv(&dir.join(&csv)));
+                written(&csv, report.write_csv(&dir.join(&csv)))?;
                 let json = format!("fig6_heatmap_{}.json", placement.name());
-                written_or_die(&json, heat.write_json(&dir.join(&json)));
+                written(&json, heat.write_json(&dir.join(&json)))?;
             }
 
             dump.push(LinkCell {
@@ -174,20 +178,10 @@ fn links_mode() {
                 hottest_links: hottest,
             });
         }
-        print_table(&["rate", "policy", "tsv_energy_nj", "hottest link"], &rows);
+        out += &table(&["rate", "policy", "tsv_energy_nj", "hottest link"], &rows);
     }
-    println!("\nper-link CSV + layer/pillar heatmap JSON written to results/ (AdEle, high rate);");
-    println!("TSVs are cheap per hop but concentrate on few pillars — the per-pillar view above.");
-    dump_json("fig6_links", &dump);
-}
-
-fn main() {
-    let mut args = Args::from_env("fig6");
-    let links = args.flag("--links");
-    args.finish();
-    if links {
-        links_mode();
-    } else {
-        standard_mode();
-    }
+    out += "\nper-link CSV + layer/pillar heatmap JSON written to results/ (AdEle, high rate);\n\
+            TSVs are cheap per hop but concentrate on few pillars — the per-pillar view above.\n";
+    dump_json("fig6_links", &dump)?;
+    Ok(out)
 }

@@ -14,13 +14,14 @@
 //! `CyclePolled`), so there is no `--stream` flag; the dump records `v1`.
 
 use adele_bench::{
-    dump_json, f2, fig7_base_rate, figure_scenario, main_policies, offline_assignment, print_table,
-    run_scenarios,
+    dump_json, f2, fig7_base_rate, figure_scenario, main_policies, offline_assignment,
+    run_scenarios, table, FigureError,
 };
 use noc_exp::WorkloadKind;
 use noc_topology::placement::Placement;
 use noc_traffic::apps::AppKind;
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
 struct AppCell {
@@ -33,8 +34,8 @@ struct AppCell {
     energy_per_flit_nj: f64,
 }
 
-fn main() {
-    adele_bench::Args::from_env("fig7").finish();
+/// The figure on `threads` workers; writes `results/fig7.json`.
+pub fn run(threads: usize) -> Result<String, FigureError> {
     let placements = [Placement::Ps1, Placement::Ps2, Placement::Ps3];
     let policies = placements.map(|p| main_policies(&offline_assignment(p)));
 
@@ -50,17 +51,19 @@ fn main() {
             }
         }
     }
-    let all = run_scenarios(&grid);
+    let all = run_scenarios(&grid, threads)?;
 
+    let mut out = String::new();
     let mut cells: Vec<AppCell> = Vec::new();
     let per_placement = all.chunks(AppKind::ALL.len() * policies[0].len());
     for ((placement, policies), summaries) in
         placements.into_iter().zip(&policies).zip(per_placement)
     {
-        println!(
+        writeln!(
+            out,
             "\n# Fig. 7: {} — latency normalised to ElevFirst (absolute cycles in parentheses)",
             placement.name()
-        );
+        )?;
         let mut rows = Vec::new();
         let mut improvements = Vec::new();
         for (app, runs) in AppKind::ALL
@@ -87,16 +90,17 @@ fn main() {
             rows.push(row);
         }
         let avg: f64 = improvements.iter().sum::<f64>() / improvements.len() as f64;
-        print_table(&["app", "ElevFirst", "CDA", "AdEle"], &rows);
-        println!(
+        out += &table(&["app", "ElevFirst", "CDA", "AdEle"], &rows);
+        writeln!(
+            out,
             "AdEle vs CDA average latency improvement on {}: {:.1}% (paper: 10.9% avg over PS1–PS3, up to 14.6%)",
             placement.name(),
             avg * 100.0
-        );
+        )?;
     }
 
     // ---- Fig. 7(d): energy averaged over apps, normalised to ElevFirst. ----
-    println!("\n# Fig. 7(d): energy/flit averaged over all applications, normalised to ElevFirst");
+    out += "\n# Fig. 7(d): energy/flit averaged over all applications, normalised to ElevFirst\n";
     let mut rows = Vec::new();
     for placement in placements {
         let name = placement.name().to_string();
@@ -116,8 +120,9 @@ fn main() {
             f2(mean("AdEle") / base),
         ]);
     }
-    print_table(&["placement", "ElevFirst", "CDA", "AdEle"], &rows);
-    println!("paper: AdEle has 6.9%/6.2%/4.8% energy overhead vs CDA on PS1/PS2/PS3.");
+    out += &table(&["placement", "ElevFirst", "CDA", "AdEle"], &rows);
+    out += "paper: AdEle has 6.9%/6.2%/4.8% energy overhead vs CDA on PS1/PS2/PS3.\n";
 
-    dump_json("fig7", &cells);
+    dump_json("fig7", &cells)?;
+    Ok(out)
 }

@@ -3,10 +3,11 @@
 //! model (our stand-in for the paper's Cadence Genus synthesis; see
 //! DESIGN.md).
 
-use adele_bench::{dump_json, offline_assignment, print_table};
+use adele_bench::{dump_json, offline_assignment, table, FigureError};
 use noc_area::table3;
 use noc_topology::placement::Placement;
 use serde::Serialize;
+use std::fmt::Write;
 
 #[derive(Serialize)]
 struct Row {
@@ -16,17 +17,20 @@ struct Row {
     overhead_pct: f64,
 }
 
-fn main() {
-    adele_bench::Args::from_env("table3").finish();
+/// The table (no simulation, no workers); writes `results/table3.json`.
+pub fn run(_threads: usize) -> Result<String, FigureError> {
     // The paper synthesises for the 64-node (4×4×4) configuration; AdEle's
     // register count follows the mean offline subset size (rounded up).
     let assignment = offline_assignment(Placement::Ps2);
     let subset_entries = assignment.mean_subset_size().ceil().max(1.0) as usize;
     let rows = table3(64, subset_entries);
 
-    println!("# Table III: router area (45 nm, 1 GHz), analytical model");
-    println!("# AdEle modelled with {subset_entries} cost registers (mean offline subset size)");
-    print_table(
+    let mut out = String::from("# Table III: router area (45 nm, 1 GHz), analytical model\n");
+    writeln!(
+        out,
+        "# AdEle modelled with {subset_entries} cost registers (mean offline subset size)"
+    )?;
+    out += &table(
         &["scheme", "cycles", "area (um^2)", "overhead"],
         &rows
             .iter()
@@ -40,8 +44,8 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
-    println!("paper: Base 35550 um^2 / 1 cycle; CDA 41088 / 2 cycles (14.4%); AdEle 36640 / 1 cycle (3.1%).");
-    println!("note: CDA's table grows with network size; AdEle's logic does not.");
+    out += "paper: Base 35550 um^2 / 1 cycle; CDA 41088 / 2 cycles (14.4%); AdEle 36640 / 1 cycle (3.1%).\n\
+            note: CDA's table grows with network size; AdEle's logic does not.\n";
 
     dump_json(
         "table3",
@@ -54,5 +58,6 @@ fn main() {
                 overhead_pct: r.overhead * 100.0,
             })
             .collect::<Vec<_>>(),
-    );
+    )?;
+    Ok(out)
 }

@@ -41,7 +41,7 @@
 //! cycles are left untouched; the canonical suite schedules its events
 //! early enough to land inside the shrunken windows too).
 
-use adele_bench::{bench_meta, f1, f2, print_table, quick_mode, quick_shrink, Args};
+use adele_bench::{bench_meta, f1, f2, quick_mode, quick_shrink, table, Args};
 use noc_exp::{
     atomic_write, load_dir, progress_record, record_trace_at, results_to_json_with_meta,
     run_batch_supervised, spec_hash, trace_period, BatchEvent, ChaosSpec, Event, Ledger, Scenario,
@@ -168,11 +168,20 @@ fn emit(dir: &Path) {
 }
 
 fn main() {
+    if let Err(why) = run() {
+        eprintln!("run_specs: {why}");
+        std::process::exit(1);
+    }
+}
+
+/// The command line's run; `Err` is why the exit code must be nonzero.
+fn run() -> Result<(), String> {
     let mut args = Args::from_env("run_specs");
     if args.flag("--emit") {
         let dir = args.positional().unwrap_or_else(|| "specs".to_string());
         args.finish();
-        return emit(Path::new(&dir));
+        emit(Path::new(&dir));
+        return Ok(());
     }
     let retries: Option<u32> = args.value("--retries");
     let deadline_ms: Option<u64> = args.value("--deadline-ms");
@@ -183,13 +192,7 @@ fn main() {
     let dir = args.positional().unwrap_or_else(|| "specs".to_string());
     args.finish();
 
-    let suite = match load_dir(Path::new(&dir)) {
-        Ok(suite) => suite,
-        Err(e) => {
-            eprintln!("run_specs: {e}");
-            std::process::exit(1);
-        }
-    };
+    let suite = load_dir(Path::new(&dir)).map_err(|e| e.to_string())?;
 
     let scenarios: Vec<Scenario> = suite
         .iter()
@@ -206,16 +209,14 @@ fn main() {
     // no-op and the batch behaves exactly as before.
     // The journal latches its first failed write (as `noc_sim::Tracer`
     // does): reported once after the batch, and the exit code says so.
-    let progress =
-        trace_path.as_ref().map(
-            |path| match noc_sim::TraceWriter::to_file(Path::new(path)) {
-                Ok(writer) => Mutex::new((writer, None::<std::io::Error>)),
-                Err(e) => {
-                    eprintln!("run_specs: cannot open {path}: {e}");
-                    std::process::exit(1);
-                }
-            },
-        );
+    let progress = trace_path
+        .as_ref()
+        .map(|path| {
+            let writer = noc_sim::TraceWriter::to_file(Path::new(path));
+            let writer = writer.map_err(|e| format!("cannot open {path}: {e}"))?;
+            Ok::<_, String>(Mutex::new((writer, None::<std::io::Error>)))
+        })
+        .transpose()?;
     // The supervision policy: isolation always; retries/deadline from
     // the flags; fault injection from the NOC_CHAOS environment.
     let mut supervision = Supervision::new();
@@ -245,16 +246,8 @@ fn main() {
     if !resume {
         let _ = std::fs::remove_file(&ledger_path);
     }
-    let ledger = match Ledger::open(&ledger_path) {
-        Ok(ledger) => ledger,
-        Err(e) => {
-            eprintln!(
-                "run_specs: cannot open ledger {}: {e}",
-                ledger_path.display()
-            );
-            std::process::exit(1);
-        }
-    };
+    let ledger = Ledger::open(&ledger_path)
+        .map_err(|e| format!("cannot open ledger {}: {e}", ledger_path.display()))?;
     if resume {
         eprintln!(
             "resuming: {} completed point(s) in {}{}",
@@ -267,10 +260,9 @@ fn main() {
             },
         );
     }
-    let recorder = Mutex::new(Ledger::open(&ledger_path).unwrap_or_else(|e| {
-        eprintln!("run_specs: cannot reopen ledger for appends: {e}");
-        std::process::exit(1);
-    }));
+    let recorder =
+        Ledger::open(&ledger_path).map_err(|e| format!("cannot reopen ledger for appends: {e}"))?;
+    let recorder = Mutex::new(recorder);
 
     // The HUD eats the same progress stream the journal gets; it owns no
     // I/O, so the closure prints whatever redraw block (or quiet line) it
@@ -332,7 +324,7 @@ fn main() {
 
     let results: Vec<&noc_exp::ScenarioResult> =
         outcomes.iter().filter_map(|o| o.result()).collect();
-    print_table(
+    let rendered = table(
         &[
             "spec", "policy", "workload", "inj", "dlv", "lat", "nJ/flit", "done",
         ],
@@ -352,6 +344,7 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
+    print!("{rendered}");
     let failures: Vec<(usize, &noc_exp::PointFailure)> = outcomes
         .iter()
         .enumerate()
@@ -380,29 +373,22 @@ fn main() {
     // dump would be mistaken for a complete one. The completed points
     // are all in the ledger either way, so a later --resume finishes the
     // job and writes the (byte-identical) merged dump.
-    if failures.is_empty() {
-        let owned: Vec<noc_exp::ScenarioResult> = results.iter().map(|&r| r.clone()).collect();
-        if let Err(e) = atomic_write(
-            &dir.join("specs.json"),
-            &results_to_json_with_meta(&owned, Some(meta)),
-        ) {
-            eprintln!("run_specs: cannot write results: {e}");
-            std::process::exit(1);
-        }
-    } else {
-        eprintln!(
-            "run_specs: {} of {} point(s) failed; every other point completed (see ledger)",
+    if !failures.is_empty() {
+        return Err(format!(
+            "{} of {} point(s) failed; every other point completed (see ledger)",
             failures.len(),
             outcomes.len(),
-        );
-        std::process::exit(1);
+        ));
     }
-
+    let owned: Vec<noc_exp::ScenarioResult> = results.iter().map(|&r| r.clone()).collect();
+    let json = results_to_json_with_meta(&owned, Some(meta));
+    atomic_write(&dir.join("specs.json"), &json)
+        .map_err(|e| format!("cannot write results: {e}"))?;
     if results.iter().any(|r| r.summary.delivered_packets == 0) {
-        eprintln!("run_specs: a spec delivered no packets");
-        std::process::exit(1);
+        return Err("a spec delivered no packets".to_string());
     }
     if journal_failed {
-        std::process::exit(1);
+        return Err("the progress journal is incomplete".to_string());
     }
+    Ok(())
 }

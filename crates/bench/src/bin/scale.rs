@@ -26,12 +26,10 @@
 //! without `--resume` the ledger is started fresh.
 
 use adele::online::ElevatorFirstSelector;
-use adele_bench::{
-    bench_meta, dump_json, f1, ok_or_die, pillar_grid, print_table, quick_mode, Args,
-};
+use adele_bench::{bench_meta, dump_json, f1, pillar_grid, quick_mode, table, Args};
 use noc_exp::{Ledger, StreamVersion, WorkloadKind, WorkloadSpec};
 use noc_obs::{Hud, Record};
-use noc_sim::{SimConfig, Simulator};
+use noc_sim::{SimConfig, SimError, Simulator};
 use noc_topology::{ElevatorSet, Mesh3d};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -110,7 +108,7 @@ fn measure(
     rate: f64,
     stream: StreamVersion,
     cycles: u64,
-) -> ScalePoint {
+) -> Result<ScalePoint, SimError> {
     let warmup = cycles / 10;
     let config = SimConfig::new(mesh, elevators.clone()).with_seed(42);
     let kind = WorkloadKind::Uniform { rate };
@@ -118,11 +116,11 @@ fn measure(
     let selector = ElevatorFirstSelector::new(&mesh, elevators);
     reset_peak_rss();
     let mut sim = Simulator::from_scheduled(config, traffic, Box::new(selector));
-    ok_or_die(sim.advance(warmup), "scale warm-up");
+    sim.advance(warmup)?;
     let start = Instant::now();
-    let summary = ok_or_die(sim.measure_window(cycles), "scale measure window");
+    let summary = sim.measure_window(cycles)?;
     let wall = start.elapsed().as_secs_f64();
-    ScalePoint {
+    Ok(ScalePoint {
         mesh: format!("{}x{}x{}", mesh.x(), mesh.y(), mesh.layers()),
         nodes: mesh.node_count(),
         pillars: elevators.len(),
@@ -136,7 +134,7 @@ fn measure(
         avg_latency: summary.avg_latency,
         latency_p50: summary.latency_p50,
         latency_p99: summary.latency_p99,
-    }
+    })
 }
 
 fn main() {
@@ -220,7 +218,10 @@ fn main() {
                     continue;
                 }
                 beat(&mut hud, index, &label, "started", serde::Value::Null);
-                let point = measure(mesh, &elevators, rate, stream, cycles);
+                let point = measure(mesh, &elevators, rate, stream, cycles).unwrap_or_else(|e| {
+                    eprintln!("error: {label}: {e}");
+                    std::process::exit(3);
+                });
                 if let Some(ledger) = ledger.as_mut() {
                     if let Err(e) = ledger.record(key, &point) {
                         eprintln!("scale: ledger append failed: {e}");
@@ -267,8 +268,7 @@ fn main() {
         }
     }
 
-    println!();
-    print_table(
+    let rendered = table(
         &[
             "mesh", "nodes", "pillars", "rate", "stream", "cycles", "kcyc/s", "inj", "rss_mb",
         ],
@@ -290,6 +290,7 @@ fn main() {
             })
             .collect::<Vec<_>>(),
     );
+    print!("\n{rendered}");
     // Stamp the dump with the provenance block next to the points — which
     // tree produced the numbers, on what machine shape, over which grid.
     let stream_names: Vec<String> = streams.iter().map(ToString::to_string).collect();
@@ -298,5 +299,8 @@ fn main() {
         ("meta".to_string(), bench_meta(&stream_refs).to_value()),
         ("points".to_string(), points.to_value()),
     ]);
-    dump_json("scale", &doc);
+    if let Err(e) = dump_json("scale", &doc) {
+        eprintln!("error: {e}");
+        std::process::exit(3);
+    }
 }

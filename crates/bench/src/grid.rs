@@ -2,11 +2,12 @@
 //! [`Scenario`]s, each started from [`figure_scenario`] — the placement's
 //! fabric and windows and the one figure master seed — and handed to
 //! [`run_scenarios`] (or [`run_scenarios_with`] for a read-out other than
-//! the end-of-run summary). The runners own the `noc_exp` pool and the
-//! "name the scenario, exit 3" error convention. They take no options.
+//! the end-of-run summary) with the figure's worker count. The runners
+//! own the `noc_exp` pool and name a failed scenario in the
+//! [`FigureError`] they return.
 
-use crate::quick_mode;
-use noc_exp::runner::{default_threads, par_map};
+use crate::{quick_mode, FigureError};
+use noc_exp::runner::par_map;
 use noc_exp::Scenario;
 use noc_sim::{RunSummary, SimError, Simulator};
 use noc_topology::placement::Placement;
@@ -32,37 +33,28 @@ pub fn figure_scenario(name: impl Into<String>, placement: Placement) -> Scenari
         .with_seed(FIGURE_SEED)
 }
 
-/// Runs every scenario to completion on the `noc_exp` pool and returns the
-/// summaries in input order, bit-identical at every worker count. An
-/// engine failure (a deadlock on a vetted scenario is an authoring bug)
-/// names the scenario on stderr and exits 3.
-#[must_use]
-pub fn run_scenarios(scenarios: &[Scenario]) -> Vec<RunSummary> {
-    run_scenarios_with(scenarios, |_, sim| sim.run())
+/// Runs every scenario to completion on `threads` workers of the
+/// `noc_exp` pool and returns the summaries in input order, bit-identical
+/// at every worker count — or the first scenario in input order whose
+/// engine failed (a deadlock on a vetted scenario is an authoring bug),
+/// named.
+pub fn run_scenarios(
+    scenarios: &[Scenario],
+    threads: usize,
+) -> Result<Vec<RunSummary>, FigureError> {
+    run_scenarios_with(scenarios, threads, |_, sim| sim.run())
 }
 
 /// [`run_scenarios`] with `body` driving each scenario's freshly built
 /// simulator (it gets the scenario for the windows).
 pub fn run_scenarios_with<R: Send>(
     scenarios: &[Scenario],
-    body: impl Fn(&Scenario, Simulator) -> Result<R, SimError> + Sync,
-) -> Vec<R> {
-    run_on(scenarios, default_threads(), body).unwrap_or_else(|failed| {
-        eprintln!("error: {failed}");
-        std::process::exit(3);
-    })
-}
-
-/// The scenarios on `threads` workers, or the first failed one in input
-/// order, named.
-fn run_on<R: Send>(
-    scenarios: &[Scenario],
     threads: usize,
     body: impl Fn(&Scenario, Simulator) -> Result<R, SimError> + Sync,
-) -> Result<Vec<R>, String> {
+) -> Result<Vec<R>, FigureError> {
     par_map(scenarios, threads, |at, scenario| {
         body(scenario, scenario.build_simulator())
-            .map_err(|error| format!("scenario {at} ({}): {error}", scenario.name))
+            .map_err(|error| FigureError(format!("scenario {at} ({}): {error}", scenario.name)))
     })
     .into_iter()
     .collect()
@@ -116,7 +108,7 @@ mod tests {
             .collect();
         assert!(plain.windows(2).all(|w| w[0] != w[1]), "distinct scenarios");
         for threads in [1, 4] {
-            let pooled = run_on(&scenarios, threads, |_, sim| sim.run()).unwrap();
+            let pooled = run_scenarios(&scenarios, threads).unwrap();
             assert_eq!(pooled, plain, "{threads} worker(s)");
         }
     }

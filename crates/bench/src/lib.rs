@@ -1,14 +1,18 @@
 //! Shared infrastructure for the paper-reproduction harness.
 //!
-//! Every `fig*`/`table*` binary builds on the helpers here: placement
+//! The `repro` binary's figures build on the helpers here: placement
 //! presets, the policy line-up as `noc_exp` specs (including running the
 //! offline AMOSA stage), figure-specific injection-rate grids, table
-//! printing and JSON result dumping, the one strict command-line parser
-//! ([`Args`]) they all share — and the one figure runner: every figure
-//! simulation is a `noc_exp` [`Scenario`] started from
+//! writing and JSON result dumping, the one strict command-line parser
+//! ([`Args`]) every binary shares — and the one figure runner: every
+//! figure simulation is a `noc_exp` [`Scenario`] started from
 //! [`figure_scenario`], and a figure hands its flat list of them to
-//! [`run_scenarios`] (or [`run_scenarios_with`]) and prints the table. No
-//! figure binary assembles a simulator, a pool or a seed of its own.
+//! [`run_scenarios`] (or [`run_scenarios_with`]) and writes the table. No
+//! figure assembles a simulator, a pool or a seed of its own.
+//!
+//! Nothing here ends the process: a failure comes back as a
+//! [`FigureError`] naming what failed, and the binary's `main` chooses
+//! the exit code.
 //!
 //! Set `ADELE_QUICK=1` to shrink warm-up/measurement windows and the
 //! AMOSA schedule — useful for smoke-testing every harness quickly.
@@ -25,8 +29,28 @@ use amosa::AmosaParams;
 use noc_exp::{Scenario, SelectorSpec};
 use noc_topology::placement::Placement;
 use serde::Serialize;
+use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+
+/// Why a figure produced no report: the scenario that failed or the
+/// results file that could not be written, named.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FigureError(pub String);
+
+impl fmt::Display for FigureError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+/// A report is written into a `String`, which cannot fail; this lets
+/// `writeln!(report, ..)?` stand in a function that returns a figure.
+impl From<fmt::Error> for FigureError {
+    fn from(e: fmt::Error) -> Self {
+        Self(format!("writing the report: {e}"))
+    }
+}
 
 /// `true` when `ADELE_QUICK=1` — shorter windows everywhere.
 #[must_use]
@@ -138,14 +162,6 @@ pub fn fig7_base_rate(placement: Placement) -> f64 {
     fig6_rates(placement).1 * 0.85
 }
 
-/// Fixed injection rate used to compare Table II's S0–S5 picks on PM —
-/// just past Elevator-First's saturation knee, where the paper's baseline
-/// sits at ≈161 cycles.
-#[must_use]
-pub fn table2_rate() -> f64 {
-    0.004
-}
-
 /// The scaling-study elevator geometry: one pillar column per 4×4 tile
 /// (`(4i+2, 4j+2)`), giving the same pillar density at every mesh size —
 /// 4 columns on 8×8, 16 on 16×16, 64 on 32×32. Shared by the `scale`
@@ -220,21 +236,20 @@ pub fn results_dir() -> PathBuf {
     root.join("results")
 }
 
-/// Dumps a serialisable result to `results/<name>.json`, or exits
-/// ([`written_or_die`]).
-pub fn dump_json<T: Serialize>(name: &str, value: &T) {
-    let outcome = try_dump_json(&results_dir(), name, value);
-    written_or_die(&format!("{name}.json"), outcome);
+/// Dumps a serialisable result to `results/<name>.json`
+/// ([`try_dump_json`]); a failure is named after the file.
+pub fn dump_json<T: Serialize>(name: &str, value: &T) -> Result<(), FigureError> {
+    written(
+        &format!("{name}.json"),
+        try_dump_json(&results_dir(), name, value),
+    )
 }
 
-/// Exits with code 3 after naming `results/<file>` and the failure on
-/// stderr (the [`ok_or_die`] convention) unless `outcome` is `Ok`: a figure
-/// whose output could not be written must not exit 0 over a stale file.
-pub fn written_or_die(file: &str, outcome: io::Result<()>) {
-    if let Err(e) = outcome {
-        eprintln!("error: writing results/{file}: {e}");
-        std::process::exit(3);
-    }
+/// The `outcome` of writing `results/<file>`, a failure named after the
+/// file: a figure whose output could not be written must not succeed over
+/// a stale file.
+pub fn written(file: &str, outcome: io::Result<()>) -> Result<(), FigureError> {
+    outcome.map_err(|e| FigureError(format!("writing results/{file}: {e}")))
 }
 
 /// Writes `value` as pretty JSON to `<dir>/<name>.json`. The write is
@@ -251,39 +266,32 @@ pub fn try_dump_json<T: Serialize>(dir: &Path, name: &str, value: &T) -> io::Res
     noc_exp::atomic_write(&dir.join(format!("{name}.json")), &json)
 }
 
-/// Unwraps a simulation result in a trusted figure binary, or exits with
-/// code 3 after printing the structured error — the figure suites treat
-/// an engine failure (a deadlock on a vetted spec) as a fatal authoring
-/// bug, but report it as a value instead of a panic backtrace.
-pub fn ok_or_die<T>(result: Result<T, noc_sim::SimError>, context: &str) -> T {
-    result.unwrap_or_else(|e| {
-        eprintln!("error: {context}: {e}");
-        std::process::exit(3);
-    })
-}
-
-/// Prints a fixed-width table: header row then rows of cells.
-pub fn print_table(headers: &[&str], rows: &[Vec<String>]) {
+/// A fixed-width table: header row, a rule, then rows of cells. A cell
+/// past the last header is written unpadded.
+#[must_use]
+pub fn table(headers: &[&str], rows: &[Vec<String>]) -> String {
+    let mut out = String::new();
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            if i < widths.len() {
-                widths[i] = widths[i].max(cell.len());
-            }
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.len());
         }
     }
-    let line = |cells: Vec<String>| {
-        let mut out = String::new();
+    let mut line = |cells: &[String]| {
+        let start = out.len();
         for (i, cell) in cells.iter().enumerate() {
-            out.push_str(&format!("{:<width$}  ", cell, width = widths[i]));
+            let width = widths.get(i).copied().unwrap_or(0);
+            out.push_str(&format!("{cell:<width$}  "));
         }
-        println!("{}", out.trim_end());
+        out.truncate(out.trim_end().len().max(start));
+        out.push('\n');
     };
-    line(headers.iter().map(|s| s.to_string()).collect());
-    line(widths.iter().map(|w| "-".repeat(*w)).collect());
+    line(&headers.iter().map(ToString::to_string).collect::<Vec<_>>());
+    line(&widths.iter().map(|w| "-".repeat(*w)).collect::<Vec<_>>());
     for row in rows {
-        line(row.clone());
+        line(row);
     }
+    out
 }
 
 /// Formats a float with 1 decimal.
@@ -386,10 +394,13 @@ mod tests {
 
     #[test]
     fn table_printer_handles_ragged_rows() {
-        // Smoke test: must not panic.
-        print_table(
+        let even = table(
             &["a", "b"],
             &[vec!["1".into(), "2".into()], vec!["333".into(), "4".into()]],
         );
+        assert_eq!(even, "a    b\n---  -\n1    2\n333  4\n");
+        // A row longer than the header used to index past the widths.
+        let long = table(&["a"], &[vec!["1".into(), "2".into()]]);
+        assert_eq!(long, "a\n-\n1  2\n");
     }
 }

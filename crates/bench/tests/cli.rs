@@ -20,9 +20,7 @@ use std::sync::Mutex;
 const RUN_SPECS: &str = env!("CARGO_BIN_EXE_run_specs");
 const SCALE: &str = env!("CARGO_BIN_EXE_scale");
 const NOC_TRACE: &str = env!("CARGO_BIN_EXE_noc_trace");
-const REPRO_ALL: &str = env!("CARGO_BIN_EXE_repro_all");
-const FIG4: &str = env!("CARGO_BIN_EXE_fig4");
-const FIG6: &str = env!("CARGO_BIN_EXE_fig6");
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
 /// Serialises the tests that read or rewrite `results/specs.*`.
 static SPECS_RESULTS: Mutex<()> = Mutex::new(());
@@ -85,16 +83,16 @@ fn usage_errors_exit_2_naming_the_offender() {
             &["selfcheck", "specs", "--period", "5"],
             "--period",
         ),
-        (REPRO_ALL, &["--verfy"], "--verfy"),
-        (FIG4, &["PM", "--stream", "v2"], "--stream"),
-        (FIG4, &["PM", "Uniform", "extra"], "extra"),
-        (FIG6, &["--link"], "--link"),
-        (FIG6, &["--links", "--stream", "v2"], "--stream"),
+        (REPRO, &["all", "--verfy"], "--verfy"),
+        (REPRO, &["fig4", "PM", "--stream", "v2"], "--stream"),
+        (REPRO, &["fig4", "PM", "Uniform", "extra"], "extra"),
+        (REPRO, &["fig6", "--link"], "--link"),
+        (REPRO, &["fig6", "--links", "--stream", "v2"], "--stream"),
         // A flag whose value is missing.
         (RUN_SPECS, &["--trace", "--hud"], "--trace"),
         (SCALE, &["--stream"], "--stream"),
         (NOC_TRACE, &["record", "spec.json", "-o"], "-o"),
-        (REPRO_ALL, &["--jobs"], "--jobs"),
+        (REPRO, &["all", "--jobs"], "--jobs"),
         // A value that does not parse.
         (RUN_SPECS, &["specs", "--retries", "many"], "--retries"),
         (
@@ -108,7 +106,7 @@ fn usage_errors_exit_2_naming_the_offender() {
             &["record", "spec.json", "--period", "x"],
             "--period",
         ),
-        (REPRO_ALL, &["--jobs", "x"], "--jobs"),
+        (REPRO, &["all", "--jobs", "x"], "--jobs"),
         // A value that parses but cannot be used (it used to panic in
         // `Tracer::new`).
         (
@@ -249,14 +247,21 @@ fn resume_refuses_a_non_utf8_ledger_naming_it() {
 }
 
 /// `fig4 PS9` used to match no panel, print nothing, overwrite
-/// `results/fig4.json` with `[]` and exit 0.
+/// `results/fig4.json` with `[]` and exit 0. A figure `repro` does not
+/// have, or an argument `repro all` does not take, is refused the same
+/// way before any figure runs.
 #[test]
 fn an_unknown_panel_name_is_a_usage_error_not_an_empty_figure() {
     let (before, after) = results_file_after("fig4.json", || {
-        for (args, named) in [(&["PS9"][..], "PS9"), (&["PM", "Unifrm"][..], "Unifrm")] {
-            let (code, stderr) = run(FIG4, args);
-            assert_eq!(code, Some(2), "fig4 {args:?} must exit 2: {stderr}");
-            assert!(stderr.contains(named), "fig4 {args:?}: {stderr}");
+        for (args, named) in [
+            (&["fig4", "PS9"][..], "PS9"),
+            (&["fig4", "PM", "Unifrm"][..], "Unifrm"),
+            (&["fig9"][..], "fig9"),
+            (&["all", "PM"][..], "PM"),
+        ] {
+            let (code, stderr) = run(REPRO, args);
+            assert_eq!(code, Some(2), "repro {args:?} must exit 2: {stderr}");
+            assert!(stderr.contains(named), "repro {args:?}: {stderr}");
         }
     });
     assert_eq!(after, Some(before), "results/fig4.json must be untouched");
@@ -372,7 +377,7 @@ fn an_unwritable_link_artefact_exits_3_naming_the_file() {
     let existing = std::fs::read(&csv).ok();
     let _ = std::fs::remove_file(&csv);
     std::fs::create_dir_all(&csv).expect("squat on the CSV path");
-    let (code, stderr) = run(FIG6, &["--links"]);
+    let (code, stderr) = run(REPRO, &["fig6", "--links"]);
     std::fs::remove_dir(&csv).expect("remove the squatter");
     if let Some(bytes) = existing {
         std::fs::write(&csv, bytes).expect("restore the CSV");

@@ -475,7 +475,7 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-/// The schedule every figure binary and the repo benchmark run.
+/// The schedule every `repro` figure and the repo benchmark run.
 fn figures_schedule() -> AmosaParams {
     AmosaParams {
         hard_limit: 60,

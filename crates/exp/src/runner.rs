@@ -7,7 +7,7 @@
 //! pool (no dependencies beyond `std`) and returns results **in input
 //! order**, bit-identical to a sequential run: parallelism changes
 //! wall-clock time and nothing else. What a work item *is* belongs to the
-//! caller: the figures' runner (`adele_bench::run_scenarios`) and the
+//! caller: `repro`'s figure runner (`adele_bench::run_scenarios`) and the
 //! supervised batch ([`crate::supervise`]) are both one `par_map` call.
 //!
 //! Work is distributed by an atomic cursor (work stealing), so a slow

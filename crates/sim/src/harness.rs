@@ -1,7 +1,7 @@
 //! Experiment helpers: the single polled run ([`run_once`]) and the
 //! paper's saturation criterion ([`saturation_rate`]). Batches of runs
 //! live a layer up, as `noc_exp::Scenario`s on `noc_exp::runner::par_map`
-//! — `adele_bench::run_scenarios` for the figures,
+//! — `adele_bench::run_scenarios` for the `repro` binary's figures,
 //! `noc_exp::run_batch_supervised` for spec files.
 //!
 //! [`run_once`] propagates [`SimError`]: a deadlocked run surfaces as a

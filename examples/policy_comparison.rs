@@ -5,10 +5,11 @@
 //! Run with: `cargo run --release -p adele-repro --example policy_comparison`
 
 use adele_bench::{figure_scenario, main_policies, offline_assignment, run_scenarios};
+use noc_exp::runner::default_threads;
 use noc_exp::{SelectorSpec, WorkloadKind};
 use noc_topology::placement::Placement;
 
-fn main() {
+fn main() -> Result<(), adele_bench::FigureError> {
     let placement = Placement::Ps1;
     let assignment = offline_assignment(placement);
     let rate = 0.004; // near PS1's saturation knee under uniform traffic
@@ -33,7 +34,7 @@ fn main() {
                 .with_selector(policy)
         })
         .collect();
-    for summary in run_scenarios(&scenarios) {
+    for summary in run_scenarios(&scenarios, default_threads())? {
         println!(
             "{:<10} {:>10.1}cy {:>10.1}cy {:>11.1}nJ {:>10}",
             summary.policy,
@@ -45,4 +46,5 @@ fn main() {
     }
     println!("\nExpected ordering (paper Fig. 4): AdEle lowest latency, ElevFirst highest,");
     println!("CDA in between, AdEle-RR between CDA and AdEle.");
+    Ok(())
 }

@@ -8,11 +8,12 @@
 use adele_bench::{
     fig7_base_rate, figure_scenario, main_policies, offline_assignment, run_scenarios,
 };
+use noc_exp::runner::default_threads;
 use noc_exp::WorkloadKind;
 use noc_topology::placement::Placement;
 use noc_traffic::apps::AppKind;
 
-fn main() {
+fn main() -> Result<(), adele_bench::FigureError> {
     let placement = Placement::Ps2;
     let [(_, elev_first), _, (_, adele)] = main_policies(&offline_assignment(placement));
 
@@ -33,7 +34,7 @@ fn main() {
             })
         })
         .collect();
-    let summaries = run_scenarios(&scenarios);
+    let summaries = run_scenarios(&scenarios, default_threads())?;
     for (app, runs) in AppKind::ALL.into_iter().zip(summaries.chunks(2)) {
         let (baseline, adele) = (&runs[0], &runs[1]);
         let gain = 1.0 - adele.avg_latency / baseline.avg_latency.max(1e-9);
@@ -48,4 +49,5 @@ fn main() {
     }
     println!("\nHigh-intensity apps stress the shared elevators, giving AdEle room to");
     println!("rebalance; low-intensity stencil apps see little elevator contention.");
+    Ok(())
 }
