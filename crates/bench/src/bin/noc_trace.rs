@@ -8,7 +8,8 @@
 //!   default).
 //! * `noc_trace verify <golden.jsonl>` — re-run the spec embedded in the
 //!   golden journal and compare record for record on the deterministic
-//!   fields. Exits 1 with `trace record N: ...` on the first divergence.
+//!   fields. Exits 1 with `trace record N: ...` on the first divergence,
+//!   a damaged header or a replay that fails.
 //! * `noc_trace selfcheck [DIR]` — for every spec in the suite directory
 //!   (default `specs/`), record a fresh trace and verify it against
 //!   itself. `ADELE_QUICK=1` shrinks windows exactly like `run_specs`.
@@ -20,7 +21,8 @@
 //!   Prometheus output is validated line by line before it is written.
 //!
 //! A usage error exits 2; a file that cannot be read, parsed or written,
-//! or a trace that does not verify, exits 1 naming it.
+//! a spec whose run fails (a deadlock), or a trace that does not verify,
+//! exits 1 naming it.
 
 use adele_bench::{quick_mode, quick_shrink, Args};
 use noc_exp::{atomic_write, load_dir, load_spec, record_trace, trace_period, verify_trace};
@@ -58,7 +60,7 @@ fn cmd_record(mut args: Args) -> Outcome {
     let path = &input_file(args, "record needs a spec file");
     let scenario = load_spec(Path::new(path)).map_err(|e| format!("noc_trace: {e}"))?;
     let period = period.unwrap_or_else(|| trace_period(&scenario));
-    let journal = record_trace(&scenario, period);
+    let journal = record_trace(&scenario, period).map_err(|e| format!("noc_trace: {path}: {e}"))?;
     match out {
         Some(out) => {
             atomic_write(Path::new(&out), &journal)
@@ -135,8 +137,10 @@ fn cmd_selfcheck(mut args: Args) -> Outcome {
         if quick_mode() {
             quick_shrink(&mut scenario);
         }
-        let journal = record_trace(&scenario, trace_period(&scenario));
-        match verify_trace(&journal) {
+        let checked = record_trace(&scenario, trace_period(&scenario))
+            .map_err(|e| e.to_string())
+            .and_then(|journal| verify_trace(&journal).map_err(|e| e.to_string()));
+        match checked {
             Ok(report) => println!("{stem}: OK ({} records)", report.records),
             Err(e) => {
                 eprintln!("{stem}: FAIL — {e}");

@@ -5,167 +5,47 @@
 //! pool — bit-identical to running each file sequentially — and a results
 //! table plus `results/specs.json` come out.
 //!
-//! Usage:
+//! Usage: `run_specs [DIR] [--trace FILE] [--hud [--quiet]] [--resume]
+//! [--retries N] [--deadline-ms N]` runs the suite in `DIR` (default
+//! `specs/`). `--trace FILE` streams per-point `progress` records (trace
+//! schema) into a JSONL journal while the pool runs. `--hud` renders the
+//! same progress stream as a live terminal panel on stderr (throughput,
+//! ETA, per-point latency percentiles, worklist occupancy); `--quiet`
+//! degrades it to one plain line per completed point for CI logs.
 //!
-//! * `run_specs [DIR] [--trace FILE] [--hud [--quiet]] [--resume]
-//!   [--retries N] [--deadline-ms N]` —
-//!   run the suite in `DIR` (default `specs/`). `--trace FILE` streams
-//!   per-point `progress` records (trace schema) into a JSONL journal
-//!   while the pool runs. `--hud` renders the same progress stream as a
-//!   live terminal panel on stderr (throughput, ETA, per-point latency
-//!   percentiles, worklist occupancy); `--quiet` degrades it to one plain
-//!   line per completed point for CI logs.
+//! The suite runs on the **supervised** pool: every point is isolated (a
+//! panic or a structured `SimError` fails that point, never the batch),
+//! `--retries N` grants extra attempts for environmental faults, and
+//! `--deadline-ms N` bounds each attempt's wall clock. Completed points
+//! are appended (one flushed line each) to `results/specs.ledger.jsonl`;
+//! `--resume` restores ledger-complete points instead of re-running them,
+//! so a `kill -9` mid-sweep costs only the in-flight points — and the
+//! merged `results/specs.json` is byte-identical to an uninterrupted run.
+//! Without `--resume` the ledger starts fresh. Fault injection for chaos
+//! runs comes from the `NOC_CHAOS` environment grammar (see
+//! `noc_exp::chaos`). Any failed point — or a `--trace` journal that
+//! could not be written in full — makes the exit code nonzero, after
+//! every other point has completed. An unknown flag or a bad value exits
+//! 2 before any file is touched.
 //!
-//!   The suite runs on the **supervised** pool: every point is isolated
-//!   (a panic or a structured `SimError` fails that point, never the
-//!   batch), `--retries N` grants extra attempts for environmental
-//!   faults, and `--deadline-ms N` bounds each attempt's wall clock.
-//!   Completed points are appended (one flushed line each) to
-//!   `results/specs.ledger.jsonl`; `--resume` restores ledger-complete
-//!   points instead of re-running them, so a `kill -9` mid-sweep costs
-//!   only the in-flight points — and the merged `results/specs.json` is
-//!   byte-identical to an uninterrupted run. Without `--resume` the
-//!   ledger starts fresh. Fault injection for chaos runs comes from the
-//!   `NOC_CHAOS` environment grammar (see `noc_exp::chaos`). Any failed
-//!   point — or a `--trace` journal that could not be written in full —
-//!   makes the exit code nonzero, after every other point has completed.
-//!   An unknown flag or a bad value exits 2 before any file is touched.
-//! * `run_specs --emit [DIR]` — (re)write the canonical checked-in suite
-//!   (baseline, baseline-v2, elevator-fail, hotspot-shift,
-//!   measured-energy) into `DIR`, plus the golden traces
-//!   `tests/golden/trace_small.jsonl` (schema v1) and
-//!   `tests/golden/trace_small_v2.jsonl` (schema v2, histogram records
-//!   and percentile summary) that `noc_trace verify` replays.
+//! The checked-in `specs/*.json` files are their own source: they are
+//! edited by hand, and `tests/scenario_persistence.rs` checks that the
+//! suite parses, validates and keeps one spec per scenario family.
 //!
 //! `ADELE_QUICK=1` shrinks every scenario's windows for smoke runs (event
-//! cycles are left untouched; the canonical suite schedules its events
+//! cycles are left untouched; the checked-in suite schedules its events
 //! early enough to land inside the shrunken windows too).
 
 use adele_bench::{bench_meta, f1, f2, quick_mode, quick_shrink, table, Args};
 use noc_exp::{
-    atomic_write, load_dir, progress_record, record_trace_at, results_to_json_with_meta,
-    run_batch_supervised, spec_hash, trace_period, BatchEvent, ChaosSpec, Event, Ledger, Scenario,
-    SelectorSpec, Supervision, WorkloadKind, WorkloadSpec,
+    atomic_write, load_dir, progress_record, results_to_json_with_meta, run_batch_supervised,
+    spec_hash, BatchEvent, ChaosSpec, Ledger, Scenario, Supervision,
 };
 use noc_obs::Hud;
-use noc_topology::placement::Placement;
-use noc_topology::{Coord, ElevatorId};
 use serde::Serialize;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Duration;
-
-/// The canonical checked-in suite: one spec per scenario family the
-/// engine supports (steady baseline, the same baseline on the batched
-/// `v2` workload stream, mid-run fault, moving hotspot, telemetry-driven
-/// selection).
-fn canonical_suite() -> Vec<(&'static str, Scenario)> {
-    let phases = |s: Scenario| s.with_phases(1_000, 4_000, 20_000);
-    vec![
-        (
-            "baseline",
-            phases(Scenario::from_placement("baseline", Placement::Ps1))
-                .with_workload(WorkloadKind::Uniform { rate: 0.003 })
-                .with_selector(SelectorSpec::adele())
-                .with_seed(101),
-        ),
-        (
-            "baseline_v2",
-            phases(Scenario::from_placement("baseline_v2", Placement::Ps1))
-                .with_workload(WorkloadSpec::v2(WorkloadKind::Uniform { rate: 0.003 }))
-                .with_selector(SelectorSpec::adele())
-                .with_seed(101),
-        ),
-        (
-            "elevator_fail",
-            phases(Scenario::from_placement("elevator_fail", Placement::Ps1))
-                .with_workload(WorkloadKind::Uniform { rate: 0.003 })
-                .with_selector(SelectorSpec::adele())
-                .with_event(Event::ElevatorFail {
-                    cycle: 1_200,
-                    elevator: ElevatorId(0),
-                })
-                .with_event(Event::ElevatorRecover {
-                    cycle: 2_400,
-                    elevator: ElevatorId(0),
-                })
-                .with_seed(102),
-        ),
-        (
-            "hotspot_shift",
-            phases(Scenario::from_placement("hotspot_shift", Placement::Ps1))
-                .with_workload(WorkloadKind::Hotspot {
-                    rate: 0.002,
-                    hotspots: vec![Coord::new(0, 0, 0)],
-                    fraction: 0.3,
-                })
-                .with_selector(SelectorSpec::adele())
-                .with_event(Event::HotspotShift {
-                    cycle: 1_500,
-                    hotspots: vec![Coord::new(3, 3, 3)],
-                    fraction: 0.3,
-                })
-                .with_seed(103),
-        ),
-        (
-            "measured_energy",
-            phases(Scenario::from_placement("measured_energy", Placement::Ps1))
-                .with_workload(WorkloadKind::Uniform { rate: 0.002 })
-                .with_selector(SelectorSpec::adele_measured_energy())
-                .with_seed(104),
-        ),
-    ]
-}
-
-/// The scenario behind `tests/golden/trace_small.jsonl`: deliberately
-/// small (seconds to replay, a few hundred journal lines) but exercising
-/// the batched `v2` stream, mid-run fail/recover events and a short
-/// window period — so the golden trace covers every record type the
-/// schema defines.
-fn golden_trace_scenario() -> Scenario {
-    Scenario::from_placement("golden_trace_small", Placement::Ps1)
-        .with_phases(300, 1_200, 8_000)
-        .with_workload(WorkloadSpec::v2(WorkloadKind::Uniform { rate: 0.003 }))
-        .with_selector(SelectorSpec::adele())
-        .with_event(Event::ElevatorFail {
-            cycle: 500,
-            elevator: ElevatorId(0),
-        })
-        .with_event(Event::ElevatorRecover {
-            cycle: 1_000,
-            elevator: ElevatorId(0),
-        })
-        .with_trace(200)
-        .with_seed(7)
-}
-
-fn emit(dir: &Path) {
-    std::fs::create_dir_all(dir).expect("create spec dir");
-    for (name, scenario) in canonical_suite() {
-        let path = dir.join(format!("{name}.json"));
-        let json = serde_json::to_string_pretty(&scenario).expect("scenarios encode");
-        atomic_write(&path, &(json + "\n")).expect("write spec");
-        println!("wrote {}", path.display());
-    }
-    // The checked-in golden traces `noc_trace verify` and CI replay
-    // against: the same scenario recorded at schema v1 (exercising the
-    // reader's version negotiation) and at the current v2 (histogram
-    // records, percentile summary). Re-emitting is only needed when the
-    // engine's deterministic behaviour changes intentionally — exactly
-    // like the spec files.
-    let scenario = golden_trace_scenario();
-    let golden = adele_bench::results_dir()
-        .parent()
-        .map(|root| root.join("tests/golden"))
-        .expect("results dir has a parent");
-    std::fs::create_dir_all(&golden).expect("create golden dir");
-    for (file, schema) in [("trace_small.jsonl", 1), ("trace_small_v2.jsonl", 2)] {
-        let journal = record_trace_at(&scenario, trace_period(&scenario), schema);
-        let path = golden.join(file);
-        atomic_write(&path, &journal).expect("write golden trace");
-        println!("wrote {}", path.display());
-    }
-}
 
 fn main() {
     if let Err(why) = run() {
@@ -177,12 +57,6 @@ fn main() {
 /// The command line's run; `Err` is why the exit code must be nonzero.
 fn run() -> Result<(), String> {
     let mut args = Args::from_env("run_specs");
-    if args.flag("--emit") {
-        let dir = args.positional().unwrap_or_else(|| "specs".to_string());
-        args.finish();
-        emit(Path::new(&dir));
-        return Ok(());
-    }
     let retries: Option<u32> = args.value("--retries");
     let deadline_ms: Option<u64> = args.value("--deadline-ms");
     let trace_path: Option<String> = args.value("--trace");
@@ -207,16 +81,16 @@ fn run() -> Result<(), String> {
     // With `--trace`, stream per-point progress records (trace schema)
     // into a journal while the pool runs; without it the closure is a
     // no-op and the batch behaves exactly as before.
-    // The journal latches its first failed write (as `noc_sim::Tracer`
-    // does): reported once after the batch, and the exit code says so.
+    // The journal latches its first failed write: reported once after
+    // the batch, and the exit code says so.
     let progress = trace_path
         .as_ref()
         .map(|path| {
             let writer = noc_sim::TraceWriter::to_file(Path::new(path));
-            let writer = writer.map_err(|e| format!("cannot open {path}: {e}"))?;
-            Ok::<_, String>(Mutex::new((writer, None::<std::io::Error>)))
+            writer.map_err(|e| format!("cannot open {path}: {e}"))
         })
-        .transpose()?;
+        .transpose()?
+        .map(Mutex::new);
     // The supervision policy: isolation always; retries/deadline from
     // the flags; fault injection from the NOC_CHAOS environment.
     let mut supervision = Supervision::new();
@@ -288,10 +162,10 @@ fn run() -> Result<(), String> {
             }
             let record = progress_record(event);
             if let Some(journal) = &progress {
-                let (writer, error) = &mut *journal.lock().expect("progress journal lock");
-                if error.is_none() {
-                    *error = writer.write(&record).err();
-                }
+                journal
+                    .lock()
+                    .expect("progress journal lock")
+                    .write(&record);
             }
             if let Some(hud) = &hud {
                 if let Some(text) = hud.lock().expect("hud lock").on_record(&record) {
@@ -302,9 +176,9 @@ fn run() -> Result<(), String> {
     );
     let mut journal_failed = false;
     if let Some(journal) = progress {
-        let (writer, error) = journal.into_inner().expect("progress journal lock");
+        let writer = journal.into_inner().expect("progress journal lock");
         let path = trace_path.as_deref().unwrap_or_default();
-        match error.map_or_else(|| writer.finish(), Err) {
+        match writer.finish() {
             Ok(records) => eprintln!("progress journal: {records} records in {path}"),
             Err(e) => {
                 eprintln!("run_specs: progress journal {path} is incomplete: {e}");

@@ -175,7 +175,7 @@ pub fn pillar_grid(x: usize, y: usize) -> Vec<(u8, u8)> {
 }
 
 /// Applies the `ADELE_QUICK=1` window shrink to a scenario in place:
-/// quarter warm-up/measure (floored so the canonical suite's events still
+/// quarter warm-up/measure (floored so the checked-in suite's events still
 /// land inside the run) and half the drain budget. Topology, workload,
 /// events and seed are untouched, so a quick run exercises the same
 /// machinery on the same fabric — just for fewer cycles. Shared by

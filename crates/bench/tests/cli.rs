@@ -11,7 +11,7 @@
 //! emptied result file.
 
 use adele::AdeleConfig;
-use noc_exp::{SelectorSpec, WorkloadKind};
+use noc_exp::{Event, SelectorSpec, WorkloadKind};
 use noc_traffic::apps::AppKind;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -70,7 +70,7 @@ fn usage_errors_exit_2_naming_the_offender() {
     let cases: &[(&str, &[&str], &str)] = &[
         // An unknown flag — a typo, or a flag another binary has.
         (RUN_SPECS, &["specs", "--resum"], "--resum"),
-        (RUN_SPECS, &["--emit", "specs", "--resume"], "--resume"),
+        (RUN_SPECS, &["--emit"], "--emit"),
         (SCALE, &["--quick"], "--quick"),
         (SCALE, &["--shard", "2"], "--shard"),
         (
@@ -145,7 +145,7 @@ fn shards_is_an_unknown_flag_in_every_binary() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let path = |rel: &str| root.join(rel).to_str().unwrap().to_string();
     let (specs, spec) = (path("specs"), path("specs/baseline.json"));
-    let golden = path("tests/golden/trace_small.jsonl");
+    let golden = path("tests/golden/trace_small_v2.jsonl");
     let journal = std::env::temp_dir().join(format!("adele_shards_{}.jsonl", std::process::id()));
     let out = journal.to_str().unwrap();
     let cases: [(&str, &str, Vec<&str>); 5] = [
@@ -246,6 +246,26 @@ fn resume_refuses_a_non_utf8_ledger_naming_it() {
     });
 }
 
+/// A progress journal whose writes fail does not stop the sweep: the
+/// journal latches its first error, every point still runs, and the exit
+/// code says the journal is incomplete.
+#[test]
+fn an_unwritable_progress_journal_exits_1_naming_it() {
+    let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
+    restoring_results(&["specs.ledger.jsonl", "specs.json"], || {
+        let specs = specs_dir();
+        let (code, stderr) = run(
+            RUN_SPECS,
+            &[specs.to_str().unwrap(), "--trace", "/dev/full"],
+        );
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(
+            stderr.contains("progress journal /dev/full is incomplete"),
+            "{stderr}"
+        );
+    });
+}
+
 /// `fig4 PS9` used to match no panel, print nothing, overwrite
 /// `results/fig4.json` with `[]` and exit 0. A figure `repro` does not
 /// have, or an argument `repro all` does not take, is refused the same
@@ -287,9 +307,11 @@ fn an_empty_measurement_window_fails_at_the_parse_site() {
 
 /// AdEle tuning and application rates became spec input with the figures'
 /// move onto scenarios; out of range, they used to trip an `assert!` in
-/// `AdeleConfig::validate` or `AppTraffic::new`.
+/// `AdeleConfig::validate` or `AppTraffic::new`. A spec that parses but
+/// deadlocks is named the same way (`noc_trace record` used to panic).
 #[test]
 fn an_out_of_range_tuning_or_app_rate_fails_at_the_parse_site() {
+    let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
     let specs = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs");
     let baseline = noc_exp::load_spec(&specs.join("baseline.json")).expect("checked-in spec");
     let config = AdeleConfig {
@@ -304,38 +326,63 @@ fn an_out_of_range_tuning_or_app_rate_fails_at_the_parse_site() {
         app: AppKind::Canneal,
         rate: 2.0,
     };
+    let freeze = Event::FabricFreeze {
+        cycle: 100,
+        cycles: 5_000,
+    };
     let cases = [
         (baseline.clone().with_selector(tuned), "ewma_alpha 1.5"),
-        (baseline.with_workload(app), "app rate 2"),
+        (baseline.clone().with_workload(app), "app rate 2"),
+        (
+            baseline.with_event(freeze).with_watchdog(50),
+            "deadlock at cycle",
+        ),
     ];
-    for (at, (scenario, named)) in cases.into_iter().enumerate() {
-        let dir = std::env::temp_dir().join(format!("adele_bad_spec_{}_{at}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let spec = dir.join("bad.json");
-        std::fs::write(&spec, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
-        let (dir_arg, spec_arg) = (dir.to_str().unwrap(), spec.to_str().unwrap());
-        for (bin, args) in [
-            (RUN_SPECS, vec![dir_arg]),
-            (NOC_TRACE, vec!["record", spec_arg]),
-        ] {
-            let (code, stderr) = run(bin, &args);
-            assert_eq!(code, Some(1), "{bin} {args:?}: {stderr}");
-            assert!(
-                stderr.contains(named),
-                "{bin} {args:?} must name {named}: {stderr}"
-            );
+    // The deadlocking spec gets as far as run_specs' ledger.
+    restoring_results(&["specs.ledger.jsonl", "specs.json"], || {
+        for (at, (scenario, named)) in cases.into_iter().enumerate() {
+            let dir =
+                std::env::temp_dir().join(format!("adele_bad_spec_{}_{at}", std::process::id()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let spec = dir.join("bad.json");
+            std::fs::write(&spec, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
+            let (dir_arg, spec_arg) = (dir.to_str().unwrap(), spec.to_str().unwrap());
+            for (bin, args) in [
+                (RUN_SPECS, vec![dir_arg]),
+                (NOC_TRACE, vec!["record", spec_arg]),
+            ] {
+                let (code, stderr) = run(bin, &args);
+                assert_eq!(code, Some(1), "{bin} {args:?}: {stderr}");
+                assert!(
+                    stderr.contains(named),
+                    "{bin} {args:?} must name {named}: {stderr}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
+    });
 }
 
 /// A journal `noc_trace verify` cannot read is a named error: exit 1,
 /// naming the record and why, whatever the damage.
 #[test]
 fn a_damaged_journal_fails_verify_naming_the_record() {
-    let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_small.jsonl");
+    let golden =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/trace_small_v2.jsonl");
     let golden = std::fs::read_to_string(golden).expect("checked-in journal");
     let two_records: usize = golden.lines().take(2).map(|l| l.len() + 1).sum();
+    // The embedded spec with a fabric freeze that outlasts the watchdog.
+    let deadlocking = golden
+        .replacen(
+            "\"events\":[",
+            "\"events\":[{\"FabricFreeze\":{\"cycle\":100,\"cycles\":5000}},",
+            1,
+        )
+        .replacen(
+            "\"trace\":{\"period\":200}",
+            "\"trace\":{\"period\":200},\"watchdog\":50",
+            1,
+        );
     let cases = [
         (
             "garbage",
@@ -349,8 +396,28 @@ fn a_damaged_journal_fails_verify_naming_the_record() {
         ),
         (
             "future",
-            golden.replacen("\"schema\":1,", "\"schema\":99,", 1),
+            golden.replacen("\"schema\":2,", "\"schema\":99,", 1),
             "record 0: unsupported trace schema 99",
+        ),
+        (
+            "schema1",
+            golden.replacen("\"schema\":2,", "\"schema\":1,", 1),
+            "record 0: unsupported trace schema 1",
+        ),
+        (
+            "period0",
+            golden.replacen("\"period\":200,", "\"period\":0,", 1),
+            "record 0: header period 0",
+        ),
+        (
+            "deadlock",
+            deadlocking,
+            "record 0: replay of the embedded spec failed: deadlock at cycle",
+        ),
+        (
+            "meta",
+            golden.clone() + "{\"type\":\"meta\",\"meta\":{}}\n",
+            "record 22: bad record: unknown trace record type `meta`",
         ),
         (
             "empty",

@@ -77,6 +77,4 @@ pub use supervise::{
     progress_record, run_batch_supervised, BatchEvent, PointError, PointFailure, PointOutcome,
     Supervision,
 };
-pub use trace::{
-    record_trace, record_trace_at, trace_period, verify_trace, VerifyReport, DEFAULT_TRACE_PERIOD,
-};
+pub use trace::{record_trace, trace_period, verify_trace, VerifyReport, DEFAULT_TRACE_PERIOD};

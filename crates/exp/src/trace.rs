@@ -8,10 +8,18 @@
 //! deterministic fields (see [`noc_obs::compare_journals`]), which are
 //! bit-identical on every host. The spec's ignored `shards` field is
 //! environmental, so a journal verifies whatever it says.
+//!
+//! Journals are recorded at [`TRACE_SCHEMA_VERSION`] only, and a journal
+//! stamped with any other schema is refused, not replayed. Damaged
+//! headers (a zero period) and embedded specs whose replay fails (a
+//! deadlock) are named record-0 errors too, never panics. When the
+//! engine's deterministic behaviour changes on purpose, a golden is
+//! re-recorded from the spec embedded in its own header
+//! (`noc_trace record <spec> -o <golden>`).
 
 use crate::scenario::Scenario;
 use noc_obs::{parse_journal, Record, SharedBuffer, TraceError, TraceWriter, TRACE_SCHEMA_VERSION};
-use noc_sim::Tracer;
+use noc_sim::{SimError, Tracer};
 use serde::{Deserialize, Serialize};
 
 /// The default window period when a scenario does not opt in via its
@@ -26,49 +34,33 @@ pub fn trace_period(scenario: &Scenario) -> u64 {
 
 /// Runs `scenario` with the flight recorder attached and returns the
 /// journal: a `header` record embedding the spec, then the
-/// `phase`/`event`/`window` stream, then the final `summary` record.
+/// `phase`/`event`/`window`/`hist` stream, then the final `summary`
+/// record.
+///
+/// # Errors
+///
+/// Returns the run's [`SimError`] (a deadlock, a stalled drain); the
+/// in-memory journal sink itself cannot fail.
 ///
 /// # Panics
 ///
 /// Panics on scenario authoring errors (the same ones
-/// [`Scenario::build_simulator`] panics on); the in-memory journal sink
-/// itself cannot fail.
-#[must_use]
-pub fn record_trace(scenario: &Scenario, period: u64) -> String {
-    record_trace_at(scenario, period, TRACE_SCHEMA_VERSION)
-}
-
-/// [`record_trace`] pinned to an explicit schema version — the writer
-/// side of version negotiation. Recording at `1` reproduces a v1 journal
-/// (no `hist` records, percentile-free summary), which is how a v2 reader
-/// replays v1 goldens record for record.
-///
-/// # Panics
-///
-/// Panics on scenario authoring errors, if `schema` is 0 or newer than
-/// [`TRACE_SCHEMA_VERSION`], or if the run itself fails with a
-/// [`noc_sim::SimError`] — golden traces are recorded from vetted specs,
-/// so a deadlock here is an authoring error too.
-#[must_use]
-pub fn record_trace_at(scenario: &Scenario, period: u64, schema: u32) -> String {
+/// [`Scenario::build_simulator`] panics on), or if `period` is zero.
+pub fn record_trace(scenario: &Scenario, period: u64) -> Result<String, SimError> {
     let buffer = SharedBuffer::new();
     let mut writer = TraceWriter::new(Box::new(buffer.clone()));
-    writer
-        .write(&Record::Header {
-            schema,
-            name: scenario.name.clone(),
-            seed: scenario.seed,
-            period,
-            shards: scenario.shards,
-            spec: scenario.to_value(),
-        })
-        .expect("in-memory journal write cannot fail");
+    writer.write(&Record::Header {
+        schema: TRACE_SCHEMA_VERSION,
+        name: scenario.name.clone(),
+        seed: scenario.seed,
+        period,
+        shards: scenario.shards,
+        spec: scenario.to_value(),
+    });
     let mut sim = scenario.build_simulator();
-    sim.attach_tracer(Tracer::new(writer, period).with_schema(schema));
-    let _summary = sim
-        .run()
-        .unwrap_or_else(|e| panic!("trace recording for {:?} failed: {e}", scenario.name));
-    buffer.contents()
+    sim.attach_tracer(Tracer::new(writer, period));
+    sim.run()?;
+    Ok(buffer.contents())
 }
 
 /// The outcome of a successful [`verify_trace`].
@@ -78,9 +70,6 @@ pub struct VerifyReport {
     pub name: String,
     /// Records compared.
     pub records: usize,
-    /// Schema version the golden journal was recorded at (the replay
-    /// re-records at the same version, whatever the reader supports).
-    pub schema: u32,
 }
 
 /// Re-runs the spec embedded in a golden journal and compares the fresh
@@ -89,8 +78,10 @@ pub struct VerifyReport {
 /// # Errors
 ///
 /// Returns a [`TraceError`] naming the offending record: parse failures
-/// (truncation, corruption), a missing or malformed header, an embedded
-/// spec that no longer validates, or the first diverging record.
+/// (truncation, corruption), a missing or malformed header (another
+/// schema than [`TRACE_SCHEMA_VERSION`], a zero period), an embedded spec
+/// that no longer validates or whose replay fails, or the first diverging
+/// record.
 pub fn verify_trace(golden: &str) -> Result<VerifyReport, TraceError> {
     let golden = parse_journal(golden)?;
     let Some(Record::Header {
@@ -105,27 +96,27 @@ pub fn verify_trace(golden: &str) -> Result<VerifyReport, TraceError> {
             "journal does not start with a header record",
         ));
     };
-    // Version negotiation: replay at the *golden* journal's schema, so a
-    // v2 reader verifies v1 goldens record for record (and refuses
-    // journals from the future instead of mis-comparing them).
-    if *schema == 0 || *schema > TRACE_SCHEMA_VERSION {
+    if *schema != TRACE_SCHEMA_VERSION {
         return Err(TraceError::new(
             0,
             format!(
-                "unsupported trace schema {schema} (this reader speaks 1..={TRACE_SCHEMA_VERSION})"
+                "unsupported trace schema {schema} (this reader speaks {TRACE_SCHEMA_VERSION})"
             ),
         ));
     }
+    if *period == 0 {
+        return Err(TraceError::new(0, "header period 0 (at least 1 cycle)"));
+    }
     let scenario = Scenario::from_value(spec)
         .map_err(|e| TraceError::new(0, format!("embedded spec: {}", e.0)))?;
-    let fresh = record_trace_at(&scenario, *period, *schema);
+    let fresh = record_trace(&scenario, *period)
+        .map_err(|e| TraceError::new(0, format!("replay of the embedded spec failed: {e}")))?;
     let fresh = parse_journal(&fresh)
         .map_err(|e| TraceError::new(e.record, format!("fresh replay: {}", e.message)))?;
     let records = noc_obs::compare_journals(&golden, &fresh)?;
     Ok(VerifyReport {
         name: scenario.name.clone(),
         records,
-        schema: *schema,
     })
 }
 
@@ -148,7 +139,7 @@ mod tests {
     #[test]
     fn recorded_trace_verifies_against_itself() {
         let scenario = tiny();
-        let journal = record_trace(&scenario, trace_period(&scenario));
+        let journal = record_trace(&scenario, trace_period(&scenario)).unwrap();
         let report = verify_trace(&journal).expect("self-verification");
         assert_eq!(report.name, "tiny-trace");
         assert!(report.records > 3, "header + phases + windows + summary");
@@ -159,7 +150,7 @@ mod tests {
     /// verifies record for record.
     #[test]
     fn verification_is_shard_independent() {
-        let journal = record_trace(&tiny(), 100);
+        let journal = record_trace(&tiny(), 100).unwrap();
         assert_eq!(journal.matches("\"shards\":1").count(), 2, "header + spec");
         for shards in [0, 8] {
             let rewritten = journal.replace("\"shards\":1", &format!("\"shards\":{shards}"));
@@ -171,7 +162,7 @@ mod tests {
     #[test]
     fn truncated_journal_fails_with_record_index() {
         let scenario = tiny();
-        let journal = record_trace(&scenario, 100);
+        let journal = record_trace(&scenario, 100).unwrap();
         let lines: Vec<&str> = journal.lines().collect();
         let truncated = lines[..lines.len() - 1].join("\n");
         // A clean truncation parses but fails comparison at the cut.
@@ -182,29 +173,9 @@ mod tests {
     }
 
     #[test]
-    fn v1_journals_negotiate_down_and_verify() {
-        let scenario = tiny();
-        let v1 = record_trace_at(&scenario, 100, 1);
-        assert!(
-            !v1.contains("\"type\":\"hist\""),
-            "v1 journals carry no hist records"
-        );
-        assert!(
-            !v1.contains("latency_p99"),
-            "v1 summaries carry no percentile keys"
-        );
-        let report = verify_trace(&v1).expect("v2 reader verifies v1 journals");
-        assert_eq!(report.schema, 1);
-        let v2 = record_trace(&scenario, 100);
-        assert!(v2.contains("\"type\":\"hist\""));
-        assert!(v2.contains("latency_p99"));
-        assert_eq!(verify_trace(&v2).unwrap().schema, 2);
-    }
-
-    #[test]
     fn future_schema_is_refused_not_miscompared() {
         let scenario = tiny();
-        let journal = record_trace(&scenario, 100);
+        let journal = record_trace(&scenario, 100).unwrap();
         let bumped = journal.replacen("\"schema\":2", "\"schema\":99", 1);
         let err = verify_trace(&bumped).unwrap_err();
         assert_eq!(err.record, 0);

@@ -13,9 +13,10 @@
 //!   bit-identical at any worker count.
 //! * [`trace`] — the append-only JSONL trace journal: a versioned
 //!   [`Record`] schema (`header`, `phase`, `event`, `window`, `hist`,
-//!   `summary`, `progress`, `meta`), a [`TraceWriter`], and
-//!   [`parse_journal`], which reads a journal back and fails with a *named
-//!   record index* instead of panicking on truncated or corrupted input.
+//!   `summary`, `progress`), a [`TraceWriter`] that latches its first
+//!   write error, and [`parse_journal`], which reads a journal back and
+//!   fails with a *named record index* instead of panicking on truncated
+//!   or corrupted input.
 //! * [`compare_journals`] — the golden-trace replay oracle: record-for-
 //!   record comparison on the deterministic fields (digests, counts,
 //!   latency sums, histograms) while timing and other environmental
@@ -40,6 +41,6 @@ pub use hist::{hist_record_entries, FabricHists, Hist, PacketHists, HIST_BUCKETS
 pub use hud::Hud;
 pub use metrics::{MetricsRegistry, PhaseTimes, WindowDelta};
 pub use trace::{
-    compare_journals, parse_journal, strip_v2_summary, Record, SharedBuffer, TraceError,
-    TraceWriter, TRACE_SCHEMA_VERSION, V2_SUMMARY_KEYS,
+    compare_journals, parse_journal, Record, SharedBuffer, TraceError, TraceWriter,
+    TRACE_SCHEMA_VERSION,
 };

@@ -19,16 +19,15 @@
 //!
 //! # Schema history
 //!
-//! * **v1** — `header`, `phase`, `event`, `window`, `summary`,
-//!   `progress`, `meta` records; the summary carries the original
-//!   `RunSummary` fields.
+//! * **v1** — `header`, `phase`, `event`, `window`, `summary` and
+//!   `progress` records; the summary carries the original `RunSummary`
+//!   fields.
 //! * **v2** — adds the `hist` record (one per window, carrying the six
 //!   log2 histogram snapshots in fixed order) and the four percentile
 //!   fields (`latency_p50/p90/p99/latency_max`) appended to the summary.
-//!   Readers negotiate down: a journal whose header says `schema: 1` is
-//!   replayed with v1 emission (no `hist` records, percentile keys
-//!   stripped from the summary), so v1 golden journals keep verifying
-//!   record for record.
+//!
+//! The recorder writes the current schema only, and a replay refuses a
+//! journal stamped with any other ("unsupported trace schema N").
 
 use crate::hist::Hist;
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -37,10 +36,6 @@ use std::sync::{Arc, Mutex};
 
 /// Version stamped into every `header` record.
 pub const TRACE_SCHEMA_VERSION: u32 = 2;
-
-/// Summary keys that exist only from schema v2 on; stripped from the
-/// `summary` record when recording at v1 so v1 goldens stay byte-stable.
-pub const V2_SUMMARY_KEYS: [&str; 4] = ["latency_p50", "latency_p90", "latency_p99", "latency_max"];
 
 /// One line of a trace journal.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,11 +110,6 @@ pub enum Record {
         /// Queue/run latencies and result digests.
         detail: Value,
     },
-    /// Free-form provenance (bench emissions; not replayed).
-    Meta {
-        /// The provenance payload.
-        meta: Value,
-    },
 }
 
 impl Record {
@@ -134,7 +124,6 @@ impl Record {
             Record::Hist { .. } => "hist",
             Record::Summary { .. } => "summary",
             Record::Progress { .. } => "progress",
-            Record::Meta { .. } => "meta",
         }
     }
 }
@@ -210,7 +199,6 @@ impl Serialize for Record {
                 push("status", status.to_value());
                 push("detail", detail.clone());
             }
-            Record::Meta { meta } => push("meta", meta.clone()),
         }
         Value::Object(entries)
     }
@@ -267,9 +255,6 @@ impl Deserialize for Record {
                 status: serde::field(value, "status")?,
                 detail: serde::field(value, "detail")?,
             }),
-            "meta" => Ok(Record::Meta {
-                meta: serde::field(value, "meta")?,
-            }),
             other => Err(DeError(format!("unknown trace record type `{other}`"))),
         }
     }
@@ -307,15 +292,22 @@ impl std::error::Error for TraceError {}
 
 /// Serialises records to an append-only JSONL stream, one compact object
 /// per line.
+///
+/// Write errors are sticky: the first failure is latched, later writes
+/// become no-ops, and [`TraceWriter::finish`] returns it — whoever feeds
+/// the journal (a simulation, a sweep) never aborts because its sink went
+/// away.
 pub struct TraceWriter {
     out: Box<dyn Write + Send>,
     records: u64,
+    error: Option<io::Error>,
 }
 
 impl std::fmt::Debug for TraceWriter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceWriter")
             .field("records", &self.records)
+            .field("error", &self.error)
             .finish_non_exhaustive()
     }
 }
@@ -324,7 +316,11 @@ impl TraceWriter {
     /// Wraps any writer (a file, a [`SharedBuffer`], `io::sink()`, ...).
     #[must_use]
     pub fn new(out: Box<dyn Write + Send>) -> Self {
-        Self { out, records: 0 }
+        Self {
+            out,
+            records: 0,
+            error: None,
+        }
     }
 
     /// Creates (truncating) `path` and writes the journal there.
@@ -336,31 +332,33 @@ impl TraceWriter {
         Ok(Self::new(Box::new(std::fs::File::create(path)?)))
     }
 
-    /// Appends one record.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying write failure.
-    pub fn write(&mut self, record: &Record) -> io::Result<()> {
-        let mut line = serde_json::to_string(record).map_err(io::Error::other)?;
-        line.push('\n');
-        self.out.write_all(line.as_bytes())?;
-        self.records += 1;
-        Ok(())
-    }
-
-    /// Records written so far.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records
+    /// Appends one record, latching the first write error (a no-op once
+    /// one is latched).
+    pub fn write(&mut self, record: &Record) {
+        if self.error.is_some() {
+            return;
+        }
+        let written = serde_json::to_string(record)
+            .map_err(io::Error::other)
+            .and_then(|mut line| {
+                line.push('\n');
+                self.out.write_all(line.as_bytes())
+            });
+        match written {
+            Ok(()) => self.records += 1,
+            Err(e) => self.error = Some(e),
+        }
     }
 
     /// Flushes and returns the record count.
     ///
     /// # Errors
     ///
-    /// Propagates the flush failure.
+    /// Returns the latched first write error, or the flush failure.
     pub fn finish(mut self) -> io::Result<u64> {
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
         self.out.flush()?;
         Ok(self.records)
     }
@@ -429,22 +427,6 @@ impl Write for SharedBuffer {
     }
 }
 
-/// A summary value with the schema-v2-only keys removed — what a v1
-/// recording writes, so v1 golden journals compare byte for byte.
-#[must_use]
-pub fn strip_v2_summary(summary: &Value) -> Value {
-    match summary {
-        Value::Object(entries) => Value::Object(
-            entries
-                .iter()
-                .filter(|(k, _)| !V2_SUMMARY_KEYS.contains(&k.as_str()))
-                .cloned()
-                .collect(),
-        ),
-        other => other.clone(),
-    }
-}
-
 /// `value` without its top-level `key` (no-op on non-objects).
 fn strip_key(value: &Value, key: &str) -> Value {
     match value {
@@ -474,8 +456,8 @@ fn missing_key(golden: &Value, fresh: &Value) -> Option<String> {
 /// (`window.timing`, `window.aux`, the header's `shards` field and the
 /// `shards` field of its embedded spec) are checked for presence only, so
 /// a golden trace verifies whatever its spec's ignored `shards` says and
-/// on whatever host it replays. `progress` and `meta`
-/// records are matched on type alone. Returns the number of records
+/// on whatever host it replays. `progress` records are matched on type
+/// alone. Returns the number of records
 /// compared.
 ///
 /// # Errors
@@ -653,8 +635,7 @@ fn compare_record(index: usize, golden: &Record, fresh: &Record) -> Result<(), T
                 return Err(field_err("summary"));
             }
         }
-        (Record::Progress { .. }, Record::Progress { .. })
-        | (Record::Meta { .. }, Record::Meta { .. }) => {}
+        (Record::Progress { .. }, Record::Progress { .. }) => {}
         _ => return Err(type_err()),
     }
     Ok(())
@@ -704,7 +685,7 @@ mod tests {
         let buffer = SharedBuffer::new();
         let mut writer = TraceWriter::new(Box::new(buffer.clone()));
         for r in &records {
-            writer.write(r).unwrap();
+            writer.write(r);
         }
         assert_eq!(writer.finish().unwrap(), records.len() as u64);
         let parsed = parse_journal(&buffer.contents()).unwrap();

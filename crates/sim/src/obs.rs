@@ -12,25 +12,23 @@
 //! zero.
 
 use crate::hooks::SimCommand;
-use noc_obs::{FabricHists, MetricsRegistry, Record, TraceWriter, TRACE_SCHEMA_VERSION};
+use noc_obs::{FabricHists, MetricsRegistry, Record, TraceWriter};
 use serde::Value;
 use std::io;
 
 /// A journal writer + metrics registry attached to one simulator.
 ///
-/// Write errors are sticky: the first failure is kept and reported by
-/// [`Tracer::finish`], later writes become no-ops — the simulation
-/// itself never aborts because a trace sink went away.
+/// Write errors are sticky (the [`TraceWriter`] latches the first one
+/// and [`Tracer::finish`] reports it): the simulation itself never aborts
+/// because a trace sink went away.
 #[derive(Debug)]
 pub struct Tracer {
     writer: TraceWriter,
     period: u64,
-    schema: u32,
     metrics: MetricsRegistry,
     /// Cumulative fabric-occupancy histograms, sampled serially at each
-    /// window boundary (schema v2 journals carry their snapshots).
+    /// window boundary (the journal's `hist` records carry snapshots).
     fabric: FabricHists,
-    error: Option<io::Error>,
 }
 
 impl Tracer {
@@ -46,34 +44,9 @@ impl Tracer {
         Self {
             writer,
             period,
-            schema: TRACE_SCHEMA_VERSION,
             metrics: MetricsRegistry::new(),
             fabric: FabricHists::new(),
-            error: None,
         }
-    }
-
-    /// Records the journal at an older schema version: `1` suppresses the
-    /// `hist` records and the summary's percentile keys, reproducing a v1
-    /// journal byte for byte (the reader side of v1→v2 negotiation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `schema` is 0 or newer than [`TRACE_SCHEMA_VERSION`].
-    #[must_use]
-    pub fn with_schema(mut self, schema: u32) -> Self {
-        assert!(
-            (1..=TRACE_SCHEMA_VERSION).contains(&schema),
-            "unsupported trace schema {schema}"
-        );
-        self.schema = schema;
-        self
-    }
-
-    /// The schema version this tracer records at.
-    #[must_use]
-    pub fn schema(&self) -> u32 {
-        self.schema
     }
 
     /// The window period in cycles.
@@ -102,13 +75,9 @@ impl Tracer {
         &mut self.metrics
     }
 
-    /// Appends a record, latching the first write error.
+    /// Appends a record (a no-op once a write has failed).
     pub(crate) fn write(&mut self, record: &Record) {
-        if self.error.is_none() {
-            if let Err(e) = self.writer.write(record) {
-                self.error = Some(e);
-            }
-        }
+        self.writer.write(record);
     }
 
     /// Flushes the journal and returns the record count, or the first
@@ -118,9 +87,6 @@ impl Tracer {
     ///
     /// Returns the latched first write error, or the flush failure.
     pub fn finish(self) -> io::Result<u64> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
         self.writer.finish()
     }
 }

@@ -433,16 +433,13 @@ impl Simulator {
             aux: delta.aux_value(),
             timing: delta.phase.timing_value(),
         });
-        // Schema v2: a `hist` record per window, carrying cumulative
-        // snapshots of the delivery and fabric histograms.
-        if tracer.schema() >= 2 && self.stats.hists.is_some() {
+        // A `hist` record per window, carrying cumulative snapshots of
+        // the delivery and fabric histograms.
+        if let Some(packets) = self.stats.packet_hists() {
             let fabric = tracer.fabric_mut();
             self.net.sample_fabric(fabric);
             fabric.calendar_depth.record(calendar);
-            let entries = noc_obs::hist_record_entries(
-                self.stats.packet_hists().expect("checked above"),
-                tracer.fabric_hists(),
-            );
+            let entries = noc_obs::hist_record_entries(packets, tracer.fabric_hists());
             tracer.write(&Record::Hist {
                 cycle: self.cycle,
                 hists: entries,
@@ -681,15 +678,9 @@ impl Simulator {
         self.trace_phase("done");
         let summary = self.summarise(completed);
         if let Some(tracer) = self.tracer.as_mut() {
-            // A v1 recording writes the summary without the v2-only
-            // percentile keys, so v1 golden journals stay byte-stable.
-            let value = summary.to_value();
-            let value = if tracer.schema() < 2 {
-                noc_obs::strip_v2_summary(&value)
-            } else {
-                value
-            };
-            tracer.write(&Record::Summary { summary: value });
+            tracer.write(&Record::Summary {
+                summary: summary.to_value(),
+            });
         }
         Ok(summary)
     }

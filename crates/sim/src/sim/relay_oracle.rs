@@ -138,7 +138,7 @@ impl Case {
         let journal = SharedBuffer::new();
         if self.traced {
             let writer = TraceWriter::new(Box::new(journal.clone()));
-            sim.attach_tracer(Tracer::new(writer, 50).with_schema(2));
+            sim.attach_tracer(Tracer::new(writer, 50));
         }
         (sim, journal)
     }

@@ -9,9 +9,7 @@
 //! [`noc_exp::verify_trace`] with a [`noc_obs::TraceError`] naming the
 //! offending record index, never a panic.
 
-use noc_exp::{
-    record_trace, record_trace_at, trace_period, verify_trace, Scenario, WorkloadKind, WorkloadSpec,
-};
+use noc_exp::{record_trace, trace_period, verify_trace, Scenario, WorkloadKind, WorkloadSpec};
 use noc_obs::{compare_journals, parse_journal, Record};
 use noc_topology::{ElevatorSet, Mesh3d};
 use proptest::prelude::*;
@@ -56,8 +54,8 @@ proptest! {
         scenario in arb_scenario(),
     ) {
         let period = trace_period(&scenario);
-        let a = record_trace(&scenario, period);
-        let b = record_trace(&scenario, period);
+        let a = record_trace(&scenario, period).unwrap();
+        let b = record_trace(&scenario, period).unwrap();
         prop_assert_eq!(a.lines().count(), b.lines().count());
         let parsed_a = parse_journal(&a).expect("journal a parses");
         let parsed_b = parse_journal(&b).expect("journal b parses");
@@ -78,7 +76,7 @@ proptest! {
         scenario in arb_scenario(),
         pick in 0usize..1000,
     ) {
-        let journal = record_trace(&scenario, trace_period(&scenario));
+        let journal = record_trace(&scenario, trace_period(&scenario)).unwrap();
         let lines: Vec<&str> = journal.lines().collect();
         let victim = pick % lines.len();
         let corrupted: String = lines
@@ -106,28 +104,13 @@ proptest! {
         scenario in arb_scenario(),
         drop in 1usize..4,
     ) {
-        let journal = record_trace(&scenario, trace_period(&scenario));
+        let journal = record_trace(&scenario, trace_period(&scenario)).unwrap();
         let lines: Vec<&str> = journal.lines().collect();
         // Keep at least the header so verification reaches the compare.
         let keep = lines.len().saturating_sub(drop).max(1);
         let truncated = lines[..keep].join("\n");
         let err = verify_trace(&truncated).expect_err("truncation must fail verification");
         prop_assert_eq!(err.record, keep, "error names the first missing record");
-    }
-
-    /// Version negotiation, fuzzed over the scenario space: a journal
-    /// recorded at schema v1 (no `hist` records, percentile-free
-    /// summary) verifies record for record under the v2 reader, which
-    /// replays it at the golden's own schema.
-    #[test]
-    fn v1_journals_verify_under_the_v2_reader(
-        scenario in arb_scenario(),
-    ) {
-        let v1 = record_trace_at(&scenario, trace_period(&scenario), 1);
-        prop_assert!(!v1.contains("\"type\":\"hist\""), "v1 carries no hist records");
-        prop_assert!(!v1.contains("latency_p99"), "v1 summaries carry no percentiles");
-        let report = verify_trace(&v1).expect("v2 reader verifies v1 journals");
-        prop_assert_eq!(report.schema, 1);
     }
 }
 
@@ -143,7 +126,7 @@ fn corrupted_histogram_records_fail_with_the_record_index() {
         .with_workload(WorkloadKind::Uniform { rate: 0.004 })
         .with_seed(11)
         .with_trace(100);
-    let journal = record_trace(&scenario, trace_period(&scenario));
+    let journal = record_trace(&scenario, trace_period(&scenario)).unwrap();
     let lines: Vec<&str> = journal.lines().collect();
     let victim = lines
         .iter()
@@ -188,7 +171,8 @@ fn headerless_journals_are_rejected_at_record_zero() {
 
 /// The golden journal's structure is what the schema promises: a header
 /// first, phase markers for every lifecycle transition, periodic windows
-/// and one final summary.
+/// each followed by its `hist` record, and one final summary carrying the
+/// latency percentiles.
 #[test]
 fn journals_carry_the_schema_record_types() {
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
@@ -198,7 +182,7 @@ fn journals_carry_the_schema_record_types() {
         .with_workload(WorkloadKind::Uniform { rate: 0.004 })
         .with_seed(11)
         .with_trace(100);
-    let journal = record_trace(&scenario, trace_period(&scenario));
+    let journal = record_trace(&scenario, trace_period(&scenario)).unwrap();
     let records = parse_journal(&journal).unwrap();
 
     assert!(matches!(records[0], Record::Header { .. }));
@@ -215,5 +199,14 @@ fn journals_carry_the_schema_record_types() {
         .filter(|r| matches!(r, Record::Window { .. }))
         .count();
     assert!(windows >= 4, "period 100 over 500+ cycles: got {windows}");
-    assert!(matches!(records.last(), Some(Record::Summary { .. })));
+    let hists = records
+        .iter()
+        .filter(|r| matches!(r, Record::Hist { .. }))
+        .count();
+    assert_eq!(hists, windows, "one hist record per window");
+    let Some(Record::Summary { summary }) = records.last() else {
+        panic!("the journal ends with its summary");
+    };
+    let p99 = serde::field::<serde::Value>(summary, "latency_p99");
+    assert!(p99.is_ok(), "{summary:?}");
 }
