@@ -164,9 +164,9 @@ pub fn fig7_base_rate(placement: Placement) -> f64 {
 
 /// The scaling-study elevator geometry: one pillar column per 4×4 tile
 /// (`(4i+2, 4j+2)`), giving the same pillar density at every mesh size —
-/// 4 columns on 8×8, 16 on 16×16, 64 on 32×32. Shared by the `scale`
-/// binary and `noc_trace selfcheck` so the README table and the
-/// self-check journal always measure the same fabric.
+/// 4 columns on 8×8, 16 on 16×16, 64 on 32×32. The `scale` binary builds
+/// its fabrics from it, so the README's scaling table measures this
+/// geometry.
 #[must_use]
 pub fn pillar_grid(x: usize, y: usize) -> Vec<(u8, u8)> {
     (0..x as u8 / 4)

@@ -412,18 +412,14 @@ impl Topo {
     }
 }
 
-/// Hop count of a packet's deterministic route (XY → elevator → XY):
+/// Hop count of a packet's deterministic route (XY → elevator → XY, Eq. 4):
 /// derived from the coordinates and the selected elevator instead of a
-/// per-flit counter, so the hot path carries no extra packet state.
+/// per-flit counter, so the hot path carries no extra packet state. A
+/// packet carries an elevator exactly when it changes layer.
 pub(crate) fn route_hops(topo: &Topo, pkt: &crate::flit::Packet) -> u64 {
     let s = topo.coords[pkt.src.index()];
     let d = topo.coords[pkt.dst.index()];
-    let xy =
-        |ax: u8, ay: u8, bx: u8, by: u8| u64::from(ax.abs_diff(bx)) + u64::from(ay.abs_diff(by));
-    match pkt.elevator {
-        None => xy(s.x, s.y, d.x, d.y),
-        Some(e) => xy(s.x, s.y, e.x, e.y) + u64::from(s.z.abs_diff(d.z)) + xy(e.x, e.y, d.x, d.y),
-    }
+    u64::from(route::route_length(s, d, pkt.elevator))
 }
 
 /// A packet-table/statistics side effect deferred out of phase 1,

@@ -571,6 +571,7 @@ mod tests {
         assert_eq!(cycles, 1 + hops + 1 + (flits - 1));
         assert_eq!(net.link_ledger().ejections(), 5);
         assert_eq!(stats.delivered_packets, 1);
+        assert_eq!(stats.packet_hists().unwrap().hops.max(), hops);
         // Created at cycle 0, delivered in the last of those cycles.
         assert_eq!(stats.total_latency, cycles - 1);
         assert_eq!(table.capacity(), 1, "the slot must recycle");
@@ -602,6 +603,8 @@ mod tests {
         let router_flits = net.link_ledger().router_flits();
         assert!(router_flits[pillar0.index()] >= 10);
         assert!(router_flits[pillar1.index()] >= 10);
+        // Eq. 4: 2 hops to the pillar, 1 up it, 2 from it.
+        assert_eq!(stats.packet_hists().unwrap().hops.max(), 5);
     }
 
     #[test]

@@ -26,10 +26,10 @@
 //! [`SyntheticParts`] ([`BatchedSynthetic::from_parts`] here,
 //! [`SyntheticTraffic::from_parts`](crate::SyntheticTraffic::from_parts)
 //! polled), and every polled [`TrafficSource`] — the `v1` synthetic
-//! stream, and the workloads without a closed-form schedule: recorded
-//! traces, application models, [`CompositeSource`](crate::CompositeSource)
-//! mixtures — is composed in front of it by [`CyclePolled`], the adapter
-//! that drives a polled source one cycle at a time.
+//! stream, and the workloads without a closed-form schedule: application
+//! models and [`CompositeSource`](crate::CompositeSource) mixtures — is
+//! composed in front of it by [`CyclePolled`], the adapter that drives a
+//! polled source one cycle at a time.
 
 use crate::injection::{InjectionProcess, PacketSizeRange};
 use crate::pattern::{Hotspot, Pattern};
@@ -425,13 +425,13 @@ impl ScheduledSource for BatchedSynthetic {
 /// [`ScheduledSource`] interface, one cycle at a time.
 ///
 /// This is how every polled workload — the `v1` synthetic stream,
-/// application models, composite mixtures, recorded traces — reaches the
-/// simulator's injection scheduler: each requested cycle is one
-/// [`poll_cycle`] of the wrapped source, the full per-node poll the source
-/// was promised at whatever its `poll_cycle` costs (one pass over the
-/// coins, O(events) for a trace, the per-node loop otherwise). Its
-/// [`horizon`] is 1 because a polled source cannot rewind past cycles it
-/// has already drawn, so callers must not prefetch across a directive.
+/// application models, composite mixtures — reaches the simulator's
+/// injection scheduler: each requested cycle is one [`poll_cycle`] of the
+/// wrapped source, the full per-node poll the source was promised at
+/// whatever its `poll_cycle` costs (one pass over the coins, the per-node
+/// loop otherwise). Its [`horizon`] is 1 because a polled source cannot
+/// rewind past cycles it has already drawn, so callers must not prefetch
+/// across a directive.
 ///
 /// [`poll_cycle`]: TrafficSource::poll_cycle
 /// [`horizon`]: ScheduledSource::horizon

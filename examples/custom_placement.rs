@@ -2,7 +2,7 @@
 //! elevator pattern against the average-distance placement optimiser, then
 //! check the impact in simulation.
 //!
-//! Run with: `cargo run --release -p adele-bench --example custom_placement`
+//! Run with: `cargo run --release -p adele-repro --example custom_placement`
 
 use adele::online::ElevatorFirstSelector;
 use noc_sim::{SimConfig, Simulator};

@@ -2,7 +2,7 @@
 //! custom PC-3DNoC, inspect the Pareto front, and compare selection
 //! strategies — the workflow behind the paper's Fig. 3.
 //!
-//! Run with: `cargo run --release -p adele-bench --example offline_optimization`
+//! Run with: `cargo run --release -p adele-repro --example offline_optimization`
 
 use adele::offline::{ObjectiveEvaluator, OfflineOptimizer, SelectionStrategy, SubsetAssignment};
 use amosa::AmosaParams;

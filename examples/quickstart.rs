@@ -1,7 +1,7 @@
 //! Quickstart: simulate a partially connected 3D NoC with AdEle elevator
 //! selection and print latency/energy statistics.
 //!
-//! Run with: `cargo run --release -p adele-bench --example quickstart`
+//! Run with: `cargo run --release -p adele-repro --example quickstart`
 
 use adele::offline::{OfflineOptimizer, SelectionStrategy};
 use adele::online::AdeleSelector;
