@@ -30,8 +30,10 @@ pub struct AdeleConfig {
     /// Drive the low-traffic override from **measured** per-pillar energy
     /// telemetry (`ElevatorSelector::on_pillar_energy`) instead of the
     /// hop-count proxy of Section III.A. Off by default — the paper's
-    /// policy, asserted bit-identical — and inert until the simulator
-    /// pushes a first telemetry sample.
+    /// policy, asserted bit-identical. When on, the selector asks the
+    /// simulator for a push every 256 cycles
+    /// (`ElevatorSelector::pillar_energy_period`), and the mode is inert
+    /// until the first sample arrives.
     pub measured_energy_override: bool,
 }
 

@@ -61,7 +61,8 @@ fn min_measured_energy_among(
 struct NodeState {
     subset: Vec<ElevatorId>,
     /// `subset` minus the failed elevators, in the same order. Rebuilt
-    /// when a pillar's status changes, which is rare; read by every pick.
+    /// when the fabric's pillar health changes, which is rare; read by
+    /// every pick.
     alive: Vec<ElevatorId>,
     /// One cost per elevator of the full set; only entries for elevators
     /// this router actually uses ever move away from zero.
@@ -89,8 +90,10 @@ struct NodeState {
 pub struct AdeleSelector {
     config: AdeleConfig,
     nodes: Vec<NodeState>,
-    /// Failed elevators (fault-tolerance extension; none fail by default).
-    failed: ElevatorMask,
+    /// The pillar health the `alive` lists were built for: the probe's
+    /// mask as of the last pick (the fabric owns it; this only keys the
+    /// rebuild).
+    alive_for: ElevatorMask,
     /// Latest measured per-pillar energy sample (nJ per TSV flit), pushed
     /// by the simulator; empty until the first push.
     pillar_energy: Vec<f64>,
@@ -132,7 +135,7 @@ impl AdeleSelector {
         Ok(Self {
             config,
             nodes,
-            failed: ElevatorMask::EMPTY,
+            alive_for: ElevatorMask::EMPTY,
             pillar_energy: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
         })
@@ -147,25 +150,27 @@ impl AdeleSelector {
             .get(elevator.index())
             .copied()
     }
-
-    /// Marks an elevator failed/repaired (fault-tolerance extension noted
-    /// in the paper's conclusion). Failed elevators are excluded from every
-    /// subset; a router whose whole subset failed falls back to the nearest
-    /// surviving elevator.
-    pub fn set_elevator_failed(&mut self, elevator: ElevatorId, failed: bool) {
-        self.failed.set(elevator, failed);
-        let failed = self.failed;
-        for state in &mut self.nodes {
-            state.alive.clear();
-            let survivors = state.subset.iter().filter(|&&e| !failed.contains(e));
-            state.alive.extend(survivors);
-        }
-    }
 }
+
+/// Cycles between measured per-pillar energy pushes in measured-energy
+/// mode: frequent enough to track congestion episodes, coarse enough that
+/// the per-push pillar roll-up stays off the per-cycle hot path.
+const MEASURED_ENERGY_PERIOD: u64 = 256;
 
 impl ElevatorSelector for AdeleSelector {
     fn select(&mut self, ctx: &SelectionContext<'_>) -> ElevatorId {
-        let failed = self.failed;
+        // Failed elevators (the fault-tolerance extension noted in the
+        // paper's conclusion) leave every subset; a router whose whole
+        // subset failed falls back to the nearest surviving elevator.
+        let failed = ctx.probe.failed_elevators();
+        if failed != self.alive_for {
+            self.alive_for = failed;
+            for state in &mut self.nodes {
+                state.alive.clear();
+                let survivors = state.subset.iter().filter(|&&e| !failed.contains(e));
+                state.alive.extend(survivors);
+            }
+        }
         let state = &mut self.nodes[ctx.src_id.index()];
         let alive_subset = state.alive.as_slice();
 
@@ -258,13 +263,17 @@ impl ElevatorSelector for AdeleSelector {
             .expect("non-empty")
     }
 
-    fn on_elevator_status(&mut self, elevator: ElevatorId, failed: bool) {
-        self.set_elevator_failed(elevator, failed);
-    }
-
     fn on_pillar_energy(&mut self, energy: &[f64]) {
         self.pillar_energy.clear();
         self.pillar_energy.extend_from_slice(energy);
+    }
+
+    fn pillar_energy_period(&self) -> u64 {
+        if self.config.measured_energy_override {
+            MEASURED_ENERGY_PERIOD
+        } else {
+            0
+        }
     }
 
     fn on_source_departure(&mut self, feedback: &SourceFeedback) {
@@ -290,7 +299,8 @@ impl ElevatorSelector for AdeleSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::online::ZeroProbe;
+    use crate::online::testing::FaultProbe;
+    use crate::online::{NetworkProbe, ZeroProbe};
     use noc_topology::Coord;
 
     fn fixture() -> (Mesh3d, ElevatorSet) {
@@ -302,7 +312,7 @@ mod tests {
     fn ctx<'a>(
         mesh: &Mesh3d,
         elevators: &'a ElevatorSet,
-        probe: &'a ZeroProbe,
+        probe: &'a dyn NetworkProbe,
         src: Coord,
         dst: Coord,
     ) -> SelectionContext<'a> {
@@ -353,6 +363,8 @@ mod tests {
             Coord::new(3, 1, 0),
             Coord::new(3, 2, 1),
         );
+        // The mode asks for the telemetry push; the default config does not.
+        assert_eq!(sel.pillar_energy_period(), MEASURED_ENERGY_PERIOD);
         // Cold start (no telemetry yet): behave exactly like the proxy.
         assert_eq!(sel.select(&c), ElevatorId(1));
         // Telemetry says e1 is expensive, e2 is the cheapest pillar.
@@ -360,6 +372,7 @@ mod tests {
         assert_eq!(sel.select(&c), ElevatorId(2));
         // The same signal is ignored under the paper-default config.
         let (_, _, mut plain) = full_selector(AdeleConfig::paper_default());
+        assert_eq!(plain.pillar_energy_period(), 0);
         plain.on_pillar_energy(&[40.0, 90.0, 15.0]);
         assert_eq!(plain.select(&c), ElevatorId(1));
     }
@@ -491,7 +504,7 @@ mod tests {
         let mut config = AdeleConfig::paper_default();
         config.low_traffic_override = false;
         let (mesh, elevators, mut sel) = full_selector(config);
-        let probe = ZeroProbe::new(mesh);
+        let probe = FaultProbe::new(mesh);
         let c = ctx(
             &mesh,
             &elevators,
@@ -499,11 +512,11 @@ mod tests {
             Coord::new(1, 1, 0),
             Coord::new(1, 1, 1),
         );
-        sel.set_elevator_failed(ElevatorId(0), true);
+        probe.set(ElevatorId(0), true);
         for _ in 0..100 {
             assert_ne!(sel.select(&c), ElevatorId(0));
         }
-        sel.set_elevator_failed(ElevatorId(0), false);
+        probe.set(ElevatorId(0), false);
         let mut saw_e0 = false;
         for _ in 0..100 {
             saw_e0 |= sel.select(&c) == ElevatorId(0);
@@ -524,8 +537,8 @@ mod tests {
             1,
         )
         .unwrap();
-        sel.set_elevator_failed(ElevatorId(0), true);
-        let probe = ZeroProbe::new(mesh);
+        let probe = FaultProbe::new(mesh);
+        probe.set(ElevatorId(0), true);
         let c = ctx(
             &mesh,
             &elevators,

@@ -39,9 +39,6 @@ const SMOOTHING: f64 = 0.1;
 pub struct CdaSelector {
     /// Smoothed per-router utilization estimates (lazy-grown to N).
     utilization: Vec<f64>,
-    /// Failed elevators — CDA's global view is assumed to learn of pillar
-    /// failures instantly, like everything else it observes.
-    failed: ElevatorMask,
 }
 
 impl CdaSelector {
@@ -50,7 +47,6 @@ impl CdaSelector {
     pub fn new() -> Self {
         Self {
             utilization: Vec::new(),
-            failed: ElevatorMask::EMPTY,
         }
     }
 
@@ -93,11 +89,11 @@ impl ElevatorSelector for CdaSelector {
 
         // Failed elevators drop out of the candidate set; if every pillar
         // is down there is nothing better to offer, so consider them all.
-        let all_failed = ctx.elevators.ids().all(|e| self.failed.contains(e));
-        let failed = if all_failed {
+        let failed = ctx.probe.failed_elevators();
+        let failed = if ctx.elevators.ids().all(|e| failed.contains(e)) {
             ElevatorMask::EMPTY
         } else {
-            self.failed
+            failed
         };
 
         let mut best: Option<(f64, u32, ElevatorId)> = None;
@@ -138,10 +134,6 @@ impl ElevatorSelector for CdaSelector {
         best.expect("elevator set is never empty").2
     }
 
-    fn on_elevator_status(&mut self, elevator: ElevatorId, failed: bool) {
-        self.failed.set(elevator, failed);
-    }
-
     fn name(&self) -> &'static str {
         "CDA"
     }
@@ -150,6 +142,7 @@ impl ElevatorSelector for CdaSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::testing::FaultProbe;
     use crate::online::{NetworkProbe, SelectionContext};
     use noc_topology::{Coord, ElevatorSet, Mesh3d, NodeId};
 
@@ -282,10 +275,7 @@ mod tests {
     #[test]
     fn failed_elevator_is_excluded_until_recovery() {
         let (mesh, elevators) = fixture();
-        let probe = MapProbe {
-            mesh,
-            occupancy: vec![0; 32],
-        };
+        let probe = FaultProbe::new(mesh);
         let mut cda = CdaSelector::new();
         let src = Coord::new(1, 0, 0);
         let dst = Coord::new(3, 0, 1);
@@ -302,15 +292,15 @@ mod tests {
         let e1 = noc_topology::ElevatorId(1);
         assert_eq!(cda.select(&ctx), e0);
 
-        cda.on_elevator_status(e0, true);
+        probe.set(e0, true);
         assert_eq!(cda.select(&ctx), e1, "dead pillar leaves the candidate set");
 
         // Every elevator down: fall back to the full set (best effort).
-        cda.on_elevator_status(e1, true);
+        probe.set(e1, true);
         assert_eq!(cda.select(&ctx), e0);
 
-        cda.on_elevator_status(e0, false);
-        cda.on_elevator_status(e1, false);
+        probe.set(e0, false);
+        probe.set(e1, false);
         assert_eq!(cda.select(&ctx), e0, "recovery restores the original pick");
     }
 }

@@ -1,5 +1,5 @@
 use crate::online::{ElevatorSelector, SelectionContext};
-use noc_topology::{ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
+use noc_topology::{ElevatorId, ElevatorSet, Mesh3d, NodeId};
 
 /// The Elevator-First baseline (Dubois et al. \[10\]): every packet takes the
 /// elevator **closest to its source router**, ignoring congestion and the
@@ -12,8 +12,6 @@ use noc_topology::{ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 #[derive(Debug, Clone)]
 pub struct ElevatorFirstSelector {
     nearest: Vec<ElevatorId>,
-    /// Failed elevators (none by default).
-    failed: ElevatorMask,
 }
 
 impl ElevatorFirstSelector {
@@ -22,7 +20,6 @@ impl ElevatorFirstSelector {
     pub fn new(mesh: &Mesh3d, elevators: &ElevatorSet) -> Self {
         Self {
             nearest: mesh.coords().map(|c| elevators.nearest(c)).collect(),
-            failed: ElevatorMask::EMPTY,
         }
     }
 
@@ -36,22 +33,18 @@ impl ElevatorFirstSelector {
 impl ElevatorSelector for ElevatorFirstSelector {
     fn select(&mut self, ctx: &SelectionContext<'_>) -> ElevatorId {
         let pick = self.nearest[ctx.src_id.index()];
-        if !self.failed.contains(pick) {
+        let failed = ctx.probe.failed_elevators();
+        if !failed.contains(pick) {
             return pick;
         }
         // Nearest surviving elevator; if everything failed, keep the static
         // choice (there is no better option to offer).
-        let failed = self.failed;
         ctx.elevators
             .nearest_among(
                 ctx.src,
                 ctx.elevators.ids().filter(|&e| !failed.contains(e)),
             )
             .unwrap_or(pick)
-    }
-
-    fn on_elevator_status(&mut self, elevator: ElevatorId, failed: bool) {
-        self.failed.set(elevator, failed);
     }
 
     fn name(&self) -> &'static str {
@@ -62,6 +55,7 @@ impl ElevatorSelector for ElevatorFirstSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::online::testing::FaultProbe;
     use crate::online::ZeroProbe;
     use noc_topology::Coord;
 
@@ -96,7 +90,7 @@ mod tests {
         let mesh = Mesh3d::new(4, 4, 4).unwrap();
         let elevators = ElevatorSet::new(&mesh, [(0, 0), (3, 3)]).unwrap();
         let mut sel = ElevatorFirstSelector::new(&mesh, &elevators);
-        let probe = ZeroProbe::new(mesh);
+        let probe = FaultProbe::new(mesh);
         let src = Coord::new(0, 1, 0);
         let dst = Coord::new(2, 2, 1);
         let ctx = SelectionContext {
@@ -110,7 +104,7 @@ mod tests {
         };
         assert_eq!(sel.select(&ctx), ElevatorId(0));
 
-        sel.on_elevator_status(ElevatorId(0), true);
+        probe.set(ElevatorId(0), true);
         assert_eq!(
             sel.select(&ctx),
             ElevatorId(1),
@@ -120,10 +114,10 @@ mod tests {
         assert_eq!(sel.choice(ctx.src_id), ElevatorId(0));
 
         // Everything failed: keep the static choice rather than panic.
-        sel.on_elevator_status(ElevatorId(1), true);
+        probe.set(ElevatorId(1), true);
         assert_eq!(sel.select(&ctx), ElevatorId(0));
 
-        sel.on_elevator_status(ElevatorId(0), false);
+        probe.set(ElevatorId(0), false);
         assert_eq!(
             sel.select(&ctx),
             ElevatorId(0),

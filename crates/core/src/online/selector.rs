@@ -1,14 +1,17 @@
-use noc_topology::{Coord, ElevatorId, ElevatorSet, NodeId};
+use noc_topology::{Coord, ElevatorId, ElevatorMask, ElevatorSet, NodeId};
 
 /// Simulation time in cycles.
 pub type Cycle = u64;
 
-/// Read-only view of network congestion state offered to selectors.
+/// Read-only view of network state offered to selectors: congestion and
+/// pillar health.
 ///
-/// AdEle deliberately ignores it (local information only); the CDA baseline
-/// reads global buffer occupancy through it — modelling the paper's
-/// optimistic assumption that CDA's global information is available
-/// instantaneously and for free.
+/// AdEle deliberately ignores the congestion half (local information
+/// only); the CDA baseline reads global buffer occupancy through it —
+/// modelling the paper's optimistic assumption that CDA's global
+/// information is available instantaneously and for free. Every policy
+/// reads pillar health here: the fabric owns it, and a selector never
+/// keeps its own copy.
 pub trait NetworkProbe {
     /// Occupied input-buffer flits at router `node`, summed over ports and
     /// virtual channels.
@@ -21,6 +24,15 @@ pub trait NetworkProbe {
     /// Maps a coordinate to its dense id (probes are always backed by a
     /// concrete mesh).
     fn node_at(&self, coord: Coord) -> NodeId;
+
+    /// The elevators currently failed (the fault-tolerance extension: a
+    /// pillar dies or recovers mid-run). Selectors stop choosing a failed
+    /// pillar while any other survives.
+    ///
+    /// Default: none failed.
+    fn failed_elevators(&self) -> ElevatorMask {
+        ElevatorMask::EMPTY
+    }
 }
 
 /// A [`NetworkProbe`] reporting zero congestion everywhere. Useful for
@@ -130,26 +142,24 @@ pub trait ElevatorSelector: Send {
         let _ = feedback;
     }
 
-    /// Notifies the policy that an elevator failed (`failed == true`) or
-    /// recovered. Delivered by the simulator's event-hook API when a
-    /// scenario fails a TSV pillar mid-run; policies are expected to stop
-    /// selecting a failed elevator from the next packet on.
-    ///
-    /// Default: ignored (fault-oblivious policies keep their behaviour).
-    fn on_elevator_status(&mut self, elevator: ElevatorId, failed: bool) {
-        let _ = (elevator, failed);
-    }
-
     /// Receives measured per-pillar energy telemetry: `energy[e]` is the
     /// measured energy (nJ) per TSV-crossing flit of elevator `e` over the
-    /// current window (0 where the pillar carried nothing yet). Pushed
-    /// periodically by the simulator from the per-link ledger.
+    /// current window (0 where the pillar carried nothing yet). Pushed by
+    /// the simulator from the per-link ledger every
+    /// [`Self::pillar_energy_period`] measured cycles.
     ///
-    /// Default: ignored — the paper's policies use hop-count proxies, and
-    /// the push consumes no randomness, so ignoring it keeps behaviour
-    /// bit-identical.
+    /// Default: ignored — the paper's policies use hop-count proxies.
     fn on_pillar_energy(&mut self, energy: &[f64]) {
         let _ = energy;
+    }
+
+    /// Cycles between pushes of [`Self::on_pillar_energy`], read once when
+    /// the simulator is built; `0` asks for none. Each push costs a pillar
+    /// roll-up, so only a policy that consumes the signal asks for it.
+    ///
+    /// Default: `0`.
+    fn pillar_energy_period(&self) -> u64 {
+        0
     }
 
     /// Policy name as printed in experiment tables ("ElevFirst", "CDA",

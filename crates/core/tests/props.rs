@@ -8,10 +8,14 @@ use adele::offline::{
     ElevatorSubsetProblem, ObjectiveEvaluator, OfflineOptimizer, SelectionStrategy,
     SubsetAssignment,
 };
-use adele::online::{skip_probability, AdeleSelector, ElevatorSelector, SourceFeedback};
+use adele::online::{
+    skip_probability, AdeleSelector, CdaSelector, ElevatorFirstSelector, ElevatorSelector,
+    NetworkProbe, SelectionContext, SourceFeedback,
+};
+use adele::AdeleConfig;
 use amosa::{AmosaParams, Problem};
 use noc_topology::placement::Placement;
-use noc_topology::{ElevatorId, ElevatorSet, Mesh3d, NodeId};
+use noc_topology::{Coord, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 use noc_traffic::TrafficMatrix;
 use proptest::prelude::*;
 use rand::{rngs::StdRng, RngCore, SeedableRng};
@@ -300,6 +304,101 @@ proptest! {
         let assignment = problem.random_solution(&mut rng);
         let text = serde_json::to_string(&assignment).unwrap();
         prop_assert_eq!(serde_json::from_str::<SubsetAssignment>(&text).unwrap(), assignment);
+    }
+}
+
+/// An idle fabric whose failed pillars are `failed`.
+struct FaultProbe {
+    mesh: Mesh3d,
+    failed: ElevatorMask,
+}
+
+impl NetworkProbe for FaultProbe {
+    fn buffer_occupancy(&self, _node: NodeId) -> u32 {
+        0
+    }
+
+    fn buffer_capacity_per_router(&self) -> u32 {
+        56
+    }
+
+    fn node_at(&self, coord: Coord) -> NodeId {
+        self.mesh.node_id(coord).unwrap()
+    }
+
+    fn failed_elevators(&self) -> ElevatorMask {
+        self.failed
+    }
+}
+
+proptest! {
+    /// Pillar health is the probe's: over random masks, no selector picks
+    /// a failed pillar while any survives — AdEle neither on its
+    /// minimal-path override nor in its (skipping) round-robin over a
+    /// random subset, fed random blocking feedback.
+    #[test]
+    fn no_selector_picks_a_failed_pillar_while_any_survives(
+        (mesh, elevators) in arb_topology(),
+        bits in 0u64..u64::MAX,
+        seed in 0u64..100,
+    ) {
+        let mut failed = ElevatorMask::EMPTY;
+        for e in elevators.ids() {
+            failed.set(e, (bits >> e.index()) & 1 == 1);
+        }
+        let survives = elevators.ids().any(|e| !failed.contains(e));
+        let probe = FaultProbe { mesh, failed };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let assignment = ElevatorSubsetProblem::new(&mesh, &elevators).random_solution(&mut rng);
+        let round_robin = AdeleConfig {
+            low_traffic_override: false,
+            ..AdeleConfig::paper_default()
+        };
+        let adele = |config| {
+            AdeleSelector::from_assignment(&mesh, &elevators, &assignment, config, seed).unwrap()
+        };
+        let mut selectors: Vec<Box<dyn ElevatorSelector>> = vec![
+            Box::new(ElevatorFirstSelector::new(&mesh, &elevators)),
+            Box::new(CdaSelector::new()),
+            Box::new(adele(AdeleConfig::paper_default())),
+            Box::new(adele(round_robin)),
+        ];
+        let mut draw = |n: usize| (rng.next_u64() % n as u64) as usize;
+        for _ in 0..32 {
+            let src = mesh.coord(NodeId(draw(mesh.node_count()) as u16));
+            let dz = 1 + draw(mesh.layers() - 1) as u8;
+            let dst = Coord::new(
+                draw(mesh.x()) as u8,
+                draw(mesh.y()) as u8,
+                (src.z + dz) % mesh.layers() as u8,
+            );
+            let ctx = SelectionContext {
+                src_id: probe.node_at(src),
+                src,
+                dst_id: probe.node_at(dst),
+                dst,
+                elevators: &elevators,
+                probe: &probe,
+                cycle: 0,
+            };
+            let spread = draw(100) as u64;
+            for selector in &mut selectors {
+                let pick = selector.select(&ctx);
+                prop_assert!(
+                    !(survives && failed.contains(pick)),
+                    "{} picked failed pillar {pick} (failed {:b})",
+                    selector.name(),
+                    failed.bits()
+                );
+                selector.on_source_departure(&SourceFeedback {
+                    src: ctx.src_id,
+                    elevator: pick,
+                    head_departure: 0,
+                    tail_departure: spread,
+                    packet_flits: 10,
+                });
+            }
+        }
     }
 }
 

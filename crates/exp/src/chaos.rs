@@ -19,8 +19,8 @@
 //! for; raise it to make a point permanently cursed and prove the
 //! bounded-retry path.
 
-use crate::event::Event;
 use crate::scenario::Scenario;
+use crate::Event;
 use std::time::Duration;
 
 /// A seeded fault-injection schedule (see the module docs).

@@ -9,9 +9,10 @@
 //!   / hotspot / bursty / per-layer / weighted composite — on a versioned
 //!   injection [`StreamVersion`]), a [`SelectorSpec`], the
 //!   warm-up–measure–drain windows and the master seed, all as plain data.
-//! * [`event`] — a timed [`Event`] schedule delivered into the running
-//!   simulator through `noc_sim`'s command hooks: elevators fail and
-//!   recover **mid-run** ([`Event::ElevatorFail`]), injection rates burst,
+//! * [`Event`] — timed mid-run events, `noc_sim`'s own type re-exported:
+//!   a scenario hands its events to the simulator as they are, and the
+//!   simulator schedules and applies them. Elevators fail and recover
+//!   **mid-run** ([`Event::ElevatorFail`]), injection rates burst,
 //!   hotspots move — the adaptivity stressors the paper's static sweeps
 //!   cannot express.
 //! * [`runner`] — a scoped-thread worker pool sharding independent sweep
@@ -55,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod chaos;
-pub mod event;
 pub mod ledger;
 pub mod runner;
 pub mod scenario;
@@ -64,8 +64,8 @@ pub mod supervise;
 pub mod trace;
 
 pub use chaos::ChaosSpec;
-pub use event::Event;
 pub use ledger::{atomic_write, canonical_spec_json, fnv1a, spec_hash, Ledger};
+pub use noc_sim::Event;
 pub use noc_traffic::StreamVersion;
 pub use runner::{default_threads, par_map};
 pub use scenario::{

@@ -13,12 +13,12 @@
 //! place the stream is matched, and it returns the one workload type
 //! the simulator accepts.
 
-use crate::event::Event;
 use adele::offline::SubsetAssignment;
 use adele::online::ElevatorSelector;
 use adele::online::{AdeleSelector, CdaSelector, ElevatorFirstSelector};
 use adele::AdeleConfig;
-use noc_sim::{RunSummary, SimConfig, SimError, Simulator};
+use noc_sim::hooks::{resolve_hotspots, validate_hotspots};
+use noc_sim::{Event, RunSummary, SimConfig, SimError, Simulator};
 use noc_topology::placement::Placement;
 use noc_topology::{Coord, ElevatorSet, Mesh3d};
 use noc_traffic::apps::{AppKind, AppTraffic};
@@ -112,7 +112,7 @@ impl WorkloadKind {
                 fraction,
             } => {
                 rate_ok(*rate, "hotspot")?;
-                crate::event::validate_hotspots(mesh, hotspots, *fraction)
+                validate_hotspots(mesh, hotspots, *fraction)
             }
             WorkloadKind::Bursty { rate, .. } => rate_ok(*rate, "bursty"),
             WorkloadKind::PerLayer { rates } => {
@@ -156,7 +156,7 @@ impl WorkloadKind {
                 hotspots,
                 fraction,
             } => {
-                let hotspots = crate::event::resolve_hotspots(mesh, hotspots);
+                let hotspots = resolve_hotspots(mesh, hotspots);
                 SyntheticParts::hotspot(mesh, *rate, hotspots, *fraction)
             }
             WorkloadKind::Bursty { rate, params } => SyntheticParts::bursty(mesh, *rate, *params),
@@ -671,18 +671,11 @@ impl Scenario {
         if let Some(watchdog) = self.watchdog {
             config = config.with_watchdog(watchdog);
         }
-        // Telemetry pushes cost a roll-up each period: enable them only
-        // for the selector that consumes the signal.
-        let tuned = self.selector.tuned();
-        if tuned.is_some_and(|(adele, _)| adele.measured_energy_override) {
-            config.with_energy_feedback_period(SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD)
-        } else {
-            config
-        }
+        config
     }
 
     /// Instantiates the simulator: workload and selector built from
-    /// derived seeds, events compiled onto the command schedule.
+    /// derived seeds, events handed to the simulator's schedule.
     #[must_use]
     pub fn build_simulator(&self) -> Simulator {
         let traffic = self.workload.build(&self.mesh, derive_seed(self.seed, 11));
@@ -691,8 +684,7 @@ impl Scenario {
             .build(&self.mesh, &self.elevators, derive_seed(self.seed, 13));
         let mut sim = Simulator::from_scheduled(self.sim_config(), traffic, selector);
         for event in &self.events {
-            let (at, command) = event.compile(&self.mesh);
-            sim.schedule_command(at, command);
+            sim.schedule(event.clone());
         }
         sim
     }

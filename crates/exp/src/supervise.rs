@@ -90,8 +90,8 @@ pub enum PointError {
 }
 
 impl PointError {
-    /// A short machine-readable tag ("deadlock", "drain_stalled",
-    /// "panic", "deadline") for records and tables.
+    /// A short machine-readable tag ("deadlock", "panic", "deadline") for
+    /// records and tables.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {

@@ -22,14 +22,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Energy model.
     pub energy: EnergyModel,
-    /// Cycles between pushes of measured per-pillar energy telemetry to
-    /// the selection policy (`ElevatorSelector::on_pillar_energy`); `0`
-    /// (the default) disables the push — each push costs a pillar roll-up,
-    /// so only configurations whose policy consumes the signal should
-    /// enable it (the scenario engine does this automatically for the
-    /// measured-energy selector). The push consumes no randomness, so
-    /// enabling it leaves default-policy runs bit-identical regardless.
-    pub energy_feedback_period: u64,
     /// Cycles without progress (while flits are in flight) before the
     /// simulator declares a deadlock and the run fails with
     /// [`crate::SimError::Deadlock`] — a structured value carrying
@@ -49,11 +41,6 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The feedback period enabled for measured-energy policies: frequent
-    /// enough to track congestion episodes, coarse enough that the
-    /// per-push pillar roll-up stays off the per-cycle hot path.
-    pub const MEASURED_ENERGY_FEEDBACK_PERIOD: u64 = 256;
-
     /// Paper-default configuration for a given topology.
     #[must_use]
     pub fn new(mesh: Mesh3d, elevators: ElevatorSet) -> Self {
@@ -66,7 +53,6 @@ impl SimConfig {
             drain_max: 50_000,
             seed: 1,
             energy: EnergyModel::default_45nm(),
-            energy_feedback_period: 0,
             watchdog: 20_000,
             histograms: true,
         }
@@ -86,13 +72,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the measured-energy feedback period (`0` disables the push).
-    #[must_use]
-    pub fn with_energy_feedback_period(mut self, period: u64) -> Self {
-        self.energy_feedback_period = period;
         self
     }
 

@@ -1,8 +1,8 @@
 //! Structured simulation failures.
 //!
-//! The engine's promise is that *failure is a value*: a wedged fabric or
-//! a drain that cannot finish surfaces as a [`SimError`] carrying the
-//! exact-cycle diagnostics a post-mortem needs (what cycle, when progress
+//! The engine's promise is that *failure is a value*: a wedged fabric
+//! surfaces as a [`SimError`] carrying the exact-cycle diagnostics a
+//! post-mortem needs (what cycle, when progress
 //! last happened, how much state was in flight, and the state digest
 //! that lets two hosts compare the wedged state bit for bit) — never as a panic that takes a whole sweep pool down
 //! with it. Supervisors ([`noc_exp`]'s runner) record these per point and
@@ -45,36 +45,15 @@ pub enum SimError {
         /// (`Network::state_digest`).
         state_digest: u64,
     },
-    /// An explicit drain ([`crate::Simulator::drain_to_empty`]) hit its
-    /// cycle cap with packets still live. Distinct from an ordinary
-    /// saturated run, whose summary simply reports `completed = false`:
-    /// a drain stall means the caller *required* an empty fabric and did
-    /// not get one.
-    DrainStalled {
-        /// Cycle at which the drain gave up.
-        cycle: u64,
-        /// Cycles the drain was allowed to spend.
-        cap: u64,
-        /// Packets still live when the cap was hit.
-        outstanding: u64,
-        /// Flits sitting in router FIFOs.
-        buffered: u64,
-        /// Pending injections in the calendar (0 on the polled stream).
-        calendar_depth: u64,
-        /// The state digest at the stall.
-        state_digest: u64,
-    },
 }
 
 impl SimError {
-    /// The error's stable machine-readable kind (`"deadlock"` /
-    /// `"drain_stalled"`) — the discriminant trace records and ledgers
-    /// key on.
+    /// The error's stable machine-readable kind (`"deadlock"`) — the
+    /// discriminant trace records and ledgers key on.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
             SimError::Deadlock { .. } => "deadlock",
-            SimError::DrainStalled { .. } => "drain_stalled",
         }
     }
 
@@ -82,7 +61,7 @@ impl SimError {
     #[must_use]
     pub fn cycle(&self) -> u64 {
         match self {
-            SimError::Deadlock { cycle, .. } | SimError::DrainStalled { cycle, .. } => *cycle,
+            SimError::Deadlock { cycle, .. } => *cycle,
         }
     }
 
@@ -91,8 +70,7 @@ impl SimError {
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         match self {
-            SimError::Deadlock { state_digest, .. }
-            | SimError::DrainStalled { state_digest, .. } => *state_digest,
+            SimError::Deadlock { state_digest, .. } => *state_digest,
         }
     }
 }
@@ -113,19 +91,6 @@ impl std::fmt::Display for SimError {
                 "deadlock at cycle {cycle}: no progress since cycle {last_progress} \
                  (watchdog {watchdog}), {in_flight} packets in flight, {buffered} flits \
                  buffered, calendar depth {calendar_depth}, state digest {state_digest:016x}"
-            ),
-            SimError::DrainStalled {
-                cycle,
-                cap,
-                outstanding,
-                buffered,
-                calendar_depth,
-                state_digest,
-            } => write!(
-                f,
-                "drain stalled at cycle {cycle}: {outstanding} packets still live after \
-                 {cap} drain cycles, {buffered} flits buffered, calendar depth \
-                 {calendar_depth}, state digest {state_digest:016x}"
             ),
         }
     }
@@ -154,22 +119,6 @@ impl Serialize for SimError {
                 ("last_progress".into(), Value::UInt(*last_progress)),
                 ("watchdog".into(), Value::UInt(*watchdog)),
                 ("in_flight".into(), Value::UInt(*in_flight)),
-                ("buffered".into(), Value::UInt(*buffered)),
-                ("calendar_depth".into(), Value::UInt(*calendar_depth)),
-                ("state_digest".into(), digest_hex(state_digest)),
-            ]),
-            SimError::DrainStalled {
-                cycle,
-                cap,
-                outstanding,
-                buffered,
-                calendar_depth,
-                state_digest,
-            } => Value::Object(vec![
-                ("kind".into(), Value::String("drain_stalled".into())),
-                ("cycle".into(), Value::UInt(*cycle)),
-                ("cap".into(), Value::UInt(*cap)),
-                ("outstanding".into(), Value::UInt(*outstanding)),
                 ("buffered".into(), Value::UInt(*buffered)),
                 ("calendar_depth".into(), Value::UInt(*calendar_depth)),
                 ("state_digest".into(), digest_hex(state_digest)),

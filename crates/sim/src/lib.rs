@@ -41,9 +41,9 @@
 //! [`noc_traffic::CyclePolled`] in front of it.
 //!
 //! Simulation failure is a structured value, not a panic: a fired
-//! deadlock watchdog or a stalled explicit drain surfaces as a
-//! [`SimError`] carrying exact-cycle diagnostics, so sweep supervisors
-//! can record a dead point and keep the rest of the batch running.
+//! deadlock watchdog surfaces as a [`SimError`] carrying exact-cycle
+//! diagnostics, so sweep supervisors can record a dead point and keep the
+//! rest of the batch running.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -68,7 +68,7 @@ pub use error::SimError;
 // Energy modelling lives in `noc_energy`; re-exported for compatibility
 // (the model/ledger types predate the telemetry crate).
 pub use flit::{Flit, FlitKind, Packet, PacketId};
-pub use hooks::{EventSchedule, SimCommand};
+pub use hooks::Event;
 pub use network::Network;
 pub use noc_energy::{EnergyLedger, EnergyModel, LinkLedger, LinkMap};
 // The flight-recorder layer: the journal schema and writer come from

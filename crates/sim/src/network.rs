@@ -88,12 +88,10 @@ use noc_topology::{Coord, Direction, ElevatorId, ElevatorMask, ElevatorSet, Mesh
 pub struct Network {
     mesh: Mesh3d,
     elevators: ElevatorSet,
-    /// Elevators currently marked failed (fault events). Bookkeeping only:
-    /// the fabric keeps forwarding in-flight flits through a failed pillar
-    /// (drained power-down model), and the *behavioural* exclusion lives in
-    /// the selection policy, which the simulator notifies separately. This
-    /// registry exists so harnesses and tests can query pillar health
-    /// without reaching into the policy.
+    /// Elevators currently failed (fault events): the one record of
+    /// pillar health. The fabric keeps forwarding in-flight flits through
+    /// a failed pillar (drained power-down model); selectors read the mask
+    /// through [`NetworkProbe::failed_elevators`] and stop choosing it.
     failed_elevators: ElevatorMask,
     /// Canonical directed-link enumeration: the single source of truth for
     /// which links exist (the fabric below is derived from it) and the key
@@ -165,20 +163,10 @@ impl Network {
         self.kernel.reset_ledger();
     }
 
-    /// Marks elevator `id` failed (`failed == true`) or repaired.
-    ///
-    /// The network keeps draining flits already routed through the pillar
-    /// (see the field documentation); callers are expected to also notify
-    /// the selection policy so new packets avoid it — the simulator's
-    /// command hooks do both.
-    pub fn set_elevator_failed(&mut self, id: ElevatorId, failed: bool) {
+    /// Marks elevator `id` failed (`failed == true`) or repaired; the
+    /// network keeps draining flits already routed through the pillar.
+    pub(crate) fn set_elevator_failed(&mut self, id: ElevatorId, failed: bool) {
         self.failed_elevators.set(id, failed);
-    }
-
-    /// `true` if elevator `id` is currently marked failed.
-    #[must_use]
-    pub fn elevator_failed(&self, id: ElevatorId) -> bool {
-        self.failed_elevators.contains(id)
     }
 
     /// Queues a freshly created packet at its source NI.
@@ -379,6 +367,10 @@ impl NetworkProbe for Network {
     fn node_at(&self, coord: Coord) -> NodeId {
         self.mesh.node_id(coord).expect("coordinate within mesh")
     }
+
+    fn failed_elevators(&self) -> ElevatorMask {
+        self.failed_elevators
+    }
 }
 
 #[cfg(test)]
@@ -513,17 +505,26 @@ mod tests {
         id
     }
 
+    /// The diagnostics of a network that failed to drain: live packets,
+    /// buffered flits and the state digest.
+    fn stall(net: &Network, table: &PacketTable, cycle: u64) -> String {
+        format!(
+            "stalled at cycle {cycle}: {} packets live, {} flits buffered, state digest {:016x}",
+            table.live(),
+            net.buffered_flits(),
+            net.state_digest()
+        )
+    }
+
     /// Drives the network until every packet retires or `max` cycles pass,
-    /// then books what the relays owe the ledger. A stall comes
-    /// back as the same structured [`crate::SimError::DrainStalled`] the
-    /// simulator's strict drain reports, so failing tests print the full
-    /// diagnostics (outstanding packets, buffered flits, state digest).
+    /// then books what the relays owe the ledger. A stall comes back with
+    /// the full diagnostics ([`stall`]), so failing tests print them.
     fn drain(
         net: &mut Network,
         table: &mut PacketTable,
         stats: &mut StatsCollector,
         max: u64,
-    ) -> Result<u64, crate::SimError> {
+    ) -> Result<u64, String> {
         let mut feedbacks = Vec::new();
         for cycle in 0..max {
             net.step(table, cycle, stats, &mut feedbacks);
@@ -534,14 +535,7 @@ mod tests {
                 return Ok(cycle + 1);
             }
         }
-        Err(crate::SimError::DrainStalled {
-            cycle: max,
-            cap: max,
-            outstanding: table.live() as u64,
-            buffered: net.buffered_flits(),
-            calendar_depth: 0,
-            state_digest: net.state_digest(),
-        })
+        Err(stall(net, table, max))
     }
 
     #[test]
@@ -758,19 +752,8 @@ mod tests {
                 return;
             }
         }
-        // Fail with the structured drain diagnostics rather than a bare
-        // message — the same value the production strict drain returns.
-        panic!(
-            "hotspot run: {}",
-            crate::SimError::DrainStalled {
-                cycle: 2000,
-                cap: 2000,
-                outstanding: table.live() as u64,
-                buffered: net.buffered_flits(),
-                calendar_depth: 0,
-                state_digest: net.state_digest(),
-            }
-        );
+        // Fail with the drain diagnostics rather than a bare message.
+        panic!("hotspot run: {}", stall(&net, &table, 2000));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! `noc_obs` journal writer with the hot-path metrics registry.
 //!
 //! The simulator has one cycle body, compiled twice: unwatched (no clock,
-//! no journal) and watched (each fired command journaled, a wall clock
+//! no journal) and watched (each fired event journaled, a wall clock
 //! lapped at every phase boundary). Attaching a tracer makes
 //! [`crate::Simulator::step`] run the watched instantiation and book each
 //! cycle's sample here, closing a window every `period` cycles — so
@@ -11,7 +11,7 @@
 //! (one `Option` check), which is what keeps the disabled overhead at
 //! zero.
 
-use crate::hooks::SimCommand;
+use crate::hooks::Event;
 use noc_obs::{FabricHists, MetricsRegistry, Record, TraceWriter};
 use serde::Value;
 use std::io;
@@ -91,29 +91,31 @@ impl Tracer {
     }
 }
 
-/// The `event` record for a scheduled command firing at `cycle`.
-pub(crate) fn command_record(cycle: u64, command: &SimCommand) -> Record {
-    let (kind, detail) = match command {
-        SimCommand::FailElevator(e) => (
+/// The `event` record for a scheduled event firing at `cycle`.
+pub(crate) fn event_record(cycle: u64, event: &Event) -> Record {
+    let (kind, detail) = match event {
+        Event::ElevatorFail { elevator, .. } => (
             "fail_elevator",
-            vec![("elevator".to_string(), Value::UInt(u64::from(e.0)))],
+            vec![("elevator".to_string(), Value::UInt(u64::from(elevator.0)))],
         ),
-        SimCommand::RecoverElevator(e) => (
+        Event::ElevatorRecover { elevator, .. } => (
             "recover_elevator",
-            vec![("elevator".to_string(), Value::UInt(u64::from(e.0)))],
+            vec![("elevator".to_string(), Value::UInt(u64::from(elevator.0)))],
         ),
-        SimCommand::ScaleInjection { factor } => (
+        Event::InjectionBurst { factor, .. } => (
             "scale_injection",
             vec![("factor".to_string(), Value::Float(*factor))],
         ),
-        SimCommand::ShiftHotspot { hotspots, fraction } => (
+        Event::HotspotShift {
+            hotspots, fraction, ..
+        } => (
             "shift_hotspot",
             vec![
                 ("hotspots".to_string(), Value::UInt(hotspots.len() as u64)),
                 ("fraction".to_string(), Value::Float(*fraction)),
             ],
         ),
-        SimCommand::FreezeFabric { cycles } => (
+        Event::FabricFreeze { cycles, .. } => (
             "freeze_fabric",
             vec![("cycles".to_string(), Value::UInt(*cycles))],
         ),

@@ -5,13 +5,13 @@
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::flit::Packet;
-use crate::hooks::{EventSchedule, SimCommand};
+use crate::hooks::{resolve_hotspots, Event, EventSchedule};
 use crate::network::Network;
-use crate::obs::{command_record, Tracer};
+use crate::obs::{event_record, Tracer};
 use crate::scheduler::InjectionScheduler;
 use crate::stats::{RunSummary, StatsCollector};
 use crate::table::PacketTable;
-use adele::online::{Cycle, ElevatorSelector, SelectionContext, SourceFeedback};
+use adele::online::{ElevatorSelector, SelectionContext, SourceFeedback};
 use noc_energy::{LinkLedger, LinkMap};
 use noc_obs::{PhaseTimes, Record};
 use noc_topology::route::{ElevatorCoord, VirtualNet};
@@ -43,6 +43,10 @@ pub struct Simulator {
     selector: Box<dyn ElevatorSelector>,
     stats: StatsCollector,
     feedbacks: Vec<SourceFeedback>,
+    /// Measured cycles between pillar-energy pushes to the selector, read
+    /// once from [`ElevatorSelector::pillar_energy_period`]; `0` pushes
+    /// nothing.
+    energy_period: u64,
     schedule: EventSchedule,
     /// This cycle's staged injections, reused across cycles.
     pending: Vec<(NodeId, InjectionRequest)>,
@@ -52,7 +56,7 @@ pub struct Simulator {
     tracer: Option<Box<Tracer>>,
     cycle: u64,
     last_progress: u64,
-    /// First cycle at which a [`SimCommand::FreezeFabric`] wedge thaws;
+    /// First cycle at which an [`Event::FabricFreeze`] wedge thaws;
     /// `0` (the default) means not frozen — the hot path pays one
     /// always-false comparison.
     frozen_until: u64,
@@ -109,10 +113,11 @@ impl Simulator {
             net,
             packets: PacketTable::new(),
             traffic: InjectionScheduler::new(traffic),
+            energy_period: selector.pillar_energy_period(),
             selector,
             stats,
             feedbacks: Vec::new(),
-            schedule: EventSchedule::new(),
+            schedule: EventSchedule::default(),
             pending: Vec::new(),
             tracer: None,
             cycle: 0,
@@ -141,39 +146,36 @@ impl Simulator {
         self.tracer.as_deref()
     }
 
-    /// Queues `command` to fire at the start of cycle `at` (before traffic
-    /// generation, so selection that cycle already sees the change).
-    /// Commands scheduled in the past fire on the next [`Self::step`].
-    pub fn schedule_command(&mut self, at: Cycle, command: SimCommand) {
-        self.schedule.push(at, command);
+    /// Queues `event` to fire at the start of its cycle (before traffic
+    /// generation, so selection that cycle already sees the change). An
+    /// event stamped at or before the current cycle fires at the start of
+    /// the next [`Self::step`].
+    pub fn schedule(&mut self, event: Event) {
+        self.schedule.push(event);
     }
 
-    /// Applies a command immediately (the event-hook API; scheduled
-    /// commands go through this as they fall due).
-    pub fn apply_command(&mut self, command: &SimCommand) {
-        match command {
-            SimCommand::FailElevator(e) => {
-                self.net.set_elevator_failed(*e, true);
-                self.selector.on_elevator_status(*e, true);
+    /// Applies a due event. Pillar health lives in the network alone;
+    /// selectors read it through their probe.
+    fn apply(&mut self, event: &Event) {
+        match event {
+            Event::ElevatorFail { elevator, .. } => self.net.set_elevator_failed(*elevator, true),
+            Event::ElevatorRecover { elevator, .. } => {
+                self.net.set_elevator_failed(*elevator, false);
             }
-            SimCommand::RecoverElevator(e) => {
-                self.net.set_elevator_failed(*e, false);
-                self.selector.on_elevator_status(*e, false);
+            Event::InjectionBurst { factor, .. } => {
+                let directive = TrafficDirective::ScaleRate { factor: *factor };
+                self.traffic.apply(&directive, self.cycle);
             }
-            SimCommand::ScaleInjection { factor } => {
-                self.traffic
-                    .apply(&TrafficDirective::ScaleRate { factor: *factor }, self.cycle);
+            Event::HotspotShift {
+                hotspots, fraction, ..
+            } => {
+                let directive = TrafficDirective::SetHotspots {
+                    hotspots: resolve_hotspots(&self.config.mesh, hotspots),
+                    fraction: *fraction,
+                };
+                self.traffic.apply(&directive, self.cycle);
             }
-            SimCommand::ShiftHotspot { hotspots, fraction } => {
-                self.traffic.apply(
-                    &TrafficDirective::SetHotspots {
-                        hotspots: hotspots.clone(),
-                        fraction: *fraction,
-                    },
-                    self.cycle,
-                );
-            }
-            SimCommand::FreezeFabric { cycles } => {
+            Event::FabricFreeze { cycles, .. } => {
                 self.frozen_until = self.frozen_until.max(self.cycle.saturating_add(*cycles));
             }
         }
@@ -294,16 +296,16 @@ impl Simulator {
         }
     }
 
-    /// The one cycle body: due commands → injection → phase 1 → the
+    /// The one cycle body: due events → injection → phase 1 → the
     /// exchange → the serial tail → [`Self::post_step`]. `WATCHED` is a
     /// compile-time choice: the unwatched instantiation reads no clock,
     /// journals nothing and returns zeros; the watched one journals each
-    /// fired command to the attached tracer (if any) and laps a wall clock
+    /// fired event to the attached tracer (if any) and laps a wall clock
     /// at every phase boundary. Simulation state evolves bit-identically
     /// either way.
     ///
-    /// A cycle inside a [`SimCommand::FreezeFabric`] wedge leaves before
-    /// the network: commands fire and traffic queues at the NIs, but no
+    /// A cycle inside an [`Event::FabricFreeze`] wedge leaves before
+    /// the network: events fire and traffic queues at the NIs, but no
     /// flit moves, no NI injects, and the cycle books as zero progress, so
     /// a freeze outlasting the watchdog (while flits are buffered)
     /// deterministically surfaces [`SimError::Deadlock`].
@@ -318,17 +320,17 @@ impl Simulator {
             }
             None => Duration::ZERO,
         };
-        while let Some(command) = self.schedule.next_due(self.cycle) {
+        while let Some(event) = self.schedule.next_due(self.cycle) {
             if WATCHED {
                 if let Some(tracer) = self.tracer.as_mut() {
-                    tracer.write(&command_record(self.cycle, &command));
+                    tracer.write(&event_record(self.cycle, &event));
                 }
             }
-            self.apply_command(&command);
+            self.apply(&event);
         }
         self.generate_traffic();
         sample.phase.inject = lap();
-        // Decided after the commands fire, so a freeze wedges the cycle it
+        // Decided after the events fire, so a freeze wedges the cycle it
         // fires on: `cycles: n` at cycle `t` holds `t..t + n`.
         if self.cycle < self.frozen_until {
             return self.post_step(false).map(|()| sample);
@@ -480,11 +482,9 @@ impl Simulator {
             self.selector.on_source_departure(&fb);
         }
 
-        // Periodically surface measured per-pillar energy to the policy.
-        // Inert by default: the push consumes no randomness and every
-        // stock selector ignores it unless its measured-energy mode is
-        // explicitly enabled.
-        let period = self.config.energy_feedback_period;
+        // Periodically surface measured per-pillar energy to a policy that
+        // asked for it.
+        let period = self.energy_period;
         if period > 0 && self.stats.armed() && self.cycle.is_multiple_of(period) {
             // The signal reads the counter store: the relays book what
             // they owe first, so the push sees the complete window.
@@ -540,49 +540,6 @@ impl Simulator {
             self.step()?;
         }
         Ok(())
-    }
-
-    /// Steps until the fabric is completely empty — no live packets, no
-    /// buffered flits, no pending calendar injections — or `max` cycles
-    /// have been spent, whichever comes first. Returns the cycles spent.
-    ///
-    /// This is the *strict* drain for callers that require an empty
-    /// fabric (checkpointing, reconfiguration, end-of-trace barriers).
-    /// It is meaningful once the workload has gone quiet (a zero-rate
-    /// source, a `ScaleInjection { factor: 0 }` command, or an exhausted
-    /// scheduled source); under live traffic it reports the offered load
-    /// as a stall. [`Self::run`]'s built-in drain is deliberately weaker:
-    /// its cap expiring merely sets `completed = false` in the summary,
-    /// because a saturated-but-live fabric is a legitimate measurement
-    /// outcome, not an error.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::DrainStalled`] with exact-cycle diagnostics if
-    /// the cap is hit first, or propagates [`SimError::Deadlock`] if the
-    /// watchdog fires mid-drain.
-    pub fn drain_to_empty(&mut self, max: u64) -> Result<u64, SimError> {
-        let mut spent = 0;
-        loop {
-            let empty = self.packets.live() == 0
-                && self.net.buffered_flits() == 0
-                && self.traffic.calendar_depth() == 0;
-            if empty {
-                return Ok(spent);
-            }
-            if spent >= max {
-                return Err(SimError::DrainStalled {
-                    cycle: self.cycle,
-                    cap: max,
-                    outstanding: self.packets.live() as u64,
-                    buffered: self.net.buffered_flits(),
-                    calendar_depth: self.traffic.calendar_depth(),
-                    state_digest: self.net.state_digest(),
-                });
-            }
-            self.step()?;
-            spent += 1;
-        }
     }
 
     /// Runs one measurement window of `cycles` cycles and summarises it in
@@ -689,8 +646,8 @@ impl Simulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use adele::online::ElevatorFirstSelector;
-    use noc_topology::{ElevatorSet, Mesh3d};
+    use adele::online::{ElevatorFirstSelector, NetworkProbe};
+    use noc_topology::{ElevatorId, ElevatorSet, Mesh3d};
     use noc_traffic::SyntheticTraffic;
 
     fn quick_config() -> SimConfig {
@@ -755,9 +712,6 @@ mod tests {
 
     #[test]
     fn scheduled_elevator_failure_diverts_selection() {
-        use crate::hooks::SimCommand;
-        use noc_topology::ElevatorId;
-
         let healthy = quick_simulator(7).run().unwrap();
         assert!(
             healthy.elevator_packets.iter().all(|&n| n > 0),
@@ -766,8 +720,11 @@ mod tests {
         );
 
         let mut sim = quick_simulator(7);
-        sim.schedule_command(0, SimCommand::FailElevator(ElevatorId(0)));
-        assert!(!sim.network().elevator_failed(ElevatorId(0)));
+        sim.schedule(Event::ElevatorFail {
+            cycle: 0,
+            elevator: ElevatorId(0),
+        });
+        assert!(sim.network().failed_elevators().is_empty());
         let failed = sim.run().unwrap();
         assert_eq!(
             failed.elevator_packets[0], 0,
@@ -779,14 +736,14 @@ mod tests {
 
     #[test]
     fn scheduled_recovery_restores_the_pillar() {
-        use crate::hooks::SimCommand;
-        use noc_topology::ElevatorId;
-
         let mut sim = quick_simulator(9);
-        sim.schedule_command(0, SimCommand::FailElevator(ElevatorId(1)));
-        sim.schedule_command(5, SimCommand::RecoverElevator(ElevatorId(1)));
-        sim.advance(10).unwrap();
-        assert!(!sim.network().elevator_failed(ElevatorId(1)));
+        let elevator = ElevatorId(1);
+        sim.schedule(Event::ElevatorFail { cycle: 0, elevator });
+        sim.schedule(Event::ElevatorRecover { cycle: 5, elevator });
+        sim.advance(1).unwrap();
+        assert!(sim.network().failed_elevators().contains(elevator));
+        sim.advance(9).unwrap();
+        assert!(sim.network().failed_elevators().is_empty());
         let summary = sim.run().unwrap();
         assert!(
             summary.elevator_packets[1] > 0,
@@ -796,10 +753,11 @@ mod tests {
 
     #[test]
     fn injection_burst_command_scales_offered_load() {
-        use crate::hooks::SimCommand;
-
         let mut sim = quick_simulator(3);
-        sim.schedule_command(0, SimCommand::ScaleInjection { factor: 0.0 });
+        sim.schedule(Event::InjectionBurst {
+            cycle: 0,
+            factor: 0.0,
+        });
         let summary = sim.run().unwrap();
         assert_eq!(
             summary.injected_packets, 0,
@@ -828,13 +786,14 @@ mod tests {
     /// than the (deliberately tiny) watchdog, scheduled while traffic is
     /// flowing so flits are in flight when the fabric wedges.
     fn rigged_simulator(watchdog: u64) -> Simulator {
-        use crate::hooks::SimCommand;
-
         let config = quick_config().with_seed(13).with_watchdog(watchdog);
         let traffic = SyntheticTraffic::uniform(&config.mesh, 0.01, 13);
         let selector = ElevatorFirstSelector::new(&config.mesh, &config.elevators);
         let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
-        sim.schedule_command(300, SimCommand::FreezeFabric { cycles: 400 });
+        sim.schedule(Event::FabricFreeze {
+            cycle: 300,
+            cycles: 400,
+        });
         sim
     }
 
@@ -843,25 +802,21 @@ mod tests {
         let err = rigged_simulator(25)
             .run()
             .expect_err("a 400-cycle freeze must outlast a 25-cycle watchdog");
-        match err {
-            crate::SimError::Deadlock {
-                cycle,
-                last_progress,
-                watchdog,
-                buffered,
-                in_flight,
-                ..
-            } => {
-                assert_eq!(watchdog, 25);
-                assert!(
-                    cycle - last_progress > 25,
-                    "the no-progress span must exceed the watchdog"
-                );
-                assert!(buffered > 0, "the watchdog only arms with flits in flight");
-                assert!(in_flight > 0);
-            }
-            other => panic!("expected Deadlock, got {other}"),
-        }
+        let SimError::Deadlock {
+            cycle,
+            last_progress,
+            watchdog,
+            buffered,
+            in_flight,
+            ..
+        } = err;
+        assert_eq!(watchdog, 25);
+        assert!(
+            cycle - last_progress > 25,
+            "the no-progress span must exceed the watchdog"
+        );
+        assert!(buffered > 0, "the watchdog only arms with flits in flight");
+        assert!(in_flight > 0);
     }
 
     #[test]
@@ -876,15 +831,16 @@ mod tests {
 
     #[test]
     fn short_freeze_is_a_recoverable_stall() {
-        use crate::hooks::SimCommand;
-
         // A freeze shorter than the watchdog is a transient hang: the
         // fabric thaws, the run completes, only latency shows the scar.
         let config = quick_config().with_seed(13);
         let traffic = SyntheticTraffic::uniform(&config.mesh, 0.004, 13);
         let selector = ElevatorFirstSelector::new(&config.mesh, &config.elevators);
         let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
-        sim.schedule_command(300, SimCommand::FreezeFabric { cycles: 50 });
+        sim.schedule(Event::FabricFreeze {
+            cycle: 300,
+            cycles: 50,
+        });
         let frozen = sim.run().expect("sub-watchdog freeze must recover");
         let clean = run_uniform(0.004, 13);
         assert!(frozen.completed, "the thawed fabric must drain");
@@ -898,8 +854,6 @@ mod tests {
 
     #[test]
     fn freeze_wedges_exactly_its_span() {
-        use crate::hooks::SimCommand;
-
         for n in [1, 3] {
             let config = quick_config();
             let traffic = SyntheticTraffic::uniform(&config.mesh, 0.01, 13);
@@ -908,9 +862,15 @@ mod tests {
             sim.advance(200).unwrap();
             // Silence the workload so the source queues, which the digest
             // covers, only move when the fabric does.
-            sim.apply_command(&SimCommand::ScaleInjection { factor: 0.0 });
             let t = sim.cycle();
-            sim.schedule_command(t, SimCommand::FreezeFabric { cycles: n });
+            sim.schedule(Event::InjectionBurst {
+                cycle: t,
+                factor: 0.0,
+            });
+            sim.schedule(Event::FabricFreeze {
+                cycle: t,
+                cycles: n,
+            });
             assert!(sim.network().buffered_flits() > 0, "flits in flight");
             let wedged = sim.network().state_digest();
             for cycle in t..t + n {
@@ -928,37 +888,6 @@ mod tests {
                 "cycle {} thaws a {n}-cycle freeze fired at {t}",
                 t + n
             );
-        }
-    }
-
-    #[test]
-    fn drain_to_empty_succeeds_once_traffic_stops() {
-        use crate::hooks::SimCommand;
-
-        let mut sim = quick_simulator(5);
-        sim.advance(300).unwrap();
-        sim.apply_command(&SimCommand::ScaleInjection { factor: 0.0 });
-        let spent = sim.drain_to_empty(10_000).expect("quiet fabric drains");
-        assert!(spent > 0, "there was in-flight state to drain");
-        assert_eq!(sim.network().buffered_flits(), 0);
-        assert_eq!(sim.packet_table().live(), 0);
-    }
-
-    #[test]
-    fn drain_to_empty_reports_stall_under_live_traffic() {
-        let mut sim = quick_simulator(5);
-        sim.advance(300).unwrap();
-        let err = sim
-            .drain_to_empty(50)
-            .expect_err("live traffic cannot drain to empty in 50 cycles");
-        match err {
-            crate::SimError::DrainStalled {
-                cap, outstanding, ..
-            } => {
-                assert_eq!(cap, 50);
-                assert!(outstanding > 0);
-            }
-            other => panic!("expected DrainStalled, got {other}"),
         }
     }
 }

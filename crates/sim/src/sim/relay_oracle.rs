@@ -7,7 +7,7 @@
 //! record.
 
 use super::Simulator;
-use crate::{SimCommand, SimConfig, TraceWriter, Tracer};
+use crate::{Event, SimConfig, TraceWriter, Tracer};
 use adele::online::{CdaSelector, ElevatorFirstSelector, ElevatorSelector};
 use noc_obs::{compare_journals, parse_journal, SharedBuffer};
 use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d, NodeId};
@@ -145,9 +145,15 @@ impl Case {
 
     /// Schedules the freeze and the pillar failure on cycle `at`.
     fn schedule_event(&self, sim: &mut Simulator, at: u64) {
-        sim.schedule_command(at, SimCommand::FreezeFabric { cycles: 7 });
+        sim.schedule(Event::FabricFreeze {
+            cycle: at,
+            cycles: 7,
+        });
         if self.columns.len() > 1 {
-            sim.schedule_command(at, SimCommand::FailElevator(ElevatorId(0)));
+            sim.schedule(Event::ElevatorFail {
+                cycle: at,
+                elevator: ElevatorId(0),
+            });
         }
     }
 

@@ -37,9 +37,9 @@ impl serde::Deserialize for ElevatorId {
     }
 }
 
-/// A set of elevators as a bitmask — the fault-bookkeeping currency shared
-/// by the selection policies and the simulator (failed pillars, alive
-/// pillars).
+/// A set of elevators as a bitmask — the form pillar health takes: the
+/// simulated network owns the one mask of failed pillars, and selection
+/// policies read it through their network probe.
 ///
 /// Supports up to 64 elevators; [`ElevatorMask::set`] asserts the id fits,
 /// making the limit explicit instead of silently wrapping the shift on

@@ -8,8 +8,7 @@
 
 use adele_bench::quick_mode;
 use noc_energy::{HeatmapReport, LinkEnergyReport};
-use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
-use noc_sim::hooks::SimCommand;
+use noc_exp::{Event, Scenario, SelectorSpec, WorkloadKind};
 use noc_sim::Simulator;
 use noc_topology::placement::Placement;
 use noc_topology::ElevatorId;
@@ -69,7 +68,10 @@ fn main() {
     let (_, heat_before) = snapshot(&sim, "healthy window");
 
     // Kill the pillar, let in-flight wormholes drain, measure again.
-    sim.schedule_command(sim.cycle(), SimCommand::FailElevator(victim));
+    sim.schedule(Event::ElevatorFail {
+        cycle: sim.cycle(),
+        elevator: victim,
+    });
     sim.advance(gap).unwrap();
     let _failed = sim.measure_window(window).unwrap();
     let (report_after, heat_after) = snapshot(&sim, format!("elevator {victim} failed").as_str());

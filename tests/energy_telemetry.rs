@@ -6,7 +6,7 @@
 //! nothing by default), and a pillar that died before the window reports
 //! zero TSV energy.
 
-use adele::online::ElevatorFirstSelector;
+use adele::online::{ElevatorFirstSelector, ElevatorSelector, SelectionContext, SourceFeedback};
 use noc_energy::EnergyLedger;
 use noc_exp::{Event, Scenario, SelectorSpec, WorkloadKind};
 use noc_sim::{SimConfig, Simulator};
@@ -207,8 +207,38 @@ fn failed_pillar_tsv_links_report_zero_energy() {
     );
 }
 
-/// The telemetry push is pure observability: changing the feedback period
-/// (or disabling it) leaves default-configuration results bit-identical.
+/// A policy that asks for pillar-energy pushes every `period` cycles
+/// and hands everything to `inner`.
+struct Pushed {
+    inner: Box<dyn ElevatorSelector>,
+    period: u64,
+}
+
+impl ElevatorSelector for Pushed {
+    fn select(&mut self, ctx: &SelectionContext<'_>) -> ElevatorId {
+        self.inner.select(ctx)
+    }
+
+    fn on_source_departure(&mut self, feedback: &SourceFeedback) {
+        self.inner.on_source_departure(feedback);
+    }
+
+    fn on_pillar_energy(&mut self, energy: &[f64]) {
+        self.inner.on_pillar_energy(energy);
+    }
+
+    fn pillar_energy_period(&self) -> u64 {
+        self.period
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+}
+
+/// The telemetry push is pure observability: pushing at any period (or
+/// not at all) to a default-configuration policy leaves results
+/// bit-identical.
 #[test]
 fn telemetry_push_is_inert_for_default_policies() {
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
@@ -216,10 +246,10 @@ fn telemetry_push_is_inert_for_default_policies() {
     let run = |period: u64| {
         let config = SimConfig::new(mesh, elevators.clone())
             .with_phases(200, 800, 4_000)
-            .with_seed(7)
-            .with_energy_feedback_period(period);
+            .with_seed(7);
         let traffic = SyntheticTraffic::uniform(&mesh, 0.004, 7);
-        let selector = SelectorSpec::adele().build(&mesh, &elevators, 7);
+        let inner = SelectorSpec::adele().build(&mesh, &elevators, 7);
+        let selector = Box::new(Pushed { inner, period });
         Simulator::new(config, Box::new(traffic), selector)
             .run()
             .unwrap()
@@ -254,9 +284,8 @@ fn measured_energy_mode_runs_deterministically() {
     assert!(a.summary.completed);
 }
 
-/// Default-config AdEle ignores the measured-energy signal entirely: a
-/// run with the flag off equals a run of the plain paper policy even
-/// though the simulator pushes telemetry either way.
+/// A spec with the measured-energy flag off is the plain paper policy: a
+/// run of one equals a run of the other bit for bit.
 #[test]
 fn measured_flag_off_matches_paper_policy_bitwise() {
     let mesh = Mesh3d::new(4, 4, 2).unwrap();

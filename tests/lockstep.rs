@@ -17,7 +17,7 @@ use adele::offline::{OfflineOptimizer, SelectionStrategy};
 use amosa::AmosaParams;
 use noc_exp::{SelectorSpec, StreamVersion, WorkloadKind, WorkloadSpec};
 use noc_obs::{compare_journals, parse_journal, SharedBuffer};
-use noc_sim::{RunSummary, SimCommand, SimConfig, Simulator, TraceWriter, Tracer};
+use noc_sim::{Event, RunSummary, SimConfig, Simulator, TraceWriter, Tracer};
 use noc_topology::{ElevatorId, ElevatorSet, Mesh3d};
 use proptest::prelude::*;
 
@@ -86,12 +86,18 @@ impl Case {
         let selector = policy.build(&self.mesh, &self.elevators, self.seed);
         let mut sim = Simulator::from_scheduled(config, input, selector);
         let victim = ElevatorId((self.seed % self.elevators.len() as u64) as u8);
-        sim.schedule_command(self.fail_at, SimCommand::FailElevator(victim));
-        sim.schedule_command(
-            self.fail_at + self.recover_after,
-            SimCommand::RecoverElevator(victim),
-        );
-        sim.schedule_command(self.fail_at / 2, SimCommand::FreezeFabric { cycles: 20 });
+        sim.schedule(Event::ElevatorFail {
+            cycle: self.fail_at,
+            elevator: victim,
+        });
+        sim.schedule(Event::ElevatorRecover {
+            cycle: self.fail_at + self.recover_after,
+            elevator: victim,
+        });
+        sim.schedule(Event::FabricFreeze {
+            cycle: self.fail_at / 2,
+            cycles: 20,
+        });
         sim
     }
 

@@ -79,7 +79,7 @@ proptest! {
         fail_at in 0u64..600,
         recover_after in 1u64..600,
     ) {
-        use noc_sim::hooks::SimCommand;
+        use noc_sim::Event;
         use noc_topology::ElevatorId;
 
         let elevators = ElevatorSet::new(&mesh, columns).unwrap();
@@ -90,8 +90,11 @@ proptest! {
             .with_phases(100, 800, 20_000)
             .with_seed(seed);
         let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
-        sim.schedule_command(fail_at, SimCommand::FailElevator(victim));
-        sim.schedule_command(fail_at + recover_after, SimCommand::RecoverElevator(victim));
+        sim.schedule(Event::ElevatorFail { cycle: fail_at, elevator: victim });
+        sim.schedule(Event::ElevatorRecover {
+            cycle: fail_at + recover_after,
+            elevator: victim,
+        });
         sim.advance(100).unwrap();
         let window = sim.measure_window(800).unwrap();
 
@@ -128,7 +131,7 @@ proptest! {
         seed in 0u64..1000,
         storm in prop::collection::vec((0u64..700, 1u64..250), 1..=3),
     ) {
-        use noc_sim::hooks::SimCommand;
+        use noc_sim::Event;
         use noc_topology::ElevatorId;
 
         let elevators = ElevatorSet::new(&mesh, columns).unwrap();
@@ -140,8 +143,11 @@ proptest! {
         let mut sim = Simulator::new(config, Box::new(traffic), Box::new(selector));
         for (i, &(fail_at, dur)) in storm.iter().enumerate() {
             let victim = ElevatorId(((seed + i as u64) % elevators.len() as u64) as u8);
-            sim.schedule_command(fail_at, SimCommand::FailElevator(victim));
-            sim.schedule_command(fail_at + dur, SimCommand::RecoverElevator(victim));
+            sim.schedule(Event::ElevatorFail { cycle: fail_at, elevator: victim });
+            sim.schedule(Event::ElevatorRecover {
+                cycle: fail_at + dur,
+                elevator: victim,
+            });
         }
         for cycle in 0..1_000u64 {
             sim.step().unwrap();

@@ -41,8 +41,8 @@ fn rigged(name: &str, seed: u64, rate: f64) -> Scenario {
 }
 
 /// The deadlock diagnostics a run surfaced, or a test failure if it did
-/// anything else (completed, stalled, or panicked — panics would abort
-/// the test process itself, which is exactly what must never happen).
+/// anything else (completed, or panicked — panics would abort the test
+/// process itself, which is exactly what must never happen).
 fn deadlock_diag(scenario: &Scenario) -> Result<(u64, u64, u64), TestCaseError> {
     match scenario.run() {
         Err(SimError::Deadlock {
@@ -66,9 +66,6 @@ fn deadlock_diag(scenario: &Scenario) -> Result<(u64, u64, u64), TestCaseError> 
         Ok(r) => Err(TestCaseError::fail(format!(
             "rigged run completed ({} packets) instead of deadlocking",
             r.summary.delivered_packets
-        ))),
-        Err(other) => Err(TestCaseError::fail(format!(
-            "rigged run surfaced {other} instead of a deadlock"
         ))),
     }
 }
@@ -176,9 +173,7 @@ fn deadlock_reports_survive_serialization() {
     let text = format!("{error}");
     assert!(text.contains("deadlock at cycle"), "{text}");
     assert!(text.contains("state digest"), "{text}");
-    let SimError::Deadlock { cycle, .. } = error else {
-        panic!("expected a deadlock, got {error}");
-    };
+    let SimError::Deadlock { cycle, .. } = error;
     assert!(
         text.contains(&format!("deadlock at cycle {cycle}")),
         "the report names the firing cycle: {text}"

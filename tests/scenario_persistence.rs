@@ -318,22 +318,27 @@ fn ignored_shards_values_parse_round_trip_and_change_nothing() {
 #[test]
 fn measured_energy_selector_enables_the_feedback_period() {
     let (mesh, elevators) = topology();
-    let base = Scenario::new("periods", mesh, elevators);
-    assert_eq!(
-        base.sim_config().energy_feedback_period,
-        0,
-        "default policies pay nothing for telemetry pushes"
-    );
+    let period = |spec: SelectorSpec| spec.build(&mesh, &elevators, 1).pillar_energy_period();
+    for spec in [
+        SelectorSpec::ElevatorFirst,
+        SelectorSpec::Cda,
+        SelectorSpec::adele(),
+    ] {
+        assert_eq!(
+            period(spec),
+            0,
+            "default policies pay nothing for telemetry pushes"
+        );
+    }
     let tuned = SelectorSpec::AdeleTuned {
         config: AdeleConfig::measured_energy(),
         assignment: None,
     };
-    for selector in [SelectorSpec::adele_measured_energy(), tuned] {
-        let measured = base.clone().with_selector(selector);
+    for spec in [SelectorSpec::adele_measured_energy(), tuned] {
         assert_eq!(
-            measured.sim_config().energy_feedback_period,
-            noc_sim::SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD,
-            "the measured-energy selector opts in automatically"
+            period(spec),
+            256,
+            "the measured-energy selector asks for the push itself"
         );
     }
 }

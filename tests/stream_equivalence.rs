@@ -384,7 +384,6 @@ proptest! {
         factor_idx in 0usize..4,
         seed in 0u64..30,
     ) {
-        use noc_sim::SimCommand;
         let factor = [0.0, 0.5, 2.0, 3.0][factor_idx];
         let rate = 0.004;
         let window = 1_500u64;
@@ -392,7 +391,7 @@ proptest! {
             let mut sim = v2_simulator(rate, seed);
             sim.advance(100).unwrap();
             let before = sim.measure_window(window).unwrap();
-            sim.apply_command(&SimCommand::ScaleInjection { factor });
+            sim.schedule(Event::InjectionBurst { cycle: sim.cycle(), factor });
             let after = sim.measure_window(window).unwrap();
             (before, after)
         };
@@ -419,7 +418,6 @@ proptest! {
     /// the hotspot, injection timing stays on-rate, determinism holds.
     #[test]
     fn set_hotspots_mid_run_redirects_v2_destinations(seed in 0u64..30) {
-        use noc_sim::SimCommand;
         // An off-pillar hotspot, so the flit count measures re-aimed
         // destinations rather than elevator transit noise.
         let mesh = Mesh3d::new(4, 4, 2).unwrap();
@@ -429,8 +427,9 @@ proptest! {
             let mut sim = v2_simulator(0.006, seed);
             sim.advance(100).unwrap();
             let before = sim.measure_window(1_200).unwrap();
-            sim.apply_command(&SimCommand::ShiftHotspot {
-                hotspots: vec![hot_id],
+            sim.schedule(Event::HotspotShift {
+                cycle: sim.cycle(),
+                hotspots: vec![hot],
                 fraction: 0.9,
             });
             let after = sim.measure_window(1_200).unwrap();
@@ -483,10 +482,12 @@ proptest! {
 /// property under events).
 #[test]
 fn directive_silences_prefetched_cycles() {
-    use noc_sim::SimCommand;
     let mut sim = v2_simulator(0.05, 3);
     sim.advance(10).unwrap(); // calendar has prefetched well past cycle 10
-    sim.apply_command(&SimCommand::ScaleInjection { factor: 0.0 });
+    sim.schedule(Event::InjectionBurst {
+        cycle: sim.cycle(),
+        factor: 0.0,
+    });
     let window = sim.measure_window(500).unwrap();
     assert_eq!(
         window.injected_packets, 0,

@@ -5,14 +5,15 @@
 //! it when read. Relays book lazily: a window's close books what they
 //! owe, so the store is complete whenever no window is armed, and a
 //! window's open drops what they owed the last one. The mid-window
-//! energy-feedback push books them too. These tests pin that booking at
+//! energy push and a tracer's `window` record book them too. These tests
+//! pin that booking at
 //! window edges and mid-window neither loses nor duplicates an event, so
 //! a refactor that does fails loudly.
 
 use adele::online::ElevatorFirstSelector;
 use noc_energy::{EnergyLedger, LinkLedger};
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
-use noc_sim::{RunSummary, SimConfig, Simulator};
+use noc_sim::{RunSummary, SimConfig, Simulator, TraceWriter, Tracer};
 use noc_topology::placement::Placement;
 use noc_topology::{ElevatorSet, Mesh3d};
 use noc_traffic::injection::PacketSizeRange;
@@ -26,13 +27,10 @@ fn measured_energy_scenario() -> Scenario {
         .with_seed(17)
 }
 
-/// A PS1 simulator after 300 warm-up cycles; `feedback_period` pushes
-/// measured pillar energy (and books the relays) mid-window.
-fn ps1_simulator(selector: &SelectorSpec, feedback_period: u64) -> Simulator {
+/// A PS1 simulator after 300 warm-up cycles.
+fn ps1_simulator(selector: &SelectorSpec) -> Simulator {
     let (mesh, elevators) = Placement::Ps1.instantiate();
-    let config = SimConfig::new(mesh, elevators.clone())
-        .with_seed(29)
-        .with_energy_feedback_period(feedback_period);
+    let config = SimConfig::new(mesh, elevators.clone()).with_seed(29);
     let traffic = SyntheticTraffic::uniform(&mesh, 0.004, 29);
     let selector = selector.build(&mesh, &elevators, 29);
     let mut sim = Simulator::new(config, Box::new(traffic), selector);
@@ -77,8 +75,8 @@ fn assert_windows_add_up(mut split: Simulator, mut long: Simulator, windows: u64
 /// books it, the second open starts from zero.
 #[test]
 fn window_ledgers_add_up_to_one_long_window() {
-    let split = ps1_simulator(&SelectorSpec::adele(), 0);
-    let long = ps1_simulator(&SelectorSpec::adele(), 0);
+    let split = ps1_simulator(&SelectorSpec::adele());
+    let long = ps1_simulator(&SelectorSpec::adele());
     assert_windows_add_up(split, long, 2, 700);
 }
 
@@ -121,9 +119,15 @@ fn measured_energy_results_are_shard_independent() {
 }
 
 /// Two back-to-back measurement windows of a PS1 run; each yields its
-/// summary — which carries `router_flits` — and its complete ledger.
-fn two_windows(selector: &SelectorSpec, feedback_period: u64) -> Vec<(RunSummary, LinkLedger)> {
-    let mut sim = ps1_simulator(selector, feedback_period);
+/// summary — which carries `router_flits` — and its complete ledger. A
+/// `trace_period` above 0 attaches a tracer whose `window` record books
+/// the relays every `trace_period` cycles.
+fn two_windows(selector: &SelectorSpec, trace_period: u64) -> Vec<(RunSummary, LinkLedger)> {
+    let mut sim = ps1_simulator(selector);
+    if trace_period > 0 {
+        let writer = TraceWriter::new(Box::new(std::io::sink()));
+        sim.attach_tracer(Tracer::new(writer, trace_period));
+    }
     (0..2)
         .map(|_| {
             let summary = sim.measure_window(700).unwrap();
@@ -134,9 +138,9 @@ fn two_windows(selector: &SelectorSpec, feedback_period: u64) -> Vec<(RunSummary
 
 /// Mid-window bookings leave the store equal lane for lane, not just in
 /// the pillar roll-ups a `RunSummary` carries: every FIFO × VC counter,
-/// every ejection count and the measured cycles. An inert period-100
-/// feedback books the relays in the middle of every armed window and
-/// must leave every counter where the window's close alone puts it; the
+/// every ejection count and the measured cycles. A period-100 tracer
+/// books the relays in the middle of every armed window and must leave
+/// every counter where the window's close alone puts it; the
 /// measured-energy selector, whose period-256 pushes feed what they read
 /// back into routing, must repeat bit-identically.
 #[test]
@@ -152,9 +156,5 @@ fn booked_ledgers_are_equal_lane_for_lane() {
         "mid-window bookings moved a counter"
     );
     let measured = SelectorSpec::adele_measured_energy();
-    let period = SimConfig::MEASURED_ENERGY_FEEDBACK_PERIOD;
-    assert_eq!(
-        two_windows(&measured, period),
-        two_windows(&measured, period)
-    );
+    assert_eq!(two_windows(&measured, 0), two_windows(&measured, 0));
 }
