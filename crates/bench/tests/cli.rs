@@ -308,7 +308,8 @@ fn an_empty_measurement_window_fails_at_the_parse_site() {
 /// AdEle tuning and application rates became spec input with the figures'
 /// move onto scenarios; out of range, they used to trip an `assert!` in
 /// `AdeleConfig::validate` or `AppTraffic::new`. A spec that parses but
-/// deadlocks is named the same way (`noc_trace record` used to panic).
+/// deadlocks is named the same way (`noc_trace record` used to panic), and
+/// so is a workload kind the spec vocabulary does not have.
 #[test]
 fn an_out_of_range_tuning_or_app_rate_fails_at_the_parse_site() {
     let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -330,22 +331,33 @@ fn an_out_of_range_tuning_or_app_rate_fails_at_the_parse_site() {
         cycle: 100,
         cycles: 5_000,
     };
+    let text = |scenario: &noc_exp::Scenario| serde_json::to_string_pretty(scenario).unwrap();
+    let uniform = r#""workload":{"Uniform":{"rate":0.003}}"#;
+    let composite = serde_json::to_string(&baseline).unwrap().replace(
+        uniform,
+        r#""workload":{"Composite":{"parts":[[1.0,{"Uniform":{"rate":0.003}}]]}}"#,
+    );
+    assert!(!composite.contains(uniform), "replacement must hit");
     let cases = [
-        (baseline.clone().with_selector(tuned), "ewma_alpha 1.5"),
-        (baseline.clone().with_workload(app), "app rate 2"),
         (
-            baseline.with_event(freeze).with_watchdog(50),
+            text(&baseline.clone().with_selector(tuned)),
+            "ewma_alpha 1.5",
+        ),
+        (text(&baseline.clone().with_workload(app)), "app rate 2"),
+        (
+            text(&baseline.with_event(freeze).with_watchdog(50)),
             "deadlock at cycle",
         ),
+        (composite, r#"unknown WorkloadKind variant "Composite""#),
     ];
     // The deadlocking spec gets as far as run_specs' ledger.
     restoring_results(&["specs.ledger.jsonl", "specs.json"], || {
-        for (at, (scenario, named)) in cases.into_iter().enumerate() {
+        for (at, (json, named)) in cases.into_iter().enumerate() {
             let dir =
                 std::env::temp_dir().join(format!("adele_bad_spec_{}_{at}", std::process::id()));
             std::fs::create_dir_all(&dir).unwrap();
             let spec = dir.join("bad.json");
-            std::fs::write(&spec, serde_json::to_string_pretty(&scenario).unwrap()).unwrap();
+            std::fs::write(&spec, json).unwrap();
             let (dir_arg, spec_arg) = (dir.to_str().unwrap(), spec.to_str().unwrap());
             for (bin, args) in [
                 (RUN_SPECS, vec![dir_arg]),

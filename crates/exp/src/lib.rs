@@ -6,7 +6,7 @@
 //!
 //! * [`scenario`] — declarative experiments: a [`Scenario`] names the
 //!   topology, a [`WorkloadSpec`] (a [`WorkloadKind`] — uniform / shuffle
-//!   / hotspot / bursty / per-layer / weighted composite — on a versioned
+//!   / hotspot / application model — on a versioned
 //!   injection [`StreamVersion`]), a [`SelectorSpec`], the
 //!   warm-up–measure–drain windows and the master seed, all as plain data.
 //! * [`Event`] — timed mid-run events, `noc_sim`'s own type re-exported:

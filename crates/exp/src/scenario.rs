@@ -22,9 +22,8 @@ use noc_sim::{Event, RunSummary, SimConfig, SimError, Simulator};
 use noc_topology::placement::Placement;
 use noc_topology::{Coord, ElevatorSet, Mesh3d};
 use noc_traffic::apps::{AppKind, AppTraffic};
-use noc_traffic::injection::OnOffParams;
 use noc_traffic::{
-    BatchedSynthetic, CompositeSource, CyclePolled, ScheduledSource, StreamVersion, SyntheticParts,
+    BatchedSynthetic, CyclePolled, ScheduledSource, StreamVersion, SyntheticParts,
     SyntheticTraffic, TrafficSource,
 };
 use serde::{Deserialize, Serialize};
@@ -57,24 +56,6 @@ pub enum WorkloadKind {
         /// Probability that a packet targets a hotspot.
         fraction: f64,
     },
-    /// Bursty uniform traffic (two-state Markov modulation).
-    Bursty {
-        /// Long-run offered load.
-        rate: f64,
-        /// Burst parameters.
-        params: OnOffParams,
-    },
-    /// Per-layer heterogeneous injection: `rates[z]` for layer `z`,
-    /// uniform destinations.
-    PerLayer {
-        /// One rate per mesh layer.
-        rates: Vec<f64>,
-    },
-    /// A weighted mixture of sub-workloads (hotspot + bursty, …).
-    Composite {
-        /// `(weight, workload)` components; weights are normalised.
-        parts: Vec<(f64, WorkloadKind)>,
-    },
     /// A synthetic application model (Fig. 7) at a base `rate`, which
     /// the app scales by its intensity.
     App {
@@ -86,9 +67,8 @@ pub enum WorkloadKind {
 }
 
 impl WorkloadKind {
-    /// Checks the spec against `mesh`: rates are probabilities, hotspot
-    /// coordinates lie inside the mesh, per-layer rate lists match the
-    /// layer count, composites are non-empty with non-negative weights.
+    /// Checks the spec against `mesh`: rates are probabilities and
+    /// hotspot coordinates lie inside the mesh.
     /// [`Scenario::validate`] runs this on every parsed spec so malformed
     /// spec files fail at the parse site, not deep inside a run.
     ///
@@ -114,39 +94,13 @@ impl WorkloadKind {
                 rate_ok(*rate, "hotspot")?;
                 validate_hotspots(mesh, hotspots, *fraction)
             }
-            WorkloadKind::Bursty { rate, .. } => rate_ok(*rate, "bursty"),
-            WorkloadKind::PerLayer { rates } => {
-                if rates.len() != mesh.layers() {
-                    return Err(format!(
-                        "{} per-layer rates for a {}-layer mesh",
-                        rates.len(),
-                        mesh.layers()
-                    ));
-                }
-                rates.iter().try_for_each(|&r| rate_ok(r, "per-layer"))
-            }
-            WorkloadKind::Composite { parts } => {
-                if parts.is_empty() {
-                    return Err("empty composite workload".into());
-                }
-                for (weight, part) in parts {
-                    if !weight.is_finite() || *weight < 0.0 {
-                        return Err(format!("composite weight {weight} is not a weight"));
-                    }
-                    part.validate(mesh)?;
-                }
-                if parts.iter().all(|(w, _)| *w == 0.0) {
-                    return Err("composite weights sum to zero".into());
-                }
-                Ok(())
-            }
             WorkloadKind::App { rate, .. } => rate_ok(*rate, "app"),
         }
     }
 
-    /// The generator-independent description of a leaf kind on `mesh` —
-    /// what both streams are built from — or `None` for the kinds that
-    /// exist only polled: an application model and a composite.
+    /// The generator-independent description of a synthetic kind on
+    /// `mesh` — what both streams are built from — or `None` for the one
+    /// kind that exists only polled, an application model.
     fn parts(&self, mesh: &Mesh3d) -> Option<SyntheticParts> {
         Some(match self {
             WorkloadKind::Uniform { rate } => SyntheticParts::uniform(mesh, *rate),
@@ -159,9 +113,7 @@ impl WorkloadKind {
                 let hotspots = resolve_hotspots(mesh, hotspots);
                 SyntheticParts::hotspot(mesh, *rate, hotspots, *fraction)
             }
-            WorkloadKind::Bursty { rate, params } => SyntheticParts::bursty(mesh, *rate, *params),
-            WorkloadKind::PerLayer { rates } => SyntheticParts::per_layer(mesh, rates),
-            WorkloadKind::Composite { .. } | WorkloadKind::App { .. } => return None,
+            WorkloadKind::App { .. } => return None,
         })
     }
 
@@ -172,27 +124,15 @@ impl WorkloadKind {
     /// # Panics
     ///
     /// Panics on invalid parameters (rates outside `[0, 1]`, hotspot
-    /// coordinates outside the mesh, wrong per-layer rate count, empty
-    /// composites) — scenario authoring errors.
+    /// coordinates outside the mesh) — scenario authoring errors.
     #[must_use]
     pub fn build_polled(&self, mesh: &Mesh3d, seed: u64) -> Box<dyn TrafficSource> {
         match self {
             WorkloadKind::App { app, rate } => Box::new(AppTraffic::new(*app, mesh, *rate, seed)),
-            WorkloadKind::Composite { parts } => {
-                let components = parts
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (weight, kind))| {
-                        let seed = derive_seed(seed, 1 + i as u64);
-                        (*weight, kind.build_polled(mesh, seed))
-                    })
-                    .collect();
-                Box::new(CompositeSource::new(components, derive_seed(seed, 0)))
-            }
-            leaf => {
-                let parts = leaf
+            synthetic => {
+                let parts = synthetic
                     .parts(mesh)
-                    .expect("every other kind is a synthetic leaf");
+                    .expect("every other kind is synthetic");
                 Box::new(SyntheticTraffic::from_parts(parts, seed))
             }
         }
@@ -249,10 +189,9 @@ impl WorkloadSpec {
 
     /// Instantiates the workload on `mesh` with streams derived from
     /// `seed`, as the one type the simulator takes. This is the only place
-    /// a [`StreamVersion`] picks a generator: `v2` skip-samples a leaf
-    /// kind natively; `v1` — and a `v2` app or composite, which have no
-    /// batched generator (a composite must advance every component each
-    /// opportunity) — is the polled form behind [`CyclePolled`].
+    /// a [`StreamVersion`] picks a generator: `v2` skip-samples a
+    /// synthetic kind natively; `v1` — and a `v2` app, which has no
+    /// batched generator yet — is the polled form behind [`CyclePolled`].
     ///
     /// # Panics
     ///
@@ -317,9 +256,7 @@ impl Deserialize for WorkloadSpec {
             let kind = WorkloadKind::from_value(&serde::Value::Object(rest))?;
             Ok(Self { stream, kind })
         } else {
-            // Future-proofing: a unit-variant kind would serialise as a
-            // bare string; pass it through.
-            WorkloadKind::from_value(value).map(Self::v1)
+            Err(serde::DeError::expected("a workload object", value))
         }
     }
 }
@@ -813,32 +750,6 @@ mod tests {
                 hotspots: vec![Coord::new(1, 1, 1)],
                 fraction: 0.4,
             },
-            WorkloadKind::Bursty {
-                rate: 0.004,
-                params: OnOffParams::new(0.02, 0.005, 0.1),
-            },
-            WorkloadKind::PerLayer {
-                rates: vec![0.006, 0.002],
-            },
-            WorkloadKind::Composite {
-                parts: vec![
-                    (
-                        0.7,
-                        WorkloadKind::Hotspot {
-                            rate: 0.004,
-                            hotspots: vec![Coord::new(3, 3, 0)],
-                            fraction: 0.5,
-                        },
-                    ),
-                    (
-                        0.3,
-                        WorkloadKind::Bursty {
-                            rate: 0.004,
-                            params: OnOffParams::new(0.02, 0.005, 0.1),
-                        },
-                    ),
-                ],
-            },
             WorkloadKind::App {
                 app: AppKind::Fft,
                 rate: 0.004,
@@ -846,15 +757,18 @@ mod tests {
         ];
         let mesh = tiny().mesh;
         for kind in specs {
-            // Both streams draw a leaf kind from the same parts, so they
-            // agree on what is offered; an app or a composite is polled on
-            // both.
+            // Both streams draw a synthetic kind from the same parts, so
+            // they agree on what is offered; an app is polled on both.
             let (v1, v2) = (WorkloadSpec::v1(kind.clone()), WorkloadSpec::v2(kind));
             let (a, b) = (v1.build(&mesh, 3), v2.build(&mesh, 3));
             assert_eq!(a.name(), b.name(), "{v1:?}");
             assert_eq!(a.mean_rate(), b.mean_rate(), "{v1:?}");
-            let leaf = v2.kind.parts(&mesh).is_some();
-            assert_eq!(b.horizon() > 1, leaf, "only a leaf is batched: {v2:?}");
+            let synthetic = v2.kind.parts(&mesh).is_some();
+            assert_eq!(
+                b.horizon() > 1,
+                synthetic,
+                "only synthetic kinds batch: {v2:?}"
+            );
             for spec in [v1, v2] {
                 let result = tiny().with_workload(spec.clone()).run().unwrap();
                 assert!(

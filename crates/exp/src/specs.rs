@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 pub fn load_spec(path: &Path) -> Result<Scenario, String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("{}: cannot read spec ({e})", path.display()))?;
-    serde_json::from_str(&text).map_err(|e| format!("{}: {e:?}", path.display()))
+    serde_json::from_str(&text).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Loads every `*.json` spec in `dir`, sorted by filename.

@@ -122,39 +122,6 @@ impl OnOffParams {
     }
 }
 
-impl serde::Serialize for OnOffParams {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("on_to_off".into(), serde::Value::Float(self.on_to_off)),
-            ("off_to_on".into(), serde::Value::Float(self.off_to_on)),
-            ("off_scale".into(), serde::Value::Float(self.off_scale)),
-        ])
-    }
-}
-
-impl serde::Deserialize for OnOffParams {
-    /// Deserialises with [`OnOffParams::new`]'s range checks, so burst
-    /// parameters parsed from a spec file obey the same invariants as
-    /// constructed ones.
-    fn from_value(value: &serde::Value) -> Result<Self, serde::DeError> {
-        let on_to_off: f64 = serde::field(value, "on_to_off")?;
-        let off_to_on: f64 = serde::field(value, "off_to_on")?;
-        let off_scale: f64 = serde::field(value, "off_scale")?;
-        let prob_ok = |p: f64| p > 0.0 && p <= 1.0;
-        if !prob_ok(on_to_off) || !prob_ok(off_to_on) || !(0.0..1.0).contains(&off_scale) {
-            return Err(serde::DeError(format!(
-                "invalid on/off burst parameters: \
-                 on_to_off {on_to_off}, off_to_on {off_to_on}, off_scale {off_scale}"
-            )));
-        }
-        Ok(Self {
-            on_to_off,
-            off_to_on,
-            off_scale,
-        })
-    }
-}
-
 /// A Bernoulli coin compiled to the integer threshold `⌈p·2⁵³⌉` (the
 /// [module docs](self) give the identity with `gen_bool`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -21,13 +21,12 @@
 //!   [`TrafficSource::poll_cycle`] per cycle.
 //!
 //! A synthetic workload is described once, as [`SyntheticParts`] (uniform,
-//! shuffle, hotspot, bursty, per-layer skew), and drawn by either
-//! generator: [`SyntheticTraffic::from_parts`] (polled, the bit-stable
-//! `v1` stream) or [`BatchedSynthetic::from_parts`] (skip-sampled, `v2`).
-//! Workloads compose: [`CompositeSource`] mixes weighted components
-//! (hotspot + bursty, …), and [`TrafficDirective`]s steer a live workload
-//! mid-run (injection bursts, hotspot shifts) through the simulator's
-//! event hooks.
+//! shuffle, hotspot), and drawn by either generator:
+//! [`SyntheticTraffic::from_parts`] (polled, the bit-stable `v1` stream)
+//! or [`BatchedSynthetic::from_parts`] (skip-sampled, `v2`). An
+//! application model is polled only. [`TrafficDirective`]s steer a live
+//! workload mid-run (injection bursts, hotspot shifts) through the
+//! simulator's event hooks.
 //!
 //! # Example
 //!
@@ -66,6 +65,5 @@ pub use scheduled::{
     StreamVersion,
 };
 pub use source::{
-    CompositeSource, InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective,
-    TrafficSource,
+    InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective, TrafficSource,
 };

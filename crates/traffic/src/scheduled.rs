@@ -26,10 +26,9 @@
 //! [`SyntheticParts`] ([`BatchedSynthetic::from_parts`] here,
 //! [`SyntheticTraffic::from_parts`](crate::SyntheticTraffic::from_parts)
 //! polled), and every polled [`TrafficSource`] — the `v1` synthetic
-//! stream, and the workloads without a closed-form schedule: application
-//! models and [`CompositeSource`](crate::CompositeSource) mixtures — is
-//! composed in front of it by [`CyclePolled`], the adapter that drives a
-//! polled source one cycle at a time.
+//! stream, and the application models, which have no batched generator
+//! yet — is composed in front of it by [`CyclePolled`], the adapter that
+//! drives a polled source one cycle at a time.
 
 use crate::injection::{InjectionProcess, PacketSizeRange};
 use crate::pattern::{Hotspot, Pattern};
@@ -424,8 +423,8 @@ impl ScheduledSource for BatchedSynthetic {
 /// Adapter driving any polled [`TrafficSource`] behind the
 /// [`ScheduledSource`] interface, one cycle at a time.
 ///
-/// This is how every polled workload — the `v1` synthetic stream,
-/// application models, composite mixtures — reaches the simulator's
+/// This is how every polled workload — the `v1` synthetic stream and the
+/// application models — reaches the simulator's
 /// injection scheduler: each requested cycle is one [`poll_cycle`] of the
 /// wrapped source, the full per-node poll the source was promised at
 /// whatever its `poll_cycle` costs (one pass over the coins, the per-node
@@ -513,6 +512,7 @@ impl ScheduledSource for CyclePolled {
 mod tests {
     use super::*;
     use crate::injection::OnOffParams;
+    use crate::pattern::Uniform;
     use crate::SyntheticTraffic;
 
     fn drain(source: &mut dyn ScheduledSource, cycles: u64) -> Vec<ScheduledInjection> {
@@ -606,14 +606,18 @@ mod tests {
         let mesh = Mesh3d::new(4, 4, 4).unwrap();
         let params = OnOffParams::new(0.02, 0.005, 0.1);
         let (rate, window) = (0.05, 50u64);
-        let mut v1 = SyntheticTraffic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 17);
+        let parts = || {
+            let uniform = Box::new(Uniform::new(mesh.node_count()));
+            SyntheticParts::new(&mesh, uniform, InjectionProcess::on_off(rate, params))
+        };
+        let mut v1 = SyntheticTraffic::from_parts(parts(), 17);
         let mut v1_count = 0usize;
         for cycle in 0..window {
             for node in mesh.node_ids() {
                 v1_count += usize::from(v1.maybe_inject(node, cycle).is_some());
             }
         }
-        let mut v2 = BatchedSynthetic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 17);
+        let mut v2 = BatchedSynthetic::from_parts(parts(), 17);
         let v2_count = drain(&mut v2, window).len();
         for (what, count) in [("v1", v1_count), ("v2", v2_count)] {
             assert!(
@@ -628,27 +632,13 @@ mod tests {
     fn bursty_preserves_mean_rate() {
         let mesh = Mesh3d::new(4, 4, 2).unwrap();
         let params = OnOffParams::new(0.02, 0.005, 0.1);
-        let mut t = BatchedSynthetic::from_parts(SyntheticParts::bursty(&mesh, 0.05, params), 13);
+        let uniform = Box::new(Uniform::new(mesh.node_count()));
+        let parts = SyntheticParts::new(&mesh, uniform, InjectionProcess::on_off(0.05, params));
+        let mut t = BatchedSynthetic::from_parts(parts, 13);
         let cycles = 40_000;
         let all = drain(&mut t, cycles);
         let per_node = all.len() as f64 / (cycles as f64 * 32.0);
         assert!((0.045..0.055).contains(&per_node), "rate {per_node}");
-    }
-
-    #[test]
-    fn per_layer_rates_respect_layers() {
-        let mesh = Mesh3d::new(4, 4, 2).unwrap();
-        let mut t = BatchedSynthetic::from_parts(SyntheticParts::per_layer(&mesh, &[0.0, 0.2]), 3);
-        assert!((t.mean_rate().unwrap() - 0.1).abs() < 1e-12);
-        let all = drain(&mut t, 2_000);
-        assert!(!all.is_empty());
-        for inj in &all {
-            assert_eq!(
-                mesh.coord(inj.node).z,
-                1,
-                "layer 0 has rate 0 and must stay silent"
-            );
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-use crate::injection::{InjectionProcess, OnOffParams, PacketSizeRange};
+use crate::injection::{InjectionProcess, PacketSizeRange};
 use crate::pattern::{BitPermutation, Hotspot, Pattern, Permutation, Uniform};
 use noc_topology::{Mesh3d, NodeId};
-use rand::{rngs::StdRng, Rng, SeedableRng};
+use rand::{rngs::StdRng, SeedableRng};
 
 /// A packet the traffic source wants injected at a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,42 +132,6 @@ impl SyntheticParts {
         let pattern = Hotspot::new(mesh.node_count(), hotspots, fraction);
         Self::new(mesh, Box::new(pattern), InjectionProcess::bernoulli(rate))
     }
-
-    /// Bursty uniform traffic averaging `rate`, with per-node on/off
-    /// Markov modulation.
-    #[must_use]
-    pub fn bursty(mesh: &Mesh3d, rate: f64, params: OnOffParams) -> Self {
-        let pattern = Uniform::new(mesh.node_count());
-        Self::new(
-            mesh,
-            Box::new(pattern),
-            InjectionProcess::on_off(rate, params),
-        )
-    }
-
-    /// Heterogeneous per-layer injection, uniform destinations: a node on
-    /// layer `z` injects at `layer_rates[z]` packets/cycle (layer-skewed
-    /// workloads — e.g. a compute die hammering a memory die above it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer_rates.len()` does not match the mesh's layer count.
-    #[must_use]
-    pub fn per_layer(mesh: &Mesh3d, layer_rates: &[f64]) -> Self {
-        assert_eq!(
-            layer_rates.len(),
-            mesh.layers(),
-            "need one rate per mesh layer"
-        );
-        Self {
-            pattern: Box::new(Uniform::new(mesh.node_count())),
-            processes: mesh
-                .coords()
-                .map(|c| InjectionProcess::bernoulli(layer_rates[c.z as usize]))
-                .collect(),
-            sizes: PacketSizeRange::paper_default(),
-        }
-    }
 }
 
 /// The polled generator of a synthetic workload — the kernel of the `v1`
@@ -248,7 +212,8 @@ impl TrafficSource for SyntheticTraffic {
     }
 
     fn mean_rate(&self) -> Option<f64> {
-        // Mean over nodes: with per-layer skew the rates differ.
+        // Mean over the per-node processes. Keep the sum-then-divide
+        // form: its float rounding reaches `RunSummary::offered_rate`.
         if self.processes.is_empty() {
             return None;
         }
@@ -274,130 +239,6 @@ impl TrafficSource for SyntheticTraffic {
                     ));
                 }
             }
-        }
-    }
-}
-
-/// A weighted mixture of workloads, for composed scenarios the paper's
-/// single-pattern sweeps cannot express (hotspot + bursty, layer-skewed
-/// background + foreground, …).
-///
-/// Each `(node, cycle)` injection opportunity is attributed to exactly one
-/// component, drawn from the normalised weights; **every** component's
-/// stream is still advanced every call, so the mixture is deterministic
-/// under a fixed seed regardless of which component wins a draw, and each
-/// component sees the per-node-per-cycle call contract it was promised.
-/// The effective injection rate is therefore `Σ wᵢ·rᵢ` over components.
-pub struct CompositeSource {
-    components: Vec<(f64, Box<dyn TrafficSource>)>,
-    rng: StdRng,
-}
-
-impl std::fmt::Debug for CompositeSource {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompositeSource")
-            .field(
-                "components",
-                &self
-                    .components
-                    .iter()
-                    .map(|(w, s)| (w, s.name()))
-                    .collect::<Vec<_>>(),
-            )
-            .finish()
-    }
-}
-
-impl CompositeSource {
-    /// Builds a mixture from `(weight, source)` pairs. Weights are
-    /// normalised to sum to 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `components` is empty, any weight is negative or
-    /// non-finite, or the weights sum to zero.
-    #[must_use]
-    pub fn new(components: Vec<(f64, Box<dyn TrafficSource>)>, seed: u64) -> Self {
-        assert!(
-            !components.is_empty(),
-            "composite workload needs at least one component"
-        );
-        assert!(
-            components.iter().all(|(w, _)| w.is_finite() && *w >= 0.0),
-            "component weights must be finite and non-negative"
-        );
-        let total: f64 = components.iter().map(|(w, _)| *w).sum();
-        assert!(total > 0.0, "component weights must not all be zero");
-        let components = components
-            .into_iter()
-            .map(|(w, s)| (w / total, s))
-            .collect();
-        Self {
-            components,
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    /// The normalised component weights, in construction order.
-    #[must_use]
-    pub fn weights(&self) -> Vec<f64> {
-        self.components.iter().map(|(w, _)| *w).collect()
-    }
-
-    /// Number of components.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.components.len()
-    }
-
-    /// `false` always (construction rejects empty mixtures); provided for
-    /// API symmetry with `len`.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.components.is_empty()
-    }
-}
-
-impl TrafficSource for CompositeSource {
-    fn maybe_inject(&mut self, node: NodeId, cycle: u64) -> Option<InjectionRequest> {
-        // Pick the winning component first so the draw is independent of
-        // the components' own RNG consumption.
-        let mut u = self.rng.gen_range(0.0..1.0);
-        let mut pick = self.components.len() - 1;
-        for (i, (w, _)) in self.components.iter().enumerate() {
-            if u < *w {
-                pick = i;
-                break;
-            }
-            u -= *w;
-        }
-        // Advance every component exactly once (the trait contract each of
-        // them may rely on); only the winner's packet is injected.
-        let mut chosen = None;
-        for (i, (_, source)) in self.components.iter_mut().enumerate() {
-            let req = source.maybe_inject(node, cycle);
-            if i == pick {
-                chosen = req;
-            }
-        }
-        chosen
-    }
-
-    fn name(&self) -> &'static str {
-        "composite"
-    }
-
-    fn mean_rate(&self) -> Option<f64> {
-        let mut total = 0.0;
-        for (w, s) in &self.components {
-            total += w * s.mean_rate()?;
-        }
-        Some(total)
-    }
-
-    fn apply(&mut self, directive: &TrafficDirective) {
-        for (_, source) in &mut self.components {
-            source.apply(directive);
         }
     }
 }
@@ -482,106 +323,5 @@ mod tests {
             let req = t.maybe_inject(NodeId(0), cycle).expect("rate 1 injects");
             assert_eq!(req.dst, hot, "fraction 1 sends everything to the hotspot");
         }
-    }
-
-    #[test]
-    fn per_layer_rates_respect_layers() {
-        let mesh = Mesh3d::new(4, 4, 2).unwrap();
-        let mut t = SyntheticTraffic::from_parts(SyntheticParts::per_layer(&mesh, &[0.0, 0.2]), 3);
-        assert!((t.mean_rate().unwrap() - 0.1).abs() < 1e-12);
-        let mut layer1 = 0usize;
-        for cycle in 0..500 {
-            for node in mesh.node_ids() {
-                let injected = t.maybe_inject(node, cycle).is_some();
-                let z = mesh.coord(node).z;
-                if z == 0 {
-                    assert!(!injected, "layer 0 has rate 0 and must stay silent");
-                } else if injected {
-                    layer1 += 1;
-                }
-            }
-        }
-        assert!(layer1 > 0, "layer 1 must inject at rate 0.2");
-    }
-
-    #[test]
-    fn composite_normalises_weights_and_mixes() {
-        let mesh = Mesh3d::new(4, 4, 2).unwrap();
-        let mut c = CompositeSource::new(
-            vec![
-                (3.0, Box::new(SyntheticTraffic::uniform(&mesh, 0.1, 1))),
-                (
-                    1.0,
-                    Box::new(SyntheticTraffic::from_parts(
-                        SyntheticParts::hotspot(&mesh, 0.1, vec![NodeId(5)], 0.9),
-                        2,
-                    )),
-                ),
-            ],
-            9,
-        );
-        let w = c.weights();
-        assert!((w[0] - 0.75).abs() < 1e-12 && (w[1] - 0.25).abs() < 1e-12);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
-        assert_eq!(c.name(), "composite");
-        assert!((c.mean_rate().unwrap() - 0.1).abs() < 1e-12);
-        let mut injected = 0usize;
-        for cycle in 0..500 {
-            for node in mesh.node_ids() {
-                if c.maybe_inject(node, cycle).is_some() {
-                    injected += 1;
-                }
-            }
-        }
-        let measured = injected as f64 / (500.0 * 32.0);
-        assert!((0.08..0.12).contains(&measured), "mixture rate {measured}");
-    }
-
-    #[test]
-    fn composite_same_seed_is_deterministic() {
-        let mesh = Mesh3d::new(4, 4, 2).unwrap();
-        let build = || {
-            CompositeSource::new(
-                vec![
-                    (
-                        0.5,
-                        Box::new(SyntheticTraffic::uniform(&mesh, 0.05, 1))
-                            as Box<dyn TrafficSource>,
-                    ),
-                    (
-                        0.5,
-                        Box::new(SyntheticTraffic::from_parts(
-                            SyntheticParts::bursty(&mesh, 0.05, OnOffParams::new(0.02, 0.005, 0.1)),
-                            2,
-                        )),
-                    ),
-                ],
-                9,
-            )
-        };
-        let (mut a, mut b) = (build(), build());
-        for cycle in 0..300 {
-            for node in mesh.node_ids() {
-                assert_eq!(a.maybe_inject(node, cycle), b.maybe_inject(node, cycle));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one component")]
-    fn composite_rejects_empty() {
-        let _ = CompositeSource::new(vec![], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not all be zero")]
-    fn composite_rejects_zero_weights() {
-        let mesh = Mesh3d::new(2, 2, 2).unwrap();
-        let _ = CompositeSource::new(
-            vec![(0.0, Box::new(SyntheticTraffic::uniform(&mesh, 0.1, 1)) as _)],
-            1,
-        );
     }
 }

@@ -6,8 +6,8 @@ use noc_traffic::apps::{AppKind, AppTraffic};
 use noc_traffic::injection::{Coin, InjectionProcess, OnOffParams, PacketSizeRange};
 use noc_traffic::pattern::{BitPermutation, Hotspot, Pattern, Permutation, Uniform};
 use noc_traffic::{
-    CompositeSource, InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective,
-    TrafficMatrix, TrafficSource,
+    InjectionRequest, SyntheticParts, SyntheticTraffic, TrafficDirective, TrafficMatrix,
+    TrafficSource,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
@@ -150,100 +150,6 @@ proptest! {
                 prop_assert_eq!(m.frequency(src, dst), 1.0);
             }
         }
-    }
-
-    #[test]
-    fn composite_weights_always_normalise(
-        raw in prop::collection::vec(0.01f64..10.0, 1..5),
-        seed in 0u64..50,
-    ) {
-        let mesh = Mesh3d::new(3, 3, 2).unwrap();
-        let components: Vec<(f64, Box<dyn TrafficSource>)> = raw
-            .iter()
-            .enumerate()
-            .map(|(i, &w)| {
-                (w, Box::new(SyntheticTraffic::uniform(&mesh, 0.05, i as u64))
-                    as Box<dyn TrafficSource>)
-            })
-            .collect();
-        let total: f64 = raw.iter().sum();
-        let c = CompositeSource::new(components, seed);
-        let weights = c.weights();
-        prop_assert_eq!(weights.len(), raw.len());
-        prop_assert!((weights.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        for (w, &r) in weights.iter().zip(&raw) {
-            prop_assert!((w - r / total).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn composite_mean_rate_is_weight_blend(
-        w0 in 0.1f64..5.0,
-        w1 in 0.1f64..5.0,
-        r0 in 0.0f64..0.3,
-        r1 in 0.0f64..0.3,
-    ) {
-        let mesh = Mesh3d::new(3, 3, 2).unwrap();
-        let c = CompositeSource::new(
-            vec![
-                (w0, Box::new(SyntheticTraffic::uniform(&mesh, r0, 1)) as _),
-                (w1, Box::new(SyntheticTraffic::uniform(&mesh, r1, 2)) as _),
-            ],
-            7,
-        );
-        let expected = (w0 * r0 + w1 * r1) / (w0 + w1);
-        prop_assert!((c.mean_rate().unwrap() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_layer_skew_never_injects_on_silent_layers(
-        live_layer in 0usize..3,
-        rate in 0.05f64..0.5,
-        seed in 0u64..50,
-    ) {
-        let mesh = Mesh3d::new(3, 3, 3).unwrap();
-        let mut rates = vec![0.0; 3];
-        rates[live_layer] = rate;
-        let mut t = SyntheticTraffic::from_parts(SyntheticParts::per_layer(&mesh, &rates), seed);
-        let mut live_injections = 0usize;
-        for cycle in 0..300 {
-            for node in mesh.node_ids() {
-                let injected = t.maybe_inject(node, cycle).is_some();
-                if mesh.coord(node).z as usize == live_layer {
-                    live_injections += usize::from(injected);
-                } else {
-                    prop_assert!(!injected, "zero-rate layer injected at {node}");
-                }
-            }
-        }
-        prop_assert!(live_injections > 0, "live layer must inject at rate {rate}");
-    }
-
-    #[test]
-    fn composite_stream_is_seed_deterministic(seed in 0u64..50) {
-        let mesh = Mesh3d::new(3, 3, 2).unwrap();
-        let collect = || {
-            let mut c = CompositeSource::new(
-                vec![
-                    (0.7, Box::new(SyntheticTraffic::uniform(&mesh, 0.1, 1)) as _),
-                    (0.3, Box::new(SyntheticTraffic::from_parts(
-                        SyntheticParts::hotspot(&mesh, 0.1, vec![NodeId(4)], 0.8),
-                        2,
-                    )) as _),
-                ],
-                seed,
-            );
-            let mut events = Vec::new();
-            for cycle in 0..100 {
-                for node in mesh.node_ids() {
-                    if let Some(req) = c.maybe_inject(node, cycle) {
-                        events.push((cycle, node, req));
-                    }
-                }
-            }
-            events
-        };
-        prop_assert_eq!(collect(), collect());
     }
 }
 
@@ -494,18 +400,9 @@ proptest! {
             Box::new(|| Box::new(SyntheticTraffic::uniform(&mesh, rate, seed))),
             Box::new(|| Box::new(polled(SyntheticParts::shuffle(&mesh, rate)))),
             Box::new(|| Box::new(polled(SyntheticParts::hotspot(&mesh, rate, vec![NodeId(7)], 0.5)))),
-            Box::new(|| Box::new(polled(SyntheticParts::bursty(&mesh, rate, burst)))),
             Box::new(|| {
-                Box::new(polled(SyntheticParts::per_layer(&mesh, &[0.0, rate, 1.0, rate / 2.0])))
-            }),
-            Box::new(|| {
-                Box::new(CompositeSource::new(
-                    vec![
-                        (2.0, Box::new(polled(SyntheticParts::bursty(&mesh, rate, burst)))),
-                        (1.0, Box::new(AppTraffic::new(AppKind::Fft, &mesh, rate, seed + 1))),
-                    ],
-                    seed + 2,
-                ))
+                let on_off = InjectionProcess::on_off(rate, burst);
+                Box::new(polled(SyntheticParts::new(&mesh, Box::new(Uniform::new(nodes)), on_off)))
             }),
         ];
         for kind in AppKind::ALL {

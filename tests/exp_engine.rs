@@ -8,7 +8,7 @@ use noc_exp::{
     WorkloadKind, WorkloadSpec,
 };
 use noc_sim::{SimConfig, Simulator};
-use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d};
+use noc_topology::{ElevatorId, ElevatorSet, Mesh3d};
 
 fn tiny_topology() -> (Mesh3d, ElevatorSet) {
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
@@ -132,46 +132,4 @@ fn elevator_fail_event_changes_adele_selection_mid_run() {
         0,
         "no measured packet may pick a pillar that died before warm-up"
     );
-}
-
-/// Composite and per-layer workloads flow through the whole engine.
-#[test]
-fn composed_workloads_run_through_the_engine() {
-    let (mesh, elevators) = tiny_topology();
-    let composite = Scenario::new("hotspot+bursty", mesh, elevators.clone())
-        .with_phases(150, 600, 3_000)
-        .with_workload(WorkloadKind::Composite {
-            parts: vec![
-                (
-                    0.6,
-                    WorkloadKind::Hotspot {
-                        rate: 0.004,
-                        hotspots: vec![Coord::new(3, 3, 1)],
-                        fraction: 0.5,
-                    },
-                ),
-                (
-                    0.4,
-                    WorkloadKind::Bursty {
-                        rate: 0.004,
-                        params: noc_traffic::injection::OnOffParams::new(0.02, 0.005, 0.1),
-                    },
-                ),
-            ],
-        })
-        .with_seed(3);
-    let layered = Scenario::new("layer-skew", mesh, elevators)
-        .with_phases(150, 600, 3_000)
-        .with_workload(WorkloadKind::PerLayer {
-            rates: vec![0.006, 0.001],
-        })
-        .with_seed(3);
-
-    let results = run_all(&[composite, layered], 2);
-    assert_eq!(results.len(), 2);
-    assert_eq!(results[0].summary.workload, "composite");
-    for r in &results {
-        assert!(r.summary.delivered_packets > 0, "{} must deliver", r.name);
-        assert!(r.summary.completed);
-    }
 }

@@ -11,7 +11,6 @@ use noc_exp::{
 };
 use noc_topology::{Coord, ElevatorId, ElevatorSet, Mesh3d};
 use noc_traffic::apps::AppKind;
-use noc_traffic::injection::OnOffParams;
 
 fn topology() -> (Mesh3d, ElevatorSet) {
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
@@ -19,39 +18,19 @@ fn topology() -> (Mesh3d, ElevatorSet) {
     (mesh, elevators)
 }
 
-/// A scenario exercising every corner of the spec surface: a composite
-/// workload nesting three sub-specs, an explicit offline assignment, and
-/// one event of every kind.
+/// A scenario exercising every corner of the spec surface: a hotspot
+/// workload with two hotspots, an explicit offline assignment, and one
+/// event of every kind.
 fn kitchen_sink() -> Scenario {
     let (mesh, elevators) = topology();
     let assignment = SubsetAssignment::nearest(&mesh, &elevators);
     Scenario::new("kitchen-sink", mesh, elevators)
         .with_phases(150, 600, 3_000)
         .with_seed(99)
-        .with_workload(WorkloadKind::Composite {
-            parts: vec![
-                (
-                    0.5,
-                    WorkloadKind::Hotspot {
-                        rate: 0.004,
-                        hotspots: vec![Coord::new(3, 3, 1), Coord::new(0, 0, 0)],
-                        fraction: 0.4,
-                    },
-                ),
-                (
-                    0.3,
-                    WorkloadKind::Bursty {
-                        rate: 0.003,
-                        params: OnOffParams::new(0.02, 0.005, 0.1),
-                    },
-                ),
-                (
-                    0.2,
-                    WorkloadKind::PerLayer {
-                        rates: vec![0.006, 0.001],
-                    },
-                ),
-            ],
+        .with_workload(WorkloadKind::Hotspot {
+            rate: 0.004,
+            hotspots: vec![Coord::new(3, 3, 1), Coord::new(0, 0, 0)],
+            fraction: 0.4,
         })
         .with_selector(SelectorSpec::Adele {
             rr_only: false,
@@ -130,13 +109,6 @@ fn every_workload_and_selector_spec_round_trips() {
             hotspots: vec![Coord::new(2, 2, 1)],
             fraction: 0.25,
         },
-        WorkloadKind::Bursty {
-            rate: 0.005,
-            params: OnOffParams::new(0.01, 0.01, 0.2),
-        },
-        WorkloadKind::PerLayer {
-            rates: vec![0.001, 0.002],
-        },
         WorkloadKind::App {
             app: AppKind::Canneal,
             rate: 0.003,
@@ -207,15 +179,6 @@ fn cross_field_inconsistencies_fail_at_parse_time() {
     assert_ne!(bad_event, json, "replacement must hit");
     let err = serde_json::from_str::<Scenario>(&bad_event).unwrap_err();
     assert!(err.to_string().contains("elevator"), "{err}");
-
-    // A per-layer rate list that does not match the layer count.
-    let bad_layers = json.replace(
-        "{\"PerLayer\":{\"rates\":[0.006,0.001]}}",
-        "{\"PerLayer\":{\"rates\":[0.006]}}",
-    );
-    assert_ne!(bad_layers, json, "replacement must hit");
-    let err = serde_json::from_str::<Scenario>(&bad_layers).unwrap_err();
-    assert!(err.to_string().contains("per-layer"), "{err}");
 
     // An assignment sized for a different mesh.
     let (mesh, elevators) = topology();
@@ -350,12 +313,17 @@ fn malformed_specs_are_rejected_with_errors() {
     assert!(serde_json::from_str::<SelectorSpec>("\"Oracle\"").is_err());
     // Missing field inside a variant body.
     assert!(serde_json::from_str::<WorkloadSpec>(r#"{"Uniform": {}}"#).is_err());
+    // A bare string is no workload; the error must not call a real kind
+    // unknown.
+    let err = serde_json::from_str::<WorkloadSpec>("\"Uniform\"").unwrap_err();
+    assert!(err.to_string().contains("a workload object"), "{err}");
+    assert!(!err.to_string().contains("unknown"), "{err}");
     // Domain validation still applies through the spec boundary.
-    assert!(serde_json::from_str::<WorkloadSpec>(
-        r#"{"Bursty": {"rate": 0.003,
-            "params": {"on_to_off": 2.0, "off_to_on": 0.1, "off_scale": 0.5}}}"#
-    )
-    .is_err());
+    let json = serde_json::to_string(&kitchen_sink()).unwrap();
+    let bad_fraction = json.replace("\"fraction\":0.4", "\"fraction\":1.5");
+    assert_ne!(bad_fraction, json, "replacement must hit");
+    let err = serde_json::from_str::<Scenario>(&bad_fraction).unwrap_err();
+    assert!(err.to_string().contains("hotspot fraction"), "{err}");
 }
 
 #[test]

@@ -20,8 +20,10 @@ use noc_exp::{
     run_batch_supervised, Event, Scenario, StreamVersion, Supervision, WorkloadKind, WorkloadSpec,
 };
 use noc_sim::{SimConfig, Simulator};
-use noc_topology::{Coord, ElevatorSet, Mesh3d, NodeId};
-use noc_traffic::injection::OnOffParams;
+use noc_topology::{Coord, ElevatorSet, Mesh3d};
+use noc_traffic::apps::AppKind;
+use noc_traffic::injection::{InjectionProcess, OnOffParams};
+use noc_traffic::pattern::Uniform;
 use noc_traffic::{
     BatchedSynthetic, CyclePolled, ScheduledInjection, ScheduledSource, SyntheticParts,
     SyntheticTraffic, TrafficSource,
@@ -175,15 +177,12 @@ fn bursty_phase_aware_sampling_preserves_load_and_support() {
     let mesh = mesh();
     let (rate, cycles) = (0.03, 60_000);
     let params = OnOffParams::new(0.02, 0.005, 0.1);
-    let v1 = polled_events(
-        &mut SyntheticTraffic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 7),
-        &mesh,
-        cycles,
-    );
-    let v2 = scheduled_events(
-        &mut BatchedSynthetic::from_parts(SyntheticParts::bursty(&mesh, rate, params), 7),
-        cycles,
-    );
+    let parts = || {
+        let uniform = Box::new(Uniform::new(mesh.node_count()));
+        SyntheticParts::new(&mesh, uniform, InjectionProcess::on_off(rate, params))
+    };
+    let v1 = polled_events(&mut SyntheticTraffic::from_parts(parts(), 7), &mesh, cycles);
+    let v2 = scheduled_events(&mut BatchedSynthetic::from_parts(parts(), 7), cycles);
     // The on/off modulation inflates count variance beyond plain binomial
     // (long correlated phases), so the per-node bound widens: the
     // modulation factor is bounded by on_scale, giving σ ≤ √(2·C·p·s_on).
@@ -206,7 +205,7 @@ fn bursty_phase_aware_sampling_preserves_load_and_support() {
 }
 
 #[test]
-fn shuffle_and_per_layer_share_support_with_v1() {
+fn shuffle_shares_support_with_v1() {
     let mesh = mesh();
     // Shuffle: exactly the fixed points stay silent on both streams.
     let v1 = polled_events(
@@ -232,19 +231,6 @@ fn shuffle_and_per_layer_share_support_with_v1() {
         &per_node_counts(&v2, 64),
         "shuffle (fixed points hold at count 0)",
     );
-
-    // Per-layer: silent layers are silent on both streams.
-    let rates = [0.0, 0.01, 0.0, 0.02];
-    let mut v1 = SyntheticTraffic::from_parts(SyntheticParts::per_layer(&mesh, &rates), 9);
-    let mut v2 = BatchedSynthetic::from_parts(SyntheticParts::per_layer(&mesh, &rates), 9);
-    let e1 = polled_events(&mut v1, &mesh, 10_000);
-    let e2 = scheduled_events(&mut v2, 10_000);
-    for events in [&e1, &e2] {
-        for &(_, node) in events.iter() {
-            let z = mesh.coord(NodeId(node)).z as usize;
-            assert!(rates[z] > 0.0, "a silent layer injected");
-        }
-    }
 }
 
 fn v2_scenario(seed: u64) -> Scenario {
@@ -327,24 +313,9 @@ fn every_workload_kind_delivers_on_v2() {
             hotspots: vec![Coord::new(1, 1, 1)],
             fraction: 0.4,
         },
-        WorkloadKind::Bursty {
+        WorkloadKind::App {
+            app: AppKind::Fft,
             rate: 0.004,
-            params: OnOffParams::new(0.02, 0.005, 0.1),
-        },
-        WorkloadKind::PerLayer {
-            rates: vec![0.006, 0.002],
-        },
-        WorkloadKind::Composite {
-            parts: vec![
-                (0.7, WorkloadKind::Uniform { rate: 0.004 }),
-                (
-                    0.3,
-                    WorkloadKind::Bursty {
-                        rate: 0.004,
-                        params: OnOffParams::new(0.02, 0.005, 0.1),
-                    },
-                ),
-            ],
         },
     ];
     for kind in kinds {
@@ -496,22 +467,13 @@ fn directive_silences_prefetched_cycles() {
 }
 
 #[test]
-fn polled_adapter_keeps_composites_working_under_v2() {
-    // Composite on v2 goes through the CyclePolled adapter: same offered
-    // load as its v1 twin — here even the same stream, since the adapter
-    // replays the polled call sequence exactly.
-    let kind = WorkloadKind::Composite {
-        parts: vec![
-            (0.5, WorkloadKind::Uniform { rate: 0.004 }),
-            (
-                0.5,
-                WorkloadKind::Hotspot {
-                    rate: 0.004,
-                    hotspots: vec![Coord::new(3, 3, 1)],
-                    fraction: 0.8,
-                },
-            ),
-        ],
+fn polled_adapter_keeps_apps_stream_invariant() {
+    // An app has no batched generator: on v2 it goes through the
+    // CyclePolled adapter, which replays the polled call sequence
+    // exactly, so v1 and v2 are the same stream.
+    let kind = WorkloadKind::App {
+        app: AppKind::Fft,
+        rate: 0.004,
     };
     let v1 = v2_scenario(9)
         .with_workload(WorkloadSpec::v1(kind.clone()))
@@ -527,13 +489,13 @@ fn polled_adapter_keeps_composites_working_under_v2() {
     );
 }
 
-/// Why app, trace and composite workloads are stream-invariant:
+/// Why app workloads are stream-invariant:
 /// [`Simulator::new`] wraps a polled source in [`CyclePolled`] itself, so
 /// handing the simulator the source polled or pre-wrapped as a scheduled
 /// one is the same run.
 #[test]
 fn a_polled_source_runs_identically_polled_and_cycle_polled() {
-    use noc_traffic::apps::{AppKind, AppTraffic};
+    use noc_traffic::apps::AppTraffic;
     let mesh = Mesh3d::new(4, 4, 2).unwrap();
     let elevators = ElevatorSet::new(&mesh, [(0, 0), (3, 3)]).unwrap();
     let config = SimConfig::new(mesh, elevators.clone()).with_phases(200, 800, 4_000);
