@@ -23,12 +23,11 @@ pub(crate) struct FlitArena {
     depth: u8,
 }
 
-/// Filler for never-written slots: generation 0 is never live in a
-/// [`crate::PacketTable`], so accidental reads trip its debug assertions.
-const VACANT: Flit = Flit {
-    packet: PacketId::new(0, 0),
-    kind: FlitKind::Single,
-};
+/// Filler for never-written slots. The lane lengths guard every read, so
+/// it is never returned; in debug builds it also carries generation 0,
+/// which is never live in a [`crate::PacketTable`], so a lookup of it would
+/// trip the table's stale-handle assertion.
+const VACANT: Flit = Flit::new(PacketId::new(0, 0), FlitKind::Single);
 
 impl FlitArena {
     /// An empty arena of `lanes` FIFOs, `depth` flits each.
@@ -117,10 +116,7 @@ mod tests {
     use super::*;
 
     fn flit(slot: u32) -> Flit {
-        Flit {
-            packet: PacketId::new(slot, 1),
-            kind: FlitKind::Body,
-        }
+        Flit::new(PacketId::new(slot, 1), FlitKind::Body)
     }
 
     #[test]
@@ -163,7 +159,7 @@ mod tests {
         arena.pop_front(1);
         arena.push_back(1, flit(4));
         arena.push_back(1, flit(5));
-        let seen: Vec<u32> = arena.iter_lane(1).map(|f| f.packet.slot()).collect();
+        let seen: Vec<u32> = arena.iter_lane(1).map(Flit::slot).collect();
         assert_eq!(seen, vec![2, 3, 4, 5]);
     }
 

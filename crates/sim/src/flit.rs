@@ -4,17 +4,19 @@ use adele::online::Cycle;
 use noc_topology::route::{ElevatorCoord, VirtualNet};
 use noc_topology::NodeId;
 
-/// Position of a flit within its packet.
+/// Position of a flit within its packet. The discriminant is the kind's
+/// two bits in a [`Flit`]: bit 0 opens a wormhole, bit 1 closes one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FlitKind {
     /// First flit; carries routing information.
-    Head,
+    Head = 0b01,
     /// Intermediate flit.
-    Body,
+    Body = 0b00,
     /// Last flit; releases wormhole resources.
-    Tail,
+    Tail = 0b10,
     /// A single-flit packet (head and tail at once).
-    Single,
+    Single = 0b11,
 }
 
 impl FlitKind {
@@ -83,16 +85,84 @@ impl PacketId {
     }
 }
 
-/// One flit in a buffer or on a link. Deliberately tiny (12 bytes — a
-/// generation-tagged packet handle plus the kind): all per-packet state
-/// lives in the packet table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One flit in a buffer or on a link: a single 32-bit word, the owning
+/// packet's [`PacketTable`](crate::PacketTable) slot in the low 30 bits
+/// and its [`FlitKind`] in the top 2. All per-packet state lives in the
+/// packet table, which also supplies the slot's generation wherever a
+/// [`PacketId`] is needed ([`PacketTable::id_of`](crate::PacketTable::id_of)):
+/// a flit exists only while its packet is live, so the two generations
+/// agree. Debug builds also carry the generation the flit was made under,
+/// so a flit that outlived its packet trips the table's stale-handle
+/// assertion.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
-    /// Owning packet.
-    pub packet: PacketId,
-    /// Head/Body/Tail/Single.
-    pub kind: FlitKind,
+    word: u32,
+    #[cfg(debug_assertions)]
+    generation: u32,
 }
+
+impl Flit {
+    /// Packet slots a flit can address: 2^30.
+    pub const SLOTS: u32 = 1 << 30;
+
+    /// The flit of kind `kind` of packet `packet`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the packet's slot is 2^30 or more ([`Self::SLOTS`]).
+    #[must_use]
+    #[inline]
+    pub const fn new(packet: PacketId, kind: FlitKind) -> Self {
+        assert!(
+            packet.slot() < Self::SLOTS,
+            "a flit addresses at most 2^30 packet slots"
+        );
+        Self {
+            word: packet.slot() | (kind as u32) << 30,
+            #[cfg(debug_assertions)]
+            generation: packet.generation(),
+        }
+    }
+
+    /// The owning packet's slot in the packet table.
+    #[must_use]
+    #[inline]
+    pub const fn slot(self) -> u32 {
+        self.word & (Self::SLOTS - 1)
+    }
+
+    /// Head/Body/Tail/Single.
+    #[must_use]
+    #[inline]
+    pub const fn kind(self) -> FlitKind {
+        match self.word >> 30 {
+            0 => FlitKind::Body,
+            1 => FlitKind::Head,
+            2 => FlitKind::Tail,
+            _ => FlitKind::Single,
+        }
+    }
+
+    /// The generation of the packet the flit was made for (debug builds).
+    #[cfg(debug_assertions)]
+    pub(crate) const fn generation(self) -> u32 {
+        self.generation
+    }
+}
+
+impl std::fmt::Debug for Flit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut s = f.debug_struct("Flit");
+        s.field("slot", &self.slot()).field("kind", &self.kind());
+        #[cfg(debug_assertions)]
+        s.field("generation", &self.generation);
+        s.finish()
+    }
+}
+
+// A flit is one word in release builds (debug builds add the generation).
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<Flit>() == 4);
 
 /// Full per-packet bookkeeping.
 #[derive(Debug, Clone)]
@@ -147,9 +217,8 @@ mod tests {
         assert!(!FlitKind::Body.is_head() && !FlitKind::Body.is_tail());
     }
 
-    #[test]
-    fn latency_requires_delivery() {
-        let mut p = Packet {
+    fn packet() -> Packet {
+        Packet {
             src: NodeId(0),
             dst: NodeId(1),
             flits: 10,
@@ -160,9 +229,45 @@ mod tests {
             tail_out_src: None,
             delivered: None,
             measured: true,
-        };
+        }
+    }
+
+    #[test]
+    fn latency_requires_delivery() {
+        let mut p = packet();
         assert_eq!(p.latency(), None);
         p.delivered = Some(150);
         assert_eq!(p.latency(), Some(50));
+    }
+
+    #[test]
+    fn the_word_round_trips_slot_and_kind() {
+        use FlitKind::{Body, Head, Single, Tail};
+        for slot in [0, 1, Flit::SLOTS - 1] {
+            for kind in [Head, Body, Tail, Single] {
+                let flit = Flit::new(PacketId::new(slot, 3), kind);
+                assert_eq!((flit.slot(), flit.kind()), (slot, kind));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^30 packet slots")]
+    fn a_slot_beyond_the_word_is_refused() {
+        let _ = Flit::new(PacketId::new(Flit::SLOTS, 1), FlitKind::Head);
+    }
+
+    /// A flit read after its packet retired, and its slot went to the
+    /// next packet, must not alias that packet.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale PacketId")]
+    fn a_flit_outliving_its_packet_is_caught() {
+        let mut table = crate::PacketTable::new();
+        let id = table.insert(packet());
+        let flit = Flit::new(id, FlitKind::Tail);
+        table.retire(id);
+        assert_eq!(table.insert(packet()).slot(), flit.slot());
+        let _ = table.packet_of(flit);
     }
 }

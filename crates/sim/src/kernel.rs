@@ -423,27 +423,23 @@ pub(crate) fn route_hops(topo: &Topo, pkt: &crate::flit::Packet) -> u64 {
 }
 
 /// A packet-table/statistics side effect deferred out of phase 1,
-/// replayed by the cycle owner in router order.
+/// replayed by the cycle owner in router order, which looks the flit's
+/// packet up in the table.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Effect {
-    /// A flit ejected into its destination NI (`tail` ends the packet).
-    Eject {
-        /// The ejected flit's packet.
-        packet: PacketId,
-        /// `true` if the flit was the packet's tail.
-        tail: bool,
-    },
+    /// A flit ejected into its destination NI (a tail ends the packet).
+    Eject(Flit),
     /// A head and/or tail flit left its source router (single-flit
     /// packets depart as both at once).
-    SrcDeparture {
-        /// The departing flit's packet.
-        packet: PacketId,
-        /// The head left the source this cycle.
-        head: bool,
-        /// The tail left the source this cycle.
-        tail: bool,
-    },
+    SrcDeparture(Flit),
 }
+
+/// A staged `(router, input port, vc, flit)` arrival.
+type Arrival = (NodeId, u8, u8, Flit);
+
+// A staged arrival is two words in release builds.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<Arrival>() == 8);
 
 /// An arbitration outcome: input lane `(ip, iv)` sends its front flit on
 /// VC `v` of the arbitrated output port.
@@ -484,8 +480,8 @@ pub(crate) struct Kernel {
     /// without probing a `VecDeque` per visited router. Always a subset
     /// of the worklist. Derived state — not hashed.
     pub(crate) src_bits: Vec<u64>,
-    /// Staged `(router, input port, vc, flit)` arrivals.
-    arrivals: Vec<(NodeId, u8, u8, Flit)>,
+    /// Staged arrivals.
+    arrivals: Vec<Arrival>,
     /// Staged `(router, output port, vc)` credit returns; port `Local`
     /// returns one to the router's NI.
     credits: Vec<(NodeId, u8, u8)>,
@@ -725,7 +721,7 @@ impl Kernel {
         let at = arena_lane(r, self.relays[i].lane.into());
         self.fifos.pop_front(at);
         let kind = FlitKind::Tail;
-        self.fifos.push_back(at, Flit { packet, kind });
+        self.fifos.push_back(at, Flit::new(packet, kind));
         self.relays[i].since = self.clock;
         self.demote(i);
     }
@@ -774,7 +770,7 @@ impl Kernel {
         let (down, lane) = (link.peer.index(), local_lane(link.peer_port.into(), vc));
         let i = self.slot(down, lane);
         self.relays[i].flags |= FED;
-        if flit.kind.is_tail() {
+        if flit.kind().is_tail() {
             self.relays[i].flags |= DEMOTE;
             let at = arena_lane(down, lane);
             self.fifos.pop_front(at);
@@ -826,7 +822,7 @@ impl Kernel {
             NodeId(r as u16),
             LOCAL as u8,
             vc as u8,
-            Flit { packet: pid, kind },
+            Flit::new(pid, kind),
         ));
         let sq = &mut self.sources[r];
         sq.sent += 1;
@@ -1059,10 +1055,10 @@ impl Kernel {
             .fifos
             .front(arena_lane(r, b))
             .expect("occ bit implies a flit");
-        if !front.kind.is_head() {
+        if !front.kind().is_head() {
             return REQ_NONE;
         }
-        let pkt = packets.get(front.packet);
+        let pkt = packets.packet_of(front);
         if pkt.vnet.index() != b % VCS {
             return REQ_NONE;
         }
@@ -1237,7 +1233,7 @@ impl Kernel {
         let lone = self.promote && self.fifos.len(at) == 1;
         let credits = router.credits[o][v];
         let flowing = o == LOCAL || credits > 0 && credits + 1 >= self.topo.buffer_depth;
-        if !(lone && front.kind == FlitKind::Body && flowing) {
+        if !(lone && front.kind() == FlitKind::Body && flowing) {
             return;
         }
         let (source, sink) = (lane / VCS == LOCAL, o == LOCAL);
@@ -1245,8 +1241,8 @@ impl Kernel {
         // and the NI holds a credit and has more than the `Tail` to feed.
         if source {
             let sq = &self.sources[r];
-            debug_assert_eq!(sq.queue.front(), Some(&front.packet));
-            let flits = packets.get(front.packet).flits;
+            debug_assert_eq!(sq.queue.front(), Some(&packets.id_of(front)));
+            let flits = packets.packet_of(front).flits;
             if self.ni_credits[r][lane % VCS] == 0 || sq.sent + 1 >= flits {
                 return;
             }
@@ -1402,7 +1398,7 @@ impl Kernel {
             router.own |= 1 << out_lane_bit;
             router.rr_grant[o][v] = ((ip + 1) % PORTS) as u8;
         }
-        if flit.kind.is_tail() {
+        if flit.kind().is_tail() {
             router.owner[o][v] = None;
             router.own &= !(1 << out_lane_bit);
         }
@@ -1414,7 +1410,7 @@ impl Kernel {
         let from_relay = router.fed_by_relay >> in_lane_bit & 1 != 0;
         // A relay candidate if it sent no tail and the lane holds no
         // second flit.
-        if !flit.kind.is_tail() && self.fifos.len(in_fifo) < 2 {
+        if !flit.kind().is_tail() && self.fifos.len(in_fifo) < 2 {
             let candidate = (r as u32, in_lane_bit as u8, out_lane_bit as u8);
             self.streamed.push(candidate);
         }
@@ -1447,10 +1443,7 @@ impl Kernel {
             if armed {
                 self.ledger.on_eject(r);
             }
-            self.effects.push(Effect::Eject {
-                packet: flit.packet,
-                tail: flit.kind.is_tail(),
-            });
+            self.effects.push(Effect::Eject(flit));
             return;
         }
 
@@ -1472,21 +1465,17 @@ impl Kernel {
         // only needs reads that are stable within the cycle (the head
         // of a multi-flit packet departed in an *earlier* cycle, and
         // a single-flit packet's head departs right now).
-        if ip == LOCAL && (flit.kind.is_head() || flit.kind.is_tail()) {
-            self.effects.push(Effect::SrcDeparture {
-                packet: flit.packet,
-                head: flit.kind.is_head(),
-                tail: flit.kind.is_tail(),
-            });
-            if flit.kind.is_tail() {
-                let pkt = packets.get(flit.packet);
+        if ip == LOCAL && (flit.kind().is_head() || flit.kind().is_tail()) {
+            self.effects.push(Effect::SrcDeparture(flit));
+            if flit.kind().is_tail() {
+                let pkt = packets.packet_of(flit);
                 debug_assert_eq!(
                     pkt.src,
                     NodeId(r as u16),
                     "LOCAL input lane implies source router"
                 );
                 if let Some(elevator) = pkt.elevator {
-                    let head_departure = if flit.kind.is_head() {
+                    let head_departure = if flit.kind().is_head() {
                         cycle // single-flit packet: head departs now
                     } else {
                         pkt.head_out_src.unwrap_or(cycle)
@@ -1581,8 +1570,9 @@ impl Kernel {
     }
 
     /// Folds the committed state into `h` (FNV-1a) in ascending router
-    /// order with a fixed per-router field order.
-    pub(crate) fn hash_state(&self, h: &mut u64) {
+    /// order with a fixed per-router field order. A FIFO front is folded
+    /// as its packet's handle, the generation read from `packets`.
+    pub(crate) fn hash_state(&self, packets: &PacketTable, h: &mut u64) {
         #[inline]
         fn mix(h: &mut u64, v: u64) {
             *h ^= v;
@@ -1608,8 +1598,9 @@ impl Kernel {
                     let at = arena_lane(r, local_lane(p, v));
                     mix(h, self.fifos.len(at) as u64);
                     if let Some(front) = self.fifos.front(at) {
-                        mix(h, u64::from(front.packet.slot()));
-                        mix(h, u64::from(front.packet.generation()));
+                        let id = packets.id_of(front);
+                        mix(h, u64::from(id.slot()));
+                        mix(h, u64::from(id.generation()));
                     }
                 }
                 mix(h, u64::from(router.rr_vc[p]));
@@ -1702,7 +1693,7 @@ mod tests {
                 let head = self
                     .fifos
                     .front(arena_lane(r, b))
-                    .is_some_and(|f| f.kind.is_head());
+                    .is_some_and(|f| f.kind().is_head());
                 lanes >> b & 1 != 0 && head && self.claim(r, b, packets) == Some(o)
             })
         }
@@ -1761,7 +1752,7 @@ mod tests {
                     let lane = local_lane(ip.into(), iv.into());
                     let at = arena_lane(r, lane);
                     let lone = self.fifos.len(at) == 1
-                        && self.fifos.front(at).map(|f| f.kind) == Some(FlitKind::Body);
+                        && self.fifos.front(at).map(Flit::kind) == Some(FlitKind::Body);
                     let others = router.occ & !(1 << lane);
                     let free = (0..PORTS * VCS)
                         .filter(|b| others >> b & 1 != 0)
@@ -1825,11 +1816,11 @@ mod tests {
                 let fed = router.fed_by_relay >> lane & 1 != 0;
                 let (ni_feeds, settled) = if rec.at_source() {
                     // `left` flits for its NI to feed, the `Tail` last.
-                    let left = packets.get(front.packet).flits.checked_sub(self.sent(r));
+                    let left = packets.packet_of(front).flits.checked_sub(self.sent(r));
                     let timer = (self.timers.iter())
                         .find(|Reverse(timer)| timer & 0xFFFF == r as u64)
                         .map_or(0, |Reverse(timer)| timer >> 16);
-                    let feeds = sq.queue.front() == Some(&front.packet)
+                    let feeds = sq.queue.front() == Some(&packets.id_of(front))
                         && self.ni_credits[r][lane] > 0
                         && left.is_some_and(|left| left > 0);
                     let tail_at = self.clock + u64::from(left.unwrap_or(0));
@@ -1872,7 +1863,7 @@ mod tests {
                     && down_relay
                     && uncontended
                     && self.fifos.len(at) == 1
-                    && front.kind == FlitKind::Body
+                    && front.kind() == FlitKind::Body
                     && router.owner[o][v] == Some(((lane / VCS) as u8, (lane % VCS) as u8))
                     && (rec.at_sink() || router.credits[o][v] > 0)
                     && router.req_cache[lane] == REQ_UNKNOWN

@@ -233,8 +233,9 @@ impl Network {
         // admission), so its `head_out_src` is final by the replay.
         for effect in kernel.effects.drain(..) {
             match effect {
-                Effect::Eject { packet, tail } => {
-                    if tail {
+                Effect::Eject(flit) => {
+                    if flit.kind().is_tail() {
+                        let packet = packets.id_of(flit);
                         let pkt = packets.get_mut(packet);
                         pkt.delivered = Some(cycle);
                         stats.on_packet_delivered(pkt, cycle, || route_hops(&kernel.topo, pkt));
@@ -243,12 +244,12 @@ impl Network {
                         packets.retire(packet);
                     }
                 }
-                Effect::SrcDeparture { packet, head, tail } => {
-                    let pkt = packets.get_mut(packet);
-                    if head {
+                Effect::SrcDeparture(flit) => {
+                    let pkt = packets.get_mut(packets.id_of(flit));
+                    if flit.kind().is_head() {
                         pkt.head_out_src = Some(cycle);
                     }
-                    if tail {
+                    if flit.kind().is_tail() {
                         pkt.tail_out_src = Some(cycle);
                     }
                 }
@@ -284,11 +285,12 @@ impl Network {
     /// An FNV-1a digest of the complete committed fabric state (router
     /// switching state, FIFO contents, source queues, NI credits,
     /// worklist) in node order — what the lockstep suites compare per
-    /// cycle.
+    /// cycle. A FIFO front is hashed as its packet's handle, whose
+    /// generation `packets` holds.
     #[must_use]
-    pub fn state_digest(&self) -> u64 {
+    pub fn state_digest(&self, packets: &PacketTable) -> u64 {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        self.kernel.hash_state(&mut h);
+        self.kernel.hash_state(packets, &mut h);
         h
     }
 
@@ -512,7 +514,7 @@ mod tests {
             "stalled at cycle {cycle}: {} packets live, {} flits buffered, state digest {:016x}",
             table.live(),
             net.buffered_flits(),
-            net.state_digest()
+            net.state_digest(table)
         )
     }
 
@@ -714,7 +716,7 @@ mod tests {
             for r in 0..mesh.node_count() {
                 for port in 0..PORTS {
                     for vc in 0..VCS {
-                        let mut current: Option<PacketId> = None;
+                        let mut current: Option<u32> = None;
                         for (i, flit) in net.lane_flits(r, port, vc).into_iter().enumerate() {
                             match current {
                                 None => {
@@ -722,24 +724,25 @@ mod tests {
                                     // unless the FIFO holds the middle of a
                                     // packet whose head already left (only
                                     // legal at position 0).
-                                    if flit.kind.is_head() {
-                                        current = Some(flit.packet);
+                                    if flit.kind().is_head() {
+                                        current = Some(flit.slot());
                                     } else {
                                         assert_eq!(
                                             i, 0,
                                             "mid-packet flit beyond slot 0 without a head"
                                         );
-                                        current = Some(flit.packet);
+                                        current = Some(flit.slot());
                                     }
                                 }
                                 Some(p) => {
                                     assert_eq!(
-                                        flit.packet, p,
+                                        flit.slot(),
+                                        p,
                                         "packets interleaved within one FIFO"
                                     );
                                 }
                             }
-                            if flit.kind.is_tail() {
+                            if flit.kind().is_tail() {
                                 current = None;
                             }
                         }
@@ -857,7 +860,7 @@ mod tests {
             let link = *kernel.topo.link(node.index(), port.index());
             let up = link.peer().expect("fed port has an upstream").index();
             kernel.routers[up].credits[link.peer_port as usize][vc] -= 1;
-            kernel.stage_arrival(node, port.index(), vc, Flit { packet, kind });
+            kernel.stage_arrival(node, port.index(), vc, Flit::new(packet, kind));
             kernel.commit(&self.table, true);
             self.net.check_flow_conservation().unwrap();
         }
@@ -876,7 +879,7 @@ mod tests {
             let link = *kernel.topo.link(node.index(), port.index());
             let up = link.peer().expect("fed port has an upstream").index();
             kernel.routers[up].credits[link.peer_port as usize][vc] -= 1;
-            kernel.stage_arrival(node, port.index(), vc, Flit { packet, kind });
+            kernel.stage_arrival(node, port.index(), vc, Flit::new(packet, kind));
             self.step();
         }
 
@@ -898,7 +901,7 @@ mod tests {
         /// Kinds of the flits buffered in input lane `(node, port, VC)`.
         fn lane(&self, node: NodeId, port: Direction) -> Vec<FlitKind> {
             let flits = self.net.lane_flits(node.index(), port.index(), VC);
-            flits.iter().map(|f| f.kind).collect()
+            flits.iter().map(|f| f.kind()).collect()
         }
 
         fn drain(&mut self) {
@@ -937,7 +940,10 @@ mod tests {
                 op(rig, ids);
                 rig.net.kernel.check_relays(&rig.table).unwrap();
             }
-            assert_eq!(rigs[0].net.state_digest(), rigs[1].net.state_digest());
+            assert_eq!(
+                rigs[0].net.state_digest(&rigs[0].table),
+                rigs[1].net.state_digest(&rigs[1].table)
+            );
         };
         let relay_at_r = |rig: &Rig| {
             rig.net
@@ -1006,9 +1012,9 @@ mod tests {
         assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
         assert!(rig.router(r).quiet, "fruitless router must go quiet");
         assert_eq!(rig.router(r).req_cache[LOCAL_LANE], NORTH as u8);
-        let digest = rig.net.state_digest();
+        let digest = rig.net.state_digest(&rig.table);
         rig.step(); // skipped: nothing at all may change
-        assert_eq!(rig.net.state_digest(), digest);
+        assert_eq!(rig.net.state_digest(&rig.table), digest);
 
         rig.feed(r, Direction::South, a, FlitKind::Tail);
         assert!(!rig.router(r).quiet, "an arrival wakes the router");

@@ -193,6 +193,14 @@ impl Simulator {
         &self.net
     }
 
+    /// The digest of the committed fabric state
+    /// ([`Network::state_digest`]) — what the lockstep suites compare per
+    /// cycle.
+    #[must_use]
+    pub fn state_digest(&self) -> u64 {
+        self.net.state_digest(&self.packets)
+    }
+
     /// The statistics collector of the current measurement window.
     #[must_use]
     pub fn stats(&self) -> &StatsCollector {
@@ -384,7 +392,7 @@ impl Simulator {
         let det = Value::Object(vec![
             (
                 "digest".to_string(),
-                Value::String(format!("{:016x}", self.net.state_digest())),
+                Value::String(format!("{:016x}", self.state_digest())),
             ),
             (
                 "created_packets".to_string(),
@@ -471,7 +479,7 @@ impl Simulator {
             in_flight: self.packets.live() as u64,
             buffered: self.net.buffered_flits(),
             calendar_depth: self.traffic.calendar_depth(),
-            state_digest: self.net.state_digest(),
+            state_digest: self.state_digest(),
         }
     }
 
@@ -872,18 +880,18 @@ mod tests {
                 cycles: n,
             });
             assert!(sim.network().buffered_flits() > 0, "flits in flight");
-            let wedged = sim.network().state_digest();
+            let wedged = sim.state_digest();
             for cycle in t..t + n {
                 sim.step().unwrap();
                 assert_eq!(
-                    sim.network().state_digest(),
+                    sim.state_digest(),
                     wedged,
                     "cycle {cycle} of a {n}-cycle freeze fired at {t} must not move"
                 );
             }
             sim.step().unwrap();
             assert_ne!(
-                sim.network().state_digest(),
+                sim.state_digest(),
                 wedged,
                 "cycle {} thaws a {n}-cycle freeze fired at {t}",
                 t + n

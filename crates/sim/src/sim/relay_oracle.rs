@@ -196,8 +196,8 @@ impl Case {
                 .count() as u64;
             let why = |what: &str| format!("cycle {cycle}: {what} diverged in {self:?}");
             prop_assert_eq!(
-                relay.net.state_digest(),
-                plain.net.state_digest(),
+                relay.state_digest(),
+                plain.state_digest(),
                 "{}",
                 why("state")
             );

@@ -16,8 +16,12 @@
 //! issued under. A stale handle — one that outlived its packet — can never
 //! silently alias the slot's next occupant; the accessors assert the match
 //! in debug builds, and [`PacketTable::is_live`] exposes the check.
+//!
+//! A [`Flit`] carries only its packet's slot; the table supplies the
+//! generation ([`PacketTable::id_of`]), so the table holds at most
+//! [`Flit::SLOTS`] packets at once.
 
-use crate::flit::{Packet, PacketId};
+use crate::flit::{Flit, Packet, PacketId};
 
 /// Dense recycling storage for in-flight packets.
 #[derive(Debug, Clone, Default)]
@@ -45,6 +49,11 @@ impl PacketTable {
     }
 
     /// Stores `packet`, recycling a retired slot if one is free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if every one of the [`Flit::SLOTS`] (2^30) slots a flit can
+    /// address holds a live packet.
     pub fn insert(&mut self, packet: Packet) -> PacketId {
         self.total_created += 1;
         if packet.measured {
@@ -56,6 +65,10 @@ impl PacketTable {
             self.packets[s] = packet;
             PacketId::new(slot, self.generations[s])
         } else {
+            assert!(
+                self.packets.len() < Flit::SLOTS as usize,
+                "packet table full: a flit addresses at most 2^30 packet slots"
+            );
             let slot = self.packets.len() as u32;
             self.packets.push(packet);
             self.generations.push(1);
@@ -93,6 +106,39 @@ impl PacketTable {
             "stale PacketId {id:?}"
         );
         &mut self.packets[id.index()]
+    }
+
+    /// The handle of the packet `flit` belongs to.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the flit outlived its packet.
+    #[must_use]
+    #[inline]
+    pub fn id_of(&self, flit: Flit) -> PacketId {
+        let slot = flit.slot();
+        let id = PacketId::new(slot, self.generations[slot as usize]);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            id.generation(),
+            flit.generation(),
+            "stale PacketId {:?}",
+            PacketId::new(slot, flit.generation())
+        );
+        id
+    }
+
+    /// The packet `flit` belongs to.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds if the flit outlived its packet.
+    #[must_use]
+    #[inline]
+    pub fn packet_of(&self, flit: Flit) -> &Packet {
+        #[cfg(debug_assertions)]
+        let _ = self.id_of(flit);
+        &self.packets[flit.slot() as usize]
     }
 
     /// Retires `id`'s packet, freeing its slot for reuse. Called by the

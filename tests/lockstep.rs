@@ -124,8 +124,8 @@ impl Case {
             timed.advance_phase_timed(1).unwrap();
             for (label, sim) in [("traced", &traced), ("timed", &timed)] {
                 prop_assert_eq!(
-                    sim.network().state_digest(),
-                    plain.network().state_digest(),
+                    sim.state_digest(),
+                    plain.state_digest(),
                     "cycle {}: {} diverged from plain stepping ({:?}, v2={}, seed={})",
                     cycle,
                     label,

@@ -55,10 +55,7 @@ fn assert_windows_add_up(mut split: Simulator, mut long: Simulator, windows: u64
             *total += flits;
         }
     }
-    assert_eq!(
-        split.network().state_digest(),
-        long.network().state_digest()
-    );
+    assert_eq!(split.state_digest(), long.state_digest());
     assert_eq!(
         sum,
         long.link_ledger().aggregate(),
