@@ -225,7 +225,7 @@ pub fn perfetto(records: &[Record]) -> String {
                 cycle, det, timing, ..
             } => {
                 for &counter in &COUNTERS {
-                    if let Some(value) = object_u64(det, counter) {
+                    if let Ok(value) = serde::field::<u64>(det, counter) {
                         events.push(obj(vec![
                             ("name", Value::String(counter.into())),
                             ("ph", Value::String("C".into())),
@@ -236,7 +236,7 @@ pub fn perfetto(records: &[Record]) -> String {
                     }
                 }
                 for (phase, key) in PHASES {
-                    let ns = object_u64(timing, key).unwrap_or(0);
+                    let ns = serde::field::<u64>(timing, key).unwrap_or(0);
                     let dur_us = ns as f64 / 1_000.0;
                     events.push(obj(vec![
                         ("name", Value::String(phase.into())),
@@ -286,20 +286,6 @@ fn instant(name: String, ts_us: f64, cycle: u64) -> Value {
         ("s", Value::String("g".into())),
         ("args", obj(vec![("cycle", Value::UInt(cycle))])),
     ])
-}
-
-fn object_u64(value: &Value, key: &str) -> Option<u64> {
-    let Value::Object(entries) = value else {
-        return None;
-    };
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Value::UInt(u) => Some(*u),
-            Value::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        })
 }
 
 #[cfg(test)]
@@ -426,7 +412,7 @@ mod tests {
             events
                 .iter()
                 .filter(|e| {
-                    object_u64(e, "pid").is_some()
+                    serde::field::<u64>(e, "pid").is_ok()
                         && matches!(
                             e,
                             Value::Object(fields)

@@ -11,7 +11,6 @@
 //! (the CI-friendly fallback).
 
 use crate::trace::Record;
-use serde::Value;
 use std::time::Instant;
 
 /// Latency digest of one completed sweep point.
@@ -54,19 +53,6 @@ impl Hud {
         }
     }
 
-    /// Points completed so far (including failed and ledger-cached ones —
-    /// a structured failure still retires its point from the worklist).
-    #[must_use]
-    pub fn done(&self) -> usize {
-        self.done
-    }
-
-    /// Points that completed as structured failures.
-    #[must_use]
-    pub fn failed(&self) -> usize {
-        self.failed
-    }
-
     /// Points started but not yet completed (the in-flight worklist).
     #[must_use]
     pub fn in_flight(&self) -> usize {
@@ -104,10 +90,14 @@ impl Hud {
                 self.started = self.started.max(self.done);
                 self.last = Some(PointStats {
                     label: label.clone(),
-                    avg_latency: detail_f64(detail, "avg_latency"),
-                    p50: detail_u64(detail, "latency_p50"),
-                    p99: detail_u64(detail, "latency_p99"),
-                    run_secs: detail_u64(detail, "run_ns").map(|ns| ns as f64 / 1e9),
+                    avg_latency: serde::field::<f64>(detail, "avg_latency")
+                        .ok()
+                        .filter(|f| f.is_finite()),
+                    p50: serde::field::<u64>(detail, "latency_p50").ok(),
+                    p99: serde::field::<u64>(detail, "latency_p99").ok(),
+                    run_secs: serde::field::<u64>(detail, "run_ns")
+                        .ok()
+                        .map(|ns| ns as f64 / 1e9),
                 });
             }
             // A structured failure still retires its point — a sweep with
@@ -210,38 +200,10 @@ impl Hud {
     }
 }
 
-fn detail_f64(detail: &Value, key: &str) -> Option<f64> {
-    let Value::Object(entries) = detail else {
-        return None;
-    };
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Value::Float(f) if f.is_finite() => Some(*f),
-            Value::UInt(u) => Some(*u as f64),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        })
-}
-
-fn detail_u64(detail: &Value, key: &str) -> Option<u64> {
-    let Value::Object(entries) = detail else {
-        return None;
-    };
-    entries
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| match v {
-            Value::UInt(u) => Some(*u),
-            Value::Int(i) => u64::try_from(*i).ok(),
-            _ => None,
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
 
     fn progress(index: usize, status: &str, detail: Value) -> Record {
         Record::Progress {
@@ -272,7 +234,6 @@ mod tests {
         assert_eq!(hud.queued(), 1);
 
         hud.on_record(&progress(0, "done", done_detail()));
-        assert_eq!(hud.done(), 1);
         assert_eq!(hud.in_flight(), 1);
 
         let frame = hud.render_at(2.0);
@@ -319,7 +280,7 @@ mod tests {
                 phase: "warmup".into()
             })
             .is_none());
-        assert_eq!(hud.done(), 0);
+        assert!(hud.render_at(1.0).starts_with("sweep 0/1"));
     }
 
     #[test]
@@ -343,8 +304,6 @@ mod tests {
         hud.on_record(&progress(1, "failed", Value::Object(vec![])));
         hud.on_record(&progress(2, "started", Value::Object(vec![])));
         hud.on_record(&progress(2, "done", done_detail()));
-        assert_eq!(hud.done(), 3);
-        assert_eq!(hud.failed(), 1);
         assert_eq!(hud.in_flight(), 0);
         assert_eq!(hud.queued(), 0);
         let frame = hud.render_at(1.0);

@@ -1,12 +1,12 @@
-//! The hot-path metrics registry: monotonic counters plus windowed phase
-//! timers, all plain data.
+//! The hot-path window accumulator: per-phase wall times and a busy
+//! count for the open trace window, all plain data.
 //!
-//! The registry is written by the *watched* cycle only; the unwatched
-//! one never touches it, which is what keeps the disabled-tracing
-//! overhead at zero. Everything here is cumulative — window records are
-//! produced by [`MetricsRegistry::close_window`], which returns the delta
-//! since the previous close and never resets the running totals (so the
-//! registry is also a whole-run summary).
+//! A [`WindowDelta`] is written by the *watched* cycle only; the
+//! unwatched one never touches it, which is what keeps the
+//! disabled-tracing overhead at zero. Each watched cycle is booked
+//! straight into the open window, and closing the window hands it over
+//! whole (`std::mem::take`), so the next one starts at zero. Nothing is
+//! kept across windows.
 
 use serde::Value;
 use std::time::Duration;
@@ -33,23 +33,6 @@ pub struct PhaseTimes {
 }
 
 impl PhaseTimes {
-    /// Sum of all four phases.
-    #[must_use]
-    pub fn total(&self) -> Duration {
-        self.inject + self.compute + self.exchange + self.commit
-    }
-
-    /// Element-wise `self - earlier` (saturating, for monotonic inputs).
-    #[must_use]
-    pub fn since(&self, earlier: &PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            inject: self.inject.saturating_sub(earlier.inject),
-            compute: self.compute.saturating_sub(earlier.compute),
-            exchange: self.exchange.saturating_sub(earlier.exchange),
-            commit: self.commit.saturating_sub(earlier.commit),
-        }
-    }
-
     /// Adds `other` into `self`.
     pub fn accumulate(&mut self, other: &PhaseTimes) {
         self.inject += other.inject;
@@ -73,7 +56,8 @@ impl PhaseTimes {
     }
 }
 
-/// The windowed delta returned by [`MetricsRegistry::close_window`].
+/// The open trace window: what the watched cycles booked since the last
+/// `window` record.
 #[derive(Debug, Clone, Default)]
 pub struct WindowDelta {
     /// Cycles covered by this window.
@@ -85,6 +69,14 @@ pub struct WindowDelta {
 }
 
 impl WindowDelta {
+    /// Books one watched cycle: its phase wall times and whether the
+    /// fabric moved or injected a flit.
+    pub fn book(&mut self, phase: &PhaseTimes, busy: bool) {
+        self.cycles += 1;
+        self.phase.accumulate(phase);
+        self.busy += u64::from(busy);
+    }
+
     /// The `aux` object of a `window` record: environmental gauges,
     /// compared for key presence only on replay. The schema-2 keys stay
     /// for journal compatibility: the fabric is one router range, so
@@ -105,75 +97,13 @@ impl WindowDelta {
     }
 }
 
-/// Cumulative hot-path metrics for one traced simulator.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    cycles: u64,
-    phase: PhaseTimes,
-    busy: u64,
-    windows: u64,
-    // Marks at the last window close (cumulative values snapshot).
-    mark_cycles: u64,
-    mark_phase: PhaseTimes,
-    mark_busy: u64,
-}
-
-impl MetricsRegistry {
-    /// A fresh registry with all counters at zero.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Books one watched cycle: its phase wall times and whether the
-    /// fabric moved or injected a flit.
-    pub fn on_cycle(&mut self, phase: &PhaseTimes, busy: bool) {
-        self.cycles += 1;
-        self.phase.accumulate(phase);
-        self.busy += u64::from(busy);
-    }
-
-    /// Cycles booked so far.
-    #[must_use]
-    pub fn cycles(&self) -> u64 {
-        self.cycles
-    }
-
-    /// Window records emitted so far.
-    #[must_use]
-    pub fn windows(&self) -> u64 {
-        self.windows
-    }
-
-    /// Cumulative phase wall times.
-    #[must_use]
-    pub fn phase(&self) -> &PhaseTimes {
-        &self.phase
-    }
-
-    /// Closes the current window: returns the delta since the last close
-    /// and advances the marks. Cumulative totals are untouched.
-    pub fn close_window(&mut self) -> WindowDelta {
-        let delta = WindowDelta {
-            cycles: self.cycles - self.mark_cycles,
-            phase: self.phase.since(&self.mark_phase),
-            busy: self.busy - self.mark_busy,
-        };
-        self.mark_cycles = self.cycles;
-        self.mark_phase = self.phase;
-        self.mark_busy = self.busy;
-        self.windows += 1;
-        delta
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn window_deltas_are_exact_and_totals_survive() {
-        let mut m = MetricsRegistry::new();
+    fn a_window_books_each_cycle_and_take_reopens_it() {
+        let mut window = WindowDelta::default();
         let phase = PhaseTimes {
             inject: Duration::from_nanos(1),
             compute: Duration::from_nanos(10),
@@ -181,22 +111,22 @@ mod tests {
             commit: Duration::from_nanos(7),
         };
         for i in 0..4 {
-            m.on_cycle(&phase, i != 2);
+            window.book(&phase, i != 2);
         }
-        let w1 = m.close_window();
+        let w1 = std::mem::take(&mut window);
         assert_eq!(w1.cycles, 4);
         assert_eq!(w1.busy, 3);
+        assert_eq!(w1.phase.inject, Duration::from_nanos(4));
         assert_eq!(w1.phase.compute, Duration::from_nanos(40));
+        assert_eq!(w1.phase.exchange, Duration::from_nanos(20));
+        assert_eq!(w1.phase.commit, Duration::from_nanos(28));
 
-        m.on_cycle(&phase, true);
-        let w2 = m.close_window();
+        window.book(&phase, true);
+        let w2 = std::mem::take(&mut window);
         assert_eq!(w2.cycles, 1);
         assert_eq!(w2.busy, 1);
-
-        assert_eq!(m.cycles(), 5);
-        assert_eq!(m.windows(), 2);
-        assert_eq!(m.busy, 4);
-        assert_eq!(m.phase().total(), Duration::from_nanos(5 * 23));
+        assert_eq!(w2.phase, phase);
+        assert_eq!(window.cycles, 0, "the next window opens empty");
     }
 
     #[test]

@@ -12,10 +12,10 @@
 //! * **deterministic** — digests, packet/flit counts, latency sums,
 //!   worklist occupancy, calendar depth. Bit-identical across hosts and
 //!   worker counts, so they are compared for equality on replay.
-//! * **environmental** — wall-clock timings and busy gauges (`timing` and
-//!   `aux` objects of `window` records) and the spec's `shards` field,
-//!   which the simulator accepts and ignores. Compared for key *presence*
-//!   only.
+//! * **environmental** — wall-clock timings, busy gauges, sweep beats and
+//!   the spec's ignored `shards` field. One table next to
+//!   [`compare_journals`] names them and how each is masked; every field
+//!   it does not name is deterministic.
 //!
 //! # Schema history
 //!
@@ -427,38 +427,15 @@ impl Write for SharedBuffer {
     }
 }
 
-/// `value` without its top-level `key` (no-op on non-objects).
-fn strip_key(value: &Value, key: &str) -> Value {
-    match value {
-        Value::Object(entries) => {
-            Value::Object(entries.iter().filter(|(k, _)| k != key).cloned().collect())
-        }
-        other => other.clone(),
-    }
-}
-
-/// Checks that every key of the golden object is present in the fresh
-/// one (values ignored). Returns the first missing key.
-fn missing_key(golden: &Value, fresh: &Value) -> Option<String> {
-    let (Value::Object(golden), Value::Object(fresh)) = (golden, fresh) else {
-        return None;
-    };
-    golden
-        .iter()
-        .map(|(k, _)| k)
-        .find(|k| !fresh.iter().any(|(fk, _)| fk == *k))
-        .cloned()
-}
-
 /// Compares a fresh replay against a golden journal, record for record.
 ///
-/// Deterministic fields must match exactly; environmental fields
-/// (`window.timing`, `window.aux`, the header's `shards` field and the
-/// `shards` field of its embedded spec) are checked for presence only, so
-/// a golden trace verifies whatever its spec's ignored `shards` says and
-/// on whatever host it replays. `progress` records are matched on type
-/// alone. Returns the number of records
-/// compared.
+/// Each pair of records must be of one type, and is compared field by
+/// field through its serialised form. Deterministic fields must match
+/// exactly; the environmental ones are masked by the one table below
+/// (`ENVIRONMENTAL`), so a golden trace verifies whatever its spec's
+/// ignored `shards` says and on whatever host it replays. A record type
+/// added later is compared with no new code. Returns the number of
+/// records compared.
 ///
 /// # Errors
 ///
@@ -489,154 +466,99 @@ pub fn compare_journals(golden: &[Record], fresh: &[Record]) -> Result<usize, Tr
     Ok(golden.len())
 }
 
+/// How replay compares one environmental field.
+#[derive(Debug, Clone, Copy)]
+enum Mask {
+    /// Not compared at all.
+    Ignore,
+    /// Compared for equality with this key of the object left out.
+    Without(&'static str),
+    /// Every key of the golden object must be present in the fresh one;
+    /// values and extra fresh keys are not compared.
+    Keys,
+}
+
+/// The environmental fields, as `(record type, field, mask)`; field `*`
+/// stands for every field of the type. Every field not named here, of
+/// every record type, is deterministic and compared for equality.
+const ENVIRONMENTAL: [(&str, &str, Mask); 5] = [
+    // The spec's `shards` is accepted and ignored by the simulator.
+    ("header", "shards", Mask::Ignore),
+    ("header", "spec", Mask::Without("shards")),
+    // Host-dependent gauges and phase wall times.
+    ("window", "aux", Mask::Keys),
+    ("window", "timing", Mask::Keys),
+    // Sweep beats carry queue and run latencies: matched on type alone.
+    ("progress", "*", Mask::Ignore),
+];
+
+/// The entries of an object value (none for any other value).
+fn entries(value: &Value) -> &[(String, Value)] {
+    match value {
+        Value::Object(entries) => entries,
+        _ => &[],
+    }
+}
+
+/// The value of `key` in an object value.
+fn get<'a>(value: &'a Value, key: &str) -> Option<&'a Value> {
+    entries(value)
+        .iter()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| v)
+}
+
+/// Compares two records of one journal index field by field, through
+/// their serialised form, under [`ENVIRONMENTAL`].
 fn compare_record(index: usize, golden: &Record, fresh: &Record) -> Result<(), TraceError> {
-    let type_err = || {
-        TraceError::new(
+    let kind = golden.kind();
+    if fresh.kind() != kind {
+        return Err(TraceError::new(
             index,
             format!(
-                "record type diverged: golden `{}`, fresh `{}`",
-                golden.kind(),
+                "record type diverged: golden `{kind}`, fresh `{}`",
                 fresh.kind()
             ),
-        )
-    };
-    let field_err = |field: &str| {
-        TraceError::new(
-            index,
-            format!("`{}` record diverged on `{field}`", golden.kind()),
-        )
-    };
-    match (golden, fresh) {
-        (
-            Record::Header {
-                schema: gs,
-                name: gn,
-                seed: gseed,
-                period: gp,
-                shards: _,
-                spec: gspec,
-            },
-            Record::Header {
-                schema: fs,
-                name: fn_,
-                seed: fseed,
-                period: fp,
-                shards: _,
-                spec: fspec,
-            },
-        ) => {
-            if gs != fs {
-                return Err(field_err("schema"));
+        ));
+    }
+    let (golden, fresh) = (golden.to_value(), fresh.to_value());
+    for (field, g) in entries(&golden) {
+        let f = get(&fresh, field);
+        let mask = ENVIRONMENTAL
+            .iter()
+            .find(|(t, name, _)| *t == kind && (*name == field.as_str() || *name == "*"))
+            .map(|&(_, _, mask)| mask);
+        let equal = match mask {
+            Some(Mask::Ignore) => true,
+            Some(Mask::Without(key)) => {
+                let without = |v: &Value| match v {
+                    Value::Object(e) => {
+                        Value::Object(e.iter().filter(|(k, _)| k != key).cloned().collect())
+                    }
+                    other => other.clone(),
+                };
+                f.map(without) == Some(without(g))
             }
-            if gn != fn_ {
-                return Err(field_err("name"));
+            Some(Mask::Keys) => {
+                let lost = entries(g)
+                    .iter()
+                    .find(|(key, _)| f.and_then(|f| get(f, key)).is_none());
+                if let Some((key, _)) = lost {
+                    return Err(TraceError::new(
+                        index,
+                        format!("`{kind}` record lost {field} key `{key}`"),
+                    ));
+                }
+                true
             }
-            if gseed != fseed {
-                return Err(field_err("seed"));
-            }
-            if gp != fp {
-                return Err(field_err("period"));
-            }
-            if strip_key(gspec, "shards") != strip_key(fspec, "shards") {
-                return Err(field_err("spec"));
-            }
+            None => f == Some(g),
+        };
+        if !equal {
+            return Err(TraceError::new(
+                index,
+                format!("`{kind}` record diverged on `{field}`"),
+            ));
         }
-        (
-            Record::Phase {
-                cycle: gc,
-                phase: gp,
-            },
-            Record::Phase {
-                cycle: fc,
-                phase: fp,
-            },
-        ) => {
-            if gc != fc {
-                return Err(field_err("cycle"));
-            }
-            if gp != fp {
-                return Err(field_err("phase"));
-            }
-        }
-        (
-            Record::Event {
-                cycle: gc,
-                kind: gk,
-                detail: gd,
-            },
-            Record::Event {
-                cycle: fc,
-                kind: fk,
-                detail: fd,
-            },
-        ) => {
-            if gc != fc {
-                return Err(field_err("cycle"));
-            }
-            if gk != fk {
-                return Err(field_err("kind"));
-            }
-            if gd != fd {
-                return Err(field_err("detail"));
-            }
-        }
-        (
-            Record::Window {
-                cycle: gc,
-                det: gd,
-                aux: ga,
-                timing: gt,
-            },
-            Record::Window {
-                cycle: fc,
-                det: fd,
-                aux: fa,
-                timing: ft,
-            },
-        ) => {
-            if gc != fc {
-                return Err(field_err("cycle"));
-            }
-            if gd != fd {
-                return Err(field_err("det"));
-            }
-            if let Some(key) = missing_key(ga, fa) {
-                return Err(TraceError::new(
-                    index,
-                    format!("`window` record lost aux key `{key}`"),
-                ));
-            }
-            if let Some(key) = missing_key(gt, ft) {
-                return Err(TraceError::new(
-                    index,
-                    format!("`window` record lost timing key `{key}`"),
-                ));
-            }
-        }
-        (
-            Record::Hist {
-                cycle: gc,
-                hists: gh,
-            },
-            Record::Hist {
-                cycle: fc,
-                hists: fh,
-            },
-        ) => {
-            if gc != fc {
-                return Err(field_err("cycle"));
-            }
-            if gh != fh {
-                return Err(field_err("hists"));
-            }
-        }
-        (Record::Summary { summary: gs }, Record::Summary { summary: fs }) => {
-            if gs != fs {
-                return Err(field_err("summary"));
-            }
-        }
-        (Record::Progress { .. }, Record::Progress { .. }) => {}
-        _ => return Err(type_err()),
     }
     Ok(())
 }
@@ -673,8 +595,23 @@ mod tests {
                 aux: Value::Object(vec![("cycles".into(), Value::UInt(100))]),
                 timing: Value::Object(vec![("inject_ns".into(), Value::UInt(42))]),
             },
+            Record::Hist {
+                cycle: 100,
+                hists: vec![("latency".into(), {
+                    let mut latency = Hist::new();
+                    latency.record(31);
+                    latency
+                })],
+            },
             Record::Summary {
                 summary: Value::Object(vec![("delivered".into(), Value::UInt(9))]),
+            },
+            Record::Progress {
+                index: 0,
+                total: 1,
+                label: "t".into(),
+                status: "done".into(),
+                detail: Value::Object(vec![("run_ns".into(), Value::UInt(5))]),
             },
         ]
     }
@@ -712,45 +649,120 @@ mod tests {
         assert!(err.to_string().starts_with("trace record 3:"), "{err}");
     }
 
+    /// The value at dotted `path` in a serialised record.
+    fn at<'a>(mut value: &'a mut Value, path: &str) -> &'a mut Value {
+        for key in path.split('.') {
+            let Value::Object(entries) = value else {
+                panic!("`{path}` crosses a non-object");
+            };
+            value = &mut entries.iter_mut().find(|(k, _)| k == key).expect(path).1;
+        }
+        value
+    }
+
+    /// A different value of the same type.
+    fn nudge(value: &mut Value) {
+        *value = match value {
+            Value::UInt(u) => Value::UInt(*u + 1),
+            Value::String(s) => Value::String(format!("{s}x")),
+            other => panic!("no nudge for {other:?}"),
+        };
+    }
+
+    /// The sample journal with record `index` changed through its
+    /// serialised form.
+    fn edited(index: usize, change: impl FnOnce(&mut Value)) -> Vec<Record> {
+        let mut records = sample_records();
+        let mut value = records[index].to_value();
+        change(&mut value);
+        records[index] = Record::from_value(&value).expect("the edit keeps the record valid");
+        records
+    }
+
     #[test]
-    fn comparison_tolerates_environmental_divergence_only() {
+    fn comparator_masks_exactly_the_environmental_fields() {
         let golden = sample_records();
-        let mut fresh = golden.clone();
-        // A different (ignored) `shards` field and different timings must
-        // pass.
-        if let Record::Header { shards, spec, .. } = &mut fresh[0] {
-            *shards = 8;
-            if let Value::Object(entries) = spec {
-                for (k, v) in entries.iter_mut() {
-                    if k == "shards" {
-                        *v = Value::UInt(8);
-                    }
-                }
-            }
-        }
-        if let Record::Window { timing, .. } = &mut fresh[3] {
-            *timing = Value::Object(vec![("inject_ns".into(), Value::UInt(999))]);
-        }
-        assert_eq!(compare_journals(&golden, &fresh), Ok(golden.len()));
+        let compare = |fresh: &[Record]| compare_journals(&golden, fresh);
 
-        // A diverging deterministic field must fail at its index.
-        if let Record::Window { det, .. } = &mut fresh[3] {
-            *det = Value::Object(vec![("digest".into(), Value::String("zzz".into()))]);
+        // Every deterministic field: fails at its index, naming the field.
+        let deterministic = [
+            (0, "schema"),
+            (0, "name"),
+            (0, "seed"),
+            (0, "period"),
+            (0, "spec.name"),
+            (1, "cycle"),
+            (1, "phase"),
+            (2, "cycle"),
+            (2, "kind"),
+            (2, "detail.elevator"),
+            (3, "cycle"),
+            (3, "det.digest"),
+            (4, "cycle"),
+            (4, "hists.latency.sum"),
+            (5, "summary.delivered"),
+        ];
+        for (index, path) in deterministic {
+            let field = path.split('.').next().unwrap();
+            let kind = golden[index].kind();
+            assert_eq!(
+                compare(&edited(index, |v| nudge(at(v, path)))),
+                Err(TraceError::new(
+                    index,
+                    format!("`{kind}` record diverged on `{field}`")
+                )),
+                "{path}"
+            );
         }
-        let err = compare_journals(&golden, &fresh).unwrap_err();
-        assert_eq!(err.record, 3);
 
-        // A truncated fresh trace must fail at the truncation point.
-        let err = compare_journals(&golden, &golden[..2]).unwrap_err();
+        // Every environmental value: accepted.
+        let environmental = [
+            (0, "shards"),
+            (0, "spec.shards"),
+            (3, "aux.cycles"),
+            (3, "timing.inject_ns"),
+            (6, "index"),
+            (6, "total"),
+            (6, "label"),
+            (6, "status"),
+            (6, "detail.run_ns"),
+        ];
+        for (index, path) in environmental {
+            let fresh = edited(index, |v| nudge(at(v, path)));
+            assert_eq!(compare(&fresh), Ok(golden.len()), "{path}");
+        }
+
+        // Presence-only objects: an extra key passes, a lost one fails.
+        for (object, key) in [("aux", "cycles"), ("timing", "inject_ns")] {
+            let extra = edited(3, |v| {
+                let Value::Object(entries) = at(v, object) else {
+                    unreachable!()
+                };
+                entries.push(("extra".into(), Value::UInt(1)));
+            });
+            assert_eq!(compare(&extra), Ok(golden.len()), "extra {object} key");
+            let lost = edited(3, |v| {
+                let Value::Object(entries) = at(v, object) else {
+                    unreachable!()
+                };
+                entries.retain(|(k, _)| k != key);
+            });
+            let want = format!("`window` record lost {object} key `{key}`");
+            assert_eq!(compare(&lost), Err(TraceError::new(3, want)));
+        }
+
+        // Journal shape: a type swap, an early end, extra records.
+        let mut swapped = golden.clone();
+        swapped.swap(1, 2);
+        let err = compare(&swapped).unwrap_err();
+        assert_eq!(err.record, 1);
+        assert!(err.message.starts_with("record type diverged"), "{err}");
+        let err = compare(&golden[..2]).unwrap_err();
         assert_eq!(err.record, 2);
-
-        // A missing presence-only key must fail too.
-        let mut bare = golden.clone();
-        if let Record::Window { timing, .. } = &mut bare[3] {
-            *timing = Value::Object(vec![]);
-        }
-        let err = compare_journals(&golden, &bare).unwrap_err();
-        assert_eq!(err.record, 3);
-        assert!(err.message.contains("inject_ns"), "{err}");
+        assert!(err.message.contains("ended early"), "{err}");
+        let longer: Vec<Record> = golden.iter().chain(&golden[1..2]).cloned().collect();
+        let err = compare(&longer).unwrap_err();
+        assert_eq!(err.record, golden.len());
+        assert!(err.message.contains("1 extra record"), "{err}");
     }
 }

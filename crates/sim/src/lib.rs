@@ -73,7 +73,7 @@ pub use network::Network;
 pub use noc_energy::{EnergyLedger, EnergyModel, LinkLedger, LinkMap};
 // The flight-recorder layer: the journal schema and writer come from
 // `noc_obs`; `Tracer` couples them to a `Simulator`.
-pub use noc_obs::{MetricsRegistry, PhaseTimes, Record, TraceWriter};
+pub use noc_obs::{PhaseTimes, Record, TraceWriter};
 pub use obs::Tracer;
 pub use sim::Simulator;
 pub use stats::{RunSummary, StatsCollector};

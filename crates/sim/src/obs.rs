@@ -1,22 +1,22 @@
 //! The simulator side of the flight recorder: a [`Tracer`] couples a
-//! `noc_obs` journal writer with the hot-path metrics registry.
+//! `noc_obs` journal writer with the open trace window.
 //!
 //! The simulator has one cycle body, compiled twice: unwatched (no clock,
 //! no journal) and watched (each fired event journaled, a wall clock
 //! lapped at every phase boundary). Attaching a tracer makes
 //! [`crate::Simulator::step`] run the watched instantiation and book each
-//! cycle's sample here, closing a window every `period` cycles — so
-//! traced and untraced runs are bit-identical in everything but wall
-//! time. With no tracer attached, the step path never touches any of this
-//! (one `Option` check), which is what keeps the disabled overhead at
-//! zero.
+//! cycle's sample straight into the open window, which is handed over
+//! and reopened empty every `period` cycles — so traced and untraced runs
+//! are bit-identical in everything but wall time. With no tracer
+//! attached, the step path never touches any of this (one `Option`
+//! check), which is what keeps the disabled overhead at zero.
 
 use crate::hooks::Event;
-use noc_obs::{FabricHists, MetricsRegistry, Record, TraceWriter};
+use noc_obs::{FabricHists, Record, TraceWriter, WindowDelta};
 use serde::Value;
 use std::io;
 
-/// A journal writer + metrics registry attached to one simulator.
+/// A journal writer + the open trace window, attached to one simulator.
 ///
 /// Write errors are sticky (the [`TraceWriter`] latches the first one
 /// and [`Tracer::finish`] reports it): the simulation itself never aborts
@@ -25,14 +25,16 @@ use std::io;
 pub struct Tracer {
     writer: TraceWriter,
     period: u64,
-    metrics: MetricsRegistry,
+    /// The open window: what the watched cycles booked since the last
+    /// `window` record. Closing it takes it whole (`std::mem::take`).
+    pub(crate) window: WindowDelta,
     /// Cumulative fabric-occupancy histograms, sampled serially at each
     /// window boundary (the journal's `hist` records carry snapshots).
     fabric: FabricHists,
 }
 
 impl Tracer {
-    /// Couples `writer` with a fresh registry; a `window` record is
+    /// Couples `writer` with an empty window; a `window` record is
     /// emitted every `period` cycles.
     ///
     /// # Panics
@@ -44,7 +46,7 @@ impl Tracer {
         Self {
             writer,
             period,
-            metrics: MetricsRegistry::new(),
+            window: WindowDelta::default(),
             fabric: FabricHists::new(),
         }
     }
@@ -63,16 +65,6 @@ impl Tracer {
 
     pub(crate) fn fabric_mut(&mut self) -> &mut FabricHists {
         &mut self.fabric
-    }
-
-    /// The cumulative hot-path metrics.
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    pub(crate) fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
     }
 
     /// Appends a record (a no-op once a write has failed).

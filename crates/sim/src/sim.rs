@@ -51,7 +51,7 @@ pub struct Simulator {
     /// This cycle's staged injections, reused across cycles.
     pending: Vec<(NodeId, InjectionRequest)>,
     /// The attached flight recorder. `None` (the default) runs the cycle
-    /// body unwatched — no clock, no registry; `Some` runs the same body
+    /// body unwatched — no clock, no open window; `Some` runs the same body
     /// watched and books every cycle here.
     tracer: Option<Box<Tracer>>,
     cycle: u64,
@@ -362,14 +362,14 @@ impl Simulator {
     }
 
     /// A watched cycle: the body with the clock running. With a tracer
-    /// attached, the sample is booked into its registry and a window
+    /// attached, the sample is booked into its open window and a window
     /// closes every `period` completed cycles; a failed cycle books
     /// nothing and closes no window, so the journal keeps everything
     /// recorded up to the failure.
     fn step_watched(&mut self) -> Result<CycleSample, SimError> {
         let sample = self.run_cycle::<true>()?;
         if let Some(tracer) = self.tracer.as_mut() {
-            tracer.metrics_mut().on_cycle(&sample.phase, sample.busy);
+            tracer.window.book(&sample.phase, sample.busy);
             // The body advanced the cycle, so `self.cycle` now counts
             // completed cycles.
             if self.cycle.is_multiple_of(tracer.period()) {
@@ -379,12 +379,12 @@ impl Simulator {
         Ok(sample)
     }
 
-    /// Closes the metrics window and appends the `window` record: the
+    /// Closes the open window and appends the `window` record: the
     /// deterministic gauges under `det`, the environmental ones under
     /// `aux`, wall times under `timing`.
     fn emit_window(&mut self) {
         let mut tracer = self.tracer.take().expect("windows close under a tracer");
-        let delta = tracer.metrics_mut().close_window();
+        let delta = std::mem::take(&mut tracer.window);
         let calendar = self.traffic.calendar_depth();
         // `delivered_flits` reads the counter store: the relays book what
         // they owe first (a sink relay's ejections included).
