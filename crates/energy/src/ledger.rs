@@ -5,7 +5,7 @@
 //! `{writes, reads}` pair per router input FIFO `(node, port, vc)`, one
 //! ejection count per router and the measured cycles — flat arrays sized
 //! once from a [`LinkMap`], indexed in the simulator's flit-arena order
-//! ([`LinkLedger::fifo`]), booked by the stepping kernel itself with one
+//! ([`LinkLedger::fifo`]), booked by `noc_sim::Network` itself with one
 //! increment per event. Every other energy counter is *derived* when it
 //! is read, and **exactly** (counter for counter):
 //!

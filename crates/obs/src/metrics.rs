@@ -13,20 +13,23 @@ use std::time::Duration;
 
 /// Wall-clock time spent in each phase of a simulation cycle.
 ///
-/// * `inject` — command dispatch + traffic generation + injection,
-/// * `compute` — phase 1: routing/arbitration, NI injection and worklist
-///   re-arming in one pass,
-/// * `exchange` — commits of the staged flit arrivals, credit returns
-///   and NI credit returns,
-/// * `commit` — global effect replay + bookkeeping (`finish_cycle` and
-///   `post_step`).
+/// Each phase is one method of the simulator's fabric, `noc_sim::Network`,
+/// or of the simulator around it:
+///
+/// * `inject` — due events + traffic generation + enqueueing at the NIs,
+/// * `compute` — `Network::phase1`: routing/arbitration, NI injection and
+///   worklist re-arming in one pass,
+/// * `exchange` — `Network::exchange`: lands the staged flit arrivals and
+///   credit returns (the NI's included) and resolves the relays,
+/// * `commit` — global effect replay + bookkeeping
+///   (`Network::finish_cycle` and `Simulator::post_step`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Injection phase (traffic generation + command dispatch).
+    /// Injection phase (events + traffic generation).
     pub inject: Duration,
-    /// Compute phase (phase 1).
+    /// Compute phase (`Network::phase1`).
     pub compute: Duration,
-    /// Exchange phase (the commit of staged traffic).
+    /// Exchange phase (`Network::exchange`).
     pub exchange: Duration,
     /// Serial commit phase (effect replay + statistics).
     pub commit: Duration,

@@ -13,6 +13,15 @@
 //!   [`noc_energy`] crate and instrumented here per link and per VC) and
 //!   latency / load / elevator-usage statistics ([`RunSummary`]).
 //!
+//! Two layers do it. [`Network`] is the one fabric type: the mesh, its
+//! links and every router's switching state (flit arena, worklist,
+//! credits, relays, the [`LinkLedger`]). [`Simulator`] owns it with the
+//! packet table, the statistics and the workload, and runs one cycle body
+//! that calls one method per timed phase of [`PhaseTimes`]: traffic
+//! generation (*inject*), the network's `phase1` (*compute*) and
+//! `exchange` (*exchange*), then its `finish_cycle` and the simulator's
+//! bookkeeping (*commit*).
+//!
 //! # Example
 //!
 //! ```
@@ -52,7 +61,6 @@ mod arena;
 mod config;
 mod error;
 mod flit;
-mod kernel;
 mod network;
 mod obs;
 mod scheduler;

@@ -15,58 +15,70 @@
 //! downstream router forwards the flit. The network interface participates
 //! with the same mechanism on the `Local` port.
 //!
+//! # One cycle
+//!
 //! A cycle is computed in two phases, so results do not depend on router
-//! iteration order (the synchronous-network semantics the `kernel` module
-//! docs argue). *Phase 1* is one pass over the active-router worklist:
-//! per router, route & send (reads committed state, stages flit arrivals
-//! and credit returns), NI injection from its source queue, and the
-//! decision whether it stays on next cycle's worklist. A router with a
-//! single occupied input lane streams that lane's front flit without
-//! arbitration; the `kernel` module docs argue why that is
-//! state-identical. The *exchange* then commits the staged arrivals and
-//! credit returns, the NI's included (arrivals put their router on the
-//! worklist). [`Network::finish_cycle`] closes the cycle serially, replaying
-//! the packet-table effects phase 1 deferred in router order. The
-//! simulator's one cycle body calls the three in that order and, when
-//! someone is watching, laps a clock between them: those laps are the
-//! `compute`, `exchange` and `commit` phases of `PhaseTimes` — worklist
-//! upkeep is compute time, and exchange is commit work only.
+//! iteration order: phase 1 only *reads* committed state and *stages* its
+//! effects on other routers, and the exchange lands them (the `kernel`
+//! module docs argue why their order is immaterial). The simulator's one
+//! cycle body calls the steps below in order and, when someone is
+//! watching, laps a clock after each; every lap is the `PhaseTimes` field
+//! of the same name:
+//!
+//! * *inject* — due events fire and `Simulator::generate_traffic` queues
+//!   new packets at their source NIs ([`Network::enqueue_packet`]);
+//! * *compute* — `Network::phase1`, one pass over the worklist: per
+//!   visited router, route & send, NI injection from its source queue,
+//!   and whether it stays on next cycle's worklist;
+//! * *exchange* — `Network::exchange` lands the staged flit arrivals and
+//!   credit returns, the NI's included, then resolves the relays;
+//! * *commit* — `Network::finish_cycle` replays, in router order, the
+//!   packet-table effects phase 1 deferred, then `Simulator::post_step`
+//!   closes the cycle.
 //!
 //! The network is stepped on the calling thread: this crate spawns no
 //! thread and reads no environment variable. Parallelism lives in
 //! `noc_exp`'s sweep pool, across independent runs.
 //!
-//! # Dense hot-path state
+//! # The worklist
+//!
+//! An active-router bitmap keyed by node id makes phase 1 visit only
+//! routers with buffered flits, staged arrivals or queued sources: idle
+//! routers cost nothing, which is where big meshes spend most of their
+//! cycles at low injection. Bitmap iteration is ascending node order, so
+//! visit order (and with it feedback and statistics order) is the node
+//! order of a full scan. Phase 1 keeps a router's bit while flits stay
+//! buffered or packets stay queued, and every arrival sets the bit of the
+//! router it lands in, so nothing rescans the worklist. A second bitmap
+//! marks routers whose source queue is non-empty, and per-router masks
+//! mark occupied input lanes and owned output channels. With no rescan to
+//! heal a missed bit, these derived bits are audited instead
+//! ([`Network::check_flow_conservation`], run every cycle by the lockstep
+//! suites).
+//!
+//! # Dense state
 //!
 //! All per-cycle state lives in arenas sized once at construction:
 //!
 //! * every input FIFO is a fixed ring in one flat [`FlitArena`] slab
 //!   (lane = router × port × VC), so a router's 14 occupancy counters sit
-//!   in a single cache line instead of 14 heap-allocated `VecDeque`s,
+//!   in a single cache line,
 //! * packets live in a recycling [`PacketTable`] owned by the caller,
-//! * an **active-router worklist** (a bitmap keyed by node id) makes
-//!   [`Network::step`] visit only routers with buffered flits, staged
-//!   arrivals or queued sources — idle routers cost nothing, which is
-//!   where big meshes spend most of their cycles at low injection. Bitmap
-//!   iteration is ascending node order by construction, so visit order
-//!   (and with it feedback/statistics order) is exactly the node order
-//!   the dense full-scan loops used. A second bitmap of the same shape
-//!   marks routers whose source queue is non-empty, and per-router masks
-//!   mark occupied input lanes and owned output channels; all three are
-//!   derived state, audited by [`Network::check_flow_conservation`],
-//! * one flat link table keyed by `(node, port)` holds, per port, the
-//!   peer router and the peer's port, so a flit-hop costs one table load
-//!   per port it touches,
-//! * armed energy telemetry is one `{writes, reads}` counter pair per
-//!   FIFO lane in the one [`LinkLedger`], indexed like the arena and
-//!   booked where the event happens; every other energy counter is
-//!   derived from those when read,
-//! * an input lane streaming a worm's body between two neighbours —
-//!   routers, or its NI at the worm's source or sink — with nothing else
-//!   in its router competing for its output port is a *relay*: a flag
-//!   check instead of a flit move, with its lane counters booked in bulk,
-//!   while the router arbitrates its other lanes as usual (the `kernel`
-//!   module docs argue it is state-identical).
+//! * one flat port table keyed by `(node, port)` holds, per port, the
+//!   peer router and the peer's port, so a flit-hop reads one record per
+//!   port it touches, for the send and the credit return alike,
+//! * the one counter store is the [`LinkLedger`], indexed like the arena:
+//!   while the measurement window is armed, an arrival books a write of
+//!   the lane it lands in, a send a read of the lane it pops (and an
+//!   ejection at its router), and phase 1 a measured cycle. Link, router,
+//!   NI and aggregate energy counters are derived from these when read
+//!   (the `noc_energy` ledger module states the identities).
+//!
+//! Two shortcuts skip work and leave the same state; the `kernel` module
+//! docs define and argue both. A router with one occupied input lane
+//! *streams* its front flit without arbitration, and a lane carrying a
+//! worm's body uncontended between two neighbours is a *relay*: a flag
+//! check instead of a flit move, its lane counters booked in bulk.
 //!
 //! After construction, steady-state stepping performs no heap allocation
 //! (the staging buffers reach their high-water capacity and stay there);
@@ -75,15 +87,22 @@
 //!
 //! [`FlitArena`]: crate::arena::FlitArena
 
+mod kernel;
+
+use crate::arena::FlitArena;
 use crate::flit::PacketId;
-use crate::kernel::{arena_lane, local_lane, route_hops, Effect, Kernel, Topo, LOCAL, PORTS, VCS};
 use crate::stats::StatsCollector;
 use crate::table::PacketTable;
 use adele::online::{Cycle, NetworkProbe, SourceFeedback};
+use kernel::{arena_lane, local_lane, route_hops, Arrival, Effect, PortLink, Relay, RouterState};
+use kernel::{SourceQueue, LOCAL, PORTS, VCS};
 use noc_energy::{LinkLedger, LinkMap};
 use noc_topology::{Coord, Direction, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// The network fabric: routers, links, credits and NI queues.
+/// The network fabric: routers, links, credits and NI queues, and the
+/// switching state that steps them, indexed by node id.
 #[derive(Debug, Clone)]
 pub struct Network {
     mesh: Mesh3d,
@@ -94,11 +113,72 @@ pub struct Network {
     /// through [`NetworkProbe::failed_elevators`] and stop choosing it.
     failed_elevators: ElevatorMask,
     /// Canonical directed-link enumeration: the single source of truth for
-    /// which links exist (the fabric below is derived from it) and the key
-    /// space of the per-link energy views.
-    links: LinkMap,
-    /// The routers' cycle state and the fabric's lookup tables.
-    kernel: Kernel,
+    /// which links exist (vertical links only on elevator pillars; the
+    /// port table below mirrors it) and the key space of the per-link
+    /// energy views.
+    link_map: LinkMap,
+    coords: Vec<Coord>,
+    links: Vec<PortLink>,
+    buffer_depth: u8,
+    routers: Vec<RouterState>,
+    /// The input FIFOs, one ring per `(router, port, vc)`.
+    fifos: FlitArena,
+    sources: Vec<SourceQueue>,
+    /// NI credits towards the local input port, per VC.
+    ni_credits: Vec<[u8; VCS]>,
+    /// Flits buffered across all routers (incremental).
+    buffered_total: u64,
+    /// Packets waiting in the source queues (incremental).
+    queued_total: u64,
+    /// Worklist bitmap of routers to visit next cycle (bit = node id).
+    active_bits: Vec<u64>,
+    /// Previous cycle's worklist, swapped in as this cycle's visit set
+    /// and zeroed word by word as phase 1 consumes it.
+    work_bits: Vec<u64>,
+    /// Routers whose source queue is non-empty (bit = node id): a pure
+    /// cache of `sources[r].queue.is_empty()`, maintained at every
+    /// enqueue and at the pop that empties a queue, so phase 1 injects
+    /// without probing a `VecDeque` per visited router. Always a subset
+    /// of the worklist. Derived state — not hashed.
+    src_bits: Vec<u64>,
+    /// Staged arrivals.
+    arrivals: Vec<Arrival>,
+    /// Staged `(router, output port, vc)` credit returns; port `Local`
+    /// returns one to the router's NI.
+    credits: Vec<(NodeId, u8, u8)>,
+    /// Deferred packet-table/statistics effects, in emission order.
+    effects: Vec<Effect>,
+    /// Deferred source-departure feedback, in emission order.
+    feedbacks: Vec<SourceFeedback>,
+    /// The measurement window's flit events, FIFO lanes indexed like
+    /// [`Self::fifos`] — the only telemetry anything books.
+    ledger: LinkLedger,
+    /// `true` if a flit moved or was injected this cycle.
+    progress: bool,
+    /// The relay slab, its free slots, the slot of each relay lane
+    /// (indexed like [`Self::fifos`], read only where `relay_lanes` says
+    /// the lane is a relay) and the live count.
+    relays: Vec<Relay>,
+    free: Vec<u32>,
+    relay_of: Vec<u32>,
+    relay_count: usize,
+    /// Routers phase 1 skips: every occupied lane a relay and nothing for
+    /// the NI to inject but what a source relay's NI feeds (bit = node id).
+    relay_bits: Vec<u64>,
+    /// The relays phase 1 visits, those the resolve decides on, and the
+    /// promotion candidates as `(router, lane, channel)`.
+    awake: Vec<u32>,
+    unsettled: Vec<u32>,
+    streamed: Vec<(u32, u8, u8)>,
+    /// Cycles phase 1 has run (a frozen cycle runs none): the clock of
+    /// the source relays' lazily fed flits.
+    clock: u64,
+    /// Wake-ups of source relays on the clock their NI feeds the `Tail`,
+    /// `clock << 16 | router`, at most one per router: its bit in `timed`.
+    timers: BinaryHeap<Reverse<u64>>,
+    timed: Vec<u64>,
+    /// Whether routers are promoted to relays (tests step without).
+    promote: bool,
 }
 
 impl Network {
@@ -110,19 +190,64 @@ impl Network {
     #[must_use]
     pub fn new(mesh: Mesh3d, elevators: ElevatorSet, buffer_depth: u8) -> Self {
         assert!(buffer_depth >= 1, "buffers need at least one slot");
-        let coords: Vec<Coord> = mesh.coords().collect();
-        // The link map decides which links exist (vertical links only on
-        // elevator pillars); the router fabric mirrors it port for port so
-        // telemetry and switching can never disagree.
-        let links = LinkMap::new(&mesh, &elevators);
-        let topo = Topo::new(coords, &links, buffer_depth);
-        let kernel = Kernel::new(topo, LinkLedger::new(&links, VCS));
+        let link_map = LinkMap::new(&mesh, &elevators);
+        let n = mesh.node_count();
+        let links = PortLink::table(&link_map, n);
+        let routers = (0..n)
+            .map(|r| {
+                let credit_mask: [bool; PORTS] =
+                    std::array::from_fn(|p| links[r * PORTS + p].peer().is_some());
+                RouterState::new(buffer_depth, credit_mask)
+            })
+            .collect();
+        // Every staging buffer is drained each cycle, so reserving its
+        // per-cycle worst case up front makes steady-state stepping
+        // allocation-free from cycle 0. Each directed link carries at most
+        // one flit per cycle (one send per output port) and returns at
+        // most `VCS` credits per cycle (each input lane pops at most
+        // once); each NI injects at most one flit per cycle and takes back
+        // at most `VCS` credits (its LOCAL input lanes).
+        let wired = links.iter().filter(|l| l.peer().is_some()).count();
         Self {
+            coords: mesh.coords().collect(),
+            ledger: LinkLedger::new(&link_map, VCS),
             mesh,
             elevators,
             failed_elevators: ElevatorMask::EMPTY,
+            link_map,
             links,
-            kernel,
+            buffer_depth,
+            routers,
+            fifos: FlitArena::new(n * PORTS * VCS, buffer_depth),
+            sources: vec![SourceQueue::default(); n],
+            ni_credits: vec![[buffer_depth; VCS]; n],
+            buffered_total: 0,
+            queued_total: 0,
+            active_bits: vec![0; n.div_ceil(64)],
+            work_bits: vec![0; n.div_ceil(64)],
+            src_bits: vec![0; n.div_ceil(64)],
+            arrivals: Vec::with_capacity(wired + n),
+            credits: Vec::with_capacity(VCS * (wired + n)),
+            // Per cycle: one ejection plus `VCS` source departures per
+            // router, one feedback per departure.
+            effects: Vec::with_capacity((1 + VCS) * n),
+            feedbacks: Vec::with_capacity(VCS * n),
+            progress: false,
+            // A router's relay lanes own distinct output ports, so at most
+            // `PORTS` per router; every list below holds a relay or a
+            // candidate at most once.
+            relays: Vec::with_capacity(PORTS * n),
+            free: Vec::with_capacity(PORTS * n),
+            relay_of: vec![0; n * PORTS * VCS],
+            relay_count: 0,
+            relay_bits: vec![0; n.div_ceil(64)],
+            awake: Vec::with_capacity(PORTS * n),
+            unsettled: Vec::with_capacity(PORTS * n),
+            streamed: Vec::with_capacity(PORTS * n),
+            clock: 0,
+            timers: BinaryHeap::with_capacity(n),
+            timed: vec![0; n.div_ceil(64)],
+            promote: true,
         }
     }
 
@@ -142,25 +267,14 @@ impl Network {
     /// ledger's per-FIFO counters into per-link views).
     #[must_use]
     pub fn link_map(&self) -> &LinkMap {
-        &self.links
+        &self.link_map
     }
 
-    /// The flit-event counters the kernel books while armed. Relays book
-    /// lazily, so the counts are complete only after
-    /// [`Self::book_relays`].
+    /// The flit-event counters booked while armed. Relays book lazily, so
+    /// the counts are complete only after [`Self::book_relays`].
     #[must_use]
     pub(crate) fn link_ledger(&self) -> &LinkLedger {
-        &self.kernel.ledger
-    }
-
-    /// Books what the relays owe the ledger, completing it.
-    pub(crate) fn book_relays(&mut self) {
-        self.kernel.book_relays();
-    }
-
-    /// Zeroes the ledger for a new measurement window.
-    pub(crate) fn reset_ledger(&mut self) {
-        self.kernel.reset_ledger();
+        &self.ledger
     }
 
     /// Marks elevator `id` failed (`failed == true`) or repaired; the
@@ -171,26 +285,32 @@ impl Network {
 
     /// Queues a freshly created packet at its source NI.
     pub fn enqueue_packet(&mut self, src: NodeId, id: PacketId) {
-        self.kernel.enqueue(src.index(), id);
+        let r = src.index();
+        self.sources[r].queue.push_back(id);
+        self.queued_total += 1;
+        self.active_bits[r / 64] |= 1 << (r % 64);
+        self.src_bits[r / 64] |= 1 << (r % 64);
+        // The NI may have a packet to inject: phase 1 visits the router.
+        self.relay_bits[r / 64] &= !(1 << (r % 64));
     }
 
     /// Flits currently buffered in router FIFOs.
     #[must_use]
     pub fn buffered_flits(&self) -> u64 {
-        self.kernel.buffered_total
+        self.buffered_total
     }
 
     /// Flits buffered in input lane `(node, port, vc)`.
     #[must_use]
     pub fn lane_occupancy(&self, node: NodeId, port: Direction, vc: usize) -> usize {
         let lane = local_lane(port.index(), vc);
-        self.kernel.fifos.len(arena_lane(node.index(), lane))
+        self.fifos.len(arena_lane(node.index(), lane))
     }
 
     /// Packets still waiting (fully or partially) in source queues.
     #[must_use]
     pub fn queued_packets(&self) -> u64 {
-        self.kernel.queued_total
+        self.queued_total
     }
 
     /// Heap capacity (in elements) reserved by the fabric's cycle state:
@@ -199,19 +319,26 @@ impl Network {
     /// the zero-allocation contract stepping is tested against.
     #[must_use]
     pub fn heap_footprint(&self) -> usize {
-        self.kernel.heap_footprint()
-    }
-
-    /// Phase 1: route & send, NI injection, worklist re-arm.
-    pub(crate) fn phase1(&mut self, packets: &PacketTable, cycle: Cycle, armed: bool) {
-        self.kernel.phase1(packets, cycle, armed);
-    }
-
-    /// Commits what phase 1 staged: flit arrivals and credit returns (the
-    /// NI's included). Commit order is irrelevant — see the `kernel`
-    /// module docs.
-    pub(crate) fn exchange(&mut self, packets: &PacketTable, armed: bool) {
-        self.kernel.commit(packets, armed);
+        self.fifos.capacity_flits()
+            + self.arrivals.capacity()
+            + self.credits.capacity()
+            + self.active_bits.capacity()
+            + self.work_bits.capacity()
+            + self.src_bits.capacity()
+            + self.effects.capacity()
+            + self.feedbacks.capacity()
+            + self.relays.capacity()
+            + self.free.capacity()
+            + self.relay_of.capacity()
+            + self.relay_bits.capacity()
+            + self.awake.capacity()
+            + self.unsettled.capacity()
+            + self.streamed.capacity()
+            + self.timers.capacity()
+            + self.timed.capacity()
+            + (self.sources.iter())
+                .map(|s| s.queue.capacity())
+                .sum::<usize>()
     }
 
     /// The serial tail of a cycle: replays the deferred packet-table
@@ -225,20 +352,19 @@ impl Network {
         stats: &mut StatsCollector,
         feedbacks: &mut Vec<SourceFeedback>,
     ) -> bool {
-        let kernel = &mut self.kernel;
         // Phase 1 records its effects in ascending router order, so
         // delivery statistics and slot-retirement order follow the node
         // order. A packet's head left its source in a strictly earlier
         // cycle than its tail ejects (src != dst is enforced at
         // admission), so its `head_out_src` is final by the replay.
-        for effect in kernel.effects.drain(..) {
+        for effect in self.effects.drain(..) {
             match effect {
                 Effect::Eject(flit) => {
                     if flit.kind().is_tail() {
                         let packet = packets.id_of(flit);
                         let pkt = packets.get_mut(packet);
                         pkt.delivered = Some(cycle);
-                        stats.on_packet_delivered(pkt, cycle, || route_hops(&kernel.topo, pkt));
+                        stats.on_packet_delivered(pkt, cycle, || route_hops(&self.coords, pkt));
                         // The tail was the packet's last flit anywhere
                         // in the fabric: recycle its slot.
                         packets.retire(packet);
@@ -255,18 +381,18 @@ impl Network {
                 }
             }
         }
-        feedbacks.append(&mut kernel.feedbacks);
-        kernel.progress
+        feedbacks.append(&mut self.feedbacks);
+        self.progress
     }
 
     /// Samples the fabric-occupancy histograms at a window boundary: one
     /// queue-depth sample per router, one VC-occupancy sample per input
     /// lane. Pure functions of committed cycle state in node order.
     pub(crate) fn sample_fabric(&self, fabric: &mut noc_obs::FabricHists) {
-        for (r, router) in self.kernel.routers.iter().enumerate() {
+        for (r, router) in self.routers.iter().enumerate() {
             fabric.queue_depth.record(u64::from(router.buffered));
             for lane in 0..PORTS * VCS {
-                let occupancy = self.kernel.fifos.len(arena_lane(r, lane));
+                let occupancy = self.fifos.len(arena_lane(r, lane));
                 fabric.vc_occupancy.record(occupancy as u64);
             }
         }
@@ -277,7 +403,7 @@ impl Network {
     /// worklist bitmap is part of the hashed fabric state.
     #[must_use]
     pub fn worklist_occupancy(&self) -> u64 {
-        (self.kernel.active_bits.iter())
+        (self.active_bits.iter())
             .map(|&w| u64::from(w.count_ones()))
             .sum()
     }
@@ -289,9 +415,58 @@ impl Network {
     /// generation `packets` holds.
     #[must_use]
     pub fn state_digest(&self, packets: &PacketTable) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        self.kernel.hash_state(packets, &mut h);
-        h
+        #[inline]
+        fn mix(h: &mut u64, v: u64) {
+            *h ^= v;
+            *h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        let h = &mut digest;
+        // Ascending router order, a fixed field order per router.
+        for (r, router) in self.routers.iter().enumerate() {
+            mix(h, u64::from(router.occ));
+            mix(h, u64::from(router.own));
+            for &b in &router.req_cache {
+                mix(h, u64::from(b));
+            }
+            for p in 0..PORTS {
+                for v in 0..VCS {
+                    mix(
+                        h,
+                        match router.owner[p][v] {
+                            None => u64::MAX,
+                            Some((ip, iv)) => (u64::from(ip) << 8) | u64::from(iv),
+                        },
+                    );
+                    mix(h, u64::from(router.credits[p][v]));
+                    mix(h, u64::from(router.rr_grant[p][v]));
+                    let at = arena_lane(r, local_lane(p, v));
+                    mix(h, self.fifos.len(at) as u64);
+                    if let Some(front) = self.fifos.front(at) {
+                        let id = packets.id_of(front);
+                        mix(h, u64::from(id.slot()));
+                        mix(h, u64::from(id.generation()));
+                    }
+                }
+                mix(h, u64::from(router.rr_vc[p]));
+            }
+            mix(h, u64::from(router.buffered));
+            mix(h, u64::from(router.quiet));
+            // The worklist membership is part of committed state: it
+            // decides which routers next cycle visits.
+            mix(h, (self.active_bits[r / 64] >> (r % 64)) & 1);
+            for v in 0..VCS {
+                mix(h, u64::from(self.ni_credits[r][v]));
+            }
+            let sq = &self.sources[r];
+            mix(h, sq.queue.len() as u64);
+            for &pid in &sq.queue {
+                mix(h, u64::from(pid.slot()));
+                mix(h, u64::from(pid.generation()));
+            }
+            mix(h, u64::from(self.sent(r)));
+        }
+        digest
     }
 
     /// Verifies flit/credit conservation on every channel of the fabric
@@ -299,7 +474,7 @@ impl Network {
     /// count plus the downstream FIFO occupancy equals the buffer depth
     /// (no flit or credit is ever lost or duplicated), and likewise for
     /// every NI channel. Also audits the derived bitmaps the stepping
-    /// kernel relies on: every router with buffered flits or a non-empty
+    /// phase 1 relies on: every router with buffered flits or a non-empty
     /// source queue is on the worklist, the source bitmap mirrors the
     /// queues, and the `occ`/`own` masks mirror FIFO occupancy and the
     /// owner table.
@@ -308,14 +483,14 @@ impl Network {
     ///
     /// Returns the first violated channel or invariant, described.
     pub fn check_flow_conservation(&self) -> Result<(), String> {
-        self.kernel.check_derived_state()?;
-        let depth = u32::from(self.kernel.topo.buffer_depth);
-        for (g, router) in self.kernel.routers.iter().enumerate() {
+        self.check_derived_state()?;
+        let depth = u32::from(self.buffer_depth);
+        for (g, router) in self.routers.iter().enumerate() {
             for p in 0..PORTS {
                 if p == LOCAL {
                     continue;
                 }
-                let link = self.kernel.topo.link(g, p);
+                let link = self.link(g, p);
                 let Some(d) = link.peer() else {
                     continue;
                 };
@@ -333,7 +508,7 @@ impl Network {
                 }
             }
             for v in 0..VCS {
-                let credits = u32::from(self.kernel.ni_credits[g][v]);
+                let credits = u32::from(self.ni_credits[g][v]);
                 let occupancy = self.lane_occupancy(NodeId(g as u16), Direction::Local, v) as u32;
                 if credits + occupancy != depth {
                     return Err(format!(
@@ -344,9 +519,7 @@ impl Network {
             }
         }
         // The incremental total must agree with the ground truth.
-        let truth: u64 = (self.kernel.routers.iter())
-            .map(|r| u64::from(r.buffered))
-            .sum();
+        let truth: u64 = (self.routers.iter()).map(|r| u64::from(r.buffered)).sum();
         if truth != self.buffered_flits() {
             return Err(format!(
                 "incremental buffered_flits {} != summed router occupancy {truth}",
@@ -359,11 +532,11 @@ impl Network {
 
 impl NetworkProbe for Network {
     fn buffer_occupancy(&self, node: NodeId) -> u32 {
-        self.kernel.routers[node.index()].buffered
+        self.routers[node.index()].buffered
     }
 
     fn buffer_capacity_per_router(&self) -> u32 {
-        (PORTS * VCS) as u32 * u32::from(self.kernel.topo.buffer_depth)
+        (PORTS * VCS) as u32 * u32::from(self.buffer_depth)
     }
 
     fn node_at(&self, coord: Coord) -> NodeId {
@@ -397,76 +570,17 @@ mod tests {
             self.finish_cycle(packets, cycle, stats, feedbacks)
         }
 
-        /// Steps the per-flit engine only: no router is ever promoted to
-        /// a relay (the relay oracle's reference side).
-        pub(crate) fn disable_relays(&mut self) {
-            self.kernel.promote = false;
-        }
-
-        /// Relays at the current cycle boundary, i.e. the sends the next
-        /// cycle makes as relay cycles.
-        pub(crate) fn relay_count(&self) -> usize {
-            self.kernel.relay_count()
-        }
-
-        /// Source and sink relays at the current cycle boundary.
-        pub(crate) fn end_relay_counts(&self) -> (usize, usize) {
-            self.kernel.end_relay_counts()
-        }
-
-        /// Relays the next cycle visits.
-        pub(crate) fn awake_relay_count(&self) -> usize {
-            self.kernel.awake_relay_count()
-        }
-
-        /// Relay lanes whose router holds other flits, and those of them
-        /// at NI ends.
-        pub(crate) fn busy_relay_counts(&self) -> (usize, usize) {
-            self.kernel.busy_relay_counts()
-        }
-
-        /// Live relays as `(router, lane, output port)`.
-        pub(crate) fn relay_lanes(&self) -> Vec<(usize, usize, usize)> {
-            self.kernel.relay_lanes()
-        }
-
-        /// Whether a head asks for the port of relay `(router, lane,
-        /// port)` (`Kernel::head_claims`).
-        pub(crate) fn head_claims(
-            &self,
-            relay: (usize, usize, usize),
-            packets: &PacketTable,
-        ) -> bool {
-            self.kernel.head_claims(relay, packets)
-        }
-
-        /// Relay lanes whose router's other flits are all blocked.
-        pub(crate) fn stuck_mate_count(&self, packets: &PacketTable) -> usize {
-            self.kernel.stuck_mate_count(packets)
-        }
-
-        /// Uncontended lone-`Body` sends the next cycle makes per flit
-        /// (`Kernel::lone_body_lanes`).
-        pub(crate) fn lone_body_lanes(&self, packets: &PacketTable) -> Vec<(usize, bool)> {
-            self.kernel.lone_body_lanes(packets)
-        }
-
-        /// Audits every relay at a cycle boundary (`Kernel::check_relays`).
-        pub(crate) fn check_relays(&self, packets: &PacketTable) -> Result<(), String> {
-            self.kernel.check_relays(packets)
-        }
-
-        fn router(&self, r: usize) -> &crate::kernel::RouterState {
-            &self.kernel.routers[r]
+        fn router(&self, r: usize) -> &RouterState {
+            &self.routers[r]
         }
 
         fn lane_flits(&self, r: usize, port: usize, vc: usize) -> Vec<Flit> {
             let lane = arena_lane(r, local_lane(port, vc));
-            self.kernel.fifos.iter_lane(lane).collect()
+            self.fifos.iter_lane(lane).collect()
         }
 
         fn is_idle(&self) -> bool {
-            self.kernel.active_bits.iter().all(|&w| w == 0)
+            self.active_bits.iter().all(|&w| w == 0)
         }
     }
 
@@ -765,8 +879,7 @@ mod tests {
         let net = Network::new(mesh, elevators, 4);
         let corner = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
         let pillar = mesh.node_id(Coord::new(1, 1, 0)).unwrap();
-        let peer =
-            |node: NodeId, dir: Direction| net.kernel.topo.link(node.index(), dir.index()).peer();
+        let peer = |node: NodeId, dir: Direction| net.link(node.index(), dir.index()).peer();
         assert!(peer(corner, Direction::Up).is_none());
         assert_eq!(
             peer(pillar, Direction::Up),
@@ -805,6 +918,59 @@ mod tests {
             assert!(!progress);
         }
         assert_eq!(net.heap_footprint(), footprint);
+    }
+
+    /// Every clause of the two audits (`check_derived_state`, then the
+    /// conservation sums) reports its own corruption, seeded one at a time
+    /// into a copy of a mid-run fabric; the uncorrupted fabric passes.
+    #[test]
+    fn each_audit_clause_reports_its_corruption() {
+        let (mesh, elevators) = fixture();
+        let mut net = Network::new(mesh, elevators.clone(), 4);
+        let mut stats = StatsCollector::new(1);
+        let mut table = PacketTable::new();
+        let dst = Coord::new(2, 2, 1);
+        for src in mesh.coords().filter(|&src| src != dst) {
+            let packet = make_packet(&mesh, &elevators, src, dst, 6, 0);
+            launch(&mut net, &mut table, packet);
+        }
+        for cycle in 0..10 {
+            net.step(&mut table, cycle, &mut stats, &mut Vec::new());
+        }
+        net.check_flow_conservation().unwrap();
+        let busy = (net.routers.iter()).position(|r| r.buffered > 0).unwrap();
+        let sink = mesh.node_id(dst).unwrap().index();
+        assert!(net.sources[sink].queue.is_empty());
+        // Router 0 sits off the pillar: its `Up` lanes and channels are
+        // never used.
+        let (east, up) = (
+            Direction::East.index(),
+            local_lane(Direction::Up.index(), 0),
+        );
+        assert!(net.link(0, east).peer().is_some() && net.link(0, up / VCS).peer().is_none());
+        let bit = |r: usize| 1u64 << (r % 64);
+        type Corrupt<'a> = &'a dyn Fn(&mut Network);
+        let cases: [(&str, Corrupt); 8] = [
+            ("link 0->", &|n| n.routers[0].credits[east][0] += 1),
+            ("NI channel at 0", &|n| n.ni_credits[0][1] += 1),
+            ("incremental buffered_flits", &|n| n.buffered_total += 1),
+            ("off the worklist", &|n| {
+                n.active_bits[busy / 64] &= !bit(busy)
+            }),
+            ("source bit", &|n| n.src_bits[sink / 64] |= bit(sink)),
+            ("occ bit disagrees", &|n| n.routers[0].occ |= 1 << up),
+            ("own bit disagrees", &|n| n.routers[0].own |= 1 << up),
+            ("stale visit-set bits", &|n| n.work_bits[0] |= 1),
+        ];
+        for (clause, corrupt) in cases {
+            let mut copy = net.clone();
+            corrupt(&mut copy);
+            let report = copy.check_flow_conservation();
+            assert!(
+                report.as_ref().is_err_and(|e| e.contains(clause)),
+                "expected `{clause}`, got {report:?}"
+            );
+        }
     }
 
     /// A hand-driven fabric for the directed streaming-path cases: steps
@@ -856,12 +1022,12 @@ mod tests {
         /// so conservation and the derived bitmaps stay exact.
         fn feed(&mut self, node: NodeId, port: Direction, packet: PacketId, kind: FlitKind) {
             let vc = self.table.get(packet).vnet.index();
-            let kernel = &mut self.net.kernel;
-            let link = *kernel.topo.link(node.index(), port.index());
+            let net = &mut self.net;
+            let link = net.link(node.index(), port.index());
             let up = link.peer().expect("fed port has an upstream").index();
-            kernel.routers[up].credits[link.peer_port as usize][vc] -= 1;
-            kernel.stage_arrival(node, port.index(), vc, Flit::new(packet, kind));
-            kernel.commit(&self.table, true);
+            net.routers[up].credits[link.peer_port as usize][vc] -= 1;
+            net.stage_arrival(node, port.index(), vc, Flit::new(packet, kind));
+            net.exchange(&self.table, true);
             self.net.check_flow_conservation().unwrap();
         }
 
@@ -875,11 +1041,11 @@ mod tests {
             kind: FlitKind,
         ) {
             let vc = self.table.get(packet).vnet.index();
-            let kernel = &mut self.net.kernel;
-            let link = *kernel.topo.link(node.index(), port.index());
+            let net = &mut self.net;
+            let link = net.link(node.index(), port.index());
             let up = link.peer().expect("fed port has an upstream").index();
-            kernel.routers[up].credits[link.peer_port as usize][vc] -= 1;
-            kernel.stage_arrival(node, port.index(), vc, Flit::new(packet, kind));
+            net.routers[up].credits[link.peer_port as usize][vc] -= 1;
+            net.stage_arrival(node, port.index(), vc, Flit::new(packet, kind));
             self.step();
         }
 
@@ -894,7 +1060,7 @@ mod tests {
             self.net.check_flow_conservation().unwrap();
         }
 
-        fn router(&self, node: NodeId) -> &crate::kernel::RouterState {
+        fn router(&self, node: NodeId) -> &RouterState {
             self.net.router(node.index())
         }
 
@@ -938,19 +1104,14 @@ mod tests {
         let lockstep = |rigs: &mut [Rig; 2], op: &dyn Fn(&mut Rig, (PacketId, PacketId))| {
             for (rig, &ids) in rigs.iter_mut().zip(&ids) {
                 op(rig, ids);
-                rig.net.kernel.check_relays(&rig.table).unwrap();
+                rig.net.check_relays(&rig.table).unwrap();
             }
             assert_eq!(
                 rigs[0].net.state_digest(&rigs[0].table),
                 rigs[1].net.state_digest(&rigs[1].table)
             );
         };
-        let relay_at_r = |rig: &Rig| {
-            rig.net
-                .kernel
-                .relay_lanes()
-                .contains(&(r.index(), lane, east))
-        };
+        let relay_at_r = |rig: &Rig| rig.net.relay_lanes().contains(&(r.index(), lane, east));
         // X's head takes channel (East, 1) and leaves its lane empty.
         lockstep(&mut rigs, &|rig, (x, _)| {
             rig.feed(r, Direction::West, x, FlitKind::Head)

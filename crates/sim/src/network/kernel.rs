@@ -1,38 +1,11 @@
-//! The stepping kernel: one [`Kernel`] owns the switching state of every
-//! router — the flit arena, the worklist, the source queues and the flit
-//! event counters — and steps the fabric in two phases. Phase 1 reads
-//! committed state and stages its effects on other routers in one
-//! `{arrivals, credits}` pair; [`Kernel::commit`] applies them.
-//!
-//! # One pass per cycle
-//!
-//! [`Kernel::phase1`] walks the worklist bitmap once. Per visited router
-//! it routes & sends (unless the router holds no flits or is `quiet`),
-//! injects from the NI if the router's bit in the derived "non-empty
-//! source queue" bitmap is set, and sets the router's next-cycle worklist
-//! bit while flits stay buffered or packets stay queued. Arrival commits
-//! set the bit of every router they land in, so nothing rescans the
-//! worklist: besides landing what was staged (the NI's credit returns
-//! included), [`Kernel::commit`] only resolves relays. With no rescan to
-//! heal a missed bit, the bitmaps are audited instead ([`Kernel::check_derived_state`],
-//! run every cycle by the lockstep suites).
-//!
-//! A flit-hop reads one [`PortLink`] record per port it touches — peer
-//! router and peer port in one load — for the send and the credit return
-//! alike.
-//!
-//! While the measurement window is armed, an arrival commit books a write
-//! of the FIFO lane it lands in, a send a read of the lane it pops (and an
-//! ejection at its router), and phase 1 a measured cycle — straight into
-//! the one counter store, the [`LinkLedger`], which is indexed like the
-//! arena. Nothing else is booked: link, router, NI and aggregate energy
-//! counters are derived from these when read (the `noc_energy` ledger
-//! module states the identities).
+//! The switching internals of [`Network`] — phase 1, the exchange and the
+//! relay resolve — and why each shortcut they take leaves the same state
+//! as the per-flit cycle the `network` module docs describe.
 //!
 //! # Why streaming one lane is state-identical to arbitrating it
 //!
 //! When exactly one input lane `L` of a router is occupied
-//! (`occ.is_power_of_two()`), [`Kernel::stream_lane`] moves its front
+//! (`occ.is_power_of_two()`), [`Network::stream_lane`] moves its front
 //! flit without building candidate tables or scanning either round-robin.
 //! The outcome and every state write equal the arbitrated path's:
 //!
@@ -50,8 +23,8 @@
 //!   gates in front of them (channel free or owned by `L`, a credit
 //!   unless ejecting) are the ones `stream_lane` applies.
 //! * *The writes are the same code.* `req_cache` is filled by the shared
-//!   [`Kernel::front_request`] before either path decides, and a granted
-//!   flit moves through the one [`Kernel::send`], which performs every
+//!   [`Network::front_request`] before either path decides, and a granted
+//!   flit moves through the one [`Network::send`], which performs every
 //!   `owner`/`own`/`rr_grant`/`rr_vc`/`credits`/`occ`/`req_cache` update,
 //!   in the same cycle. A blocked lane writes nothing on either path.
 //!
@@ -103,8 +76,8 @@
 //!   of a deeper FIFO) and the front packet's next flit is a `Body`, so the
 //!   per-flit cycle injects it: the NI's credit goes out and comes back,
 //!   and only `SourceQueue::sent` moves, by one per relay cycle. It is
-//!   settled lazily from the kernel's clock of phase-1 passes (read
-//!   through [`Kernel::sent`] until the relay demotes), and a timer wakes
+//!   settled lazily from the fabric's clock of phase-1 passes (read
+//!   through [`Network::sent`] until the relay demotes), and a timer wakes
 //!   the relay on the clock its NI feeds the `Tail`, which replaces the
 //!   relay's flit, pops the source queue and demotes it. Meanwhile the
 //!   router's NI injects nothing else. A sink relay's ejection takes no
@@ -113,13 +86,13 @@
 //!   `finish_cycle` ignores (only a `Tail` delivers a packet), so a sink
 //!   relay books both lazily and defers nothing.
 //! * *Fed and drained come from the relays at the start of the cycle.*
-//!   Only [`Kernel::resolve_relays`] promotes and demotes. A relay
+//!   Only [`Network::resolve_relays`] promotes and demotes. A relay
 //!   upstream always sends and a relay downstream always pops, so a relay
 //!   stages nothing toward a relay on the matching lane or channel: its
 //!   own router's `fed_by_relay`/`feeds_relay` marks say which. Any other
 //!   lane sees in the same marks that a send or a pop meets a relay, and
 //!   sets the relay's flag instead of staging it (a `Tail` replaces the
-//!   relay's flit), so the commit never touches a relay lane or channel.
+//!   relay's flit), so the exchange never touches a relay lane or channel.
 //!   Phase 1 visits only *awake* relays: next to a non-relay lane, just
 //!   promoted, or fed a `Tail` by their NI. A worm streaming from its
 //!   source to its sink keeps none awake. It skips a router whose occupied
@@ -132,11 +105,11 @@
 //!   Every relay left holds its flit and stays on the worklist.
 //! * *What differs at a boundary:* a relay lane's ring head, which is
 //!   unobservable (`hash_state` reads `len` and `front`), a source relay's
-//!   `sent` (hashed through [`Kernel::sent`]), and the counter store. An
+//!   `sent` (hashed through [`Network::sent`]), and the counter store. An
 //!   armed relay cycle owes its lane one read and, if fed, one write (a
 //!   source relay's the NI's injection), and a sink relay its router one
 //!   ejection, booked from the ledger's measured-cycle count at demotion
-//!   and by [`Kernel::book_relays`], which the simulator runs before
+//!   and by [`Network::book_relays`], which the simulator runs before
 //!   anyone reads the ledger.
 //! * *Fallbacks.* Everything else is the per-flit path. A relay demotes
 //!   when not fed, not drained, fed a `Tail`, or when another lane of its
@@ -150,7 +123,7 @@
 //!   packet always move one flit at a time, so the only [`Effect`]s a
 //!   relay skips are a sink's `Body` ejections.
 //!
-//! # Why the result is independent of commit order
+//! # Why the result is independent of exchange order
 //!
 //! Phase 1 only *reads* other routers' committed state and only *stages*
 //! effects on them, and every staged effect commutes with every other
@@ -164,7 +137,7 @@
 //!   pops at most once), so credit commits are disjoint too,
 //! * worklist bits are idempotent and counters commute.
 //!
-//! The commit therefore lands the same state whatever order it applies
+//! The exchange therefore lands the same state whatever order it applies
 //! the staged effects in. For the same reason a router's sends and its NI
 //! injection may be staged back to back in the one pass: neither reads
 //! what the other writes.
@@ -176,15 +149,15 @@
 //! owner of the cycle replays them in that order, so slot retirement order
 //! (and with it every future [`PacketId`] assignment) is fixed.
 
-use crate::arena::FlitArena;
+use super::Network;
 use crate::flit::{Flit, FlitKind, PacketId};
 use crate::table::PacketTable;
 use adele::online::{Cycle, SourceFeedback};
-use noc_energy::{LinkLedger, LinkMap};
+use noc_energy::LinkMap;
 use noc_topology::route::{self, VirtualNet};
 use noc_topology::{Coord, Direction, NodeId};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 pub(crate) const PORTS: usize = Direction::COUNT;
 pub(crate) const VCS: usize = VirtualNet::COUNT;
@@ -202,13 +175,13 @@ const REQ_UNKNOWN: u8 = u8::MAX;
 /// blocked non-head fronts are not re-inspected every cycle.
 const REQ_NONE: u8 = u8::MAX - 1;
 
-/// A relay lane's record (module docs) in the kernel's relay slab; a
+/// A relay lane's record (module docs) in the fabric's relay slab; a
 /// free slot's lane is [`NO_LANE`]. Neighbours are read from the link
 /// table when needed.
 #[derive(Debug, Clone, Copy)]
-struct Relay {
+pub(super) struct Relay {
     /// The measured cycle the relay's lane counters are booked up to, and
-    /// the kernel clock at which a source relay's `SourceQueue::sent` was
+    /// the fabric clock at which a source relay's `SourceQueue::sent` was
     /// last settled: its NI has fed one flit per relay cycle since.
     booked: u64,
     since: u64,
@@ -268,7 +241,7 @@ pub(crate) const fn arena_lane(r: usize, lane: usize) -> usize {
     r * PORTS * VCS + lane
 }
 
-/// Per-router switching state (flit storage lives in the kernel's arena).
+/// Per-router switching state (flit storage lives in the fabric's arena).
 #[derive(Debug, Clone)]
 pub(crate) struct RouterState {
     /// Non-empty input lanes, bit [`local_lane`]`(port, vc)`. A pure
@@ -314,7 +287,7 @@ pub(crate) struct RouterState {
 }
 
 impl RouterState {
-    fn new(buffer_depth: u8, credit_mask: [bool; PORTS]) -> Self {
+    pub(super) fn new(buffer_depth: u8, credit_mask: [bool; PORTS]) -> Self {
         let mut credits = [[0u8; VCS]; PORTS];
         for p in 0..PORTS {
             if credit_mask[p] {
@@ -346,7 +319,7 @@ pub(crate) struct SourceQueue {
     pub(crate) sent: u16,
 }
 
-/// One `(node, port)` entry of [`Topo::links`]: everything a flit-hop
+/// One `(node, port)` entry of the port table: everything a flit-hop
 /// needs to know about the far end of a port, in one 4-byte load.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PortLink {
@@ -364,27 +337,12 @@ impl PortLink {
     /// router's.
     const NO_PEER: NodeId = NodeId(u16::MAX);
 
-    /// The router at the far end, if the port is wired.
-    pub(crate) fn peer(&self) -> Option<NodeId> {
-        (self.peer != Self::NO_PEER).then_some(self.peer)
-    }
-}
-
-/// Immutable per-run lookup tables.
-#[derive(Debug, Clone)]
-pub(crate) struct Topo {
-    pub(crate) coords: Vec<Coord>,
-    /// The flat link table, `links[node * PORTS + port]`, mirrored port
-    /// for port from the [`LinkMap`] so switching and telemetry can never
-    /// disagree about which links exist.
-    links: Vec<PortLink>,
-    pub(crate) buffer_depth: u8,
-}
-
-impl Topo {
-    pub(crate) fn new(coords: Vec<Coord>, map: &LinkMap, buffer_depth: u8) -> Self {
-        let mut links = Vec::with_capacity(coords.len() * PORTS);
-        for node in 0..coords.len() {
+    /// The port table of `nodes` routers, `[node * PORTS + port]`,
+    /// mirrored port for port from `map` so switching and telemetry can
+    /// never disagree about which links exist.
+    pub(crate) fn table(map: &LinkMap, nodes: usize) -> Vec<Self> {
+        let mut links = Vec::with_capacity(nodes * PORTS);
+        for node in 0..nodes {
             for dir in Direction::ALL {
                 links.push(PortLink {
                     peer: map
@@ -394,21 +352,12 @@ impl Topo {
                 });
             }
         }
-        Self {
-            coords,
-            links,
-            buffer_depth,
-        }
+        links
     }
 
-    pub(crate) fn node_count(&self) -> usize {
-        self.coords.len()
-    }
-
-    /// The link record of `(node, port)`.
-    #[inline]
-    pub(crate) fn link(&self, node: usize, port: usize) -> &PortLink {
-        &self.links[node * PORTS + port]
+    /// The router at the far end, if the port is wired.
+    pub(crate) fn peer(&self) -> Option<NodeId> {
+        (self.peer != Self::NO_PEER).then_some(self.peer)
     }
 }
 
@@ -416,9 +365,9 @@ impl Topo {
 /// derived from the coordinates and the selected elevator instead of a
 /// per-flit counter, so the hot path carries no extra packet state. A
 /// packet carries an elevator exactly when it changes layer.
-pub(crate) fn route_hops(topo: &Topo, pkt: &crate::flit::Packet) -> u64 {
-    let s = topo.coords[pkt.src.index()];
-    let d = topo.coords[pkt.dst.index()];
+pub(crate) fn route_hops(coords: &[Coord], pkt: &crate::flit::Packet) -> u64 {
+    let s = coords[pkt.src.index()];
+    let d = coords[pkt.dst.index()];
     u64::from(route::route_length(s, d, pkt.elevator))
 }
 
@@ -435,7 +384,7 @@ pub(crate) enum Effect {
 }
 
 /// A staged `(router, input port, vc, flit)` arrival.
-type Arrival = (NodeId, u8, u8, Flit);
+pub(super) type Arrival = (NodeId, u8, u8, Flit);
 
 // A staged arrival is two words in release builds.
 #[cfg(not(debug_assertions))]
@@ -453,138 +402,11 @@ struct Grant {
     is_new: bool,
 }
 
-/// The fabric's cycle state: every router's switching state, its flit
-/// arena, worklist, source queues and event counters, indexed by node id.
-#[derive(Debug, Clone)]
-pub(crate) struct Kernel {
-    /// The fabric's immutable lookup tables.
-    pub(crate) topo: Topo,
-    pub(crate) routers: Vec<RouterState>,
-    /// The input FIFOs, one ring per `(router, port, vc)`.
-    pub(crate) fifos: FlitArena,
-    pub(crate) sources: Vec<SourceQueue>,
-    /// NI credits towards the local input port, per VC.
-    pub(crate) ni_credits: Vec<[u8; VCS]>,
-    /// Flits buffered across all routers (incremental).
-    pub(crate) buffered_total: u64,
-    /// Packets waiting in the source queues (incremental).
-    pub(crate) queued_total: u64,
-    /// Worklist bitmap of routers to visit next cycle (bit = node id).
-    pub(crate) active_bits: Vec<u64>,
-    /// Previous cycle's worklist, swapped in as this cycle's visit set
-    /// and zeroed word by word as phase 1 consumes it.
-    work_bits: Vec<u64>,
-    /// Routers whose source queue is non-empty (bit = node id): a pure
-    /// cache of `sources[r].queue.is_empty()`, maintained at every
-    /// enqueue and at the pop that empties a queue, so phase 1 injects
-    /// without probing a `VecDeque` per visited router. Always a subset
-    /// of the worklist. Derived state — not hashed.
-    pub(crate) src_bits: Vec<u64>,
-    /// Staged arrivals.
-    arrivals: Vec<Arrival>,
-    /// Staged `(router, output port, vc)` credit returns; port `Local`
-    /// returns one to the router's NI.
-    credits: Vec<(NodeId, u8, u8)>,
-    /// Deferred packet-table/statistics effects, in emission order.
-    pub(crate) effects: Vec<Effect>,
-    /// Deferred source-departure feedback, in emission order.
-    pub(crate) feedbacks: Vec<SourceFeedback>,
-    /// The measurement window's flit events, FIFO lanes indexed like
-    /// [`Self::fifos`] — the only telemetry anything books (module docs).
-    pub(crate) ledger: LinkLedger,
-    /// `true` if a flit moved or was injected this cycle.
-    pub(crate) progress: bool,
-    /// The relay slab, its free slots, the slot of each relay lane
-    /// (indexed like [`Self::fifos`], read only where `relay_lanes` says
-    /// the lane is a relay) and the live count.
-    relays: Vec<Relay>,
-    free: Vec<u32>,
-    relay_of: Vec<u32>,
-    relay_count: usize,
-    /// Routers phase 1 skips: every occupied lane a relay and nothing for
-    /// the NI to inject but what a source relay's NI feeds (bit = node id).
-    relay_bits: Vec<u64>,
-    /// The relays phase 1 visits, those the resolve decides on, and the
-    /// promotion candidates (module docs) as `(router, lane, channel)`.
-    awake: Vec<u32>,
-    unsettled: Vec<u32>,
-    streamed: Vec<(u32, u8, u8)>,
-    /// Cycles phase 1 has run (a frozen cycle runs none): the clock of
-    /// the source relays' lazily fed flits.
-    clock: u64,
-    /// Wake-ups of source relays on the clock their NI feeds the `Tail`,
-    /// `clock << 16 | router`, at most one per router: its bit in `timed`.
-    timers: BinaryHeap<Reverse<u64>>,
-    timed: Vec<u64>,
-    /// Whether routers are promoted to relays (tests step without).
-    pub(crate) promote: bool,
-}
-
-impl Kernel {
-    pub(crate) fn new(topo: Topo, ledger: LinkLedger) -> Self {
-        assert_eq!(ledger.vcs(), VCS, "the ledger is indexed like the arena");
-        let n = topo.node_count();
-        let depth = topo.buffer_depth;
-        let routers = (0..n)
-            .map(|r| {
-                let credit_mask: [bool; PORTS] =
-                    std::array::from_fn(|p| topo.link(r, p).peer().is_some());
-                RouterState::new(depth, credit_mask)
-            })
-            .collect();
-        // Every staging buffer is drained each cycle, so reserving its
-        // per-cycle worst case up front makes steady-state stepping
-        // allocation-free from cycle 0. Each directed link carries at most
-        // one flit per cycle (one send per output port) and returns at
-        // most `VCS` credits per cycle (each input lane pops at most
-        // once); each NI injects at most one flit per cycle and takes back
-        // at most `VCS` credits (its LOCAL input lanes).
-        let links = topo.links.iter().filter(|l| l.peer().is_some()).count();
-        Self {
-            topo,
-            routers,
-            fifos: FlitArena::new(n * PORTS * VCS, depth),
-            sources: vec![SourceQueue::default(); n],
-            ni_credits: vec![[depth; VCS]; n],
-            buffered_total: 0,
-            queued_total: 0,
-            active_bits: vec![0; n.div_ceil(64)],
-            work_bits: vec![0; n.div_ceil(64)],
-            src_bits: vec![0; n.div_ceil(64)],
-            arrivals: Vec::with_capacity(links + n),
-            credits: Vec::with_capacity(VCS * (links + n)),
-            // Per cycle: one ejection plus `VCS` source departures per
-            // router, one feedback per departure.
-            effects: Vec::with_capacity((1 + VCS) * n),
-            feedbacks: Vec::with_capacity(VCS * n),
-            ledger,
-            progress: false,
-            // A router's relay lanes own distinct output ports, so at most
-            // `PORTS` per router; every list below holds a relay or a
-            // candidate at most once.
-            relays: Vec::with_capacity(PORTS * n),
-            free: Vec::with_capacity(PORTS * n),
-            relay_of: vec![0; n * PORTS * VCS],
-            relay_count: 0,
-            relay_bits: vec![0; n.div_ceil(64)],
-            awake: Vec::with_capacity(PORTS * n),
-            unsettled: Vec::with_capacity(PORTS * n),
-            streamed: Vec::with_capacity(PORTS * n),
-            clock: 0,
-            timers: BinaryHeap::with_capacity(n),
-            timed: vec![0; n.div_ceil(64)],
-            promote: true,
-        }
-    }
-
-    /// Queues a freshly created packet at router `r`'s source NI.
-    pub(crate) fn enqueue(&mut self, r: usize, id: PacketId) {
-        self.sources[r].queue.push_back(id);
-        self.queued_total += 1;
-        self.active_bits[r / 64] |= 1 << (r % 64);
-        self.src_bits[r / 64] |= 1 << (r % 64);
-        // The NI may have a packet to inject: phase 1 visits the router.
-        self.relay_bits[r / 64] &= !(1 << (r % 64));
+impl Network {
+    /// The link record of `(node, port)`.
+    #[inline]
+    pub(super) fn link(&self, node: usize, port: usize) -> PortLink {
+        self.links[node * PORTS + port]
     }
 
     /// Phase 1 of the cycle, one pass over the worklist: per visited
@@ -682,12 +504,12 @@ impl Kernel {
             self.list(i);
         }
         if !fed {
-            let input = self.topo.link(r, lane / VCS);
+            let input = self.link(r, lane / VCS);
             self.credits
                 .push((input.peer, input.peer_port, (lane % VCS) as u8));
         }
         if !drained {
-            let output = self.topo.link(r, out / VCS);
+            let output = self.link(r, out / VCS);
             let flit = (self.fifos.front(arena_lane(r, lane))).expect("a relay holds a flit");
             let arrival = (output.peer, output.peer_port, (out % VCS) as u8, flit);
             self.arrivals.push(arrival);
@@ -756,7 +578,7 @@ impl Kernel {
 
     /// Flits of router `r`'s front packet its NI has fed: a source
     /// relay's `sent` lags by the relay cycles since it was settled.
-    fn sent(&self, r: usize) -> u16 {
+    pub(super) fn sent(&self, r: usize) -> u16 {
         let lag = self
             .source_relay(r)
             .map_or(0, |i| self.clock - self.relays[i].since);
@@ -837,19 +659,19 @@ impl Kernel {
         self.progress = true;
     }
 
-    /// Commits the cycle: lands the staged flit arrivals and credit
-    /// returns (the NI's included), draining them in place, then resolves
-    /// the relays. The staged effects of one cycle touch disjoint
+    /// The exchange: lands the staged flit arrivals and credit returns
+    /// (the NI's included), draining them in place, then resolves the
+    /// relays. The staged effects of one cycle touch disjoint
     /// lanes and channels (see the module docs), so their order is
     /// immaterial.
-    pub(crate) fn commit(&mut self, packets: &PacketTable, armed: bool) {
+    pub(crate) fn exchange(&mut self, packets: &PacketTable, armed: bool) {
         for k in 0..self.arrivals.len() {
             let (node, port, vc, flit) = self.arrivals[k];
             let r = node.index();
             let lane = local_lane(port.into(), vc.into());
             let at = arena_lane(r, lane);
             debug_assert!(
-                self.fifos.len(at) < self.topo.buffer_depth as usize,
+                self.fifos.len(at) < self.buffer_depth as usize,
                 "credit protocol violated: FIFO overflow at {node}"
             );
             self.fifos.push_back(at, flit);
@@ -884,7 +706,7 @@ impl Kernel {
                 &mut router.credits[port][vc]
             };
             *c += 1;
-            debug_assert!(*c <= self.topo.buffer_depth, "credit overflow at {node}");
+            debug_assert!(*c <= self.buffer_depth, "credit overflow at {node}");
         }
         self.resolve_relays(packets, armed);
     }
@@ -894,7 +716,7 @@ impl Kernel {
     /// promotes the candidates that qualify.
     fn resolve_relays(&mut self, packets: &PacketTable, armed: bool) {
         // Phase 1 keeps the routers it skipped off the worklist, so a bit
-        // there is an arrival the commit landed in another of their lanes:
+        // there is an arrival the exchange landed in another of their lanes:
         // next cycle visits them. Every relay goes back on the worklist, as
         // its lane is refilled.
         for w in 0..self.relay_bits.len() {
@@ -946,7 +768,7 @@ impl Kernel {
             router.feeds_relay >> out & 1,
         );
         if !rec.at_source() {
-            let input = *self.topo.link(r, lane / VCS);
+            let input = self.link(r, lane / VCS);
             let (up, up_out) = (
                 input.peer.index(),
                 local_lane(input.peer_port.into(), lane % VCS),
@@ -957,7 +779,7 @@ impl Kernel {
             }
         }
         if !rec.at_sink() {
-            let output = *self.topo.link(r, out / VCS);
+            let output = self.link(r, out / VCS);
             let (down, down_lane) = (
                 output.peer.index(),
                 local_lane(output.peer_port.into(), out % VCS),
@@ -1062,7 +884,7 @@ impl Kernel {
         if pkt.vnet.index() != b % VCS {
             return REQ_NONE;
         }
-        let (here, there) = (self.topo.coords[r], self.topo.coords[pkt.dst.index()]);
+        let (here, there) = (self.coords[r], self.coords[pkt.dst.index()]);
         route::route_step(here, there, pkt.elevator).index() as u8
     }
 
@@ -1232,7 +1054,7 @@ impl Kernel {
         };
         let lone = self.promote && self.fifos.len(at) == 1;
         let credits = router.credits[o][v];
-        let flowing = o == LOCAL || credits > 0 && credits + 1 >= self.topo.buffer_depth;
+        let flowing = o == LOCAL || credits > 0 && credits + 1 >= self.buffer_depth;
         if !(lone && front.kind() == FlitKind::Body && flowing) {
             return;
         }
@@ -1280,12 +1102,12 @@ impl Kernel {
         self.relay_of[at] = i as u32;
         self.relay_count += 1;
         if !source {
-            let input = self.topo.link(r, lane / VCS);
+            let input = self.link(r, lane / VCS);
             let up_out = local_lane(input.peer_port.into(), lane % VCS);
             self.routers[input.peer.index()].feeds_relay |= 1 << up_out;
         }
         if !sink {
-            let output = self.topo.link(r, o);
+            let output = self.link(r, o);
             let down_lane = local_lane(output.peer_port.into(), v);
             self.routers[output.peer.index()].fed_by_relay |= 1 << down_lane;
         }
@@ -1419,7 +1241,7 @@ impl Kernel {
         }
 
         // Credit return to the upstream of the freed input slot.
-        let input = *self.topo.link(r, ip);
+        let input = self.link(r, ip);
         if ip == LOCAL {
             self.credits.push((NodeId(r as u16), LOCAL as u8, iv as u8));
         } else if from_relay {
@@ -1447,7 +1269,7 @@ impl Kernel {
             return;
         }
 
-        let output = *self.topo.link(r, o);
+        let output = self.link(r, o);
         debug_assert!(output.peer().is_some(), "credit implies neighbour");
         if to_relay {
             self.relay_arrival(&output, v, flit);
@@ -1493,14 +1315,14 @@ impl Kernel {
     }
 
     /// Verifies, at a cycle boundary, the derived bitmaps the one-pass
-    /// kernel trusts instead of re-deriving: since phase 1 re-arms routers
+    /// phase 1 trusts instead of re-deriving: since it re-arms routers
     /// itself and injects from `src_bits`, no later rescan heals a missed
     /// bit.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant, described.
-    pub(crate) fn check_derived_state(&self) -> Result<(), String> {
+    pub(super) fn check_derived_state(&self) -> Result<(), String> {
         if self.work_bits.iter().any(|&w| w != 0) {
             return Err("stale visit-set bits".to_string());
         }
@@ -1541,100 +1363,27 @@ impl Kernel {
         }
         Ok(())
     }
-
-    /// Heap capacity (in elements) reserved by the cycle state — the
-    /// zero-allocation contract's sum.
-    pub(crate) fn heap_footprint(&self) -> usize {
-        self.fifos.capacity_flits()
-            + self.arrivals.capacity()
-            + self.credits.capacity()
-            + self.active_bits.capacity()
-            + self.work_bits.capacity()
-            + self.src_bits.capacity()
-            + self.effects.capacity()
-            + self.feedbacks.capacity()
-            + self.relays.capacity()
-            + self.free.capacity()
-            + self.relay_of.capacity()
-            + self.relay_bits.capacity()
-            + self.awake.capacity()
-            + self.unsettled.capacity()
-            + self.streamed.capacity()
-            + self.timers.capacity()
-            + self.timed.capacity()
-            + self
-                .sources
-                .iter()
-                .map(|s| s.queue.capacity())
-                .sum::<usize>()
-    }
-
-    /// Folds the committed state into `h` (FNV-1a) in ascending router
-    /// order with a fixed per-router field order. A FIFO front is folded
-    /// as its packet's handle, the generation read from `packets`.
-    pub(crate) fn hash_state(&self, packets: &PacketTable, h: &mut u64) {
-        #[inline]
-        fn mix(h: &mut u64, v: u64) {
-            *h ^= v;
-            *h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        for (r, router) in self.routers.iter().enumerate() {
-            mix(h, u64::from(router.occ));
-            mix(h, u64::from(router.own));
-            for &b in &router.req_cache {
-                mix(h, u64::from(b));
-            }
-            for p in 0..PORTS {
-                for v in 0..VCS {
-                    mix(
-                        h,
-                        match router.owner[p][v] {
-                            None => u64::MAX,
-                            Some((ip, iv)) => (u64::from(ip) << 8) | u64::from(iv),
-                        },
-                    );
-                    mix(h, u64::from(router.credits[p][v]));
-                    mix(h, u64::from(router.rr_grant[p][v]));
-                    let at = arena_lane(r, local_lane(p, v));
-                    mix(h, self.fifos.len(at) as u64);
-                    if let Some(front) = self.fifos.front(at) {
-                        let id = packets.id_of(front);
-                        mix(h, u64::from(id.slot()));
-                        mix(h, u64::from(id.generation()));
-                    }
-                }
-                mix(h, u64::from(router.rr_vc[p]));
-            }
-            mix(h, u64::from(router.buffered));
-            mix(h, u64::from(router.quiet));
-            // The worklist membership is part of committed state: it
-            // decides which routers next cycle visits.
-            mix(h, (self.active_bits[r / 64] >> (r % 64)) & 1);
-            for v in 0..VCS {
-                mix(h, u64::from(self.ni_credits[r][v]));
-            }
-            let sq = &self.sources[r];
-            mix(h, sq.queue.len() as u64);
-            for &pid in &sq.queue {
-                mix(h, u64::from(pid.slot()));
-                mix(h, u64::from(pid.generation()));
-            }
-            mix(h, u64::from(self.sent(r)));
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    impl Kernel {
+    impl Network {
+        /// Steps the per-flit engine only: no router is ever promoted to
+        /// a relay (the relay oracle's reference side).
+        pub(crate) fn disable_relays(&mut self) {
+            self.promote = false;
+        }
+
+        /// Relays at the current cycle boundary, i.e. the sends the next
+        /// cycle makes as relay cycles.
         pub(crate) fn relay_count(&self) -> usize {
             self.relay_count
         }
 
         /// Stages `flit` into input lane `(node, port, vc)`, as its
-        /// upstream's send would, for the next [`Self::commit`].
+        /// upstream's send would, for the next [`Self::exchange`].
         pub(crate) fn stage_arrival(&mut self, node: NodeId, port: usize, vc: usize, flit: Flit) {
             self.arrivals.push((node, port as u8, vc as u8, flit));
         }
@@ -1831,8 +1580,8 @@ mod tests {
                 let drained = rec.at_sink() || router.feeds_relay >> out & 1 != 0;
                 let awake = rec.flags & AWAKE != 0 && self.awake.contains(&(i as u32));
                 // Its relay neighbours' marks, and the relays they name.
-                let input = self.topo.link(r, lane / VCS);
-                let output = self.topo.link(r, o);
+                let input = self.link(r, lane / VCS);
+                let output = self.link(r, o);
                 let up_out = local_lane(input.peer_port.into(), lane % VCS);
                 let down_lane = local_lane(output.peer_port.into(), v);
                 let marked_up = rec.at_source()

@@ -304,13 +304,15 @@ impl Simulator {
         }
     }
 
-    /// The one cycle body: due events → injection → phase 1 → the
-    /// exchange → the serial tail → [`Self::post_step`]. `WATCHED` is a
-    /// compile-time choice: the unwatched instantiation reads no clock,
-    /// journals nothing and returns zeros; the watched one journals each
-    /// fired event to the attached tracer (if any) and laps a wall clock
-    /// at every phase boundary. Simulation state evolves bit-identically
-    /// either way.
+    /// The one cycle body, one call per timed phase of [`PhaseTimes`]:
+    /// due events and injection (*inject*) → `Network::phase1`
+    /// (*compute*) → `Network::exchange` (*exchange*) →
+    /// `Network::finish_cycle` and [`Self::post_step`] (*commit*).
+    /// `WATCHED` is a compile-time choice: the unwatched instantiation
+    /// reads no clock, journals nothing and returns zeros; the watched one
+    /// journals each fired event to the attached tracer (if any) and laps
+    /// a wall clock at every phase boundary. Simulation state evolves
+    /// bit-identically either way.
     ///
     /// A cycle inside an [`Event::FabricFreeze`] wedge leaves before
     /// the network: events fire and traffic queues at the NIs, but no

@@ -42,6 +42,21 @@ pub trait Pattern: Send {
     }
 }
 
+/// The one `SetHotspots` rule of every generator over `n` nodes: a pattern
+/// with a hotspot component of its own re-aims it
+/// ([`Pattern::set_hotspots`]); any other is replaced by a [`Hotspot`]
+/// over uniform.
+pub(crate) fn retarget_hotspots(
+    pattern: &mut Box<dyn Pattern>,
+    n: usize,
+    hotspots: &[NodeId],
+    fraction: f64,
+) {
+    if !pattern.set_hotspots(hotspots, fraction) {
+        *pattern = Box::new(Hotspot::new(n, hotspots.to_vec(), fraction));
+    }
+}
+
 /// Uniform random traffic: every other node is equally likely.
 #[derive(Debug, Clone, Copy)]
 pub struct Uniform {

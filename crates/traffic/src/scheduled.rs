@@ -31,7 +31,7 @@
 //! drives a polled source one cycle at a time.
 
 use crate::injection::{InjectionProcess, PacketSizeRange};
-use crate::pattern::{Hotspot, Pattern};
+use crate::pattern::{retarget_hotspots, Pattern};
 use crate::source::{InjectionRequest, SyntheticParts, TrafficDirective, TrafficSource};
 use noc_topology::{Mesh3d, NodeId};
 use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
@@ -404,8 +404,8 @@ impl ScheduledSource for BatchedSynthetic {
                 }
             }
             TrafficDirective::SetHotspots { hotspots, fraction } => {
-                self.pattern =
-                    Box::new(Hotspot::new(self.nodes.len(), hotspots.clone(), *fraction));
+                let n = self.nodes.len();
+                retarget_hotspots(&mut self.pattern, n, hotspots, *fraction);
             }
         }
         // Any directive invalidates the schedule (callers may have
@@ -680,6 +680,45 @@ mod tests {
             if inj.node != hot {
                 assert_eq!(inj.request.dst, hot, "fraction 1 targets the hotspot");
             }
+        }
+    }
+
+    /// A pattern with a hotspot component of its own: every packet
+    /// targets its one hotspot, which `set_hotspots` re-aims.
+    struct Aimed(NodeId);
+
+    impl Pattern for Aimed {
+        fn destination(&self, src: NodeId, _rng: &mut dyn RngCore) -> Option<NodeId> {
+            (src != self.0).then_some(self.0)
+        }
+
+        fn name(&self) -> &'static str {
+            "aimed"
+        }
+
+        fn set_hotspots(&mut self, hotspots: &[NodeId], _fraction: f64) -> bool {
+            self.0 = hotspots[0];
+            true
+        }
+    }
+
+    #[test]
+    fn a_pattern_that_accepts_set_hotspots_is_re_aimed_not_replaced() {
+        let mesh = Mesh3d::new(4, 4, 2).unwrap();
+        let (old, hot) = (NodeId(3), NodeId(9));
+        let process = InjectionProcess::bernoulli(1.0);
+        let parts = SyntheticParts::new(&mesh, Box::new(Aimed(old)), process);
+        let mut t = BatchedSynthetic::from_parts(parts, 7);
+        let directive = TrafficDirective::SetHotspots {
+            hotspots: vec![hot],
+            fraction: 0.5,
+        };
+        t.apply(&directive, 100);
+        assert_eq!(t.name(), "aimed", "the pattern must survive the directive");
+        let batch = t.next_injections(150);
+        assert!(!batch.is_empty());
+        for inj in batch {
+            assert_eq!(inj.request.dst, hot, "re-aimed at the new hotspot");
         }
     }
 

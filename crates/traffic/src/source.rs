@@ -1,5 +1,5 @@
 use crate::injection::{InjectionProcess, PacketSizeRange};
-use crate::pattern::{BitPermutation, Hotspot, Pattern, Permutation, Uniform};
+use crate::pattern::{retarget_hotspots, BitPermutation, Hotspot, Pattern, Permutation, Uniform};
 use noc_topology::{Mesh3d, NodeId};
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -26,7 +26,9 @@ pub enum TrafficDirective {
         factor: f64,
     },
     /// Re-aim the spatial pattern: from now on a `fraction` of packets
-    /// target the given hotspot nodes, the rest stay uniform.
+    /// target the given hotspot nodes, the rest stay uniform. A pattern
+    /// with a hotspot component of its own re-aims that instead
+    /// ([`Pattern::set_hotspots`]), on either generator.
     SetHotspots {
         /// The new hotspot destinations.
         hotspots: Vec<NodeId>,
@@ -229,15 +231,8 @@ impl TrafficSource for SyntheticTraffic {
                 }
             }
             TrafficDirective::SetHotspots { hotspots, fraction } => {
-                // A pattern with a hotspot component of its own re-aims
-                // it; any other is replaced by hotspot-over-uniform.
-                if !self.pattern.set_hotspots(hotspots, *fraction) {
-                    self.pattern = Box::new(Hotspot::new(
-                        self.processes.len(),
-                        hotspots.clone(),
-                        *fraction,
-                    ));
-                }
+                let n = self.processes.len();
+                retarget_hotspots(&mut self.pattern, n, hotspots, *fraction);
             }
         }
     }

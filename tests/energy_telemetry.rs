@@ -1,7 +1,7 @@
 //! The telemetry acceptance contract: the counter store's hierarchical
 //! roll-ups partition its aggregate energy ledger **exactly** (counter
 //! for counter) on arbitrary topologies and loads, the counters the
-//! kernel books balance against fabric state it keeps independently,
+//! network books balance against fabric state it keeps independently,
 //! telemetry is pure observability (pushing it to the policy changes
 //! nothing by default), and a pillar that died before the window reports
 //! zero TSV energy.

@@ -1,4 +1,4 @@
-//! The counter-store invariant. While a window is armed the kernel books
+//! The counter-store invariant. While a window is armed the network books
 //! every flit event once, into the one `LinkLedger` (`{writes, reads}`
 //! per FIFO lane, ejections per router, measured cycles), and every
 //! energy figure — link, router, NI, pillar, aggregate — is derived from
