@@ -162,18 +162,6 @@ pub fn fig7_base_rate(placement: Placement) -> f64 {
     fig6_rates(placement).1 * 0.85
 }
 
-/// The scaling-study elevator geometry: one pillar column per 4×4 tile
-/// (`(4i+2, 4j+2)`), giving the same pillar density at every mesh size —
-/// 4 columns on 8×8, 16 on 16×16, 64 on 32×32. The `scale` binary builds
-/// its fabrics from it, so the README's scaling table measures this
-/// geometry.
-#[must_use]
-pub fn pillar_grid(x: usize, y: usize) -> Vec<(u8, u8)> {
-    (0..x as u8 / 4)
-        .flat_map(|i| (0..y as u8 / 4).map(move |j| (4 * i + 2, 4 * j + 2)))
-        .collect()
-}
-
 /// Applies the `ADELE_QUICK=1` window shrink to a scenario in place:
 /// quarter warm-up/measure (floored so the checked-in suite's events still
 /// land inside the run) and half the drain budget. Topology, workload,
@@ -187,9 +175,9 @@ pub fn quick_shrink(scenario: &mut Scenario) {
     scenario.drain_max /= 2;
 }
 
-/// Provenance stamp embedded in dumped result JSON (`scale`,
-/// `run_specs`): which tree produced the numbers and on what machine
-/// shape — so a record can be judged against the host reproducing it.
+/// Provenance stamp embedded in `run_specs`' result JSON: which tree
+/// produced the numbers and on what machine shape — so a record can be
+/// judged against the host reproducing it.
 #[derive(Debug, Clone, Serialize)]
 pub struct BenchMeta {
     /// `git describe --always --dirty` of the tree, or `"unknown"`.

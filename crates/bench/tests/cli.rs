@@ -18,7 +18,6 @@ use std::process::Command;
 use std::sync::Mutex;
 
 const RUN_SPECS: &str = env!("CARGO_BIN_EXE_run_specs");
-const SCALE: &str = env!("CARGO_BIN_EXE_scale");
 const NOC_TRACE: &str = env!("CARGO_BIN_EXE_noc_trace");
 const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
@@ -71,8 +70,6 @@ fn usage_errors_exit_2_naming_the_offender() {
         // An unknown flag — a typo, or a flag another binary has.
         (RUN_SPECS, &["specs", "--resum"], "--resum"),
         (RUN_SPECS, &["--emit"], "--emit"),
-        (SCALE, &["--quick"], "--quick"),
-        (SCALE, &["--shard", "2"], "--shard"),
         (
             NOC_TRACE,
             &["verify", "golden.jsonl", "--shard", "8"],
@@ -90,7 +87,6 @@ fn usage_errors_exit_2_naming_the_offender() {
         (REPRO, &["fig6", "--links", "--stream", "v2"], "--stream"),
         // A flag whose value is missing.
         (RUN_SPECS, &["--trace", "--hud"], "--trace"),
-        (SCALE, &["--stream"], "--stream"),
         (NOC_TRACE, &["record", "spec.json", "-o"], "-o"),
         (REPRO, &["all", "--jobs"], "--jobs"),
         // A value that does not parse.
@@ -100,7 +96,6 @@ fn usage_errors_exit_2_naming_the_offender() {
             &["specs", "--deadline-ms", "1.5"],
             "--deadline-ms",
         ),
-        (SCALE, &["--stream", "v3"], "--stream"),
         (
             NOC_TRACE,
             &["record", "spec.json", "--period", "x"],
@@ -136,9 +131,9 @@ fn a_typoed_resume_leaves_the_ledger_untouched() {
 }
 
 /// The fabric is one router range, so no binary takes `--shards`: it is
-/// refused like any unknown flag before a file is touched — the ledgers
-/// `run_specs` and `scale` would start over, and the journal
-/// `noc_trace record -o` would write.
+/// refused like any unknown flag before a file is touched — the ledger
+/// `run_specs` would start over, and the journal `noc_trace record -o`
+/// would write.
 #[test]
 fn shards_is_an_unknown_flag_in_every_binary() {
     let _lock = SPECS_RESULTS.lock().unwrap_or_else(|e| e.into_inner());
@@ -148,13 +143,12 @@ fn shards_is_an_unknown_flag_in_every_binary() {
     let golden = path("tests/golden/trace_small_v2.jsonl");
     let journal = std::env::temp_dir().join(format!("adele_shards_{}.jsonl", std::process::id()));
     let out = journal.to_str().unwrap();
-    let cases: [(&str, &str, Vec<&str>); 5] = [
+    let cases: [(&str, &str, Vec<&str>); 4] = [
         (
             RUN_SPECS,
             "specs.ledger.jsonl",
             vec![&specs, "--shards", "2"],
         ),
-        (SCALE, "scale.ledger.jsonl", vec!["--shards", "1,2,8"]),
         (
             NOC_TRACE,
             "specs.json",

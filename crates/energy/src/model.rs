@@ -10,7 +10,7 @@
 //! compare policies *relative to Elevator-First*, which depends only on
 //! hop counts and path mix, both of which this model captures. TSV hops
 //! are markedly cheaper than horizontal links, reflecting the short
-//! vertical distances of die stacking [2].
+//! vertical distances of die stacking \[2\].
 
 /// Per-event energies in nanojoules.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -42,7 +42,7 @@ pub struct ChaosSpec {
     /// Length of an injected delay, milliseconds.
     pub delay_ms: u64,
     /// Whether the harness should also exercise torn-file recovery
-    /// (consumed by the sweep binaries, not the supervisor).
+    /// (consumed by `run_specs`, not the supervisor).
     pub torn_files: bool,
 }
 

@@ -10,9 +10,7 @@
 //!   never a torn hybrid.
 //! * [`Ledger`] — an append-only JSONL journal of completed points, each
 //!   keyed by the FNV-1a hash of its scenario's canonical spec JSON
-//!   ([`spec_hash`]) and carrying the full [`ScenarioResult`] (or, for a
-//!   study whose points are not scenarios, that study's own key and
-//!   payload type). Records
+//!   ([`spec_hash`]) and carrying the full [`ScenarioResult`]. Records
 //!   are appended in one `write` call and flushed per point, so a kill
 //!   mid-append can tear at most the final line — and [`Ledger::open`]
 //!   tolerates exactly that, dropping unparsable tails instead of
@@ -108,24 +106,23 @@ pub fn atomic_write(path: &Path, contents: &str) -> io::Result<()> {
     result
 }
 
-/// One ledger line: the point's hash and payload, with a payload that
-/// names itself (every [`ScenarioResult`]) getting the name lifted beside
-/// the hash, where `grep` finds it without parsing the result.
-fn to_line<R: Serialize>(hash: u64, result: &R) -> String {
-    let result = result.to_value();
-    let mut fields = vec![("hash".to_string(), Value::String(format!("{hash:016x}")))];
-    if let Ok(name) = serde::field::<String>(&result, "name") {
-        fields.push(("name".to_string(), Value::String(name)));
-    }
-    fields.push(("result".to_string(), result));
+/// One ledger line: the point's hash, its scenario's name (lifted beside
+/// the hash, where `grep` finds it without parsing the result) and the
+/// result.
+fn to_line(hash: u64, result: &ScenarioResult) -> String {
+    let fields = vec![
+        ("hash".to_string(), Value::String(format!("{hash:016x}"))),
+        ("name".to_string(), Value::String(result.name.clone())),
+        ("result".to_string(), result.to_value()),
+    ];
     serde_json::to_string(&Value::Object(fields)).expect("ledger entries serialise")
 }
 
-fn parse_line<R: Deserialize>(line: &str) -> Option<(u64, R)> {
+fn parse_line(line: &str) -> Option<(u64, ScenarioResult)> {
     let value: Value = serde_json::from_str(line).ok()?;
     let hex: String = serde::field(&value, "hash").ok()?;
     let hash = u64::from_str_radix(&hex, 16).ok()?;
-    let result = R::from_value(&serde::field(&value, "result").ok()?).ok()?;
+    let result = ScenarioResult::from_value(&serde::field(&value, "result").ok()?).ok()?;
     Some((hash, result))
 }
 
@@ -133,20 +130,18 @@ fn parse_line<R: Deserialize>(line: &str) -> Option<(u64, R)> {
 ///
 /// Open it next to the sweep's results file, [`Ledger::record`] each
 /// point as it completes, and on a resumed run skip every point whose
-/// hash ([`spec_hash`] for scenarios) answers [`Ledger::lookup`]. The
-/// file survives `kill -9` at any instant: appends are single-`write` +
-/// flush, and torn final lines are dropped (and counted) on open. The
-/// payload `R` is whatever the sweep measures per point — a
-/// [`ScenarioResult`] unless said otherwise.
+/// [`spec_hash`] answers [`Ledger::lookup`]. The file survives `kill -9`
+/// at any instant: appends are single-`write` + flush, and torn final
+/// lines are dropped (and counted) on open.
 #[derive(Debug)]
-pub struct Ledger<R = ScenarioResult> {
+pub struct Ledger {
     path: PathBuf,
-    complete: HashMap<u64, R>,
+    complete: HashMap<u64, ScenarioResult>,
     torn: usize,
     file: fs::File,
 }
 
-impl<R: Serialize + Deserialize + Clone> Ledger<R> {
+impl Ledger {
     /// Opens (creating if absent) the ledger at `path` and indexes every
     /// parseable line. Unparsable lines — the torn tail of a killed
     /// writer — are skipped and counted in [`Ledger::torn_lines`].
@@ -222,7 +217,7 @@ impl<R: Serialize + Deserialize + Clone> Ledger<R> {
 
     /// The recorded result for `hash`, if that point already completed.
     #[must_use]
-    pub fn lookup(&self, hash: u64) -> Option<&R> {
+    pub fn lookup(&self, hash: u64) -> Option<&ScenarioResult> {
         self.complete.get(&hash)
     }
 
@@ -234,7 +229,7 @@ impl<R: Serialize + Deserialize + Clone> Ledger<R> {
     ///
     /// Returns the underlying I/O error; the in-memory index is only
     /// updated after the bytes are flushed.
-    pub fn record(&mut self, hash: u64, result: &R) -> io::Result<()> {
+    pub fn record(&mut self, hash: u64, result: &ScenarioResult) -> io::Result<()> {
         let mut line = to_line(hash, result);
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
@@ -311,18 +306,28 @@ mod tests {
             "restored result must be bit-identical (floats included)"
         );
         assert_eq!(reopened.lookup(hash ^ 1), None);
+        fs::remove_dir_all(&dir).unwrap();
+    }
 
-        // A payload that is not a scenario result (and names nothing)
-        // rides the same file format, minus the lifted name.
-        let path = dir.join("study.ledger.jsonl");
-        let mut study = Ledger::<Vec<u64>>::open(&path).unwrap();
-        study.record(7, &vec![1, 2, 3]).unwrap();
+    #[test]
+    fn ledger_line_is_hash_then_name_then_result() {
+        let dir = std::env::temp_dir().join(format!("noc_ledger_line_{}", std::process::id()));
+        let path = dir.join("sweep.ledger.jsonl");
+        let scenario = tiny("pinned-line", 7);
+        let result = scenario.run().unwrap();
+        let hash = spec_hash(&scenario);
+        Ledger::open(&path).unwrap().record(hash, &result).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        let prefix = format!("{{\"hash\":\"{hash:016x}\",\"name\":\"pinned-line\",\"result\":{{");
+        assert!(text.starts_with(&prefix), "{text}");
+        let reopened = Ledger::open(&path).unwrap();
+        let restored = reopened.lookup(hash).expect("the recorded point");
+        assert_eq!(restored, &result);
         assert_eq!(
-            fs::read_to_string(&path).unwrap(),
-            "{\"hash\":\"0000000000000007\",\"result\":[1,2,3]}\n"
+            format!("{}\n", to_line(hash, restored)),
+            text,
+            "restored result must re-serialise to the same bytes (floats included)"
         );
-        let study = Ledger::<Vec<u64>>::open(&path).unwrap();
-        assert_eq!(study.lookup(7), Some(&vec![1, 2, 3]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -348,7 +353,7 @@ mod tests {
         let other = tiny("torn-2", 9);
         let other_result = other.run().unwrap();
         ledger.record(spec_hash(&other), &other_result).unwrap();
-        let reopened: Ledger = Ledger::open(&path).unwrap();
+        let reopened = Ledger::open(&path).unwrap();
         assert_eq!(reopened.len(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -5,7 +5,7 @@
 //! post-mortem needs (what cycle, when progress
 //! last happened, how much state was in flight, and the state digest
 //! that lets two hosts compare the wedged state bit for bit) — never as a panic that takes a whole sweep pool down
-//! with it. Supervisors ([`noc_exp`]'s runner) record these per point and
+//! with it. Supervisors (`noc_exp`'s runner) record these per point and
 //! keep going; harness binaries print them and exit nonzero.
 //!
 //! The diagnostics are deterministic: because runs are functions of

@@ -13,7 +13,7 @@
 //! | [`core`] | `adele` | offline subset search + online selection policies |
 //! | [`area`] | `noc_area` | 45 nm analytical router-area model (Table III) |
 //! | [`sim`] | `noc_sim` | cycle-level wormhole simulator + run harness |
-//! | [`mod@bench`] | `adele_bench` | shared harness for the `repro` figures and the sweep binaries |
+//! | [`mod@bench`] | `adele_bench` | shared harness for the `repro` figures, `run_specs` and `noc_trace` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
