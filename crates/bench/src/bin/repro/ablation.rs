@@ -1,5 +1,5 @@
-//! Ablation study of AdEle's design choices (beyond the paper's figures;
-//! DESIGN.md §6). Each row disables or re-tunes one mechanism and reports
+//! Ablation study of AdEle's design choices (beyond the paper's figures).
+//! Each row disables or re-tunes one mechanism and reports
 //! latency/energy on the paper's most contended scenario (PS1, uniform,
 //! near saturation) plus a light-load scenario (for the override's energy
 //! effect):
@@ -10,12 +10,12 @@
 //! * the low-traffic threshold θ,
 //! * the offline stage itself (AMOSA subsets vs nearest-only vs full).
 
+use crate::{Plan, Report};
 use adele::offline::SubsetAssignment;
 use adele::AdeleConfig;
-use adele_bench::{
-    dump_json, f1, f2, figure_scenario, offline_assignment, run_scenarios, table, FigureError,
-};
+use adele_bench::{dump_json, f1, f2, figure_scenario, offline_assignment, table};
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
+use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
 use serde::Serialize;
 use std::fmt::Write;
@@ -28,15 +28,14 @@ struct AblationRow {
     low_load_energy_nj: f64,
 }
 
-/// The study on `threads` workers; writes `results/ablation.json`.
-pub fn run(threads: usize) -> Result<String, FigureError> {
+/// Per variant, its high-load run and then its low-load one.
+pub fn plan() -> Plan {
     let placement = Placement::Ps1;
     let (mesh, elevators) = placement.instantiate();
     let amosa = offline_assignment(placement);
     let nearest = SubsetAssignment::nearest(&mesh, &elevators);
     let full = SubsetAssignment::full(&mesh, &elevators);
-    let high_rate = 0.0045;
-    let low_rate = 0.001;
+    let rates = [0.0045, 0.001];
 
     let paper = AdeleConfig::paper_default();
     // A variant on the AMOSA subsets whose config is the paper's, tuned.
@@ -62,16 +61,10 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
         ("full subsets", &full, paper),
     ];
 
-    let mut out = String::new();
-    writeln!(
-        out,
-        "# AdEle ablations on PS1, uniform traffic (high load {high_rate}, low load {low_rate})"
-    )?;
-    // Per variant: the high-load scenario, then the low-load one.
     let scenarios: Vec<Scenario> = variants
         .iter()
         .flat_map(|(label, assignment, config)| {
-            [high_rate, low_rate].map(|rate| {
+            rates.map(|rate| {
                 let selector = SelectorSpec::AdeleTuned {
                     config: *config,
                     assignment: Some((*assignment).clone()),
@@ -82,11 +75,21 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
             })
         })
         .collect();
-    let summaries = run_scenarios(&scenarios, threads)?;
+    let labels = variants.map(|(label, ..)| label);
+    Plan::new(scenarios, move |runs| render(rates, &labels, runs))
+}
 
+/// The study from the variants' labels and runs; writes
+/// `results/ablation.json`.
+fn render([high_rate, low_rate]: [f64; 2], labels: &[&str], summaries: &[RunSummary]) -> Report {
+    let mut out = String::new();
+    writeln!(
+        out,
+        "# AdEle ablations on PS1, uniform traffic (high load {high_rate}, low load {low_rate})"
+    )?;
     let mut rows = Vec::new();
     let mut json = Vec::new();
-    for ((label, ..), runs) in variants.into_iter().zip(summaries.chunks(2)) {
+    for (label, runs) in labels.iter().zip(summaries.chunks(2)) {
         let (high, low) = (&runs[0], &runs[1]);
         rows.push(vec![
             label.to_string(),

@@ -2,8 +2,10 @@
 //! Elevator-First selection policy and uniform traffic, demonstrating the
 //! uneven elevator utilisation that motivates AdEle.
 
-use adele_bench::{dump_json, f2, figure_scenario, run_scenarios, table, FigureError};
+use crate::{Plan, Report};
+use adele_bench::{dump_json, f2, figure_scenario, table};
 use noc_exp::{SelectorSpec, WorkloadKind};
+use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
 use noc_topology::Coord;
 use serde::Serialize;
@@ -18,16 +20,18 @@ struct Fig2b {
     max_over_mean: f64,
 }
 
-/// The figure on `threads` workers; writes `results/fig2b.json`.
-pub fn run(threads: usize) -> Result<String, FigureError> {
-    let placement = Placement::Ps1;
-    let (mesh, elevators) = placement.instantiate();
+/// The figure's one run, on PS1.
+pub fn plan() -> Plan {
     let rate = 0.003;
-    let scenario = figure_scenario("fig2b", placement)
+    let scenario = figure_scenario("fig2b", Placement::Ps1)
         .with_workload(WorkloadKind::Uniform { rate })
         .with_selector(SelectorSpec::ElevatorFirst);
-    let summary = &run_scenarios(&[scenario], threads)?[0];
+    Plan::new(vec![scenario], move |runs| render(rate, &runs[0]))
+}
 
+/// The figure from its run at `rate`; writes `results/fig2b.json`.
+fn render(rate: f64, summary: &RunSummary) -> Report {
+    let (mesh, elevators) = Placement::Ps1.instantiate();
     let layer = (mesh.layers() / 2) as u8;
     let mut loads = vec![vec![0.0; mesh.x()]; mesh.y()];
     let mut total = 0.0;

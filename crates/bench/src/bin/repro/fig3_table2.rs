@@ -3,10 +3,11 @@
 //! the network performance (latency, energy/flit) of six solutions S0–S5
 //! spread along the front versus Elevator-First.
 
-use adele_bench::{
-    dump_json, f1, f2, figure_scenario, offline_result, run_scenarios, table, FigureError,
-};
+use crate::{Plan, Report};
+use adele::offline::OfflineResult;
+use adele_bench::{dump_json, f1, f2, figure_scenario, offline_result, table};
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
+use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
 use serde::Serialize;
 use std::fmt::Write;
@@ -40,13 +41,40 @@ struct Fig3Table2 {
     table2: Vec<Table2Row>,
 }
 
-/// Both, Table II on `threads` workers; writes `results/fig3_table2.json`.
-pub fn run(threads: usize) -> Result<String, FigureError> {
+/// Fig. 3's AMOSA run on PM; Table II's runs: ElevFirst, then S0..S5.
+pub fn plan() -> Plan {
     let placement = Placement::Pm;
+    let result = offline_result(placement);
+    let baseline = ("ElevFirst".to_string(), None, SelectorSpec::ElevatorFirst);
+    let solutions = result.spread(6).into_iter().enumerate().map(|(i, pick)| {
+        let adele = SelectorSpec::Adele {
+            rr_only: false,
+            measured_energy: false,
+            assignment: Some(pick.assignment.clone()),
+        };
+        let front = (pick.utilization_variance, pick.average_distance);
+        (format!("S{i}"), Some(front), adele)
+    });
+    let variants: Vec<Variant> = std::iter::once(baseline).chain(solutions).collect();
+    let scenarios: Vec<Scenario> = variants
+        .iter()
+        .map(|(label, _, policy)| {
+            figure_scenario(format!("table2 {label}"), placement)
+                .with_workload(WorkloadKind::Uniform { rate: TABLE2_RATE })
+                .with_selector(policy.clone())
+        })
+        .collect();
+    Plan::new(scenarios, move |runs| render(&result, &variants, runs))
+}
+
+/// A Table II row: its label, the front point behind it and its policy.
+type Variant = (String, Option<(f64, f64)>, SelectorSpec);
+
+/// Both, from the AMOSA run and Table II's runs; writes `results/fig3_table2.json`.
+fn render(result: &OfflineResult, variants: &[Variant], runs: &[RunSummary]) -> Report {
     let mut out = String::from(
         "# Fig. 3: AMOSA exploration on PM (8x8x4, 12 elevators), uniform assumed traffic\n",
     );
-    let result = offline_result(placement);
     writeln!(
         out,
         "AMOSA evaluations: {}; Pareto-front size: {}; explored points recorded: {}",
@@ -74,35 +102,10 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
     out += "paper Fig. 3: variance spans ≈0–7, distance ≈6.65–6.95 (absolute scales differ\n\
             with our re-derived PM placement; the trade-off shape is the comparison).\n";
 
-    // ---- Table II: simulate Elevator-First + S0..S5 on PM, one grid. ----
-    let picks = result.spread(6);
-    let rate = TABLE2_RATE;
-    // (label, the front point behind it, policy): the baseline, then S0..S5.
-    let baseline = ("ElevFirst".to_string(), None, SelectorSpec::ElevatorFirst);
-    let solutions = picks.iter().enumerate().map(|(i, &pick)| {
-        let adele = SelectorSpec::Adele {
-            rr_only: false,
-            measured_energy: false,
-            assignment: Some(pick.assignment.clone()),
-        };
-        (format!("S{i}"), Some(pick), adele)
-    });
-    let variants: Vec<_> = std::iter::once(baseline).chain(solutions).collect();
-    let scenarios: Vec<Scenario> = variants
-        .iter()
-        .map(|(label, _, policy)| {
-            figure_scenario(format!("table2 {label}"), placement)
-                .with_workload(WorkloadKind::Uniform { rate })
-                .with_selector(policy.clone())
-        })
-        .collect();
-
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    let summaries = run_scenarios(&scenarios, threads)?;
-    for ((label, pick, _), summary) in variants.into_iter().zip(summaries) {
-        let variance = pick.map(|p| p.utilization_variance);
-        let distance = pick.map(|p| p.average_distance);
+    for ((label, front, _), summary) in variants.iter().zip(runs) {
+        let (variance, distance) = (front.map(|f| f.0), front.map(|f| f.1));
         rows.push(vec![
             label.clone(),
             variance.map_or("-".to_string(), f2),
@@ -115,7 +118,7 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
             f1(summary.energy_per_flit_nj),
         ]);
         json_rows.push(Table2Row {
-            label,
+            label: label.clone(),
             variance,
             distance,
             latency: summary.avg_latency,
@@ -126,7 +129,7 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
 
     writeln!(
         out,
-        "\n# Table II: performance of selected solutions (PM, uniform @ rate {rate})"
+        "\n# Table II: performance of selected solutions (PM, uniform @ rate {TABLE2_RATE})"
     )?;
     out += &table(
         &[

@@ -8,15 +8,16 @@
 //! bit-stable `v1` workload stream (the dump records it). `ADELE_QUICK=1`
 //! shrinks windows for a fast smoke run.
 //!
-//! A panel is one batch on the figure runner: per policy, the zero-load
-//! probe and the swept rates, all independent scenarios.
+//! A panel is, per policy, the zero-load probe and the swept rates, all
+//! independent scenarios of the figure's plan.
 
+use crate::Plan;
 use adele_bench::{
-    dump_json, f1, f4, fig4_rates, figure_scenario, main_policies, offline_assignment,
-    run_scenarios, table, Args, FigureError,
+    dump_json, f1, f4, fig4_rates, figure_scenario, main_policies, offline_assignment, table, Args,
 };
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind, WorkloadSpec};
 use noc_sim::harness::saturation_rate;
+use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
 use serde::Serialize;
 use std::fmt::Write;
@@ -45,13 +46,13 @@ struct Panel {
     series: Vec<Series>,
 }
 
-/// One panel: `workload` is the printed name of the uniform or `shuffle` traffic.
+/// One panel's runs (per policy, the zero-load probe, then the swept rates)
+/// and its builder; `workload` names the uniform or `shuffle` traffic.
 fn panel(
     placement: Placement,
-    workload: &str,
+    workload: &'static str,
     shuffle: bool,
-    threads: usize,
-) -> Result<Panel, FigureError> {
+) -> (Vec<Scenario>, impl FnOnce(&[RunSummary]) -> Panel) {
     let rates = fig4_rates(placement, shuffle);
     let assignment = offline_assignment(placement);
 
@@ -89,29 +90,27 @@ fn panel(
             })
         })
         .collect();
-    let summaries = run_scenarios(&scenarios, threads)?;
 
-    let series = policies
-        .iter()
-        .zip(summaries.chunks(probed.len()))
-        .map(|((name, _), runs)| {
-            let (zero, points) = runs.split_first().expect("the zero-load probe");
-            Series {
-                policy: name.to_string(),
-                latency: points.iter().map(|p| p.avg_latency).collect(),
-                completed: points.iter().map(|p| p.completed).collect(),
-                saturation_rate: saturation_rate(&rates, points, zero.avg_latency),
-            }
-        })
-        .collect();
-
-    Ok(Panel {
+    let stream = spec(0.0).stream.to_string();
+    let build = move |summaries: &[RunSummary]| Panel {
         placement: placement.name().to_string(),
         workload: workload.to_string(),
-        stream: spec(0.0).stream.to_string(),
+        stream,
+        series: summaries
+            .chunks(probed.len())
+            .map(|runs| {
+                let (zero, points) = runs.split_first().expect("the zero-load probe");
+                Series {
+                    policy: zero.policy.clone(),
+                    latency: points.iter().map(|p| p.avg_latency).collect(),
+                    completed: points.iter().map(|p| p.completed).collect(),
+                    saturation_rate: saturation_rate(&rates, points, zero.avg_latency),
+                }
+            })
+            .collect(),
         rates,
-        series,
-    })
+    };
+    (scenarios, build)
 }
 
 fn write_panel(out: &mut String, panel: &Panel) -> std::fmt::Result {
@@ -165,37 +164,44 @@ fn pick<T: Copy>(
     picked
 }
 
-/// Every panel on `threads` workers; writes `results/fig4.json`.
-pub fn run(threads: usize) -> Result<String, FigureError> {
-    panels(&Placement::ALL.map(|p| (p.name(), p)), &WORKLOADS, threads)
+/// Every panel.
+pub fn plan() -> Plan {
+    panels(&Placement::ALL.map(|p| (p.name(), p)), &WORKLOADS)
 }
 
 /// The panels the rest of `repro fig4`'s command line names.
-pub fn run_named(mut args: Args, threads: usize) -> Result<String, FigureError> {
+pub fn plan_named(mut args: Args) -> Plan {
     let placement = args.positional();
     let workload = args.positional();
     args.finish();
     let placements = Placement::ALL.map(|p| (p.name(), p));
     let placements = pick(&args, "placement", &placements, placement);
     let workloads = pick(&args, "workload", &WORKLOADS, workload);
-    panels(&placements, &workloads, threads)
+    panels(&placements, &workloads)
 }
 
-/// The `placements` × `workloads` panels, each panel's grid on `threads`.
-fn panels(
-    placements: &[(&str, Placement)],
-    workloads: &[(&str, bool)],
-    threads: usize,
-) -> Result<String, FigureError> {
-    let mut out = String::new();
-    let mut panels = Vec::new();
+/// The `placements` × `workloads` panels; writes `results/fig4.json`.
+fn panels(placements: &[(&str, Placement)], workloads: &[(&'static str, bool)]) -> Plan {
+    let mut scenarios = Vec::new();
+    let mut builders = Vec::new();
     for &(_, placement) in placements {
         for &(workload, shuffle) in workloads {
-            let p = panel(placement, workload, shuffle, threads)?;
-            write_panel(&mut out, &p)?;
-            panels.push(p);
+            let (runs, build) = panel(placement, workload, shuffle);
+            builders.push((runs.len(), build));
+            scenarios.extend(runs);
         }
     }
-    dump_json("fig4", &panels)?;
-    Ok(out)
+    Plan::new(scenarios, move |mut summaries| {
+        let mut out = String::new();
+        let mut panels = Vec::new();
+        for (len, build) in builders {
+            let (runs, rest) = summaries.split_at(len);
+            let panel = build(runs);
+            write_panel(&mut out, &panel)?;
+            panels.push(panel);
+            summaries = rest;
+        }
+        dump_json("fig4", &panels)?;
+        Ok(out)
+    })
 }

@@ -5,15 +5,13 @@
 //! The paper's takeaway: AdEle reduces the load on the most-utilised
 //! elevator (the blue bar) by spreading traffic across the set.
 //!
-//! The per-policy runs are one batch on the figure runner (`repro all
-//! --verify` checks the pool against sequential runs), on the bit-stable
-//! `v1` workload stream (the dump records it).
+//! One run per policy, on the bit-stable `v1` workload stream (the dump
+//! records it).
 
-use adele_bench::{
-    dump_json, f2, f4, figure_scenario, main_policies, offline_assignment, run_scenarios, table,
-    FigureError,
-};
+use crate::{Plan, Report};
+use adele_bench::{dump_json, f2, f4, figure_scenario, main_policies, offline_assignment, table};
 use noc_exp::{WorkloadKind, WorkloadSpec};
+use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
 use serde::Serialize;
 use std::fmt::Write;
@@ -28,24 +26,26 @@ struct Fig5 {
     bars: Vec<(String, Vec<f64>)>,
 }
 
-/// The figure on `threads` workers; writes `results/fig5.json`.
-pub fn run(threads: usize) -> Result<String, FigureError> {
+/// One run per policy.
+pub fn plan() -> Plan {
     let placement = Placement::Ps1;
-    let (mesh, elevators) = placement.instantiate();
     let policies = main_policies(&offline_assignment(placement));
     let rate = 0.004;
     let workload = WorkloadSpec::v1(WorkloadKind::Uniform { rate });
-
-    let scenarios = policies.clone().map(|(name, policy)| {
+    let scenarios = policies.map(|(name, policy)| {
         figure_scenario(format!("fig5 {name}"), placement)
             .with_workload(workload.clone())
             .with_selector(policy)
     });
-    let summaries = run_scenarios(&scenarios, threads)?;
+    Plan::new(scenarios.into(), move |runs| render(rate, &workload, runs))
+}
 
+/// The bars from the runs, policy after policy; writes `results/fig5.json`.
+fn render(rate: f64, workload: &WorkloadSpec, summaries: &[RunSummary]) -> Report {
+    let (mesh, elevators) = Placement::Ps1.instantiate();
     let mut bars = Vec::new();
     let mut rows = Vec::new();
-    for ((name, _), summary) in policies.iter().zip(&summaries) {
+    for summary in summaries {
         // Per-router flags: does this router sit on an elevator pillar?
         let flags: Vec<bool> = mesh
             .coords()
@@ -65,11 +65,11 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
             })
             .collect();
         let max = pillar_means.iter().copied().fold(0.0, f64::max);
-        let mut row = vec![name.to_string()];
+        let mut row = vec![summary.policy.clone()];
         row.extend(pillar_means.iter().map(|&v| f2(v)));
         row.push(f2(max));
         rows.push(row);
-        bars.push((name.to_string(), pillar_means));
+        bars.push((summary.policy.clone(), pillar_means));
     }
 
     let mut out = String::from(

@@ -7,8 +7,7 @@
 //! (<10 %) premium over CDA for taking non-minimal paths that relieve
 //! congestion.
 //!
-//! The (regime × placement × policy) grid is one call of the figure
-//! runner (`repro all --verify` checks the pool against sequential runs),
+//! The (placement × regime × policy) grid is one flat list of scenarios
 //! on the bit-stable `v1` workload stream (the dumps record it).
 //!
 //! **Link-granular mode** (`repro fig6 --links`):
@@ -17,12 +16,15 @@
 //! hottest links of every run, a per-link CSV and a layer/pillar heatmap
 //! JSON per placement under `results/`.
 
+use crate::{Plan, Report};
 use adele_bench::{
     dump_json, f2, f4, fig6_rates, figure_scenario, main_policies, offline_assignment, results_dir,
-    run_scenarios, run_scenarios_with, table, written, FigureError,
+    table, written, FigureError,
 };
 use noc_energy::{HeatmapReport, LinkEnergyReport};
+use noc_exp::runner::{default_threads, par_map};
 use noc_exp::{Scenario, WorkloadKind, WorkloadSpec};
+use noc_sim::{RunSummary, SimError};
 use noc_topology::placement::Placement;
 use serde::Serialize;
 use std::fmt::Write;
@@ -66,11 +68,14 @@ fn grid() -> (Vec<(f64, &'static str)>, Vec<Scenario>) {
     (keys, scenarios)
 }
 
-/// The figure on `threads` workers; writes `results/fig6.json`.
-pub fn run(threads: usize) -> Result<String, FigureError> {
+/// The aggregate mode's runs: the grid.
+pub fn plan() -> Plan {
     let (keys, scenarios) = grid();
-    let summaries = run_scenarios(&scenarios, threads)?;
+    Plan::new(scenarios, move |summaries| render(&keys, summaries))
+}
 
+/// The figure from the grid's runs; writes `results/fig6.json`.
+fn render(keys: &[(f64, &str)], summaries: &[RunSummary]) -> Report {
     let mut out = String::new();
     let mut dump = Vec::new();
     for (regime, label, load) in [(0, "a", "Low"), (1, "b", "High")] {
@@ -118,19 +123,22 @@ struct LinkCell {
 /// Fig. 6 at link granularity: per-pillar TSV energy and hottest links,
 /// from the same scenarios as the aggregate mode, but each driven through
 /// its warm-up and measurement window only, so the per-link ledger can be
-/// snapshot (the reports are plain owned data: pool workers return them
-/// and the calling thread keeps only the report and file writes).
-pub fn run_links(threads: usize) -> Result<String, FigureError> {
+/// snapshot. Its read-out is that ledger, not a summary, so it runs the
+/// grid on a `noc_exp` pool of its own (workers return owned reports).
+pub fn run_links() -> Report {
     let (keys, scenarios) = grid();
-    let snapshots = run_scenarios_with(&scenarios, threads, |scenario, mut sim| {
-        sim.advance(scenario.warmup)?;
-        sim.measure_window(scenario.measure)?;
+    let snapshots = par_map(&scenarios, default_threads(), |at, scenario| {
+        let named = |e: SimError| FigureError(format!("scenario {at} ({}): {e}", scenario.name));
+        let mut sim = scenario.build_simulator();
+        sim.advance(scenario.warmup).map_err(named)?;
+        sim.measure_window(scenario.measure).map_err(named)?;
         let energy = scenario.sim_config().energy;
         Ok((
             LinkEnergyReport::from_ledger(sim.link_map(), sim.link_ledger(), &energy),
             HeatmapReport::from_ledger(sim.link_map(), sim.link_ledger(), &energy),
         ))
-    })?;
+    });
+    let snapshots: Vec<_> = snapshots.into_iter().collect::<Result<_, FigureError>>()?;
 
     let mut out = String::new();
     let mut dump = Vec::new();

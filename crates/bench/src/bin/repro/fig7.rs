@@ -4,20 +4,19 @@
 //!
 //! The paper extracts SPLASH-2/PARSEC traces with Gem5 (64-core limit,
 //! hence no PM); we drive the same experiment with the synthetic
-//! application models of `noc-traffic::apps` (substitution documented in
-//! DESIGN.md).
+//! application models of `noc-traffic::apps` instead.
 //!
-//! The placement × app × policy grid is one call of the figure runner;
-//! every scenario is an independent seeded simulation, so results are
-//! bit-identical to the sequential loop. The app models are polled
+//! The placement × app × policy grid is one flat list of scenarios, each
+//! an independent seeded simulation. The app models are polled
 //! sources, which run the same on either workload stream (behind
 //! `CyclePolled`), so there is no `--stream` flag; the dump records `v1`.
 
+use crate::{Plan, Report};
 use adele_bench::{
-    dump_json, f2, fig7_base_rate, figure_scenario, main_policies, offline_assignment,
-    run_scenarios, table, FigureError,
+    dump_json, f2, fig7_base_rate, figure_scenario, main_policies, offline_assignment, table,
 };
 use noc_exp::WorkloadKind;
+use noc_sim::RunSummary;
 use noc_topology::placement::Placement;
 use noc_traffic::apps::AppKind;
 use serde::Serialize;
@@ -34,31 +33,35 @@ struct AppCell {
     energy_per_flit_nj: f64,
 }
 
-/// The figure on `threads` workers; writes `results/fig7.json`.
-pub fn run(threads: usize) -> Result<String, FigureError> {
-    let placements = [Placement::Ps1, Placement::Ps2, Placement::Ps3];
-    let policies = placements.map(|p| main_policies(&offline_assignment(p)));
+/// The placements the figure runs on.
+const PLACEMENTS: [Placement; 3] = [Placement::Ps1, Placement::Ps2, Placement::Ps3];
 
-    // One scenario per (placement, app, policy), in that order.
+/// Number of policies per `(placement, app)` cell.
+const POLICIES: usize = 3;
+
+/// One run per (placement, app, policy), in that order.
+pub fn plan() -> Plan {
     let mut grid = Vec::new();
-    for (placement, policies) in placements.into_iter().zip(&policies) {
+    for placement in PLACEMENTS {
         let rate = fig7_base_rate(placement);
+        let policies = main_policies(&offline_assignment(placement));
         for app in AppKind::ALL {
-            for (name, policy) in policies {
+            for (name, policy) in &policies {
                 let scenario = figure_scenario(format!("fig7 {placement} {app} {name}"), placement)
                     .with_workload(WorkloadKind::App { app, rate });
                 grid.push(scenario.with_selector(policy.clone()));
             }
         }
     }
-    let all = run_scenarios(&grid, threads)?;
+    Plan::new(grid, render)
+}
 
+/// The figure from the grid's summaries; writes `results/fig7.json`.
+fn render(all: &[RunSummary]) -> Report {
     let mut out = String::new();
     let mut cells: Vec<AppCell> = Vec::new();
-    let per_placement = all.chunks(AppKind::ALL.len() * policies[0].len());
-    for ((placement, policies), summaries) in
-        placements.into_iter().zip(&policies).zip(per_placement)
-    {
+    let per_placement = all.chunks(AppKind::ALL.len() * POLICIES);
+    for (placement, summaries) in PLACEMENTS.into_iter().zip(per_placement) {
         writeln!(
             out,
             "\n# Fig. 7: {} — latency normalised to ElevFirst (absolute cycles in parentheses)",
@@ -66,20 +69,17 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
         )?;
         let mut rows = Vec::new();
         let mut improvements = Vec::new();
-        for (app, runs) in AppKind::ALL
-            .into_iter()
-            .zip(summaries.chunks(policies.len()))
-        {
+        for (app, runs) in AppKind::ALL.into_iter().zip(summaries.chunks(POLICIES)) {
             let base = runs[0].avg_latency.max(1e-12);
             let mut row = vec![app.name().to_string()];
-            for ((policy, _), run) in policies.iter().zip(runs) {
+            for run in runs {
                 let lat = run.avg_latency;
                 row.push(format!("{} ({})", f2(lat / base), f2(lat)));
                 cells.push(AppCell {
                     placement: placement.name().to_string(),
                     app: app.name().to_string(),
                     stream: "v1".to_string(),
-                    policy: policy.to_string(),
+                    policy: run.policy.clone(),
                     latency: lat,
                     normalized_latency: lat / base,
                     energy_per_flit_nj: run.energy_per_flit_nj,
@@ -102,7 +102,7 @@ pub fn run(threads: usize) -> Result<String, FigureError> {
     // ---- Fig. 7(d): energy averaged over apps, normalised to ElevFirst. ----
     out += "\n# Fig. 7(d): energy/flit averaged over all applications, normalised to ElevFirst\n";
     let mut rows = Vec::new();
-    for placement in placements {
+    for placement in PLACEMENTS {
         let name = placement.name().to_string();
         let mean = |policy: &str| -> f64 {
             let vals: Vec<f64> = cells

@@ -1,9 +1,9 @@
 //! Table III — hardware area analysis: router area and selection pipeline
 //! cycles for Elevator-First, CDA and AdEle, from the analytical 45 nm
-//! model (our stand-in for the paper's Cadence Genus synthesis; see
-//! DESIGN.md).
+//! model (our stand-in for the paper's Cadence Genus synthesis).
 
-use adele_bench::{dump_json, offline_assignment, table, FigureError};
+use crate::{Plan, Report};
+use adele_bench::{dump_json, offline_assignment, table};
 use noc_area::table3;
 use noc_topology::placement::Placement;
 use serde::Serialize;
@@ -17,8 +17,12 @@ struct Row {
     overhead_pct: f64,
 }
 
-/// The table (no simulation, no workers); writes `results/table3.json`.
-pub fn run(_threads: usize) -> Result<String, FigureError> {
+/// The table, from no runs; writes `results/table3.json`.
+pub fn plan() -> Plan {
+    Plan::new(Vec::new(), |_| render())
+}
+
+fn render() -> Report {
     // The paper synthesises for the 64-node (4×4×4) configuration; AdEle's
     // register count follows the mean offline subset size (rounded up).
     let assignment = offline_assignment(Placement::Ps2);

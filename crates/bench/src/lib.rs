@@ -3,12 +3,12 @@
 //! The `repro` binary's figures build on the helpers here: placement
 //! presets, the policy line-up as `noc_exp` specs (including running the
 //! offline AMOSA stage), figure-specific injection-rate grids, table
-//! writing and JSON result dumping, the one strict command-line parser
-//! ([`Args`]) every binary shares — and the one figure runner: every
-//! figure simulation is a `noc_exp` [`Scenario`] started from
-//! [`figure_scenario`], and a figure hands its flat list of them to
-//! [`run_scenarios`] (or [`run_scenarios_with`]) and writes the table. No
-//! figure assembles a simulator, a pool or a seed of its own.
+//! writing and JSON result dumping, and the one strict command-line
+//! parser ([`Args`]) every binary shares. Every figure simulation is a
+//! `noc_exp` [`Scenario`] started from [`figure_scenario`]: a figure is a
+//! flat list of them plus the renderer of their summaries, and `repro`
+//! runs the lists of all the figures it prints as one supervised batch.
+//! No figure assembles a simulator, a pool or a seed of its own.
 //!
 //! Nothing here ends the process: a failure comes back as a
 //! [`FigureError`] naming what failed, and the binary's `main` chooses
@@ -20,9 +20,7 @@
 #![forbid(unsafe_code)]
 
 mod cli;
-mod grid;
 pub use cli::Args;
-pub use grid::{figure_scenario, run_scenarios, run_scenarios_with};
 
 use adele::offline::{OfflineOptimizer, OfflineResult, SelectionStrategy, SubsetAssignment};
 use amosa::AmosaParams;
@@ -50,6 +48,23 @@ impl From<fmt::Error> for FigureError {
     fn from(e: fmt::Error) -> Self {
         Self(format!("writing the report: {e}"))
     }
+}
+
+/// A figure scenario on `placement`: its fabric, the figure windows
+/// `(warmup, measure, drain_max)` — shorter on PM and under `ADELE_QUICK=1`
+/// — and the one figure master seed, 7, from which its traffic and selector
+/// streams derive. The figure sets the workload and policy.
+#[must_use]
+pub fn figure_scenario(name: impl Into<String>, placement: Placement) -> Scenario {
+    let (warmup, measure, drain) = match (quick_mode(), placement == Placement::Pm) {
+        (true, true) => (500, 2_000, 8_000),
+        (true, false) => (1_000, 4_000, 12_000),
+        (false, true) => (3_000, 12_000, 40_000),
+        (false, false) => (5_000, 20_000, 60_000),
+    };
+    Scenario::from_placement(name, placement)
+        .with_phases(warmup, measure, drain)
+        .with_seed(7)
 }
 
 /// `true` when `ADELE_QUICK=1` — shorter windows everywhere.

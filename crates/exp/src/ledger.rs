@@ -135,7 +135,6 @@ fn parse_line(line: &str) -> Option<(u64, ScenarioResult)> {
 /// lines are dropped (and counted) on open.
 #[derive(Debug)]
 pub struct Ledger {
-    path: PathBuf,
     complete: HashMap<u64, ScenarioResult>,
     torn: usize,
     file: fs::File,
@@ -149,15 +148,15 @@ impl Ledger {
     /// # Errors
     ///
     /// Returns the underlying I/O error from reading or opening the file.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<Self> {
-        let path = path.into();
+    pub fn open(path: impl AsRef<Path>) -> io::Result<Self> {
+        let path = path.as_ref();
         if let Some(dir) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
             fs::create_dir_all(dir)?;
         }
         let mut complete = HashMap::new();
         let mut torn = 0;
         let mut unterminated = false;
-        match fs::read_to_string(&path) {
+        match fs::read_to_string(path) {
             Ok(text) => {
                 for line in text.lines().filter(|l| !l.trim().is_empty()) {
                     match parse_line(line) {
@@ -175,7 +174,7 @@ impl Ledger {
         let mut file = fs::OpenOptions::new()
             .create(true)
             .append(true)
-            .open(&path)?;
+            .open(path)?;
         if unterminated {
             // Seal the torn tail so the next append starts a fresh line
             // instead of concatenating onto (and losing) both records.
@@ -183,17 +182,10 @@ impl Ledger {
             file.flush()?;
         }
         Ok(Self {
-            path,
             complete,
             torn,
             file,
         })
-    }
-
-    /// The ledger's on-disk path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Completed points indexed so far.

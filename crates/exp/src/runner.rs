@@ -7,8 +7,8 @@
 //! pool (no dependencies beyond `std`) and returns results **in input
 //! order**, bit-identical to a sequential run: parallelism changes
 //! wall-clock time and nothing else. What a work item *is* belongs to the
-//! caller: `repro`'s figure runner (`adele_bench::run_scenarios`) and the
-//! supervised batch ([`crate::supervise`]) are both one `par_map` call.
+//! caller: the supervised batch ([`crate::supervise`]), which runs spec
+//! files and every `repro` figure, is one `par_map` call.
 //!
 //! Work is distributed by an atomic cursor (work stealing), so a slow
 //! point (a saturated sweep rate) does not stall the pool behind it.

@@ -1,8 +1,8 @@
 //! Experiment helpers: the single polled run ([`run_once`]) and the
 //! paper's saturation criterion ([`saturation_rate`]). Batches of runs
-//! live a layer up, as `noc_exp::Scenario`s on `noc_exp::runner::par_map`
-//! — `adele_bench::run_scenarios` for the `repro` binary's figures,
-//! `noc_exp::run_batch_supervised` for spec files.
+//! live a layer up, as `noc_exp::Scenario`s in one
+//! `noc_exp::run_batch_supervised` batch — spec files and the `repro`
+//! binary's figures alike.
 //!
 //! [`run_once`] propagates [`SimError`]: a deadlocked run surfaces as a
 //! structured value the caller can record or print-and-exit on — never a

@@ -2,8 +2,7 @@
 //!
 //! The paper extracts real traces with Gem5 (64-core limit, hence only
 //! PS1–PS3). We cannot run Gem5, so each benchmark is modelled as a
-//! parameterised stochastic process — the substitution is documented in
-//! DESIGN.md §1. Each [`AppKind`] carries:
+//! parameterised stochastic process instead. Each [`AppKind`] carries:
 //!
 //! * an **intensity** — the relative injection rate (the paper observes
 //!   canneal/fft/radix/water are high-load, fluidanimate/lu low-load);

@@ -4,12 +4,14 @@
 //!
 //! Run with: `cargo run --release -p adele-repro --example policy_comparison`
 
-use adele_bench::{figure_scenario, main_policies, offline_assignment, run_scenarios};
+use adele_bench::{figure_scenario, main_policies, offline_assignment};
 use noc_exp::runner::default_threads;
-use noc_exp::{SelectorSpec, WorkloadKind};
+use noc_exp::{
+    run_batch_supervised, PointError, PointOutcome, SelectorSpec, Supervision, WorkloadKind,
+};
 use noc_topology::placement::Placement;
 
-fn main() -> Result<(), adele_bench::FigureError> {
+fn main() -> Result<(), PointError> {
     let placement = Placement::Ps1;
     let assignment = offline_assignment(placement);
     let rate = 0.004; // near PS1's saturation knee under uniform traffic
@@ -34,7 +36,18 @@ fn main() -> Result<(), adele_bench::FigureError> {
                 .with_selector(policy)
         })
         .collect();
-    for summary in run_scenarios(&scenarios, default_threads())? {
+    let outcomes = run_batch_supervised(
+        &scenarios,
+        default_threads(),
+        &Supervision::new(),
+        None,
+        |_| {},
+    );
+    for outcome in outcomes {
+        let summary = match outcome {
+            PointOutcome::Ok(result) => result.summary,
+            PointOutcome::Failed(failure) => return Err(failure.error),
+        };
         println!(
             "{:<10} {:>10.1}cy {:>10.1}cy {:>11.1}nJ {:>10}",
             summary.policy,

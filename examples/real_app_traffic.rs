@@ -5,15 +5,13 @@
 //!
 //! Run with: `cargo run --release -p adele-repro --example real_app_traffic`
 
-use adele_bench::{
-    fig7_base_rate, figure_scenario, main_policies, offline_assignment, run_scenarios,
-};
+use adele_bench::{fig7_base_rate, figure_scenario, main_policies, offline_assignment};
 use noc_exp::runner::default_threads;
-use noc_exp::WorkloadKind;
+use noc_exp::{run_batch_supervised, PointError, PointOutcome, Supervision, WorkloadKind};
 use noc_topology::placement::Placement;
 use noc_traffic::apps::AppKind;
 
-fn main() -> Result<(), adele_bench::FigureError> {
+fn main() -> Result<(), PointError> {
     let placement = Placement::Ps2;
     let [(_, elev_first), _, (_, adele)] = main_policies(&offline_assignment(placement));
 
@@ -34,7 +32,20 @@ fn main() -> Result<(), adele_bench::FigureError> {
             })
         })
         .collect();
-    let summaries = run_scenarios(&scenarios, default_threads())?;
+    let outcomes = run_batch_supervised(
+        &scenarios,
+        default_threads(),
+        &Supervision::new(),
+        None,
+        |_| {},
+    );
+    let summaries = outcomes
+        .into_iter()
+        .map(|outcome| match outcome {
+            PointOutcome::Ok(result) => Ok(result.summary),
+            PointOutcome::Failed(failure) => Err(failure.error),
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     for (app, runs) in AppKind::ALL.into_iter().zip(summaries.chunks(2)) {
         let (baseline, adele) = (&runs[0], &runs[1]);
         let gain = 1.0 - adele.avg_latency / baseline.avg_latency.max(1e-9);
