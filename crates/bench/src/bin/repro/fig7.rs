@@ -9,7 +9,8 @@
 //! The placement × app × policy grid is one flat list of scenarios, each
 //! an independent seeded simulation. The app models are polled
 //! sources, which run the same on either workload stream (behind
-//! `CyclePolled`), so there is no `--stream` flag; the dump records `v1`.
+//! `CyclePolled`), so there is no `--stream` flag; the dump records the
+//! stream of each cell's scenario.
 
 use crate::{Plan, Report};
 use adele_bench::{
@@ -53,15 +54,18 @@ pub fn plan() -> Plan {
             }
         }
     }
-    Plan::new(grid, render)
+    let streams = grid.iter().map(|s| s.workload.stream.to_string()).collect();
+    Plan::new(grid, move |all| render(all, streams))
 }
 
-/// The figure from the grid's summaries; writes `results/fig7.json`.
-fn render(all: &[RunSummary]) -> Report {
+/// The figure from the grid's summaries and their scenarios' workload
+/// streams; writes `results/fig7.json`.
+fn render(all: &[RunSummary], streams: Vec<String>) -> Report {
     let mut out = String::new();
     let mut cells: Vec<AppCell> = Vec::new();
-    let per_placement = all.chunks(AppKind::ALL.len() * POLICIES);
-    for (placement, summaries) in PLACEMENTS.into_iter().zip(per_placement) {
+    let cell = AppKind::ALL.len() * POLICIES;
+    let per_placement = all.chunks(cell).zip(streams.chunks(cell));
+    for (placement, (summaries, streams)) in PLACEMENTS.into_iter().zip(per_placement) {
         writeln!(
             out,
             "\n# Fig. 7: {} — latency normalised to ElevFirst (absolute cycles in parentheses)",
@@ -69,16 +73,17 @@ fn render(all: &[RunSummary]) -> Report {
         )?;
         let mut rows = Vec::new();
         let mut improvements = Vec::new();
-        for (app, runs) in AppKind::ALL.into_iter().zip(summaries.chunks(POLICIES)) {
+        let per_app = summaries.chunks(POLICIES).zip(streams.chunks(POLICIES));
+        for (app, (runs, streams)) in AppKind::ALL.into_iter().zip(per_app) {
             let base = runs[0].avg_latency.max(1e-12);
             let mut row = vec![app.name().to_string()];
-            for run in runs {
+            for (run, stream) in runs.iter().zip(streams) {
                 let lat = run.avg_latency;
                 row.push(format!("{} ({})", f2(lat / base), f2(lat)));
                 cells.push(AppCell {
                     placement: placement.name().to_string(),
                     app: app.name().to_string(),
-                    stream: "v1".to_string(),
+                    stream: stream.clone(),
                     policy: run.policy.clone(),
                     latency: lat,
                     normalized_latency: lat / base,

@@ -27,7 +27,7 @@ mod table3;
 
 use adele_bench::{Args, FigureError};
 use noc_exp::runner::default_threads;
-use noc_exp::{run_batch_supervised, PointOutcome, Scenario, Supervision};
+use noc_exp::{run_batch_supervised, Scenario, Supervision};
 use noc_sim::RunSummary;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::process::exit;
@@ -80,9 +80,9 @@ fn run(plans: Vec<Plan>, threads: usize) -> Vec<Outcome> {
         let mut summaries = Vec::new();
         let share = outcomes.drain(..plan.scenarios.len());
         for (at, (point, scenario)) in share.zip(&plan.scenarios).enumerate() {
-            match point {
-                PointOutcome::Ok(result) => summaries.push(result.summary),
-                PointOutcome::Failed(failure) => {
+            match point.into_result() {
+                Ok(result) => summaries.push(result.summary),
+                Err(failure) => {
                     let name = &scenario.name;
                     return Err(format!("scenario {at} ({name}): {}", failure.error));
                 }

@@ -1,15 +1,15 @@
 //! The simulator's flit-event counter store and its hierarchical
 //! roll-ups.
 //!
-//! A [`LinkLedger`] is the one place flit events are counted: one
-//! `{writes, reads}` pair per router input FIFO `(node, port, vc)`, one
-//! ejection count per router and the measured cycles — flat arrays sized
-//! once from a [`LinkMap`], indexed in the simulator's flit-arena order
+//! A [`LinkLedger`] is the one place flit events are counted: one write
+//! count per router input FIFO `(node, port, vc)`, one ejection count per
+//! router and the measured cycles — flat arrays sized once from a
+//! [`LinkMap`], indexed in the simulator's flit-arena order
 //! ([`LinkLedger::fifo`]), booked by `noc_sim::Network` itself with one
 //! increment per event. Every other energy counter is *derived* when it
 //! is read, and **exactly** (counter for counter):
 //!
-//! * a FIFO's `writes` are its buffer writes, its `reads` its buffer
+//! * a FIFO's `writes` are its buffer writes, its reads (below) its buffer
 //!   reads, each paired with a crossbar traversal;
 //! * a link's traversals on a VC are the `writes` of the downstream FIFO
 //!   it feeds, horizontal or vertical by the link's direction;
@@ -21,6 +21,38 @@
 //! The identities hold because the simulator books every event of a
 //! cycle under one armed flag: a flit sent on a link, or injected by an
 //! NI, in cycle `t` lands in the FIFO it feeds in that same cycle.
+//!
+//! # Reads are derived from occupancy
+//!
+//! A FIFO only gains flits by writes and only loses them by reads, so
+//! over a window
+//!
+//! ```text
+//! reads = writes + occupancy at open − occupancy at settle
+//! ```
+//!
+//! The ledger keeps each FIFO's occupancy when the window opens
+//! ([`LinkLedger::open`], on the first armed cycle) and when it last
+//! settled ([`LinkLedger::settle`]), one byte each, instead of a read
+//! counter. The simulator settles wherever it already completes the
+//! ledger before anyone reads it (`Network::book_relays`: the window's
+//! close, the mid-window energy push, a tracer's `window` record), always
+//! at a cycle boundary; [`LinkLedger::close`] settles one last time and
+//! freezes the value, so a settle after the window closed (a tracer in
+//! the drain) changes nothing.
+//!
+//! The identity needs only that, at each settle, the writes booked so far
+//! are every write of the window and the occupancies are the FIFOs' real
+//! ones. Relays keep both true: a relay lane holds its one flit at every
+//! cycle boundary, as the per-flit cycle (pop one, push the next) leaves
+//! it, and the relays book the writes they owe (one per fed relay cycle)
+//! before each settle; a relay that demotes unfed pops its lane then and
+//! books one write fewer. The derived read count is therefore the per-flit
+//! engine's, one per relay cycle included, without a per-hop increment.
+//!
+//! A window re-opened without a [`LinkLedger::reset`] keeps counting on
+//! top of the closed one: the closed windows' occupancy terms are carried
+//! in a per-FIFO correction allocated only then.
 //!
 //! The roll-ups attribute FIFO events to the router owning the FIFO, a
 //! link's traversals to the router driving it, and NI events and static
@@ -34,26 +66,31 @@ use noc_topology::{Direction, ElevatorId, NodeId};
 
 const PORTS: usize = Direction::COUNT;
 
-/// Flit events in one input FIFO.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FifoCount {
-    /// Flits written into the FIFO.
-    writes: u64,
-    /// Flits read out of it (each paired with a crossbar traversal).
-    reads: u64,
-}
+/// A FIFO's write count.
+type Count = u64;
+/// A FIFO's occupancy at an open or a settle.
+type Occupancy = u8;
 
-/// `(writes, reads)` summed over one port's VC FIFOs.
-fn port_totals(port: &[FifoCount]) -> (u64, u64) {
-    (port.iter()).fold((0, 0), |(w, r), c| (w + c.writes, r + c.reads))
-}
+// A FIFO costs the ledger its write count and two occupancy bytes.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<Count>() + 2 * std::mem::size_of::<Occupancy>() <= 10);
 
 /// Flat per-FIFO/per-VC event counters for one topology.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LinkLedger {
     vcs: usize,
-    /// Events per input FIFO, indexed [`LinkLedger::fifo`].
-    fifos: Vec<FifoCount>,
+    /// Flits written into each input FIFO, indexed [`LinkLedger::fifo`].
+    writes: Vec<Count>,
+    /// Each FIFO's occupancy when the window opened and when it last
+    /// settled: its reads are derived from them (module docs).
+    opened: Vec<Occupancy>,
+    settled: Vec<Occupancy>,
+    /// `opened − settled` of the windows closed before a re-open without
+    /// reset, per FIFO; empty until one carries something.
+    carried: Vec<i64>,
+    /// Between an open and the next close or reset: a settle captures the
+    /// occupancies.
+    open: bool,
     /// Ejections into each router's NI.
     ejects: Vec<u64>,
     /// Measured cycles (shared by every router: static energy).
@@ -69,9 +106,14 @@ impl LinkLedger {
     #[must_use]
     pub fn new(map: &LinkMap, vcs: usize) -> Self {
         assert!(vcs >= 1, "at least one virtual channel");
+        let fifos = map.node_count() * PORTS * vcs;
         Self {
             vcs,
-            fifos: vec![FifoCount::default(); map.node_count() * PORTS * vcs],
+            writes: vec![0; fifos],
+            opened: vec![0; fifos],
+            settled: vec![0; fifos],
+            carried: Vec::new(),
+            open: false,
             ejects: vec![0; map.node_count()],
             cycles: 0,
         }
@@ -89,11 +131,73 @@ impl LinkLedger {
         self.cycles
     }
 
-    /// Resets every counter to zero (new measurement window).
+    /// Resets every counter to zero (new measurement window, opened by the
+    /// next [`Self::open`]).
     pub fn reset(&mut self) {
-        self.fifos.fill(FifoCount::default());
+        self.writes.fill(0);
+        self.opened.fill(0);
+        self.settled.fill(0);
+        self.carried = Vec::new();
+        self.open = false;
         self.ejects.fill(0);
         self.cycles = 0;
+    }
+
+    // ---- The window's occupancies (module docs) ----
+
+    /// `true` between an [`Self::open`] and the next close or reset.
+    #[must_use]
+    pub fn is_open(&self) -> bool {
+        self.open
+    }
+
+    /// Opens a window on the FIFOs' occupancies `lens` (indexed
+    /// [`Self::fifo`]); the reads counted since the last reset carry on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lens` does not hold one occupancy per FIFO.
+    pub fn open(&mut self, lens: &[u8]) {
+        assert_eq!(lens.len(), self.writes.len(), "one occupancy per FIFO");
+        if self.opened != self.settled {
+            if self.carried.is_empty() {
+                self.carried = vec![0; self.writes.len()];
+            }
+            for ((carried, &opened), &settled) in
+                self.carried.iter_mut().zip(&self.opened).zip(&self.settled)
+            {
+                *carried += i64::from(opened) - i64::from(settled);
+            }
+        }
+        self.opened.copy_from_slice(lens);
+        self.settled.copy_from_slice(lens);
+        self.open = true;
+    }
+
+    /// Settles the open window's reads at the FIFOs' occupancies `lens`;
+    /// outside an open window it changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window is open and `lens` does not hold one occupancy
+    /// per FIFO.
+    pub fn settle(&mut self, lens: &[u8]) {
+        if self.open {
+            self.settled.copy_from_slice(lens);
+        }
+    }
+
+    /// Settles the open window one last time and closes it: later settles
+    /// change nothing until the next open.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::settle`].
+    pub fn close(&mut self, lens: &[u8]) {
+        if self.open {
+            self.settle(lens);
+            self.open = false;
+        }
     }
 
     // ---- Booking (one increment per event; counters only ever grow) ----
@@ -110,21 +214,12 @@ impl LinkLedger {
     /// Books one flit written into FIFO `fifo`.
     #[inline]
     pub fn on_write(&mut self, fifo: usize) {
-        self.fifos[fifo].writes += 1;
+        self.writes[fifo] += 1;
     }
 
-    /// Books one flit read out of FIFO `fifo` (and its crossbar
-    /// traversal).
-    #[inline]
-    pub fn on_read(&mut self, fifo: usize) {
-        self.fifos[fifo].reads += 1;
-    }
-
-    /// Books `writes` writes and `reads` reads of FIFO `fifo` at once.
-    pub fn add_events(&mut self, fifo: usize, writes: u64, reads: u64) {
-        let count = &mut self.fifos[fifo];
-        count.writes += writes;
-        count.reads += reads;
+    /// Books `writes` flits written into FIFO `fifo` at once.
+    pub fn add_writes(&mut self, fifo: usize, writes: u64) {
+        self.writes[fifo] += writes;
     }
 
     /// Books one flit ejected into router `node`'s NI.
@@ -146,22 +241,38 @@ impl LinkLedger {
 
     // ---- Queries ----
 
+    /// Reads of FIFO `fifo`, derived as of the last settle (module docs).
+    fn reads(&self, fifo: usize) -> u64 {
+        let carried = self.carried.get(fifo).copied().unwrap_or(0);
+        (self.writes[fifo] + u64::from(self.opened[fifo]))
+            .wrapping_sub(u64::from(self.settled[fifo]))
+            .wrapping_add_signed(carried)
+    }
+
     /// Flits written into the FIFO of input `(node, port)` on `vc`.
     #[must_use]
     pub fn buffer_writes(&self, node: NodeId, port: Direction, vc: usize) -> u64 {
-        self.fifos[self.fifo(node.index(), port.index(), vc)].writes
+        self.writes[self.fifo(node.index(), port.index(), vc)]
     }
 
-    /// Flits read out of the FIFO of input `(node, port)` on `vc`.
+    /// Flits read out of the FIFO of input `(node, port)` on `vc`, as of
+    /// the last settle.
     #[must_use]
     pub fn buffer_reads(&self, node: NodeId, port: Direction, vc: usize) -> u64 {
-        self.fifos[self.fifo(node.index(), port.index(), vc)].reads
+        self.reads(self.fifo(node.index(), port.index(), vc))
+    }
+
+    /// Writes of input port `(node, port)`, summed over VCs.
+    fn port_writes(&self, node: usize, port: usize) -> u64 {
+        let first = self.fifo(node, port, 0);
+        self.writes[first..first + self.vcs].iter().sum()
     }
 
     /// `(writes, reads)` of input port `(node, port)`, summed over VCs.
     fn port_events(&self, node: usize, port: usize) -> (u64, u64) {
         let first = self.fifo(node, port, 0);
-        port_totals(&self.fifos[first..first + self.vcs])
+        let reads = (first..first + self.vcs).map(|f| self.reads(f)).sum();
+        (self.port_writes(node, port), reads)
     }
 
     /// Flits that crossed `link` on `vc`: the writes of the FIFO it feeds.
@@ -175,8 +286,7 @@ impl LinkLedger {
     #[must_use]
     pub fn link_flits_total(&self, map: &LinkMap, link: LinkId) -> u64 {
         let info = map.link(link);
-        self.port_events(info.dst.index(), info.dir.opposite().index())
-            .0
+        self.port_writes(info.dst.index(), info.dir.opposite().index())
     }
 
     /// Flits ejected into their destination NI: the flits delivered.
@@ -189,8 +299,8 @@ impl LinkLedger {
     /// node order.
     #[must_use]
     pub fn router_flits(&self) -> Vec<u64> {
-        (self.fifos.chunks_exact(PORTS * self.vcs))
-            .map(|fifos| fifos.iter().map(|c| c.writes).sum())
+        (self.writes.chunks_exact(PORTS * self.vcs))
+            .map(|writes| writes.iter().sum())
             .collect()
     }
 
@@ -229,15 +339,13 @@ impl LinkLedger {
             router_cycles: self.cycles * self.ejects.len() as u64,
             ..EnergyLedger::default()
         };
-        for router in self.fifos.chunks_exact(PORTS * self.vcs) {
+        for router in self.writes.chunks_exact(PORTS * self.vcs) {
             for (dir, port) in Direction::ALL
                 .into_iter()
                 .zip(router.chunks_exact(self.vcs))
             {
-                let (writes, reads) = port_totals(port);
+                let writes: u64 = port.iter().sum();
                 out.buffer_writes += writes;
-                out.buffer_reads += reads;
-                out.crossbar_traversals += reads;
                 if dir == Direction::Local {
                     out.ni_events += writes;
                 } else if dir.is_vertical() {
@@ -247,6 +355,12 @@ impl LinkLedger {
                 }
             }
         }
+        // Summed lane by lane, the read identity is one identity of sums.
+        let bytes = |lens: &[Occupancy]| lens.iter().map(|&len| u64::from(len)).sum::<u64>();
+        out.buffer_reads = (out.buffer_writes + bytes(&self.opened))
+            .wrapping_sub(bytes(&self.settled))
+            .wrapping_add_signed(self.carried.iter().sum());
+        out.crossbar_traversals = out.buffer_reads;
         out
     }
 
@@ -361,12 +475,20 @@ mod tests {
         (mesh, elevators, map)
     }
 
+    /// A ledger whose window opened on empty FIFOs, and those occupancies.
+    fn opened(map: &LinkMap) -> (LinkLedger, Vec<u8>) {
+        let mut ledger = LinkLedger::new(map, 2);
+        let lens = vec![0; map.node_count() * PORTS * 2];
+        ledger.open(&lens);
+        (ledger, lens)
+    }
+
     /// Books `flits` flits sent over `link` on `vc`: written into the
-    /// downstream FIFO, and read out of it again.
+    /// downstream FIFO, which holds none of them at the next settle.
     fn hop(ledger: &mut LinkLedger, map: &LinkMap, link: LinkId, vc: usize, flits: u64) {
         let info = map.link(link);
         let fifo = ledger.fifo(info.dst.index(), info.dir.opposite().index(), vc);
-        ledger.add_events(fifo, flits, flits);
+        ledger.add_writes(fifo, flits);
     }
 
     /// Simulates a hand-built event stream and checks every roll-up level
@@ -374,7 +496,7 @@ mod tests {
     #[test]
     fn rollups_are_exact_partitions() {
         let (mesh, _elevators, map) = fixture();
-        let mut ledger = LinkLedger::new(&map, 2);
+        let (mut ledger, lens) = opened(&map);
 
         // One flit injected at (0,0,0), forwarded east, delivered at (1,0,0).
         let src = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
@@ -382,7 +504,6 @@ mod tests {
         // Injection: into the local FIFO and out through the crossbar.
         let local = ledger.fifo(src.index(), Direction::Local.index(), 0);
         ledger.on_write(local);
-        ledger.on_read(local);
         // Downstream FIFO write, then the read towards ejection.
         hop(
             &mut ledger,
@@ -393,6 +514,8 @@ mod tests {
         );
         ledger.on_eject(dst.index());
         ledger.on_cycle();
+        // Both FIFOs are empty again: each wrote and read its flit.
+        ledger.settle(&lens);
 
         let agg = ledger.aggregate();
         assert_eq!(
@@ -408,6 +531,7 @@ mod tests {
             }
         );
         assert_eq!(ledger.router_flits()[dst.index()], 1);
+        assert_eq!(ledger.buffer_reads(src, Direction::Local, 0), 1);
 
         let mut router_sum = EnergyLedger::default();
         for r in ledger.router_ledgers(&map) {
@@ -425,17 +549,22 @@ mod tests {
     #[test]
     fn attribution_lands_on_the_expected_routers() {
         let (mesh, _elevators, map) = fixture();
-        let mut ledger = LinkLedger::new(&map, 2);
+        let (mut ledger, mut lens) = opened(&map);
         let src = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
         let east = map.out_link(src, Direction::East).unwrap();
         let dst = map.link(east).dst;
-        ledger.on_write(ledger.fifo(dst.index(), Direction::West.index(), 1));
+        let fifo = ledger.fifo(dst.index(), Direction::West.index(), 1);
+        ledger.on_write(fifo);
+        // The flit is still buffered where it landed: no read yet.
+        lens[fifo] = 1;
+        ledger.settle(&lens);
 
         let routers = ledger.router_ledgers(&map);
         // The driving router owns the hop, the receiving one the write.
         assert_eq!(routers[src.index()].horizontal_hops, 1);
         assert_eq!(routers[src.index()].buffer_writes, 0);
         assert_eq!(routers[dst.index()].buffer_writes, 1);
+        assert_eq!(routers[dst.index()].buffer_reads, 0);
         assert_eq!(routers[dst.index()].horizontal_hops, 0);
         assert_eq!(ledger.link_flits(&map, east, 1), 1);
         assert_eq!(ledger.link_flits(&map, east, 0), 0);
@@ -446,12 +575,15 @@ mod tests {
     #[test]
     fn pillar_rollup_sees_tsv_traffic() {
         let (mesh, _elevators, map) = fixture();
-        let mut ledger = LinkLedger::new(&map, 2);
+        let (mut ledger, mut lens) = opened(&map);
         let pillar0 = mesh.node_id(Coord::new(1, 1, 0)).unwrap();
         let up = map.out_link(pillar0, Direction::Up).unwrap();
         let above = map.link(up).dst;
         let fifo = ledger.fifo(above.index(), Direction::Down.index(), 0);
-        ledger.add_events(fifo, 2, 0);
+        // Two flits cross the TSV and wait in the FIFO above.
+        ledger.add_writes(fifo, 2);
+        lens[fifo] = 2;
+        ledger.settle(&lens);
 
         assert_eq!(ledger.pillar_tsv_flits(&map), vec![2]);
         assert_eq!(ledger.pillar_ledgers(&map)[0].vertical_hops, 2);
@@ -467,13 +599,16 @@ mod tests {
     #[test]
     fn reset_zeroes_everything() {
         let (_, _, map) = fixture();
-        let mut ledger = LinkLedger::new(&map, 2);
-        ledger.add_events(ledger.fifo(4, 1, 1), 1, 1);
+        let (mut ledger, lens) = opened(&map);
+        ledger.add_writes(ledger.fifo(4, 1, 1), 1);
         ledger.on_eject(3);
         ledger.on_cycle();
+        ledger.close(&lens);
+        assert_eq!(ledger.aggregate().buffer_reads, 1);
         ledger.reset();
         assert_eq!(ledger.aggregate(), EnergyLedger::default());
         assert_eq!(ledger.cycles(), 0);
+        assert!(!ledger.is_open());
         assert_eq!(ledger, LinkLedger::new(&map, 2));
     }
 
@@ -481,10 +616,11 @@ mod tests {
     fn link_energy_views_split_traversal_and_lane_costs() {
         let (mesh, _elevators, map) = fixture();
         let model = EnergyModel::default_45nm();
-        let mut ledger = LinkLedger::new(&map, 2);
+        let (mut ledger, lens) = opened(&map);
         let src = mesh.node_id(Coord::new(0, 0, 0)).unwrap();
         let east = map.out_link(src, Direction::East).unwrap();
         hop(&mut ledger, &map, east, 0, 1);
+        ledger.settle(&lens);
         let traversal = ledger.link_traversal_nj(&map, &model, east);
         assert!((traversal - model.link_horizontal_nj).abs() < 1e-12);
         let attributed = ledger.link_attributed_nj(&map, &model, east);
@@ -493,5 +629,62 @@ mod tests {
             + model.buffer_read_nj
             + model.crossbar_nj;
         assert!((attributed - expected).abs() < 1e-12);
+    }
+
+    /// Reads are writes plus the flits buffered at the open minus those
+    /// buffered at the last settle; settles outside an open window and
+    /// after the close change nothing.
+    #[test]
+    fn reads_follow_occupancy_from_open_to_settle() {
+        let (mesh, _elevators, map) = fixture();
+        let mut ledger = LinkLedger::new(&map, 2);
+        let node = mesh.node_id(Coord::new(2, 1, 1)).unwrap();
+        let fifo = ledger.fifo(node.index(), Direction::North.index(), 1);
+        let mut lens = vec![0; map.node_count() * PORTS * 2];
+        let reads = |l: &LinkLedger| l.buffer_reads(node, Direction::North, 1);
+        lens[fifo] = 3;
+        ledger.settle(&lens);
+        assert_eq!(reads(&ledger), 0, "no window open yet");
+        ledger.open(&lens);
+        assert!(ledger.is_open());
+        // Two arrive, four leave: one of the five is still buffered.
+        ledger.add_writes(fifo, 2);
+        lens[fifo] = 1;
+        ledger.settle(&lens);
+        assert_eq!(reads(&ledger), 4);
+        lens[fifo] = 0;
+        ledger.close(&lens);
+        assert_eq!(reads(&ledger), 5);
+        lens[fifo] = 2;
+        ledger.settle(&lens);
+        ledger.close(&lens);
+        assert_eq!(reads(&ledger), 5, "frozen at the close");
+        assert_eq!(ledger.buffer_writes(node, Direction::North, 1), 2);
+    }
+
+    /// A window re-opened without a reset counts on top of the closed
+    /// one, whatever the FIFO did in the unarmed gap.
+    #[test]
+    fn a_reopened_window_carries_the_closed_reads() {
+        let (mesh, _elevators, map) = fixture();
+        let (mut ledger, mut lens) = opened(&map);
+        let node = mesh.node_id(Coord::new(0, 2, 0)).unwrap();
+        let fifo = ledger.fifo(node.index(), Direction::Local.index(), 0);
+        let reads = |l: &LinkLedger| l.buffer_reads(node, Direction::Local, 0);
+        ledger.add_writes(fifo, 3);
+        lens[fifo] = 1;
+        ledger.close(&lens);
+        assert_eq!(reads(&ledger), 2);
+        // Unarmed gap: the FIFO fills to four, unbooked.
+        lens[fifo] = 4;
+        ledger.open(&lens);
+        assert_eq!(reads(&ledger), 2, "the open books nothing");
+        ledger.add_writes(fifo, 1);
+        lens[fifo] = 0;
+        ledger.close(&lens);
+        assert_eq!(reads(&ledger), 2 + 5);
+        assert_eq!(ledger.aggregate().buffer_writes, 4);
+        ledger.reset();
+        assert_eq!(ledger, LinkLedger::new(&map, 2));
     }
 }

@@ -10,8 +10,9 @@
 //! * [`LinkId`] / [`VcId`] / [`LinkMap`] — stable dense identifiers for
 //!   every directed link, derived canonically from the topology.
 //! * [`LinkLedger`] — the simulator's one flit-event counter store: a
-//!   `{writes, reads}` pair per router input FIFO and VC, booked once per
-//!   event, from which every energy counter is derived with
+//!   write count per router input FIFO and VC, booked once per event, and
+//!   the FIFO's occupancy at the window's open and last settle, from
+//!   which its reads and every energy counter are derived with
 //!   hierarchical roll-ups: link → router → pillar → layer → network,
 //!   each level summing **exactly** to the aggregate ledger.
 //! * [`LinkEnergyReport`] / [`HeatmapReport`] — per-link CSV and

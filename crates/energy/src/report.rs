@@ -189,22 +189,30 @@ impl HeatmapReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_topology::{Coord, Direction, ElevatorSet, Mesh3d};
+    use noc_topology::{Coord, Direction, ElevatorSet, Mesh3d, NodeId};
 
     fn fixture() -> (Mesh3d, LinkMap, LinkLedger) {
         let mesh = Mesh3d::new(3, 3, 2).unwrap();
         let elevators = ElevatorSet::new(&mesh, [(1, 1)]).unwrap();
         let map = LinkMap::new(&mesh, &elevators);
-        let ledger = LinkLedger::new(&map, 2);
+        let mut ledger = LinkLedger::new(&map, 2);
+        ledger.open(&vec![0; map.node_count() * Direction::COUNT * 2]);
         (mesh, map, ledger)
     }
 
     /// Books `flits` flits over `link` on VC 0: the writes of the FIFO it
-    /// feeds.
+    /// feeds, which holds them all at the settle (no reads).
     fn send(ledger: &mut LinkLedger, map: &LinkMap, link: crate::LinkId, flits: u64) {
         let info = map.link(link);
         let fifo = ledger.fifo(info.dst.index(), info.dir.opposite().index(), 0);
-        ledger.add_events(fifo, flits, 0);
+        ledger.add_writes(fifo, flits);
+        let mut lens = vec![0; map.node_count() * Direction::COUNT * 2];
+        for (f, len) in lens.iter_mut().enumerate() {
+            let (node, port, vc) = (f / (Direction::COUNT * 2), f / 2 % Direction::COUNT, f % 2);
+            let port = Direction::ALL[port];
+            *len = ledger.buffer_writes(NodeId(node as u16), port, vc) as u8;
+        }
+        ledger.settle(&lens);
     }
 
     #[test]

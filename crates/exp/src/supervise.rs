@@ -205,6 +205,19 @@ impl PointOutcome {
             PointOutcome::Failed(f) => Some(f),
         }
     }
+
+    /// The outcome as a `Result`: the result if the point completed, its
+    /// failure if it died.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PointFailure`] of a point that died.
+    pub fn into_result(self) -> Result<ScenarioResult, PointFailure> {
+        match self {
+            PointOutcome::Ok(r) => Ok(r),
+            PointOutcome::Failed(f) => Err(f),
+        }
+    }
 }
 
 /// A supervision event, streamed to the observer in completion order.

@@ -51,6 +51,11 @@ impl FlitArena {
         self.lens[lane] as usize
     }
 
+    /// Occupancy of every lane, in lane order.
+    pub(crate) fn lens(&self) -> &[u8] {
+        &self.lens
+    }
+
     /// `true` if `lane` holds no flits.
     #[inline]
     pub(crate) fn is_empty(&self, lane: usize) -> bool {

@@ -63,16 +63,20 @@
 //! * every input FIFO is a fixed ring in one flat [`FlitArena`] slab
 //!   (lane = router × port × VC), so a router's 14 occupancy counters sit
 //!   in a single cache line,
-//! * packets live in a recycling [`PacketTable`] owned by the caller,
+//! * packets live in a recycling [`PacketTable`] owned by the caller, and
+//!   each NI's source queue is a head/tail pair of its slots, linked
+//!   through the table,
 //! * one flat port table keyed by `(node, port)` holds, per port, the
 //!   peer router and the peer's port, so a flit-hop reads one record per
 //!   port it touches, for the send and the credit return alike,
 //! * the one counter store is the [`LinkLedger`], indexed like the arena:
 //!   while the measurement window is armed, an arrival books a write of
-//!   the lane it lands in, a send a read of the lane it pops (and an
-//!   ejection at its router), and phase 1 a measured cycle. Link, router,
-//!   NI and aggregate energy counters are derived from these when read
-//!   (the `noc_energy` ledger module states the identities).
+//!   the lane it lands in, an ejection one at its router, and phase 1 a
+//!   measured cycle (the first opens the ledger on the lanes'
+//!   occupancies). A lane's reads are derived from its writes and its
+//!   occupancy at the open and at the last settle, and link, router, NI
+//!   and aggregate energy counters from these when read (the `noc_energy`
+//!   ledger module states the identities).
 //!
 //! Two shortcuts skip work and leave the same state; the `kernel` module
 //! docs define and argue both. A router with one occupied input lane
@@ -95,7 +99,7 @@ use crate::stats::StatsCollector;
 use crate::table::PacketTable;
 use adele::online::{Cycle, NetworkProbe, SourceFeedback};
 use kernel::{arena_lane, local_lane, route_hops, Arrival, Effect, PortLink, Relay, RouterState};
-use kernel::{SourceQueue, LOCAL, PORTS, VCS};
+use kernel::{SourceQueue, LOCAL, NO_OWNER, PORTS, VCS};
 use noc_energy::{LinkLedger, LinkMap};
 use noc_topology::{Coord, Direction, ElevatorId, ElevatorMask, ElevatorSet, Mesh3d, NodeId};
 use std::cmp::Reverse;
@@ -138,7 +142,7 @@ pub struct Network {
     /// Routers whose source queue is non-empty (bit = node id): a pure
     /// cache of `sources[r].queue.is_empty()`, maintained at every
     /// enqueue and at the pop that empties a queue, so phase 1 injects
-    /// without probing a `VecDeque` per visited router. Always a subset
+    /// without probing a source queue per visited router. Always a subset
     /// of the worklist. Derived state — not hashed.
     src_bits: Vec<u64>,
     /// Staged arrivals.
@@ -179,6 +183,10 @@ pub struct Network {
     timed: Vec<u64>,
     /// Whether routers are promoted to relays (tests step without).
     promote: bool,
+    /// Test builds: the flits each lane popped while armed, indexed like
+    /// [`Self::fifos`] — the reads the ledger derives, counted instead.
+    #[cfg(any(test, feature = "audit"))]
+    pops: Vec<u64>,
 }
 
 impl Network {
@@ -248,6 +256,8 @@ impl Network {
             timers: BinaryHeap::with_capacity(n),
             timed: vec![0; n.div_ceil(64)],
             promote: true,
+            #[cfg(any(test, feature = "audit"))]
+            pops: vec![0; n * PORTS * VCS],
         }
     }
 
@@ -270,8 +280,9 @@ impl Network {
         &self.link_map
     }
 
-    /// The flit-event counters booked while armed. Relays book lazily, so
-    /// the counts are complete only after [`Self::book_relays`].
+    /// The flit-event counters booked while armed. Relays book lazily and
+    /// reads are settled, so the counts are complete only after
+    /// [`Self::book_relays`].
     #[must_use]
     pub(crate) fn link_ledger(&self) -> &LinkLedger {
         &self.ledger
@@ -283,10 +294,10 @@ impl Network {
         self.failed_elevators.set(id, failed);
     }
 
-    /// Queues a freshly created packet at its source NI.
-    pub fn enqueue_packet(&mut self, src: NodeId, id: PacketId) {
+    /// Queues a freshly created packet of `packets` at its source NI.
+    pub fn enqueue_packet(&mut self, packets: &mut PacketTable, src: NodeId, id: PacketId) {
         let r = src.index();
-        self.sources[r].queue.push_back(id);
+        packets.enqueue(&mut self.sources[r].queue, id);
         self.queued_total += 1;
         self.active_bits[r / 64] |= 1 << (r % 64);
         self.src_bits[r / 64] |= 1 << (r % 64);
@@ -314,11 +325,12 @@ impl Network {
     }
 
     /// Heap capacity (in elements) reserved by the fabric's cycle state:
-    /// the flit arena plus every reusable staging/worklist/source buffer.
-    /// Sized at construction or during warm-up and constant afterwards —
-    /// the zero-allocation contract stepping is tested against.
+    /// the flit arena plus every reusable staging/worklist buffer, and the
+    /// source queues' links in `packets`. Sized at construction or during
+    /// warm-up and constant afterwards — the zero-allocation contract
+    /// stepping is tested against.
     #[must_use]
-    pub fn heap_footprint(&self) -> usize {
+    pub fn heap_footprint(&self, packets: &PacketTable) -> usize {
         self.fifos.capacity_flits()
             + self.arrivals.capacity()
             + self.credits.capacity()
@@ -336,9 +348,7 @@ impl Network {
             + self.streamed.capacity()
             + self.timers.capacity()
             + self.timed.capacity()
-            + (self.sources.iter())
-                .map(|s| s.queue.capacity())
-                .sum::<usize>()
+            + packets.link_capacity()
     }
 
     /// The serial tail of a cycle: replays the deferred packet-table
@@ -431,11 +441,13 @@ impl Network {
             }
             for p in 0..PORTS {
                 for v in 0..VCS {
+                    let owner = u64::from(router.owner[p][v]);
                     mix(
                         h,
-                        match router.owner[p][v] {
-                            None => u64::MAX,
-                            Some((ip, iv)) => (u64::from(ip) << 8) | u64::from(iv),
+                        if owner == u64::from(NO_OWNER) {
+                            u64::MAX
+                        } else {
+                            ((owner / VCS as u64) << 8) | (owner % VCS as u64)
                         },
                     );
                     mix(h, u64::from(router.credits[p][v]));
@@ -458,9 +470,9 @@ impl Network {
             for v in 0..VCS {
                 mix(h, u64::from(self.ni_credits[r][v]));
             }
-            let sq = &self.sources[r];
-            mix(h, sq.queue.len() as u64);
-            for &pid in &sq.queue {
+            let queue = &self.sources[r].queue;
+            mix(h, packets.queued(queue).count() as u64);
+            for pid in packets.queued(queue) {
                 mix(h, u64::from(pid.slot()));
                 mix(h, u64::from(pid.generation()));
             }
@@ -532,7 +544,7 @@ impl Network {
 
 impl NetworkProbe for Network {
     fn buffer_occupancy(&self, node: NodeId) -> u32 {
-        self.routers[node.index()].buffered
+        self.routers[node.index()].buffered.into()
     }
 
     fn buffer_capacity_per_router(&self) -> u32 {
@@ -617,7 +629,7 @@ mod tests {
     fn launch(net: &mut Network, table: &mut PacketTable, packet: Packet) -> PacketId {
         let src = packet.src;
         let id = table.insert(packet);
-        net.enqueue_packet(src, id);
+        net.enqueue_packet(table, src, id);
         id
     }
 
@@ -911,13 +923,13 @@ mod tests {
         );
         drain(&mut net, &mut table, &mut stats, 200).unwrap();
         assert!(net.is_idle(), "drained network has no active routers");
-        let footprint = net.heap_footprint();
+        let footprint = net.heap_footprint(&table);
         let mut feedbacks = Vec::new();
         for cycle in 200..400 {
             let progress = net.step(&mut table, cycle, &mut stats, &mut feedbacks);
             assert!(!progress);
         }
-        assert_eq!(net.heap_footprint(), footprint);
+        assert_eq!(net.heap_footprint(&table), footprint);
     }
 
     /// Every clause of the two audits (`check_derived_state`, then the
@@ -991,7 +1003,9 @@ mod tests {
     impl Rig {
         fn new() -> Self {
             let (mesh, elevators) = fixture();
-            let net = Network::new(mesh, elevators.clone(), 4);
+            let mut net = Network::new(mesh, elevators.clone(), 4);
+            // Armed from the start: `feed` books before the first step.
+            net.ledger.open(net.fifos.lens());
             let mut stats = StatsCollector::new(1);
             stats.set_armed(true);
             Self {
@@ -1117,11 +1131,12 @@ mod tests {
             rig.feed(r, Direction::West, x, FlitKind::Head)
         });
         lockstep(&mut rigs, &|rig, _| rig.step());
-        let owner = Some((Direction::West.index() as u8, 1));
+        let owner = local_lane(Direction::West.index(), 1) as u8;
         assert_eq!(rigs[0].router(r).owner[east][1], owner);
         // W streams through r on (East, 0) until its lane there relays.
         lockstep(&mut rigs, &|rig, (_, w)| {
-            rig.net.enqueue_packet(rig.node(0, 0), w)
+            let src = rig.node(0, 0);
+            rig.net.enqueue_packet(&mut rig.table, src, w);
         });
         while !relay_at_r(&rigs[0]) {
             assert!(rigs[0].cycle < 20, "W's lane at r never relayed");
@@ -1159,12 +1174,12 @@ mod tests {
         let a = rig.packet((1, 0), (1, 2), 2);
         rig.feed(r, Direction::South, a, FlitKind::Head);
         rig.step();
-        let held = Some((Direction::South.index() as u8, VC as u8));
+        let held = local_lane(Direction::South.index(), VC) as u8;
         assert_eq!(rig.router(r).owner[NORTH][VC], held);
         assert_eq!(rig.router(r).buffered, 0, "A's lane is empty again");
         // B starts at r, bound north too: one flit, so nothing trails it.
         let b = rig.packet((1, 1), (1, 2), 1);
-        rig.net.enqueue_packet(r, b);
+        rig.net.enqueue_packet(&mut rig.table, r, b);
         rig.step(); // NI injection
         assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
         assert!(!rig.router(r).quiet);
@@ -1180,7 +1195,7 @@ mod tests {
         rig.feed(r, Direction::South, a, FlitKind::Tail);
         assert!(!rig.router(r).quiet, "an arrival wakes the router");
         rig.step(); // two lanes: the owner's tail wins, B still waits
-        assert_eq!(rig.router(r).owner[NORTH][VC], None);
+        assert_eq!(rig.router(r).owner[NORTH][VC], NO_OWNER);
         assert_eq!(rig.lane(r, Direction::Local), [FlitKind::Single]);
         rig.step(); // B streams the cycle after
         assert_eq!(rig.router(r).buffered, 0, "B must have left");
@@ -1196,7 +1211,7 @@ mod tests {
         let mut rig = Rig::new();
         let (r, d) = (rig.node(1, 1), rig.node(1, 2));
         let b = rig.packet((1, 1), (1, 2), 1);
-        rig.net.enqueue_packet(r, b);
+        rig.net.enqueue_packet(&mut rig.table, r, b);
         rig.step(); // NI injection
 
         // Fill the downstream lane with a packet that ejects at d.
@@ -1241,7 +1256,7 @@ mod tests {
         let r = streamed.node(1, 1);
         for rig in [&mut streamed, &mut arbitrated] {
             let b = rig.packet((1, 1), (1, 2), 1);
-            rig.net.enqueue_packet(r, b);
+            rig.net.enqueue_packet(&mut rig.table, r, b);
             rig.step(); // NI injection
         }
         let c = arbitrated.packet((1, 0), (2, 1), 1);
@@ -1253,7 +1268,7 @@ mod tests {
 
         let (s, a) = (streamed.router(r), arbitrated.router(r));
         assert_eq!(s.buffered, 0);
-        assert_eq!(s.owner[NORTH][VC], None, "released in the same cycle");
+        assert_eq!(s.owner[NORTH][VC], NO_OWNER, "released in the same cycle");
         assert_eq!(s.own, 0);
         assert_eq!(s.rr_grant[NORTH][VC], (LOCAL as u8 + 1) % PORTS as u8);
         assert_eq!(s.rr_vc[NORTH], ((VC + 1) % VCS) as u8);

@@ -106,11 +106,13 @@
 //! * *What differs at a boundary:* a relay lane's ring head, which is
 //!   unobservable (`hash_state` reads `len` and `front`), a source relay's
 //!   `sent` (hashed through [`Network::sent`]), and the counter store. An
-//!   armed relay cycle owes its lane one read and, if fed, one write (a
-//!   source relay's the NI's injection), and a sink relay its router one
-//!   ejection, booked from the ledger's measured-cycle count at demotion
-//!   and by [`Network::book_relays`], which the simulator runs before
-//!   anyone reads the ledger.
+//!   armed relay cycle owes its lane, if fed, one write (a source relay's
+//!   the NI's injection), and a sink relay its router one ejection,
+//!   booked from the ledger's measured-cycle count at demotion and by
+//!   [`Network::book_relays`], which the simulator runs before anyone
+//!   reads the ledger. Its read needs no booking: the ledger derives reads
+//!   from writes and lane occupancy, which a relay lane keeps at one flit
+//!   (the `noc_energy` ledger module docs).
 //! * *Fallbacks.* Everything else is the per-flit path. A relay demotes
 //!   when not fed, not drained, fed a `Tail`, or when another lane of its
 //!   router gets a front that could compete for `o`: an arrival into an
@@ -147,17 +149,16 @@
 //! departure feedback). Phase 1 *defers* those as [`Effect`]s, recorded in
 //! ascending router order (the order it walks the worklist in), and the
 //! owner of the cycle replays them in that order, so slot retirement order
-//! (and with it every future [`PacketId`] assignment) is fixed.
+//! (and with it every future [`PacketId`](crate::PacketId) assignment) is fixed.
 
 use super::Network;
-use crate::flit::{Flit, FlitKind, PacketId};
-use crate::table::PacketTable;
+use crate::flit::{Flit, FlitKind};
+use crate::table::{PacketTable, SlotQueue};
 use adele::online::{Cycle, SourceFeedback};
 use noc_energy::LinkMap;
 use noc_topology::route::{self, VirtualNet};
 use noc_topology::{Coord, Direction, NodeId};
 use std::cmp::Reverse;
-use std::collections::VecDeque;
 
 pub(crate) const PORTS: usize = Direction::COUNT;
 pub(crate) const VCS: usize = VirtualNet::COUNT;
@@ -221,7 +222,15 @@ const AWAKE: u8 = 8;
 const LISTED: u8 = 16;
 
 /// A router's `Local` input lanes, bits [`local_lane`]`(LOCAL, v)`.
-const LOCAL_LANES: u32 = (1 << VCS) - 1;
+const LOCAL_LANES: u16 = (1 << VCS) - 1;
+
+// A router's lanes and channels are the bits of a `u16` mask, and a lane
+// index fits the owner byte below [`NO_OWNER`].
+const _: () = assert!(PORTS * VCS <= 16);
+
+/// Owner sentinel of an output channel no wormhole holds (lane indices
+/// are < `PORTS × VCS`).
+pub(crate) const NO_OWNER: u8 = u8::MAX;
 
 /// Whether bit `i` of bitmap `bits` is set.
 fn bit(bits: &[u64], i: usize) -> bool {
@@ -248,28 +257,30 @@ pub(crate) struct RouterState {
     /// cache of the arena's occupancy, maintained at every push/pop, so
     /// the per-cycle route-and-send pass iterates set bits instead of
     /// probing all `PORTS × VCS` FIFO fronts.
-    pub(crate) occ: u32,
+    pub(crate) occ: u16,
     /// Output channels with a live wormhole owner, bit
     /// [`local_lane`]`(port, vc)` — the same skip-the-scan trick for the
     /// owner table.
-    pub(crate) own: u32,
+    pub(crate) own: u16,
     /// Cached routing decision for each input lane's front flit: an
     /// output-port index, [`REQ_NONE`] (front is not a routable head) or
     /// [`REQ_UNKNOWN`] (front changed since last computed). Routes are
     /// pure functions of the packet, so a blocked head no longer pays a
     /// packet-table read plus `route_step` every cycle it waits.
     pub(crate) req_cache: [u8; PORTS * VCS],
-    /// Owner of each output channel `(port, vc)`: the input `(port, vc)`
-    /// whose packet currently holds the wormhole.
-    pub(crate) owner: [[Option<(u8, u8)>; VCS]; PORTS],
+    /// Owner of each output channel `(port, vc)`: the [`local_lane`] of
+    /// the input whose packet currently holds the wormhole, or
+    /// [`NO_OWNER`].
+    pub(crate) owner: [[u8; VCS]; PORTS],
     /// Credits towards the downstream FIFO of each output channel.
     pub(crate) credits: [[u8; VCS]; PORTS],
     /// Round-robin pointer over input ports for new grants, per channel.
     pub(crate) rr_grant: [[u8; VCS]; PORTS],
     /// Round-robin pointer over VCs, per output port.
     pub(crate) rr_vc: [u8; PORTS],
-    /// Total buffered flits (for probe queries and worklist re-arming).
-    pub(crate) buffered: u32,
+    /// Total buffered flits (for probe queries and worklist re-arming);
+    /// at most `PORTS × VCS × 255`.
+    pub(crate) buffered: u16,
     /// `true` while the router is provably stuck: its last arbitration
     /// moved nothing, and no arrival or credit has touched it since.
     /// Arbitration is a pure function of the router's own FIFOs, owners
@@ -281,10 +292,14 @@ pub(crate) struct RouterState {
     /// Relay lanes, output channels feeding a relay lane and input lanes a
     /// relay feeds, bit [`local_lane`]`(port, vc)`: derived state kept by
     /// the resolve.
-    relay_lanes: u32,
-    feeds_relay: u32,
-    fed_by_relay: u32,
+    relay_lanes: u16,
+    feeds_relay: u16,
+    fed_by_relay: u16,
 }
+
+// The switching record of every router stays within 76 bytes.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<RouterState>() <= 76);
 
 impl RouterState {
     pub(super) fn new(buffer_depth: u8, credit_mask: [bool; PORTS]) -> Self {
@@ -298,7 +313,7 @@ impl RouterState {
             occ: 0,
             own: 0,
             req_cache: [REQ_UNKNOWN; PORTS * VCS],
-            owner: [[None; VCS]; PORTS],
+            owner: [[NO_OWNER; VCS]; PORTS],
             credits,
             rr_grant: [[0; VCS]; PORTS],
             rr_vc: [0; PORTS],
@@ -311,10 +326,11 @@ impl RouterState {
     }
 }
 
-/// Per-node injection queue (unbounded source queue behind the NI).
+/// Per-node injection queue (unbounded source queue behind the NI),
+/// linked through the packet table's slots.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SourceQueue {
-    pub(crate) queue: VecDeque<PacketId>,
+    pub(crate) queue: SlotQueue,
     /// Flits of the front packet already pushed into the local port.
     pub(crate) sent: u16,
 }
@@ -415,8 +431,17 @@ impl Network {
     /// table; every effect on another router or the NI is staged
     /// (arrivals, credits, deferred [`Effect`]s).
     pub(crate) fn phase1(&mut self, packets: &PacketTable, cycle: Cycle, armed: bool) {
+        // The window's first measured cycle opens the ledger on the lanes'
+        // occupancies (its reads are derived from them), and the first
+        // unmeasured one closes it if nobody did at the disarm: nothing
+        // has moved since that boundary.
         if armed {
+            if !self.ledger.is_open() {
+                self.ledger.open(self.fifos.lens());
+            }
             self.ledger.on_cycle();
+        } else if self.ledger.is_open() {
+            self.close_ledger();
         }
 
         // Take this cycle's worklist bitmap; `active_bits` (all zero: the
@@ -527,14 +552,16 @@ impl Network {
         let r = self.relays[i].router as usize;
         let sent = self.sent(r);
         let sq = &mut self.sources[r];
-        let packet = *sq.queue.front().expect("a source relay's NI injects");
+        let packet = packets
+            .front(&sq.queue)
+            .expect("a source relay's NI injects");
         let flits = packets.get(packet).flits;
         if sent < flits {
             self.set_timer(r, self.clock + u64::from(flits - sent));
             return;
         }
         debug_assert_eq!(sent, flits, "the timer fires on the Tail's clock");
-        sq.queue.pop_front();
+        packets.dequeue(&mut sq.queue);
         sq.sent = 0;
         self.queued_total -= 1;
         if sq.queue.is_empty() {
@@ -572,8 +599,8 @@ impl Network {
     /// The slot of the relay lane of router `r` that owns channel `out`.
     fn channel_relay(&self, r: usize, out: usize) -> usize {
         let owner = self.routers[r].owner[out / VCS][out % VCS];
-        let (ip, iv) = owner.expect("a relay owns its channel");
-        self.slot(r, local_lane(ip.into(), iv.into()))
+        debug_assert_ne!(owner, NO_OWNER, "a relay owns its channel");
+        self.slot(r, owner.into())
     }
 
     /// Flits of router `r`'s front packet its NI has fed: a source
@@ -629,10 +656,8 @@ impl Network {
     /// the NI holds a credit for its VC.
     #[inline(always)]
     fn inject(&mut self, r: usize, packets: &PacketTable) {
-        let pid = *self.sources[r]
-            .queue
-            .front()
-            .expect("source bit implies a queued packet");
+        let pid =
+            (packets.front(&self.sources[r].queue)).expect("source bit implies a queued packet");
         let pkt = packets.get(pid);
         let vc = pkt.vnet.index();
         if self.ni_credits[r][vc] == 0 {
@@ -649,7 +674,7 @@ impl Network {
         let sq = &mut self.sources[r];
         sq.sent += 1;
         if sq.sent == pkt.flits {
-            sq.queue.pop_front();
+            packets.dequeue(&mut sq.queue);
             sq.sent = 0;
             self.queued_total -= 1;
             if sq.queue.is_empty() {
@@ -813,21 +838,41 @@ impl Network {
     }
 
     /// Books what relay `rec` of router `r` owes the ledger since it was
-    /// last booked: per measured cycle one read of its lane, one write
-    /// (`unfed` fewer) and, at a sink, one ejection.
+    /// last booked: per measured cycle one write of its lane (`unfed`
+    /// fewer) and, at a sink, one ejection.
     fn book(&mut self, r: usize, rec: &Relay, unfed: u64) {
         let owed = self.ledger.cycles() - rec.booked;
         let at = arena_lane(r, rec.lane.into());
-        self.ledger.add_events(at, owed - unfed, owed);
+        self.ledger.add_writes(at, owed - unfed);
         if rec.at_sink() {
             self.ledger.add_ejections(r, owed);
         }
+        #[cfg(any(test, feature = "audit"))]
+        {
+            self.pops[at] += owed;
+        }
     }
 
-    /// Books what every relay owes its lane counters: all its cycles so
-    /// far were fed, since it is still a relay. After this the ledger is
-    /// complete; booking again adds nothing.
+    /// Books what every relay owes its lane counters (all its cycles so
+    /// far were fed, since it is still a relay) and settles the ledger's
+    /// reads at the lanes' occupancies. After this the ledger is complete
+    /// at this cycle boundary; booking again adds nothing.
     pub(crate) fn book_relays(&mut self) {
+        self.book_relay_debts();
+        self.ledger.settle(self.fifos.lens());
+        self.audit_reads();
+    }
+
+    /// Closes the measurement window: books the relays and settles the
+    /// ledger one last time, which freezes it until the next window opens.
+    pub(crate) fn close_ledger(&mut self) {
+        self.book_relay_debts();
+        self.ledger.close(self.fifos.lens());
+        self.audit_reads();
+    }
+
+    /// The writes and ejections every live relay owes the ledger.
+    fn book_relay_debts(&mut self) {
         let now = self.ledger.cycles();
         for i in 0..self.relays.len() {
             let rec = self.relays[i];
@@ -844,6 +889,17 @@ impl Network {
         self.ledger.reset();
         for rec in &mut self.relays {
             rec.booked = 0;
+        }
+        #[cfg(any(test, feature = "audit"))]
+        self.pops.fill(0);
+    }
+
+    /// Checks, lane for lane, the ledger's derived reads against the pop
+    /// tally (test builds only).
+    fn audit_reads(&self) {
+        #[cfg(any(test, feature = "audit"))]
+        if let Err(why) = self.check_reads() {
+            panic!("{why}");
         }
     }
 
@@ -893,25 +949,25 @@ impl Network {
     /// port its head requests if that head's channel is free.
     fn claim(&self, r: usize, b: usize, packets: &PacketTable) -> Option<usize> {
         let router = &self.routers[r];
-        let lane = Some(((b / VCS) as u8, (b % VCS) as u8));
         let mut own_bits = router.own;
         while own_bits != 0 {
             let c = own_bits.trailing_zeros() as usize;
             own_bits &= own_bits - 1;
-            if router.owner[c / VCS][c % VCS] == lane {
+            if usize::from(router.owner[c / VCS][c % VCS]) == b {
                 return Some(c / VCS);
             }
         }
         let o = usize::from(self.peek_request(r, b, packets));
-        (o < PORTS && router.owner[o][b % VCS].is_none()).then_some(o)
+        (o < PORTS && router.owner[o][b % VCS] == NO_OWNER).then_some(o)
     }
 
     /// The relay lane of router `r` whose channel is on port `o`, if any
     /// (a router's relay lanes own distinct ports).
     fn relay_on_port(&self, r: usize, o: usize) -> Option<usize> {
         let router = &self.routers[r];
-        (router.owner[o].iter().flatten())
-            .map(|&(ip, iv)| local_lane(ip.into(), iv.into()))
+        (router.owner[o].iter())
+            .filter(|&&l| l != NO_OWNER)
+            .map(|&l| usize::from(l))
             .find(|&l| router.relay_lanes >> l & 1 != 0)
     }
 
@@ -936,7 +992,7 @@ impl Network {
     fn process_router(
         &mut self,
         r: usize,
-        occ: u32,
+        occ: u16,
         packets: &PacketTable,
         cycle: Cycle,
         armed: bool,
@@ -957,8 +1013,9 @@ impl Network {
             let b = own_bits.trailing_zeros() as usize;
             own_bits &= own_bits - 1;
             let (o, v) = (b / VCS, b % VCS);
-            let (ip, iv) = self.routers[r].owner[o][v].expect("own bit implies an owner");
-            if occ & (1 << local_lane(ip as usize, iv as usize)) != 0 {
+            let owner = self.routers[r].owner[o][v];
+            debug_assert_ne!(owner, NO_OWNER, "own bit implies an owner");
+            if occ & (1 << owner) != 0 {
                 out_mask |= 1 << o;
                 vc_mask[o] |= 1 << v;
             }
@@ -1015,13 +1072,12 @@ impl Network {
         let (o, v, is_new) = if request < PORTS as u8 {
             // A head asks for a new grant on its own VC; a channel still
             // held by another wormhole (whose lane is empty) blocks it.
-            if router.owner[request as usize][iv].is_some() {
+            if router.owner[request as usize][iv] != NO_OWNER {
                 return false;
             }
             (request as usize, iv, true)
         } else {
             // Mid-wormhole: the flit follows the channel its head took.
-            let lane = Some((ip as u8, iv as u8));
             let mut own_bits = router.own;
             loop {
                 if own_bits == 0 {
@@ -1029,7 +1085,7 @@ impl Network {
                 }
                 let c = own_bits.trailing_zeros() as usize;
                 own_bits &= own_bits - 1;
-                if router.owner[c / VCS][c % VCS] == lane {
+                if usize::from(router.owner[c / VCS][c % VCS]) == b {
                     break (c / VCS, c % VCS, false);
                 }
             }
@@ -1063,7 +1119,7 @@ impl Network {
         // and the NI holds a credit and has more than the `Tail` to feed.
         if source {
             let sq = &self.sources[r];
-            debug_assert_eq!(sq.queue.front(), Some(&packets.id_of(front)));
+            debug_assert_eq!(packets.front(&sq.queue), Some(packets.id_of(front)));
             let flits = packets.packet_of(front).flits;
             if self.ni_credits[r][lane % VCS] == 0 || sq.sent + 1 >= flits {
                 return;
@@ -1129,7 +1185,7 @@ impl Network {
         r: usize,
         o: usize,
         vc_mask: u8,
-        (occ, head_request, input_used): (u32, &[[u8; VCS]; PORTS], &[[bool; VCS]; PORTS]),
+        (occ, head_request, input_used): (u16, &[[u8; VCS]; PORTS], &[[bool; VCS]; PORTS]),
     ) -> Option<Grant> {
         let router = &self.routers[r];
         // Gather, per VC, the input (port, vc) able to send on (o, vc).
@@ -1142,12 +1198,13 @@ impl Network {
             if !has_credit {
                 continue;
             }
-            if let Some((ip, iv)) = router.owner[o][v] {
-                let (ip, iv) = (ip as usize, iv as usize);
+            let owner = router.owner[o][v];
+            if owner != NO_OWNER {
+                let (ip, iv) = (usize::from(owner) / VCS, usize::from(owner) % VCS);
                 if input_used[ip][iv] {
                     continue;
                 }
-                if occ & (1 << local_lane(ip, iv)) != 0 {
+                if occ & (1 << owner) != 0 {
                     candidates[v] = Some(Grant {
                         v,
                         ip,
@@ -1216,12 +1273,12 @@ impl Network {
         let disturbs = !emptied && router.relay_lanes != 0;
         let out_lane_bit = local_lane(o, v);
         if is_new {
-            router.owner[o][v] = Some((ip as u8, iv as u8));
+            router.owner[o][v] = in_lane_bit as u8;
             router.own |= 1 << out_lane_bit;
             router.rr_grant[o][v] = ((ip + 1) % PORTS) as u8;
         }
         if flit.kind().is_tail() {
-            router.owner[o][v] = None;
+            router.owner[o][v] = NO_OWNER;
             router.own &= !(1 << out_lane_bit);
         }
         router.rr_vc[o] = ((v + 1) % VCS) as u8;
@@ -1254,8 +1311,9 @@ impl Network {
             self.credits.push((input.peer, input.peer_port, iv as u8));
         }
 
+        #[cfg(any(test, feature = "audit"))]
         if armed {
-            self.ledger.on_read(in_fifo);
+            self.pops[in_fifo] += 1;
         }
 
         if o == LOCAL {
@@ -1350,12 +1408,52 @@ impl Network {
                              occupancy {occupied}"
                         ));
                     }
-                    let owned = router.owner[p][v].is_some();
+                    let owned = router.owner[p][v] != NO_OWNER;
                     if (router.own & lane_bit != 0) != owned {
                         return Err(format!(
                             "router {r} channel ({p}, {v}): own bit disagrees with owner \
-                             {:?}",
+                             lane {}",
                             router.owner[p][v]
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+#[cfg(any(test, feature = "audit"))]
+impl Network {
+    /// Steps the per-flit engine only: no router is ever promoted to a
+    /// relay (the relay oracle's reference side).
+    pub(crate) fn disable_relays(&mut self) {
+        self.promote = false;
+    }
+
+    /// Flits each input lane popped while armed since the last reset, in
+    /// arena order: a send's pop, and one per relay cycle (booked with the
+    /// relay's writes) — the per-flit engine's read count, tallied.
+    pub(crate) fn pop_tally(&self) -> &[u64] {
+        &self.pops
+    }
+
+    /// Verifies that the ledger's derived reads equal the pop tally on
+    /// every lane.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first lane that disagrees, described.
+    pub(crate) fn check_reads(&self) -> Result<(), String> {
+        for (r, coord) in self.coords.iter().enumerate() {
+            for port in Direction::ALL {
+                for vc in 0..VCS {
+                    let reads = self.ledger.buffer_reads(NodeId(r as u16), port, vc);
+                    let pops = self.pops[arena_lane(r, local_lane(port.index(), vc))];
+                    if reads != pops {
+                        return Err(format!(
+                            "router {r} at {coord} lane ({port}, {vc}): derived reads {reads} \
+                             != pop tally {pops}"
                         ));
                     }
                 }
@@ -1370,12 +1468,6 @@ mod tests {
     use super::*;
 
     impl Network {
-        /// Steps the per-flit engine only: no router is ever promoted to
-        /// a relay (the relay oracle's reference side).
-        pub(crate) fn disable_relays(&mut self) {
-            self.promote = false;
-        }
-
         /// Relays at the current cycle boundary, i.e. the sends the next
         /// cycle makes as relay cycles.
         pub(crate) fn relay_count(&self) -> usize {
@@ -1456,9 +1548,8 @@ mod tests {
                 let Some(p) = self.claim(r, b, packets) else {
                     return false;
                 };
-                let lane = Some(((b / VCS) as u8, (b % VCS) as u8));
                 let v = (0..VCS)
-                    .find(|&v| router.owner[p][v] == lane)
+                    .find(|&v| usize::from(router.owner[p][v]) == b)
                     .unwrap_or(b % VCS);
                 p == LOCAL || router.credits[p][v] > 0
             };
@@ -1497,8 +1588,7 @@ mod tests {
                     let c = own_bits.trailing_zeros() as usize;
                     own_bits &= own_bits - 1;
                     let (o, v) = (c / VCS, c % VCS);
-                    let (ip, iv) = router.owner[o][v].expect("own bit implies an owner");
-                    let lane = local_lane(ip.into(), iv.into());
+                    let lane = usize::from(router.owner[o][v]);
                     let at = arena_lane(r, lane);
                     let lone = self.fifos.len(at) == 1
                         && self.fifos.front(at).map(Flit::kind) == Some(FlitKind::Body);
@@ -1530,7 +1620,7 @@ mod tests {
                 return Err("relays left unresolved".to_string());
             }
             let marks =
-                |m: fn(&RouterState) -> u32| self.routers.iter().map(|r| m(r).count_ones()).sum();
+                |m: fn(&RouterState) -> u16| self.routers.iter().map(|r| m(r).count_ones()).sum();
             let live = self.live_relays().count() as u32;
             let marked = [
                 marks(|r| r.feeds_relay),
@@ -1569,7 +1659,7 @@ mod tests {
                     let timer = (self.timers.iter())
                         .find(|Reverse(timer)| timer & 0xFFFF == r as u64)
                         .map_or(0, |Reverse(timer)| timer >> 16);
-                    let feeds = sq.queue.front() == Some(&packets.id_of(front))
+                    let feeds = packets.front(&sq.queue) == Some(packets.id_of(front))
                         && self.ni_credits[r][lane] > 0
                         && left.is_some_and(|left| left > 0);
                     let tail_at = self.clock + u64::from(left.unwrap_or(0));
@@ -1591,9 +1681,7 @@ mod tests {
                 let up_relay = !fed || {
                     let up = &self.routers[input.peer.index()];
                     let owner = up.owner[up_out / VCS][up_out % VCS];
-                    owner.is_some_and(|(p, c)| {
-                        up.relay_lanes >> local_lane(p.into(), c.into()) & 1 == 1
-                    })
+                    owner != NO_OWNER && up.relay_lanes >> owner & 1 == 1
                 };
                 let down_relay = !drained
                     || rec.at_sink()
@@ -1613,7 +1701,7 @@ mod tests {
                     && uncontended
                     && self.fifos.len(at) == 1
                     && front.kind() == FlitKind::Body
-                    && router.owner[o][v] == Some(((lane / VCS) as u8, (lane % VCS) as u8))
+                    && usize::from(router.owner[o][v]) == lane
                     && (rec.at_sink() || router.credits[o][v] > 0)
                     && router.req_cache[lane] == REQ_UNKNOWN
                     && router.rr_vc[o] as usize == (v + 1) % VCS

@@ -282,7 +282,7 @@ impl Simulator {
             delivered: None,
             measured: self.stats.armed(),
         });
-        self.net.enqueue_packet(node, id);
+        self.net.enqueue_packet(&mut self.packets, node, id);
     }
 
     /// Advances one cycle.
@@ -581,12 +581,12 @@ impl Simulator {
         Ok(self.summarise(self.packets.measured_outstanding() == 0))
     }
 
-    /// Closes the measurement window: the relays book what they owe, so
-    /// the counter store is complete for any reader until the next window
-    /// arms.
+    /// Closes the measurement window: the relays book what they owe and
+    /// the reads settle, so the counter store is complete, and frozen, for
+    /// any reader until the next window arms.
     fn disarm(&mut self) {
         self.stats.set_armed(false);
-        self.net.book_relays();
+        self.net.close_ledger();
     }
 
     /// Summarises the window from the statistics and the counter store.
@@ -650,6 +650,25 @@ impl Simulator {
             });
         }
         Ok(summary)
+    }
+}
+
+/// Test-only instrumentation (the `audit` feature; integration tests).
+#[cfg(feature = "audit")]
+impl Simulator {
+    /// Steps the per-flit engine from now on: no router becomes a relay.
+    #[doc(hidden)]
+    pub fn disable_relays(&mut self) {
+        self.net.disable_relays();
+    }
+
+    /// The flits each input FIFO popped while armed since the last reset,
+    /// indexed [`LinkLedger::fifo`]: the reads the ledger derives, counted
+    /// per pop instead (every settle already checks the two agree).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn pop_tally(&self) -> &[u64] {
+        self.net.pop_tally()
     }
 }
 

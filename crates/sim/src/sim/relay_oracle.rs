@@ -119,7 +119,7 @@ impl Case {
         }
         if self.bursty {
             let process = InjectionProcess::on_off(self.rate, OnOffParams::new(0.05, 0.01, 0.0));
-            parts.processes.fill(process);
+            parts.process = process;
         }
         let traffic: Box<dyn ScheduledSource> = if self.script.injections.is_empty() {
             Box::new(BatchedSynthetic::from_parts(parts, self.seed))

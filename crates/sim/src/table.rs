@@ -20,8 +20,45 @@
 //! A [`Flit`] carries only its packet's slot; the table supplies the
 //! generation ([`PacketTable::id_of`]), so the table holds at most
 //! [`Flit::SLOTS`] packets at once.
+//!
+//! The source queues behind the NIs are threaded through the table too: a
+//! [`SlotQueue`] is a head/tail pair of slots, linked by one `next` slot
+//! per table slot. A packet waits on at most one queue (its source's),
+//! from its admission until its tail is injected, long before its slot
+//! retires, so one link per slot serves every queue of the fabric and no
+//! queue owns a heap buffer.
 
 use crate::flit::{Flit, Packet, PacketId};
+
+/// End-of-queue marker of a slot link.
+const NIL: u32 = u32::MAX;
+
+/// A FIFO of packets linked through a [`PacketTable`]'s slots (module
+/// docs); every operation goes through the table.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotQueue {
+    /// Front and back slots; `head` is [`NIL`] when the queue is empty
+    /// (`tail` is then stale).
+    head: u32,
+    tail: u32,
+}
+
+impl Default for SlotQueue {
+    fn default() -> Self {
+        Self {
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl SlotQueue {
+    /// `true` if no packet waits on the queue.
+    #[inline]
+    pub(crate) fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+}
 
 /// Dense recycling storage for in-flight packets.
 #[derive(Debug, Clone, Default)]
@@ -34,6 +71,9 @@ pub struct PacketTable {
     /// Retired slots available for reuse (LIFO, so slot assignment is
     /// deterministic and recently-touched memory is reused first).
     free: Vec<u32>,
+    /// Per slot: the slot queued behind it on its [`SlotQueue`] ([`NIL`]
+    /// at a queue's tail; stale once the packet has left its queue).
+    next: Vec<u32>,
     /// Measured packets not yet fully delivered.
     measured_outstanding: usize,
     /// Packets ever inserted (diagnostics; shows how much the free list
@@ -72,6 +112,7 @@ impl PacketTable {
             let slot = self.packets.len() as u32;
             self.packets.push(packet);
             self.generations.push(1);
+            self.next.push(NIL);
             PacketId::new(slot, 1)
         }
     }
@@ -192,6 +233,54 @@ impl PacketTable {
         self.total_created
     }
 
+    /// Capacity (in elements) of the queue links — the only heap the
+    /// source queues use.
+    pub(crate) fn link_capacity(&self) -> usize {
+        self.next.capacity()
+    }
+
+    /// The handle of the live packet in `slot`.
+    fn id_at(&self, slot: u32) -> PacketId {
+        let generation = self.generations[slot as usize];
+        debug_assert!(generation % 2 == 1, "a queued slot is live");
+        PacketId::new(slot, generation)
+    }
+
+    /// Appends `id` to `queue`; the packet must be on no queue.
+    pub(crate) fn enqueue(&mut self, queue: &mut SlotQueue, id: PacketId) {
+        let slot = id.slot();
+        self.next[slot as usize] = NIL;
+        if queue.head == NIL {
+            queue.head = slot;
+        } else {
+            self.next[queue.tail as usize] = slot;
+        }
+        queue.tail = slot;
+    }
+
+    /// The packet at the front of `queue`, if any.
+    #[inline]
+    pub(crate) fn front(&self, queue: &SlotQueue) -> Option<PacketId> {
+        (queue.head != NIL).then(|| self.id_at(queue.head))
+    }
+
+    /// Removes the front packet of non-empty `queue`.
+    #[inline]
+    pub(crate) fn dequeue(&self, queue: &mut SlotQueue) {
+        debug_assert_ne!(queue.head, NIL, "dequeue from an empty queue");
+        queue.head = self.next[queue.head as usize];
+    }
+
+    /// The packets of `queue`, front first.
+    pub(crate) fn queued<'a>(&'a self, queue: &SlotQueue) -> impl Iterator<Item = PacketId> + 'a {
+        let first = (queue.head != NIL).then_some(queue.head);
+        std::iter::successors(first, |&slot| {
+            let next = self.next[slot as usize];
+            (next != NIL).then_some(next)
+        })
+        .map(|slot| self.id_at(slot))
+    }
+
     /// Strips the measured flag from every in-flight packet and zeroes the
     /// outstanding count: packets created before a measurement window must
     /// not leak into its figures when they eventually deliver.
@@ -263,6 +352,36 @@ mod tests {
         table.retire(c);
         assert_eq!(table.measured_outstanding(), 0);
         assert_eq!(table.live(), 1);
+    }
+
+    #[test]
+    fn slot_queues_are_fifos_sharing_the_links() {
+        let mut table = PacketTable::new();
+        let (mut a, mut b) = (SlotQueue::default(), SlotQueue::default());
+        let ids: Vec<PacketId> = (0..5).map(|t| table.insert(packet(false, t))).collect();
+        for (i, &id) in ids.iter().enumerate() {
+            let queue = if i % 2 == 0 { &mut a } else { &mut b };
+            table.enqueue(queue, id);
+        }
+        fn order(table: &PacketTable, queue: &SlotQueue) -> Vec<PacketId> {
+            table.queued(queue).collect()
+        }
+        assert_eq!(order(&table, &a), [ids[0], ids[2], ids[4]]);
+        assert_eq!(order(&table, &b), [ids[1], ids[3]]);
+        table.dequeue(&mut a);
+        assert_eq!(table.front(&a), Some(ids[2]));
+        // A recycled slot joins another queue with a fresh link.
+        table.retire(ids[0]);
+        let c = table.insert(packet(false, 9));
+        table.enqueue(&mut b, c);
+        assert_eq!(order(&table, &b), [ids[1], ids[3], c]);
+        assert_eq!(order(&table, &a), [ids[2], ids[4]]);
+        for _ in 0..2 {
+            table.dequeue(&mut a);
+        }
+        assert!(a.is_empty() && table.front(&a).is_none());
+        table.enqueue(&mut a, ids[2]);
+        assert_eq!(order(&table, &a), [ids[2]]);
     }
 
     #[test]

@@ -168,6 +168,10 @@ impl Coin {
 /// rate is scaled. A Bernoulli process is the on/off machine whose phase
 /// coins never draw — its phase never moves and both emission coins are
 /// the same — so one record and one [`step`](Self::step) serve both.
+///
+/// The only per-node state is the phase: a workload whose nodes all run
+/// the same process holds one record and a phase bit per node, and steps
+/// each node with [`step_phase`](Self::step_phase).
 #[derive(Debug, Clone)]
 pub struct InjectionProcess {
     /// Base (average) packets/cycle: the exact product of every scaling,
@@ -175,7 +179,8 @@ pub struct InjectionProcess {
     pub(crate) rate: f64,
     /// Burst parameters; `None` is memoryless.
     pub(crate) burst: Option<OnOffParams>,
-    /// Current phase (true = ON).
+    /// Current phase (true = ON): the phase [`step`](Self::step) moves,
+    /// and every node's starting phase where the process is shared.
     pub(crate) on: bool,
     /// Coin for leaving the phase, indexed by the current phase.
     leave: [Coin; 2],
@@ -265,10 +270,33 @@ impl InjectionProcess {
     /// phase transition first, then emission from the new phase.
     #[inline]
     pub fn step<R: RngCore + ?Sized>(&mut self, rng: &mut R) -> bool {
-        if self.leave[usize::from(self.on)].flip(rng) {
-            self.on = !self.on;
+        let mut on = self.on;
+        let injects = self.step_phase(&mut on, rng);
+        self.on = on;
+        injects
+    }
+
+    /// [`step`](Self::step) for a node of a shared process, whose phase
+    /// (true = ON) is `on`.
+    #[inline]
+    pub fn step_phase<R: RngCore + ?Sized>(&self, on: &mut bool, rng: &mut R) -> bool {
+        if self.leave[usize::from(*on)].flip(rng) {
+            *on = !*on;
         }
-        self.emit[usize::from(self.on)].flip(rng)
+        self.emit[usize::from(*on)].flip(rng)
+    }
+
+    /// The mean of [`mean_rate`](Self::mean_rate) over `nodes` nodes
+    /// running this process, summed term by term like a mean over
+    /// per-node processes (its rounding reaches
+    /// `RunSummary::offered_rate`); `None` for no nodes.
+    #[must_use]
+    pub fn mean_rate_over(&self, nodes: usize) -> Option<f64> {
+        if nodes == 0 {
+            return None;
+        }
+        let sum: f64 = std::iter::repeat_n(self.mean_rate(), nodes).sum();
+        Some(sum / nodes as f64)
     }
 }
 

@@ -180,21 +180,26 @@ pub fn geometric_skip<R: RngCore + ?Sized>(rng: &mut R, p: f64) -> u64 {
 }
 
 /// Per-node scheduling state: an independent RNG stream (so firing order
-/// never couples nodes), the temporal process — the polled process's own
-/// record of rate, burst parameters and phase, so scaling keeps
-/// [`InjectionProcess::scale_rate`]'s lossless-burst semantics — and the
+/// never couples nodes), the node's phase of the shared temporal process
+/// (whose one record of rate and burst parameters scales with
+/// [`InjectionProcess::scale_rate`]'s lossless-burst semantics) and the
 /// skip-sampler's position in it.
 #[derive(Debug, Clone)]
 struct NodeState {
     rng: StdRng,
-    process: InjectionProcess,
     /// Cycle at which a bursty process flips phase next (flips happen
     /// before emission, matching the polled process's
     /// transition-then-emit order).
     seg_end: u64,
     /// The next injection cycle.
     next: u64,
+    /// Current phase (true = ON).
+    on: bool,
 }
+
+// A node costs the batched stream at most 56 bytes.
+#[cfg(not(debug_assertions))]
+const _: () = assert!(std::mem::size_of::<NodeState>() <= 56);
 
 impl NodeState {
     /// Draws the initial phase boundary, matching the polled process's
@@ -204,9 +209,9 @@ impl NodeState {
     /// unconditionally at 0. Without this, every node would
     /// deterministically invert its phase at cycle 0 and a short
     /// measurement window would see the wrong (synchronised) burst state.
-    fn prime(&mut self) {
-        if let Some(params) = self.process.burst {
-            let flip = if self.process.on {
+    fn prime(&mut self, process: &InjectionProcess) {
+        if let Some(params) = process.burst {
+            let flip = if self.on {
                 params.on_to_off
             } else {
                 params.off_to_on
@@ -215,13 +220,11 @@ impl NodeState {
         }
     }
 
-    /// Samples the node's next injection cycle at or after `from`.
-    fn sample_next(&mut self, from: u64) -> u64 {
+    /// Samples the node's next injection cycle under `process` at or after
+    /// `from`.
+    fn sample_next(&mut self, process: &InjectionProcess, from: u64) -> u64 {
         let Self {
-            rng,
-            process,
-            seg_end,
-            ..
+            rng, seg_end, on, ..
         } = self;
         let rate = process.rate;
         let Some(params) = process.burst else {
@@ -230,7 +233,6 @@ impl NodeState {
         if rate <= 0.0 {
             return NEVER;
         }
-        let on = &mut process.on;
         let mut t = from;
         loop {
             // Catch the phase machine up to t: at `seg_end` the phase
@@ -286,6 +288,8 @@ pub fn derive_stream_seed(seed: u64, stream: u64) -> u64 {
 /// different — still fully deterministic — RNG stream.
 pub struct BatchedSynthetic {
     pattern: Box<dyn Pattern>,
+    /// The temporal process every node runs.
+    process: InjectionProcess,
     nodes: Vec<NodeState>,
     sizes: PacketSizeRange,
     /// The pending-injection calendar: one `(next cycle, node)` entry per
@@ -310,24 +314,23 @@ impl BatchedSynthetic {
     /// from `seed`.
     #[must_use]
     pub fn from_parts(parts: SyntheticParts, seed: u64) -> Self {
-        let mut nodes: Vec<NodeState> = parts
-            .processes
-            .into_iter()
-            .enumerate()
-            .map(|(i, process)| NodeState {
+        let process = parts.process;
+        let mut nodes: Vec<NodeState> = (0..parts.nodes)
+            .map(|i| NodeState {
                 rng: StdRng::seed_from_u64(derive_stream_seed(seed, i as u64)),
-                process,
                 seg_end: 0,
                 next: NEVER,
+                on: process.on,
             })
             .collect();
         for state in &mut nodes {
-            state.prime();
-            state.next = state.sample_next(0);
+            state.prime(&process);
+            state.next = state.sample_next(&process, 0);
         }
         let calendar = Self::rebuild_calendar(&nodes);
         Self {
             pattern: parts.pattern,
+            process,
             nodes,
             sizes: parts.sizes,
             calendar,
@@ -376,7 +379,7 @@ impl ScheduledSource for BatchedSynthetic {
                     },
                 });
             }
-            state.next = state.sample_next(cycle + 1);
+            state.next = state.sample_next(&self.process, cycle + 1);
             if state.next != NEVER {
                 self.calendar.push(Reverse((state.next, node)));
             }
@@ -389,20 +392,12 @@ impl ScheduledSource for BatchedSynthetic {
     }
 
     fn mean_rate(&self) -> Option<f64> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        let sum: f64 = self.nodes.iter().map(|s| s.process.mean_rate()).sum();
-        Some(sum / self.nodes.len() as f64)
+        self.process.mean_rate_over(self.nodes.len())
     }
 
     fn apply(&mut self, directive: &TrafficDirective, now: u64) {
         match directive {
-            TrafficDirective::ScaleRate { factor } => {
-                for state in &mut self.nodes {
-                    state.process.scale_rate(*factor);
-                }
-            }
+            TrafficDirective::ScaleRate { factor } => self.process.scale_rate(*factor),
             TrafficDirective::SetHotspots { hotspots, fraction } => {
                 let n = self.nodes.len();
                 retarget_hotspots(&mut self.pattern, n, hotspots, *fraction);
@@ -414,7 +409,7 @@ impl ScheduledSource for BatchedSynthetic {
         // a phase, so conditioning on "nothing fired before now" is a
         // fresh sample — the injection distribution is preserved exactly.
         for state in &mut self.nodes {
-            state.next = state.sample_next(now);
+            state.next = state.sample_next(&self.process, now);
         }
         self.calendar = Self::rebuild_calendar(&self.nodes);
     }

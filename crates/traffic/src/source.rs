@@ -80,15 +80,19 @@ pub trait TrafficSource: Send {
 }
 
 /// What a synthetic workload offers, before a generator draws it: spatial
-/// [`Pattern`] × one [`InjectionProcess`] per node × [`PacketSizeRange`].
+/// [`Pattern`] × the [`InjectionProcess`] every node runs (each in its own
+/// phase) × [`PacketSizeRange`].
 /// [`SyntheticTraffic::from_parts`] polls it (the `v1` stream),
 /// [`BatchedSynthetic::from_parts`](crate::BatchedSynthetic::from_parts)
 /// skip-samples it (`v2`) — the named workloads exist once, here.
 pub struct SyntheticParts {
     /// Destination pattern.
     pub pattern: Box<dyn Pattern>,
-    /// One temporal process per node (independent burst state).
-    pub processes: Vec<InjectionProcess>,
+    /// The temporal process of every node; each node keeps its own burst
+    /// phase, starting from this one's.
+    pub process: InjectionProcess,
+    /// Nodes that run it.
+    pub nodes: usize,
     /// Packet-size distribution.
     pub sizes: PacketSizeRange,
 }
@@ -99,7 +103,8 @@ impl SyntheticParts {
     pub fn new(mesh: &Mesh3d, pattern: Box<dyn Pattern>, process: InjectionProcess) -> Self {
         Self {
             pattern,
-            processes: vec![process; mesh.node_count()],
+            process,
+            nodes: mesh.node_count(),
             sizes: PacketSizeRange::paper_default(),
         }
     }
@@ -137,12 +142,14 @@ impl SyntheticParts {
 }
 
 /// The polled generator of a synthetic workload — the kernel of the `v1`
-/// stream: a poll steps the node's process (integer
+/// stream: a poll steps the node's phase of the shared process (integer
 /// [`Coin`](crate::injection::Coin)s) on the concrete generator; only an
 /// actual injection pays the `dyn` [`Pattern`] draw.
 pub struct SyntheticTraffic {
     pattern: Box<dyn Pattern>,
-    processes: Vec<InjectionProcess>,
+    process: InjectionProcess,
+    /// Each node's burst phase (true = ON).
+    phases: Vec<bool>,
     sizes: PacketSizeRange,
     rng: StdRng,
 }
@@ -151,7 +158,7 @@ impl std::fmt::Debug for SyntheticTraffic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SyntheticTraffic")
             .field("pattern", &self.pattern.name())
-            .field("nodes", &self.processes.len())
+            .field("nodes", &self.phases.len())
             .field("sizes", &self.sizes)
             .finish()
     }
@@ -163,7 +170,8 @@ impl SyntheticTraffic {
     pub fn from_parts(parts: SyntheticParts, seed: u64) -> Self {
         Self {
             pattern: parts.pattern,
-            processes: parts.processes,
+            phases: vec![parts.process.on; parts.nodes],
+            process: parts.process,
             sizes: parts.sizes,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -191,7 +199,8 @@ impl SyntheticTraffic {
 impl TrafficSource for SyntheticTraffic {
     #[inline]
     fn maybe_inject(&mut self, node: NodeId, _cycle: u64) -> Option<InjectionRequest> {
-        if !self.processes[node.index()].step(&mut self.rng) {
+        let on = &mut self.phases[node.index()];
+        if !self.process.step_phase(on, &mut self.rng) {
             return None;
         }
         self.request(node)
@@ -200,9 +209,9 @@ impl TrafficSource for SyntheticTraffic {
     /// The default loop, minus `maybe_inject`'s `Option` round-trip per
     /// node (measured ≈ 20 % of a 16×16×8 poll).
     fn poll_cycle(&mut self, _cycle: u64, nodes: usize, out: &mut Vec<(NodeId, InjectionRequest)>) {
-        assert!(nodes <= self.processes.len(), "polled past the workload");
+        assert!(nodes <= self.phases.len(), "polled past the workload");
         for i in 0..nodes {
-            if self.processes[i].step(&mut self.rng) {
+            if self.process.step_phase(&mut self.phases[i], &mut self.rng) {
                 let node = NodeId(i as u16);
                 out.extend(self.request(node).map(|request| (node, request)));
             }
@@ -214,24 +223,14 @@ impl TrafficSource for SyntheticTraffic {
     }
 
     fn mean_rate(&self) -> Option<f64> {
-        // Mean over the per-node processes. Keep the sum-then-divide
-        // form: its float rounding reaches `RunSummary::offered_rate`.
-        if self.processes.is_empty() {
-            return None;
-        }
-        let sum: f64 = self.processes.iter().map(InjectionProcess::mean_rate).sum();
-        Some(sum / self.processes.len() as f64)
+        self.process.mean_rate_over(self.phases.len())
     }
 
     fn apply(&mut self, directive: &TrafficDirective) {
         match directive {
-            TrafficDirective::ScaleRate { factor } => {
-                for p in &mut self.processes {
-                    p.scale_rate(*factor);
-                }
-            }
+            TrafficDirective::ScaleRate { factor } => self.process.scale_rate(*factor),
             TrafficDirective::SetHotspots { hotspots, fraction } => {
-                let n = self.processes.len();
+                let n = self.phases.len();
                 retarget_hotspots(&mut self.pattern, n, hotspots, *fraction);
             }
         }

@@ -6,9 +6,7 @@
 
 use adele_bench::{figure_scenario, main_policies, offline_assignment};
 use noc_exp::runner::default_threads;
-use noc_exp::{
-    run_batch_supervised, PointError, PointOutcome, SelectorSpec, Supervision, WorkloadKind,
-};
+use noc_exp::{run_batch_supervised, PointError, SelectorSpec, Supervision, WorkloadKind};
 use noc_topology::placement::Placement;
 
 fn main() -> Result<(), PointError> {
@@ -44,10 +42,7 @@ fn main() -> Result<(), PointError> {
         |_| {},
     );
     for outcome in outcomes {
-        let summary = match outcome {
-            PointOutcome::Ok(result) => result.summary,
-            PointOutcome::Failed(failure) => return Err(failure.error),
-        };
+        let summary = outcome.into_result().map_err(|f| f.error)?.summary;
         println!(
             "{:<10} {:>10.1}cy {:>10.1}cy {:>11.1}nJ {:>10}",
             summary.policy,

@@ -7,7 +7,7 @@
 
 use adele_bench::{fig7_base_rate, figure_scenario, main_policies, offline_assignment};
 use noc_exp::runner::default_threads;
-use noc_exp::{run_batch_supervised, PointError, PointOutcome, Supervision, WorkloadKind};
+use noc_exp::{run_batch_supervised, PointError, Supervision, WorkloadKind};
 use noc_topology::placement::Placement;
 use noc_traffic::apps::AppKind;
 
@@ -41,9 +41,11 @@ fn main() -> Result<(), PointError> {
     );
     let summaries = outcomes
         .into_iter()
-        .map(|outcome| match outcome {
-            PointOutcome::Ok(result) => Ok(result.summary),
-            PointOutcome::Failed(failure) => Err(failure.error),
+        .map(|outcome| {
+            outcome
+                .into_result()
+                .map(|r| r.summary)
+                .map_err(|f| f.error)
         })
         .collect::<Result<Vec<_>, _>>()?;
     for (app, runs) in AppKind::ALL.into_iter().zip(summaries.chunks(2)) {

@@ -121,11 +121,11 @@ fn steady_state_stepping_allocates_nothing() {
     let mut sim = quick_sim(0.003, 17);
     // Warm-up: staging buffers and source queues reach their high water.
     sim.advance(4_000).unwrap();
-    let footprint = sim.network().heap_footprint();
+    let footprint = sim.network().heap_footprint(sim.packet_table());
     let slots = sim.packet_table().capacity();
     sim.advance(10_000).unwrap();
     assert_eq!(
-        sim.network().heap_footprint(),
+        sim.network().heap_footprint(sim.packet_table()),
         footprint,
         "network heap footprint grew during steady state"
     );

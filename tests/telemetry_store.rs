@@ -1,21 +1,22 @@
 //! The counter-store invariant. While a window is armed the network books
-//! every flit event once, into the one `LinkLedger` (`{writes, reads}`
-//! per FIFO lane, ejections per router, measured cycles), and every
-//! energy figure — link, router, NI, pillar, aggregate — is derived from
-//! it when read. Relays book lazily: a window's close books what they
-//! owe, so the store is complete whenever no window is armed, and a
-//! window's open drops what they owed the last one. The mid-window
-//! energy push and a tracer's `window` record book them too. These tests
-//! pin that booking at
-//! window edges and mid-window neither loses nor duplicates an event, so
-//! a refactor that does fails loudly.
+//! every flit event once, into the one `LinkLedger` (writes per FIFO lane,
+//! ejections per router, measured cycles; a lane's reads are derived from
+//! its writes and its occupancy at the window's open and last settle),
+//! and every energy figure — link, router, NI, pillar, aggregate — is
+//! derived from it when read. Relays book lazily: a window's close books
+//! what they owe and settles the reads, so the store is complete whenever
+//! no window is armed, and a window's open drops what they owed the last
+//! one. The mid-window energy push and a tracer's `window` record book
+//! and settle too. These tests pin that booking at window edges and
+//! mid-window neither loses nor duplicates an event, so a refactor that
+//! does fails loudly.
 
 use adele::online::ElevatorFirstSelector;
 use noc_energy::{EnergyLedger, LinkLedger};
 use noc_exp::{Scenario, SelectorSpec, WorkloadKind};
 use noc_sim::{RunSummary, SimConfig, Simulator, TraceWriter, Tracer};
 use noc_topology::placement::Placement;
-use noc_topology::{ElevatorSet, Mesh3d};
+use noc_topology::{Direction, ElevatorSet, Mesh3d, NodeId};
 use noc_traffic::injection::PacketSizeRange;
 use noc_traffic::{BatchedSynthetic, SyntheticParts, SyntheticTraffic};
 
@@ -154,4 +155,101 @@ fn booked_ledgers_are_equal_lane_for_lane() {
     );
     let measured = SelectorSpec::adele_measured_energy();
     assert_eq!(two_windows(&measured, 0), two_windows(&measured, 0));
+}
+
+/// A PS1 simulator on `selector`, stepped without relays unless `relays`,
+/// with a period-100 tracer attached if `traced`, after 300 warm-up
+/// cycles.
+fn audited(selector: &SelectorSpec, relays: bool, traced: bool) -> Simulator {
+    let (mesh, elevators) = Placement::Ps1.instantiate();
+    let config = SimConfig::new(mesh, elevators.clone())
+        .with_phases(300, 1_200, 8_000)
+        .with_seed(31);
+    let traffic = SyntheticTraffic::uniform(&mesh, 0.004, 31);
+    let selector = selector.build(&mesh, &elevators, 31);
+    let mut sim = Simulator::new(config, Box::new(traffic), selector);
+    if !relays {
+        sim.disable_relays();
+    }
+    if traced {
+        let writer = TraceWriter::new(Box::new(std::io::sink()));
+        sim.attach_tracer(Tracer::new(writer, 100));
+    }
+    sim.advance(300).unwrap();
+    sim
+}
+
+/// Every lane's derived reads equal the flits the lane popped while
+/// armed, tallied pop by pop (the `audit` feature); returns the reads.
+fn reads_equal_the_pop_tally(sim: &Simulator) -> u64 {
+    let (ledger, tally) = (sim.link_ledger(), sim.pop_tally());
+    let mut total = 0;
+    for node in 0..sim.link_map().node_count() {
+        for port in Direction::ALL {
+            for vc in 0..ledger.vcs() {
+                let reads = ledger.buffer_reads(NodeId(node as u16), port, vc);
+                let pops = tally[ledger.fifo(node, port.index(), vc)];
+                assert_eq!(reads, pops, "router {node} lane ({port}, {vc})");
+                total += reads;
+            }
+        }
+    }
+    total
+}
+
+/// `Simulator::run` arms its window without resetting the ledger: the
+/// first measured cycle opens it. Every settle of an audited build checks
+/// the derived reads against the pop tally lane for lane (the close, and
+/// the traced drain's settles after it), so a mismatch panics inside the
+/// run; relays on and off must also agree on the summary.
+#[test]
+fn a_run_derives_the_reads_it_pops() {
+    let run = |relays| audited(&SelectorSpec::adele(), relays, true).run().unwrap();
+    let summary = run(true);
+    assert!(summary.delivered_packets > 0, "sanity: traffic flowed");
+    assert_eq!(run(false), summary);
+}
+
+/// Two windows with an unarmed gap between them: each window's reads are
+/// its own pops, and the gap moves neither.
+#[test]
+fn windows_around_an_unarmed_gap_derive_their_own_reads() {
+    let mut ledgers = Vec::new();
+    for relays in [true, false] {
+        let mut sim = audited(&SelectorSpec::adele(), relays, false);
+        sim.measure_window(500).unwrap();
+        let first = sim.link_ledger().clone();
+        assert!(reads_equal_the_pop_tally(&sim) > 0, "sanity: flits moved");
+        sim.advance(200).unwrap();
+        assert_eq!(sim.link_ledger(), &first, "the gap moved the ledger");
+        reads_equal_the_pop_tally(&sim);
+        sim.measure_window(500).unwrap();
+        reads_equal_the_pop_tally(&sim);
+        ledgers.push((first, sim.link_ledger().clone()));
+    }
+    assert_eq!(ledgers[0], ledgers[1], "relays moved a counter");
+}
+
+/// Settles in the middle of a window — a period-100 tracer's `window`
+/// records and the measured-energy selector's period-256 pushes — leave
+/// the close's reads equal to the pops; settles after the close (the
+/// tracer stepping on unarmed) change nothing.
+#[test]
+fn settles_mid_window_and_after_the_close_keep_reads_exact() {
+    let mut ledgers = Vec::new();
+    for relays in [true, false] {
+        let mut sim = audited(&SelectorSpec::adele_measured_energy(), relays, true);
+        sim.measure_window(700).unwrap();
+        let closed = sim.link_ledger().clone();
+        assert!(reads_equal_the_pop_tally(&sim) > 0, "sanity: flits moved");
+        sim.advance(300).unwrap();
+        assert_eq!(
+            sim.link_ledger(),
+            &closed,
+            "a settle after the close moved it"
+        );
+        reads_equal_the_pop_tally(&sim);
+        ledgers.push(closed);
+    }
+    assert_eq!(ledgers[0], ledgers[1], "relays moved a counter");
 }
